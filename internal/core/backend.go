@@ -86,14 +86,19 @@ func (cb *cardBackend) Process(req uifd.CardRequest, done func(err error)) {
 // directly by the DeLiBA-2 stack, which reaches the card via its legacy DMA
 // path instead of UIFD/QDMA.
 func (cb *cardBackend) process(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error)) {
-	exts, err := cb.image.Extents(off, n)
+	var sub func(error)
+	err := cb.image.VisitExtents(off, n, false, func(e rbd.Extent) error {
+		if sub == nil {
+			// The first extent sizes the join: [off, off+n) spans one
+			// extent per backing object it touches.
+			ob := int64(cb.image.ObjectBytes)
+			sub = join(cb.eng, int((off+int64(n)-1)/ob-off/ob+1), done)
+		}
+		cb.processExtent(op, pattern, e, tenant, tr, sub)
+		return nil
+	})
 	if err != nil {
 		cb.eng.Schedule(0, func() { done(err) })
-		return
-	}
-	sub := join(cb.eng, len(exts), done)
-	for _, e := range exts {
-		cb.processExtent(op, pattern, e, tenant, tr, sub)
 	}
 }
 
@@ -118,14 +123,16 @@ func (cb *cardBackend) processExtent(op OpType, pattern Pattern, e rbd.Extent, t
 	if cb.trace != nil && tr.Sampled() {
 		hsel = cb.trace.Begin(tr, "crush-select")
 	}
-	cb.place.Select(pg, cb.pool.Width(), func(extra sim.Duration, err error) {
+	cb.place.Select(cb.pool, pg, func(extra sim.Duration, err error) {
 		hsel.End()
 		if err != nil {
 			done(err)
 			return
 		}
-		// The Fanout recomputes the identical placement internally; the
-		// accelerator charge above is the hardware time for it.
+		// The kernel selects on the same input as Cluster.ActingSet, so
+		// its answer is the acting set the Fanout then looks up in the
+		// cluster's placement cache; the accelerator charge above is the
+		// hardware time for computing it.
 		cb.after(extra+cb.reservePipe(cb.procCost), func() {
 			fanDone := func(endFan func()) func(error) {
 				return func(err error) {

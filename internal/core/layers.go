@@ -66,13 +66,14 @@ type Placement interface {
 	// Shell exposes the FPGA design hosting the kernels (nil for
 	// software placement).
 	Shell() *fpga.Shell
-	// Select computes placement asynchronously on the card; cont receives
-	// the post-selection kernel penalty to charge (the HLS slowdown) and
-	// any error.
-	Select(pg uint32, width int, cont func(penalty sim.Duration, err error))
+	// Select computes one of the pool's PG placements asynchronously on
+	// the card, from the same CRUSH input Cluster.ActingSet selects on;
+	// cont receives the post-selection kernel penalty to charge (the HLS
+	// slowdown) and any error.
+	Select(pool *rados.Pool, pg uint32, cont func(penalty sim.Duration, err error))
 	// SelectOn computes placement from a blocked host proc — DeLiBA-1's
 	// offload round trip — sleeping the kernel penalty in-line.
-	SelectOn(p *sim.Proc, pg uint32, width int) error
+	SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32) error
 }
 
 // FanoutLayer is the network path that carries replica/shard fan-out: the
@@ -225,7 +226,7 @@ func (dp *d1Path) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, ten
 		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(rados.HdrBytes)))
 		endTrans()
 		pg := dp.tb.Cluster.PGOf(dp.pool, e.Object)
-		if err := dp.place.SelectOn(p, pg, dp.pool.Width()); err != nil {
+		if err := dp.place.SelectOn(p, dp.pool, pg); err != nil {
 			return err
 		}
 		// Host-side fan-out over the kernel TCP/IP stack: one sendmsg
@@ -299,17 +300,17 @@ type rtlPlacement struct {
 func (pl *rtlPlacement) Kind() PlacementKind { return PlacementRTL }
 func (pl *rtlPlacement) Shell() *fpga.Shell  { return pl.shell }
 
-func (pl *rtlPlacement) Select(pg uint32, width int, cont func(sim.Duration, error)) {
+func (pl *rtlPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
 	end := pl.prof.span(StageAccel)
-	pl.shell.Straw2.Select(pg, width, func(_ []int, err error) {
+	pl.shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), func(_ []int, err error) {
 		end()
 		cont(0, err)
 	})
 }
 
-func (pl *rtlPlacement) SelectOn(p *sim.Proc, pg uint32, width int) error {
+func (pl *rtlPlacement) SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32) error {
 	end := pl.prof.span(StageAccel)
-	_, err := pl.shell.Straw2.SelectWait(p, pg, width)
+	_, err := pl.shell.Straw2.SelectWait(p, pg, uint32(pool.ID), pool.Width())
 	end()
 	return err
 }
@@ -333,22 +334,22 @@ func (pl *hlsPlacement) penalty(passes int) sim.Duration {
 		(pl.scale - 1) * float64(passes))
 }
 
-func (pl *hlsPlacement) Select(pg uint32, width int, cont func(sim.Duration, error)) {
+func (pl *hlsPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
 	end := pl.prof.span(StageAccel)
-	pl.shell.Straw2.Select(pg, width, func(_ []int, err error) {
+	pl.shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), func(_ []int, err error) {
 		end()
-		cont(pl.penalty(width), err)
+		cont(pl.penalty(pool.Width()), err)
 	})
 }
 
-func (pl *hlsPlacement) SelectOn(p *sim.Proc, pg uint32, width int) error {
+func (pl *hlsPlacement) SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32) error {
 	end := pl.prof.span(StageAccel)
-	_, err := pl.shell.Straw2.SelectWait(p, pg, width)
+	_, err := pl.shell.Straw2.SelectWait(p, pg, uint32(pool.ID), pool.Width())
 	end()
 	if err != nil {
 		return err
 	}
-	p.Sleep(pl.penalty(width))
+	p.Sleep(pl.penalty(pool.Width()))
 	return nil
 }
 
@@ -358,10 +359,10 @@ type swPlacement struct{}
 
 func (swPlacement) Kind() PlacementKind { return PlacementSoftware }
 func (swPlacement) Shell() *fpga.Shell  { return nil }
-func (swPlacement) Select(_ uint32, _ int, cont func(sim.Duration, error)) {
+func (swPlacement) Select(_ *rados.Pool, _ uint32, cont func(sim.Duration, error)) {
 	cont(0, nil)
 }
-func (swPlacement) SelectOn(*sim.Proc, uint32, int) error { return nil }
+func (swPlacement) SelectOn(*sim.Proc, *rados.Pool, uint32) error { return nil }
 
 // --- fan-out layers ------------------------------------------------------
 

@@ -1,0 +1,77 @@
+package crush
+
+// Memo is a lazily filled memo of one Map's placements of pool PGs. The
+// CRUSH input of PG pg in pool is Hash2(pg, pool) (Ceph's pps), computed
+// only when the memo misses. Entries stay valid while the map's Generation
+// and the caller's reweight version are unchanged; the first Select that
+// sees either move flushes the memo in place. Nothing is computed or
+// allocated until the first Select, and each pool's table grows only to
+// the largest PG looked up.
+//
+// Answers are shared between callers: treat them as read-only. A Memo is
+// not safe for concurrent use — each simulation shard that places I/O owns
+// its own (the cluster's ActingSet cache, each card CRUSH kernel, each
+// split-domain client).
+type Memo struct {
+	m    *Map
+	gen  uint64
+	ver  uint64
+	sets [][]memoEntry // [pool][pg]
+	// Hits and Misses count Select calls served from the memo and computed
+	// into it.
+	Hits, Misses uint64
+}
+
+// memoEntry is one memoised placement and the width it was selected for.
+type memoEntry struct {
+	numRep int
+	set    []int
+}
+
+// maxMemoPG bounds the memo's tables: a pool id or PG at or above it is
+// selected without memoisation.
+const maxMemoPG = 1 << 20
+
+// NewMemo returns an empty memo over m.
+func NewMemo(m *Map) *Memo { return &Memo{m: m} }
+
+// Select returns rule's placement of PG pg of pool into numRep targets
+// under the reweight table (nil = every device fully in), served from the
+// memo when valid. rule must be the same on every call for one pool. ver
+// versions the reweight table: callers pass a new ver whenever the table's
+// contents change. Errors are not memoised.
+func (mm *Memo) Select(rule *Rule, pool, pg uint32, numRep int, reweight []uint32, ver uint64) ([]int, error) {
+	if g := mm.m.gen; g != mm.gen || ver != mm.ver {
+		mm.reset(g, ver)
+	}
+	if int(pool) < len(mm.sets) && int(pg) < len(mm.sets[pool]) {
+		if e := mm.sets[pool][pg]; e.set != nil && e.numRep == numRep {
+			mm.Hits++
+			return e.set, nil
+		}
+	}
+	mm.Misses++
+	set, err := mm.m.Select(rule, Hash2(pg, pool), numRep, reweight)
+	if err != nil || pool >= maxMemoPG || pg >= maxMemoPG {
+		return set, err
+	}
+	for int(pool) >= len(mm.sets) {
+		mm.sets = append(mm.sets, nil)
+	}
+	pgs := mm.sets[pool]
+	for int(pg) >= len(pgs) {
+		pgs = append(pgs, memoEntry{})
+	}
+	pgs[pg] = memoEntry{numRep, set}
+	mm.sets[pool] = pgs
+	return set, nil
+}
+
+// reset empties the memo in place (no allocation) and records the inputs
+// it now reflects.
+func (mm *Memo) reset(gen, ver uint64) {
+	for _, pgs := range mm.sets {
+		clear(pgs)
+	}
+	mm.gen, mm.ver = gen, ver
+}

@@ -1,0 +1,122 @@
+package crush
+
+import "testing"
+
+func equalSets(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemoFollowsWeightEdit: an AdjustItemWeight between two selects
+// changes some placements, and the memo's answers follow the edit.
+func TestMemoFollowsWeightEdit(t *testing.T) {
+	m, _, err := BuildCluster(ClusterSpec{Hosts: 4, OSDsPerHost: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := m.Rule("replicated_rule")
+	memo := NewMemo(m)
+	const pool, pgs = 1, 128
+	before := make([][]int, pgs)
+	for pg := uint32(0); pg < pgs; pg++ {
+		set, err := memo.Select(rule, pool, pg, 3, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[pg] = append([]int(nil), set...)
+	}
+	hostID, ok := m.BucketByName("host0")
+	if !ok {
+		t.Fatal("host0 missing")
+	}
+	if _, err := m.Bucket(hostID).AdjustItemWeight(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for pg := uint32(0); pg < pgs; pg++ {
+		got, err := memo.Select(rule, pool, pg, 3, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Select(rule, Hash2(pg, pool), 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalSets(got, want) {
+			t.Fatalf("pg %d after edit: memo %v, fresh %v", pg, got, want)
+		}
+		if !equalSets(got, before[pg]) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("draining osd.0 moved no PG")
+	}
+	if memo.Misses != 2*pgs || memo.Hits != 0 {
+		t.Fatalf("hits %d misses %d, want 0/%d", memo.Hits, memo.Misses, 2*pgs)
+	}
+}
+
+// TestMemoFollowsReweightVersion: a new reweight version flushes the memo,
+// so an OSD marked out disappears from every answer.
+func TestMemoFollowsReweightVersion(t *testing.T) {
+	m, _, err := BuildCluster(ClusterSpec{Hosts: 2, OSDsPerHost: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := m.Rule("replicated_rule")
+	memo := NewMemo(m)
+	rw := make([]uint32, m.MaxDevices())
+	for i := range rw {
+		rw[i] = WeightOne
+	}
+	for pg := uint32(0); pg < 64; pg++ {
+		if _, err := memo.Select(rule, 0, pg, 2, rw, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rw[3] = 0
+	for pg := uint32(0); pg < 64; pg++ {
+		set, err := memo.Select(rule, 0, pg, 2, rw, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range set {
+			if o == 3 {
+				t.Fatalf("pg %d still placed on out osd.3: %v", pg, set)
+			}
+		}
+	}
+}
+
+// TestMemoHitAllocs: a warm memo hit performs no CRUSH descent and no
+// allocation, and returns the memoised slice itself.
+func TestMemoHitAllocs(t *testing.T) {
+	m, _, err := BuildCluster(ClusterSpec{Hosts: 4, OSDsPerHost: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := m.Rule("replicated_rule")
+	memo := NewMemo(m)
+	first, err := memo.Select(rule, 2, 7, 3, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again []int
+	allocs := testing.AllocsPerRun(1000, func() {
+		again, _ = memo.Select(rule, 2, 7, 3, nil, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("memo hit allocated %.1f/op, want 0", allocs)
+	}
+	if &again[0] != &first[0] || memo.Misses != 1 {
+		t.Fatalf("hit did not return the memoised slice (misses %d)", memo.Misses)
+	}
+}

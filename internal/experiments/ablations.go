@@ -262,7 +262,7 @@ func DFX() (*DFXResult, error) {
 				return
 			}
 			// The static Straw2 kernel keeps serving while swapping.
-			if _, err := shell.Straw2.SelectWait(p, 1, 2); err != nil {
+			if _, err := shell.Straw2.SelectWait(p, 1, 0, 2); err != nil {
 				swapErr = err
 				return
 			}

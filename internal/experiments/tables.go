@@ -155,7 +155,7 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 				acc, _ = shell.DynAccel(id)
 			}
 			if acc != nil {
-				acc.SelectWait(p, 7, 2)
+				acc.SelectWait(p, 7, 0, 2)
 			}
 		}
 		p.Sleep(2 * sim.Microsecond) // C2H result + completion

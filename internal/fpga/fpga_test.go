@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestAccelFSMSerialization(t *testing.T) {
 	acc := NewCrushAccel(eng, KStraw2, m, m.Rule("flat"))
 	var finishes []sim.Time
 	for i := 0; i < 3; i++ {
-		acc.Select(uint32(i), 1, func(osds []int, err error) {
+		acc.Select(uint32(i), 0, 1, func(osds []int, err error) {
 			if err != nil || len(osds) != 1 {
 				t.Errorf("select: %v %v", osds, err)
 			}
@@ -152,7 +153,7 @@ func TestCrushAccelMatchesSoftware(t *testing.T) {
 	acc := NewCrushAccel(eng, KStraw2, m, rule)
 	var hwResult []int
 	eng.Spawn("hw", func(p *sim.Proc) {
-		osds, err := acc.SelectWait(p, 1234, 3)
+		osds, err := acc.SelectWait(p, 1234, 0, 3)
 		if err != nil {
 			t.Error(err)
 			return
@@ -160,7 +161,7 @@ func TestCrushAccelMatchesSoftware(t *testing.T) {
 		hwResult = osds
 	})
 	eng.Run()
-	swResult, err := m.Select(rule, 1234, 3, nil)
+	swResult, err := m.Select(rule, crush.Hash2(1234, 0), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,5 +420,52 @@ func TestAcceleratorForAlg(t *testing.T) {
 	eng.Run()
 	if _, err := s.AcceleratorFor(crush.ListAlg); err != nil {
 		t.Fatalf("list after load: %v", err)
+	}
+}
+
+// TestCrushAccelMemoFollowsMapEdit: the kernel memoises its answers, and an
+// AdjustItemWeight between two selects reaches them — after the edit every
+// answer equals a fresh descent, and some have moved.
+func TestCrushAccelMemoFollowsMapEdit(t *testing.T) {
+	eng := sim.NewEngine()
+	m, _, _ := crush.BuildCluster(crush.ClusterSpec{Hosts: 4, OSDsPerHost: 4})
+	rule := m.Rule("replicated_rule")
+	acc := NewCrushAccel(eng, KStraw2, m, rule)
+	const pool, pgs = 1, 64
+	selectAll := func() [][]int {
+		out := make([][]int, pgs)
+		for pg := uint32(0); pg < pgs; pg++ {
+			pg := pg
+			acc.Select(pg, pool, 3, func(osds []int, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				out[pg] = append([]int(nil), osds...)
+			})
+		}
+		eng.Run()
+		return out
+	}
+	before := selectAll()
+	hostID, _ := m.BucketByName("host1")
+	if _, err := m.Bucket(hostID).AdjustItemWeight(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	after := selectAll()
+	moved := 0
+	for pg := uint32(0); pg < pgs; pg++ {
+		want, err := m.Select(rule, crush.Hash2(pg, pool), 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(after[pg]) != fmt.Sprint(want) {
+			t.Fatalf("pg %d after edit: kernel %v, fresh %v", pg, after[pg], want)
+		}
+		if fmt.Sprint(after[pg]) != fmt.Sprint(before[pg]) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("draining osd.4 moved no PG")
 	}
 }

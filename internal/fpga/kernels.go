@@ -217,31 +217,42 @@ func streamCycles(n int) int {
 // CrushAccel is a CRUSH placement kernel bound to a cluster map. It
 // computes placements with the same crush.Map the host uses, in
 // RTLCyclesMax per selection step.
+//
+// The kernel's service time depends only on the replica count, so the
+// simulator need not redo the straw2 descent for every I/O: answers come
+// from a placement memo owned by the kernel (and so by the card's shard),
+// filled on first use of each PG and flushed when the map's Generation
+// moves.
 type CrushAccel struct {
 	*Accel
 	Map  *crush.Map
 	Rule *crush.Rule
+	memo *crush.Memo
 }
 
 // NewCrushAccel builds a placement accelerator for the given map and rule.
 func NewCrushAccel(eng *sim.Engine, id KernelID, m *crush.Map, rule *crush.Rule) *CrushAccel {
-	return &CrushAccel{Accel: NewAccel(eng, id), Map: m, Rule: rule}
+	return &CrushAccel{Accel: NewAccel(eng, id), Map: m, Rule: rule, memo: crush.NewMemo(m)}
 }
 
-// Select computes numRep placement targets for input x and delivers them to
-// done after the kernel's pipeline time (one FSM pass per replica).
-func (c *CrushAccel) Select(x uint32, numRep int, done func(osds []int, err error)) {
+// Select computes numRep placement targets for placement group pg of pool
+// and delivers them to done after the kernel's pipeline time (one FSM pass
+// per replica). The kernel hashes (pg, pool) into the CRUSH input exactly
+// as the host's rados.Cluster.ActingSet does, and sees no reweight table,
+// like a card given the map without the monitor's in/out state. osds is
+// shared with the kernel's memo: treat it as read-only.
+func (c *CrushAccel) Select(pg, pool uint32, numRep int, done func(osds []int, err error)) {
 	service := sim.Duration(numRep) * c.Spec.PipelineLatency()
 	c.run(service, func() {
-		osds, err := c.Map.Select(c.Rule, x, numRep, nil)
+		osds, err := c.memo.Select(c.Rule, pool, pg, numRep, nil, 0)
 		done(osds, err)
 	})
 }
 
 // SelectWait is the Proc-blocking form of Select.
-func (c *CrushAccel) SelectWait(p *sim.Proc, x uint32, numRep int) ([]int, error) {
+func (c *CrushAccel) SelectWait(p *sim.Proc, pg, pool uint32, numRep int) ([]int, error) {
 	comp := c.eng.NewCompletion()
-	c.Select(x, numRep, func(osds []int, err error) { comp.Complete(osds, err) })
+	c.Select(pg, pool, numRep, func(osds []int, err error) { comp.Complete(osds, err) })
 	v, err := p.Await(comp)
 	if err != nil {
 		return nil, err

@@ -100,6 +100,10 @@ type Client struct {
 	// Eng is the engine the client's procs and completions live on; nil
 	// means the cluster's engine (the single-domain default).
 	Eng *sim.Engine
+
+	// place is the split-domain client's own placement memo (see
+	// splitActing); nil until the first split op.
+	place *crush.Memo
 }
 
 // NewClient attaches a client host to the cluster's fabric.
@@ -320,6 +324,20 @@ func (cl *Client) writeReplicated(p *sim.Proc, pool *Pool, obj string, off int, 
 	return firstErr
 }
 
+// splitActing returns the acting set of obj's PG from the client's own
+// placement memo. A split-domain client runs on the host shard, where
+// filling the cluster's shared cache would race with the OSD shards, so it
+// keeps a memo of its own, created on first use and validated against the
+// CRUSH map generation and the cluster epoch (the reweight version). The
+// result is shared with the memo: treat it as read-only.
+func (cl *Client) splitActing(pool *Pool, obj string) ([]int, error) {
+	c := cl.Cluster
+	if cl.place == nil {
+		cl.place = crush.NewMemo(c.Map)
+	}
+	return c.actingIn(cl.place, pool, c.PGOf(pool, obj))
+}
+
 // writeReplicatedSplit is the replicated write on a split-domain
 // deployment. Every piece of OSD-side work runs inside a fabric arrival
 // on the OSD shard; follower acks are counted at the primary rather than
@@ -330,23 +348,29 @@ func (cl *Client) writeReplicated(p *sim.Proc, pool *Pool, obj string, off int, 
 // the host shard would cross the domain boundary).
 func (cl *Client) writeReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off int, data []byte, opts ReqOpts) error {
 	c := cl.Cluster
-	acting, err := c.ActingSetUncached(pool, c.PGOf(pool, obj))
+	acting, err := cl.splitActing(pool, obj)
 	if err != nil {
 		return err
 	}
-	members := acting[:0]
-	for _, o := range acting {
+	// acting is shared with the placement memo: find the primary (first
+	// placed member) and count the placed members without filtering the
+	// slice in place.
+	first, placed := -1, 0
+	for i, o := range acting {
 		if o != crush.ItemNone {
-			members = append(members, o)
+			if first < 0 {
+				first = i
+			}
+			placed++
 		}
 	}
-	if len(members) == 0 {
+	if placed == 0 {
 		return fmt.Errorf("rados: pg for %q has no placed replicas", obj)
 	}
 	if cl.PlacementCost > 0 {
 		p.Sleep(cl.PlacementCost)
 	}
-	primary := members[0]
+	primary := acting[first]
 	pNode := c.NodeOf(primary)
 	fab := cl.fabric()
 	done := cl.eng().NewCompletion()
@@ -358,7 +382,7 @@ func (cl *Client) writeReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off 
 		// OSD-shard context from here on; spans close against the primary
 		// node's own domain clock.
 		endNet(c.EngineOf(primary))
-		remaining := len(members)
+		remaining := placed
 		var firstErr error
 		ackOne := func(err error) {
 			if err != nil && firstErr == nil {
@@ -374,8 +398,10 @@ func (cl *Client) writeReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off 
 		c.OSDs[primary].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
 			ackOne(r.Err)
 		})
-		for _, o := range members[1:] {
-			o := o
+		for _, o := range acting[first+1:] {
+			if o == crush.ItemNone {
+				continue
+			}
 			oNode := c.NodeOf(o)
 			fab.Send(pNode, oNode, HdrBytes+len(data), func() {
 				c.OSDs[o].SubmitOpts(opts, OpWrite, obj, off, data, 0, func(r Result) {
@@ -393,7 +419,7 @@ func (cl *Client) writeReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off 
 // to the host shard inside the response message.
 func (cl *Client) readReplicatedSplit(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts) ([]byte, error) {
 	c := cl.Cluster
-	acting, err := c.ActingSetUncached(pool, c.PGOf(pool, obj))
+	acting, err := cl.splitActing(pool, obj)
 	if err != nil {
 		return nil, err
 	}

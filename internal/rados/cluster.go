@@ -72,18 +72,11 @@ type Cluster struct {
 	// until either input changes. The monitor invalidates on every weight
 	// edit (InvalidatePlacement); topology edits are caught lazily by
 	// comparing the CRUSH map's Generation. epoch counts invalidations —
-	// the cluster-local analogue of Ceph's osdmap epoch.
-	placeCache map[placeKey][]int
-	cacheGen   uint64 // crush Map generation the cache was built against
-	epoch      uint64
-	// CacheHits/CacheMisses instrument the cache for tests and tools.
-	CacheHits, CacheMisses uint64
-}
-
-// placeKey identifies one PG's placement within one pool.
-type placeKey struct {
-	pool int
-	pg   uint32
+	// the cluster-local analogue of Ceph's osdmap epoch — and versions the
+	// reweight table for the memo.
+	place    *crush.Memo
+	cacheGen uint64 // crush Map generation the epoch last caught up with
+	epoch    uint64
 }
 
 // NewCluster builds the cluster and its fabric hosts. The fabric must
@@ -120,14 +113,14 @@ func NewCluster(eng *sim.Engine, fabric *netsim.Fabric, cfg ClusterConfig) (*Clu
 	}})
 
 	c := &Cluster{
-		Eng:        eng,
-		Cfg:        cfg,
-		Map:        m,
-		Root:       root,
-		Fabric:     fabric,
-		pools:      make(map[string]*Pool),
-		placeCache: make(map[placeKey][]int),
-		cacheGen:   m.Generation(),
+		Eng:      eng,
+		Cfg:      cfg,
+		Map:      m,
+		Root:     root,
+		Fabric:   fabric,
+		pools:    make(map[string]*Pool),
+		place:    crush.NewMemo(m),
+		cacheGen: m.Generation(),
 	}
 	total := cfg.Nodes * cfg.OSDsPerNode
 	for n := 0; n < cfg.Nodes; n++ {
@@ -287,64 +280,36 @@ func (c *Cluster) PGOf(pool *Pool, obj string) uint32 {
 // allocation.
 func (c *Cluster) ActingSet(pool *Pool, pg uint32) ([]int, error) {
 	c.syncPlacement()
-	k := placeKey{pool.ID, pg}
-	if act, ok := c.placeCache[k]; ok {
-		c.CacheHits++
-		return act, nil
-	}
-	c.CacheMisses++
-	x := crush.Hash2(pg, uint32(pool.ID))
-	var rw []uint32
-	if c.monitor != nil {
-		rw = c.monitor.reweight
-	}
-	act, err := c.Map.Select(pool.rule, x, pool.Width(), rw)
-	if err != nil {
-		return nil, err
-	}
-	c.placeCache[k] = act
-	return act, nil
+	return c.actingIn(c.place, pool, pg)
 }
 
-// ActingSetUncached computes a PG's placement without touching the shared
-// placement cache or its hit counters. Split-domain clients call it from
-// the host shard, where mutating cluster-owned state would race with the
-// OSD shard; it allocates a fresh slice per call, so the result is the
-// caller's to keep.
-func (c *Cluster) ActingSetUncached(pool *Pool, pg uint32) ([]int, error) {
+// actingIn selects a PG's acting set through memo m, under the monitor's
+// in/out table (all in without a monitor), versioned by the cluster epoch.
+func (c *Cluster) actingIn(m *crush.Memo, pool *Pool, pg uint32) ([]int, error) {
 	var rw []uint32
 	if c.monitor != nil {
 		rw = c.monitor.reweight
 	}
-	return c.Map.Select(pool.rule, crush.Hash2(pg, uint32(pool.ID)), pool.Width(), rw)
+	return m.Select(pool.rule, uint32(pool.ID), pg, pool.Width(), rw, c.epoch)
 }
 
 // syncPlacement catches CRUSH topology edits made directly on c.Map (bucket
-// membership, weights, rules) by comparing generations, flushing the cache
-// and advancing the epoch when one happened.
+// membership, weights, rules) by comparing generations, advancing the
+// epoch when one happened.
 func (c *Cluster) syncPlacement() {
 	if g := c.Map.Generation(); g != c.cacheGen {
 		c.epoch++
-		c.flushPlacement(g)
+		c.cacheGen = g
 	}
 }
 
-// InvalidatePlacement flushes the placement cache and advances the map
-// epoch. The monitor calls it on every in/out/reweight edit; callers that
-// mutate placement inputs outside the Cluster/Monitor API may call it
-// directly.
+// InvalidatePlacement advances the map epoch, so the placement cache
+// flushes on its next lookup. The monitor calls it on every
+// in/out/reweight edit; callers that mutate placement inputs outside the
+// Cluster/Monitor API may call it directly.
 func (c *Cluster) InvalidatePlacement() {
 	c.epoch++
-	c.flushPlacement(c.Map.Generation())
-}
-
-// flushPlacement empties the cache in place (compiles to a map clear; no
-// allocation) and records the CRUSH generation it now reflects.
-func (c *Cluster) flushPlacement(gen uint64) {
-	for k := range c.placeCache {
-		delete(c.placeCache, k)
-	}
-	c.cacheGen = gen
+	c.cacheGen = c.Map.Generation()
 }
 
 // MapEpoch returns a counter that advances every time cached placements

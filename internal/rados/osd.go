@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -100,11 +99,11 @@ type OSD struct {
 	// pending tracks accepted-but-uncompleted requests so a crash can fail
 	// them immediately (see SetUp / Drain).
 	pending []*pendingOp
+	// free recycles finished ops (see pendingOp).
+	free []*pendingOp
 
-	// Latency of service (queueing + service, excluding network).
-	ServiceHist *metrics.Histogram
-	served      uint64
-	crashes     uint64
+	served  uint64
+	crashes uint64
 	// traceSink receives one "osd-service" span per sampled request,
 	// split into lane-queue wait and drive service (nil = tracing off).
 	// It must be a sink registered on this OSD's own domain.
@@ -115,15 +114,38 @@ type OSD struct {
 // must belong to the simulation domain the OSD runs on.
 func (o *OSD) SetTraceSink(s *trace.Sink) { o.traceSink = s }
 
-// pendingOp is one accepted request awaiting service. idx is its position
-// in the OSD's pending slice (swap-removal keeps completion O(1)); aborted
-// is set when a crash already failed the request, telling the service proc
-// not to complete it a second time.
+// pendingOp is one accepted request: its arguments and its place in the
+// OSD's service chain. idx is its position in the OSD's pending slice
+// (swap-removal keeps completion O(1)); aborted is set when a crash already
+// failed the request, telling the service chain not to complete it a second
+// time. Ops are recycled through the OSD's freelist once their service
+// ends; step is bound once per struct, so a recycled op schedules its chain
+// without allocating.
 type pendingOp struct {
-	done    func(Result)
-	idx     int
+	o       *OSD
+	step    func()
+	stage   uint8
 	aborted bool
+	idx     int
+
+	op    OpType
+	opts  ReqOpts
+	obj   string
+	off   int
+	data  []byte
+	n     int
+	done  func(Result)
+	start sim.Time
+	wait  sim.Duration
 }
+
+// Service-chain stages of a pendingOp: every OSD request is the event chain
+// Schedule(0) → lane acquire → Schedule(service) → release and complete.
+const (
+	stageAdmit   uint8 = iota // admission event: queue for a lane
+	stageService              // lane held: draw the service time and sleep it
+	stageRelease              // service over: free the lane and complete
+)
 
 // NewOSD constructs an OSD with the given profile and store.
 func NewOSD(eng *sim.Engine, id int, profile OSDProfile, store ObjectStore) *OSD {
@@ -131,14 +153,13 @@ func NewOSD(eng *sim.Engine, id int, profile OSDProfile, store ObjectStore) *OSD
 		profile.Lanes = 1
 	}
 	return &OSD{
-		ID:          id,
-		Profile:     profile,
-		Store:       store,
-		eng:         eng,
-		lanes:       eng.NewResource(profile.Lanes),
-		rng:         sim.NewRNG(0x05D0 + uint64(id)*2654435761),
-		up:          true,
-		ServiceHist: metrics.NewHistogram(),
+		ID:      id,
+		Profile: profile,
+		Store:   store,
+		eng:     eng,
+		lanes:   eng.NewResource(profile.Lanes),
+		rng:     sim.NewRNG(0x05D0 + uint64(id)*2654435761),
+		up:      true,
 	}
 }
 
@@ -302,6 +323,13 @@ func (o *OSD) Submit(op OpType, obj string, off int, data []byte, n int, done fu
 }
 
 // SubmitOpts is Submit with service hints.
+//
+// Service is event-driven: an admission event one Schedule(0) after the
+// call queues for a lane, the lane grant draws the service time and sleeps
+// it as one event, and that event frees the lane and completes the request.
+// A crash while the request is queued or in service fails it at crash time
+// (see SetUp); the chain still runs to the end of service, holding the lane
+// like a zombie occupying the drive, but completes nothing.
 func (o *OSD) SubmitOpts(opts ReqOpts, op OpType, obj string, off int, data []byte, n int, done func(Result)) {
 	if !o.up {
 		o.eng.Schedule(0, func() {
@@ -313,45 +341,81 @@ func (o *OSD) SubmitOpts(opts ReqOpts, op OpType, obj string, off int, data []by
 	if o.silent {
 		return
 	}
-	pd := &pendingOp{done: done, idx: len(o.pending)}
+	pd := o.newPending()
+	pd.idx = len(o.pending)
+	pd.op, pd.opts, pd.obj, pd.off, pd.data, pd.n, pd.done = op, opts, obj, off, data, n, done
+	pd.start = o.eng.Now()
 	o.pending = append(o.pending, pd)
-	start := o.eng.Now()
-	o.eng.Spawn(fmt.Sprintf("osd%d-%v", o.ID, op), func(p *sim.Proc) {
-		size := n
-		if op == OpWrite {
-			size = len(data)
+	o.eng.Schedule(0, pd.step)
+}
+
+// newPending takes an op from the freelist or allocates one with its chain
+// step bound.
+func (o *OSD) newPending() *pendingOp {
+	if k := len(o.free); k > 0 {
+		pd := o.free[k-1]
+		o.free[k-1] = nil
+		o.free = o.free[:k-1]
+		return pd
+	}
+	pd := &pendingOp{o: o}
+	pd.step = pd.advance
+	return pd
+}
+
+// advance runs the op's next chain stage.
+func (pd *pendingOp) advance() {
+	o := pd.o
+	switch pd.stage {
+	case stageAdmit:
+		pd.stage = stageService
+		o.lanes.AcquireThen(1, pd.step)
+	case stageService:
+		pd.wait = o.eng.Now().Sub(pd.start)
+		size := pd.n
+		if pd.op == OpWrite {
+			size = len(pd.data)
 		}
-		o.lanes.Acquire(p, 1)
-		wait := o.eng.Now().Sub(start)
-		st := o.serviceTime(op, size, opts.Random)
-		if o.slowTenantF > 1 && opts.Tenant == o.slowTenant {
+		st := o.serviceTime(pd.op, size, pd.opts.Random)
+		if o.slowTenantF > 1 && pd.opts.Tenant == o.slowTenant {
 			st = sim.Duration(float64(st) * o.slowTenantF)
 		}
-		p.Sleep(st)
+		pd.stage = stageRelease
+		o.eng.Schedule(st, pd.step)
+	case stageRelease:
 		o.lanes.Release(1)
-		// A crash mid-queue already failed the request; do not complete it
-		// twice (the lane time above is the zombie occupying the drive).
-		if pd.aborted {
-			return
+		if !pd.aborted {
+			o.complete(pd)
 		}
-		o.unregister(pd)
-		var res Result
-		switch op {
-		case OpWrite:
-			res.Err = o.Store.Write(obj, off, data)
-		case OpRead:
-			res.Data, res.Err = o.Store.Read(obj, off, n)
-		}
-		o.served++
-		o.ServiceHist.Record(o.eng.Now().Sub(start))
-		// One uniform span name so critical-path aggregation pools all
-		// replicas into a single "osd-service" attribution bucket.
-		if o.traceSink != nil && opts.Trace.Sampled() {
-			o.traceSink.Emit(opts.Trace, "osd-service",
-				start, o.eng.Now().Sub(start), wait, "", 0)
-		}
-		done(res)
-	})
+		o.recycle(pd)
+	}
+}
+
+// complete stores or fetches the op's bytes and delivers its result.
+func (o *OSD) complete(pd *pendingOp) {
+	o.unregister(pd)
+	var res Result
+	switch pd.op {
+	case OpWrite:
+		res.Err = o.Store.Write(pd.obj, pd.off, pd.data)
+	case OpRead:
+		res.Data, res.Err = o.Store.Read(pd.obj, pd.off, pd.n)
+	}
+	o.served++
+	// One uniform span name so critical-path aggregation pools all
+	// replicas into a single "osd-service" attribution bucket.
+	if o.traceSink != nil && pd.opts.Trace.Sampled() {
+		o.traceSink.Emit(pd.opts.Trace, "osd-service",
+			pd.start, o.eng.Now().Sub(pd.start), pd.wait, "", 0)
+	}
+	pd.done(res)
+}
+
+// recycle clears a finished op and returns it to the freelist.
+func (o *OSD) recycle(pd *pendingOp) {
+	step := pd.step
+	*pd = pendingOp{o: o, step: step}
+	o.free = append(o.free, pd)
 }
 
 // unregister swap-removes a completed request from the pending set.
@@ -361,12 +425,4 @@ func (o *OSD) unregister(pd *pendingOp) {
 	o.pending[pd.idx].idx = pd.idx
 	o.pending[last] = nil
 	o.pending = o.pending[:last]
-}
-
-// SubmitWait is the Proc-blocking form of Submit.
-func (o *OSD) SubmitWait(p *sim.Proc, op OpType, obj string, off int, data []byte, n int) Result {
-	c := o.eng.NewCompletion()
-	o.Submit(op, obj, off, data, n, func(r Result) { c.Complete(r, r.Err) })
-	v, _ := p.Await(c)
-	return v.(Result)
 }

@@ -71,11 +71,11 @@ func TestPlacementCacheMatchesSelect(t *testing.T) {
 			}
 		}
 	}
-	if c.CacheMisses != uint64(pool.PGs+ec.PGs) {
-		t.Fatalf("misses = %d, want %d", c.CacheMisses, pool.PGs+ec.PGs)
+	if c.place.Misses != uint64(pool.PGs+ec.PGs) {
+		t.Fatalf("misses = %d, want %d", c.place.Misses, pool.PGs+ec.PGs)
 	}
-	if c.CacheHits != uint64(pool.PGs+ec.PGs) {
-		t.Fatalf("hits = %d, want %d", c.CacheHits, pool.PGs+ec.PGs)
+	if c.place.Hits != uint64(pool.PGs+ec.PGs) {
+		t.Fatalf("hits = %d, want %d", c.place.Hits, pool.PGs+ec.PGs)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestPlacementCacheInvalidatedByCrushEdit(t *testing.T) {
 	if c.MapEpoch() == e0 {
 		t.Fatal("CRUSH bucket edit did not advance the map epoch")
 	}
-	misses := c.CacheMisses
+	misses := c.place.Misses
 	for pg := uint32(0); pg < pool.PGs; pg++ {
 		got, err := c.ActingSet(pool, pg)
 		if err != nil {
@@ -187,9 +187,9 @@ func TestPlacementCacheInvalidatedByCrushEdit(t *testing.T) {
 			t.Fatalf("pg %d after bucket edit: cached %v, fresh %v", pg, got, want)
 		}
 	}
-	if c.CacheMisses != misses+uint64(pool.PGs) {
+	if c.place.Misses != misses+uint64(pool.PGs) {
 		t.Fatalf("cache not flushed: %d misses after edit, want %d",
-			c.CacheMisses-misses, pool.PGs)
+			c.place.Misses-misses, pool.PGs)
 	}
 	_ = eng
 }

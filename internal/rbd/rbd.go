@@ -8,6 +8,8 @@ package rbd
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/rados"
 	"repro/internal/sim"
@@ -27,7 +29,24 @@ type Image struct {
 	Size        int64
 	ObjectBytes int
 	Pool        *rados.Pool
+
+	// names interns backing-object names by stripe index, filled lazily
+	// on first use of each index (see ObjectName).
+	names nameTable
 }
+
+// nameTable is an image's lazily built object-name table. The table is
+// allocated on the first in-range lookup and each slot is filled on first
+// use; slots are atomic so one image can be mapped from several shard
+// workers at once (racing fills store equal strings, either may win).
+type nameTable struct {
+	once  sync.Once
+	slots []atomic.Pointer[string]
+}
+
+// maxInternedObjects bounds the name table: images striped over more
+// objects than this format names on every call instead.
+const maxInternedObjects = 1 << 16
 
 // NewImage describes an image; no I/O happens until reads/writes.
 func NewImage(name string, size int64, objectBytes int, pool *rados.Pool) (*Image, error) {
@@ -49,9 +68,39 @@ func (im *Image) Objects() int64 {
 }
 
 // ObjectName returns the backing object name for stripe index i, using the
-// rbd_data naming convention.
+// rbd_data naming convention. Names of in-range indices are interned: the
+// first call per index formats the name, later calls return it without
+// allocating.
 func (im *Image) ObjectName(i int64) string {
-	return fmt.Sprintf("rbd_data.%s.%016x", im.Name, i)
+	t := &im.names
+	t.once.Do(func() {
+		if objs := im.Objects(); objs <= maxInternedObjects {
+			t.slots = make([]atomic.Pointer[string], objs)
+		}
+	})
+	if i < 0 || i >= int64(len(t.slots)) {
+		return im.formatName(i)
+	}
+	if s := t.slots[i].Load(); s != nil {
+		return *s
+	}
+	s := im.formatName(i)
+	t.slots[i].Store(&s)
+	return s
+}
+
+// formatName formats stripe index i's object name: "rbd_data.<image>."
+// followed by i as 16 zero-padded hex digits.
+func (im *Image) formatName(i int64) string {
+	if i < 0 {
+		return fmt.Sprintf("rbd_data.%s.%016x", im.Name, i)
+	}
+	var hex [16]byte
+	for k := len(hex) - 1; k >= 0; k-- {
+		hex[k] = "0123456789abcdef"[i&0xf]
+		i >>= 4
+	}
+	return "rbd_data." + im.Name + "." + string(hex[:])
 }
 
 // Extent is a contiguous byte range within one backing object.
@@ -63,20 +112,12 @@ type Extent struct {
 
 // Extents maps a virtual byte range to backing-object extents.
 func (im *Image) Extents(off int64, n int) ([]Extent, error) {
-	if off < 0 || n < 0 || off+int64(n) > im.Size {
-		return nil, fmt.Errorf("%w: [%d,%d) in image of %d bytes", ErrOutOfRange, off, off+int64(n), im.Size)
-	}
 	var out []Extent
-	for n > 0 {
-		idx := off / int64(im.ObjectBytes)
-		inOff := int(off % int64(im.ObjectBytes))
-		take := im.ObjectBytes - inOff
-		if take > n {
-			take = n
-		}
-		out = append(out, Extent{Object: im.ObjectName(idx), Off: inOff, Len: take})
-		off += int64(take)
-		n -= take
+	if err := im.VisitExtents(off, n, true, func(e Extent) error {
+		out = append(out, e)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -88,13 +129,18 @@ func (im *Image) Extents(off int64, n int) ([]Extent, error) {
 // target aborts a request); otherwise every extent is visited and the first
 // error seen is returned (how the NBD daemons drain a request).
 func (im *Image) VisitExtents(off int64, n int, stopOnErr bool, visit func(Extent) error) error {
-	exts, err := im.Extents(off, n)
-	if err != nil {
-		return err
+	if off < 0 || n < 0 || off+int64(n) > im.Size {
+		return fmt.Errorf("%w: [%d,%d) in image of %d bytes", ErrOutOfRange, off, off+int64(n), im.Size)
 	}
 	var firstErr error
-	for _, e := range exts {
-		if err := visit(e); err != nil {
+	for n > 0 {
+		idx := off / int64(im.ObjectBytes)
+		inOff := int(off % int64(im.ObjectBytes))
+		take := im.ObjectBytes - inOff
+		if take > n {
+			take = n
+		}
+		if err := visit(Extent{Object: im.ObjectName(idx), Off: inOff, Len: take}); err != nil {
 			if stopOnErr {
 				return err
 			}
@@ -102,6 +148,8 @@ func (im *Image) VisitExtents(off int64, n int, stopOnErr bool, visit func(Exten
 				firstErr = err
 			}
 		}
+		off += int64(take)
+		n -= take
 	}
 	return firstErr
 }

@@ -166,6 +166,19 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 }
 
+// AcquireThen takes n units and runs fn once they are held — the
+// callback form of Acquire for event-driven model code that has no Proc.
+// When the units are free and nobody is queued, fn runs inline before
+// AcquireThen returns; otherwise fn joins the same FIFO as Acquire's
+// waiters and runs as a fresh event when a Release makes room for it.
+func (r *Resource) AcquireThen(n int, fn func()) {
+	if r.TryAcquire(n) {
+		fn()
+		return
+	}
+	r.waiters = append(r.waiters, resWaiter{n: n, wake: fn})
+}
+
 // Release returns n units and wakes FIFO waiters that now fit.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {

@@ -179,6 +179,51 @@ func TestResourceFIFOFairness(t *testing.T) {
 	}
 }
 
+// TestResourceAcquireThenFIFO: callback waiters (AcquireThen) and Proc
+// waiters (Acquire) share one FIFO, so they are granted in arrival order
+// whatever form each took; a free resource runs the callback inline.
+func TestResourceAcquireThenFIFO(t *testing.T) {
+	e := NewEngine()
+	r := e.NewResource(1)
+	inline := false
+	r.AcquireThen(1, func() { inline = true })
+	if !inline {
+		t.Fatal("AcquireThen on a free resource did not run fn inline")
+	}
+	var order []int
+	for i := 0; i < 6; i++ {
+		i := i
+		e.Schedule(Duration(i+1), func() {
+			hold := func() {
+				order = append(order, i)
+				e.Schedule(5, func() { r.Release(1) })
+			}
+			if i%2 == 0 {
+				r.AcquireThen(1, hold)
+				return
+			}
+			e.Spawn("w", func(p *Proc) {
+				r.Acquire(p, 1)
+				hold()
+			})
+		})
+	}
+	e.Schedule(100, func() { r.Release(1) })
+	e.Run()
+	want := []int{0, 1, 2, 3, 4, 5}
+	if len(order) != len(want) {
+		t.Fatalf("granted %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("grant order %v, want FIFO %v", order, want)
+		}
+	}
+	if r.InUse() != 0 {
+		t.Fatalf("InUse = %d after all releases", r.InUse())
+	}
+}
+
 func TestResourceTryAcquireRespectsWaiters(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(2)

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -243,21 +245,23 @@ func (s *Shards) runUntil(deadline Time) {
 	if workers > len(s.engines) {
 		workers = len(s.engines)
 	}
+	faults := make([]*shardPanic, len(s.engines))
 	var wake []chan Time
 	var wg sync.WaitGroup
 	if workers > 1 {
 		// Persistent window workers: worker w owns shards w, w+workers, ...
 		// so shard→worker assignment is static and per-shard state needs no
-		// further synchronization than the window barrier itself.
+		// further synchronization than the window barrier itself. A panic
+		// inside a shard's window is recovered into faults[sh] (a slot only
+		// that shard's worker writes) and re-raised by the coordinator after
+		// the barrier, so it never kills the process from a bare goroutine.
 		wake = make([]chan Time, workers)
 		for w := range wake {
 			wake[w] = make(chan Time, 1)
 			go func(w int) {
 				for limit := range wake[w] {
 					for sh := w; sh < len(s.engines); sh += workers {
-						start := time.Now()
-						s.engines[sh].runWindow(limit)
-						s.busy[sh] += time.Since(start)
+						faults[sh] = s.runShardWindow(sh, limit)
 					}
 					wg.Done()
 				}
@@ -297,10 +301,13 @@ func (s *Shards) runUntil(deadline Time) {
 			}
 			wg.Wait()
 		} else {
-			for sh, e := range s.engines {
-				start := time.Now()
-				e.runWindow(limit)
-				s.busy[sh] += time.Since(start)
+			for sh := range s.engines {
+				faults[sh] = s.runShardWindow(sh, limit)
+			}
+		}
+		for _, f := range faults {
+			if f != nil {
+				panic(f.String())
 			}
 		}
 		s.windows++
@@ -322,6 +329,49 @@ func (s *Shards) runUntil(deadline Time) {
 			}
 		}
 	}
+}
+
+// shardPanic is a panic recovered from one shard's window, with the
+// context needed to find its source: the shard, the domains pinned to it,
+// the shard's virtual time and the panicking goroutine's stack.
+type shardPanic struct {
+	shard   int
+	domains string
+	at      Time
+	val     any
+	stack   []byte
+}
+
+func (f *shardPanic) String() string {
+	return fmt.Sprintf("sim: shard %d (domains %s) panicked at %v: %v\n\nshard stack:\n%s",
+		f.shard, f.domains, f.at, f.val, f.stack)
+}
+
+// runShardWindow runs shard sh's events up to limit and charges the wall
+// time to its busy counter. A panic is recovered and returned, so the
+// coordinator can re-raise it after the barrier with its context attached.
+func (s *Shards) runShardWindow(sh int, limit Time) (fault *shardPanic) {
+	e := s.engines[sh]
+	start := time.Now()
+	defer func() {
+		s.busy[sh] += time.Since(start)
+		if r := recover(); r != nil {
+			fault = &shardPanic{shard: sh, domains: s.domainNames(sh), at: e.now, val: r, stack: debug.Stack()}
+		}
+	}()
+	e.runWindow(limit)
+	return nil
+}
+
+// domainNames lists the domains pinned to shard sh, comma-separated.
+func (s *Shards) domainNames(sh int) string {
+	var names []string
+	for _, d := range s.domains {
+		if int(d.shard) == sh {
+			names = append(names, d.name)
+		}
+	}
+	return strings.Join(names, ",")
 }
 
 // ShardStats is a per-shard utilization snapshot.

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -224,6 +226,33 @@ func TestShardPostLookaheadPanics(t *testing.T) {
 	}()
 	eng.Schedule(0, func() { sh.Post(a, b, testLookahead-1, func() {}) })
 	sh.Run()
+}
+
+// TestShardPanicCarriesContext: a panic inside a shard's window — on a
+// window worker goroutine when the host has cores for more than one — is
+// re-raised on the coordinator after the barrier, naming the shard, its
+// domains and the virtual time, instead of killing the process.
+func TestShardPanicCarriesContext(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			sh := NewShards(2, testLookahead)
+			_, eng := sh.AddDomainAt("a", 0)
+			_, other := sh.AddDomainAt("b", 1)
+			other.Schedule(Microsecond, func() {})
+			eng.Schedule(3*Microsecond, func() { panic("model fault") })
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				sh.Run()
+				return ""
+			}()
+			for _, want := range []string{"shard 0", "domains a", "at 3.000µs", "model fault"} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("panic %q does not mention %q", msg, want)
+				}
+			}
+		})
+	}
 }
 
 // TestEngineReserve: a reserved engine schedules without growing, and the
