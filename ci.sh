@@ -3,7 +3,7 @@
 # smoke suite; exits non-zero on the first failure.
 #
 #   ./ci.sh          # vet, build, race tests, benchmark smoke
-#   ./ci.sh -short   # skip the benchmark smoke pass
+#   ./ci.sh -short   # skip the benchmark smoke pass and the trace smoke
 set -eu
 
 echo "== go vet =="
@@ -134,41 +134,24 @@ if [ "${1:-}" != "-short" ]; then
     go test -run '^$' -bench . -benchtime=1x -benchmem ./...
 fi
 
-echo "== delibabench self-test =="
-go run ./cmd/delibabench -selftest -iters 3
+# One quick-scale report: every registry family run serially, at the
+# default parallelism and on 2-shard engines. It is the serial/parallel/
+# shards determinism gate (every family's three digests must match each
+# other and its golden pin) and the acceptance gate (every family's Check
+# must pass), so it runs under -short too. Outputs go to a scratch
+# directory: CI rewrites no tracked file.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+echo "== delibabench report (quick: determinism + checks) =="
+go run ./cmd/delibabench -quick -report "$tmp/report.json"
 
 if [ "${1:-}" != "-short" ]; then
-    # Machine-readable evidence artifact: per-family serial-vs-parallel
-    # digests and wall-clock plus erasure-kernel micro-benchmarks. Fails if
-    # any family digests differently under parallel execution.
-    echo "== benchmark report (BENCH_pr2.json) =="
-    go run ./cmd/delibabench -json BENCH_pr2.json
-
-    # Cache tier evidence artifact: hit-rate sweep speedups, the 10x p50
-    # target on the 90%-hot workload, serial-vs-parallel digest equality
-    # and the zero acknowledged-write-loss crash contract.
-    echo "== cache tier report (BENCH_pr7.json) =="
-    go run ./cmd/delibabench -quick -cachebench BENCH_pr7.json
-
-    # Replication head-to-head evidence artifact: primary-copy vs per-PG
-    # Raft availability under faults, with the strictly-higher-availability
-    # acceptance bar and serial-vs-parallel digest equality asserted.
-    echo "== replication head-to-head report (BENCH_pr9.json) =="
-    go run ./cmd/delibabench -quick -raftbench BENCH_pr9.json
-
-    # Multi-tenant QoS evidence artifact: the noisy-neighbor head-to-head
-    # (dmclock victim p99 near the isolated baseline, qos-none blown out,
-    # fairness improved) plus serial-vs-parallel digest equality at quick
-    # scale with relaxed gates; the full-scale gates run out of band.
-    echo "== multi-tenant QoS report (BENCH_pr10.quick.json) =="
-    go run ./cmd/delibabench -quick -tenantbench BENCH_pr10.quick.json
-
     # Trace smoke: emit the traced sweep and validate it against the
     # Chrome/Perfetto trace_event schema with the offline tool.
     echo "== trace smoke (-trace + dfxtool trace validate) =="
-    go run ./cmd/delibabench -quick -trace TRACE_pr8.json
-    go run ./cmd/dfxtool trace validate TRACE_pr8.json
-    go run ./cmd/dfxtool trace summary TRACE_pr8.json
+    go run ./cmd/delibabench -quick -trace "$tmp/trace.json"
+    go run ./cmd/dfxtool trace validate "$tmp/trace.json"
+    go run ./cmd/dfxtool trace summary "$tmp/trace.json"
 fi
 
 echo "CI OK"

@@ -1,19 +1,19 @@
 // Command delibabench regenerates every table and figure of the DeLiBA-K
 // paper's evaluation from the simulation, printing them as plain-text
-// tables. Select individual experiments with -only, or run everything.
+// tables. Select individual experiment families with -only, or run
+// everything.
 //
 // Usage:
 //
-//	delibabench [-quick] [-parallel n] [-only fig3,fig6,tab2,...]
-//	delibabench -selftest [-iters n]
-//	delibabench -json out.json
+//	delibabench [-quick] [-parallel n] [-shards n] [-only fig3,fig6,tab2,...]
+//	delibabench [-quick] [-only ...] -report report.json
 //	delibabench -stack deliba-k-hw
 //	delibabench -stack iouring,dmq-bypass,qdma,hls-crush,card-rtl,ec
 //	delibabench -quick -trace trace.json [-tracesample 8]
 //
-// Experiment ids: fig3 fig4 tab1 fig6 fig7 fig8 fig9 tab2 tab3 power
-// realworld headline ablations dfx buckets recovery mtu faults scale cache
-// raft tenant
+// Families (-only ids), in print order: fig3 fig4 tab1 fig6 (Figs. 6 and 7
+// plus the headline) fig8 (Figs. 8 and 9) tab2 tab3 power realworld
+// ablations dfx buckets recovery mtu faults scale cache raft tenant trace.
 //
 // -parallel sets how many worker goroutines the experiment runner fans
 // sweep cells out to (default: GOMAXPROCS). Results are bit-identical at
@@ -25,41 +25,13 @@
 // setting (the determinism property the sharded engine guarantees); the
 // city-scale `scale` family gains wall-clock parallelism from it.
 //
-// -scalebench runs the city-scale 5,000-OSD / 100k-volume scenario at 1, 2,
-// 4 and 8 shards, verifies the digests match, and writes wall-clock,
-// speedup, recovery and per-shard utilization numbers to the given JSON
-// path.
-//
-// -cachebench runs the LSVD write-back cache tier evaluation (hit-rate
-// sweep plus crash-recovery scenarios), asserts the 10x p50 target on the
-// 90%-hot workload and zero acknowledged-write loss, and writes the JSON
-// artifact to the given path.
-//
-// -raftbench runs the replication head-to-head (primary-copy vs per-PG
-// multi-Raft across the fault scenario axis), asserts that the Raft
-// backend sustains strictly higher measured availability than primary-copy
-// under both the silent OSD crash and the node partition, asserts
-// serial-vs-parallel digest equality, and writes the JSON artifact to the
-// given path.
-//
-// -tenantbench runs the multi-tenant QoS benchmark (the blk-mq scheduler
-// axis under a noisy neighbor, plus the 10 → 10,000 tenant fleet axis on
-// the sharded city-scale model), asserts that dmclock holds the victims'
-// p99 within 2x of the hog-free baseline while the unscheduled bypass
-// exceeds 5x and that dmclock's contention-window fairness beats the
-// bypass's, asserts serial-vs-parallel digest equality, and writes the
-// JSON artifact to the given path.
-//
-// -selftest repeatedly runs the quick Fig. 3 grid, timing each iteration
-// and checking that every run produces a bit-identical result digest, then
-// cross-checks serial against parallel execution of the Fig. 3 and Fig. 6
-// grids. It is the wall-clock yardstick for hot-path work: the simulation
-// must get faster without its output changing by a single bit.
-//
-// -json writes a machine-readable report (quick-scale digests, serial vs
-// parallel wall-clock per experiment family, per-stack stage-latency
-// profiles, and erasure-kernel micro-benchmarks) to the given path instead
-// of printing tables.
+// -report runs each selected family three times — serially, at -parallel
+// workers, and on 2-shard engines — and writes one delibabench/report-v1
+// JSON file: the host (go version, CPUs, GOMAXPROCS, parallelism), and per
+// family the three digests and wall-clocks, the golden pin (at -quick
+// scale), the family's acceptance check, its tables, and its probe cell's
+// stage latencies and resilience counters. It exits non-zero if any
+// family's digests differ, miss their golden pin, or fail its check.
 //
 // -trace runs the per-I/O span-tracing sweep (healthy Fig. 3 cells sampled
 // every -tracesample'th op, fault cells traced exhaustively) and writes one
@@ -78,24 +50,16 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced-scale experiments")
-	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	selftest := flag.Bool("selftest", false, "run the wall-clock/determinism self-test")
-	iters := flag.Int("iters", 20, "self-test iterations")
+	only := flag.String("only", "", "comma-separated experiment family ids (default: all)")
 	par := flag.Int("parallel", 0, "experiment runner workers (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 1, "simulation engine shards (results identical at any setting)")
-	jsonPath := flag.String("json", "", "write a machine-readable benchmark report to this path")
-	scaleBench := flag.String("scalebench", "", "run the city-scale sharding benchmark and write its JSON report to this path")
-	cacheBench := flag.String("cachebench", "", "run the write-back cache tier benchmark and write its JSON report to this path")
-	raftBench := flag.String("raftbench", "", "run the replication head-to-head benchmark and write its JSON report to this path")
-	tenantBench := flag.String("tenantbench", "", "run the multi-tenant QoS benchmark and write its JSON report to this path")
+	reportPath := flag.String("report", "", "write the determinism, check and table report to this JSON path")
 	stackSpec := flag.String("stack", "", "build one stack composition (name or layer tokens) and profile it")
 	tracePath := flag.String("trace", "", "run the per-I/O trace sweep and write a Perfetto trace_event file to this path")
 	traceSample := flag.Int("tracesample", experiments.DefaultTraceSample, "trace every Nth op on healthy cells (fault cells always trace every op)")
@@ -103,362 +67,45 @@ func main() {
 
 	experiments.SetParallelism(*par)
 	experiments.SetShards(*shards)
-
-	if *tracePath != "" {
-		if err := runTrace(*tracePath, *traceSample, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scaleBench != "" {
-		if err := runScaleBench(*scaleBench, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cacheBench != "" {
-		if err := runCacheBench(*cacheBench, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *raftBench != "" {
-		if err := runRaftBench(*raftBench, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tenantBench != "" {
-		if err := runTenantBench(*tenantBench, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *stackSpec != "" {
-		if err := runStack(*stackSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPath != "" {
-		if err := writeJSONReport(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *selftest {
-		if err := runSelftest(*iters); err != nil {
-			fmt.Fprintln(os.Stderr, "delibabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	cfg := experiments.Full()
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-
-	if err := run(cfg, sel); err != nil {
+	if err := run(cfg, *only, *reportPath, *stackSpec, *tracePath, *traceSample); err != nil {
 		fmt.Fprintln(os.Stderr, "delibabench:", err)
 		os.Exit(1)
 	}
 }
 
-// runSelftest times iters runs of the quick Fig. 3 grid and verifies every
-// run digests identically.
-func runSelftest(iters int) error {
-	if iters < 1 {
-		iters = 1
+func run(cfg experiments.Config, only, reportPath, stackSpec, tracePath string, traceSample int) error {
+	switch {
+	case tracePath != "":
+		return runTrace(tracePath, traceSample, cfg)
+	case stackSpec != "":
+		return runStack(stackSpec)
 	}
-	cfg := experiments.Quick()
-	var digest uint64
-	var total, min time.Duration
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		res, err := experiments.Fig3(cfg)
-		if err != nil {
-			return err
-		}
-		el := time.Since(start)
-		total += el
-		if min == 0 || el < min {
-			min = el
-		}
-		d := res.Digest()
-		if i == 0 {
-			digest = d
-		} else if d != digest {
-			return fmt.Errorf("selftest: iteration %d digest %016x != %016x — simulation is nondeterministic", i, d, digest)
-		}
-	}
-	fmt.Printf("selftest: %d x fig3(quick) deterministic, digest %016x\n", iters, digest)
-	fmt.Printf("selftest: wall-clock mean %.1f ms/iter, best %.1f ms\n",
-		float64(total.Microseconds())/float64(iters)/1e3,
-		float64(min.Microseconds())/1e3)
-
-	// Serial-vs-parallel cross-check: the same grids at 1 worker and at the
-	// configured fan-out must digest identically. Digest equality is the
-	// hard gate; the speedup is reported but not asserted (this binary may
-	// run on a single-core host, where it is legitimately ~1.0x).
-	for _, fam := range selftestFamilies() {
-		serial, err := timedRun(1, cfg, fam)
-		if err != nil {
-			return err
-		}
-		parallel, err := timedRun(0, cfg, fam)
-		if err != nil {
-			return err
-		}
-		if serial.digest != parallel.digest {
-			return fmt.Errorf("selftest: %s digest %016x (serial) != %016x (%d workers) — parallel runner is nondeterministic",
-				fam.name, serial.digest, parallel.digest, experiments.Parallelism())
-		}
-		fmt.Printf("selftest: %s serial==parallel digest %016x; %0.1f ms -> %0.1f ms (%.2fx, %d workers)\n",
-			fam.name, serial.digest,
-			float64(serial.elapsed.Microseconds())/1e3,
-			float64(parallel.elapsed.Microseconds())/1e3,
-			float64(serial.elapsed)/float64(parallel.elapsed),
-			experiments.Parallelism())
-	}
-	return nil
-}
-
-// family is one digestable experiment used by the selftest and the JSON
-// report.
-type family struct {
-	name string
-	run  func(cfg experiments.Config) (uint64, error)
-}
-
-func selftestFamilies() []family {
-	return []family{
-		{"fig3", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.Fig3(cfg)
+	fams := experiments.Families()
+	if only != "" {
+		fams = nil
+		for _, id := range strings.Split(only, ",") {
+			fam, err := experiments.LookupFamily(strings.TrimSpace(id))
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return res.Digest(), nil
-		}},
-		{"fig6", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.Fig6and7(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		{"faults", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.FaultSweep(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
+			fams = append(fams, fam)
+		}
 	}
-}
-
-type timedResult struct {
-	digest  uint64
-	elapsed time.Duration
-}
-
-// timedRun measures one family at the given worker count (0 = the
-// configured default), restoring the previous setting afterwards.
-func timedRun(workers int, cfg experiments.Config, fam family) (timedResult, error) {
-	if workers > 0 {
-		prev := experiments.SetParallelism(workers)
-		defer experiments.SetParallelism(prev)
+	if reportPath != "" {
+		return writeReport(reportPath, cfg, fams)
 	}
-	start := time.Now()
-	d, err := fam.run(cfg)
-	if err != nil {
-		return timedResult{}, err
-	}
-	return timedResult{digest: d, elapsed: time.Since(start)}, nil
-}
-
-func printTables(tabs ...*metrics.Table) {
-	for _, t := range tabs {
-		fmt.Println(t)
-	}
-}
-
-func run(cfg experiments.Config, sel func(string) bool) error {
-	if sel("fig3") {
-		res, err := experiments.Fig3(cfg)
+	for _, fam := range fams {
+		out, err := fam.Run(cfg)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", fam.Name, err)
 		}
-		printTables(res.Tables()...)
-	}
-	if sel("fig4") {
-		res, err := experiments.Fig4(cfg)
-		if err != nil {
-			return err
+		for _, t := range out.Tables {
+			fmt.Println(t)
 		}
-		printTables(res.Tables()...)
-	}
-	if sel("tab1") {
-		rows, err := experiments.Table1()
-		if err != nil {
-			return err
-		}
-		printTables(experiments.Table1Table(rows))
-	}
-
-	var replSweep *experiments.HWSweepResult
-	if sel("fig6") || sel("fig7") || sel("headline") {
-		var err error
-		replSweep, err = experiments.Fig6and7(cfg)
-		if err != nil {
-			return err
-		}
-	}
-	if sel("fig6") {
-		printTables(replSweep.ThroughputTables()...)
-	}
-	if sel("fig7") {
-		printTables(replSweep.IOPSTables()...)
-	}
-	if sel("fig8") || sel("fig9") {
-		ecSweep, err := experiments.Fig8and9(cfg)
-		if err != nil {
-			return err
-		}
-		if sel("fig8") {
-			printTables(ecSweep.ThroughputTables()...)
-		}
-		if sel("fig9") {
-			printTables(ecSweep.IOPSTables()...)
-		}
-	}
-	if sel("tab2") {
-		res, err := experiments.Table2(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(res.Tables()...)
-	}
-	if sel("tab3") {
-		tabs, err := experiments.Table3()
-		if err != nil {
-			return err
-		}
-		printTables(tabs...)
-	}
-	if sel("power") {
-		p, err := experiments.Power()
-		if err != nil {
-			return err
-		}
-		printTables(p.Table())
-	}
-	if sel("realworld") {
-		olap, err := experiments.OLAP(cfg)
-		if err != nil {
-			return err
-		}
-		oltp, err := experiments.OLTP(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(olap.Table(), oltp.Table())
-	}
-	if sel("headline") && replSweep != nil {
-		printTables(experiments.Headline(replSweep).Table())
-	}
-	if sel("ablations") {
-		sq, err := experiments.AblationSQPoll(cfg)
-		if err != nil {
-			return err
-		}
-		byp, err := experiments.AblationSchedulerBypass(cfg)
-		if err != nil {
-			return err
-		}
-		inst, err := experiments.AblationInstances(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(sq.Table(), byp.Table(), inst.Table())
-	}
-	if sel("dfx") {
-		res, err := experiments.DFX()
-		if err != nil {
-			return err
-		}
-		printTables(res.Table())
-	}
-	if sel("buckets") {
-		rows, err := experiments.BucketQuality()
-		if err != nil {
-			return err
-		}
-		printTables(experiments.BucketQualityTable(rows))
-	}
-	if sel("recovery") {
-		res, err := experiments.Recovery(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(res.Table())
-	}
-	if sel("mtu") {
-		rows, err := experiments.MTU()
-		if err != nil {
-			return err
-		}
-		printTables(experiments.MTUTable(rows))
-	}
-	if sel("faults") {
-		res, err := experiments.FaultSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(res.Table())
-	}
-	if sel("scale") {
-		res, err := experiments.ScaleSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(res.Table())
-	}
-	if sel("cache") {
-		res, err := experiments.CacheSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(res.Table(), res.AdmissionTable(), res.RecoveryTable())
-	}
-	if sel("raft") {
-		res, err := experiments.RaftSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(res.Table())
-	}
-	if sel("tenant") {
-		res, err := experiments.TenantSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printTables(res.Table(), res.FleetTable())
 	}
 	return nil
 }

@@ -2,405 +2,170 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/erasure"
 	"repro/internal/experiments"
-	"repro/internal/gf256"
+	"repro/internal/metrics"
 )
 
-// benchReport is the machine-readable artifact -json emits: quick-scale
-// digests and serial-vs-parallel wall-clock for representative experiment
-// families, plus erasure-kernel micro-benchmarks. CI archives it so
-// performance PRs carry evidence alongside the code.
-type benchReport struct {
-	Schema      string         `json:"schema"`
-	GoVersion   string         `json:"go_version"`
-	HostCPUs    int            `json:"host_cpus"`
-	GOMAXPROCS  int            `json:"gomaxprocs"`
-	Parallelism int            `json:"parallelism"`
-	Families    []familyReport `json:"families"`
-	Stacks      []stackReport  `json:"stacks"`
-	Kernels     []kernelReport `json:"kernels"`
-	// Scale is the quick city-scale scenario at 1 and 8 engine shards, with
-	// per-shard utilization — digest equality across the two is asserted.
-	Scale []scaleRunReport `json:"scale"`
-	// Trace is the quick trace-sweep summary: per-cell sampling counts and
-	// duration-weighted critical-path attribution (the -trace artifact in
-	// digest form).
-	Trace []traceCellReport `json:"trace"`
-	// Tenant is the quick multi-tenant QoS grid: victim p50/p99/p999 per
-	// (scheduler, scenario) cell plus Jain's fairness over contention-window
-	// service shares.
-	Tenant []tenantReport `json:"tenant"`
+// report is the -report artifact, schema delibabench/report-v1.
+type report struct {
+	Schema   string         `json:"schema"`
+	Scale    string         `json:"scale"` // "quick" or "full"
+	Host     reportHost     `json:"host"`
+	Families []familyReport `json:"families"`
+}
+
+type reportHost struct {
+	GoVersion   string `json:"go_version"`
+	CPUs        int    `json:"cpus"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	Parallelism int    `json:"parallelism"`
 }
 
 type familyReport struct {
-	Name          string  `json:"name"`
-	Digest        string  `json:"digest"`
-	SerialMs      float64 `json:"serial_ms"`
-	ParallelMs    float64 `json:"parallel_ms"`
-	Speedup       float64 `json:"speedup"`
-	DigestMatches bool    `json:"digest_matches"`
-	// Stages is the family's representative-cell stage-latency breakdown
-	// (p50/p99/p999/max per pipeline stage); Resilience its client-side
-	// fault-handling counters. Families without an I/O path probe empty.
-	Stages     []experiments.StageSummary `json:"stages,omitempty"`
-	Resilience resilienceReport           `json:"resilience"`
+	Name string `json:"name"`
+	// WallMs is the wall-clock of each run, keyed by the run's leg.
+	WallMs map[string]float64 `json:"wall_ms"`
+	// Digest is absent for families whose runs carry no digest.
+	Digest *digestReport                  `json:"digest,omitempty"`
+	Check  *checkReport                   `json:"check,omitempty"`
+	Tables []*metrics.Table               `json:"tables"`
+	Probe  *experiments.FamilyProbeResult `json:"probe,omitempty"`
 }
 
-// resilienceReport mirrors metrics.Resilience with stable JSON names. The
-// stall fields are the unavailability-window accounting: how many windows
-// opened where writes could not commit, their total and longest extent.
-type resilienceReport struct {
-	Retries          uint64  `json:"retries"`
-	Failovers        uint64  `json:"failovers"`
-	DegradedReads    uint64  `json:"degraded_reads"`
-	DeadlineExceeded uint64  `json:"deadline_exceeded"`
-	WriteStalls      uint64  `json:"write_stalls"`
-	StallTotalUs     float64 `json:"stall_total_us"`
-	StallMaxUs       float64 `json:"stall_max_us"`
+type digestReport struct {
+	Serial   string `json:"serial"`
+	Parallel string `json:"parallel"`
+	Shards2  string `json:"shards2"`
+	Equal    bool   `json:"equal"`
+	// Golden is the family's pin; it applies at quick scale only.
+	Golden string `json:"golden,omitempty"`
 }
 
-// stackReport carries one named composition's stage-latency profile from
-// the short -stack workload: every layer boundary the pipeline spans.
-type stackReport struct {
-	Name   string        `json:"name"`
-	MBps   float64       `json:"mb_per_s"`
-	KIOPS  float64       `json:"kiops"`
-	Stages []stageReport `json:"stages"`
+type checkReport struct {
+	Passed  bool   `json:"passed"`
+	Message string `json:"message,omitempty"`
 }
 
-type stageReport struct {
-	Stage  string  `json:"stage"`
-	Ops    int     `json:"ops"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-	P999Us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
+// leg is one of the three runs every family gets in the report.
+type leg struct {
+	name            string
+	workers, shards int
 }
 
-// stackReports profiles each of the paper's five stacks through the layer
-// pipeline with profiling enabled.
-func stackReports() ([]stackReport, error) {
-	var out []stackReport
-	for _, spec := range core.NamedSpecs() {
-		res, prof, err := profileStack(spec)
-		if err != nil {
-			return nil, fmt.Errorf("stack %s: %w", spec.Name, err)
-		}
-		sr := stackReport{Name: spec.Name, MBps: res.MBps(), KIOPS: res.KIOPS()}
-		for _, stage := range prof.Stages() {
-			h := prof.Stage(stage)
-			sr.Stages = append(sr.Stages, stageReport{
-				Stage:  stage,
-				Ops:    int(h.Count()),
-				MeanUs: float64(h.Mean()) / 1e3,
-				P50Us:  float64(h.Median()) / 1e3,
-				P99Us:  float64(h.Percentile(99)) / 1e3,
-				P999Us: float64(h.Percentile(99.9)) / 1e3,
-				MaxUs:  float64(h.Max()) / 1e3,
-			})
-		}
-		out = append(out, sr)
+// writeReport runs each family serially, at the configured parallelism and
+// on 2-shard engines, writes the report to path, and fails if any family's
+// digests differ or miss their pin, or its check fails.
+func writeReport(path string, cfg experiments.Config, fams []experiments.Family) error {
+	quick := cfg == experiments.Quick()
+	rep := report{
+		Schema: "delibabench/report-v1",
+		Scale:  "full",
+		Host: reportHost{
+			GoVersion:   runtime.Version(),
+			CPUs:        runtime.NumCPU(),
+			GOMAXPROCS:  runtime.GOMAXPROCS(0),
+			Parallelism: experiments.Parallelism(),
+		},
 	}
-	return out, nil
-}
-
-type kernelReport struct {
-	Name    string  `json:"name"`
-	Bytes   int     `json:"payload_bytes"`
-	Iters   int     `json:"iters"`
-	MBPerS  float64 `json:"mb_per_s"`
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
-// reportFamilies is the JSON report's coverage: every runner-converted
-// experiment family with a digest.
-func reportFamilies() []family {
-	fams := selftestFamilies()
-	fams = append(fams,
-		family{"fig8", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.Fig8and9(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		family{"tab2", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.Table2(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		family{"buckets", func(experiments.Config) (uint64, error) {
-			rows, err := experiments.BucketQuality()
-			if err != nil {
-				return 0, err
-			}
-			return experiments.BucketQualityDigest(rows), nil
-		}},
-		family{"recovery", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.Recovery(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		family{"oltp", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.OLTP(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		family{"cache", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.CacheSweep(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		family{"raft", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.RaftSweep(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		family{"tenant", func(cfg experiments.Config) (uint64, error) {
-			res, err := experiments.TenantSweep(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-	)
-	return fams
-}
-
-// tenantReport is the -json report's multi-tenant section: per-cell victim
-// tail latency, per-tenant p50/p99/p999 exemplar rows (the hog and the
-// hottest victim), and Jain's fairness over contention-window shares.
-type tenantReport struct {
-	QoS         string  `json:"qos"`
-	Scenario    string  `json:"scenario"`
-	Tenants     int     `json:"tenants"`
-	VictimP50Us float64 `json:"victim_p50_us"`
-	VictimP99Us float64 `json:"victim_p99_us"`
-	P999Us      float64 `json:"victim_p999_us"`
-	Fairness    float64 `json:"fairness"`
-	Throttled   uint64  `json:"sched_throttled"`
-	Blowup      float64 `json:"victim_p99_blowup"`
-}
-
-// tenantReports runs the quick tenant sweep for the -json report.
-func tenantReports(cfg experiments.Config) ([]tenantReport, error) {
-	res, err := experiments.TenantSweep(cfg)
-	if err != nil {
-		return nil, err
+	if quick {
+		rep.Scale = "quick"
 	}
-	baseline, _ := res.Cell(core.QoSNone, "isolated")
-	var out []tenantReport
-	for _, c := range res.Cells {
-		tr := tenantReport{
-			QoS:         c.QoS.String(),
-			Scenario:    c.Scenario,
-			Tenants:     c.Tenants,
-			VictimP50Us: float64(c.VictimP50) / 1e3,
-			VictimP99Us: float64(c.VictimP99) / 1e3,
-			P999Us:      float64(c.VictimP999) / 1e3,
-			Fairness:    c.Fairness,
-			Throttled:   c.Stats.Throttled,
+	legs := []leg{{"serial", 1, 1}, {"parallel", rep.Host.Parallelism, 1}, {"shards2", 1, 2}}
+	var failures []error
+	for _, fam := range fams {
+		fr := familyReport{Name: fam.Name, WallMs: map[string]float64{}}
+		var outs []experiments.Outcome
+		for _, l := range legs {
+			out, wall, err := timedRun(fam, cfg, l)
+			if err != nil {
+				return fmt.Errorf("%s (%s): %w", fam.Name, l.name, err)
+			}
+			fr.WallMs[l.name] = float64(wall.Microseconds()) / 1e3
+			outs = append(outs, out)
 		}
-		if baseline.VictimP99 > 0 {
-			tr.Blowup = float64(c.VictimP99) / float64(baseline.VictimP99)
+		fr.Tables = outs[0].Tables
+		if outs[0].Digested {
+			d := &digestReport{
+				Serial:   fmt.Sprintf("%016x", outs[0].Digest),
+				Parallel: fmt.Sprintf("%016x", outs[1].Digest),
+				Shards2:  fmt.Sprintf("%016x", outs[2].Digest),
+				Equal:    outs[0].Digest == outs[1].Digest && outs[0].Digest == outs[2].Digest,
+			}
+			if !d.Equal {
+				failures = append(failures, fmt.Errorf("%s: digests differ: serial %s, parallel %s, shards2 %s",
+					fam.Name, d.Serial, d.Parallel, d.Shards2))
+			}
+			if quick {
+				d.Golden = fmt.Sprintf("%016x", fam.Golden)
+				if outs[0].Digest != fam.Golden {
+					failures = append(failures, fmt.Errorf("%s: digest %s != golden %s", fam.Name, d.Serial, d.Golden))
+				}
+			}
+			fr.Digest = d
 		}
-		out = append(out, tr)
-	}
-	return out, nil
-}
-
-// writeJSONReport runs the quick-scale report grid and writes it to path.
-// It always uses the Quick config: the report is determinism and speedup
-// evidence, not a paper-scale result set.
-func writeJSONReport(path string) error {
-	cfg := experiments.Quick()
-	rep := benchReport{
-		Schema:      "delibabench/bench-v1",
-		GoVersion:   runtime.Version(),
-		HostCPUs:    runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Parallelism: experiments.Parallelism(),
-	}
-	for _, fam := range reportFamilies() {
-		serial, err := timedRun(1, cfg, fam)
+		if outs[0].Check != nil {
+			fr.Check = &checkReport{Passed: true}
+			if err := outs[0].Check(!quick); err != nil {
+				fr.Check = &checkReport{Message: err.Error()}
+				failures = append(failures, err)
+			}
+		}
+		probe, err := experiments.FamilyProbe(cfg, fam.Name)
 		if err != nil {
-			return fmt.Errorf("json report: %s serial: %w", fam.name, err)
+			return fmt.Errorf("%s probe: %w", fam.Name, err)
 		}
-		parallel, err := timedRun(0, cfg, fam)
-		if err != nil {
-			return fmt.Errorf("json report: %s parallel: %w", fam.name, err)
+		if len(probe.Stages) > 0 {
+			fr.Probe = &probe
 		}
-		fr := familyReport{
-			Name:          fam.name,
-			Digest:        fmt.Sprintf("%016x", serial.digest),
-			SerialMs:      float64(serial.elapsed.Microseconds()) / 1e3,
-			ParallelMs:    float64(parallel.elapsed.Microseconds()) / 1e3,
-			Speedup:       float64(serial.elapsed) / float64(parallel.elapsed),
-			DigestMatches: serial.digest == parallel.digest,
-		}
-		probe, err := experiments.FamilyProbe(cfg, fam.name)
-		if err != nil {
-			return fmt.Errorf("json report: %s probe: %w", fam.name, err)
-		}
-		fr.Stages = probe.Stages
-		fr.Resilience = resilienceReport{
-			Retries:          probe.Resilience.Retries,
-			Failovers:        probe.Resilience.Failovers,
-			DegradedReads:    probe.Resilience.DegradedReads,
-			DeadlineExceeded: probe.Resilience.DeadlineExceeded,
-			WriteStalls:      probe.Resilience.WriteStalls,
-			StallTotalUs:     float64(probe.Resilience.StallTotal) / 1e3,
-			StallMaxUs:       float64(probe.Resilience.StallMax) / 1e3,
-		}
+		fmt.Printf("%-10s serial %9.1f ms  parallel %9.1f ms  shards2 %9.1f ms%s\n", fam.Name,
+			fr.WallMs["serial"], fr.WallMs["parallel"], fr.WallMs["shards2"], summary(fr))
 		rep.Families = append(rep.Families, fr)
-		if !fr.DigestMatches {
-			return fmt.Errorf("json report: %s serial digest %016x != parallel %016x",
-				fam.name, serial.digest, parallel.digest)
-		}
 	}
-	stacks, err := stackReports()
-	if err != nil {
-		return fmt.Errorf("json report: %w", err)
-	}
-	rep.Stacks = stacks
-	scale, err := scaleRuns(cfg)
-	if err != nil {
-		return fmt.Errorf("json report: %w", err)
-	}
-	rep.Scale = scale
-	traceCells, err := traceCellReports(cfg)
-	if err != nil {
-		return fmt.Errorf("json report: %w", err)
-	}
-	rep.Trace = traceCells
-	tenants, err := tenantReports(cfg)
-	if err != nil {
-		return fmt.Errorf("json report: %w", err)
-	}
-	rep.Tenant = tenants
-	rep.Kernels = append(rep.Kernels, benchEncode(), benchReconstruct(), benchMulAdd())
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("delibabench: wrote %s (%d families, %d stack profiles, %d kernel benches)\n",
-		path, len(rep.Families), len(rep.Stacks), len(rep.Kernels))
-	return nil
+	fmt.Printf("delibabench: wrote %s (%s scale, %d families)\n", path, rep.Scale, len(rep.Families))
+	return errors.Join(failures...)
 }
 
-// benchShards builds a deterministic k+m shard set for the kernel benches.
-func benchShards(k, m, size int) [][]byte {
-	shards := make([][]byte, k+m)
-	for i := range shards {
-		shards[i] = make([]byte, size)
-		for j := range shards[i] {
-			shards[i][j] = byte(i*31 + j)
-		}
-	}
-	return shards
-}
-
-// benchEncode times the fused-kernel RS(8,4) encode over 128 kB shards —
-// the acceptance benchmark's shape.
-func benchEncode() kernelReport {
-	const k, m, size, iters = 8, 4, 128 * 1024, 400
-	c, err := erasure.New(k, m, erasure.VandermondeRS)
-	if err != nil {
-		panic(err)
-	}
-	shards := benchShards(k, m, size)
-	for i := 0; i < 8; i++ { // warm-up
-		if err := c.Encode(shards); err != nil {
-			panic(err)
-		}
-	}
+// timedRun runs one family leg, restoring the runner settings afterwards.
+func timedRun(fam experiments.Family, cfg experiments.Config, l leg) (experiments.Outcome, time.Duration, error) {
+	prevWorkers := experiments.SetParallelism(l.workers)
+	prevShards := experiments.SetShards(l.shards)
+	defer func() {
+		experiments.SetParallelism(prevWorkers)
+		experiments.SetShards(prevShards)
+	}()
 	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := c.Encode(shards); err != nil {
-			panic(err)
-		}
-	}
-	el := time.Since(start)
-	return kernelReport{
-		Name:    "erasure.Encode RS(8,4) 128kB",
-		Bytes:   k * size,
-		Iters:   iters,
-		MBPerS:  float64(k*size*iters) / el.Seconds() / 1e6,
-		NsPerOp: float64(el.Nanoseconds()) / iters,
-	}
+	out, err := fam.Run(cfg)
+	return out, time.Since(start), err
 }
 
-// benchReconstruct times a two-shard rebuild of the same geometry.
-func benchReconstruct() kernelReport {
-	const k, m, size, iters = 8, 4, 128 * 1024, 200
-	c, err := erasure.New(k, m, erasure.VandermondeRS)
-	if err != nil {
-		panic(err)
-	}
-	shards := benchShards(k, m, size)
-	if err := c.Encode(shards); err != nil {
-		panic(err)
-	}
-	work := make([][]byte, k+m)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		copy(work, shards)
-		work[1], work[6] = nil, nil
-		if err := c.Reconstruct(work); err != nil {
-			panic(err)
+// summary renders a family's digest and check verdict for the progress line.
+func summary(fr familyReport) string {
+	s := ""
+	if d := fr.Digest; d != nil {
+		s += "  digest " + d.Serial
+		if !d.Equal {
+			s += " MISMATCH"
 		}
 	}
-	el := time.Since(start)
-	return kernelReport{
-		Name:    "erasure.Reconstruct RS(8,4) 2 lost 128kB",
-		Bytes:   k * size,
-		Iters:   iters,
-		MBPerS:  float64(k*size*iters) / el.Seconds() / 1e6,
-		NsPerOp: float64(el.Nanoseconds()) / iters,
+	if c := fr.Check; c != nil {
+		if c.Passed {
+			s += "  check pass"
+		} else {
+			s += "  check FAIL"
+		}
 	}
-}
-
-// benchMulAdd times the raw fused GF(256) dot-product kernel.
-func benchMulAdd() kernelReport {
-	const k, size, iters = 8, 16 * 1024, 2000
-	shards := benchShards(k, 0, size)
-	coeffs := make([]byte, k)
-	for i := range coeffs {
-		coeffs[i] = byte(3 + 2*i)
-	}
-	dst := make([]byte, size)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		gf256.MulAddSlices(coeffs, shards, dst)
-	}
-	el := time.Since(start)
-	return kernelReport{
-		Name:    "gf256.MulAddSlices k=8 16kB",
-		Bytes:   k * size,
-		Iters:   iters,
-		MBPerS:  float64(k*size*iters) / el.Seconds() / 1e6,
-		NsPerOp: float64(el.Nanoseconds()) / iters,
-	}
+	return s
 }

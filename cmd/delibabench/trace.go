@@ -5,63 +5,13 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/trace"
 )
 
-// This file backs `delibabench -trace <file>`: it runs the traced slice of
-// the evaluation grid (per-I/O span trees with deterministic sampling) and
-// writes one Perfetto-loadable trace_event file, plus the `trace` section
-// of the -json report.
-
-// traceCellReport summarises one traced cell for the JSON report: sampling
-// counts and the duration-weighted critical-path attribution over the
-// retained tail exemplars.
-type traceCellReport struct {
-	Cell      string            `json:"cell"`
-	Ops       uint64            `json:"ops"`
-	Sampled   int               `json:"sampled"`
-	Spans     int               `json:"spans"`
-	Exemplars int               `json:"exemplars"`
-	CritPath  []critShareReport `json:"critical_path"`
-}
-
-type critShareReport struct {
-	Name  string  `json:"name"`
-	Share float64 `json:"share"`
-}
-
-// traceCellReports runs the quick trace sweep and folds each cell into its
-// report row.
-func traceCellReports(cfg experiments.Config) ([]traceCellReport, error) {
-	res, err := experiments.TraceSweep(cfg, experiments.DefaultTraceSample)
-	if err != nil {
-		return nil, err
-	}
-	var out []traceCellReport
-	for _, c := range res.Cells {
-		row := traceCellReport{
-			Cell:      c.Cell,
-			Ops:       c.Ops,
-			Sampled:   c.Sampled,
-			Spans:     len(c.Spans),
-			Exemplars: len(c.Exemplars),
-		}
-		for _, ps := range c.CritPath {
-			row.CritPath = append(row.CritPath, critShareReport{Name: ps.Name, Share: ps.Share})
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// runTrace executes the trace sweep and writes the Perfetto trace_event
-// file to path, printing a per-cell summary with the top critical-path
-// contributors.
-func runTrace(path string, sample int, quick bool) error {
-	cfg := experiments.Full()
-	if quick {
-		cfg = experiments.Quick()
-	}
+// runTrace is the -trace mode: it runs the traced slice of the evaluation
+// grid (per-I/O span trees with deterministic sampling), writes one
+// Perfetto-loadable trace_event file to path, and prints the per-cell
+// summary with the top critical-path contributors.
+func runTrace(path string, sample int, cfg experiments.Config) error {
 	res, err := experiments.TraceSweep(cfg, sample)
 	if err != nil {
 		return err
@@ -77,34 +27,8 @@ func runTrace(path string, sample int, quick bool) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	var spans int
-	for _, c := range res.Cells {
-		spans += len(c.Spans)
-	}
-	fmt.Printf("delibabench: wrote %s (%d cells, %d spans, digest %016x)\n",
-		path, len(res.Cells), spans, res.Digest())
-	for _, c := range res.Cells {
-		fmt.Printf("  %-42s ops %5d  sampled %4d  exemplars %d  critical path: %s\n",
-			c.Cell, c.Ops, c.Sampled, len(c.Exemplars), critPathLine(c.CritPath, 3))
-	}
+	fmt.Println(res.Table())
+	fmt.Printf("delibabench: wrote %s (%d cells, digest %016x)\n", path, len(res.Cells), res.Digest())
 	fmt.Println("load the file in ui.perfetto.dev or inspect it with `dfxtool trace summary`")
 	return nil
-}
-
-// critPathLine renders the top-n critical-path shares as one line.
-func critPathLine(ps []trace.PathShare, n int) string {
-	s := ""
-	for i, p := range ps {
-		if i == n {
-			break
-		}
-		if i > 0 {
-			s += ", "
-		}
-		s += fmt.Sprintf("%s %.0f%%", p.Name, p.Share*100)
-	}
-	if s == "" {
-		s = "(empty)"
-	}
-	return s
 }

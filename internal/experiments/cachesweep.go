@@ -335,6 +335,21 @@ func (r *CacheSweepResult) HitSpeedup(workload string) float64 {
 	return float64(direct.P50) / float64(cached.P50)
 }
 
+// Check is the cache family's acceptance bar, the same at both scales: the
+// 90%-hot read stream gains at least 10x p50 over the direct path, and no
+// crash-recovery seed loses an acknowledged write.
+func (r *CacheSweepResult) Check(full bool) error {
+	if sp := r.HitSpeedup("hot90-read"); sp < 10 {
+		return fmt.Errorf("cache: hot90-read p50 speedup %.1fx below the 10x target", sp)
+	}
+	for _, rec := range r.Recovery {
+		if rec.LostAcked != 0 {
+			return fmt.Errorf("cache: seed %d lost %d acknowledged bytes across the crash", rec.Seed, rec.LostAcked)
+		}
+	}
+	return nil
+}
+
 // Digest folds every cell and recovery outcome into an FNV-1a hash.
 func (r *CacheSweepResult) Digest() uint64 {
 	h := fnv.New64a()

@@ -3,10 +3,10 @@ package experiments
 import "testing"
 
 // TestCacheSweepQuick runs the full family at quick scale and checks the
-// headline properties: the 90%-hot workload gains ≥10× p50 over the
-// direct path, hits dominate misses once warm, cache-none cells report no
-// cache activity, and every crash-recovery scenario replays with zero
-// acknowledged-write loss.
+// family's acceptance bar (Check: the 90%-hot workload gains ≥10× p50 over
+// the direct path and no crash loses an acknowledged write) plus the shape
+// behind it: hits dominate misses once warm, cache-none cells report no
+// cache activity, and every crash-recovery scenario replays.
 func TestCacheSweepQuick(t *testing.T) {
 	res, err := CacheSweep(Quick())
 	if err != nil {
@@ -15,9 +15,8 @@ func TestCacheSweepQuick(t *testing.T) {
 	if len(res.Points) != len(cacheWorkloads)*len(cacheSizesMB) {
 		t.Fatalf("sweep has %d cells", len(res.Points))
 	}
-
-	if sp := res.HitSpeedup("hot90-read"); sp < 10 {
-		t.Errorf("hot90-read p50 speedup %.1fx, want >= 10x over the direct path", sp)
+	if err := res.Check(false); err != nil {
+		t.Error(err)
 	}
 	if sp := res.HitSpeedup("rand-write"); sp < 3 {
 		t.Errorf("rand-write p50 speedup %.1fx, want >= 3x (log append vs cluster round trip)", sp)
@@ -59,9 +58,6 @@ func TestCacheSweepQuick(t *testing.T) {
 	for _, rec := range res.Recovery {
 		if rec.Recoveries != 1 {
 			t.Errorf("seed %d: %d recoveries, want 1", rec.Seed, rec.Recoveries)
-		}
-		if rec.LostAcked != 0 {
-			t.Errorf("seed %d: lost %d acknowledged bytes across the crash", rec.Seed, rec.LostAcked)
 		}
 		if rec.Replays == 0 {
 			t.Errorf("seed %d: crash caught no in-flight ops (scenario too late?)", rec.Seed)

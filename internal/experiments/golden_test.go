@@ -2,102 +2,26 @@ package experiments
 
 import "testing"
 
-// Golden quick-config digests captured on the monolithic per-generation
-// stack constructors, immediately before the layer-pipeline refactor.
-// Every family must reproduce them byte-for-byte: the refactor (and any
-// future one) is only behavior-preserving if the simulated event sequences
-// are exactly unchanged.
-var goldenDigests = map[string]uint64{
-	"fig3":      0xf8c343eb8edbc185,
-	"fig6":      0x585fa75139b4d732,
-	"tab2":      0xa13a977d7007ab33,
-	"ablations": 0xb91daf403fdc5eda,
-	"faults":    0x3f53b6f4787217e9,
-	// The remaining four families, captured immediately before the cache
-	// tier landed: every cache-none path must stay byte-identical.
-	"fig8":     0x3d53f08d498a0a72,
-	"buckets":  0xb4f1ec737cf3b848,
-	"recovery": 0x57c3e961ae11dea2,
-	"oltp":     0xd9b73bd3c0054f3b,
-}
-
+// TestGoldenDigests pins every registry family's quick-config digest
+// (Family.Golden). A family is only behavior-preserving across a refactor
+// if its simulated event sequences are exactly unchanged, so a family whose
+// runs carry a digest but have no pin fails here too.
 func TestGoldenDigests(t *testing.T) {
 	cfg := Quick()
-	families := map[string]func() (uint64, error){
-		"fig3": func() (uint64, error) {
-			res, err := Fig3(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		},
-		"fig6": func() (uint64, error) {
-			res, err := Fig6and7(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		},
-		"tab2": func() (uint64, error) {
-			res, err := Table2(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		},
-		"ablations": func() (uint64, error) {
-			res, err := Ablations(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return AblationsDigest(res), nil
-		},
-		"faults": func() (uint64, error) {
-			res, err := FaultSweep(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		},
-		"fig8": func() (uint64, error) {
-			res, err := Fig8and9(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		},
-		"buckets": func() (uint64, error) {
-			rows, err := BucketQuality()
-			if err != nil {
-				return 0, err
-			}
-			return BucketQualityDigest(rows), nil
-		},
-		"recovery": func() (uint64, error) {
-			res, err := Recovery(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		},
-		"oltp": func() (uint64, error) {
-			res, err := OLTP(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		},
-	}
-	for name, want := range goldenDigests {
-		name, want := name, want
-		t.Run(name, func(t *testing.T) {
+	for _, fam := range Families() {
+		t.Run(fam.Name, func(t *testing.T) {
 			t.Parallel()
-			got, err := families[name]()
+			out, err := fam.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("%s digest %016x != golden %016x — the pipeline refactor changed simulated behavior", name, got, want)
+			switch {
+			case out.Digested && fam.Golden == 0:
+				t.Fatalf("%s digests (%016x) but has no golden pin", fam.Name, out.Digest)
+			case !out.Digested && fam.Golden != 0:
+				t.Fatalf("%s has golden pin %016x but its runs carry no digest", fam.Name, fam.Golden)
+			case out.Digest != fam.Golden:
+				t.Fatalf("%s digest %016x != golden %016x — the change altered simulated behavior", fam.Name, out.Digest, fam.Golden)
 			}
 		})
 	}

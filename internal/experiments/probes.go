@@ -10,13 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-// This file backs the `-json` report's per-family observability section:
-// for every digestable experiment family it runs one representative cell
-// with stage profiling (and, for fault-bearing families, the resilience
-// layer) enabled, and summarises the per-stage latency histograms plus the
-// client-side resilience counters. The probe is evidence, not a
-// measurement family of its own — it has no digest and never feeds the
-// golden gates.
+// This file backs the report's per-family observability section: for every
+// family with a probe cell in the registry it runs that one representative
+// cell with stage profiling (and, for fault-bearing families, the
+// resilience layer) enabled, and summarises the per-stage latency
+// histograms plus the client-side resilience counters. The probe is
+// evidence, not a measurement family of its own — it has no digest and
+// never feeds the golden gates.
 
 // StageSummary is one stage's latency histogram, summarised.
 type StageSummary struct {
@@ -31,46 +31,33 @@ type StageSummary struct {
 
 // FamilyProbeResult is one family's observability snapshot.
 type FamilyProbeResult struct {
-	Stages     []StageSummary
-	Resilience metrics.Resilience
+	Stages     []StageSummary     `json:"stages"`
+	Resilience metrics.Resilience `json:"resilience"`
 }
 
 // familyProbe describes the representative cell a family is probed with.
 type familyProbe struct {
-	kind    core.StackKind
-	ec      bool
+	spec    string // core.ParseStackSpec composition
 	readPct int
-	fault   string // faultPlans scenario name; "" = healthy
-}
-
-// familyProbes maps every reportable family to its probe cell. Families
-// without an I/O path of their own (CRUSH bucket quality) are absent and
-// probe empty.
-var familyProbes = map[string]familyProbe{
-	"fig3":     {kind: core.StackDKSW, readPct: 100},
-	"fig6":     {kind: core.StackDKHW, readPct: 0},
-	"fig8":     {kind: core.StackDKHW, ec: true, readPct: 0},
-	"tab2":     {kind: core.StackDKHW, readPct: 100},
-	"faults":   {kind: core.StackDKSW, readPct: 70, fault: "partition"},
-	"recovery": {kind: core.StackDKHW, readPct: 70, fault: "loss-1%"},
-	"oltp":     {kind: core.StackDKSW, readPct: 70},
-	"cache":    {kind: core.StackDKHW, readPct: 50},
-	// raft probes the replication head-to-head's stressed cell: the Raft
-	// backend on its 3-node topology under the node partition.
-	"raft": {kind: core.StackDKHW, readPct: 30, fault: "partition"},
+	fault   string // scenario name on the family's fault axis; "" = healthy
 }
 
 // FamilyProbe runs the named family's representative cell with stage
 // profiling enabled and returns its per-stage summaries and resilience
-// counters. Unknown families probe empty rather than failing, so the
-// report stays uniform as families come and go.
+// counters. Families without a probe cell probe empty.
 func FamilyProbe(cfg Config, name string) (FamilyProbeResult, error) {
-	p, ok := familyProbes[name]
-	if !ok {
-		return FamilyProbeResult{}, nil
+	fam, err := LookupFamily(name)
+	if err != nil || fam.probe == nil {
+		return FamilyProbeResult{}, err
 	}
+	p := fam.probe
+	sp, err := core.ParseStackSpec(p.spec)
+	if err != nil {
+		return FamilyProbeResult{}, err
+	}
+	raft := sp.Replication == core.ReplRaft
 	tcfg := testbedConfig()
-	if name == "raft" {
+	if raft {
 		tcfg = raftTestbedConfig(cfg)
 	} else if p.fault != "" {
 		tcfg.Resilience = core.DefaultResilienceConfig()
@@ -81,39 +68,16 @@ func FamilyProbe(cfg Config, name string) (FamilyProbeResult, error) {
 		return FamilyProbeResult{}, err
 	}
 	prof := tb.EnableProfiling()
-	var stack core.Stack
-	if name == "cache" {
-		sp, err := core.ParseStackSpec("deliba-k-hw+cache-lsvd")
-		if err != nil {
-			return FamilyProbeResult{}, err
-		}
-		stack, err = tb.BuildStack(sp)
-		if err != nil {
-			return FamilyProbeResult{}, err
-		}
-	} else if name == "raft" {
-		sp, err := core.Spec(p.kind)
-		if err != nil {
-			return FamilyProbeResult{}, err
-		}
-		sp.Replication = core.ReplRaft
-		sp.Name += "+repl-raft"
-		stack, err = tb.BuildStack(sp)
-		if err != nil {
-			return FamilyProbeResult{}, err
-		}
-	} else {
-		stack, err = tb.NewStack(p.kind, p.ec)
-		if err != nil {
-			return FamilyProbeResult{}, err
-		}
+	stack, err := tb.BuildStack(sp)
+	if err != nil {
+		return FamilyProbeResult{}, err
 	}
 	arm := func(name string, arm func(*faults.Injector, *sim.RNG, int, int)) {
 		in := faults.NewInjector(tb.Eng, tb.Cluster, cfg.Seed)
 		rng := sim.NewRNG(planSeed(cfg.Seed, name))
 		arm(in, rng, len(tb.Cluster.OSDs), len(tb.Cluster.NodeHosts))
 	}
-	if name == "raft" {
+	if raft {
 		// The raft family's own scenario axis, not the fault sweep's: its
 		// partition is long enough (3 ms) to force elections.
 		for _, plan := range raftPlans {

@@ -232,6 +232,25 @@ func (r *RaftSweepResult) Cell(repl core.ReplKind, scenario string) (RaftCell, b
 	return RaftCell{}, false
 }
 
+// Check is the raft family's acceptance bar, the same at both scales: under
+// the silent OSD crash and under the node partition, the Raft backend
+// sustains strictly higher measured availability (the fraction of wall time
+// writes commit) than primary-copy.
+func (r *RaftSweepResult) Check(full bool) error {
+	for _, scenario := range []string{"osd-crash", "partition"} {
+		pc, ok1 := r.Cell(core.ReplPrimary, scenario)
+		rc, ok2 := r.Cell(core.ReplRaft, scenario)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("raft: no primary-copy/raft cell pair for %s", scenario)
+		}
+		if rc.TimeAvail <= pc.TimeAvail {
+			return fmt.Errorf("raft: %s availability %.4f not strictly above primary-copy %.4f",
+				scenario, rc.TimeAvail, pc.TimeAvail)
+		}
+	}
+	return nil
+}
+
 // Digest folds the grid into an FNV-1a hash — the oracle for the
 // serial-vs-parallel and cross-run reproducibility properties.
 func (r *RaftSweepResult) Digest() uint64 {

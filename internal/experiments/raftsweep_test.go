@@ -58,15 +58,18 @@ func TestRaftSweepDigestInvariantAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRaftSweepAvailabilityHeadToHead is the tentpole's acceptance bar:
-// under the silent OSD crash and under the node partition, the Raft backend
-// must sustain strictly higher measured availability (fraction of wall time
-// writes commit) than primary-copy — and both protocols must be clean when
-// healthy.
+// TestRaftSweepAvailabilityHeadToHead asserts the family's acceptance bar
+// (Check: under the silent OSD crash and under the node partition, Raft's
+// measured availability is strictly above primary-copy's) plus the shape
+// behind it: the faults bite primary-copy, Raft's longest outage is
+// shorter, and both protocols are clean when healthy.
 func TestRaftSweepAvailabilityHeadToHead(t *testing.T) {
 	res, err := RaftSweep(Quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := res.Check(false); err != nil {
+		t.Error(err)
 	}
 	for _, scenario := range []string{"osd-crash", "partition"} {
 		pc, ok := res.Cell(core.ReplPrimary, scenario)
@@ -76,10 +79,6 @@ func TestRaftSweepAvailabilityHeadToHead(t *testing.T) {
 		rc, ok := res.Cell(core.ReplRaft, scenario)
 		if !ok {
 			t.Fatalf("no repl-raft/%s cell", scenario)
-		}
-		if rc.TimeAvail <= pc.TimeAvail {
-			t.Errorf("%s: raft availability %.4f not strictly above primary-copy %.4f",
-				scenario, rc.TimeAvail, pc.TimeAvail)
 		}
 		if pc.Stalls == 0 {
 			t.Errorf("%s: primary-copy recorded no write-stall window — the fault never bit", scenario)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -160,36 +161,29 @@ func TestHWSweepDigestInvariantAcrossParallelism(t *testing.T) {
 
 func TestSmallFamiliesDigestInvariantAcrossParallelism(t *testing.T) {
 	cfg := determinismConfig(5)
-	type digests struct {
-		bucket, recovery, oltp, ablation uint64
-	}
-	measure := func() (d digests) {
-		rows, err := BucketQuality()
-		if err != nil {
-			t.Fatal(err)
+	measure := func() (d []uint64) {
+		for _, name := range []string{"buckets", "recovery", "realworld"} {
+			fam, err := LookupFamily(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := fam.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = append(d, out.Digest)
 		}
-		d.bucket = BucketQualityDigest(rows)
-		rec, err := Recovery(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.recovery = rec.Digest()
-		oltp, err := OLTP(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.oltp = oltp.Digest()
+		// One ablation, not the registry's whole grid, keeps the test small.
 		abl, err := runAblations(cfg, ablationSpecs[:1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.ablation = AblationsDigest(abl)
-		return d
+		return append(d, AblationsDigest(abl))
 	}
-	var serial, fanned digests
+	var serial, fanned []uint64
 	withParallelism(t, 1, func() { serial = measure() })
 	withParallelism(t, 4, func() { fanned = measure() })
-	if serial != fanned {
-		t.Fatalf("digests diverge between 1 and 4 workers:\nserial: %+v\nfanned: %+v", serial, fanned)
+	if !slices.Equal(serial, fanned) {
+		t.Fatalf("digests (buckets, recovery, realworld, ablation) diverge between 1 and 4 workers:\nserial: %x\nfanned: %x", serial, fanned)
 	}
 }

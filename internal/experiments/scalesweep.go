@@ -155,12 +155,12 @@ func (r *ScaleSweepResult) Digest() uint64 {
 func (r *ScaleSweepResult) Table() *metrics.Table {
 	t := metrics.NewTable("Scale sweep: throughput + recovery vs cluster size (rack-granular model, sharded engine)",
 		"osds", "racks", "clients", "volumes", "kiops", "mean us", "p99 us",
-		"degraded pgs", "recovery ms", "fail kiops", "shards", "windows")
+		"degraded pgs", "recovery ms", "fail kiops", "shards", "windows", "xshard msgs")
 	for _, c := range r.Cells {
 		t.AddRow(c.OSDs, c.Racks, c.Clients, c.Volumes,
 			fmt.Sprintf("%.1f", c.KIOPS), us(c.Mean), us(c.P99),
 			c.DegradedPGs, fmt.Sprintf("%.3f", c.RecoveryTime.Microseconds()/1e3),
-			fmt.Sprintf("%.1f", c.FailKIOPS), c.Shards, c.Windows)
+			fmt.Sprintf("%.1f", c.FailKIOPS), c.Shards, c.Windows, c.Messages)
 	}
 	return t
 }

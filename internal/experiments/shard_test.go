@@ -22,48 +22,32 @@ func TestFamiliesShardInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed family sweep")
 	}
-	families := []struct {
-		name string
-		run  func(cfg Config) (uint64, error)
-	}{
-		{"fig3", func(cfg Config) (uint64, error) {
-			res, err := Fig3(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-		{"faults", func(cfg Config) (uint64, error) {
-			res, err := FaultSweep(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.Digest(), nil
-		}},
-	}
-	for _, fam := range families {
-		fam := fam
-		t.Run(fam.name, func(t *testing.T) {
+	for _, name := range []string{"fig3", "faults"} {
+		fam, err := LookupFamily(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{1, 2, 3} {
 				cfg := Quick()
 				cfg.Seed = seed
 				// Serial reference: plain engines, no group at all.
-				ref, err := fam.run(cfg)
+				ref, err := fam.Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, n := range []int{1, 2, 8} {
-					var got uint64
+					var got Outcome
 					withShards(t, n, func() {
-						got, err = fam.run(cfg)
+						got, err = fam.Run(cfg)
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got != ref {
+					if got.Digest != ref.Digest {
 						t.Fatalf("seed %d: %s digest %016x at %d shards != serial reference %016x",
-							seed, fam.name, got, n, ref)
+							seed, name, got.Digest, n, ref.Digest)
 					}
 				}
 			}

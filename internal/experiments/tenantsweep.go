@@ -255,6 +255,36 @@ func (r *TenantSweepResult) FleetCell(tenants int) (TenantFleetCell, bool) {
 	return TenantFleetCell{}, false
 }
 
+// Check is the tenant family's isolation bar. Under the noisy neighbor,
+// dmclock holds the victims' p99 within 2x of the hog-free qos-none
+// baseline while the unscheduled bypass blows past 5x, and dmclock's
+// contention-window fairness beats the bypass's. Quick runs keep the shape
+// (the hog bites, QoS shields) but not the full-population ratios: within
+// 4x and past 1x.
+func (r *TenantSweepResult) Check(full bool) error {
+	isolation, floor := 4.0, 1.0
+	if full {
+		isolation, floor = 2.0, 5.0
+	}
+	base, ok1 := r.Cell(core.QoSNone, "isolated")
+	none, ok2 := r.Cell(core.QoSNone, "noisy")
+	dmc, ok3 := r.Cell(core.QoSDMClock, "noisy")
+	if !ok1 || !ok2 || !ok3 || base.VictimP99 <= 0 {
+		return fmt.Errorf("tenant: missing qos-none isolated/noisy or qos-dmclock noisy cell")
+	}
+	blowNone := float64(none.VictimP99) / float64(base.VictimP99)
+	blowDMC := float64(dmc.VictimP99) / float64(base.VictimP99)
+	switch {
+	case blowDMC > isolation:
+		return fmt.Errorf("tenant: dmclock victim p99 blowup %.2fx above %.1fx", blowDMC, isolation)
+	case blowNone <= floor:
+		return fmt.Errorf("tenant: qos-none victim p99 blowup %.2fx not above %.1fx — the hog never bit", blowNone, floor)
+	case dmc.Fairness <= none.Fairness:
+		return fmt.Errorf("tenant: dmclock fairness %.4f not above qos-none %.4f", dmc.Fairness, none.Fairness)
+	}
+	return nil
+}
+
 // Digest folds both grids into an FNV-1a hash — the oracle for the
 // serial-vs-parallel and serial-vs-sharded reproducibility properties.
 func (r *TenantSweepResult) Digest() uint64 {

@@ -65,26 +65,22 @@ func TestTenantSweepDigestInvariantAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestTenantSweepIsolation is the quick-scale shape check behind the bench
-// gate: the noisy neighbor must actually hurt the unprotected victims, the
-// QoS schedulers must throttle the hog, and fairness under dmclock must beat
-// the bypass.
+// TestTenantSweepIsolation asserts the family's quick-scale isolation bar
+// (Check: the noisy neighbor hurts the unprotected victims, dmclock holds
+// them within 4x of the hog-free baseline, and its fairness beats the
+// bypass) plus the shape behind it: both QoS schedulers throttle the hog
+// and shield the victims, and the fleet cells are sane.
 func TestTenantSweepIsolation(t *testing.T) {
 	res, err := TenantSweep(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso, ok := res.Cell(core.QoSNone, "isolated")
-	if !ok {
-		t.Fatal("no qos-none/isolated cell")
+	if err := res.Check(false); err != nil {
+		t.Error(err)
 	}
 	noisy, ok := res.Cell(core.QoSNone, "noisy")
 	if !ok {
 		t.Fatal("no qos-none/noisy cell")
-	}
-	if noisy.VictimP99 <= iso.VictimP99 {
-		t.Errorf("qos-none noisy victim p99 %v not above isolated %v — the hog never bit",
-			noisy.VictimP99, iso.VictimP99)
 	}
 	if noisy.HogOps == 0 {
 		t.Error("noisy cell recorded no hog ops")
@@ -104,10 +100,6 @@ func TestTenantSweepIsolation(t *testing.T) {
 			t.Errorf("%v/noisy victim p99 %v not below unprotected %v",
 				qos, c.VictimP99, noisy.VictimP99)
 		}
-	}
-	dmc, _ := res.Cell(core.QoSDMClock, "noisy")
-	if dmc.Fairness <= noisy.Fairness {
-		t.Errorf("dmclock fairness %.4f not above qos-none %.4f", dmc.Fairness, noisy.Fairness)
 	}
 	for _, c := range res.Fleet {
 		if c.Active == 0 || c.TotalOps == 0 {

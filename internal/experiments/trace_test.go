@@ -237,12 +237,16 @@ func TestTracingZeroPerturbation(t *testing.T) {
 	}
 }
 
-// TestFamilyProbe: the -json observability probe must return stage
-// summaries for every mapped family, and the fault probe must surface
-// non-zero resilience counters.
+// TestFamilyProbe: the report's observability probe must return stage
+// summaries for every family with a probe cell, and the fault probe must
+// surface non-zero resilience counters.
 func TestFamilyProbe(t *testing.T) {
 	cfg := Quick()
-	for name := range familyProbes {
+	for _, fam := range Families() {
+		if fam.probe == nil {
+			continue
+		}
+		name := fam.Name
 		res, err := FamilyProbe(cfg, name)
 		if err != nil {
 			t.Fatalf("probe %s: %v", name, err)

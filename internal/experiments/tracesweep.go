@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fio"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -177,6 +179,24 @@ func (r *TraceSweepResult) Digest() uint64 {
 		return 0
 	}
 	return h.Sum64()
+}
+
+// Table summarises each traced cell: sampling counts and the top three
+// critical-path contributors over its tail exemplars.
+func (r *TraceSweepResult) Table() *metrics.Table {
+	t := metrics.NewTable("Per-I/O tracing: sampled spans and tail critical path per cell",
+		"cell", "ops", "sampled", "spans", "exemplars", "critical path (top 3)")
+	for _, c := range r.Cells {
+		var path []string
+		for i, p := range c.CritPath {
+			if i == 3 {
+				break
+			}
+			path = append(path, fmt.Sprintf("%s %.0f%%", p.Name, p.Share*100))
+		}
+		t.AddRow(c.Cell, c.Ops, c.Sampled, len(c.Spans), len(c.Exemplars), strings.Join(path, ", "))
+	}
+	return t
 }
 
 // Cell returns the finalized result for a cell label.

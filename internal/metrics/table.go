@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -39,6 +40,15 @@ func (t *Table) NumRows() int { return len(t.rows) }
 
 // Cell returns the formatted cell at (row, col).
 func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
+
+// MarshalJSON encodes the table as its title, headers and formatted rows.
+func (t *Table) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Title   string     `json:"title"`
+		Headers []string   `json:"headers"`
+		Rows    [][]string `json:"rows"`
+	}{t.Title, t.headers, t.rows})
+}
 
 // String renders the table with a title line, a header row, a separator, and
 // aligned columns.
