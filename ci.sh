@@ -49,12 +49,12 @@ go test -race -count=1 -run 'TestScale' ./internal/rados/ ./internal/experiments
 # Event-driven OSD service, placement memos and interned object names:
 # the memos and name tables fill lazily on first use, so race the packages
 # that own them at two Ps, where shard window workers really run at the
-# same time, plus the split-domain smoke, whose host-shard client memo and
-# OSD-shard service chains share one testbed image.
+# same time, plus the whole core and netsim packages: split-domain client
+# requests are event chains over pooled ops that run inside the shard
+# windows (the request leg on the host shard, OSD work on the node shards).
 echo "== placement memos + event-driven OSD service (race, GOMAXPROCS=2) =="
 GOMAXPROCS=2 go test -race -count=1 ./internal/sim/ ./internal/rados/ ./internal/fpga/ ./internal/rbd/
-GOMAXPROCS=2 go test -race -count=1 -run 'TestSplitDomain|TestFabricSplit' \
-    ./internal/core/ ./internal/netsim/
+GOMAXPROCS=2 go test -race -count=1 ./internal/core/ ./internal/netsim/
 
 # Write-back cache tier: the LSVD log/index/flush machinery runs a
 # background flusher goroutine-equivalent inside the simulation plus the

@@ -104,20 +104,13 @@ func (g Generation) String() string {
 	}
 }
 
-// blocking runs an async submit synchronously on a proc.
-func blocking(p *sim.Proc, submit func(done func(error))) error {
-	c := p.Engine().NewCompletion()
-	submit(func(err error) { c.Complete(nil, err) })
-	_, err := p.Await(c)
-	return err
-}
-
 // Do runs one I/O synchronously on a proc (convenience for tests and
 // latency-mode benchmarks).
 func Do(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int) error {
-	return blocking(p, func(done func(error)) {
-		s.Submit(op, pattern, off, n, cpu, done)
-	})
+	c := p.Engine().NewCompletion()
+	s.Submit(op, pattern, off, n, cpu, func(err error) { c.Complete(nil, err) })
+	_, err := p.Await(c)
+	return err
 }
 
 // DoDeadline is Do with a per-op deadline: it returns rados.ErrDeadline if

@@ -6,7 +6,6 @@ import (
 	"repro/internal/blockmq"
 	"repro/internal/fpga"
 	"repro/internal/iouring"
-	"repro/internal/legacyapi"
 	"repro/internal/lsvd"
 	"repro/internal/netsim"
 	"repro/internal/qdma"
@@ -71,9 +70,6 @@ type Placement interface {
 	// cont receives the post-selection kernel penalty to charge (the HLS
 	// slowdown) and any error.
 	Select(pool *rados.Pool, pg uint32, cont func(penalty sim.Duration, err error))
-	// SelectOn computes placement from a blocked host proc — DeLiBA-1's
-	// offload round trip — sleeping the kernel penalty in-line.
-	SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32) error
 }
 
 // FanoutLayer is the network path that carries replica/shard fan-out: the
@@ -98,163 +94,6 @@ func (h *uringHost) Submit(op OpType, pattern Pattern, off int64, n int, cpu, te
 }
 
 func (h *uringHost) Close() { h.rs.close() }
-
-// nbdDatapath is what an NBD daemon does with a request once its host path
-// cost is paid: cross to the card, call the client library, or run the
-// DeLiBA-1 per-extent offload interleave.
-type nbdDatapath interface {
-	// hostCPU is extra daemon CPU charged with the NBD path cost in one
-	// fused Resource.Use (splitting it would change contention).
-	hostCPU(op OpType, n int) sim.Duration
-	run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error
-}
-
-// nbdHost is the single-threaded NBD/user-space daemon loop shared by
-// DeLiBA-1/2: every request pays the legacy API crossings on one daemon
-// resource, sleeps the NBD socket round trip, then runs its datapath.
-type nbdHost struct {
-	tb       *Testbed
-	profile  legacyapi.CostProfile
-	daemon   *sim.Resource
-	procName string
-	path     nbdDatapath
-}
-
-func (h *nbdHost) Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error)) {
-	h.tb.Eng.Spawn(h.procName, func(p *sim.Proc) {
-		// The daemon is single-threaded, so its CPU time serializes
-		// across outstanding I/Os.
-		h.daemon.Use(p, 1, h.profile.PathCost(n)+h.path.hostCPU(op, n))
-		p.Sleep(h.tb.CM.NBDSocketRTT)
-		done(h.path.run(p, op, pattern, off, n, tenant, tr))
-	})
-}
-
-func (h *nbdHost) Close() {}
-
-// --- NBD datapaths -------------------------------------------------------
-
-// legacyCardPath is DeLiBA-2's datapath: legacy DMA to the card (payload
-// for writes, command for reads), the card pipeline, DMA back.
-type legacyCardPath struct {
-	cm      CostModel
-	backend *cardBackend
-	prof    *StageProfile
-}
-
-func (dp *legacyCardPath) hostCPU(OpType, int) sim.Duration { return 0 }
-
-func (dp *legacyCardPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
-	// The transport span covers the full below-daemon round trip: H2C
-	// DMA, card residency, C2H DMA. Subtract the card stages to isolate
-	// the DMA path itself.
-	endTrans := dp.prof.span(StageTransport)
-	h2c := rados.HdrBytes
-	if op == Write {
-		h2c = n
-	}
-	p.Sleep(dp.cm.LegacyDMACost + pcieTime(h2c))
-	err := blocking(p, func(cb func(error)) {
-		dp.backend.process(op, pattern, off, n, tenant, tr, cb)
-	})
-	c2h := rados.HdrBytes
-	if op == Read {
-		c2h = n
-	}
-	p.Sleep(dp.cm.LegacyDMACost + pcieTime(c2h))
-	endTrans()
-	return err
-}
-
-// clientPath is the software-baseline datapath: the user-space Ceph
-// library, extent by extent, on the daemon thread.
-type clientPath struct {
-	cm     CostModel
-	client *rados.Client
-	image  *rbd.Image
-	pool   *rados.Pool
-	prof   *StageProfile
-}
-
-func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
-	if op == Read {
-		return dp.cm.D2SWLibraryRead
-	}
-	return dp.cm.D2SWLibraryWrite
-}
-
-func (dp *clientPath) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
-	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	return dp.image.VisitExtents(off, n, false, func(e rbd.Extent) error {
-		endFan := dp.prof.span(StageFanout)
-		var operr error
-		if op == Write {
-			operr = dp.client.WriteOpts(p, dp.pool, e.Object, e.Off, zeros(e.Len), opts)
-		} else {
-			_, operr = dp.client.ReadOpts(p, dp.pool, e.Object, e.Off, e.Len, opts)
-		}
-		endFan()
-		return operr
-	})
-}
-
-// d1Path is DeLiBA-1's datapath: per extent, the payload and command
-// descriptors round-trip to the card for placement, then the HOST fans out
-// over its kernel TCP/IP stack on the same daemon thread (D1 had no FPGA
-// network stack).
-type d1Path struct {
-	tb     *Testbed
-	place  Placement
-	fan    *Fanout
-	image  *rbd.Image
-	pool   *rados.Pool
-	daemon *sim.Resource
-	prof   *StageProfile
-}
-
-func (dp *d1Path) hostCPU(OpType, int) sim.Duration { return 0 }
-
-func (dp *d1Path) run(p *sim.Proc, op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref) error {
-	cm := dp.tb.CM
-	opts := rados.ReqOpts{Random: pattern == Rand, Tenant: tenant, Trace: tr}
-	return dp.image.VisitExtents(off, n, false, func(e rbd.Extent) error {
-		// The payload crosses to the card (the storage accelerators hash
-		// over the data) and back, since D1's network path is on the
-		// host; then a second round trip for the command descriptors.
-		endTrans := dp.prof.span(StageTransport)
-		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(e.Len)))
-		p.Sleep(2 * (cm.LegacyDMACost + pcieTime(rados.HdrBytes)))
-		endTrans()
-		pg := dp.tb.Cluster.PGOf(dp.pool, e.Object)
-		if err := dp.place.SelectOn(p, dp.pool, pg); err != nil {
-			return err
-		}
-		// Host-side fan-out over the kernel TCP/IP stack: one sendmsg
-		// per replica and one recvmsg per ack, each a syscall + context
-		// switch, then an interrupt-driven completion wakeup — all on
-		// the single daemon thread.
-		msgs := dp.pool.Width()
-		if op == Read {
-			msgs = 1
-		}
-		dp.daemon.Use(p, 1,
-			sim.Duration(2*msgs)*(cm.D1Host.SyscallCost+cm.D1Host.ContextSwitchCost)+
-				sim.Duration(msgs)*cm.D1NetWakeup)
-		endFan := dp.prof.span(StageFanout)
-		var ferr error
-		if op == Write {
-			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.WriteReplicatedR(dp.pool, e.Object, e.Off, e.Len, opts, cb)
-			})
-		} else {
-			ferr = blocking(p, func(cb func(error)) {
-				dp.fan.ReadReplicatedR(dp.pool, e.Object, e.Off, e.Len, opts, cb)
-			})
-		}
-		endFan()
-		return ferr
-	})
-}
 
 // --- block layers --------------------------------------------------------
 
@@ -308,13 +147,6 @@ func (pl *rtlPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Durati
 	})
 }
 
-func (pl *rtlPlacement) SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32) error {
-	end := pl.prof.span(StageAccel)
-	_, err := pl.shell.Straw2.SelectWait(p, pg, uint32(pool.ID), pool.Width())
-	end()
-	return err
-}
-
 // hlsPlacement is the DeLiBA-1/2 HLS kernel: the same selection with the
 // HLS latency scale charged on top.
 type hlsPlacement struct {
@@ -342,17 +174,6 @@ func (pl *hlsPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Durati
 	})
 }
 
-func (pl *hlsPlacement) SelectOn(p *sim.Proc, pool *rados.Pool, pg uint32) error {
-	end := pl.prof.span(StageAccel)
-	_, err := pl.shell.Straw2.SelectWait(p, pg, uint32(pool.ID), pool.Width())
-	end()
-	if err != nil {
-		return err
-	}
-	p.Sleep(pl.penalty(pool.Width()))
-	return nil
-}
-
 // swPlacement marks placement as computed inside the software client (its
 // request cost embeds SWPlacement); nothing runs on a card.
 type swPlacement struct{}
@@ -362,7 +183,6 @@ func (swPlacement) Shell() *fpga.Shell  { return nil }
 func (swPlacement) Select(_ *rados.Pool, _ uint32, cont func(sim.Duration, error)) {
 	cont(0, nil)
 }
-func (swPlacement) SelectOn(*sim.Proc, *rados.Pool, uint32) error { return nil }
 
 // --- fan-out layers ------------------------------------------------------
 
@@ -760,11 +580,10 @@ func (tb *Testbed) buildNBDCard(s *pipelineStack) error {
 	s.block = noBlock{}
 	s.transport = legacyDMA{}
 	s.host = &nbdHost{
-		tb:       tb,
-		profile:  tb.CM.D2Host,
-		daemon:   tb.Eng.NewResource(1),
-		procName: "d2hw-io",
-		path:     &legacyCardPath{cm: tb.CM, backend: backend, prof: tb.Profile},
+		tb:      tb,
+		profile: tb.CM.D2Host,
+		daemon:  tb.Eng.NewResource(1),
+		path:    &legacyCardPath{cm: tb.CM, backend: backend, prof: tb.Profile},
 	}
 	return nil
 }
@@ -791,10 +610,9 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 	s.transport = legacyDMA{}
 	daemon := tb.Eng.NewResource(1)
 	s.host = &nbdHost{
-		tb:       tb,
-		profile:  tb.CM.D1Host,
-		daemon:   daemon,
-		procName: "d1hw-io",
+		tb:      tb,
+		profile: tb.CM.D1Host,
+		daemon:  daemon,
 		path: &d1Path{tb: tb, place: s.placement, fan: fan, image: s.image,
 			pool: s.pool, daemon: daemon, prof: tb.Profile},
 	}
@@ -813,10 +631,9 @@ func (tb *Testbed) buildNBDClient(s *pipelineStack) error {
 	s.placement = swPlacement{}
 	s.fanout = &clientFanout{client: client}
 	s.host = &nbdHost{
-		tb:       tb,
-		profile:  tb.CM.D2Host,
-		daemon:   tb.Eng.NewResource(1),
-		procName: "d2sw-io",
+		tb:      tb,
+		profile: tb.CM.D2Host,
+		daemon:  tb.Eng.NewResource(1),
 		path: &clientPath{cm: tb.CM, client: client, image: s.image,
 			pool: s.pool, prof: tb.Profile},
 	}

@@ -147,6 +147,21 @@ func TestDeadlineExhaustsRetries(t *testing.T) {
 	if res.Retries != uint64(cfg.MaxRetries) {
 		t.Errorf("Retries = %d, want %d", res.Retries, cfg.MaxRetries)
 	}
+	assertDrained(t, tbd)
+}
+
+// assertDrained checks a drained deadline run left nothing behind: no
+// event (every deadline timer was cancelled or fired, and no abandoned
+// attempt is still scheduled) and no Proc (no attempt parked forever on a
+// completion that never comes).
+func assertDrained(t *testing.T, tbd *Testbed) {
+	t.Helper()
+	if n := tbd.Eng.Pending(); n != 0 {
+		t.Errorf("Pending() = %d after drain, want 0", n)
+	}
+	if n := tbd.Eng.Procs(); n != 0 {
+		t.Errorf("Procs() = %d after drain, want 0", n)
+	}
 }
 
 // TestECDegradedReadCounts takes one data-shard OSD down: the EC read must
@@ -207,7 +222,8 @@ func newSWClientHarness(t *testing.T) (*Testbed, *rados.Client) {
 
 // TestClientWriteRetriesAfterCrash exercises the proc-blocking software
 // client: the primary crashes mid-service, the aborted attempt surfaces
-// ErrOSDDown inside withRetry, and the re-issue lands on the new primary.
+// ErrOSDDown inside the client's retry chain, and the re-issue lands on the
+// new primary.
 func TestClientWriteRetriesAfterCrash(t *testing.T) {
 	tbd, cl := newSWClientHarness(t)
 	obj, acting := crossNodeObject(t, tbd)
@@ -259,6 +275,7 @@ func TestClientReadDeadlineFailsOver(t *testing.T) {
 	if res.DeadlineExceeded != 1 || res.Retries != 1 || res.Failovers != 1 {
 		t.Errorf("counters = %+v, want 1 deadline, 1 retry, 1 failover", res)
 	}
+	assertDrained(t, tbd)
 }
 
 // TestDoDeadline pins the synchronous helper: a healthy op completes under a

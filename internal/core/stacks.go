@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/blockmq"
 	"repro/internal/fpga"
 	"repro/internal/iouring"
 	"repro/internal/rados"
-	"repro/internal/rbd"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -142,11 +140,9 @@ func (rs *ringSet) submitBackoff(op OpType, pattern Pattern, off int64, n int, c
 	sqe.UserData = ud
 	rs.callbacks[idx][ud] = done
 	if rs.rings[idx].Params().Mode != iouring.SQPollMode {
-		// Without the kernel poller the application must enter; model the
-		// submitting thread with a short-lived proc.
-		rs.eng.Spawn("enter", func(p *sim.Proc) {
-			rs.rings[idx].Submit(p)
-		})
+		// Without the kernel poller the application must enter, one
+		// event after queueing the SQE.
+		rs.eng.Schedule(0, rs.rings[idx].Enter)
 	}
 }
 
@@ -223,57 +219,6 @@ func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
 			}
 			complete(int32(length))
 		})
-	})
-}
-
-// radosTarget routes ring submissions into the software Ceph client.
-type radosTarget struct {
-	tb      *Testbed
-	client  *rados.Client
-	image   *rbd.Image
-	pool    *rados.Pool
-	mapCost sim.Duration
-	prof    *StageProfile
-	trace   *trace.Sink
-	// bare skips the kernel span and RBD map cost: the cacheTarget
-	// wrapping this target already charged them once above the cache.
-	bare bool
-}
-
-func (t *radosTarget) Submit(req iouring.Request, complete func(res int32)) {
-	t.tb.Eng.Spawn("dksw-io", func(p *sim.Proc) {
-		if !t.bare {
-			endKernel := t.prof.span(StageKernel)
-			// The kernel RBD residency is just the map cost here; the
-			// client round trips are siblings, not children, of it.
-			var hk trace.H
-			if t.trace != nil && req.Trace.Sampled() {
-				hk = t.trace.Begin(req.Trace, "kernel")
-			}
-			p.Sleep(t.mapCost)
-			endKernel()
-			hk.End()
-		}
-		opts := rados.ReqOpts{Random: req.RWFlags&blockmq.FlagRandom != 0, Tenant: req.Tenant, Trace: req.Trace}
-		err := t.image.VisitExtents(req.Off, int(req.Len), true, func(e rbd.Extent) error {
-			endFan := t.prof.span(StageFanout)
-			var operr error
-			if req.Op == iouring.OpWrite {
-				operr = t.client.WriteOpts(p, t.pool, e.Object, e.Off, zeros(e.Len), opts)
-			} else {
-				_, operr = t.client.ReadOpts(p, t.pool, e.Object, e.Off, e.Len, opts)
-			}
-			endFan()
-			return operr
-		})
-		switch {
-		case err == nil:
-			complete(int32(req.Len))
-		case errors.Is(err, rbd.ErrOutOfRange):
-			complete(iouring.ResEINVAL)
-		default:
-			complete(iouring.ResEIO)
-		}
 	})
 }
 

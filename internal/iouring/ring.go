@@ -231,7 +231,9 @@ type Ring struct {
 	cqWaiters []func()
 
 	pollerArmed bool
-	closed      bool
+	// poll is the SQPOLL pickup, bound on first use.
+	poll   func()
+	closed bool
 	// chain holds a link chain the SQPOLL poller caught mid-publication:
 	// its last gathered SQE still has FlagIOLink set, so the chain's tail
 	// had not been written to the SQ when the drain ran. The next drain
@@ -240,6 +242,9 @@ type Ring struct {
 	chain []SQE
 	// bufTable holds registered fixed-buffer sizes (nil = none).
 	bufTable []int
+
+	// inflightFree recycles dispatched-SQE state (see inflight).
+	inflightFree []*inflight
 
 	// Stats.
 	enters      uint64
@@ -381,17 +386,36 @@ func (r *Ring) Submit(p *sim.Proc) (int, error) {
 	if r.closed {
 		return 0, ErrRingClosed
 	}
-	if r.params.Mode == SQPollMode {
-		return r.SQPending(), nil
-	}
 	n := r.SQPending()
-	if n == 0 {
-		return 0, nil
+	if r.params.Mode == SQPollMode || n == 0 {
+		return n, nil
 	}
-	r.enters++
-	p.Sleep(r.params.SyscallCost + sim.Duration(n)*r.params.PerSQECost)
-	r.drainSQ(n, true)
+	p.Block(func(wake func()) { r.enter(n, wake) })
 	return n, nil
+}
+
+// Enter is Submit for an event-driven submitter. It must run in engine
+// context; like Submit it does nothing on a closed ring, in SQPOLL mode,
+// or with nothing pending.
+func (r *Ring) Enter() {
+	if r.closed || r.params.Mode == SQPollMode {
+		return
+	}
+	if n := r.SQPending(); n > 0 {
+		r.enter(n, nil)
+	}
+}
+
+// enter is io_uring_enter: the syscall and per-SQE costs elapse as one
+// event, then n SQEs drain and then (if non-nil) runs.
+func (r *Ring) enter(n int, then func()) {
+	r.enters++
+	r.eng.Schedule(r.params.SyscallCost+sim.Duration(n)*r.params.PerSQECost, func() {
+		r.drainSQ(n, true)
+		if then != nil {
+			then()
+		}
+	})
 }
 
 // armPoller schedules an SQPOLL pickup if one is not already pending.
@@ -400,14 +424,20 @@ func (r *Ring) armPoller() {
 		return
 	}
 	r.pollerArmed = true
-	r.eng.Schedule(r.params.SQPollLatency, func() {
-		r.pollerArmed = false
-		if n := r.SQPending(); n > 0 {
-			// The SQPOLL thread spends per-SQE kernel time but the app
-			// thread is not blocked — that is the point of the mode.
-			r.drainSQ(n, false)
-		}
-	})
+	if r.poll == nil {
+		r.poll = r.pollSQ
+	}
+	r.eng.Schedule(r.params.SQPollLatency, r.poll)
+}
+
+// pollSQ is the SQPOLL thread's pickup.
+func (r *Ring) pollSQ() {
+	r.pollerArmed = false
+	if n := r.SQPending(); n > 0 {
+		// The SQPOLL thread spends per-SQE kernel time but the app
+		// thread is not blocked — that is the point of the mode.
+		r.drainSQ(n, false)
+	}
 }
 
 // drainSQ moves up to n SQEs from the ring into the target. Concurrent
@@ -511,7 +541,6 @@ func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
 		Tenant:     sqe.Tenant,
 		Trace:      sqe.Trace,
 	}
-	userData := sqe.UserData
 	// Unregistered buffers pay a user->kernel copy on writes now and a
 	// kernel->user copy when the completion is reaped.
 	var submitDelay sim.Duration
@@ -522,19 +551,52 @@ func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
 	if r.inFlight > r.maxInFlight {
 		r.maxInFlight = r.inFlight
 	}
-	deliver := func() {
-		r.target.Submit(req, func(res int32) {
-			r.inFlight--
-			r.postCQE(CQE{UserData: userData, Res: res})
-			if after != nil {
-				after(res)
-			}
-		})
-	}
+	f := r.getInflight()
+	f.req, f.userData, f.after = req, sqe.UserData, after
 	if submitDelay > 0 {
-		r.eng.Schedule(submitDelay, deliver)
+		r.eng.Schedule(submitDelay, f.deliver)
 	} else {
-		deliver()
+		f.deliver()
+	}
+}
+
+// inflight is one dispatched SQE awaiting its target's completion. The
+// structs are recycled through the ring's freelist; their callbacks are
+// bound once, so steady-state dispatch allocates nothing.
+type inflight struct {
+	r        *Ring
+	req      Request
+	userData uint64
+	after    func(res int32)
+	deliver  func()
+	complete func(res int32)
+}
+
+func (r *Ring) getInflight() *inflight {
+	if k := len(r.inflightFree); k > 0 {
+		f := r.inflightFree[k-1]
+		r.inflightFree[k-1] = nil
+		r.inflightFree = r.inflightFree[:k-1]
+		return f
+	}
+	f := &inflight{r: r}
+	f.deliver = f.submit
+	f.complete = f.completed
+	return f
+}
+
+func (f *inflight) submit() { f.r.target.Submit(f.req, f.complete) }
+
+// completed posts the CQE, recycles f, then runs the link-chain
+// continuation.
+func (f *inflight) completed(res int32) {
+	r, ud, after := f.r, f.userData, f.after
+	f.req, f.after = Request{}, nil
+	r.inflightFree = append(r.inflightFree, f)
+	r.inFlight--
+	r.postCQE(CQE{UserData: ud, Res: res})
+	if after != nil {
+		after(res)
 	}
 }
 
@@ -546,11 +608,11 @@ func (r *Ring) postCQE(cqe CQE) {
 	}
 	r.cqEntries[r.cqTail&r.cqMask] = cqe
 	r.cqTail++
-	ws := r.cqWaiters
-	r.cqWaiters = nil
-	for _, w := range ws {
+	for _, w := range r.cqWaiters {
 		r.eng.Schedule(0, w)
 	}
+	clear(r.cqWaiters)
+	r.cqWaiters = r.cqWaiters[:0]
 }
 
 // PeekCQE reaps one completion without blocking (kernel-polled read of the

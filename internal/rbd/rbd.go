@@ -122,6 +122,24 @@ func (im *Image) Extents(off int64, n int) ([]Extent, error) {
 	return out, nil
 }
 
+// CheckRange reports whether [off, off+n) lies inside the image, as an
+// ErrOutOfRange (wrapped) when it does not.
+func (im *Image) CheckRange(off int64, n int) error {
+	if off < 0 || n < 0 || off+int64(n) > im.Size {
+		return fmt.Errorf("%w: [%d,%d) in image of %d bytes", ErrOutOfRange, off, off+int64(n), im.Size)
+	}
+	return nil
+}
+
+// ExtentAt maps the first backing-object extent of [off, off+n), a
+// non-empty range CheckRange accepted. Callers walking a range one extent
+// at a time advance off by the extent's Len and shrink n by it.
+func (im *Image) ExtentAt(off int64, n int) Extent {
+	idx := off / int64(im.ObjectBytes)
+	inOff := int(off % int64(im.ObjectBytes))
+	return Extent{Object: im.ObjectName(idx), Off: inOff, Len: min(im.ObjectBytes-inOff, n)}
+}
+
 // VisitExtents maps [off, off+n) and invokes visit once per backing-object
 // extent, in image order. A mapping failure returns ErrOutOfRange (wrapped)
 // before any extent is visited. With stopOnErr the first visit error returns
@@ -129,18 +147,13 @@ func (im *Image) Extents(off int64, n int) ([]Extent, error) {
 // target aborts a request); otherwise every extent is visited and the first
 // error seen is returned (how the NBD daemons drain a request).
 func (im *Image) VisitExtents(off int64, n int, stopOnErr bool, visit func(Extent) error) error {
-	if off < 0 || n < 0 || off+int64(n) > im.Size {
-		return fmt.Errorf("%w: [%d,%d) in image of %d bytes", ErrOutOfRange, off, off+int64(n), im.Size)
+	if err := im.CheckRange(off, n); err != nil {
+		return err
 	}
 	var firstErr error
 	for n > 0 {
-		idx := off / int64(im.ObjectBytes)
-		inOff := int(off % int64(im.ObjectBytes))
-		take := im.ObjectBytes - inOff
-		if take > n {
-			take = n
-		}
-		if err := visit(Extent{Object: im.ObjectName(idx), Off: inOff, Len: take}); err != nil {
+		e := im.ExtentAt(off, n)
+		if err := visit(e); err != nil {
 			if stopOnErr {
 				return err
 			}
@@ -148,8 +161,8 @@ func (im *Image) VisitExtents(off int64, n int, stopOnErr bool, visit func(Exten
 				firstErr = err
 			}
 		}
-		off += int64(take)
-		n -= take
+		off += int64(e.Len)
+		n -= e.Len
 	}
 	return firstErr
 }
@@ -166,71 +179,134 @@ func NewDev(im *Image, cl *rados.Client) *Dev {
 	return &Dev{Image: im, Client: cl}
 }
 
-// WriteAt stores data at the virtual offset, spanning objects as needed.
-// Multi-object spans issue in parallel.
-func (d *Dev) WriteAt(p *sim.Proc, off int64, data []byte) error {
+// WriteAtAsync stores data at the virtual offset, spanning objects as
+// needed, and calls done with the first error. A single-object write is the
+// client's own chain; a multi-object span issues one write per object in
+// parallel, each one event after the call, and finishes once all have.
+func (d *Dev) WriteAtAsync(off int64, data []byte, done func(error)) {
 	exts, err := d.Image.Extents(off, len(data))
 	if err != nil {
-		return err
+		done(err)
+		return
 	}
+	pool := d.Image.Pool
 	if len(exts) == 1 {
-		return d.Client.Write(p, d.Image.Pool, exts[0].Object, exts[0].Off, data)
+		d.Client.WriteAsync(pool, exts[0].Object, exts[0].Off, data, rados.ReqOpts{}, done)
+		return
 	}
-	eng := d.Client.Cluster.Eng
-	comps := make([]*sim.Completion, len(exts))
+	g := d.newJoin(len(exts), func(_ [][]byte, err error) { done(err) })
 	pos := 0
 	for i, e := range exts {
-		comp := eng.NewCompletion()
-		comps[i] = comp
-		e := e
 		chunk := data[pos : pos+e.Len]
 		pos += e.Len
-		eng.Spawn("rbd-write", func(sub *sim.Proc) {
-			comp.Complete(nil, d.Client.Write(sub, d.Image.Pool, e.Object, e.Off, chunk))
+		g.eng.Schedule(0, func() {
+			d.Client.WriteAsync(pool, e.Object, e.Off, chunk, rados.ReqOpts{}, func(err error) {
+				g.complete(i, nil, err)
+			})
 		})
 	}
-	var firstErr error
-	for _, c := range comps {
-		if _, err := p.Await(c); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	g.await()
 }
 
-// ReadAt returns n bytes at the virtual offset.
-func (d *Dev) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+// ReadAtAsync reads n bytes at the virtual offset, issuing like
+// WriteAtAsync, and calls done with them.
+func (d *Dev) ReadAtAsync(off int64, n int, done func([]byte, error)) {
 	exts, err := d.Image.Extents(off, n)
 	if err != nil {
-		return nil, err
+		done(nil, err)
+		return
 	}
+	pool := d.Image.Pool
 	if len(exts) == 1 {
-		return d.Client.Read(p, d.Image.Pool, exts[0].Object, exts[0].Off, exts[0].Len)
+		d.Client.ReadAsync(pool, exts[0].Object, exts[0].Off, exts[0].Len, rados.ReqOpts{}, done)
+		return
 	}
-	eng := d.Client.Cluster.Eng
-	comps := make([]*sim.Completion, len(exts))
-	for i, e := range exts {
-		comp := eng.NewCompletion()
-		comps[i] = comp
-		e := e
-		eng.Spawn("rbd-read", func(sub *sim.Proc) {
-			data, err := d.Client.Read(sub, d.Image.Pool, e.Object, e.Off, e.Len)
-			comp.Complete(data, err)
-		})
-	}
-	out := make([]byte, 0, n)
-	var firstErr error
-	for _, c := range comps {
-		v, err := p.Await(c)
-		if err != nil && firstErr == nil {
-			firstErr = err
+	g := d.newJoin(len(exts), func(parts [][]byte, err error) {
+		if err != nil {
+			done(nil, err)
+			return
 		}
-		if b, ok := v.([]byte); ok {
+		out := make([]byte, 0, n)
+		for _, b := range parts {
 			out = append(out, b...)
 		}
+		done(out, nil)
+	})
+	for i, e := range exts {
+		g.eng.Schedule(0, func() {
+			d.Client.ReadAsync(pool, e.Object, e.Off, e.Len, rados.ReqOpts{}, func(b []byte, err error) {
+				g.complete(i, b, err)
+			})
+		})
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	g.await()
+}
+
+// join collects a multi-object request's per-object results, awaiting
+// them in image order as a Proc awaiting one completion after another
+// does: it parks on the first unfinished part, resumes one event after that
+// part finishes, and passes parts that finished meanwhile at no cost.
+type join struct {
+	eng     *sim.Engine
+	fired   []bool
+	parts   [][]byte
+	errs    []error
+	next    int
+	waiting bool
+	done    func(parts [][]byte, firstErr error)
+}
+
+func (d *Dev) newJoin(n int, done func([][]byte, error)) *join {
+	return &join{eng: d.Client.Cluster.Eng, fired: make([]bool, n),
+		parts: make([][]byte, n), errs: make([]error, n), done: done}
+}
+
+func (g *join) complete(i int, b []byte, err error) {
+	g.fired[i], g.parts[i], g.errs[i] = true, b, err
+	if g.waiting && i == g.next {
+		g.waiting = false
+		g.eng.Schedule(0, g.await)
 	}
-	return out, nil
+}
+
+func (g *join) await() {
+	for ; g.next < len(g.fired); g.next++ {
+		if !g.fired[g.next] {
+			g.waiting = true
+			return
+		}
+	}
+	var firstErr error
+	for _, err := range g.errs {
+		if err != nil {
+			firstErr = err
+			break
+		}
+	}
+	g.done(g.parts, firstErr)
+}
+
+// WriteAt is WriteAtAsync with the proc blocked until done.
+func (d *Dev) WriteAt(p *sim.Proc, off int64, data []byte) error {
+	var err error
+	p.Block(func(wake func()) {
+		d.WriteAtAsync(off, data, func(e error) {
+			err = e
+			wake()
+		})
+	})
+	return err
+}
+
+// ReadAt is ReadAtAsync with the proc blocked until done.
+func (d *Dev) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
+	var out []byte
+	var err error
+	p.Block(func(wake func()) {
+		d.ReadAtAsync(off, n, func(b []byte, e error) {
+			out, err = b, e
+			wake()
+		})
+	})
+	return out, err
 }

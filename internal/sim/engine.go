@@ -215,6 +215,12 @@ func (e *Engine) Now() Time { return e.now }
 // Pending reports the number of scheduled (uncancelled) events.
 func (e *Engine) Pending() int { return len(e.pq) }
 
+// Procs reports the number of live Procs: spawned and not yet returned. A
+// Proc parked forever (on a completion nobody fires, a queue nobody fills)
+// stays counted, so a drained engine reporting more Procs than its
+// long-lived ones has leaked some.
+func (e *Engine) Procs() int { return e.procs }
+
 // Executed reports the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 

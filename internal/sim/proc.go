@@ -10,6 +10,12 @@ type Proc struct {
 	resume chan struct{}
 	yield  chan struct{}
 	done   bool
+
+	// wake is the Block wake callback, bound on first use; registering
+	// and woken track the Block in progress (see Block).
+	wake        func()
+	registering bool
+	woken       bool
 }
 
 // Spawn starts fn as a simulation process at the current virtual time.
@@ -74,17 +80,31 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Block suspends the process until the wake callback handed to register is
 // invoked. register runs immediately in the caller's context; the wake
-// callback must be invoked from engine context (inside an event), exactly
-// once. Block is the primitive custom wait-queues (rings, tag sets) build
-// on.
+// callback must be invoked exactly once, either from engine context (inside
+// an event), which resumes the process right there without scheduling an
+// event, or synchronously from inside register, in which case Block
+// returns without suspending. Block is the primitive custom wait-queues
+// (rings, tag sets) build on, and how a process waits on a callback-driven
+// operation without adding an event to it. The wake callback is bound once
+// per process, so Block allocates nothing after its first use.
 func (p *Proc) Block(register func(wake func())) {
-	woke := false
-	register(func() {
-		woke = true
-		p.eng.step(p)
-	})
-	for !woke {
+	if p.wake == nil {
+		p.wake = p.onWake
+	}
+	p.woken = false
+	p.registering = true
+	register(p.wake)
+	p.registering = false
+	for !p.woken {
 		p.pause()
+	}
+}
+
+// onWake is the bound Block wake callback.
+func (p *Proc) onWake() {
+	p.woken = true
+	if !p.registering {
+		p.eng.step(p)
 	}
 }
 
