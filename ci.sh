@@ -15,6 +15,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The benchmark is its own module (bench/, replace repro => ../), so the
+# runs above skip it. It drives the public core API and maps span names to
+# layers; vet and test it here so an API change or an unmapped span fails
+# CI rather than only the benchmark run. Runs under -short too.
+echo "== bench module (vet + test) =="
+(cd bench && go vet ./... && go test -count=1 ./...)
+
 # The parallel experiment runner is the one place goroutines touch shared
 # slices; race it explicitly so a future narrowing of the blanket run above
 # cannot silently drop it. The fault layer and the degraded-read/resilience

@@ -65,6 +65,10 @@ type MQ struct {
 	// trace receives one "blk-mq" span per sampled request, opened at
 	// submit and closed at EndIO (nil = tracing off).
 	trace *trace.Sink
+	// kick[h] runs hctx h's dispatch loop, bound once per hctx.
+	kick []func()
+	// free recycles completed requests (see Request.EndIO).
+	free []*Request
 }
 
 // SetTraceSink wires the MQ's span sink; pass nil to disable.
@@ -91,6 +95,8 @@ func New(eng *sim.Engine, cfg Config, driver Driver) (*MQ, error) {
 	}
 	for i := 0; i < cfg.HWQueues; i++ {
 		mq.tags = append(mq.tags, newTagSet(cfg.TagsPerHW))
+		h := i
+		mq.kick = append(mq.kick, func() { mq.runHW(h) })
 	}
 	return mq, nil
 }
@@ -115,7 +121,9 @@ func (mq *MQ) TagsAvailable(hctx int) int { return mq.tags[hctx].available() }
 
 // Submit sends a request into the block layer from proc context. The
 // returned request has been queued (or directly issued); its callback fires
-// at completion. The caller supplies the completion callback.
+// at completion. The caller supplies the completion callback. Requests are
+// pooled: the returned pointer is the caller's to inspect only until the
+// request completes or is merged into another.
 func (mq *MQ) Submit(p *sim.Proc, op OpType, off int64, length int, cpu int, done func(err error)) *Request {
 	req := mq.newRequest(op, off, length, 0, cpu, done)
 	if cost := mq.pathCost(); cost > 0 {
@@ -156,24 +164,29 @@ func (mq *MQ) SubmitAsyncTenant(op OpType, off int64, length int, flags uint32, 
 		req.Trace = req.traceH.Ref()
 	}
 	if cost := mq.pathCost(); cost > 0 {
-		mq.eng.Schedule(cost, func() { mq.place(req) })
+		mq.eng.Schedule(cost, req.placeFn)
 	} else {
 		mq.place(req)
 	}
 	return req
 }
 
+// newRequest takes a request from the pool (or builds one, binding its
+// events once) and fills it.
 func (mq *MQ) newRequest(op OpType, off int64, length int, flags uint32, cpu int, done func(err error)) *Request {
-	req := &Request{
-		Op:        op,
-		Off:       off,
-		Len:       length,
-		Flags:     flags,
-		CPU:       cpu,
-		Tag:       -1,
-		mq:        mq,
-		submitted: mq.eng.Now(),
+	var req *Request
+	if k := len(mq.free); k > 0 {
+		req = mq.free[k-1]
+		mq.free[k-1] = nil
+		mq.free = mq.free[:k-1]
+	} else {
+		req = &Request{home: mq}
+		req.fireFn = req.fire
+		req.placeFn = func() { mq.place(req) }
+		req.issueFn = func() { mq.tryIssue(req) }
 	}
+	req.Op, req.Off, req.Len, req.Flags, req.CPU, req.Tag = op, off, length, flags, cpu, -1
+	req.mq, req.submitted = mq, mq.eng.Now()
 	if done != nil {
 		req.callbacks = append(req.callbacks, done)
 	}
@@ -214,14 +227,16 @@ func (mq *MQ) place(req *Request) {
 	case mq.cfg.Scheduler != nil:
 		mq.stats.SchedPass++
 		if merged := mq.cfg.Scheduler.Insert(req.hctx, req); merged {
-			// The carrier request will complete this one's callbacks.
+			// The carrier request took this one's callbacks and will
+			// complete them; this one has no events left.
+			mq.recycle(req)
 			return
 		}
 
 	default:
 		mq.waiting[req.hctx] = append(mq.waiting[req.hctx], req)
 	}
-	mq.eng.Schedule(0, func() { mq.runHW(req.hctx) })
+	mq.eng.Schedule(0, mq.kick[req.hctx])
 }
 
 // runHW drives the dispatch loop of one hardware context: pull from the
@@ -253,7 +268,7 @@ func (mq *MQ) runHW(hctx int) {
 		req.Tag = tag
 		if mq.cfg.DispatchCost > 0 {
 			// Model the issue-path CPU time, then hand to the driver.
-			mq.eng.Schedule(mq.cfg.DispatchCost, func() { mq.tryIssue(req) })
+			mq.eng.Schedule(mq.cfg.DispatchCost, req.issueFn)
 			continue
 		}
 		if !mq.issue(req) {
@@ -321,7 +336,6 @@ func (mq *MQ) armThrottle(hctx int) {
 // busy condition cleared).
 func (mq *MQ) Kick() {
 	for h := 0; h < mq.cfg.HWQueues; h++ {
-		h := h
-		mq.eng.Schedule(0, func() { mq.runHW(h) })
+		mq.eng.Schedule(0, mq.kick[h])
 	}
 }

@@ -8,13 +8,15 @@ import (
 )
 
 // fakeDevice completes requests after a fixed latency with bounded
-// per-hctx concurrency.
+// per-hctx concurrency. seen keeps a copy of each issued request as the
+// device got it: requests are pooled, so the originals are reused once
+// they complete.
 type fakeDevice struct {
 	eng      *sim.Engine
 	latency  sim.Duration
 	maxInUse int
 	inUse    map[int]int
-	seen     []*Request
+	seen     []Request
 	mq       *MQ
 }
 
@@ -27,7 +29,7 @@ func (d *fakeDevice) QueueRq(hctx int, req *Request) bool {
 		return false
 	}
 	d.inUse[hctx]++
-	d.seen = append(d.seen, req)
+	d.seen = append(d.seen, *req)
 	d.eng.Schedule(d.latency, func() {
 		d.inUse[hctx]--
 		req.EndIO(nil)
@@ -210,9 +212,9 @@ func TestDeadlineSchedulerMerging(t *testing.T) {
 		t.Fatalf("device saw %d requests, want 2", len(dev.seen))
 	}
 	var mergedReq *Request
-	for _, r := range dev.seen {
-		if r.MergedBios() == 3 {
-			mergedReq = r
+	for i := range dev.seen {
+		if dev.seen[i].MergedBios() == 3 {
+			mergedReq = &dev.seen[i]
 		}
 	}
 	if mergedReq == nil || mergedReq.Len != 3*4096 {

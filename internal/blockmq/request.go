@@ -65,7 +65,10 @@ type Request struct {
 	// the driver synchronously, before the caller sees the request.
 	Trace trace.Ref
 
+	// mq is the owning MQ while the request is live, nil once it has
+	// ended (EndIO panics on a second call); home owns its pool slot.
 	mq        *MQ
+	home      *MQ
 	traceH    trace.H
 	hctx      int
 	submitted sim.Time
@@ -73,6 +76,11 @@ type Request struct {
 	// callbacks fire on completion; merged requests carry several.
 	callbacks []func(err error)
 	merged    int // number of bios merged into this request
+	// err and fired carry the completion across the callback events.
+	err   error
+	fired int
+	// Events bound once per pooled request.
+	fireFn, placeFn, issueFn func()
 }
 
 // Bytes returns the request payload size.
@@ -84,7 +92,9 @@ func (r *Request) MergedBios() int { return 1 + r.merged }
 
 // EndIO completes the request: the driver calls this exactly once when the
 // hardware finishes. It releases the tag, fires all completion callbacks,
-// and restarts dispatch on the hardware context.
+// and restarts dispatch on the hardware context. The request returns to
+// its MQ's pool once its last callback has run; the driver must not touch
+// it after EndIO.
 func (r *Request) EndIO(err error) {
 	mq := r.mq
 	if mq == nil {
@@ -105,15 +115,37 @@ func (r *Request) EndIO(err error) {
 		r.traceH.End()
 		r.traceH = trace.H{}
 	}
-	cbs := r.callbacks
-	r.callbacks = nil
-	for _, cb := range cbs {
-		cb := cb
-		mq.eng.Schedule(0, func() { cb(err) })
+	// One event per callback, then the dispatch re-kick. The callback
+	// events run back to back in schedule order, so each fires the next
+	// callback; the last recycles the request before calling out.
+	r.err, r.fired = err, 0
+	for range r.callbacks {
+		mq.eng.Schedule(0, r.fireFn)
 	}
 	mq.tags[r.hctx].free(r.Tag)
 	// Freeing a tag may unblock queued dispatch.
-	mq.eng.Schedule(0, func() { mq.runHW(r.hctx) })
+	mq.eng.Schedule(0, mq.kick[r.hctx])
+	if len(r.callbacks) == 0 {
+		mq.recycle(r)
+	}
+}
+
+// fire runs the request's next completion callback.
+func (r *Request) fire() {
+	cb, err := r.callbacks[r.fired], r.err
+	r.fired++
+	if r.fired == len(r.callbacks) {
+		r.home.recycle(r)
+	}
+	cb(err)
+}
+
+// recycle returns an ended (or merged-away) request to the pool.
+func (mq *MQ) recycle(r *Request) {
+	clear(r.callbacks)
+	*r = Request{home: r.home, callbacks: r.callbacks[:0],
+		fireFn: r.fireFn, placeFn: r.placeFn, issueFn: r.issueFn}
+	mq.free = append(mq.free, r)
 }
 
 func (r *Request) String() string {

@@ -27,44 +27,51 @@ type cacheTarget struct {
 	mapCost sim.Duration
 	prof    *StageProfile
 	trace   *trace.Sink
+	free    []*cardOp
 }
 
+// Cache target stages.
+const (
+	cacheIssue uint8 = iota // map cost paid: enter the cache
+	cacheDone               // the cache completed the request
+)
+
 func (t *cacheTarget) Submit(req iouring.Request, complete func(res int32)) {
-	endKernel := t.prof.span(StageKernel)
-	length := req.Len
-	tr := req.Trace
-	var hk trace.H
-	if t.trace != nil && tr.Sampled() {
+	o := newCardOp(&t.free, t.eng, t)
+	o.fromRing(req, complete)
+	o.endKern = t.prof.span(StageKernel)
+	if t.trace != nil && o.tr.Sampled() {
 		// Kernel span covers map cost + cache residency; the cache span
 		// and any miss-fill descent nest under it.
-		hk = t.trace.Begin(tr, "kernel")
-		tr = hk.Ref()
+		o.hk = t.trace.Begin(o.tr, "kernel")
+		o.tr = o.hk.Ref()
 	}
-	t.eng.Schedule(t.mapCost, func() {
-		endCache := t.prof.span(StageCache)
-		ctr := tr
-		var hc trace.H
-		if t.trace != nil && tr.Sampled() {
-			hc = t.trace.Begin(tr, "lsvd-cache")
-			ctr = hc.Ref()
+	o.stage = cacheIssue
+	t.eng.Schedule(t.mapCost, o.step)
+}
+
+func (t *cacheTarget) advance(o *cardOp) {
+	switch o.stage {
+	case cacheIssue:
+		o.endSpan = t.prof.span(StageCache)
+		ctr := o.tr
+		if t.trace != nil && o.tr.Sampled() {
+			o.hs = t.trace.Begin(o.tr, "lsvd-cache")
+			ctr = o.hs.Ref()
 		}
-		done := func(err error) {
-			endCache()
-			endKernel()
-			hc.End()
-			hk.End()
-			if err != nil {
-				complete(iouring.ResEIO)
-				return
-			}
-			complete(int32(length))
-		}
-		if req.Op == iouring.OpWrite {
-			t.cache.WriteTraced(req.Off, int(req.Len), ctr, done)
+		o.stage = cacheDone
+		if o.op == Write {
+			t.cache.WriteTraced(o.off, o.n, ctr, o.errDone)
 		} else {
-			t.cache.ReadTraced(req.Off, int(req.Len), ctr, done)
+			t.cache.ReadTraced(o.off, o.n, ctr, o.errDone)
 		}
-	})
+	case cacheDone:
+		o.endSpan()
+		o.endKern()
+		o.hs.End()
+		o.hk.End()
+		o.respond()
+	}
 }
 
 // cacheBackend adapts the stack's data path to lsvd.Backend: read-around
@@ -78,6 +85,28 @@ type cacheBackend struct {
 	client *rados.Client
 	image  *rbd.Image
 	pool   *rados.Pool
+	fills  []*missFill
+	// The write-back in flight: the cache's flusher writes back one
+	// extent at a time, walking its backing-object extents in order.
+	flushOff  int64
+	flushLeft int
+	flushDone func(error)
+	flushed   func(error)
+}
+
+// missFill adapts one miss fill's ring completion to the cache's callback;
+// fills are pooled with the adapter bound once.
+type missFill struct {
+	b        *cacheBackend
+	done     func(error)
+	complete func(res int32)
+}
+
+func (f *missFill) completed(res int32) {
+	done := f.done
+	f.done = nil
+	f.b.fills = append(f.b.fills, f)
+	done(errIO(res))
 }
 
 func (b *cacheBackend) ReadMiss(off int64, n int, done func(error)) {
@@ -94,16 +123,58 @@ func (b *cacheBackend) ReadMissTraced(off int64, n int, tr trace.Ref, done func(
 		RWFlags: blockmq.FlagRandom,
 		Trace:   tr,
 	}
-	b.inner.Submit(req, func(res int32) {
-		done(errIO(res))
-	})
+	var f *missFill
+	if k := len(b.fills); k > 0 {
+		f = b.fills[k-1]
+		b.fills[k-1] = nil
+		b.fills = b.fills[:k-1]
+	} else {
+		f = &missFill{b: b}
+		f.complete = f.completed
+	}
+	f.done = done
+	b.inner.Submit(req, f.complete)
 }
 
-func (b *cacheBackend) FlushExtent(p *sim.Proc, off int64, n int) error {
-	opts := rados.ReqOpts{Random: true}
-	return b.image.VisitExtents(off, n, true, func(e rbd.Extent) error {
-		return b.client.WriteOpts(p, b.pool, e.Object, e.Off, zeros(e.Len), opts)
-	})
+// FlushExtent implements lsvd.Backend: [off, off+n) is written back
+// through the flush client one backing-object extent at a time, stopping
+// at the first error, each write continuing in the previous one's final
+// event.
+func (b *cacheBackend) FlushExtent(off int64, n int, done func(error)) {
+	if err := b.image.CheckRange(off, n); err != nil {
+		done(err)
+		return
+	}
+	if b.flushed == nil {
+		b.flushed = b.flushWrote
+	}
+	b.flushOff, b.flushLeft, b.flushDone = off, n, done
+	b.flushNext()
+}
+
+func (b *cacheBackend) flushNext() {
+	if b.flushLeft == 0 {
+		b.flushEnd(nil)
+		return
+	}
+	e := b.image.ExtentAt(b.flushOff, b.flushLeft)
+	b.flushOff += int64(e.Len)
+	b.flushLeft -= e.Len
+	b.client.WriteAsync(b.pool, e.Object, e.Off, zeros(e.Len), rados.ReqOpts{Random: true}, b.flushed)
+}
+
+func (b *cacheBackend) flushWrote(err error) {
+	if err != nil {
+		b.flushEnd(err)
+		return
+	}
+	b.flushNext()
+}
+
+func (b *cacheBackend) flushEnd(err error) {
+	done := b.flushDone
+	b.flushDone = nil
+	done(err)
 }
 
 // buildCacheTarget wires the cache tier over a bare inner target: the

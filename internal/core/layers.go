@@ -134,17 +134,48 @@ func (hostOnly) Driver() *uifd.Driver { return nil }
 type rtlPlacement struct {
 	shell *fpga.Shell
 	prof  *StageProfile
+	free  []*placeSel
 }
 
 func (pl *rtlPlacement) Kind() PlacementKind { return PlacementRTL }
 func (pl *rtlPlacement) Shell() *fpga.Shell  { return pl.shell }
 
 func (pl *rtlPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
-	end := pl.prof.span(StageAccel)
-	pl.shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), func(_ []int, err error) {
-		end()
-		cont(0, err)
-	})
+	selectOnCard(&pl.free, pl.shell, pl.prof, pool, pg, 0, cont)
+}
+
+// placeSel is one placement in flight on the card's straw2 kernel. Selects
+// are pooled on their placement layer with the kernel callback bound once.
+type placeSel struct {
+	free    *[]*placeSel
+	end     func()
+	penalty sim.Duration
+	cont    func(sim.Duration, error)
+	done    func([]int, error)
+}
+
+// selectOnCard runs one placement on the card and hands cont the given
+// penalty once the kernel answers.
+func selectOnCard(free *[]*placeSel, shell *fpga.Shell, prof *StageProfile, pool *rados.Pool, pg uint32, penalty sim.Duration, cont func(sim.Duration, error)) {
+	var s *placeSel
+	if k := len(*free); k > 0 {
+		s = (*free)[k-1]
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
+	} else {
+		s = &placeSel{free: free}
+		s.done = s.selected
+	}
+	s.end, s.penalty, s.cont = prof.span(StageAccel), penalty, cont
+	shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), s.done)
+}
+
+func (s *placeSel) selected(_ []int, err error) {
+	end, penalty, cont := s.end, s.penalty, s.cont
+	s.end, s.cont = nil, nil
+	*s.free = append(*s.free, s)
+	end()
+	cont(penalty, err)
 }
 
 // hlsPlacement is the DeLiBA-1/2 HLS kernel: the same selection with the
@@ -153,6 +184,7 @@ type hlsPlacement struct {
 	shell *fpga.Shell
 	scale float64
 	prof  *StageProfile
+	free  []*placeSel
 }
 
 func (pl *hlsPlacement) Kind() PlacementKind { return PlacementHLS }
@@ -167,11 +199,7 @@ func (pl *hlsPlacement) penalty(passes int) sim.Duration {
 }
 
 func (pl *hlsPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
-	end := pl.prof.span(StageAccel)
-	pl.shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), func(_ []int, err error) {
-		end()
-		cont(pl.penalty(pool.Width()), err)
-	})
+	selectOnCard(&pl.free, pl.shell, pl.prof, pool, pg, pl.penalty(pool.Width()), cont)
 }
 
 // swPlacement marks placement as computed inside the software client (its

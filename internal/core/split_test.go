@@ -154,3 +154,52 @@ func TestSplitDomainsRejects(t *testing.T) {
 		t.Errorf("EC stack on split testbed: %v", err)
 	}
 }
+
+// TestSplitDomainOpAllocs pins the steady state of warm DK-SW ops on the
+// split-domain testbed, where each op's request and reply legs cross
+// shards as fabric deliveries merged at window barriers: with the caller's
+// callback bound once, a batch of QD1 ops run by one Eng.Run allocates no
+// more than an idle Eng.Run does (the barrier loop's own setup) — no
+// delivery record, no barrier sort closure.
+func TestSplitDomainOpAllocs(t *testing.T) {
+	tb, st := buildSpec(t, splitConfig(), "deliba-k-sw")
+	const batch = 100
+	var failed error
+	i, left := 0, 0
+	var issue func()
+	done := func(err error) {
+		if err != nil {
+			failed = err
+		}
+		if left--; left > 0 {
+			issue()
+		}
+	}
+	issue = func() {
+		kind := Read
+		if i%3 == 0 {
+			kind = Write
+		}
+		off := int64(i%16) * (4 << 20)
+		i++
+		st.Submit(kind, Rand, off, 4096, 0, done)
+	}
+	ops := func() {
+		left = batch
+		issue()
+		tb.Eng.Run()
+	}
+	ops()
+	perBatch := testing.AllocsPerRun(20, ops)
+	idle := testing.AllocsPerRun(20, func() { tb.Eng.Run() })
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if want := 22 * batch; i != want { // warm-up, AllocsPerRun's own warm-up, 20 runs
+		t.Fatalf("ran %d ops, want %d", i, want)
+	}
+	if perBatch > idle {
+		t.Errorf("%d warm split-domain deliba-k-sw ops allocated %.0f, an idle run %.0f; want no more",
+			batch, perBatch, idle)
+	}
+}

@@ -41,26 +41,37 @@ func errIO(res int32) error {
 	return nil
 }
 
-// ringSet manages the io_uring instances with per-ring completion callback
-// registries and reaper procs. It is shared by every io_uring host API;
+// ringSet manages the io_uring instances, each with a completion slot
+// table and a reaper. It is shared by every io_uring host API;
 // compositions differ only in the ring Target.
+//
+// A ring's reaper is its CQE-drain event (iouring.Ring.SetReaper), not a
+// process: a CQE's user data indexes the ring's slot table, and the drain
+// hands the slot's callback the result. Slots are recycled through a
+// per-ring free list, so steady-state submission allocates nothing.
 type ringSet struct {
-	eng       *sim.Engine
-	rng       *sim.RNG
-	rings     []*iouring.Ring
-	callbacks []map[uint64]func(error)
-	nextUD    []uint64
+	eng   *sim.Engine
+	rng   *sim.RNG
+	rings []*iouring.Ring
+	// slots[i][ud] is the callback of ring i's SQE with user data ud (nil
+	// when the slot is free); free[i] lists ring i's free slots.
+	slots [][]func(error)
+	free  [][]uint64
+	// enter is each ring's Enter, bound once (nil in SQPOLL mode).
+	enter []func()
 	// trace records SQ-full backoff spans for sampled ops (nil = off).
 	trace *trace.Sink
 }
 
 func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, error) {
-	rs := &ringSet{eng: tb.Eng, rng: sim.NewRNG(sqRetrySeed), trace: tb.traceHost}
+	n := spec.ringInstances()
+	rs := &ringSet{eng: tb.Eng, rng: sim.NewRNG(sqRetrySeed), trace: tb.traceHost,
+		slots: make([][]func(error), n), free: make([][]uint64, n), enter: make([]func(), n)}
 	mode := iouring.SQPollMode
 	if spec.RingInterrupt {
 		mode = iouring.InterruptMode
 	}
-	for i := 0; i < spec.ringInstances(); i++ {
+	for i := 0; i < n; i++ {
 		ring, err := iouring.Setup(tb.Eng, iouring.Params{
 			Entries:       uint32(spec.ringDepth()),
 			Mode:          mode,
@@ -73,28 +84,35 @@ func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, e
 			return nil, err
 		}
 		rs.rings = append(rs.rings, ring)
-		rs.callbacks = append(rs.callbacks, make(map[uint64]func(error)))
-		rs.nextUD = append(rs.nextUD, 1)
 		idx := i
-		tb.Eng.Spawn(fmt.Sprintf("dk-reaper-%d", i), func(p *sim.Proc) {
-			rs.reap(p, idx)
-		})
+		ring.SetReaper(func(cqe iouring.CQE) { rs.reaped(idx, cqe) })
+		if mode != iouring.SQPollMode {
+			rs.enter[i] = ring.Enter
+		}
 	}
 	return rs, nil
 }
 
-func (rs *ringSet) reap(p *sim.Proc, idx int) {
-	for {
-		cqe, err := rs.rings[idx].WaitCQE(p)
-		if err != nil {
-			return
-		}
-		cb := rs.callbacks[idx][cqe.UserData]
-		delete(rs.callbacks[idx], cqe.UserData)
-		if cb != nil {
-			cb(errIO(cqe.Res))
-		}
+// reaped frees the CQE's slot and runs its callback.
+func (rs *ringSet) reaped(idx int, cqe iouring.CQE) {
+	cb := rs.slots[idx][cqe.UserData]
+	rs.slots[idx][cqe.UserData] = nil
+	rs.free[idx] = append(rs.free[idx], cqe.UserData)
+	if cb != nil {
+		cb(errIO(cqe.Res))
 	}
+}
+
+// slot stores done in a free slot of ring idx and returns its user data.
+func (rs *ringSet) slot(idx int, done func(error)) uint64 {
+	if k := len(rs.free[idx]); k > 0 {
+		ud := rs.free[idx][k-1]
+		rs.free[idx] = rs.free[idx][:k-1]
+		rs.slots[idx][ud] = done
+		return ud
+	}
+	rs.slots[idx] = append(rs.slots[idx], done)
+	return uint64(len(rs.slots[idx]) - 1)
 }
 
 // submit queues one SQE on the cpu's ring; if the SQ is momentarily full
@@ -135,14 +153,11 @@ func (rs *ringSet) submitBackoff(op OpType, pattern Pattern, off int64, n int, c
 	if pattern == Rand {
 		sqe.RWFlags = blockmq.FlagRandom
 	}
-	ud := rs.nextUD[idx]
-	rs.nextUD[idx]++
-	sqe.UserData = ud
-	rs.callbacks[idx][ud] = done
-	if rs.rings[idx].Params().Mode != iouring.SQPollMode {
+	sqe.UserData = rs.slot(idx, done)
+	if enter := rs.enter[idx]; enter != nil {
 		// Without the kernel poller the application must enter, one
 		// event after queueing the SQE.
-		rs.eng.Schedule(0, rs.rings[idx].Enter)
+		rs.eng.Schedule(0, enter)
 	}
 }
 
@@ -163,62 +178,6 @@ func buildShell(tb *Testbed, pool *rados.Pool, staticOnly bool) (*fpga.Shell, er
 		Rule:       tb.Cluster.Map.Rule(ruleName),
 		Code:       pool.Code,
 		StaticOnly: staticOnly,
-	})
-}
-
-// dmqTarget adapts io_uring requests into the DMQ block layer: the UIFD
-// RBD driver's offset→object mapping cost is charged, then the request
-// enters blk-mq (bypass) toward the card. Write-path card overhead
-// (descriptor + doorbell + durability aggregation) rides on the request.
-type dmqTarget struct {
-	eng        *sim.Engine
-	mq         *blockmq.MQ
-	mapCost    sim.Duration
-	writeExtra sim.Duration
-	prof       *StageProfile
-	trace      *trace.Sink
-	// bare skips the kernel span and RBD map cost: the cacheTarget
-	// wrapping this target already charged them once above the cache.
-	bare bool
-}
-
-func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
-	op := blockmq.OpRead
-	extra := sim.Duration(0)
-	if req.Op == iouring.OpWrite {
-		op = blockmq.OpWrite
-		extra = t.writeExtra
-	}
-	endKernel := func() {}
-	delay := extra
-	tr := req.Trace
-	var hk trace.H
-	if !t.bare {
-		endKernel = t.prof.span(StageKernel)
-		delay += t.mapCost
-		if t.trace != nil && tr.Sampled() {
-			// The kernel span contains the whole below-ring residency;
-			// blk-mq and the card pipeline nest under it.
-			hk = t.trace.Begin(tr, "kernel")
-			tr = hk.Ref()
-		}
-	}
-	t.eng.Schedule(delay, func() {
-		// The transport span is the below-block-layer round trip: QDMA
-		// H2C, card residency, C2H. Subtract the card stages to isolate
-		// the transport itself.
-		endTrans := t.prof.span(StageTransport)
-		length := req.Len
-		t.mq.SubmitAsyncTenant(op, req.Off, int(req.Len), req.RWFlags, req.CPU, req.Tenant, tr, func(err error) {
-			endTrans()
-			endKernel()
-			hk.End()
-			if err != nil {
-				complete(iouring.ResEIO)
-				return
-			}
-			complete(int32(length))
-		})
 	})
 }
 

@@ -43,9 +43,7 @@ func settledGoroutines(want int) int {
 // TestSoftwarePathRunsNoProcs drives 1,000 ops through every stack with a
 // software data path — the NBD daemon's three datapaths and the DK-SW ring
 // target, plain and split-domain — and checks the requests run as event
-// chains: no completion ever sees a Proc beyond the stack's long-lived ones
-// (the ring reapers), the drained engine leaves the Proc count where the
-// built stack had it, and the run leaves no goroutine behind.
+// chains (see runsNoProcs).
 func TestSoftwarePathRunsNoProcs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -65,49 +63,60 @@ func TestSoftwarePathRunsNoProcs(t *testing.T) {
 			name += "/split"
 			cfg = splitConfig()
 		}
-		t.Run(name, func(t *testing.T) {
-			tb, st := buildSpec(t, cfg, c.name)
-			procs := tb.Eng.Procs()
-			goroutines := settledGoroutines(0)
-			const ops, qd = 1000, 4
-			issued, completed, extra := 0, 0, 0
-			var issue func()
-			done := func(err error) {
-				if err != nil {
-					t.Errorf("op failed: %v", err)
-				}
-				completed++
-				extra = max(extra, tb.Eng.Procs()-procs)
-				if issued < ops {
-					issue()
-				}
-			}
-			issue = func() {
-				op := Read
-				if issued%3 == 0 {
-					op = Write
-				}
-				off := int64(issued*7919%4096) * 4096
-				issued++
-				st.Submit(op, Rand, off, 4096, issued%qd, done)
-			}
-			for i := 0; i < qd; i++ {
-				issue()
-			}
-			tb.Eng.Run()
-			if extra > 0 {
-				t.Errorf("%d Procs beyond the stack's %d live at a completion", extra, procs)
-			}
-			if completed != ops {
-				t.Fatalf("completed %d of %d ops", completed, ops)
-			}
-			if n := tb.Eng.Procs(); n != procs {
-				t.Errorf("Procs after drain = %d, want %d", n, procs)
-			}
-			if n := settledGoroutines(goroutines); n > goroutines {
-				t.Errorf("goroutines after drain = %d, want at most %d", n, goroutines)
-			}
-		})
+		t.Run(name, func(t *testing.T) { runsNoProcs(t, cfg, c.name) })
+	}
+}
+
+// runsNoProcs builds spec, drives 1,000 mixed ops through it at QD4, and
+// checks the stack runs without a single Proc: none after BuildStack (the
+// ring reapers are CQE-drain events, the cache flusher a chain), none live
+// at any completion or after the drain, and no goroutine left once the
+// stack is closed.
+func runsNoProcs(t *testing.T, cfg TestbedConfig, spec string) {
+	goroutines := settledGoroutines(0)
+	tb, st := buildSpec(t, cfg, spec)
+	if n := tb.Eng.Procs(); n != 0 {
+		t.Errorf("Procs after BuildStack = %d, want 0", n)
+	}
+	const ops, qd = 1000, 4
+	issued, completed, most := 0, 0, 0
+	var issue func()
+	done := func(err error) {
+		if err != nil {
+			t.Errorf("op failed: %v", err)
+		}
+		completed++
+		most = max(most, tb.Eng.Procs())
+		if issued < ops {
+			issue()
+		}
+	}
+	issue = func() {
+		op := Read
+		if issued%3 == 0 {
+			op = Write
+		}
+		off := int64(issued*7919%4096) * 4096
+		issued++
+		st.Submit(op, Rand, off, 4096, issued%qd, done)
+	}
+	for i := 0; i < qd; i++ {
+		issue()
+	}
+	tb.Eng.Run()
+	if most > 0 {
+		t.Errorf("%d Procs live at a completion, want 0", most)
+	}
+	if completed != ops {
+		t.Fatalf("completed %d of %d ops", completed, ops)
+	}
+	if n := tb.Eng.Procs(); n != 0 {
+		t.Errorf("Procs after drain = %d, want 0", n)
+	}
+	st.Close()
+	tb.Eng.Run()
+	if n := settledGoroutines(goroutines); n > goroutines {
+		t.Errorf("goroutines after Close = %d, want at most %d", n, goroutines)
 	}
 }
 

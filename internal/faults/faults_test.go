@@ -329,9 +329,8 @@ func (b *stubTier) ReadMiss(off int64, n int, done func(error)) {
 	b.eng.Schedule(50*sim.Microsecond, func() { done(nil) })
 }
 
-func (b *stubTier) FlushExtent(p *sim.Proc, off int64, n int) error {
-	p.Sleep(50 * sim.Microsecond)
-	return nil
+func (b *stubTier) FlushExtent(off int64, n int, done func(error)) {
+	b.eng.Schedule(50*sim.Microsecond, func() { done(nil) })
 }
 
 // TestCacheCrashEventCrashesAndRecovers drives a write stream across a

@@ -193,20 +193,20 @@ func (a *Accel) Ops() uint64 { return a.ops }
 // BusyTime returns cumulative FSM-busy time.
 func (a *Accel) BusyTime() sim.Duration { return a.busyTime }
 
-// run schedules one FSM occupancy of the given service time and calls done
-// when it retires.
-func (a *Accel) run(service sim.Duration, done func()) {
+// run schedules one FSM occupancy of the given service time and calls
+// retire when it ends; retire counts the operation (see retired).
+func (a *Accel) run(service sim.Duration, retire func()) {
 	start := a.eng.Now()
 	if a.nextFree > start {
 		start = a.nextFree
 	}
 	a.nextFree = start.Add(service)
 	a.busyTime += service
-	a.eng.At(a.nextFree, func() {
-		a.ops++
-		done()
-	})
+	a.eng.At(a.nextFree, retire)
 }
+
+// retired counts one operation the FSM finished.
+func (a *Accel) retired() { a.ops++ }
 
 // streamCycles is the cycle count to stream n payload bytes through the
 // 256-bit (32 B/cycle) AXI datapath.
@@ -228,6 +228,27 @@ type CrushAccel struct {
 	Map  *crush.Map
 	Rule *crush.Rule
 	memo *crush.Memo
+	free []*selectJob
+}
+
+// selectJob is one Select in the FSM, pooled on its kernel with the retire
+// step bound once.
+type selectJob struct {
+	c        *CrushAccel
+	pg, pool uint32
+	numRep   int
+	done     func(osds []int, err error)
+	retire   func()
+}
+
+func (j *selectJob) retired() {
+	c := j.c
+	c.Accel.retired()
+	osds, err := c.memo.Select(c.Rule, j.pool, j.pg, j.numRep, nil, 0)
+	done := j.done
+	j.done = nil
+	c.free = append(c.free, j)
+	done(osds, err)
 }
 
 // NewCrushAccel builds a placement accelerator for the given map and rule.
@@ -242,11 +263,17 @@ func NewCrushAccel(eng *sim.Engine, id KernelID, m *crush.Map, rule *crush.Rule)
 // like a card given the map without the monitor's in/out state. osds is
 // shared with the kernel's memo: treat it as read-only.
 func (c *CrushAccel) Select(pg, pool uint32, numRep int, done func(osds []int, err error)) {
-	service := sim.Duration(numRep) * c.Spec.PipelineLatency()
-	c.run(service, func() {
-		osds, err := c.memo.Select(c.Rule, pool, pg, numRep, nil, 0)
-		done(osds, err)
-	})
+	var j *selectJob
+	if k := len(c.free); k > 0 {
+		j = c.free[k-1]
+		c.free[k-1] = nil
+		c.free = c.free[:k-1]
+	} else {
+		j = &selectJob{c: c}
+		j.retire = j.retired
+	}
+	j.pg, j.pool, j.numRep, j.done = pg, pool, numRep, done
+	c.run(sim.Duration(numRep)*c.Spec.PipelineLatency(), j.retire)
 }
 
 // SelectWait is the Proc-blocking form of Select.
@@ -264,6 +291,28 @@ func (c *CrushAccel) SelectWait(p *sim.Proc, pg, pool uint32, numRep int) ([]int
 type RSAccel struct {
 	*Accel
 	Code *erasure.Code
+	free []*encodeJob
+}
+
+// encodeJob is one Encode in the FSM, pooled like selectJob.
+type encodeJob struct {
+	r      *RSAccel
+	shards [][]byte
+	done   func(err error)
+	retire func()
+}
+
+func (j *encodeJob) retired() {
+	r := j.r
+	r.Accel.retired()
+	var err error
+	if j.shards != nil {
+		err = r.Code.Encode(j.shards)
+	}
+	done := j.done
+	j.shards, j.done = nil, nil
+	r.free = append(r.free, j)
+	done(err)
 }
 
 // NewRSAccel builds an encoder for the given code geometry.
@@ -282,13 +331,17 @@ func (r *RSAccel) EncodeTime(n int) sim.Duration {
 // calls done when the FSM retires. When shards is nil the kernel charges
 // time only (benchmark mode).
 func (r *RSAccel) Encode(n int, shards [][]byte, done func(err error)) {
-	r.run(r.EncodeTime(n), func() {
-		var err error
-		if shards != nil {
-			err = r.Code.Encode(shards)
-		}
-		done(err)
-	})
+	var j *encodeJob
+	if k := len(r.free); k > 0 {
+		j = r.free[k-1]
+		r.free[k-1] = nil
+		r.free = r.free[:k-1]
+	} else {
+		j = &encodeJob{r: r}
+		j.retire = j.retired
+	}
+	j.shards, j.done = shards, done
+	r.run(r.EncodeTime(n), j.retire)
 }
 
 // EncodeWait is the Proc-blocking form of Encode.

@@ -229,6 +229,13 @@ type Ring struct {
 
 	// cqWaiters are procs blocked in WaitCQE.
 	cqWaiters []func()
+	// reaper, when set, consumes every CQE (see SetReaper); reapArmed
+	// reports a drain scheduled or running, and wake/drain are its
+	// events, bound on SetReaper.
+	reaper    func(CQE)
+	reapArmed bool
+	wake      func()
+	drain     func()
 
 	pollerArmed bool
 	// poll is the SQPOLL pickup, bound on first use.
@@ -359,6 +366,40 @@ func (r *Ring) validateBufIndex(sqe SQE) int32 {
 		return ResEFAULT
 	}
 	return 0
+}
+
+// SetReaper makes fn the ring's completion reaper: each posted CQE arms
+// one drain event (unless one is already pending or running), which reaps
+// every ready CQE and hands it to fn. The drain runs one Schedule(0) after
+// the post, where a reaper process blocked in WaitCQE would have been
+// woken; in interrupt mode it pays WakeupCost before reaping, as that
+// process's wakeup sleep did. A reaper needs no process and no goroutine.
+func (r *Ring) SetReaper(fn func(CQE)) {
+	r.reaper = fn
+	r.wake = r.wakeReaper
+	r.drain = r.drainCQ
+}
+
+// wakeReaper is the reaper's wake event.
+func (r *Ring) wakeReaper() {
+	if r.params.Mode == InterruptMode {
+		r.eng.Schedule(r.params.WakeupCost, r.drain)
+		return
+	}
+	r.drainCQ()
+}
+
+// drainCQ reaps every ready CQE, including ones the reaper's own callbacks
+// post while it runs.
+func (r *Ring) drainCQ() {
+	for {
+		cqe, ok := r.PeekCQE()
+		if !ok {
+			break
+		}
+		r.reaper(cqe)
+	}
+	r.reapArmed = false
 }
 
 // Close stops the ring; pending completions still drain but new
@@ -600,7 +641,7 @@ func (f *inflight) completed(res int32) {
 	}
 }
 
-// postCQE appends a completion and wakes CQ waiters.
+// postCQE appends a completion and wakes the reaper or CQ waiters.
 func (r *Ring) postCQE(cqe CQE) {
 	if r.cqTail-r.cqHead >= uint32(len(r.cqEntries)) {
 		r.cqOverflow++
@@ -608,6 +649,10 @@ func (r *Ring) postCQE(cqe CQE) {
 	}
 	r.cqEntries[r.cqTail&r.cqMask] = cqe
 	r.cqTail++
+	if r.reaper != nil && !r.reapArmed {
+		r.reapArmed = true
+		r.eng.Schedule(0, r.wake)
+	}
 	for _, w := range r.cqWaiters {
 		r.eng.Schedule(0, w)
 	}
@@ -630,7 +675,8 @@ func (r *Ring) PeekCQE() (CQE, bool) {
 // WaitCQE blocks the proc until a completion is available and reaps it.
 // Interrupt mode pays the wakeup cost; polled/SQPOLL modes observe the CQE
 // as soon as it is posted (the model folds the poll loop into zero cost
-// because the polling core does no other useful work).
+// because the polling core does no other useful work). It is the process
+// form of SetReaper; a ring has one or the other.
 func (r *Ring) WaitCQE(p *sim.Proc) (CQE, error) {
 	for {
 		if cqe, ok := r.PeekCQE(); ok {

@@ -20,11 +20,12 @@ const SegHdrBytes = 4096
 
 // Backend is the slower tier behind the cache (the RADOS data path in
 // this repo). ReadMiss fetches a read-around window on the async I/O
-// path; FlushExtent writes back one live extent durably, blocking the
-// flusher proc until the backend acknowledges.
+// path; FlushExtent writes back one live extent durably and calls done
+// when the backend acknowledges (or from inside the call, when it fails
+// at once). The flusher continues inside done's event.
 type Backend interface {
 	ReadMiss(off int64, n int, done func(error))
-	FlushExtent(p *sim.Proc, off int64, n int) error
+	FlushExtent(off int64, n int, done func(error))
 }
 
 // TracedBackend is an optional Backend extension: when implemented, miss
@@ -179,10 +180,37 @@ type fillKey struct {
 }
 
 // inflightFill parks the completions of coalesced misses until the one
-// backend fetch for their window lands.
+// backend fetch for their window lands. Fills are pooled on the cache with
+// their completion bound once.
 type inflightFill struct {
+	c       *Cache
+	key     fillKey
+	admit   bool
 	epoch   uint64
+	done    func(error)
 	waiters []func(error)
+	onDone  func(error)
+}
+
+// complete finishes the window's fetch: it fills the read cache (unless a
+// crash or admission policy says otherwise), runs the first miss's
+// callback and then the coalesced ones, and recycles f.
+func (f *inflightFill) complete(err error) {
+	c := f.c
+	if c.fills[f.key] == f {
+		delete(c.fills, f.key)
+	}
+	if err == nil && f.admit && f.epoch == c.epoch && !c.crashed && !c.recovering {
+		c.fill(f.key.off, f.key.end)
+	}
+	f.done(err)
+	// No miss can join f now: it left the fills map above.
+	for _, w := range f.waiters {
+		w(err)
+	}
+	clear(f.waiters)
+	f.waiters, f.done = f.waiters[:0], nil
+	c.fillPool = append(c.fillPool, f)
 }
 
 type pendingOp struct {
@@ -274,15 +302,15 @@ type Cache struct {
 
 	waiters []*writeOp
 
-	flushPark *sim.Completion
-	closed    bool
+	fl     flusher
+	closed bool
 
 	// Verify-mode shadow state.
 	acked      Index // newest acked seq per byte
 	flushedIdx Index // newest seq durably in the backend per byte
 
-	scratch   []Extent
 	readPool  []*readOp
+	fillPool  []*inflightFill
 	writePool []*writeOp
 	chunkPool []*chunkOp
 	noop      func()
@@ -290,7 +318,7 @@ type Cache struct {
 	stats Stats
 }
 
-// New builds a cache on eng backed by be and starts the flusher proc.
+// New builds a cache on eng backed by be and starts the flusher.
 func New(eng *sim.Engine, cfg Config, be Backend) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -322,7 +350,7 @@ func New(eng *sim.Engine, cfg Config, be Backend) (*Cache, error) {
 		c.segs = append(c.segs, &segment{id: i, state: segFree})
 		c.free = append(c.free, i)
 	}
-	eng.Spawn("lsvd-flush", c.flusher)
+	c.fl.start(c)
 	return c, nil
 }
 
@@ -575,27 +603,22 @@ func (c *Cache) ReadTraced(off int64, n int, tr trace.Ref, done func(error)) {
 		f.waiters = append(f.waiters, done)
 		return
 	}
-	f := &inflightFill{epoch: c.epoch}
-	c.fills[key] = f
-	fillDone := func(err error) {
-		if c.fills[key] == f {
-			delete(c.fills, key)
-		}
-		ws := f.waiters
-		f.waiters = nil
-		if err == nil && admit && f.epoch == c.epoch && !c.crashed && !c.recovering {
-			c.fill(ra0, ra1)
-		}
-		done(err)
-		for _, w := range ws {
-			w(err)
-		}
+	var f *inflightFill
+	if k := len(c.fillPool); k > 0 {
+		f = c.fillPool[k-1]
+		c.fillPool[k-1] = nil
+		c.fillPool = c.fillPool[:k-1]
+	} else {
+		f = &inflightFill{c: c}
+		f.onDone = f.complete
 	}
+	f.key, f.admit, f.epoch, f.done = key, admit, c.epoch, done
+	c.fills[key] = f
 	if tb, ok := c.be.(TracedBackend); ok && tr.Sampled() {
-		tb.ReadMissTraced(ra0, int(ra1-ra0), tr, fillDone)
+		tb.ReadMissTraced(ra0, int(ra1-ra0), tr, f.onDone)
 		return
 	}
-	c.be.ReadMiss(ra0, int(ra1-ra0), fillDone)
+	c.be.ReadMiss(ra0, int(ra1-ra0), f.onDone)
 }
 
 func (c *Cache) readDone(op *readOp) {
@@ -638,121 +661,6 @@ func (c *Cache) evict() {
 		c.readUsed -= c.readIdx.DropRangeSeq(f.off, f.end, f.seq)
 		c.stats.Evictions++
 	}
-}
-
-// ---- flusher ---------------------------------------------------------
-
-func (c *Cache) wakeFlusher() {
-	if c.flushPark != nil {
-		fp := c.flushPark
-		c.flushPark = nil
-		fp.Complete(nil, nil)
-	}
-}
-
-func (c *Cache) flusherIdle() bool {
-	if c.closed {
-		return false
-	}
-	if c.crashed || c.recovering {
-		return true
-	}
-	if len(c.sealedQ) == 0 {
-		return true
-	}
-	// Batch up: flushing pays a backend round trip per live extent, so
-	// wait for FlushBatch sealed segments unless the log is filling.
-	return len(c.sealedQ) < c.cfg.FlushBatch && !c.urgent() && len(c.waiters) == 0
-}
-
-func (c *Cache) flusher(p *sim.Proc) {
-	for {
-		for c.flusherIdle() {
-			c.flushPark = c.eng.NewCompletion()
-			p.Await(c.flushPark)
-			c.flushPark = nil
-		}
-		if c.closed {
-			return
-		}
-		c.flushRound(p)
-	}
-}
-
-func (c *Cache) flushRound(p *sim.Proc) {
-	epoch0 := c.epoch
-	n := c.cfg.FlushBatch
-	if n > len(c.sealedQ) {
-		n = len(c.sealedQ)
-	}
-	for i := 0; i < n; i++ {
-		if c.epoch != epoch0 || c.closed || len(c.sealedQ) == 0 {
-			return
-		}
-		id := c.sealedQ[0]
-		c.sealedQ = c.sealedQ[:copy(c.sealedQ, c.sealedQ[1:])]
-		seg := c.segs[id]
-		seg.state = segFlushing
-		err := c.flushSegment(p, seg, epoch0)
-		if c.epoch != epoch0 {
-			return // crash handling re-filed the segment
-		}
-		if err != nil {
-			// Backend refused: requeue at the head and back off.
-			seg.state = segSealed
-			c.sealedQ = append(c.sealedQ, 0)
-			copy(c.sealedQ[1:], c.sealedQ)
-			c.sealedQ[0] = id
-			p.Sleep(sim.Millisecond)
-			return
-		}
-	}
-}
-
-// flushSegment writes seg's live extents to the backend (dead bytes
-// are garbage-collected by omission), then drops and recycles it.
-func (c *Cache) flushSegment(p *sim.Proc, seg *segment, epoch0 uint64) error {
-	// The flush span joins the trace of the last sampled write that
-	// dirtied this segment, cause-linked to that write's cache span —
-	// the "why is the backend busy" edge for tail analysis.
-	if c.Trace != nil && seg.tr.Sampled() {
-		h := c.Trace.Begin(seg.tr, "writeback-flush")
-		h.Link(trace.KindFlush, seg.tr.Parent)
-		defer h.End()
-	}
-	c.scratch = c.writeIdx.CollectSeg(seg.id, c.scratch[:0])
-	live := c.scratch
-	var liveBytes int64
-	for i := range live {
-		liveBytes += live[i].End - live[i].Off
-	}
-	if liveBytes > 0 {
-		comp := c.eng.NewCompletion()
-		c.dev.Read(int(liveBytes), func() { comp.Complete(nil, nil) })
-		p.Await(comp)
-		if c.epoch != epoch0 || c.closed {
-			return nil
-		}
-	}
-	for i := range live {
-		e := live[i]
-		if err := c.be.FlushExtent(p, e.Off, int(e.End-e.Off)); err != nil {
-			return err
-		}
-		if c.epoch != epoch0 || c.closed {
-			return nil
-		}
-		if c.cfg.Verify {
-			c.flushedIdx.Insert(Extent{Off: e.Off, End: e.End, Seq: e.Seq})
-		}
-		c.stats.FlushedExtents++
-		c.stats.FlushedBytes += uint64(e.End - e.Off)
-	}
-	c.writeIdx.DropSeg(seg.id)
-	c.recycle(seg)
-	c.stats.Flushes++
-	c.drainWaiters()
-	return nil
 }
 
 func (c *Cache) recycle(seg *segment) {

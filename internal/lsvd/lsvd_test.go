@@ -26,14 +26,16 @@ func (b *fakeBackend) ReadMiss(off int64, n int, done func(error)) {
 	b.eng.Schedule(b.missLat, func() { done(nil) })
 }
 
-func (b *fakeBackend) FlushExtent(p *sim.Proc, off int64, n int) error {
+func (b *fakeBackend) FlushExtent(off int64, n int, done func(error)) {
 	if b.failFlush {
-		return errors.New("backend refused flush")
+		done(errors.New("backend refused flush"))
+		return
 	}
-	p.Sleep(b.flushLat)
-	b.flushOps++
-	b.flushBytes += int64(n)
-	return nil
+	b.eng.Schedule(b.flushLat, func() {
+		b.flushOps++
+		b.flushBytes += int64(n)
+		done(nil)
+	})
 }
 
 func testConfig() Config {

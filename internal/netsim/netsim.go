@@ -124,6 +124,35 @@ type Host struct {
 	// pipelines (an FPGA TCP core, a 1-thread daemon) have one.
 	workers   []sim.Time
 	stackBusy sim.Duration
+	// deliveries recycles cross-domain arrival records. A record is taken
+	// from the sender's list and returned to the receiver's when it
+	// arrives, so each list is only touched on its host's shard.
+	deliveries []*delivery
+}
+
+// maxDeliveries bounds a host's recycled delivery records, so a host that
+// only receives cannot pin an ever-growing list.
+const maxDeliveries = 4096
+
+// delivery is one cross-domain message between its NIC instant and its
+// arrival, with the arrival step bound once.
+type delivery struct {
+	dst      *Host
+	n        int
+	onArrive func()
+	fn       func()
+}
+
+// arrive books the receiver's stack at the canonical NIC instant and
+// schedules onArrive, returning the record to the receiver's list first.
+func (d *delivery) arrive() {
+	dst, n, onArrive := d.dst, d.n, d.onArrive
+	d.dst, d.onArrive = nil, nil
+	if len(dst.deliveries) < maxDeliveries {
+		dst.deliveries = append(dst.deliveries, d)
+	}
+	at := dst.reserveStack(dst.eng.Now(), dst.Stack.Cost(n))
+	dst.eng.At(at, onArrive)
 }
 
 // SetStackWorkers sets the number of parallel protocol processors.
@@ -253,10 +282,17 @@ func (f *Fabric) Send(src, dst *Host, n int, onArrive func()) {
 		// Propagation >= lookahead makes the post legal, and the group's
 		// canonical (time, domain, sequence) merge keeps delivery order —
 		// and therefore every digest — independent of shard scheduling.
-		f.group.PostAt(src.dom, dst.dom, atNIC, func() {
-			arrive := dst.reserveStack(dst.eng.Now(), dst.Stack.Cost(n))
-			dst.eng.At(arrive, onArrive)
-		})
+		var d *delivery
+		if k := len(src.deliveries); k > 0 {
+			d = src.deliveries[k-1]
+			src.deliveries[k-1] = nil
+			src.deliveries = src.deliveries[:k-1]
+		} else {
+			d = &delivery{}
+			d.fn = d.arrive
+		}
+		d.dst, d.n, d.onArrive = dst, n, onArrive
+		f.group.PostAt(src.dom, dst.dom, atNIC, d.fn)
 		return
 	}
 	arrive := dst.reserveStack(atNIC, dst.Stack.Cost(n))

@@ -143,6 +143,8 @@ type Engine struct {
 
 	queueSets []*QueueSet
 	functions []*Function
+	// free recycles completed transfers (see xfer).
+	free []*xfer
 
 	// Stats.
 	transfers  uint64
@@ -250,40 +252,77 @@ func (qs *QueueSet) Transfer(dir Direction, n int, desc Descriptor, done func())
 		}
 		qs.c2hPending++
 	}
-	start := func() {
-		// Descriptor fetch by the Descriptor Engine.
-		fetch := e.Cycles(e.cfg.DescriptorFetchCycles)
-		// Streaming occupies the shared datapath FIFO-style.
-		wire := e.streamTime(n)
-		if e.pcieTime(n) > wire {
-			wire = e.pcieTime(n)
-		}
-		busStart := e.eng.Now().Add(fetch)
-		if e.busNextFree > busStart {
-			busStart = e.busNextFree
-		}
-		e.busNextFree = busStart.Add(wire)
-		completeAt := e.busNextFree.Add(e.Cycles(e.cfg.CompletionCycles))
-		e.eng.At(completeAt, func() {
-			e.transfers++
-			e.bytesMoved += uint64(n)
-			if dir == H2C {
-				qs.h2cPending--
-				e.h2cInFlight--
-				e.reorderUsed -= reorderFootprint(n)
-			} else {
-				qs.c2hPending--
-			}
-			qs.completions++
-			done()
-		})
-	}
+	x := e.getXfer()
+	x.qs, x.dir, x.n, x.done = qs, dir, n, done
 	if dir == H2C {
-		e.admitH2C(n, start)
+		e.admitH2C(x)
 	} else {
-		e.eng.Schedule(0, start)
+		e.eng.Schedule(0, x.startFn)
 	}
 	return nil
+}
+
+// xfer is one DMA transfer in flight. Transfers are pooled on the engine
+// with their events bound once, so steady-state DMA allocates nothing.
+type xfer struct {
+	qs   *QueueSet
+	dir  Direction
+	n    int
+	done func()
+
+	startFn, completeFn, admitFn func()
+}
+
+func (e *Engine) getXfer() *xfer {
+	if k := len(e.free); k > 0 {
+		x := e.free[k-1]
+		e.free[k-1] = nil
+		e.free = e.free[:k-1]
+		return x
+	}
+	x := &xfer{}
+	x.startFn = x.start
+	x.completeFn = x.complete
+	x.admitFn = func() { x.qs.engine.admitH2C(x) }
+	return x
+}
+
+// start runs once the transfer is admitted: descriptor fetch, then the
+// payload streams over the shared datapath, then the completion entry.
+func (x *xfer) start() {
+	e := x.qs.engine
+	// Descriptor fetch by the Descriptor Engine.
+	fetch := e.Cycles(e.cfg.DescriptorFetchCycles)
+	// Streaming occupies the shared datapath FIFO-style.
+	wire := e.streamTime(x.n)
+	if e.pcieTime(x.n) > wire {
+		wire = e.pcieTime(x.n)
+	}
+	busStart := e.eng.Now().Add(fetch)
+	if e.busNextFree > busStart {
+		busStart = e.busNextFree
+	}
+	e.busNextFree = busStart.Add(wire)
+	e.eng.At(e.busNextFree.Add(e.Cycles(e.cfg.CompletionCycles)), x.completeFn)
+}
+
+// complete posts the completion entry, recycles x and runs done.
+func (x *xfer) complete() {
+	qs, e := x.qs, x.qs.engine
+	e.transfers++
+	e.bytesMoved += uint64(x.n)
+	if x.dir == H2C {
+		qs.h2cPending--
+		e.h2cInFlight--
+		e.reorderUsed -= reorderFootprint(x.n)
+	} else {
+		qs.c2hPending--
+	}
+	qs.completions++
+	done := x.done
+	x.qs, x.done = nil, nil
+	e.free = append(e.free, x)
+	done()
 }
 
 // reorderFootprint is the slice of the re-order buffer an in-flight H2C
@@ -295,19 +334,19 @@ func reorderFootprint(n int) int {
 	return n
 }
 
-// admitH2C delays start until the H2C concurrency and re-order buffer
-// admit the transfer.
-func (e *Engine) admitH2C(n int, start func()) {
-	foot := reorderFootprint(n)
+// admitH2C delays the transfer's start until the H2C concurrency and
+// re-order buffer admit it.
+func (e *Engine) admitH2C(x *xfer) {
+	foot := reorderFootprint(x.n)
 	if e.h2cInFlight < H2CConcurrency && e.reorderUsed+foot <= ReorderBufferBytes {
 		e.h2cInFlight++
 		e.reorderUsed += foot
-		e.eng.Schedule(0, start)
+		e.eng.Schedule(0, x.startFn)
 		return
 	}
 	// Stall: poll for capacity at descriptor-engine granularity.
 	e.stalls++
-	e.eng.Schedule(e.Cycles(e.cfg.DescriptorFetchCycles), func() { e.admitH2C(n, start) })
+	e.eng.Schedule(e.Cycles(e.cfg.DescriptorFetchCycles), x.admitFn)
 }
 
 // TransferWait is the Proc-blocking form of Transfer.

@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -184,21 +185,24 @@ func (s *Shards) inject() {
 	// (at, src, seq) is a total order: seq is per-domain monotonic, so no two
 	// messages compare equal and the sort is deterministic regardless of
 	// buffer concatenation order.
-	sort.Slice(s.pending, func(i, j int) bool {
-		a, b := &s.pending[i], &s.pending[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(s.pending, cmpXmsg)
 	s.posted += uint64(total)
 	for i := range s.pending {
 		m := &s.pending[i]
 		s.engines[m.dstShard].At(m.at, m.fn)
 		m.fn = nil
+	}
+}
+
+// cmpXmsg is the canonical (at, src, seq) order of cross-shard messages.
+func cmpXmsg(a, b xmsg) int {
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.src != b.src:
+		return cmp.Compare(a.src, b.src)
+	default:
+		return cmp.Compare(a.seq, b.seq)
 	}
 }
 

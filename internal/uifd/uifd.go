@@ -72,6 +72,9 @@ type Driver struct {
 	// cmacCost is the register-path cost per CMAC-only operation.
 	cmacCost sim.Duration
 
+	// free recycles completed commands (see cmd).
+	free []*cmd
+
 	// Stats.
 	reads, writes uint64
 }
@@ -174,7 +177,9 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 	if req.Tenant > 0 {
 		tenant = req.Tenant
 	}
-	creq := CardRequest{
+	c := d.getCmd()
+	c.qs, c.req = qs, req
+	c.creq = CardRequest{
 		Op:     req.Op,
 		Off:    req.Off,
 		Len:    req.Len,
@@ -183,14 +188,9 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 		Tenant: tenant,
 		Trace:  req.Trace,
 	}
-	process := func() {
-		d.backend.Process(creq, func(perr error) {
-			d.respond(qs, req, perr)
-		})
-	}
 	if d.CMACOnly {
 		// Register path: fixed cost, no DMA.
-		d.eng.Schedule(d.cmacCost, process)
+		d.eng.Schedule(d.cmacCost, c.processFn)
 		return true
 	}
 	// H2C: writes carry the payload; reads carry only the command
@@ -200,37 +200,80 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 		h2cLen = req.Len
 	}
 	desc := qdma.Descriptor{Src: uint64(req.Off), Len: uint32(req.Len)}
-	if err := qs.Transfer(qdma.H2C, h2cLen, desc, process); err != nil {
+	if err := qs.Transfer(qdma.H2C, h2cLen, desc, c.processFn); err != nil {
+		d.putCmd(c)
 		return false // ring full: MQ layer will retry after a completion
 	}
 	return true
 }
 
+// cmd is one block request on its way through the card: H2C, the card
+// pipeline, C2H. Commands are pooled on the driver with their steps bound
+// once, so steady-state I/O allocates nothing here.
+type cmd struct {
+	d    *Driver
+	qs   *qdma.QueueSet
+	req  *blockmq.Request
+	creq CardRequest
+	perr error
+
+	processFn, finishFn, respondFn func()
+	processed                      func(error)
+}
+
+func (d *Driver) getCmd() *cmd {
+	if k := len(d.free); k > 0 {
+		c := d.free[k-1]
+		d.free[k-1] = nil
+		d.free = d.free[:k-1]
+		return c
+	}
+	c := &cmd{d: d}
+	c.processFn = func() { c.d.backend.Process(c.creq, c.processed) }
+	c.processed = func(err error) {
+		c.perr = err
+		c.respond()
+	}
+	c.finishFn = c.finish
+	c.respondFn = c.respond
+	return c
+}
+
+func (d *Driver) putCmd(c *cmd) {
+	c.qs, c.req, c.creq, c.perr = nil, nil, CardRequest{}, nil
+	d.free = append(d.free, c)
+}
+
 // respond returns data (reads) or a completion writeback (writes) to the
 // host and ends the block request.
-func (d *Driver) respond(qs *qdma.QueueSet, req *blockmq.Request, perr error) {
+func (c *cmd) respond() {
+	d, req := c.d, c.req
 	c2hLen := CompletionBytes
 	if req.Op == blockmq.OpRead {
 		c2hLen = req.Len
 	}
-	finish := func() {
-		if req.Op == blockmq.OpRead {
-			d.reads++
-		} else {
-			d.writes++
-		}
-		req.EndIO(perr)
-	}
 	if d.CMACOnly {
-		d.eng.Schedule(d.cmacCost, finish)
+		d.eng.Schedule(d.cmacCost, c.finishFn)
 		return
 	}
 	desc := qdma.Descriptor{Dst: uint64(req.Off), Len: uint32(c2hLen)}
-	if err := qs.Transfer(qdma.C2H, c2hLen, desc, finish); err != nil {
+	if err := c.qs.Transfer(qdma.C2H, c2hLen, desc, c.finishFn); err != nil {
 		// The C2H ring being full delays the response; retry at descriptor
 		// granularity rather than dropping the I/O.
-		d.eng.Schedule(d.qdma.Cycles(64), func() { d.respond(qs, req, perr) })
+		d.eng.Schedule(d.qdma.Cycles(64), c.respondFn)
 	}
+}
+
+// finish counts the I/O, recycles c and ends the block request.
+func (c *cmd) finish() {
+	d, req, perr := c.d, c.req, c.perr
+	if req.Op == blockmq.OpRead {
+		d.reads++
+	} else {
+		d.writes++
+	}
+	d.putCmd(c)
+	req.EndIO(perr)
 }
 
 // Tenancy manages multiple tenant drivers over one card.
