@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fio"
+	"repro/internal/trace"
 )
 
 var stackNames = map[string]core.StackKind{
@@ -39,7 +40,7 @@ func main() {
 	ramp := flag.Int("ramp", 100, "warm-up ops per job (excluded from stats)")
 	ec := flag.Bool("ec", false, "use the erasure-coded pool")
 	seed := flag.Uint64("seed", 1, "random seed")
-	profile := flag.Bool("profile", false, "print the per-stage latency breakdown (DeLiBA-K stacks)")
+	profile := flag.Bool("profile", false, "print the latency breakdown of every span name (traces every op)")
 	flag.Parse()
 
 	kind, ok := stackNames[*stackName]
@@ -57,8 +58,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var tr *trace.Tracer
 	if *profile {
-		tb.EnableProfiling()
+		tr = trace.New(trace.Config{SampleEvery: 1})
+		tb.EnableTracing(tr)
 	}
 	stack, err := tb.NewStack(kind, *ec)
 	if err != nil {
@@ -90,9 +93,9 @@ func main() {
 	fmt.Printf("  latency   : min=%v mean=%v p50=%v p95=%v p99=%v max=%v\n",
 		s.Min, s.Mean, s.Median, s.P95, s.P99, s.Max)
 	fmt.Printf("  runtime   : %v (virtual), errors=%d\n", res.Elapsed, res.Errors)
-	if *profile && tb.Profile != nil {
+	if tr != nil {
 		fmt.Println()
-		fmt.Println(tb.Profile.Table())
+		fmt.Println(trace.StageTable(tr.Stages()))
 	}
 }
 

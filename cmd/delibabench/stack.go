@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fio"
+	"repro/internal/trace"
 )
 
 // stackJob is the short mixed workload -stack runs: enough random 4 kB
-// operations to populate every stage histogram without taking paper-scale
-// time.
+// operations to populate every span name's histogram without taking
+// paper-scale time.
 func stackJob(spec core.StackSpec) fio.JobSpec {
 	return fio.JobSpec{
 		Name:       spec.Name,
@@ -24,9 +25,10 @@ func stackJob(spec core.StackSpec) fio.JobSpec {
 	}
 }
 
-// profileStack builds the spec'd stack on a fresh profiled testbed, runs
-// the short workload, and returns the fio result plus the stage profile.
-func profileStack(spec core.StackSpec) (*fio.Result, *core.StageProfile, error) {
+// profileStack builds the spec'd stack on a fresh testbed traced at every
+// op, runs the short workload, and returns the fio result plus the
+// per-span-name stages.
+func profileStack(spec core.StackSpec) (*fio.Result, []trace.Stage, error) {
 	cfg := core.DefaultTestbedConfig()
 	cfg.Jitter = false
 	if spec.Replication == core.ReplRaft {
@@ -40,7 +42,8 @@ func profileStack(spec core.StackSpec) (*fio.Result, *core.StageProfile, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	prof := tb.EnableProfiling()
+	tr := trace.New(trace.Config{SampleEvery: 1})
+	tb.EnableTracing(tr)
 	stack, err := tb.BuildStack(spec)
 	if err != nil {
 		return nil, nil, err
@@ -49,13 +52,12 @@ func profileStack(spec core.StackSpec) (*fio.Result, *core.StageProfile, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, prof, nil
+	return res, tr.Stages(), nil
 }
 
 // runStack is the -stack mode: assemble one composition from its spec
 // string, drive the short workload through it, and print the throughput
-// summary plus the per-stage latency breakdown recorded at every layer
-// boundary.
+// summary plus the latency breakdown of every span name the run emitted.
 func runStack(specStr string) error {
 	spec, err := core.ParseStackSpec(specStr)
 	if err != nil {
@@ -63,11 +65,11 @@ func runStack(specStr string) error {
 	}
 	fmt.Printf("stack %s: %v / %v / %v / %v / %v (ec=%v)\n", spec.Name,
 		spec.HostAPI, spec.Block, spec.Transport, spec.Placement, spec.Fanout, spec.EC)
-	res, prof, err := profileStack(spec)
+	res, stages, err := profileStack(spec)
 	if err != nil {
 		return err
 	}
 	fmt.Println(res)
-	fmt.Println(prof.Table())
+	fmt.Println(trace.StageTable(stages))
 	return nil
 }

@@ -3,7 +3,6 @@ package blockmq
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -49,12 +48,11 @@ type Stats struct {
 // MQ is a multi-queue block device queue: CPUs software queues mapped onto
 // HWQueues hardware contexts over a shared driver.
 type MQ struct {
-	eng     *sim.Engine
-	cfg     Config
-	driver  Driver
-	tags    []*tagSet
-	stats   Stats
-	latency *metrics.Histogram
+	eng    *sim.Engine
+	cfg    Config
+	driver Driver
+	tags   []*tagSet
+	stats  Stats
 	// waiting holds requests that have a reserved place but no tag yet,
 	// per hctx, FIFO.
 	waiting [][]*Request
@@ -89,7 +87,6 @@ func New(eng *sim.Engine, cfg Config, driver Driver) (*MQ, error) {
 		eng:     eng,
 		cfg:     cfg,
 		driver:  driver,
-		latency: metrics.NewHistogram(),
 		waiting: make([][]*Request, cfg.HWQueues),
 		armed:   make([]sim.Time, cfg.HWQueues),
 	}
@@ -112,9 +109,6 @@ func (mq *MQ) HCtxFor(cpu int) int {
 
 // Stats returns a copy of the counters.
 func (mq *MQ) Stats() Stats { return mq.stats }
-
-// Latency returns the submit-to-complete latency histogram.
-func (mq *MQ) Latency() *metrics.Histogram { return mq.latency }
 
 // TagsAvailable reports free tags on a hardware context.
 func (mq *MQ) TagsAvailable(hctx int) int { return mq.tags[hctx].available() }

@@ -70,9 +70,6 @@ func TestSubmitComplete(t *testing.T) {
 	if st.Submitted != 5 || st.Completed != 5 || st.Dispatched != 5 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if mq.Latency().Count() != 5 {
-		t.Fatal("latency histogram not populated")
-	}
 }
 
 func TestTagExhaustionBackpressure(t *testing.T) {

@@ -102,8 +102,6 @@ func (r *Request) EndIO(err error) {
 	}
 	r.mq = nil
 	mq.stats.Completed++
-	now := mq.eng.Now()
-	mq.latency.Record(now.Sub(r.submitted))
 	// Close the blk-mq span: the queue-wait portion is submit-to-issue
 	// (tag wait + dispatch), the rest is device service time.
 	if r.traceH.On() {

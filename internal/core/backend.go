@@ -32,8 +32,6 @@ type cardBackend struct {
 	// kernelScale is the HLS slowdown charged on non-placement kernels
 	// (the RS encoder); 1 for RTL designs.
 	kernelScale float64
-	// prof optionally records stage latencies.
-	prof *StageProfile
 	// trace records card-side spans for sampled ops (nil = off).
 	trace *trace.Sink
 	// pipeNextFree serializes the card's fixed per-I/O pipeline stage.

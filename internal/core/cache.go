@@ -25,7 +25,6 @@ type cacheTarget struct {
 	eng     *sim.Engine
 	cache   *lsvd.Cache
 	mapCost sim.Duration
-	prof    *StageProfile
 	trace   *trace.Sink
 	free    []*cardOp
 }
@@ -39,7 +38,6 @@ const (
 func (t *cacheTarget) Submit(req iouring.Request, complete func(res int32)) {
 	o := newCardOp(&t.free, t.eng, t)
 	o.fromRing(req, complete)
-	o.endKern = t.prof.span(StageKernel)
 	if t.trace != nil && o.tr.Sampled() {
 		// Kernel span covers map cost + cache residency; the cache span
 		// and any miss-fill descent nest under it.
@@ -53,7 +51,6 @@ func (t *cacheTarget) Submit(req iouring.Request, complete func(res int32)) {
 func (t *cacheTarget) advance(o *cardOp) {
 	switch o.stage {
 	case cacheIssue:
-		o.endSpan = t.prof.span(StageCache)
 		ctr := o.tr
 		if t.trace != nil && o.tr.Sampled() {
 			o.hs = t.trace.Begin(o.tr, "lsvd-cache")
@@ -66,8 +63,6 @@ func (t *cacheTarget) advance(o *cardOp) {
 			t.cache.ReadTraced(o.off, o.n, ctr, o.errDone)
 		}
 	case cacheDone:
-		o.endSpan()
-		o.endKern()
 		o.hs.End()
 		o.hk.End()
 		o.respond()
@@ -202,7 +197,7 @@ func (tb *Testbed) buildCacheTarget(s *pipelineStack, inner iouring.Target) (*ca
 	}
 	cache.Trace = tb.traceHost
 	s.cache = cache
-	return &cacheTarget{eng: tb.Eng, cache: cache, mapCost: tb.CM.DKRBDMapCost, prof: tb.Profile, trace: tb.traceHost}, nil
+	return &cacheTarget{eng: tb.Eng, cache: cache, mapCost: tb.CM.DKRBDMapCost, trace: tb.traceHost}, nil
 }
 
 // CacheOf returns the stack's LSVD cache tier, or nil for cache-none

@@ -56,8 +56,6 @@ type cardOp struct {
 	err        error
 	penalty    sim.Duration
 	needDecode bool
-	endSpan    func()
-	endKern    func()
 	// hk is the kernel span, hp the card-pipeline span, hs the stage span
 	// open now (crush-select, rs-encode, ec-reconstruct, lsvd-cache).
 	hk, hp, hs trace.H
@@ -140,9 +138,6 @@ func (o *cardOp) respond() {
 	complete(int32(n))
 }
 
-// noSpan is the kernel-span closer of a bare target.
-func noSpan() {}
-
 // --- DMQ ring target ---------------------------------------------------------
 
 // dmqTarget adapts io_uring requests into the DMQ block layer: the UIFD
@@ -154,7 +149,6 @@ type dmqTarget struct {
 	mq         *blockmq.MQ
 	mapCost    sim.Duration
 	writeExtra sim.Duration
-	prof       *StageProfile
 	trace      *trace.Sink
 	// bare skips the kernel span and RBD map cost: the cacheTarget
 	// wrapping this target already charged them once above the cache.
@@ -175,9 +169,7 @@ func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
 	if o.op == Write {
 		delay = t.writeExtra
 	}
-	o.endKern = noSpan
 	if !t.bare {
-		o.endKern = t.prof.span(StageKernel)
 		delay += t.mapCost
 		if t.trace != nil && o.tr.Sampled() {
 			// The kernel span contains the whole below-ring residency;
@@ -193,10 +185,6 @@ func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
 func (t *dmqTarget) advance(o *cardOp) {
 	switch o.stage {
 	case dmqSubmit:
-		// The transport span is the below-block-layer round trip: QDMA
-		// H2C, card residency, C2H. Subtract the card stages to isolate
-		// the transport itself.
-		o.endSpan = t.prof.span(StageTransport)
 		op := blockmq.OpRead
 		if o.op == Write {
 			op = blockmq.OpWrite
@@ -204,8 +192,6 @@ func (t *dmqTarget) advance(o *cardOp) {
 		o.stage = dmqDone
 		t.mq.SubmitAsyncTenant(op, o.off, o.n, o.flags, o.cpu, o.tenant, o.tr, o.errDone)
 	case dmqDone:
-		o.endSpan()
-		o.endKern()
 		o.hk.End()
 		o.respond()
 	}
@@ -309,29 +295,24 @@ func (cb *cardBackend) advance(o *cardOp) {
 			case o.op == Write && cb.pool.Kind == rados.ECPool:
 				// Stage ④ continued: RS encode on the card, then shard
 				// fan-out over the card NIC (stage ⑥).
-				o.endSpan = cb.prof.span(StageEncode)
 				if cb.trace != nil && o.tr.Sampled() {
 					o.hs = cb.trace.Begin(o.tr, "rs-encode")
 				}
 				o.stage = cbEncoded
 				cb.shell.RS.Encode(e.Len, nil, o.errDone)
 			case o.op == Write:
-				o.endSpan = cb.prof.span(StageFanout)
 				o.stage = cbFanned
 				cb.fan.WriteReplicatedR(cb.pool, e.Object, e.Off, e.Len, opts, o.errDone)
 			case cb.pool.Kind == rados.ECPool:
-				o.endSpan = cb.prof.span(StageFanout)
 				o.stage = cbECRead
 				cb.fan.ReadECR(cb.pool, e.Object, e.Off, e.Len, opts, o.ecDone)
 			default:
-				o.endSpan = cb.prof.span(StageFanout)
 				o.stage = cbFanned
 				cb.fan.ReadReplicatedR(cb.pool, e.Object, e.Off, e.Len, opts, o.errDone)
 			}
 			return
 		case cbEncoded:
 			o.hs.End()
-			o.endSpan()
 			if o.err != nil {
 				cb.extentDone(o)
 				return
@@ -342,14 +323,12 @@ func (cb *cardBackend) advance(o *cardOp) {
 				return
 			}
 		case cbECWrite:
-			o.endSpan = cb.prof.span(StageFanout)
 			o.stage = cbFanned
 			e := o.ext
 			cb.fan.WriteECR(cb.pool, e.Object, e.Off, e.Len,
 				rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}, o.errDone)
 			return
 		case cbECRead:
-			o.endSpan()
 			if o.err != nil || !o.needDecode {
 				cb.extentDone(o)
 				return
@@ -367,7 +346,6 @@ func (cb *cardBackend) advance(o *cardOp) {
 			cb.extentDone(o)
 			return
 		case cbFanned:
-			o.endSpan()
 			cb.extentDone(o)
 			return
 		}

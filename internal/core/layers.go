@@ -133,7 +133,6 @@ func (hostOnly) Driver() *uifd.Driver { return nil }
 // penalty beyond the kernel occupancy itself.
 type rtlPlacement struct {
 	shell *fpga.Shell
-	prof  *StageProfile
 	free  []*placeSel
 }
 
@@ -141,14 +140,13 @@ func (pl *rtlPlacement) Kind() PlacementKind { return PlacementRTL }
 func (pl *rtlPlacement) Shell() *fpga.Shell  { return pl.shell }
 
 func (pl *rtlPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
-	selectOnCard(&pl.free, pl.shell, pl.prof, pool, pg, 0, cont)
+	selectOnCard(&pl.free, pl.shell, pool, pg, 0, cont)
 }
 
 // placeSel is one placement in flight on the card's straw2 kernel. Selects
 // are pooled on their placement layer with the kernel callback bound once.
 type placeSel struct {
 	free    *[]*placeSel
-	end     func()
 	penalty sim.Duration
 	cont    func(sim.Duration, error)
 	done    func([]int, error)
@@ -156,7 +154,7 @@ type placeSel struct {
 
 // selectOnCard runs one placement on the card and hands cont the given
 // penalty once the kernel answers.
-func selectOnCard(free *[]*placeSel, shell *fpga.Shell, prof *StageProfile, pool *rados.Pool, pg uint32, penalty sim.Duration, cont func(sim.Duration, error)) {
+func selectOnCard(free *[]*placeSel, shell *fpga.Shell, pool *rados.Pool, pg uint32, penalty sim.Duration, cont func(sim.Duration, error)) {
 	var s *placeSel
 	if k := len(*free); k > 0 {
 		s = (*free)[k-1]
@@ -166,15 +164,14 @@ func selectOnCard(free *[]*placeSel, shell *fpga.Shell, prof *StageProfile, pool
 		s = &placeSel{free: free}
 		s.done = s.selected
 	}
-	s.end, s.penalty, s.cont = prof.span(StageAccel), penalty, cont
+	s.penalty, s.cont = penalty, cont
 	shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), s.done)
 }
 
 func (s *placeSel) selected(_ []int, err error) {
-	end, penalty, cont := s.end, s.penalty, s.cont
-	s.end, s.cont = nil, nil
+	penalty, cont := s.penalty, s.cont
+	s.cont = nil
 	*s.free = append(*s.free, s)
-	end()
 	cont(penalty, err)
 }
 
@@ -183,7 +180,6 @@ func (s *placeSel) selected(_ []int, err error) {
 type hlsPlacement struct {
 	shell *fpga.Shell
 	scale float64
-	prof  *StageProfile
 	free  []*placeSel
 }
 
@@ -199,7 +195,7 @@ func (pl *hlsPlacement) penalty(passes int) sim.Duration {
 }
 
 func (pl *hlsPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
-	selectOnCard(&pl.free, pl.shell, pl.prof, pool, pg, pl.penalty(pool.Width()), cont)
+	selectOnCard(&pl.free, pl.shell, pool, pg, pl.penalty(pool.Width()), cont)
 }
 
 // swPlacement marks placement as computed inside the software client (its
@@ -288,14 +284,6 @@ func (s *pipelineStack) SubmitTenant(op OpType, pattern Pattern, off int64, n in
 				h.End()
 				inner(err)
 			}
-		}
-	}
-	if prof := s.tb.Profile; prof != nil {
-		end := prof.span(StageHostAPI)
-		inner := done
-		done = func(err error) {
-			end()
-			inner(err)
 		}
 	}
 	s.host.Submit(op, pattern, off, n, cpu, tenant, tr, done)
@@ -426,9 +414,9 @@ func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
 		return nil, err
 	}
 	if s.spec.Placement == PlacementHLS {
-		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale, prof: tb.Profile}
+		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale}
 	} else {
-		s.placement = &rtlPlacement{shell: shell, prof: tb.Profile}
+		s.placement = &rtlPlacement{shell: shell}
 	}
 	fan := &Fanout{Cluster: tb.Cluster, From: cardHost, Res: tb.Res, Trace: tb.traceHost}
 	s.fanout = &cardFanout{kind: s.spec.Fanout, fan: fan}
@@ -450,7 +438,6 @@ func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
 		pool:        s.pool,
 		procCost:    procCost,
 		kernelScale: kernelScale,
-		prof:        tb.Profile,
 		trace:       tb.traceHost,
 	}, nil
 }
@@ -552,7 +539,7 @@ func (tb *Testbed) buildURingCard(s *pipelineStack) error {
 	s.block = &dmqBlock{kind: s.spec.Block, mq: mq}
 	mq.SetTraceSink(tb.traceHost)
 	var target iouring.Target = &dmqTarget{eng: tb.Eng, mq: mq, mapCost: tb.CM.DKRBDMapCost,
-		writeExtra: tb.CM.CardWriteOverhead, prof: tb.Profile, trace: tb.traceHost,
+		writeExtra: tb.CM.CardWriteOverhead, trace: tb.traceHost,
 		bare: s.spec.Cache == CacheLSVD}
 	if s.spec.Cache == CacheLSVD {
 		target, err = tb.buildCacheTarget(s, target)
@@ -582,7 +569,7 @@ func (tb *Testbed) buildURingClient(s *pipelineStack) error {
 	s.placement = swPlacement{}
 	s.fanout = &clientFanout{client: client}
 	var target iouring.Target = &radosTarget{tb: tb, client: client, image: s.image, pool: s.pool,
-		mapCost: tb.CM.DKRBDMapCost, prof: tb.Profile, trace: tb.traceHost,
+		mapCost: tb.CM.DKRBDMapCost, trace: tb.traceHost,
 		bare: s.spec.Cache == CacheLSVD}
 	if s.spec.Cache == CacheLSVD {
 		target, err = tb.buildCacheTarget(s, target)
@@ -611,7 +598,7 @@ func (tb *Testbed) buildNBDCard(s *pipelineStack) error {
 		tb:      tb,
 		profile: tb.CM.D2Host,
 		daemon:  tb.Eng.NewResource(1),
-		path:    &legacyCardPath{cm: tb.CM, backend: backend, prof: tb.Profile},
+		path:    &legacyCardPath{cm: tb.CM, backend: backend},
 	}
 	return nil
 }
@@ -628,9 +615,9 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 		return err
 	}
 	if s.spec.Placement == PlacementHLS {
-		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale, prof: tb.Profile}
+		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale}
 	} else {
-		s.placement = &rtlPlacement{shell: shell, prof: tb.Profile}
+		s.placement = &rtlPlacement{shell: shell}
 	}
 	fan := &Fanout{Cluster: tb.Cluster, From: hostNIC, Res: tb.Res, Trace: tb.traceHost}
 	s.fanout = &hostFanout{fan: fan}
@@ -642,7 +629,7 @@ func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
 		profile: tb.CM.D1Host,
 		daemon:  daemon,
 		path: &d1Path{tb: tb, place: s.placement, fan: fan, image: s.image,
-			pool: s.pool, daemon: daemon, prof: tb.Profile},
+			pool: s.pool, daemon: daemon},
 	}
 	return nil
 }
@@ -662,8 +649,7 @@ func (tb *Testbed) buildNBDClient(s *pipelineStack) error {
 		tb:      tb,
 		profile: tb.CM.D2Host,
 		daemon:  tb.Eng.NewResource(1),
-		path: &clientPath{cm: tb.CM, client: client, image: s.image,
-			pool: s.pool, prof: tb.Profile},
+		path:    &clientPath{cm: tb.CM, client: client, image: s.image, pool: s.pool},
 	}
 	return nil
 }

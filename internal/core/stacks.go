@@ -200,15 +200,6 @@ func newSWClient(tb *Testbed, name string) (*rados.Client, error) {
 	if tb.Cfg.SplitDomains {
 		client.Split = true
 		client.Eng = tb.Eng
-		if prof := tb.Profile; prof != nil {
-			// The split protocol's request leg ends on the OSD shard at
-			// its canonical arrival time, so the transport span must
-			// close against the arrival engine's clock (spanAcross), not
-			// the opening domain's.
-			client.TransportSpan = func() func(*sim.Engine) {
-				return prof.spanAcross(tb.Eng, StageTransport)
-			}
-		}
 	}
 	return client, nil
 }

@@ -57,8 +57,6 @@ type ioOp struct {
 	left    int
 	ext     rbd.Extent
 	penalty sim.Duration
-	endSpan func()
-	endKern func()
 	hk      trace.H
 
 	// Bound once per struct.
@@ -266,7 +264,6 @@ func (h *nbdHost) advance(o *ioOp) {
 type legacyCardPath struct {
 	cm      CostModel
 	backend *cardBackend
-	prof    *StageProfile
 }
 
 func (dp *legacyCardPath) hostCPU(OpType, int) sim.Duration { return 0 }
@@ -275,10 +272,6 @@ func (dp *legacyCardPath) advance(o *ioOp) {
 	for {
 		switch o.stage {
 		case nbdPath:
-			// The transport span covers the full below-daemon round
-			// trip: H2C DMA, card residency, C2H DMA. Subtract the card
-			// stages to isolate the DMA path itself.
-			o.endSpan = dp.prof.span(StageTransport)
 			h2c := rados.HdrBytes
 			if o.op == Write {
 				h2c = o.n
@@ -299,7 +292,6 @@ func (dp *legacyCardPath) advance(o *ioOp) {
 			o.sleep(dp.cm.LegacyDMACost+pcieTime(c2h), nbdPath+3)
 			return
 		default:
-			o.endSpan()
 			o.finish(o.err)
 			return
 		}
@@ -313,7 +305,6 @@ type clientPath struct {
 	client *rados.Client
 	image  *rbd.Image
 	pool   *rados.Pool
-	prof   *StageProfile
 }
 
 func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
@@ -336,14 +327,12 @@ func (dp *clientPath) advance(o *ioOp) {
 				o.finish(o.firstErr)
 				return
 			}
-			o.endSpan = dp.prof.span(StageFanout)
 			o.stage = nbdPath + 2
 			o.callClient(dp.client, dp.pool)
 			if o.park() {
 				return
 			}
 		default:
-			o.endSpan()
 			o.noteErr()
 			o.stage = nbdPath + 1
 		}
@@ -361,7 +350,6 @@ type d1Path struct {
 	image  *rbd.Image
 	pool   *rados.Pool
 	daemon *sim.Resource
-	prof   *StageProfile
 }
 
 func (dp *d1Path) hostCPU(OpType, int) sim.Duration { return 0 }
@@ -397,14 +385,12 @@ func (dp *d1Path) advance(o *ioOp) {
 			// hash over the data) and back, since D1's network path is on
 			// the host; then a second round trip for the command
 			// descriptors.
-			o.endSpan = dp.prof.span(StageTransport)
 			o.sleep(2*(cm.LegacyDMACost+pcieTime(o.ext.Len)), nbdPath+2)
 			return
 		case nbdPath + 2:
 			o.sleep(2*(cm.LegacyDMACost+pcieTime(rados.HdrBytes)), nbdPath+3)
 			return
 		case nbdPath + 3:
-			o.endSpan()
 			o.stage = nbdPath + 4
 			dp.place.Select(dp.pool, dp.tb.Cluster.PGOf(dp.pool, o.ext.Object), o.selDone)
 			if o.park() {
@@ -432,7 +418,6 @@ func (dp *d1Path) advance(o *ioOp) {
 			return
 		case nbdPath + 7:
 			dp.daemon.Release(1)
-			o.endSpan = dp.prof.span(StageFanout)
 			o.stage = nbdPath + 8
 			opts := rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}
 			if o.op == Write {
@@ -444,7 +429,6 @@ func (dp *d1Path) advance(o *ioOp) {
 				return
 			}
 		default:
-			o.endSpan()
 			o.noteErr()
 			o.stage = nbdPath + 1
 		}
@@ -460,7 +444,6 @@ type radosTarget struct {
 	image   *rbd.Image
 	pool    *rados.Pool
 	mapCost sim.Duration
-	prof    *StageProfile
 	trace   *trace.Sink
 	// bare skips the kernel span and RBD map cost: the cacheTarget
 	// wrapping this target already charged them once above the cache.
@@ -498,7 +481,6 @@ func (t *radosTarget) advance(o *ioOp) {
 			if t.bare {
 				continue
 			}
-			o.endKern = t.prof.span(StageKernel)
 			// The kernel RBD residency is just the map cost here; the
 			// client round trips are siblings, not children, of it.
 			if t.trace != nil && o.tr.Sampled() {
@@ -507,7 +489,6 @@ func (t *radosTarget) advance(o *ioOp) {
 			o.sleep(t.mapCost, dkswMapped)
 			return
 		case dkswMapped:
-			o.endKern()
 			o.hk.End()
 			o.stage = dkswExtents
 		case dkswExtents:
@@ -520,14 +501,12 @@ func (t *radosTarget) advance(o *ioOp) {
 				o.finish(nil)
 				return
 			}
-			o.endSpan = t.prof.span(StageFanout)
 			o.stage = dkswDone
 			o.callClient(t.client, t.pool)
 			if o.park() {
 				return
 			}
 		case dkswDone:
-			o.endSpan()
 			if o.err != nil {
 				o.finish(o.err)
 				return

@@ -48,17 +48,6 @@ type TestbedConfig struct {
 	// when a repl-raft spec is built.
 	Raft raft.Config
 
-	// --- ablation knobs (zero values = the paper's configuration) ------
-
-	// RingInterrupt switches the DeLiBA-K rings from kernel-polled SQPOLL
-	// to interrupt mode with per-batch enter syscalls (ablation ①).
-	RingInterrupt bool
-	// DisableDMQBypass routes DK requests through an mq-deadline
-	// scheduler instead of the DMQ direct-issue path (ablation ②).
-	DisableDMQBypass bool
-	// Instances overrides the io_uring instance count (0 = the paper's 3).
-	Instances int
-
 	// Shards > 1 runs the testbed inside a sharded engine group: the whole
 	// classic testbed is one topology domain on the group's home shard, so
 	// event order — and therefore every digest — is byte-identical to the
@@ -117,9 +106,6 @@ type Testbed struct {
 	// ReplPool/ECPool and their images.
 	ReplPool, ECPool   *rados.Pool
 	ReplImage, ECImage *rbd.Image
-	// Profile, when non-nil (EnableProfiling), receives per-stage latency
-	// histograms from stacks built afterwards.
-	Profile *StageProfile
 	// Res, when non-nil (Cfg.Resilience.Enabled), is the resilience state
 	// shared by every stack built on this testbed: one policy, one jitter
 	// stream, one set of counters.
@@ -340,9 +326,8 @@ func (tb *Testbed) raftSystem() *raft.System {
 	return tb.RaftSys
 }
 
-// NewStack constructs a framework stack over this testbed: the kind's
-// declarative spec, overlaid with the testbed's legacy ablation knobs,
-// handed to BuildStack. ec selects the erasure-coded pool instead of the
+// NewStack constructs a framework stack over this testbed from the kind's
+// declarative spec. ec selects the erasure-coded pool instead of the
 // replicated one.
 func (tb *Testbed) NewStack(kind StackKind, ec bool) (Stack, error) {
 	spec, err := Spec(kind)
@@ -350,14 +335,5 @@ func (tb *Testbed) NewStack(kind StackKind, ec bool) (Stack, error) {
 		return nil, err
 	}
 	spec.EC = ec
-	if spec.HostAPI == HostIOUring {
-		spec.RingInterrupt = tb.Cfg.RingInterrupt
-		if tb.Cfg.Instances > 0 {
-			spec.Instances = tb.Cfg.Instances
-		}
-		if tb.Cfg.DisableDMQBypass && spec.Transport == TransportQDMA {
-			spec.Block = BlockMQDeadline
-		}
-	}
 	return tb.BuildStack(spec)
 }

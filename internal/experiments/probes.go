@@ -8,17 +8,18 @@ import (
 	"repro/internal/fio"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // This file backs the report's per-family observability section: for every
 // family with a probe cell in the registry it runs that one representative
-// cell with stage profiling (and, for fault-bearing families, the
-// resilience layer) enabled, and summarises the per-stage latency
-// histograms plus the client-side resilience counters. The probe is
+// cell traced at every op (and, for fault-bearing families, with the
+// resilience layer enabled), and summarises each span name's latency
+// histogram plus the client-side resilience counters. The probe is
 // evidence, not a measurement family of its own — it has no digest and
 // never feeds the golden gates.
 
-// StageSummary is one stage's latency histogram, summarised.
+// StageSummary is one span name's latency histogram, summarised.
 type StageSummary struct {
 	Stage  string  `json:"stage"`
 	Ops    uint64  `json:"ops"`
@@ -42,9 +43,9 @@ type familyProbe struct {
 	fault   string // scenario name on the family's fault axis; "" = healthy
 }
 
-// FamilyProbe runs the named family's representative cell with stage
-// profiling enabled and returns its per-stage summaries and resilience
-// counters. Families without a probe cell probe empty.
+// FamilyProbe runs the named family's representative cell traced at every
+// op and returns its per-span-name summaries and resilience counters.
+// Families without a probe cell probe empty.
 func FamilyProbe(cfg Config, name string) (FamilyProbeResult, error) {
 	fam, err := LookupFamily(name)
 	if err != nil || fam.probe == nil {
@@ -67,7 +68,8 @@ func FamilyProbe(cfg Config, name string) (FamilyProbeResult, error) {
 	if err != nil {
 		return FamilyProbeResult{}, err
 	}
-	prof := tb.EnableProfiling()
+	tr := trace.New(trace.Config{SampleEvery: 1})
+	tb.EnableTracing(tr)
 	stack, err := tb.BuildStack(sp)
 	if err != nil {
 		return FamilyProbeResult{}, err
@@ -111,10 +113,10 @@ func FamilyProbe(cfg Config, name string) (FamilyProbeResult, error) {
 		tb.Res.Counters.CloseStalls(tb.Eng.Now())
 	}
 	out := FamilyProbeResult{}
-	for _, stage := range prof.Stages() {
-		h := prof.Stage(stage)
+	for _, st := range tr.Stages() {
+		h := st.Hist
 		out.Stages = append(out.Stages, StageSummary{
-			Stage:  stage,
+			Stage:  st.Name,
 			Ops:    h.Count(),
 			MeanUs: float64(h.Mean()) / 1e3,
 			P50Us:  float64(h.Median()) / 1e3,

@@ -87,16 +87,6 @@ type Client struct {
 	// and EC are all rejected there.
 	TraceSink *trace.Sink
 
-	// TransportSpan, when non-nil, measures the host→primary request leg
-	// of each split-domain operation. It is called on the client's shard
-	// as the request is handed to the fabric; the returned func runs at
-	// the request's canonical arrival on the OSD shard and receives that
-	// shard's engine, whose clock at the arrival event IS the canonical
-	// arrival time. Reading the client engine's clock there instead would
-	// race with the host shard's window worker and observe a mid-window
-	// skewed time.
-	TransportSpan func() func(arrive *sim.Engine)
-
 	// Split routes replicated I/O through the arrival-driven split-domain
 	// protocol: the client host and the OSD nodes live in different
 	// topology domains of a sharded engine group, so no completion or

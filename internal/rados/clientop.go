@@ -96,9 +96,8 @@ type op struct {
 	gathered   [][]byte
 	decode     trace.H
 
-	// Split domain: the OSD-side ack count and the transport span.
+	// Split domain: the OSD-side ack count.
 	remaining int
-	endNet    func(*sim.Engine)
 
 	// Retry.
 	try         int
@@ -760,10 +759,6 @@ func (o *op) split() {
 			}
 		case 1:
 			o.pNode = c.NodeOf(o.primary)
-			o.endNet = nil
-			if o.cl.TransportSpan != nil {
-				o.endNet = o.cl.TransportSpan()
-			}
 			n := HdrBytes
 			if o.write {
 				n += o.n
@@ -782,13 +777,10 @@ func (o *op) split() {
 	}
 }
 
-// splitAtPrimary runs at the request's arrival on the primary's shard;
-// spans close against the primary node's own domain clock.
+// splitAtPrimary runs at the request's arrival on the primary's shard, so
+// the OSD work it starts reads the primary node's own domain clock.
 func (o *op) splitAtPrimary() {
 	c := o.cl.Cluster
-	if o.endNet != nil {
-		o.endNet(c.EngineOf(o.primary))
-	}
 	if !o.write {
 		c.OSDs[o.primary].SubmitOpts(o.opts, OpRead, o.obj, o.off, nil, o.n, o.onOSD)
 		return

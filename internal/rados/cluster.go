@@ -143,15 +143,6 @@ func NewCluster(eng *sim.Engine, fabric *netsim.Fabric, cfg ClusterConfig) (*Clu
 	return c, nil
 }
 
-// EngineOf returns the engine OSD id's node domain runs on (the cluster
-// engine unless ClusterConfig.NodeEngines split the nodes over domains).
-func (c *Cluster) EngineOf(osd int) *sim.Engine {
-	if c.Cfg.NodeEngines != nil {
-		return c.Cfg.NodeEngines[osd/c.Cfg.OSDsPerNode]
-	}
-	return c.Eng
-}
-
 // NodeOf returns the fabric host of the node housing OSD id.
 func (c *Cluster) NodeOf(osd int) *netsim.Host {
 	return c.NodeHosts[osd/c.Cfg.OSDsPerNode]

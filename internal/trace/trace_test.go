@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -220,5 +221,35 @@ func TestMultiSinkMerge(t *testing.T) {
 	}
 	if res.Spans[1].Wait != 2 || res.Spans[1].Dur != 10 {
 		t.Fatalf("retroactive emit fields wrong: %+v", res.Spans[1])
+	}
+}
+
+func TestStagesSummariseEverySpan(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := New(Config{SampleEvery: 1, TopK: 1, MaxCause: -1})
+	host, osd := tr.Sink(eng, "host"), tr.Sink(eng, "osd")
+	for i := 0; i < 3; i++ {
+		root := host.Root("io-read")
+		osd.Emit(root.Ref(), "osd-service", eng.Now(), sim.Duration(10*(i+1)), 0, "", 0)
+		eng.Schedule(sim.Duration(100), func() {})
+		eng.Run()
+		root.End()
+	}
+	// Finalize keeps one exemplar; Stages still reads every span.
+	if res := tr.Finalize("cell"); len(res.Exemplars) != 1 {
+		t.Fatalf("exemplars = %d, want 1", len(res.Exemplars))
+	}
+	stages := tr.Stages()
+	if len(stages) != 2 || stages[0].Name != "io-read" || stages[1].Name != "osd-service" {
+		t.Fatalf("stages = %+v, want io-read then osd-service", stages)
+	}
+	if h := stages[0].Hist; h.Count() != 3 || h.Mean() != 100 {
+		t.Fatalf("io-read: count %d mean %v, want 3 ops of 100ns", h.Count(), h.Mean())
+	}
+	if h := stages[1].Hist; h.Count() != 3 || h.Min() != 10 || h.Max() != 30 {
+		t.Fatalf("osd-service: count %d min %v max %v, want 3 ops in [10ns, 30ns]", h.Count(), h.Min(), h.Max())
+	}
+	if out := StageTable(stages).String(); !strings.Contains(out, "osd-service") {
+		t.Fatalf("table missing a stage:\n%s", out)
 	}
 }
