@@ -2,9 +2,19 @@
 # ci.sh — the repo's tier-1 gate. Runs the full static + test + benchmark
 # smoke suite; exits non-zero on the first failure.
 #
-#   ./ci.sh          # vet, build, race tests, benchmark smoke
+#   ./ci.sh          # gofmt, vet, build, race tests, benchmark smoke
 #   ./ci.sh -short   # skip the benchmark smoke pass and the trace smoke
 set -eu
+
+echo "== gofmt =="
+# Every Go file of the repo and of the bench/ module, skipping dot
+# directories (.bench_build holds the benchmark's build cache).
+unformatted=$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...

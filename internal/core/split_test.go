@@ -157,10 +157,12 @@ func TestSplitDomainsRejects(t *testing.T) {
 
 // TestSplitDomainOpAllocs pins the steady state of warm DK-SW ops on the
 // split-domain testbed, where each op's request and reply legs cross
-// shards as fabric deliveries merged at window barriers: with the caller's
-// callback bound once, a batch of QD1 ops run by one Eng.Run allocates no
-// more than an idle Eng.Run does (the barrier loop's own setup) — no
-// delivery record, no barrier sort closure.
+// shards as fabric deliveries merged at window barriers: an idle Eng.Run
+// allocates nothing (AllocsPerRun measures at GOMAXPROCS 1, where the
+// barrier loop runs serially and starts no workers), and with the
+// caller's callback bound once, a batch of QD1 ops run by one Eng.Run
+// allocates no more than that — no delivery record, no barrier sort
+// closure.
 func TestSplitDomainOpAllocs(t *testing.T) {
 	tb, st := buildSpec(t, splitConfig(), "deliba-k-sw")
 	const batch = 100
@@ -197,6 +199,9 @@ func TestSplitDomainOpAllocs(t *testing.T) {
 	}
 	if want := 22 * batch; i != want { // warm-up, AllocsPerRun's own warm-up, 20 runs
 		t.Fatalf("ran %d ops, want %d", i, want)
+	}
+	if idle != 0 {
+		t.Errorf("an idle split-domain Eng.Run allocated %.0f, want 0", idle)
 	}
 	if perBatch > idle {
 		t.Errorf("%d warm split-domain deliba-k-sw ops allocated %.0f, an idle run %.0f; want no more",

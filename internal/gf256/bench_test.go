@@ -73,5 +73,5 @@ func BenchmarkMulSliceLogExp4k(b *testing.B)   { benchMulSlice(b, 0x8e, 4096, mu
 func BenchmarkMulSliceLogExp128k(b *testing.B) { benchMulSlice(b, 0x8e, 131072, mulSliceLogExp) }
 
 // c==1 (pure parity XOR) word path vs the reference byte loop.
-func BenchmarkXorSliceWord128k(b *testing.B)   { benchMulSlice(b, 1, 131072, MulSlice) }
-func BenchmarkXorSliceByte128k(b *testing.B)   { benchMulSlice(b, 1, 131072, mulSliceLogExp) }
+func BenchmarkXorSliceWord128k(b *testing.B) { benchMulSlice(b, 1, 131072, MulSlice) }
+func BenchmarkXorSliceByte128k(b *testing.B) { benchMulSlice(b, 1, 131072, mulSliceLogExp) }

@@ -173,7 +173,7 @@ func benchMulAdd(b *testing.B, k, n int, fn func(coeffs []byte, srcs [][]byte, d
 
 // Fused dot product vs the composition it replaces, at the Reed-Solomon
 // shard geometry of BenchmarkEncode8p4x128k (k=8, 16 kB shards).
-func BenchmarkMulAddSlices8x16k(b *testing.B)    { benchMulAdd(b, 8, 16384, MulAddSlices) }
-func BenchmarkMulAddComposed8x16k(b *testing.B)  { benchMulAdd(b, 8, 16384, mulAddSlicesGeneric) }
-func BenchmarkMulAddSlices4x4k(b *testing.B)     { benchMulAdd(b, 4, 4096, MulAddSlices) }
-func BenchmarkMulAddComposed4x4k(b *testing.B)   { benchMulAdd(b, 4, 4096, mulAddSlicesGeneric) }
+func BenchmarkMulAddSlices8x16k(b *testing.B)   { benchMulAdd(b, 8, 16384, MulAddSlices) }
+func BenchmarkMulAddComposed8x16k(b *testing.B) { benchMulAdd(b, 8, 16384, mulAddSlicesGeneric) }
+func BenchmarkMulAddSlices4x4k(b *testing.B)    { benchMulAdd(b, 4, 4096, MulAddSlices) }
+func BenchmarkMulAddComposed4x4k(b *testing.B)  { benchMulAdd(b, 4, 4096, mulAddSlicesGeneric) }

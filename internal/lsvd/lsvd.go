@@ -173,6 +173,31 @@ type fillEnt struct {
 	seq      uint64
 }
 
+// fifo is a slice-backed queue whose pop advances a head index; the
+// consumed prefix is reclaimed by one copy once it is at least half the
+// slice, so push and pop are O(1) amortized and a warm queue allocates
+// nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+
+// pop removes and returns the oldest entry; the queue must be non-empty.
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	if q.head++; q.head*2 >= len(q.buf) {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	return v
+}
+
+func (q *fifo[T]) reset() { q.buf, q.head = q.buf[:0], 0 }
+
 // fillKey identifies one read-around window with an in-flight backend
 // fetch; concurrent misses of the same window coalesce onto it.
 type fillKey struct {
@@ -283,7 +308,7 @@ type Cache struct {
 
 	seq uint64
 
-	fillQ []fillEnt
+	fillQ fifo[fillEnt]
 	// fills tracks in-flight miss fetches by window, so QD>1 misses of
 	// the same unfilled read-around window pay one backend read, not N.
 	fills map[fillKey]*inflightFill
@@ -292,7 +317,7 @@ type Cache struct {
 	// mutated from the owning engine's loop; iteration order never
 	// matters, so the map is determinism-safe.
 	ghost    map[int64]bool
-	ghostQ   []int64
+	ghostQ   fifo[int64]
 	ghostCap int
 
 	epoch      uint64
@@ -585,10 +610,9 @@ func (c *Cache) ReadTraced(off int64, n int, tr trace.Ref, done func(error)) {
 			// First touch: remember the window, fetch only the requested
 			// bytes, and leave the read cache alone.
 			c.ghost[ra0] = true
-			c.ghostQ = append(c.ghostQ, ra0)
-			if len(c.ghostQ) > c.ghostCap {
-				delete(c.ghost, c.ghostQ[0])
-				c.ghostQ = c.ghostQ[:copy(c.ghostQ, c.ghostQ[1:])]
+			c.ghostQ.push(ra0)
+			if c.ghostQ.len() > c.ghostCap {
+				delete(c.ghost, c.ghostQ.pop())
 			}
 			c.stats.AdmitBypassed++
 			admit = false
@@ -645,7 +669,7 @@ func (c *Cache) fill(ra0, ra1 int64) {
 		c.seq++
 		rep := c.readIdx.Insert(Extent{Off: o, End: e, Seq: c.seq})
 		c.readUsed += (e - o) - rep
-		c.fillQ = append(c.fillQ, fillEnt{off: o, end: e, seq: c.seq})
+		c.fillQ.push(fillEnt{off: o, end: e, seq: c.seq})
 		filled += e - o
 	})
 	if filled > 0 {
@@ -655,9 +679,8 @@ func (c *Cache) fill(ra0, ra1 int64) {
 }
 
 func (c *Cache) evict() {
-	for c.readUsed > c.cfg.ReadCacheBytes && len(c.fillQ) > 0 {
-		f := c.fillQ[0]
-		c.fillQ = c.fillQ[:copy(c.fillQ, c.fillQ[1:])]
+	for c.readUsed > c.cfg.ReadCacheBytes && c.fillQ.len() > 0 {
+		f := c.fillQ.pop()
 		c.readUsed -= c.readIdx.DropRangeSeq(f.off, f.end, f.seq)
 		c.stats.Evictions++
 	}

@@ -186,8 +186,8 @@ func TestAdmitGhostEviction(t *testing.T) {
 		t.Fatalf("ghost eviction: bypassed=%d reuses=%d fills=%d, want 4/0/0",
 			s.AdmitBypassed, s.AdmitReuses, s.Fills)
 	}
-	if len(c.ghost) != 2 || len(c.ghostQ) != 2 {
-		t.Fatalf("ghost set size %d/%d, want 2/2", len(c.ghost), len(c.ghostQ))
+	if len(c.ghost) != 2 || c.ghostQ.len() != 2 {
+		t.Fatalf("ghost set size %d/%d, want 2/2", len(c.ghost), c.ghostQ.len())
 	}
 }
 
@@ -448,5 +448,31 @@ func TestRecoverySurvivesLogResidentData(t *testing.T) {
 	}
 	if s.LostAcked != 0 {
 		t.Fatalf("lost %d acked bytes", s.LostAcked)
+	}
+}
+
+// TestFifoOrder interleaves pushes and pops so the head-indexed queue
+// compacts many times, and checks it pops in push order throughout.
+func TestFifoOrder(t *testing.T) {
+	var q fifo[int]
+	next, want := 0, 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < round%7+1; i++ {
+			q.push(next)
+			next++
+		}
+		for i := 0; i < round%5+1 && q.len() > 0; i++ {
+			if got := q.pop(); got != want {
+				t.Fatalf("round %d: pop = %d, want %d", round, got, want)
+			}
+			want++
+		}
+		if q.len() != next-want {
+			t.Fatalf("round %d: len = %d, want %d", round, q.len(), next-want)
+		}
+	}
+	q.reset()
+	if q.len() != 0 {
+		t.Fatalf("len after reset = %d", q.len())
 	}
 }

@@ -37,7 +37,7 @@ func (c *Cache) Crash() {
 	c.writeIdx.Reset()
 	c.readIdx.Reset()
 	c.readUsed = 0
-	c.fillQ = c.fillQ[:0]
+	c.fillQ.reset()
 	// Orphan in-flight fills: their completions still fire (the epoch
 	// check skips the cache insert), but post-crash misses must fetch
 	// fresh rather than park on a result that predates the crash.
@@ -46,7 +46,7 @@ func (c *Cache) Crash() {
 	// the host like the indexes.
 	if c.ghost != nil {
 		c.ghost = make(map[int64]bool)
-		c.ghostQ = c.ghostQ[:0]
+		c.ghostQ.reset()
 	}
 	// Parked writers never acknowledged anything: replay them whole.
 	for _, op := range c.waiters {
@@ -194,23 +194,4 @@ func (c *Cache) auditAcked() int64 {
 		return true
 	})
 	return lost
-}
-
-// At returns the extent containing pos, if any.
-func (ix *Index) At(pos int64) (Extent, bool) {
-	i := ix.search(pos)
-	if i < len(ix.exts) && ix.exts[i].Off <= pos {
-		return ix.exts[i], true
-	}
-	return Extent{}, false
-}
-
-// NextStart returns the start of the first extent beginning after pos
-// (assuming pos itself is unmapped), or a sentinel past any disk.
-func (ix *Index) NextStart(pos int64) int64 {
-	i := ix.search(pos)
-	if i < len(ix.exts) {
-		return ix.exts[i].Off
-	}
-	return 1 << 62
 }

@@ -47,6 +47,9 @@ type Shards struct {
 	pending   []xmsg   // barrier merge scratch
 	running   bool
 	rr        int // round-robin cursor for AddDomain
+	// faults[sh] is the panic recovered from shard sh's last window, if
+	// any; only the worker running shard sh writes its slot.
+	faults []*shardPanic
 	// Stats.
 	windows uint64
 	posted  uint64
@@ -84,6 +87,7 @@ func NewShards(n int, lookahead Duration) *Shards {
 		engines:   make([]*Engine, n),
 		outbox:    make([][]xmsg, n),
 		busy:      make([]time.Duration, n),
+		faults:    make([]*shardPanic, n),
 	}
 	for i := range s.engines {
 		e := NewEngine()
@@ -245,37 +249,12 @@ func (s *Shards) runUntil(deadline Time) {
 	}
 	s.inject() // setup-time posts
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(s.engines) {
-		workers = len(s.engines)
-	}
-	faults := make([]*shardPanic, len(s.engines))
-	var wake []chan Time
-	var wg sync.WaitGroup
-	if workers > 1 {
-		// Persistent window workers: worker w owns shards w, w+workers, ...
-		// so shard→worker assignment is static and per-shard state needs no
-		// further synchronization than the window barrier itself. A panic
-		// inside a shard's window is recovered into faults[sh] (a slot only
-		// that shard's worker writes) and re-raised by the coordinator after
-		// the barrier, so it never kills the process from a bare goroutine.
-		wake = make([]chan Time, workers)
-		for w := range wake {
-			wake[w] = make(chan Time, 1)
-			go func(w int) {
-				for limit := range wake[w] {
-					for sh := w; sh < len(s.engines); sh += workers {
-						faults[sh] = s.runShardWindow(sh, limit)
-					}
-					wg.Done()
-				}
-			}(w)
-		}
-		defer func() {
-			for _, c := range wake {
-				close(c)
-			}
-		}()
+	// Serial runs (one P, or one shard) use no workers, so a run on an
+	// idle or single-threaded group allocates nothing.
+	var pool *windowWorkers
+	if workers := min(runtime.GOMAXPROCS(0), len(s.engines)); workers > 1 {
+		pool = s.startWorkers(workers)
+		defer pool.stop()
 	}
 
 	solo := len(s.domains) <= 1
@@ -298,18 +277,14 @@ func (s *Shards) runUntil(deadline Time) {
 				limit = wl
 			}
 		}
-		if workers > 1 {
-			wg.Add(workers)
-			for _, c := range wake {
-				c <- limit
-			}
-			wg.Wait()
+		if pool != nil {
+			pool.run(limit)
 		} else {
 			for sh := range s.engines {
-				faults[sh] = s.runShardWindow(sh, limit)
+				s.faults[sh] = s.runShardWindow(sh, limit)
 			}
 		}
-		for _, f := range faults {
+		for _, f := range s.faults {
 			if f != nil {
 				panic(f.String())
 			}
@@ -332,6 +307,50 @@ func (s *Shards) runUntil(deadline Time) {
 				e.now = deadline
 			}
 		}
+	}
+}
+
+// windowWorkers are one run's persistent window goroutines. Worker w owns
+// shards w, w+n, ... so shard→worker assignment is static and per-shard
+// state needs no further synchronization than the window barrier itself.
+// A panic inside a shard's window is recovered into s.faults[sh] (a slot
+// only that shard's worker writes) and re-raised by the coordinator after
+// the barrier, so it never kills the process from a bare goroutine.
+type windowWorkers struct {
+	wake []chan Time
+	wg   sync.WaitGroup
+}
+
+// startWorkers starts n window workers for one run of the barrier loop.
+func (s *Shards) startWorkers(n int) *windowWorkers {
+	p := &windowWorkers{wake: make([]chan Time, n)}
+	for w := range p.wake {
+		p.wake[w] = make(chan Time, 1)
+		go func(w int) {
+			for limit := range p.wake[w] {
+				for sh := w; sh < len(s.engines); sh += n {
+					s.faults[sh] = s.runShardWindow(sh, limit)
+				}
+				p.wg.Done()
+			}
+		}(w)
+	}
+	return p
+}
+
+// run executes one window on every worker and waits for the barrier.
+func (p *windowWorkers) run(limit Time) {
+	p.wg.Add(len(p.wake))
+	for _, c := range p.wake {
+		c <- limit
+	}
+	p.wg.Wait()
+}
+
+// stop ends the workers.
+func (p *windowWorkers) stop() {
+	for _, c := range p.wake {
+		close(c)
 	}
 }
 
