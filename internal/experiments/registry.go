@@ -60,9 +60,9 @@ func unpinned(tabs ...*metrics.Table) Outcome { return Outcome{Tables: tabs} }
 
 // families is the registry in presentation order.
 var families = []Family{
-	{Name: "fig3", Golden: 0xf8c343eb8edbc185, probe: &familyProbe{spec: "deliba-k-sw", readPct: 100},
+	{Name: "fig3", Golden: 0xf1cd186e901cc445, probe: &familyProbe{spec: "deliba-k-sw", readPct: 100},
 		Run: adapt(Fig3, func(r *SWBaselineResult) Outcome { return pinned(r, r.Tables()...) })},
-	{Name: "fig4", Golden: 0xae26225f2213690f,
+	{Name: "fig4", Golden: 0x688e354555d16a19,
 		Run: adapt(Fig4, func(r *SWBaselineResult) Outcome { return pinned(r, r.Tables()...) })},
 	{Name: "tab1", Run: func(Config) (Outcome, error) {
 		rows, err := Table1()
@@ -70,16 +70,16 @@ var families = []Family{
 	}},
 	// fig6 is one sweep behind Figs. 6 and 7 and the abstract's headline;
 	// fig8 is the EC sweep behind Figs. 8 and 9.
-	{Name: "fig6", Golden: 0x585fa75139b4d732, probe: &familyProbe{spec: "deliba-k-hw", readPct: 0},
+	{Name: "fig6", Golden: 0xa683eaaee909a60e, probe: &familyProbe{spec: "deliba-k-hw", readPct: 0},
 		Run: adapt(Fig6and7, func(r *HWSweepResult) Outcome {
 			tabs := append(r.ThroughputTables(), r.IOPSTables()...)
 			return pinned(r, append(tabs, Headline(r).Table())...)
 		})},
-	{Name: "fig8", Golden: 0x3d53f08d498a0a72, probe: &familyProbe{spec: "deliba-k-hw+ec", readPct: 0},
+	{Name: "fig8", Golden: 0x4d1d919bec7c3cb6, probe: &familyProbe{spec: "deliba-k-hw+ec", readPct: 0},
 		Run: adapt(Fig8and9, func(r *HWSweepResult) Outcome {
 			return pinned(r, append(r.ThroughputTables(), r.IOPSTables()...)...)
 		})},
-	{Name: "tab2", Golden: 0xa13a977d7007ab33, probe: &familyProbe{spec: "deliba-k-hw", readPct: 100},
+	{Name: "tab2", Golden: 0x11ba990aebb78a2f, probe: &familyProbe{spec: "deliba-k-hw", readPct: 100},
 		Run: adapt(Table2, func(r *Table2Result) Outcome { return pinned(r, r.Tables()...) })},
 	{Name: "tab3", Run: func(Config) (Outcome, error) {
 		tabs, err := Table3()
