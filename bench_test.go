@@ -29,8 +29,8 @@ func BenchmarkFig3SoftwareReplication(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			dk, _ := res.LatencyOf(core.StackDKSW, "rand-read", 4096)
-			d2, _ := res.LatencyOf(core.StackD2SW, "rand-read", 4096)
+			dk, _ := res.LatencyOf("deliba-k-sw", "rand-read", 4096)
+			d2, _ := res.LatencyOf("deliba-2-sw", "rand-read", 4096)
 			b.ReportMetric(dk.Microseconds(), "dk-sw-rand-read-µs")
 			b.ReportMetric(d2.Microseconds(), "d2-sw-rand-read-µs")
 		}
@@ -45,7 +45,7 @@ func BenchmarkFig4SoftwareErasure(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			dk, _ := res.LatencyOf(core.StackDKSW, "rand-write", 4096)
+			dk, _ := res.LatencyOf("deliba-k-sw", "rand-write", 4096)
 			b.ReportMetric(dk.Microseconds(), "dk-sw-ec-rand-write-µs")
 		}
 	}
@@ -135,8 +135,8 @@ func BenchmarkTable2Latency(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			dk, _ := res.Latency(core.StackDKHW, false, "rand-read")
-			d2, _ := res.Latency(core.StackD2HW, false, "rand-read")
+			dk, _ := res.Latency("deliba-k-hw", false, "rand-read")
+			d2, _ := res.Latency("deliba-2-hw", false, "rand-read")
 			b.ReportMetric(dk.Microseconds(), "dk-rand-read-µs")
 			b.ReportMetric(d2.Microseconds(), "d2-rand-read-µs")
 		}
@@ -246,7 +246,11 @@ func BenchmarkStackDKHW4kRandWrite(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stack, err := tb.NewStack(core.StackDKHW, false)
+		spec, err := core.ParseStackSpec("deliba-k-hw")
+		if err != nil {
+			b.Fatal(err)
+		}
+		stack, err := tb.BuildStack(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

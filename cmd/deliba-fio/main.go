@@ -1,12 +1,18 @@
-// Command deliba-fio runs a single fio-style workload against any framework
-// stack on the simulated testbed and prints latency and throughput.
+// Command deliba-fio runs a single fio-style workload against any stack
+// composition on the simulated testbed and prints latency and throughput;
+// -profile adds the latency breakdown of every span name.
 //
 // Usage:
 //
 //	deliba-fio -stack deliba-k-hw -rw randwrite -bs 4096 -qd 16 -jobs 3 -ops 2000
+//	deliba-fio -stack deliba-k-hw+ec -profile
+//	deliba-fio -stack iouring,dmq-bypass,qdma,hls-crush,card-rtl -profile
 //
-// Stacks: deliba-k-hw, deliba-2-hw, deliba-1-hw, deliba-k-sw, deliba-2-sw.
-// Workloads (-rw): read, write, randread, randwrite, or rw:<readpct>.
+// -stack takes any core.ParseStackSpec string: one of the five paper stacks
+// (deliba-1-hw, deliba-2-sw, deliba-2-hw, deliba-k-sw, deliba-k-hw), a name
+// with '+'-joined options (ec, cache-lsvd, repl-raft, qos-dmclock, ...), or
+// a layer-token list. Workloads (-rw): read, write, randread, randwrite, or
+// rw:<readpct>.
 package main
 
 import (
@@ -21,16 +27,8 @@ import (
 	"repro/internal/trace"
 )
 
-var stackNames = map[string]core.StackKind{
-	"deliba-k-hw": core.StackDKHW,
-	"deliba-2-hw": core.StackD2HW,
-	"deliba-1-hw": core.StackD1HW,
-	"deliba-k-sw": core.StackDKSW,
-	"deliba-2-sw": core.StackD2SW,
-}
-
 func main() {
-	stackName := flag.String("stack", "deliba-k-hw", "framework stack")
+	stackStr := flag.String("stack", "deliba-k-hw", "stack composition: a name, name+options, or layer tokens")
 	rw := flag.String("rw", "randread", "read|write|randread|randwrite|rw:<readpct>")
 	bs := flag.Int("bs", 4096, "block size in bytes")
 	bssplit := flag.String("bssplit", "", "mixed sizes, e.g. 4096/70:65536/30 (size/weight)")
@@ -38,14 +36,13 @@ func main() {
 	jobs := flag.Int("jobs", 3, "parallel jobs")
 	ops := flag.Int("ops", 2000, "ops per job")
 	ramp := flag.Int("ramp", 100, "warm-up ops per job (excluded from stats)")
-	ec := flag.Bool("ec", false, "use the erasure-coded pool")
 	seed := flag.Uint64("seed", 1, "random seed")
 	profile := flag.Bool("profile", false, "print the latency breakdown of every span name (traces every op)")
 	flag.Parse()
 
-	kind, ok := stackNames[*stackName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "deliba-fio: unknown stack %q\n", *stackName)
+	spec, err := core.ParseStackSpec(*stackStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deliba-fio:", err)
 		os.Exit(2)
 	}
 	readPct, pattern, err := parseRW(*rw)
@@ -54,7 +51,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
+	cfg := core.DefaultTestbedConfig()
+	if spec.Replication == core.ReplRaft {
+		// The raft router fails fast with ErrNoLeader while an election is
+		// still resolving; the client retry layer is part of that protocol's
+		// contract, so arm it.
+		cfg.Resilience = core.DefaultResilienceConfig()
+		cfg.Resilience.Seed = *seed
+	}
+	tb, err := core.NewTestbed(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,7 +68,7 @@ func main() {
 		tr = trace.New(trace.Config{SampleEvery: 1})
 		tb.EnableTracing(tr)
 	}
-	stack, err := tb.NewStack(kind, *ec)
+	stack, err := tb.BuildStack(spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,7 +92,9 @@ func main() {
 		fatal(err)
 	}
 	s := res.Lat.Summarize()
-	fmt.Printf("%s %s on %s (ec=%v)\n", res.Spec, "completed", stack.Name(), *ec)
+	fmt.Printf("stack %s: %v / %v / %v / %v / %v (ec=%v)\n", spec.Name,
+		spec.HostAPI, spec.Block, spec.Transport, spec.Placement, spec.Fanout, spec.EC)
+	fmt.Printf("%s completed\n", res.Spec)
 	fmt.Printf("  iops      : %.0f (%.2f kIOPS)\n", res.IOPS(), res.KIOPS())
 	fmt.Printf("  bandwidth : %.1f MB/s\n", res.MBps())
 	fmt.Printf("  latency   : min=%v mean=%v p50=%v p95=%v p99=%v max=%v\n",

@@ -7,8 +7,6 @@
 //
 //	delibabench [-quick] [-parallel n] [-shards n] [-only fig3,fig6,tab2,...]
 //	delibabench [-quick] [-only ...] -report report.json
-//	delibabench -stack deliba-k-hw
-//	delibabench -stack iouring,dmq-bypass,qdma,hls-crush,card-rtl,ec
 //	delibabench -quick -trace trace.json [-tracesample 8]
 //
 // Families (-only ids), in print order: fig3 fig4 tab1 fig6 (Figs. 6 and 7
@@ -39,10 +37,7 @@
 // exemplars and critical-path attribution. The file is byte-identical at
 // any -parallel/-shards setting. Inspect it with `dfxtool trace`.
 //
-// -stack assembles one composition from a declarative spec — a named
-// generation or a comma-separated layer list (see core.ParseStackSpec) —
-// runs a short mixed workload on it, and prints throughput plus the
-// per-stage latency breakdown recorded at every layer boundary.
+// To profile one stack composition, use `deliba-fio -stack <spec> -profile`.
 package main
 
 import (
@@ -60,7 +55,6 @@ func main() {
 	par := flag.Int("parallel", 0, "experiment runner workers (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 1, "simulation engine shards (results identical at any setting)")
 	reportPath := flag.String("report", "", "write the determinism, check and table report to this JSON path")
-	stackSpec := flag.String("stack", "", "build one stack composition (name or layer tokens) and profile it")
 	tracePath := flag.String("trace", "", "run the per-I/O trace sweep and write a Perfetto trace_event file to this path")
 	traceSample := flag.Int("tracesample", experiments.DefaultTraceSample, "trace every Nth op on healthy cells (fault cells always trace every op)")
 	flag.Parse()
@@ -71,18 +65,15 @@ func main() {
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	if err := run(cfg, *only, *reportPath, *stackSpec, *tracePath, *traceSample); err != nil {
+	if err := run(cfg, *only, *reportPath, *tracePath, *traceSample); err != nil {
 		fmt.Fprintln(os.Stderr, "delibabench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg experiments.Config, only, reportPath, stackSpec, tracePath string, traceSample int) error {
-	switch {
-	case tracePath != "":
+func run(cfg experiments.Config, only, reportPath, tracePath string, traceSample int) error {
+	if tracePath != "" {
 		return runTrace(tracePath, traceSample, cfg)
-	case stackSpec != "":
-		return runStack(stackSpec)
 	}
 	fams := experiments.Families()
 	if only != "" {

@@ -2,13 +2,22 @@ package deliba
 
 import "testing"
 
+// buildStack parses a stack spec string and builds it on tb.
+func buildStack(tb *Testbed, s string) (Stack, error) {
+	spec, err := ParseStackSpec(s)
+	if err != nil {
+		return nil, err
+	}
+	return tb.BuildStack(spec)
+}
+
 // TestPublicAPIQuickstart exercises the facade the README documents.
 func TestPublicAPIQuickstart(t *testing.T) {
 	tb, err := NewTestbed(DefaultTestbedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := tb.NewStack(StackDKHW, false)
+	stack, err := buildStack(tb, "deliba-k-hw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +46,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 // TestPublicAPIComparison runs the headline DK-vs-D2 comparison through the
 // facade only.
 func TestPublicAPIComparison(t *testing.T) {
-	run := func(kind StackKind) float64 {
+	run := func(name string) float64 {
 		tb, err := NewTestbed(DefaultTestbedConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		stack, err := tb.NewStack(kind, false)
+		stack, err := buildStack(tb, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +64,8 @@ func TestPublicAPIComparison(t *testing.T) {
 		}
 		return res.MBps()
 	}
-	dk := run(StackDKHW)
-	d2 := run(StackD2HW)
+	dk := run("deliba-k-hw")
+	d2 := run("deliba-2-hw")
 	if dk <= d2 {
 		t.Fatalf("DK (%.1f MB/s) not above D2 (%.1f MB/s)", dk, d2)
 	}
@@ -68,7 +77,7 @@ func TestPublicAPIErasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := tb.NewStack(StackDKHW, true)
+	stack, err := buildStack(tb, "deliba-k-hw+ec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestPublicAPIErasure(t *testing.T) {
 		t.Fatalf("EC run: %v, errors=%d", err, res.Errors)
 	}
 	tb2, _ := NewTestbed(DefaultTestbedConfig())
-	if _, err := tb2.NewStack(StackD1HW, true); err == nil {
+	if _, err := buildStack(tb2, "deliba-1-hw+ec"); err == nil {
 		t.Fatal("DeLiBA-1 EC stack should be rejected")
 	}
 }

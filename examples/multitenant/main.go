@@ -22,7 +22,7 @@ func run(qos core.QoSKind) (*fio.TenantResult, *core.Testbed) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec, err := core.Spec(core.StackDKHW)
+	spec, err := core.ParseStackSpec("deliba-k-hw")
 	if err != nil {
 		log.Fatal(err)
 	}

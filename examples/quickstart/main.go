@@ -10,12 +10,16 @@ import (
 	deliba "repro"
 )
 
-func run(kind deliba.StackKind) *deliba.Result {
+func run(name string) *deliba.Result {
 	tb, err := deliba.NewTestbed(deliba.DefaultTestbedConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	stack, err := tb.NewStack(kind, false)
+	spec, err := deliba.ParseStackSpec(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stack, err := tb.BuildStack(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,8 +39,8 @@ func run(kind deliba.StackKind) *deliba.Result {
 
 func main() {
 	fmt.Println("DeLiBA-K quickstart: 4 kB random writes, 3 jobs, QD 16")
-	dk := run(deliba.StackDKHW)
-	d2 := run(deliba.StackD2HW)
+	dk := run("deliba-k-hw")
+	d2 := run("deliba-2-hw")
 	fmt.Printf("  deliba-k-hw: %8.1f MB/s  %6.1f kIOPS  mean latency %v\n",
 		dk.MBps(), dk.KIOPS(), dk.Lat.Mean())
 	fmt.Printf("  deliba-2-hw: %8.1f MB/s  %6.1f kIOPS  mean latency %v\n",

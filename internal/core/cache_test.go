@@ -20,7 +20,7 @@ func TestParseCacheSpec(t *testing.T) {
 	if spec.Name != "deliba-k-hw+cache-lsvd" {
 		t.Errorf("name = %q, want the compound form", spec.Name)
 	}
-	base, _ := Spec(StackDKHW)
+	base, _ := ParseStackSpec("deliba-k-hw")
 	if spec.Transport != base.Transport || spec.Placement != base.Placement {
 		t.Errorf("named base layers not inherited: %+v", spec)
 	}

@@ -6,9 +6,20 @@ import (
 	"repro/internal/sim"
 )
 
+// buildNamed builds one of the five paper stacks by name, on the
+// erasure-coded pool when ec is set.
+func buildNamed(tb *Testbed, name string, ec bool) (Stack, error) {
+	spec, err := ParseStackSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	spec.EC = ec
+	return tb.BuildStack(spec)
+}
+
 // measureQD1 runs ops sequential operations at queue depth 1 and returns
 // the mean latency.
-func measureQD1(t *testing.T, kind StackKind, ec bool, op OpType, pattern Pattern, size, ops int) sim.Duration {
+func measureQD1(t *testing.T, name string, ec bool, op OpType, pattern Pattern, size, ops int) sim.Duration {
 	t.Helper()
 	cfg := DefaultTestbedConfig()
 	cfg.Jitter = false
@@ -16,7 +27,7 @@ func measureQD1(t *testing.T, kind StackKind, ec bool, op OpType, pattern Patter
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := tb.NewStack(kind, ec)
+	stack, err := buildNamed(tb, name, ec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +67,7 @@ func TestDKHWLatencyAnchors(t *testing.T) {
 		{Write, Rand, 50 * sim.Microsecond, 85 * sim.Microsecond},
 	}
 	for _, c := range cases {
-		got := measureQD1(t, StackDKHW, false, c.op, c.pattern, 4096, 40)
+		got := measureQD1(t, "deliba-k-hw", false, c.op, c.pattern, 4096, 40)
 		if got < c.lo || got > c.hi {
 			t.Errorf("DK-HW %v-%v 4kB latency = %v, want [%v, %v]",
 				c.pattern, c.op, got, c.lo, c.hi)
@@ -67,26 +78,26 @@ func TestDKHWLatencyAnchors(t *testing.T) {
 func TestGenerationLatencyOrdering(t *testing.T) {
 	// At 4 kB the paper's ordering must hold per op/pattern:
 	// DK < D2 < D1 (hardware) and DK-HW < DK-SW, D2-HW < D2-SW.
-	type m = map[StackKind]sim.Duration
+	type m = map[string]sim.Duration
 	for _, c := range []struct {
 		op      OpType
 		pattern Pattern
 	}{{Read, Rand}, {Write, Rand}, {Read, Seq}, {Write, Seq}} {
 		lat := m{}
-		for _, kind := range []StackKind{StackDKHW, StackD2HW, StackD1HW, StackDKSW, StackD2SW} {
-			lat[kind] = measureQD1(t, kind, false, c.op, c.pattern, 4096, 30)
+		for _, spec := range NamedSpecs() {
+			lat[spec.Name] = measureQD1(t, spec.Name, false, c.op, c.pattern, 4096, 30)
 		}
-		if !(lat[StackDKHW] < lat[StackD2HW] && lat[StackD2HW] < lat[StackD1HW]) {
+		if !(lat["deliba-k-hw"] < lat["deliba-2-hw"] && lat["deliba-2-hw"] < lat["deliba-1-hw"]) {
 			t.Errorf("%v-%v: HW ordering violated: DK=%v D2=%v D1=%v",
-				c.pattern, c.op, lat[StackDKHW], lat[StackD2HW], lat[StackD1HW])
+				c.pattern, c.op, lat["deliba-k-hw"], lat["deliba-2-hw"], lat["deliba-1-hw"])
 		}
-		if lat[StackDKHW] >= lat[StackDKSW] {
+		if lat["deliba-k-hw"] >= lat["deliba-k-sw"] {
 			t.Errorf("%v-%v: DK-HW (%v) not faster than DK-SW (%v)",
-				c.pattern, c.op, lat[StackDKHW], lat[StackDKSW])
+				c.pattern, c.op, lat["deliba-k-hw"], lat["deliba-k-sw"])
 		}
-		if lat[StackDKSW] >= lat[StackD2SW] {
+		if lat["deliba-k-sw"] >= lat["deliba-2-sw"] {
 			t.Errorf("%v-%v: DK-SW (%v) not faster than D2-SW (%v)",
-				c.pattern, c.op, lat[StackDKSW], lat[StackD2SW])
+				c.pattern, c.op, lat["deliba-k-sw"], lat["deliba-2-sw"])
 		}
 	}
 }
@@ -94,10 +105,10 @@ func TestGenerationLatencyOrdering(t *testing.T) {
 func TestSoftwareBaselineAnchors(t *testing.T) {
 	// Fig 3: 4 kB random read ~85 µs (DK-SW) vs ~130 µs (D2-SW);
 	// random write ~80 µs vs ~98 µs.
-	rrDK := measureQD1(t, StackDKSW, false, Read, Rand, 4096, 40)
-	rrD2 := measureQD1(t, StackD2SW, false, Read, Rand, 4096, 40)
-	rwDK := measureQD1(t, StackDKSW, false, Write, Rand, 4096, 40)
-	rwD2 := measureQD1(t, StackD2SW, false, Write, Rand, 4096, 40)
+	rrDK := measureQD1(t, "deliba-k-sw", false, Read, Rand, 4096, 40)
+	rrD2 := measureQD1(t, "deliba-2-sw", false, Read, Rand, 4096, 40)
+	rwDK := measureQD1(t, "deliba-k-sw", false, Write, Rand, 4096, 40)
+	rwD2 := measureQD1(t, "deliba-2-sw", false, Write, Rand, 4096, 40)
 	check := func(name string, got, want sim.Duration) {
 		lo := want * 7 / 10
 		hi := want * 13 / 10
@@ -118,8 +129,8 @@ func TestECFasterThanReplicationOnDK(t *testing.T) {
 		op      OpType
 		pattern Pattern
 	}{{Write, Rand}, {Write, Seq}} {
-		repl := measureQD1(t, StackDKHW, false, c.op, c.pattern, 4096, 30)
-		ec := measureQD1(t, StackDKHW, true, c.op, c.pattern, 4096, 30)
+		repl := measureQD1(t, "deliba-k-hw", false, c.op, c.pattern, 4096, 30)
+		ec := measureQD1(t, "deliba-k-hw", true, c.op, c.pattern, 4096, 30)
 		// The paper's EC latencies sit at or just below replication's; our
 		// 2-replica testbed narrows the byte-volume gap, so allow EC to
 		// land within 20% (EXPERIMENTS.md discusses the residual).
@@ -134,51 +145,43 @@ func TestD1RejectsEC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.NewStack(StackD1HW, true); err == nil {
+	if _, err := buildNamed(tb, "deliba-1-hw", true); err == nil {
 		t.Fatal("DeLiBA-1 EC stack built; the paper says D1 had no EC accelerators")
 	}
 }
 
 func TestSeqFasterThanRand(t *testing.T) {
-	for _, kind := range []StackKind{StackDKHW, StackDKSW} {
-		seq := measureQD1(t, kind, false, Read, Seq, 4096, 30)
-		rand := measureQD1(t, kind, false, Read, Rand, 4096, 30)
+	for _, name := range []string{"deliba-k-hw", "deliba-k-sw"} {
+		seq := measureQD1(t, name, false, Read, Seq, 4096, 30)
+		rand := measureQD1(t, name, false, Read, Rand, 4096, 30)
 		if seq >= rand {
-			t.Errorf("%v: seq read (%v) not faster than rand read (%v)", kind, seq, rand)
+			t.Errorf("%s: seq read (%v) not faster than rand read (%v)", name, seq, rand)
 		}
 	}
 }
 
 func TestLargerBlocksHigherLatency(t *testing.T) {
-	small := measureQD1(t, StackDKHW, false, Write, Seq, 4096, 20)
-	big := measureQD1(t, StackDKHW, false, Write, Seq, 131072, 20)
+	small := measureQD1(t, "deliba-k-hw", false, Write, Seq, 4096, 20)
+	big := measureQD1(t, "deliba-k-hw", false, Write, Seq, 131072, 20)
 	if big <= small {
 		t.Errorf("128kB write (%v) not slower than 4kB (%v)", big, small)
 	}
 }
 
+// TestStackNames builds every row of the spec table by its name and
+// checks the stack reports that name.
 func TestStackNames(t *testing.T) {
-	names := map[StackKind]string{
-		StackDKHW: "deliba-k-hw",
-		StackD2HW: "deliba-2-hw",
-		StackD1HW: "deliba-1-hw",
-		StackDKSW: "deliba-k-sw",
-		StackD2SW: "deliba-2-sw",
-	}
-	for kind, want := range names {
-		if kind.String() != want {
-			t.Errorf("%d.String() = %q, want %q", kind, kind.String(), want)
-		}
+	for _, spec := range NamedSpecs() {
 		tb, err := NewTestbed(DefaultTestbedConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := tb.NewStack(kind, false)
+		s, err := buildNamed(tb, spec.Name, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Name() != want {
-			t.Errorf("stack name = %q, want %q", s.Name(), want)
+		if s.Name() != spec.Name {
+			t.Errorf("stack name = %q, want %q", s.Name(), spec.Name)
 		}
 		s.Close()
 	}

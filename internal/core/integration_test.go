@@ -17,7 +17,7 @@ func TestSixStageLifecycleCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := tb.NewStack(StackDKHW, false)
+	stack, err := buildNamed(tb, "deliba-k-hw", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	mon := rados.NewMonitor(tb.Cluster)
 	mon.HeartbeatEvery = 500 * sim.Microsecond
 	mon.Grace = 2 * sim.Millisecond
-	stack, err := tb.NewStack(StackDKHW, false)
+	stack, err := buildNamed(tb, "deliba-k-hw", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	// and check its counter stays put.
 	before := tb.Cluster.OSDs[9].Served()
 	tb.Eng.Spawn("post", func(p *sim.Proc) {
-		stack2, err := tb.NewStack(StackD2SW, false) // fresh stack on same testbed
+		stack2, err := buildNamed(tb, "deliba-2-sw", false) // fresh stack on same testbed
 		if err != nil {
 			t.Error(err)
 			return

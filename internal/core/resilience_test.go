@@ -288,7 +288,7 @@ func TestDoDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := tbd.NewStack(StackDKSW, false)
+	stack, err := buildNamed(tbd, "deliba-k-sw", false)
 	if err != nil {
 		t.Fatal(err)
 	}

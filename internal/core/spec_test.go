@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestNamedSpecsBuild(t *testing.T) {
 // TestBuildStackRejectsInvalidCombos exercises every validation rule and
 // checks the error names the conflicting layers.
 func TestBuildStackRejectsInvalidCombos(t *testing.T) {
-	dk := func() StackSpec { s, _ := Spec(StackDKHW); return s }
+	dk := func() StackSpec { s, _ := ParseStackSpec("deliba-k-hw"); return s }
 	cases := []struct {
 		name string
 		spec StackSpec
@@ -75,12 +76,12 @@ func TestBuildStackRejectsInvalidCombos(t *testing.T) {
 			return s
 		}(), "requires a kernel block layer"},
 		{"nbd-cannot-drive-dmq", func() StackSpec {
-			s, _ := Spec(StackD2HW)
+			s, _ := ParseStackSpec("deliba-2-hw")
 			s.Block = BlockDMQBypass
 			return s
 		}(), "cannot drive block layer"},
 		{"qdma-needs-iouring", func() StackSpec {
-			s, _ := Spec(StackD2HW)
+			s, _ := ParseStackSpec("deliba-2-hw")
 			s.Transport = TransportQDMA
 			s.Block = BlockNone
 			return s
@@ -91,12 +92,12 @@ func TestBuildStackRejectsInvalidCombos(t *testing.T) {
 			return s
 		}(), "requires host API nbd"},
 		{"mq-deadline-needs-qdma", func() StackSpec {
-			s, _ := Spec(StackDKSW)
+			s, _ := ParseStackSpec("deliba-k-sw")
 			s.Block = BlockMQDeadline
 			return s
 		}(), "only exists on the qdma path"},
 		{"card-placement-needs-card", func() StackSpec {
-			s, _ := Spec(StackDKSW)
+			s, _ := ParseStackSpec("deliba-k-sw")
 			s.Placement = PlacementRTL
 			return s
 		}(), "runs on the card and requires transport"},
@@ -106,7 +107,7 @@ func TestBuildStackRejectsInvalidCombos(t *testing.T) {
 			return s
 		}(), "needs no card"},
 		{"card-fanout-needs-card-placement", func() StackSpec {
-			s, _ := Spec(StackDKSW)
+			s, _ := ParseStackSpec("deliba-k-sw")
 			s.Fanout = FanoutCardRTL
 			return s
 		}(), "the card never learns the placement"},
@@ -116,7 +117,7 @@ func TestBuildStackRejectsInvalidCombos(t *testing.T) {
 			return s
 		}(), "needs the legacy-dma offload round trip"},
 		{"ring-options-need-iouring", func() StackSpec {
-			s, _ := Spec(StackD2HW)
+			s, _ := ParseStackSpec("deliba-2-hw")
 			s.RingInterrupt = true
 			return s
 		}(), "ring options"},
@@ -144,7 +145,7 @@ func TestBuildStackRejectsInvalidCombos(t *testing.T) {
 	}
 
 	// EC on the D1 shape lacks an RS path on either side of the DMA link.
-	d1, _ := Spec(StackD1HW)
+	d1, _ := ParseStackSpec("deliba-1-hw")
 	d1.EC = true
 	if _, err := tb.BuildStack(d1); !errors.Is(err, errNoECInD1) {
 		t.Errorf("EC on D1 shape: err = %v, want errNoECInD1", err)
@@ -184,15 +185,46 @@ func TestBuildStackHybrid(t *testing.T) {
 // TestParseStackSpec covers the named shortcuts, token lists, option
 // parsing, and rejection of junk.
 func TestParseStackSpec(t *testing.T) {
-	for _, kind := range []StackKind{StackDKHW, StackDKSW, StackD2HW, StackD2SW, StackD1HW} {
-		spec, err := ParseStackSpec(kind.String())
+	// The paper's Fig. 3, pinned layer by layer: host API, block layer,
+	// transport, placement, fan-out.
+	rows := []StackSpec{
+		{Name: "deliba-1-hw", HostAPI: HostNBD, Block: BlockNone,
+			Transport: TransportLegacyDMA, Placement: PlacementHLS, Fanout: FanoutHostTCP},
+		{Name: "deliba-2-sw", HostAPI: HostNBD, Block: BlockNone,
+			Transport: TransportHostOnly, Placement: PlacementSoftware, Fanout: FanoutHostTCP},
+		{Name: "deliba-2-hw", HostAPI: HostNBD, Block: BlockNone,
+			Transport: TransportLegacyDMA, Placement: PlacementHLS, Fanout: FanoutCardHLS},
+		{Name: "deliba-k-sw", HostAPI: HostIOUring, Block: BlockDMQBypass,
+			Transport: TransportHostOnly, Placement: PlacementSoftware, Fanout: FanoutHostTCP},
+		{Name: "deliba-k-hw", HostAPI: HostIOUring, Block: BlockDMQBypass,
+			Transport: TransportQDMA, Placement: PlacementRTL, Fanout: FanoutCardRTL},
+	}
+	if got := NamedSpecs(); !slices.Equal(got, rows) {
+		t.Fatalf("NamedSpecs() = %+v, want %+v", got, rows)
+	}
+	for _, want := range rows {
+		spec, err := ParseStackSpec(want.Name)
 		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+			t.Fatalf("%s: %v", want.Name, err)
 		}
-		want, _ := Spec(kind)
 		if spec != want {
-			t.Errorf("ParseStackSpec(%q) = %+v, want %+v", kind.String(), spec, want)
+			t.Errorf("ParseStackSpec(%q) = %+v, want %+v", want.Name, spec, want)
 		}
+		if want.Name == "deliba-1-hw" {
+			continue // DeLiBA-1 had no erasure-coding accelerators
+		}
+		ec, err := ParseStackSpec(want.Name + "+ec")
+		if err != nil {
+			t.Fatalf("%s+ec: %v", want.Name, err)
+		}
+		want.Name += "+ec"
+		want.EC = true
+		if ec != want {
+			t.Errorf("ParseStackSpec(%q) = %+v, want only EC set: %+v", want.Name, ec, want)
+		}
+	}
+	if _, err := ParseStackSpec("deliba-1-hw+ec"); err == nil {
+		t.Error("ParseStackSpec accepted deliba-1-hw+ec")
 	}
 
 	spec, err := ParseStackSpec("iouring,dmq-bypass,qdma,rtl-crush,card-rtl,ec,interrupt,instances=1,entries=64")
@@ -230,7 +262,7 @@ func TestSQFullBackoffDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, _ := Spec(StackDKHW)
+		spec, _ := ParseStackSpec("deliba-k-hw")
 		spec.Instances = 1
 		spec.RingEntries = 2
 		stack, err := tb.BuildStack(spec)

@@ -28,7 +28,7 @@ func TestSpanStagesRecordPipeline(t *testing.T) {
 	}
 	tr := trace.New(trace.Config{SampleEvery: 1})
 	tb.EnableTracing(tr)
-	stack, err := tb.NewStack(StackDKHW, true) // EC: exercises the encoder too
+	stack, err := buildNamed(tb, "deliba-k-hw", true) // EC: exercises the encoder too
 	if err != nil {
 		t.Fatal(err)
 	}

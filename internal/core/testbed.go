@@ -273,41 +273,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	return tb, nil
 }
 
-// StackKind names the buildable framework variants.
-type StackKind int
-
-const (
-	// StackDKHW is hardware-accelerated DeLiBA-K (the paper's D3).
-	StackDKHW StackKind = iota
-	// StackD2HW is hardware-accelerated DeLiBA-2.
-	StackD2HW
-	// StackD1HW is hardware-accelerated DeLiBA-1 (replication only).
-	StackD1HW
-	// StackDKSW is the DeLiBA-K software baseline (io_uring + kernel DMQ
-	// + RBD, no FPGA).
-	StackDKSW
-	// StackD2SW is the DeLiBA-2 software baseline (NBD + user-space
-	// libraries, no FPGA).
-	StackD2SW
-)
-
-func (k StackKind) String() string {
-	switch k {
-	case StackDKHW:
-		return "deliba-k-hw"
-	case StackD2HW:
-		return "deliba-2-hw"
-	case StackD1HW:
-		return "deliba-1-hw"
-	case StackDKSW:
-		return "deliba-k-sw"
-	case StackD2SW:
-		return "deliba-2-sw"
-	default:
-		return fmt.Sprintf("stack(%d)", int(k))
-	}
-}
-
 // poolAndImage selects the pool/image pair for the mode.
 func (tb *Testbed) poolAndImage(ec bool) (*rados.Pool, *rbd.Image) {
 	if ec {
@@ -324,16 +289,4 @@ func (tb *Testbed) raftSystem() *raft.System {
 		tb.RaftSys.Sink = tb.traceHost
 	}
 	return tb.RaftSys
-}
-
-// NewStack constructs a framework stack over this testbed from the kind's
-// declarative spec. ec selects the erasure-coded pool instead of the
-// replicated one.
-func (tb *Testbed) NewStack(kind StackKind, ec bool) (Stack, error) {
-	spec, err := Spec(kind)
-	if err != nil {
-		return nil, err
-	}
-	spec.EC = ec
-	return tb.BuildStack(spec)
 }

@@ -51,7 +51,7 @@ func runDKVariant(cfg Config, mutate func(*core.StackSpec)) (kiops float64, lat 
 		if err != nil {
 			return nil, err
 		}
-		spec, err := core.Spec(core.StackDKHW)
+		spec, err := core.ParseStackSpec("deliba-k-hw")
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +123,7 @@ var ablationSpecs = []ablationSpec{
 func AblationStackSpecs() ([]core.StackSpec, error) {
 	out := make([]core.StackSpec, 0, len(ablationSpecs))
 	for _, a := range ablationSpecs {
-		spec, err := core.Spec(core.StackDKHW)
+		spec, err := core.ParseStackSpec("deliba-k-hw")
 		if err != nil {
 			return nil, err
 		}

@@ -65,7 +65,7 @@ var BlockSizes = []int{4096, 8192, 16384, 32768, 65536, 131072, 524288}
 
 // Point is one measured cell of a sweep.
 type Point struct {
-	Stack    core.StackKind
+	Stack    string // spec name (core.NamedSpecs)
 	EC       bool
 	Workload string
 	BS       int
@@ -75,18 +75,30 @@ type Point struct {
 	P99      sim.Duration
 }
 
+// buildNamed builds a named stack on tb, on the erasure-coded pool when ec
+// is set. The stack keeps the bare name, so job names, labels and digests
+// read the same in both pools.
+func buildNamed(tb *core.Testbed, name string, ec bool) (core.Stack, error) {
+	spec, err := core.ParseStackSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	spec.EC = ec
+	return tb.BuildStack(spec)
+}
+
 // runPoint builds a fresh testbed+stack and runs one fio spec on it.
-func runPoint(cfg Config, kind core.StackKind, ec bool, wl Workload, bs, qd, ops int) (Point, error) {
+func runPoint(cfg Config, name string, ec bool, wl Workload, bs, qd, ops int) (Point, error) {
 	tb, err := core.NewTestbed(testbedConfig())
 	if err != nil {
 		return Point{}, err
 	}
-	stack, err := tb.NewStack(kind, ec)
+	stack, err := buildNamed(tb, name, ec)
 	if err != nil {
 		return Point{}, err
 	}
 	res, err := fio.Run(tb.Eng, stack, fio.JobSpec{
-		Name:       fmt.Sprintf("%v-%s-%d", kind, wl.Name, bs),
+		Name:       fmt.Sprintf("%s-%s-%d", name, wl.Name, bs),
 		ReadPct:    wl.ReadPct,
 		Pattern:    wl.Pattern,
 		BlockSize:  bs,
@@ -100,10 +112,10 @@ func runPoint(cfg Config, kind core.StackKind, ec bool, wl Workload, bs, qd, ops
 		return Point{}, err
 	}
 	if res.Errors > 0 {
-		return Point{}, fmt.Errorf("experiments: %v %s bs=%d: %d I/O errors", kind, wl.Name, bs, res.Errors)
+		return Point{}, fmt.Errorf("experiments: %s %s bs=%d: %d I/O errors", name, wl.Name, bs, res.Errors)
 	}
 	return Point{
-		Stack:    kind,
+		Stack:    name,
 		EC:       ec,
 		Workload: wl.Name,
 		BS:       bs,
@@ -115,21 +127,17 @@ func runPoint(cfg Config, kind core.StackKind, ec bool, wl Workload, bs, qd, ops
 }
 
 // runLatency measures QD1, single-job latency for one cell.
-func runLatency(cfg Config, kind core.StackKind, ec bool, wl Workload, bs int) (Point, error) {
-	return runPointQD1(cfg, kind, ec, wl, bs)
-}
-
-func runPointQD1(cfg Config, kind core.StackKind, ec bool, wl Workload, bs int) (Point, error) {
+func runLatency(cfg Config, name string, ec bool, wl Workload, bs int) (Point, error) {
 	tb, err := core.NewTestbed(testbedConfig())
 	if err != nil {
 		return Point{}, err
 	}
-	stack, err := tb.NewStack(kind, ec)
+	stack, err := buildNamed(tb, name, ec)
 	if err != nil {
 		return Point{}, err
 	}
 	res, err := fio.Run(tb.Eng, stack, fio.JobSpec{
-		Name:       fmt.Sprintf("lat-%v-%s-%d", kind, wl.Name, bs),
+		Name:       fmt.Sprintf("lat-%s-%s-%d", name, wl.Name, bs),
 		ReadPct:    wl.ReadPct,
 		Pattern:    wl.Pattern,
 		BlockSize:  bs,
@@ -143,10 +151,10 @@ func runPointQD1(cfg Config, kind core.StackKind, ec bool, wl Workload, bs int) 
 		return Point{}, err
 	}
 	if res.Errors > 0 {
-		return Point{}, fmt.Errorf("experiments: latency %v %s: %d errors", kind, wl.Name, res.Errors)
+		return Point{}, fmt.Errorf("experiments: latency %s %s: %d errors", name, wl.Name, res.Errors)
 	}
 	return Point{
-		Stack:    kind,
+		Stack:    name,
 		EC:       ec,
 		Workload: wl.Name,
 		BS:       bs,
@@ -158,9 +166,9 @@ func runPointQD1(cfg Config, kind core.StackKind, ec bool, wl Workload, bs int) 
 }
 
 // findPoint locates a sweep cell.
-func findPoint(points []Point, kind core.StackKind, wl string, bs int) (Point, bool) {
+func findPoint(points []Point, stack string, wl string, bs int) (Point, bool) {
 	for _, p := range points {
-		if p.Stack == kind && p.Workload == wl && p.BS == bs {
+		if p.Stack == stack && p.Workload == wl && p.BS == bs {
 			return p, true
 		}
 	}

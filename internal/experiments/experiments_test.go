@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fpga"
 	"repro/internal/sim"
 )
@@ -17,8 +16,8 @@ func TestFig3ShapeHolds(t *testing.T) {
 	// DK-SW must beat D2-SW on latency at every grid cell.
 	for _, wl := range StdWorkloads {
 		for _, bs := range swBaselineBlockSizes {
-			d2, ok1 := findPoint(res.Latency, core.StackD2SW, wl.Name, bs)
-			dk, ok2 := findPoint(res.Latency, core.StackDKSW, wl.Name, bs)
+			d2, ok1 := findPoint(res.Latency, "deliba-2-sw", wl.Name, bs)
+			dk, ok2 := findPoint(res.Latency, "deliba-k-sw", wl.Name, bs)
 			if !ok1 || !ok2 {
 				t.Fatalf("missing cells %s/%d", wl.Name, bs)
 			}
@@ -28,8 +27,8 @@ func TestFig3ShapeHolds(t *testing.T) {
 		}
 	}
 	// Fig 3 anchor: 4 kB random read ~85 µs DK-SW vs ~130 µs D2-SW.
-	dk, _ := findPoint(res.Latency, core.StackDKSW, "rand-read", 4096)
-	d2, _ := findPoint(res.Latency, core.StackD2SW, "rand-read", 4096)
+	dk, _ := findPoint(res.Latency, "deliba-k-sw", "rand-read", 4096)
+	d2, _ := findPoint(res.Latency, "deliba-2-sw", "rand-read", 4096)
 	if dk.Mean < 60*sim.Microsecond || dk.Mean > 110*sim.Microsecond {
 		t.Errorf("DK-SW rand-read 4kB = %v, want ~85µs", dk.Mean)
 	}
@@ -49,8 +48,8 @@ func TestFig4ECBaseline(t *testing.T) {
 	}
 	// EC mode: DK-SW random write throughput gain over D2-SW (paper: 2.88x
 	// at the cluster level; require a clear win).
-	d2, _ := findPoint(res.Rate, core.StackD2SW, "rand-write", 4096)
-	dk, _ := findPoint(res.Rate, core.StackDKSW, "rand-write", 4096)
+	d2, _ := findPoint(res.Rate, "deliba-2-sw", "rand-write", 4096)
+	dk, _ := findPoint(res.Rate, "deliba-k-sw", "rand-write", 4096)
 	if dk.MBps <= d2.MBps {
 		t.Errorf("EC rand-write: DK-SW %.1f MB/s not above D2-SW %.1f", dk.MBps, d2.MBps)
 	}
@@ -96,20 +95,20 @@ func TestTable2LatencyGrid(t *testing.T) {
 	}
 	// Orderings per workload: D1 > D2 > DK (replication), D2 > DK (EC).
 	for _, wl := range StdWorkloads {
-		d1, _ := res.Latency(core.StackD1HW, false, wl.Name)
-		d2, _ := res.Latency(core.StackD2HW, false, wl.Name)
-		dk, _ := res.Latency(core.StackDKHW, false, wl.Name)
+		d1, _ := res.Latency("deliba-1-hw", false, wl.Name)
+		d2, _ := res.Latency("deliba-2-hw", false, wl.Name)
+		dk, _ := res.Latency("deliba-k-hw", false, wl.Name)
 		if !(dk < d2 && d2 < d1) {
 			t.Errorf("replication %s: DK=%v D2=%v D1=%v (want DK<D2<D1)", wl.Name, dk, d2, d1)
 		}
-		d2e, _ := res.Latency(core.StackD2HW, true, wl.Name)
-		dke, _ := res.Latency(core.StackDKHW, true, wl.Name)
+		d2e, _ := res.Latency("deliba-2-hw", true, wl.Name)
+		dke, _ := res.Latency("deliba-k-hw", true, wl.Name)
 		if dke >= d2e {
 			t.Errorf("EC %s: DK=%v not below D2=%v", wl.Name, dke, d2e)
 		}
 	}
 	// Paper anchor: DK rand-read 64 µs ±30%.
-	dkrr, _ := res.Latency(core.StackDKHW, false, "rand-read")
+	dkrr, _ := res.Latency("deliba-k-hw", false, "rand-read")
 	if dkrr < 45*sim.Microsecond || dkrr > 85*sim.Microsecond {
 		t.Errorf("DK rand-read = %v, want ~64µs", dkrr)
 	}
@@ -180,9 +179,9 @@ func TestHWSweepAndHeadline(t *testing.T) {
 	// Generation ordering holds at every sweep cell: D1 < D2 < DK.
 	for _, wl := range StdWorkloads {
 		for _, bs := range BlockSizes {
-			d1, _ := findPoint(sweep.Points, core.StackD1HW, wl.Name, bs)
-			d2, _ := findPoint(sweep.Points, core.StackD2HW, wl.Name, bs)
-			dk, _ := findPoint(sweep.Points, core.StackDKHW, wl.Name, bs)
+			d1, _ := findPoint(sweep.Points, "deliba-1-hw", wl.Name, bs)
+			d2, _ := findPoint(sweep.Points, "deliba-2-hw", wl.Name, bs)
+			dk, _ := findPoint(sweep.Points, "deliba-k-hw", wl.Name, bs)
 			if !(d1.MBps < d2.MBps && d2.MBps < dk.MBps) {
 				t.Errorf("%s/%d: throughput ordering violated: D1=%.1f D2=%.1f DK=%.1f",
 					wl.Name, bs, d1.MBps, d2.MBps, dk.MBps)

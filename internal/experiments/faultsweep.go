@@ -21,7 +21,7 @@ import (
 
 // FaultCell is one measured (stack, fault scenario) coordinate.
 type FaultCell struct {
-	Stack    core.StackKind
+	Stack    string // spec name
 	Scenario string
 	// EC marks cells run against the erasure-coded pool.
 	EC bool
@@ -82,7 +82,7 @@ var faultPlans = []faultPlan{
 
 // faultSweepStacks compares the software baseline against the full
 // DeLiBA-K stack.
-var faultSweepStacks = []core.StackKind{core.StackDKSW, core.StackDKHW}
+var faultSweepStacks = []string{"deliba-k-sw", "deliba-k-hw"}
 
 // planSeed derives the per-scenario target-selection stream so adding a
 // scenario never shifts another's draws.
@@ -97,17 +97,17 @@ func planSeed(seed uint64, name string) uint64 {
 // the digest.
 func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 	type fsCell struct {
-		kind core.StackKind
-		plan faultPlan
+		stack string
+		plan  faultPlan
 	}
 	cells := make([]fsCell, 0, len(faultSweepStacks)*len(faultPlans))
-	for _, kind := range faultSweepStacks {
+	for _, stack := range faultSweepStacks {
 		for _, plan := range faultPlans {
-			cells = append(cells, fsCell{kind, plan})
+			cells = append(cells, fsCell{stack, plan})
 		}
 	}
 	out, err := RunCells(len(cells), func(i int) (FaultCell, error) {
-		return runFaultCell(cfg, cells[i].kind, cells[i].plan)
+		return runFaultCell(cfg, cells[i].stack, cells[i].plan)
 	})
 	if err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 
 // runFaultCell measures one cell: resilient testbed, armed injector, one
 // mixed random workload. I/O errors are folded into availability.
-func runFaultCell(cfg Config, kind core.StackKind, plan faultPlan) (FaultCell, error) {
+func runFaultCell(cfg Config, name string, plan faultPlan) (FaultCell, error) {
 	tcfg := testbedConfig()
 	tcfg.Resilience = core.DefaultResilienceConfig()
 	tcfg.Resilience.Seed = cfg.Seed
@@ -125,7 +125,7 @@ func runFaultCell(cfg Config, kind core.StackKind, plan faultPlan) (FaultCell, e
 	if err != nil {
 		return FaultCell{}, err
 	}
-	stack, err := tb.NewStack(kind, plan.ec)
+	stack, err := buildNamed(tb, name, plan.ec)
 	if err != nil {
 		return FaultCell{}, err
 	}
@@ -135,7 +135,7 @@ func runFaultCell(cfg Config, kind core.StackKind, plan faultPlan) (FaultCell, e
 		plan.arm(in, rng, len(tb.Cluster.OSDs), len(tb.Cluster.NodeHosts))
 	}
 	res, err := fio.Run(tb.Eng, stack, fio.JobSpec{
-		Name:       fmt.Sprintf("faults-%v-%s", kind, plan.name),
+		Name:       fmt.Sprintf("faults-%s-%s", name, plan.name),
 		ReadPct:    70,
 		Pattern:    core.Rand,
 		BlockSize:  4096,
@@ -154,7 +154,7 @@ func runFaultCell(cfg Config, kind core.StackKind, plan faultPlan) (FaultCell, e
 		avail = float64(measured-res.Errors) / float64(measured)
 	}
 	return FaultCell{
-		Stack:        kind,
+		Stack:        name,
 		Scenario:     plan.name,
 		EC:           plan.ec,
 		Ops:          measured,
@@ -189,7 +189,7 @@ func (r *FaultSweepResult) Table() *metrics.Table {
 		"stack", "scenario", "avail %", "mean us", "p99 us", "p999 us",
 		"retries", "failovers", "degraded", "deadlines", "drops")
 	for _, c := range r.Cells {
-		t.AddRow(c.Stack.String(), c.Scenario,
+		t.AddRow(c.Stack, c.Scenario,
 			fmt.Sprintf("%.3f", c.Availability*100),
 			us(c.Mean), us(c.P99), us(c.P999),
 			c.Res.Retries, c.Res.Failovers, c.Res.DegradedReads,

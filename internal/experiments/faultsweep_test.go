@@ -2,17 +2,15 @@ package experiments
 
 import (
 	"testing"
-
-	"repro/internal/core"
 )
 
 // faultSweepSerialRef is the literal nested loop FaultSweep replaces — the
 // serial leg of the determinism property.
 func faultSweepSerialRef(cfg Config) (*FaultSweepResult, error) {
 	res := &FaultSweepResult{}
-	for _, kind := range faultSweepStacks {
+	for _, stack := range faultSweepStacks {
 		for _, plan := range faultPlans {
-			cell, err := runFaultCell(cfg, kind, plan)
+			cell, err := runFaultCell(cfg, stack, plan)
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +116,7 @@ func TestFaultSweepHealthyMatchesBaselineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[core.StackKind]bool{}
+	seen := map[string]bool{}
 	for _, c := range res.Cells {
 		if c.Scenario != "healthy" {
 			continue
@@ -129,9 +127,9 @@ func TestFaultSweepHealthyMatchesBaselineShape(t *testing.T) {
 				c.Stack, c.Res, c.Faults.HookDrops, c.Errors)
 		}
 	}
-	for _, kind := range faultSweepStacks {
-		if !seen[kind] {
-			t.Errorf("no healthy cell for %v", kind)
+	for _, stack := range faultSweepStacks {
+		if !seen[stack] {
+			t.Errorf("no healthy cell for %s", stack)
 		}
 	}
 }

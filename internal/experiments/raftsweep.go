@@ -150,7 +150,7 @@ func runRaftCell(cfg Config, repl core.ReplKind, plan raftPlan) (RaftCell, error
 	if err != nil {
 		return RaftCell{}, err
 	}
-	spec, err := core.Spec(core.StackDKHW)
+	spec, err := core.ParseStackSpec("deliba-k-hw")
 	if err != nil {
 		return RaftCell{}, err
 	}

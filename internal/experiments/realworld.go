@@ -40,9 +40,9 @@ func (r *RealWorldResult) Table() *metrics.Table {
 // runTaskPair measures the same task on DeLiBA-2 and DeLiBA-K hardware as
 // two runner cells.
 func runTaskPair(cfg Config, name string, spec fio.JobSpec) (*RealWorldResult, error) {
-	kinds := []core.StackKind{core.StackD2HW, core.StackDKHW}
-	elapsed, err := RunCells(len(kinds), func(i int) (sim.Duration, error) {
-		return runTask(cfg, kinds[i], spec)
+	stacks := []string{"deliba-2-hw", "deliba-k-hw"}
+	elapsed, err := RunCells(len(stacks), func(i int) (sim.Duration, error) {
+		return runTask(cfg, stacks[i], spec)
 	})
 	if err != nil {
 		return nil, err
@@ -57,12 +57,12 @@ func (r *RealWorldResult) Digest() uint64 {
 	return h.Sum64()
 }
 
-func runTask(cfg Config, kind core.StackKind, spec fio.JobSpec) (sim.Duration, error) {
+func runTask(cfg Config, name string, spec fio.JobSpec) (sim.Duration, error) {
 	tb, err := core.NewTestbed(testbedConfig())
 	if err != nil {
 		return 0, err
 	}
-	stack, err := tb.NewStack(kind, false)
+	stack, err := buildNamed(tb, name, false)
 	if err != nil {
 		return 0, err
 	}
@@ -71,7 +71,7 @@ func runTask(cfg Config, kind core.StackKind, spec fio.JobSpec) (sim.Duration, e
 		return 0, err
 	}
 	if res.Errors > 0 {
-		return 0, fmt.Errorf("experiments: %s on %v: %d errors", spec.Name, kind, res.Errors)
+		return 0, fmt.Errorf("experiments: %s on %s: %d errors", spec.Name, name, res.Errors)
 	}
 	return res.Elapsed, nil
 }
@@ -125,8 +125,8 @@ func Headline(sweep *HWSweepResult) *HeadlineResult {
 	res := &HeadlineResult{}
 	for _, wl := range StdWorkloads {
 		for _, bs := range BlockSizes {
-			dk, ok1 := findPoint(sweep.Points, core.StackDKHW, wl.Name, bs)
-			d2, ok2 := findPoint(sweep.Points, core.StackD2HW, wl.Name, bs)
+			dk, ok1 := findPoint(sweep.Points, "deliba-k-hw", wl.Name, bs)
+			d2, ok2 := findPoint(sweep.Points, "deliba-2-hw", wl.Name, bs)
 			if !ok1 || !ok2 || d2.MBps == 0 {
 				continue
 			}

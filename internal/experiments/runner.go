@@ -130,20 +130,20 @@ func RunCells[T any](n int, run func(i int) (T, error)) ([]T, error) {
 
 // sweepCell is one (stack, workload, blocksize) coordinate of a grid sweep.
 type sweepCell struct {
-	kind core.StackKind
-	wl   Workload
-	bs   int
+	stack string // spec name
+	wl    Workload
+	bs    int
 }
 
 // enumCells expands the cross product in the canonical sweep order:
 // stacks outermost, then workloads, then block sizes — the same nesting the
 // serial loops used, which fixes the digest ordering.
-func enumCells(stacks []core.StackKind, wls []Workload, sizes []int) []sweepCell {
+func enumCells(stacks []string, wls []Workload, sizes []int) []sweepCell {
 	cells := make([]sweepCell, 0, len(stacks)*len(wls)*len(sizes))
-	for _, kind := range stacks {
+	for _, stack := range stacks {
 		for _, wl := range wls {
 			for _, bs := range sizes {
-				cells = append(cells, sweepCell{kind: kind, wl: wl, bs: bs})
+				cells = append(cells, sweepCell{stack: stack, wl: wl, bs: bs})
 			}
 		}
 	}

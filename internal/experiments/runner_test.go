@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // withParallelism runs fn with the runner pinned to n workers.
@@ -95,14 +93,14 @@ func determinismConfig(seed uint64) Config {
 // proving the conversion itself, not just worker-count invariance.
 func softwareBaselineSerialRef(cfg Config, ec bool) (*SWBaselineResult, error) {
 	res := &SWBaselineResult{EC: ec}
-	for _, kind := range []core.StackKind{core.StackD2SW, core.StackDKSW} {
+	for _, stack := range []string{"deliba-2-sw", "deliba-k-sw"} {
 		for _, wl := range StdWorkloads {
 			for _, bs := range swBaselineBlockSizes {
-				lp, err := runLatency(cfg, kind, ec, wl, bs)
+				lp, err := runLatency(cfg, stack, ec, wl, bs)
 				if err != nil {
 					return nil, err
 				}
-				tp, err := runPoint(cfg, kind, ec, wl, bs, cfg.QueueDepth, cfg.Ops)
+				tp, err := runPoint(cfg, stack, ec, wl, bs, cfg.QueueDepth, cfg.Ops)
 				if err != nil {
 					return nil, err
 				}

@@ -160,7 +160,7 @@ func runTenantCell(cfg Config, qos core.QoSKind, scenario string) (TenantCell, e
 	if err != nil {
 		return TenantCell{}, err
 	}
-	spec, err := core.Spec(core.StackDKHW)
+	spec, err := core.ParseStackSpec("deliba-k-hw")
 	if err != nil {
 		return TenantCell{}, err
 	}

@@ -168,7 +168,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 // every externally visible measurement into a string. traced toggles
 // SampleEvery=1 tracing; the fingerprints must be identical either way —
 // tracing may not perturb the simulation by a single event.
-func perturbFingerprint(t *testing.T, kind core.StackKind, spec string, traced bool) string {
+func perturbFingerprint(t *testing.T, spec string, traced bool) string {
 	t.Helper()
 	tb, err := core.NewTestbed(testbedConfig())
 	if err != nil {
@@ -177,21 +177,13 @@ func perturbFingerprint(t *testing.T, kind core.StackKind, spec string, traced b
 	if traced {
 		tb.EnableTracing(trace.New(trace.Config{SampleEvery: 1, Salt: 7}))
 	}
-	var stack core.Stack
-	if spec != "" {
-		sp, err := core.ParseStackSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stack, err = tb.BuildStack(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		stack, err = tb.NewStack(kind, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+	sp, err := core.ParseStackSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := tb.BuildStack(sp)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := fio.Run(tb.Eng, stack, fio.JobSpec{
 		Name:       "perturb",
@@ -219,17 +211,16 @@ func perturbFingerprint(t *testing.T, kind core.StackKind, spec string, traced b
 func TestTracingZeroPerturbation(t *testing.T) {
 	cases := []struct {
 		name string
-		kind core.StackKind
 		spec string
 	}{
-		{"dksw", core.StackDKSW, ""},
-		{"dkhw", core.StackDKHW, ""},
-		{"cache", core.StackDKHW, "deliba-k-hw+cache-lsvd"},
+		{"dksw", "deliba-k-sw"},
+		{"dkhw", "deliba-k-hw"},
+		{"cache", "deliba-k-hw+cache-lsvd"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			off := perturbFingerprint(t, tc.kind, tc.spec, false)
-			on := perturbFingerprint(t, tc.kind, tc.spec, true)
+			off := perturbFingerprint(t, tc.spec, false)
+			on := perturbFingerprint(t, tc.spec, true)
 			if off != on {
 				t.Errorf("tracing perturbed the simulation:\n  off: %s\n  on:  %s", off, on)
 			}

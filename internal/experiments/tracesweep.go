@@ -32,7 +32,7 @@ const DefaultTraceSample = 8
 // traceCell is one traced coordinate of the sweep.
 type traceCell struct {
 	label  string
-	kind   core.StackKind
+	stack  string // spec name
 	wl     Workload
 	bs     int
 	plan   *faultPlan // nil = healthy cell
@@ -74,11 +74,11 @@ func traceCells(sample int) []traceCell {
 		{"rand-read", 100, core.Rand},
 		{"rand-write", 0, core.Rand},
 	}
-	for _, kind := range []core.StackKind{core.StackD2SW, core.StackDKSW, core.StackDKHW} {
+	for _, stack := range []string{"deliba-2-sw", "deliba-k-sw", "deliba-k-hw"} {
 		for _, wl := range wls {
 			cells = append(cells, traceCell{
-				label:  fmt.Sprintf("fig3/%v/%s/4k", kind, wl.Name),
-				kind:   kind,
+				label:  fmt.Sprintf("fig3/%s/%s/4k", stack, wl.Name),
+				stack:  stack,
 				wl:     wl,
 				bs:     4096,
 				sample: sample,
@@ -89,11 +89,11 @@ func traceCells(sample int) []traceCell {
 	// deadline retries and read failovers on the replicated pool;
 	// osd-crash-ec forces degraded EC reads (client-side decode on the
 	// software stack, on-card reconstruction on the hardware stack).
-	for _, kind := range []core.StackKind{core.StackDKSW, core.StackDKHW} {
+	for _, stack := range []string{"deliba-k-sw", "deliba-k-hw"} {
 		for _, name := range []string{"partition", "osd-crash-ec"} {
 			cells = append(cells, traceCell{
-				label:  fmt.Sprintf("faults/%v/%s", kind, name),
-				kind:   kind,
+				label:  fmt.Sprintf("faults/%s/%s", stack, name),
+				stack:  stack,
 				wl:     Workload{"rand-rw70", 70, core.Rand},
 				bs:     4096,
 				plan:   planByName(name),
@@ -135,7 +135,7 @@ func runTraceCell(cfg Config, c traceCell) (*trace.Result, error) {
 	tr := trace.New(trace.Config{SampleEvery: c.sample, Salt: traceSalt(cfg.Seed, c.label)})
 	tb.EnableTracing(tr)
 	ec := c.plan != nil && c.plan.ec
-	stack, err := tb.NewStack(c.kind, ec)
+	stack, err := buildNamed(tb, c.stack, ec)
 	if err != nil {
 		return nil, err
 	}

@@ -7,16 +7,27 @@ import (
 	"repro/internal/sim"
 )
 
-func runSpec(t *testing.T, kind core.StackKind, ec bool, spec JobSpec) *Result {
+// newStack builds the named stack on a fresh default testbed.
+func newStack(t *testing.T, name string) (*core.Testbed, core.Stack) {
 	t.Helper()
 	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := tb.NewStack(kind, ec)
+	spec, err := core.ParseStackSpec(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stack, err := tb.BuildStack(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb, stack
+}
+
+func runSpec(t *testing.T, name string, spec JobSpec) *Result {
+	t.Helper()
+	tb, stack := newStack(t, name)
 	res, err := Run(tb.Eng, stack, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +36,7 @@ func runSpec(t *testing.T, kind core.StackKind, ec bool, spec JobSpec) *Result {
 }
 
 func TestRunBasics(t *testing.T) {
-	res := runSpec(t, core.StackDKHW, false, JobSpec{
+	res := runSpec(t, "deliba-k-hw", JobSpec{
 		Name: "smoke", ReadPct: 100, Pattern: core.Rand,
 		BlockSize: 4096, QueueDepth: 4, Jobs: 2, Ops: 50, Seed: 1,
 	})
@@ -47,7 +58,7 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestRampOpsExcluded(t *testing.T) {
-	res := runSpec(t, core.StackDKSW, false, JobSpec{
+	res := runSpec(t, "deliba-k-sw", JobSpec{
 		Name: "ramp", ReadPct: 0, Pattern: core.Seq,
 		BlockSize: 4096, QueueDepth: 1, Jobs: 1, Ops: 20, RampOps: 10, Seed: 2,
 	})
@@ -57,7 +68,7 @@ func TestRampOpsExcluded(t *testing.T) {
 }
 
 func TestMixedWorkloadSplits(t *testing.T) {
-	res := runSpec(t, core.StackDKSW, false, JobSpec{
+	res := runSpec(t, "deliba-k-sw", JobSpec{
 		Name: "mix", ReadPct: 70, Pattern: core.Rand,
 		BlockSize: 8192, QueueDepth: 4, Jobs: 1, Ops: 400, Seed: 3,
 	})
@@ -73,11 +84,11 @@ func TestMixedWorkloadSplits(t *testing.T) {
 }
 
 func TestQueueDepthIncreasesThroughput(t *testing.T) {
-	base := runSpec(t, core.StackDKHW, false, JobSpec{
+	base := runSpec(t, "deliba-k-hw", JobSpec{
 		Name: "qd1", ReadPct: 0, Pattern: core.Rand,
 		BlockSize: 4096, QueueDepth: 1, Jobs: 1, Ops: 150, Seed: 4,
 	})
-	deep := runSpec(t, core.StackDKHW, false, JobSpec{
+	deep := runSpec(t, "deliba-k-hw", JobSpec{
 		Name: "qd16", ReadPct: 0, Pattern: core.Rand,
 		BlockSize: 4096, QueueDepth: 16, Jobs: 1, Ops: 150, Seed: 4,
 	})
@@ -93,8 +104,8 @@ func TestThroughputRatioDKvsD2SmallRandWrite(t *testing.T) {
 		Name: "tp4k", ReadPct: 0, Pattern: core.Rand,
 		BlockSize: 4096, QueueDepth: 16, Jobs: 3, Ops: 400, RampOps: 40, Seed: 5,
 	}
-	dk := runSpec(t, core.StackDKHW, false, spec)
-	d2 := runSpec(t, core.StackD2HW, false, spec)
+	dk := runSpec(t, "deliba-k-hw", spec)
+	d2 := runSpec(t, "deliba-2-hw", spec)
 	ratio := dk.MBps() / d2.MBps()
 	if ratio < 2.0 || ratio > 6.0 {
 		t.Fatalf("DK/D2 4kB rand-write throughput ratio = %.2f (DK=%.1f MB/s, D2=%.1f MB/s), want ~3.45",
@@ -109,8 +120,8 @@ func TestThroughputRatioLargeSeqWrite(t *testing.T) {
 		Name: "tp128k", ReadPct: 0, Pattern: core.Seq,
 		BlockSize: 131072, QueueDepth: 8, Jobs: 3, Ops: 150, RampOps: 20, Seed: 6,
 	}
-	dk := runSpec(t, core.StackDKHW, false, spec)
-	d2 := runSpec(t, core.StackD2HW, false, spec)
+	dk := runSpec(t, "deliba-k-hw", spec)
+	d2 := runSpec(t, "deliba-2-hw", spec)
 	ratio := dk.MBps() / d2.MBps()
 	if ratio < 1.4 || ratio > 3.5 {
 		t.Fatalf("DK/D2 128kB seq-write ratio = %.2f (DK=%.1f, D2=%.1f MB/s), want ~2.0",
@@ -126,8 +137,8 @@ func TestSpeedupShrinksWithBlockSize(t *testing.T) {
 			Name: "sweep", ReadPct: 0, Pattern: core.Rand,
 			BlockSize: bs, QueueDepth: 16, Jobs: 3, Ops: 200, RampOps: 20, Seed: 7,
 		}
-		dk := runSpec(t, core.StackDKHW, false, spec)
-		d2 := runSpec(t, core.StackD2HW, false, spec)
+		dk := runSpec(t, "deliba-k-hw", spec)
+		d2 := runSpec(t, "deliba-2-hw", spec)
 		return dk.MBps() / d2.MBps()
 	}
 	small := ratioAt(4096)
@@ -138,14 +149,7 @@ func TestSpeedupShrinksWithBlockSize(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stack, err := tb.NewStack(core.StackDKSW, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb, stack := newStack(t, "deliba-k-sw")
 	if _, err := Run(tb.Eng, stack, JobSpec{BlockSize: 0, Ops: 1}); err == nil {
 		t.Fatal("zero block size accepted")
 	}
@@ -165,8 +169,8 @@ func TestDeterminism(t *testing.T) {
 		Name: "det", ReadPct: 30, Pattern: core.Rand,
 		BlockSize: 4096, QueueDepth: 8, Jobs: 2, Ops: 100, Seed: 42,
 	}
-	a := runSpec(t, core.StackDKHW, false, spec)
-	b := runSpec(t, core.StackDKHW, false, spec)
+	a := runSpec(t, "deliba-k-hw", spec)
+	b := runSpec(t, "deliba-k-hw", spec)
 	if a.Lat.Mean() != b.Lat.Mean() || a.Elapsed != b.Elapsed {
 		t.Fatalf("same seed diverged: %v/%v vs %v/%v",
 			a.Lat.Mean(), a.Elapsed, b.Lat.Mean(), b.Elapsed)
@@ -174,11 +178,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestThinkTimeSlowsOffender(t *testing.T) {
-	fast := runSpec(t, core.StackDKSW, false, JobSpec{
+	fast := runSpec(t, "deliba-k-sw", JobSpec{
 		Name: "nothink", ReadPct: 100, Pattern: core.Seq,
 		BlockSize: 4096, QueueDepth: 1, Jobs: 1, Ops: 30, Seed: 8,
 	})
-	slow := runSpec(t, core.StackDKSW, false, JobSpec{
+	slow := runSpec(t, "deliba-k-sw", JobSpec{
 		Name: "think", ReadPct: 100, Pattern: core.Seq,
 		BlockSize: 4096, QueueDepth: 1, Jobs: 1, Ops: 30, Seed: 8,
 		ThinkTime: 200 * sim.Microsecond,
@@ -196,7 +200,7 @@ func TestSpecString(t *testing.T) {
 }
 
 func TestBlockSplitMixesSizes(t *testing.T) {
-	res := runSpec(t, core.StackDKSW, false, JobSpec{
+	res := runSpec(t, "deliba-k-sw", JobSpec{
 		Name: "bssplit", ReadPct: 100, Pattern: core.Rand,
 		BlockSize: 4096, QueueDepth: 4, Jobs: 1, Ops: 300, Seed: 9,
 		BlockSplit: []SizeWeight{{4096, 70}, {65536, 30}},
@@ -245,7 +249,7 @@ func TestZipfGenSkewAndDeterminism(t *testing.T) {
 }
 
 func TestZipfWorkloadRuns(t *testing.T) {
-	res := runSpec(t, core.StackDKHW, false, JobSpec{
+	res := runSpec(t, "deliba-k-hw", JobSpec{
 		Name: "zipf", ReadPct: 100, Pattern: core.Rand,
 		BlockSize: 4096, QueueDepth: 8, Jobs: 2, Ops: 200, Seed: 12,
 		OffsetRange: 64 << 20, ZipfTheta: 0.99,
@@ -261,8 +265,8 @@ func TestHotRangeWorkloadRuns(t *testing.T) {
 		BlockSize: 4096, QueueDepth: 8, Jobs: 2, Ops: 200, Seed: 13,
 		OffsetRange: 256 << 20, HotOpPct: 90, HotRangeBytes: 2 << 20,
 	}
-	a := runSpec(t, core.StackDKHW, false, spec)
-	b := runSpec(t, core.StackDKHW, false, spec)
+	a := runSpec(t, "deliba-k-hw", spec)
+	b := runSpec(t, "deliba-k-hw", spec)
 	if a.Errors != 0 {
 		t.Fatalf("errors = %d", a.Errors)
 	}
@@ -272,14 +276,7 @@ func TestHotRangeWorkloadRuns(t *testing.T) {
 }
 
 func TestBlockSplitValidation(t *testing.T) {
-	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stack, err := tb.NewStack(core.StackDKSW, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb, stack := newStack(t, "deliba-k-sw")
 	if _, err := Run(tb.Eng, stack, JobSpec{
 		BlockSize: 4096, Ops: 1,
 		BlockSplit: []SizeWeight{{0, 1}},

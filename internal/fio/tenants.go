@@ -75,19 +75,12 @@ func svcUnits(size int) int64 {
 
 // VictimHist merges the non-hog tenants' histograms into one victim-side
 // aggregate (p50/p99/p999 of the victim population).
-func (tr *TenantResult) VictimHist() *metrics.CompactHistogram {
-	out := metrics.NewCompactHistogram()
-	for _, id := range tr.PerTenant.Tenants() {
-		if id == tr.Hog {
-			continue
-		}
-		out.Merge(tr.PerTenant.Hist(id))
-	}
-	return out
+func (tr *TenantResult) VictimHist() *metrics.Histogram {
+	return tr.PerTenant.MergedExcept(tr.Hog)
 }
 
 // HogHist returns the hog tenant's histogram (nil when no hog ran).
-func (tr *TenantResult) HogHist() *metrics.CompactHistogram {
+func (tr *TenantResult) HogHist() *metrics.Histogram {
 	if tr.Hog == 0 {
 		return nil
 	}

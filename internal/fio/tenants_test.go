@@ -12,7 +12,7 @@ func runTenantSpec(t *testing.T, qos core.QoSKind, spec TenantJob) *TenantResult
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := core.Spec(core.StackDKHW)
+	sp, err := core.ParseStackSpec("deliba-k-hw")
 	if err != nil {
 		t.Fatal(err)
 	}

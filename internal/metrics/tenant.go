@@ -1,156 +1,19 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/sim"
 )
 
-// This file holds the per-tenant measurement layer: a compact log-linear
-// histogram small enough to keep one per tenant at 10,000-tenant scale
-// (~4 KB each vs ~15 KB for Histogram), a TenantSet that lazily grows one
-// histogram per observed tenant, and Jain's fairness index over per-tenant
-// throughput.
+// This file holds the per-tenant measurement layer: a TenantSet that lazily
+// grows one histogram per observed tenant, and Jain's fairness index over
+// per-tenant throughput.
 
-const (
-	compactSubBits   = 4 // 16 sub-buckets per power of two: ≤ ~6% relative error
-	compactSub       = 1 << compactSubBits
-	compactExponents = 64 - compactSubBits
-)
-
-// CompactHistogram is a memory-lean log-linear latency histogram: the same
-// bucketing scheme as Histogram with half the sub-bucket resolution and
-// 32-bit counts. Use it where histogram count scales with tenant count.
-type CompactHistogram struct {
-	count   uint64
-	sum     int64
-	min     int64
-	max     int64
-	buckets []uint32
-}
-
-// NewCompactHistogram returns an empty compact histogram.
-func NewCompactHistogram() *CompactHistogram {
-	return &CompactHistogram{
-		min:     math.MaxInt64,
-		buckets: make([]uint32, compactExponents*compactSub),
-	}
-}
-
-func compactIndex(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	if v < compactSub {
-		return int(v)
-	}
-	exp := 63 - compactSubBits
-	for v>>(uint(exp)+compactSubBits) == 0 {
-		exp--
-	}
-	mantissa := (v >> uint(exp)) & (compactSub - 1)
-	return (exp+1)*compactSub + int(mantissa)
-}
-
-func compactLow(i int) int64 {
-	exp := i / compactSub
-	mant := int64(i % compactSub)
-	if exp == 0 {
-		return mant
-	}
-	return (mant | compactSub) << uint(exp-1)
-}
-
-// Record adds one observation of duration d.
-func (h *CompactHistogram) Record(d sim.Duration) {
-	v := int64(d)
-	if v < 0 {
-		v = 0
-	}
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.buckets[compactIndex(v)]++
-}
-
-// Count returns the number of recorded observations.
-func (h *CompactHistogram) Count() uint64 { return h.count }
-
-// Min returns the smallest recorded duration (0 if empty).
-func (h *CompactHistogram) Min() sim.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return sim.Duration(h.min)
-}
-
-// Max returns the largest recorded duration.
-func (h *CompactHistogram) Max() sim.Duration { return sim.Duration(h.max) }
-
-// Mean returns the arithmetic mean of recorded durations.
-func (h *CompactHistogram) Mean() sim.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return sim.Duration(h.sum / int64(h.count))
-}
-
-// Percentile returns the duration at quantile q in [0,100] (bucket lower
-// bound; exact min/max at the extremes).
-func (h *CompactHistogram) Percentile(q float64) sim.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sim.Duration(h.min)
-	}
-	if q >= 100 {
-		return sim.Duration(h.max)
-	}
-	rank := uint64(math.Ceil(q / 100 * float64(h.count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += uint64(c)
-		if cum >= rank {
-			v := compactLow(i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return sim.Duration(v)
-		}
-	}
-	return sim.Duration(h.max)
-}
-
-// Merge adds all observations of other into h.
-func (h *CompactHistogram) Merge(other *CompactHistogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-}
+// tenantSubBits is the per-tenant histogram precision: 16 sub-buckets per
+// power of two (≤ ~6% relative error), half the default, so one histogram
+// per tenant stays small at 10,000-tenant scale.
+const tenantSubBits = 4
 
 // TenantSummary is one tenant's latency/throughput snapshot.
 type TenantSummary struct {
@@ -163,29 +26,29 @@ type TenantSummary struct {
 	Max    sim.Duration
 }
 
-// TenantSet keeps one compact histogram per observed tenant, growing
-// lazily so untenanted runs allocate nothing.
+// TenantSet keeps one histogram per observed tenant, at tenantSubBits
+// precision, growing lazily so untenanted runs allocate nothing.
 type TenantSet struct {
-	hists map[int]*CompactHistogram
+	hists map[int]*Histogram
 }
 
 // NewTenantSet returns an empty per-tenant histogram set.
 func NewTenantSet() *TenantSet {
-	return &TenantSet{hists: make(map[int]*CompactHistogram)}
+	return &TenantSet{hists: make(map[int]*Histogram)}
 }
 
 // Record adds one observation for a tenant.
 func (ts *TenantSet) Record(tenant int, d sim.Duration) {
 	h := ts.hists[tenant]
 	if h == nil {
-		h = NewCompactHistogram()
+		h = newHistogram(tenantSubBits)
 		ts.hists[tenant] = h
 	}
 	h.Record(d)
 }
 
 // Hist returns the tenant's histogram (nil if it never recorded).
-func (ts *TenantSet) Hist(tenant int) *CompactHistogram { return ts.hists[tenant] }
+func (ts *TenantSet) Hist(tenant int) *Histogram { return ts.hists[tenant] }
 
 // Len returns the number of tenants with at least one observation.
 func (ts *TenantSet) Len() int { return len(ts.hists) }
@@ -208,11 +71,23 @@ func (ts *TenantSet) Merge(other *TenantSet) {
 	for id, oh := range other.hists {
 		h := ts.hists[id]
 		if h == nil {
-			h = NewCompactHistogram()
+			h = newHistogram(tenantSubBits)
 			ts.hists[id] = h
 		}
 		h.Merge(oh)
 	}
+}
+
+// MergedExcept returns one histogram holding every tenant's observations
+// except tenant skip's, e.g. the victim population beside a noisy tenant.
+func (ts *TenantSet) MergedExcept(skip int) *Histogram {
+	out := newHistogram(tenantSubBits)
+	for id, h := range ts.hists {
+		if id != skip {
+			out.Merge(h)
+		}
+	}
+	return out
 }
 
 // Summaries returns per-tenant snapshots in ascending tenant order.

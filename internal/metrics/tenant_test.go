@@ -7,84 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestCompactHistogramAccuracy bounds the compact histogram's quantile
-// error against the full-resolution Histogram on the same stream: the
-// log-linear scheme with 16 sub-buckets guarantees bucket lower bounds
-// within ~6.25% of the true value.
-func TestCompactHistogramAccuracy(t *testing.T) {
-	full := NewHistogram()
-	compact := NewCompactHistogram()
-	rng := sim.NewRNG(42)
-	for i := 0; i < 20000; i++ {
-		// Latency-shaped stream: a dense body with a heavy tail.
-		v := sim.Duration(50+rng.Intn(200)) * sim.Microsecond
-		if rng.Intn(100) < 3 {
-			v = sim.Duration(2+rng.Intn(30)) * sim.Millisecond
-		}
-		full.Record(v)
-		compact.Record(v)
-	}
-	if compact.Count() != full.Count() {
-		t.Fatalf("count %d != %d", compact.Count(), full.Count())
-	}
-	if compact.Min() != full.Min() || compact.Max() != full.Max() {
-		t.Fatalf("extremes %v/%v != %v/%v", compact.Min(), compact.Max(), full.Min(), full.Max())
-	}
-	for _, q := range []float64{50, 90, 99, 99.9} {
-		got, want := float64(compact.Percentile(q)), float64(full.Percentile(q))
-		if want == 0 {
-			continue
-		}
-		if rel := math.Abs(got-want) / want; rel > 0.07 {
-			t.Errorf("p%v: compact %v vs full %v (%.1f%% off)", q,
-				sim.Duration(got), sim.Duration(want), rel*100)
-		}
-	}
-}
-
-func TestCompactHistogramEmptyAndEdges(t *testing.T) {
-	h := NewCompactHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 {
-		t.Fatal("empty histogram must read as zeros")
-	}
-	h.Record(0)
-	h.Record(-5) // clamped to 0
-	if h.Count() != 2 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("zero/negative records: count=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
-	}
-	if h.Percentile(0) != 0 || h.Percentile(100) != 0 {
-		t.Fatal("percentile extremes must return exact min/max")
-	}
-}
-
-func TestCompactHistogramMerge(t *testing.T) {
-	a, b, both := NewCompactHistogram(), NewCompactHistogram(), NewCompactHistogram()
-	rng := sim.NewRNG(7)
-	for i := 0; i < 5000; i++ {
-		v := sim.Duration(rng.Intn(1 << 20))
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-		both.Record(v)
-	}
-	a.Merge(b)
-	a.Merge(nil)
-	a.Merge(NewCompactHistogram())
-	if a.Count() != both.Count() || a.Mean() != both.Mean() ||
-		a.Min() != both.Min() || a.Max() != both.Max() {
-		t.Fatalf("merge mismatch: %d/%v/%v/%v vs %d/%v/%v/%v",
-			a.Count(), a.Mean(), a.Min(), a.Max(),
-			both.Count(), both.Mean(), both.Min(), both.Max())
-	}
-	for _, q := range []float64{50, 99, 99.9} {
-		if a.Percentile(q) != both.Percentile(q) {
-			t.Errorf("p%v: merged %v != direct %v", q, a.Percentile(q), both.Percentile(q))
-		}
-	}
-}
-
 func TestTenantSetMergeAndSummaries(t *testing.T) {
 	a, b := NewTenantSet(), NewTenantSet()
 	a.Record(3, 100)
@@ -103,6 +25,44 @@ func TestTenantSetMergeAndSummaries(t *testing.T) {
 	if a.Hist(99) != nil {
 		t.Fatal("unobserved tenant must have no histogram")
 	}
+	if v := a.MergedExcept(1); v.Count() != 2 || v.Min() != 50 || v.Max() != 100 {
+		t.Fatalf("all but tenant 1: %v, want tenants 3 and 7", v.Summarize())
+	}
+	if v := a.MergedExcept(0); v.Count() != 4 || v.Max() != 400 {
+		t.Fatalf("all tenants: %v", v.Summarize())
+	}
+}
+
+// TestTenantSetFootprint records latency-shaped streams into 10,000
+// tenants and bounds the bucket bytes each tenant holds by the 3,840 B
+// (960 32-bit counts) that a fixed-size 4-bit histogram used to take. The
+// buckets grow only through the largest power of two recorded, so a tenant
+// whose tail reaches 100 ms holds 24 powers of two, 384 64-bit counts.
+func TestTenantSetFootprint(t *testing.T) {
+	const tenants = 10000
+	ts := NewTenantSet()
+	rng := sim.NewRNG(3)
+	for i := 0; i < 20*tenants; i++ {
+		d := sim.Duration(20+rng.Intn(400)) * sim.Microsecond
+		if rng.Intn(100) == 0 {
+			d = sim.Duration(1+rng.Intn(100)) * sim.Millisecond
+		}
+		ts.Record(1+rng.Intn(tenants), d)
+	}
+	ts.Record(1, 100*sim.Millisecond) // at least one tenant at the tail's end
+	if ts.Len() != tenants {
+		t.Fatalf("%d tenants observed, want %d", ts.Len(), tenants)
+	}
+	total, largest := 0, 0
+	for _, id := range ts.Tenants() {
+		b := cap(ts.Hist(id).buckets) * 8
+		total += b
+		largest = max(largest, b)
+	}
+	if largest > 3840 {
+		t.Errorf("largest tenant holds %d B of buckets, want ≤ 3840", largest)
+	}
+	t.Logf("bucket bytes per tenant: mean %d, max %d", total/tenants, largest)
 }
 
 func TestFairness(t *testing.T) {
