@@ -4,6 +4,7 @@
 #
 #   ./ci.sh          # gofmt, vet, build, race tests, benchmark smoke
 #   ./ci.sh -short   # skip the benchmark smoke pass and the trace smoke
+#                    # (the quick report and the CLI smoke still run)
 set -eu
 
 echo "== gofmt =="
@@ -83,6 +84,22 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 echo "== delibabench report (quick: determinism + checks) =="
 go run ./cmd/delibabench -quick -report "$tmp/report.json"
+
+# CLI smoke: the cmd/ packages have no tests, so drive deliba-fio's -stack
+# parser and -profile path end to end on every named stack, the +ec and
+# +repl-raft extensions, one layer-token hybrid, and one spec the
+# validator must reject (DeLiBA-1 has no EC accelerators).
+echo "== CLI smoke (deliba-fio -stack ... -profile) =="
+go build -o "$tmp/deliba-fio" ./cmd/deliba-fio
+for spec in deliba-1-hw deliba-2-sw deliba-2-hw deliba-k-sw deliba-k-hw \
+    deliba-k-hw+ec deliba-k-hw+repl-raft iouring,dmq-bypass,qdma,hls-crush,card-rtl; do
+    "$tmp/deliba-fio" -stack "$spec" -profile -ops 200 > "$tmp/fio.out"
+    head -n 1 "$tmp/fio.out"
+done
+if "$tmp/deliba-fio" -stack deliba-1-hw+ec -profile -ops 200 > "$tmp/fio.out" 2>&1; then
+    echo "deliba-fio accepted the invalid spec deliba-1-hw+ec"
+    exit 1
+fi
 
 if [ "${1:-}" != "-short" ]; then
     # Trace smoke: emit the traced sweep and validate it against the

@@ -10,8 +10,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/rados"
 	"repro/internal/sim"
 )
@@ -74,34 +72,6 @@ type Stack interface {
 type TenantSubmitter interface {
 	Stack
 	SubmitTenant(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, done func(error))
-}
-
-// Generation labels the three framework versions.
-type Generation int
-
-const (
-	// D1 is DeLiBA-1: NBD user-space path, HLS accelerators, host-side
-	// networking, no erasure coding support.
-	D1 Generation = iota + 1
-	// D2 is DeLiBA-2: NBD user-space path, HLS accelerators and HLS
-	// TCP/IP on the FPGA.
-	D2
-	// DK is DeLiBA-K: io_uring + DMQ + UIFD + QDMA + RTL accelerators +
-	// RTL TCP/IP, with DFX partial reconfiguration.
-	DK
-)
-
-func (g Generation) String() string {
-	switch g {
-	case D1:
-		return "deliba-1"
-	case D2:
-		return "deliba-2"
-	case DK:
-		return "deliba-k"
-	default:
-		return fmt.Sprintf("generation(%d)", int(g))
-	}
 }
 
 // Do runs one I/O synchronously on a proc (convenience for tests and

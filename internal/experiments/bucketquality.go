@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"repro/internal/crush"
 	"repro/internal/metrics"
@@ -34,12 +33,14 @@ const bucketQualitySamples = 6000
 // BucketQuality measures all five algorithms on a flat 16-device map with
 // 2-way placement, one runner cell per algorithm. Every cell builds its own
 // maps, so the placement statistics are deterministic under parallel
-// execution; only SelectNs is wall-clock (and excluded from the digest).
+// execution. SelectNs is wall-clock (and excluded from the digest); it is
+// timed by minTimePerOp after the cells finish, so no concurrent cell
+// shares the CPU with the timing loop.
 func BucketQuality() ([]BucketQualityRow, error) {
 	algs := []crush.Alg{crush.UniformAlg, crush.ListAlg, crush.TreeAlg, crush.StrawAlg, crush.Straw2Alg}
 	const devices = 16
 	const reps = 2
-	return RunCells(len(algs), func(cell int) (BucketQualityRow, error) {
+	rows, err := RunCells(len(algs), func(cell int) (BucketQualityRow, error) {
 		alg := algs[cell]
 		m, root, err := crush.FlatCluster(devices, alg)
 		if err != nil {
@@ -49,7 +50,6 @@ func BucketQuality() ([]BucketQualityRow, error) {
 
 		// Spread.
 		counts := make([]int, devices)
-		start := time.Now()
 		for x := uint32(0); x < bucketQualitySamples; x++ {
 			out, err := m.Select(rule, x, reps, nil)
 			if err != nil {
@@ -61,7 +61,6 @@ func BucketQuality() ([]BucketQualityRow, error) {
 				}
 			}
 		}
-		selectNs := time.Since(start).Nanoseconds() / bucketQualitySamples
 		max, total := 0, 0
 		for _, c := range counts {
 			if c > max {
@@ -109,9 +108,31 @@ func BucketQuality() ([]BucketQualityRow, error) {
 			Spread:     spread,
 			MoveOnLoss: float64(moved) / bucketQualitySamples,
 			MoveOnAdd:  float64(movedAdd) / bucketQualitySamples,
-			SelectNs:   selectNs,
 		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]func(int) error, len(rows))
+	for k, r := range rows {
+		m, _, err := crush.FlatCluster(devices, r.Alg)
+		if err != nil {
+			return nil, err
+		}
+		rule := m.Rule("flat")
+		ops[k] = func(i int) error {
+			_, err := m.Select(rule, uint32(i), reps, nil)
+			return err
+		}
+	}
+	times, err := minTimePerOp(ops...)
+	if err != nil {
+		return nil, err
+	}
+	for k := range rows {
+		rows[k].SelectNs = times[k].Nanoseconds()
+	}
+	return rows, nil
 }
 
 // BucketQualityDigest folds the placement statistics into an FNV-1a hash.
