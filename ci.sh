@@ -4,7 +4,8 @@
 #
 #   ./ci.sh          # gofmt, vet, build, race tests, benchmark smoke
 #   ./ci.sh -short   # skip the benchmark smoke pass and the trace smoke
-#                    # (the quick report and the CLI smoke still run)
+#                    # (the quick report, the CLI smoke and the examples
+#                    # smoke still run)
 set -eu
 
 echo "== gofmt =="
@@ -100,6 +101,14 @@ if "$tmp/deliba-fio" -stack deliba-1-hw+ec -profile -ops 200 > "$tmp/fio.out" 2>
     echo "deliba-fio accepted the invalid spec deliba-1-hw+ec"
     exit 1
 fi
+
+# Examples smoke: the examples have no tests, so run each one; an example
+# that stops building or exits non-zero fails CI. Runs under -short too.
+echo "== examples smoke (go run examples/*/) =="
+for dir in examples/*/; do
+    echo "$dir"
+    go run "./$dir" > "$tmp/example.out"
+done
 
 if [ "${1:-}" != "-short" ]; then
     # Trace smoke: emit the traced sweep and validate it against the

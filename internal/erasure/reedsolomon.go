@@ -109,15 +109,6 @@ func New(k, m int, c Construction) (*Code, error) {
 	return &Code{k: k, m: m, gen: gen, decCache: make(map[string]*gf256.Matrix)}, nil
 }
 
-// DataShards returns k.
-func (c *Code) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Code) ParityShards() int { return c.m }
-
-// TotalShards returns k+m.
-func (c *Code) TotalShards() int { return c.k + c.m }
-
 // GeneratorRow returns a copy of row i of the generator matrix (useful for
 // the FPGA accelerator model, which streams coefficients).
 func (c *Code) GeneratorRow(i int) []byte {

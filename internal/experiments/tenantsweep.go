@@ -245,16 +245,6 @@ func (r *TenantSweepResult) Cell(qos core.QoSKind, scenario string) (TenantCell,
 	return TenantCell{}, false
 }
 
-// FleetCell returns the fleet cell for a population size.
-func (r *TenantSweepResult) FleetCell(tenants int) (TenantFleetCell, bool) {
-	for _, c := range r.Fleet {
-		if c.Tenants == tenants {
-			return c, true
-		}
-	}
-	return TenantFleetCell{}, false
-}
-
 // Check is the tenant family's isolation bar. Under the noisy neighbor,
 // dmclock holds the victims' p99 within 2x of the hog-free qos-none
 // baseline while the unscheduled bypass blows past 5x, and dmclock's

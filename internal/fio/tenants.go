@@ -13,8 +13,9 @@ import (
 // generator as Run, but every op is attributed to a tenant drawn from a
 // Zipf-skewed tenant population, with an optional noisy-neighbor hog tenant
 // hammering the stack from its own worker while the victim population runs.
-// Latencies are recorded per tenant (compact histograms) alongside the
-// aggregate result, and Jain's fairness index summarizes the isolation.
+// Latencies are recorded per tenant, each in a metrics.Histogram at 4-bit
+// precision, alongside the aggregate result, and Jain's fairness index
+// summarizes the isolation.
 
 // TenantJob describes a multi-tenant workload.
 type TenantJob struct {

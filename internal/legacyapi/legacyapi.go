@@ -1,45 +1,19 @@
-// Package legacyapi models the decades-old I/O interfaces that the earlier
-// DeLiBA frameworks were built on and that the paper's Section II critiques:
-// synchronous read()/write(), libaio-style asynchronous I/O, and the NBD
-// (network block device) user-space loop. Their costs — one syscall per
-// operation, multiple user/kernel context switches, and repeated buffer
+// Package legacyapi holds the host-side cost profile of the legacy I/O path
+// that DeLiBA-1 and DeLiBA-2 were built on and that the paper's Section II
+// critiques: synchronous syscalls into the kernel nbd driver, which forwards
+// each block request to a user-space daemon. Its costs — one syscall per
+// operation, several user/kernel context switches and repeated buffer
 // copies — are charged explicitly so the io_uring comparison is apples to
-// apples.
+// apples. The NBD daemon loop itself (its single-threaded hold and socket
+// round trip) is modelled in core/swpath.go, which charges PathCost once per
+// request.
 package legacyapi
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/sim"
-)
-
-// OpType is the request direction.
-type OpType int
-
-const (
-	// OpRead transfers device-to-host.
-	OpRead OpType = iota
-	// OpWrite transfers host-to-device.
-	OpWrite
-)
-
-func (o OpType) String() string {
-	if o == OpRead {
-		return "read"
-	}
-	return "write"
-}
-
-// Device is the kernel-side block target the legacy APIs submit to.
-type Device interface {
-	// Submit starts an operation and invokes complete exactly once.
-	Submit(op OpType, off int64, n int, cpu int, complete func(err error))
-}
+import "repro/internal/sim"
 
 // CostProfile charges the host-side path costs of a legacy API.
 type CostProfile struct {
-	// SyscallCost per system call (read, write, io_submit, io_getevents).
+	// SyscallCost per system call.
 	SyscallCost sim.Duration
 	// ContextSwitches is the number of user/kernel crossings per I/O
 	// beyond the syscall itself (the paper counts 6 for DeLiBA-1 and 5
@@ -53,202 +27,9 @@ type CostProfile struct {
 	CopyPerKiB sim.Duration
 }
 
-// DefaultCosts returns a typical host profile (calibrated in
-// internal/core/costmodel).
-func DefaultCosts() CostProfile {
-	return CostProfile{
-		SyscallCost:       1200 * sim.Nanosecond,
-		ContextSwitches:   2,
-		ContextSwitchCost: 1500 * sim.Nanosecond,
-		Copies:            1,
-		CopyPerKiB:        60 * sim.Nanosecond,
-	}
-}
-
 // PathCost returns the total host-side CPU charge for one I/O of n bytes.
 func (c CostProfile) PathCost(n int) sim.Duration {
 	return c.SyscallCost +
 		sim.Duration(c.ContextSwitches)*c.ContextSwitchCost +
 		sim.Duration(c.Copies)*sim.Duration(int64(c.CopyPerKiB)*int64(n)/1024)
-}
-
-// SyncFile is the traditional blocking read()/write() interface: the calling
-// thread pays the full path cost and then blocks until the device completes.
-type SyncFile struct {
-	eng   *sim.Engine
-	dev   Device
-	costs CostProfile
-	// Ops counts completed calls.
-	Ops uint64
-}
-
-// NewSyncFile wraps a device in the synchronous API.
-func NewSyncFile(eng *sim.Engine, dev Device, costs CostProfile) *SyncFile {
-	return &SyncFile{eng: eng, dev: dev, costs: costs}
-}
-
-// Read blocks the proc for one synchronous read.
-func (f *SyncFile) Read(p *sim.Proc, off int64, n int, cpu int) error {
-	return f.do(p, OpRead, off, n, cpu)
-}
-
-// Write blocks the proc for one synchronous write.
-func (f *SyncFile) Write(p *sim.Proc, off int64, n int, cpu int) error {
-	return f.do(p, OpWrite, off, n, cpu)
-}
-
-func (f *SyncFile) do(p *sim.Proc, op OpType, off int64, n int, cpu int) error {
-	p.Sleep(f.costs.PathCost(n))
-	c := f.eng.NewCompletion()
-	f.dev.Submit(op, off, n, cpu, func(err error) { c.Complete(nil, err) })
-	_, err := p.Await(c)
-	f.Ops++
-	return err
-}
-
-// --- libaio ------------------------------------------------------------
-
-// IOCB is a libaio control block.
-type IOCB struct {
-	Op   OpType
-	Off  int64
-	Len  int
-	Data uint64 // user cookie returned in the event
-}
-
-// Event is a libaio completion event.
-type Event struct {
-	Data uint64
-	Err  error
-}
-
-// ErrNotDirect is returned when a request violates libaio's O_DIRECT
-// alignment requirement (the paper's Section II complaint: native AIO only
-// works for unbuffered, 512-aligned access).
-var ErrNotDirect = errors.New("legacyapi: libaio requires 512-byte aligned O_DIRECT I/O")
-
-// AIOContext models io_setup/io_submit/io_getevents with a bounded queue
-// depth.
-type AIOContext struct {
-	eng      *sim.Engine
-	dev      Device
-	costs    CostProfile
-	depth    int
-	inFlight int
-	events   []Event
-	waiters  []func()
-}
-
-// NewAIOContext is io_setup(nr_events).
-func NewAIOContext(eng *sim.Engine, dev Device, costs CostProfile, depth int) (*AIOContext, error) {
-	if depth <= 0 {
-		return nil, fmt.Errorf("legacyapi: bad aio depth %d", depth)
-	}
-	return &AIOContext{eng: eng, dev: dev, costs: costs, depth: depth}, nil
-}
-
-// InFlight returns submitted-but-unharvested operations.
-func (c *AIOContext) InFlight() int { return c.inFlight }
-
-// Submit is io_submit: one syscall for the batch, but unlike io_uring each
-// IOCB still pays kernel setup, and O_DIRECT alignment is enforced. It
-// returns the number accepted (stopping at the first rejected IOCB, as the
-// real call does).
-func (c *AIOContext) Submit(p *sim.Proc, cpu int, iocbs []IOCB) (int, error) {
-	p.Sleep(c.costs.SyscallCost)
-	accepted := 0
-	for _, cb := range iocbs {
-		if cb.Off%512 != 0 || cb.Len%512 != 0 {
-			if accepted == 0 {
-				return 0, ErrNotDirect
-			}
-			return accepted, nil
-		}
-		if c.inFlight >= c.depth {
-			break
-		}
-		// Per-IOCB kernel preparation (get_user_pages etc.).
-		p.Sleep(sim.Duration(c.costs.ContextSwitches) * c.costs.ContextSwitchCost / 2)
-		c.inFlight++
-		data := cb.Data
-		cb := cb
-		c.dev.Submit(cb.Op, cb.Off, cb.Len, cpu, func(err error) {
-			c.inFlight--
-			c.events = append(c.events, Event{Data: data, Err: err})
-			ws := c.waiters
-			c.waiters = nil
-			for _, w := range ws {
-				c.eng.Schedule(0, w)
-			}
-		})
-		accepted++
-	}
-	return accepted, nil
-}
-
-// GetEvents is io_getevents: one syscall, blocking until at least min events
-// are available, returning at most max.
-func (c *AIOContext) GetEvents(p *sim.Proc, min, max int) []Event {
-	p.Sleep(c.costs.SyscallCost)
-	for len(c.events) < min {
-		p.Block(func(wake func()) { c.waiters = append(c.waiters, wake) })
-	}
-	n := len(c.events)
-	if n > max {
-		n = max
-	}
-	out := make([]Event, n)
-	copy(out, c.events[:n])
-	c.events = c.events[n:]
-	return out
-}
-
-// --- NBD ----------------------------------------------------------------
-
-// NBD wire sizes (the real protocol's request/reply framing).
-const (
-	NBDRequestBytes = 28
-	NBDReplyBytes   = 16
-)
-
-// NBDPath models the user-space network-block-device loop DeLiBA-1/-2 used:
-// the kernel nbd driver forwards each block request over a unix socket to a
-// user-space daemon, which calls into the storage client library and sends a
-// reply back. Every I/O pays the daemon round trip, its context switches,
-// and full payload copies in both the kernel and the daemon.
-type NBDPath struct {
-	eng     *sim.Engine
-	backend Device
-	costs   CostProfile
-	// SocketRTT is the kernel<->daemon unix-socket round-trip cost.
-	SocketRTT sim.Duration
-	// Ops counts completed requests.
-	Ops uint64
-}
-
-// NewNBDPath wraps a backend storage device in the NBD loop.
-func NewNBDPath(eng *sim.Engine, backend Device, costs CostProfile, socketRTT sim.Duration) *NBDPath {
-	return &NBDPath{eng: eng, backend: backend, costs: costs, SocketRTT: socketRTT}
-}
-
-// Submit implements Device, so an NBDPath can stand wherever a block target
-// is expected (it is how the legacy frameworks expose remote storage as
-// /dev/nbdX).
-func (n *NBDPath) Submit(op OpType, off int64, bytes int, cpu int, complete func(err error)) {
-	// Kernel -> daemon: half the socket RTT, plus the request copy-out and
-	// the daemon's wakeup context switches.
-	toDaemon := n.SocketRTT/2 +
-		sim.Duration(n.costs.ContextSwitches)*n.costs.ContextSwitchCost +
-		sim.Duration(n.costs.Copies)*sim.Duration(int64(n.costs.CopyPerKiB)*int64(bytes+NBDRequestBytes)/1024)
-	n.eng.Schedule(toDaemon, func() {
-		n.backend.Submit(op, off, bytes, cpu, func(err error) {
-			// Daemon -> kernel reply path.
-			back := n.SocketRTT/2 +
-				sim.Duration(int64(n.costs.CopyPerKiB)*int64(bytes+NBDReplyBytes)/1024)
-			n.eng.Schedule(back, func() {
-				n.Ops++
-				complete(err)
-			})
-		})
-	})
 }

@@ -1,22 +1,6 @@
 package legacyapi
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
-
-// fakeDev completes after a fixed latency.
-type fakeDev struct {
-	eng     *sim.Engine
-	latency sim.Duration
-	count   int
-}
-
-func (d *fakeDev) Submit(op OpType, off int64, n int, cpu int, complete func(err error)) {
-	d.count++
-	d.eng.Schedule(d.latency, func() { complete(nil) })
-}
+import "testing"
 
 func TestPathCost(t *testing.T) {
 	c := CostProfile{
@@ -35,191 +19,5 @@ func TestPathCost(t *testing.T) {
 	c2.ContextSwitches = 0
 	if c2.PathCost(4096) >= c.PathCost(4096) {
 		t.Fatal("context switches not charged")
-	}
-}
-
-func TestSyncFileBlocks(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := &fakeDev{eng: eng, latency: 50 * sim.Microsecond}
-	f := NewSyncFile(eng, dev, DefaultCosts())
-	var end sim.Time
-	eng.Spawn("app", func(p *sim.Proc) {
-		if err := f.Read(p, 0, 4096, 0); err != nil {
-			t.Error(err)
-		}
-		if err := f.Write(p, 4096, 4096, 0); err != nil {
-			t.Error(err)
-		}
-		end = p.Now()
-	})
-	eng.Run()
-	// Two serial ops, each ≥ device latency + path cost.
-	min := 2 * (50*sim.Microsecond + DefaultCosts().PathCost(4096))
-	if sim.Duration(end) < min {
-		t.Fatalf("sync ops finished at %v, want >= %v", end, min)
-	}
-	if f.Ops != 2 || dev.count != 2 {
-		t.Fatalf("ops=%d dev=%d", f.Ops, dev.count)
-	}
-}
-
-func TestSyncVsAsyncThroughput(t *testing.T) {
-	// The core claim of Section II: synchronous I/O serializes; AIO with
-	// queue depth overlaps device latency.
-	const lat = 100 * sim.Microsecond
-	const n = 16
-
-	syncEng := sim.NewEngine()
-	syncDev := &fakeDev{eng: syncEng, latency: lat}
-	f := NewSyncFile(syncEng, syncDev, DefaultCosts())
-	syncEng.Spawn("app", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			f.Read(p, int64(i)*4096, 4096, 0)
-		}
-	})
-	syncTime := sim.Duration(syncEng.Run())
-
-	aioEng := sim.NewEngine()
-	aioDev := &fakeDev{eng: aioEng, latency: lat}
-	ctx, err := NewAIOContext(aioEng, aioDev, DefaultCosts(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aioEng.Spawn("app", func(p *sim.Proc) {
-		iocbs := make([]IOCB, n)
-		for i := range iocbs {
-			iocbs[i] = IOCB{Op: OpRead, Off: int64(i) * 4096, Len: 4096, Data: uint64(i)}
-		}
-		if acc, err := ctx.Submit(p, 0, iocbs); err != nil || acc != n {
-			t.Errorf("Submit = %d, %v", acc, err)
-			return
-		}
-		ctx.GetEvents(p, n, n)
-	})
-	aioTime := sim.Duration(aioEng.Run())
-
-	if aioTime*4 > syncTime {
-		t.Fatalf("AIO (%v) not ≫ faster than sync (%v)", aioTime, syncTime)
-	}
-}
-
-func TestAIODirectAlignment(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := &fakeDev{eng: eng, latency: 0}
-	ctx, _ := NewAIOContext(eng, dev, DefaultCosts(), 8)
-	eng.Spawn("app", func(p *sim.Proc) {
-		_, err := ctx.Submit(p, 0, []IOCB{{Op: OpRead, Off: 100, Len: 4096}})
-		if err != ErrNotDirect {
-			t.Errorf("unaligned offset: err = %v", err)
-		}
-		_, err = ctx.Submit(p, 0, []IOCB{{Op: OpRead, Off: 512, Len: 100}})
-		if err != ErrNotDirect {
-			t.Errorf("unaligned length: err = %v", err)
-		}
-		// First OK, second bad: partial acceptance.
-		acc, err := ctx.Submit(p, 0, []IOCB{
-			{Op: OpRead, Off: 0, Len: 512},
-			{Op: OpRead, Off: 7, Len: 512},
-		})
-		if err != nil || acc != 1 {
-			t.Errorf("partial submit = %d, %v", acc, err)
-		}
-	})
-	eng.Run()
-}
-
-func TestAIODepthLimit(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := &fakeDev{eng: eng, latency: sim.Millisecond}
-	ctx, _ := NewAIOContext(eng, dev, DefaultCosts(), 2)
-	eng.Spawn("app", func(p *sim.Proc) {
-		iocbs := make([]IOCB, 5)
-		for i := range iocbs {
-			iocbs[i] = IOCB{Op: OpWrite, Off: int64(i) * 512, Len: 512, Data: uint64(i)}
-		}
-		acc, err := ctx.Submit(p, 0, iocbs)
-		if err != nil || acc != 2 {
-			t.Errorf("depth-limited submit = %d, %v", acc, err)
-		}
-		if ctx.InFlight() != 2 {
-			t.Errorf("InFlight = %d", ctx.InFlight())
-		}
-		evs := ctx.GetEvents(p, 2, 10)
-		if len(evs) != 2 {
-			t.Errorf("events = %d", len(evs))
-		}
-	})
-	eng.Run()
-	if err := func() error { _, e := NewAIOContext(eng, dev, DefaultCosts(), 0); return e }(); err == nil {
-		t.Fatal("depth 0 accepted")
-	}
-}
-
-func TestAIOEventData(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := &fakeDev{eng: eng, latency: 10 * sim.Microsecond}
-	ctx, _ := NewAIOContext(eng, dev, DefaultCosts(), 8)
-	var got []uint64
-	eng.Spawn("app", func(p *sim.Proc) {
-		ctx.Submit(p, 0, []IOCB{
-			{Op: OpRead, Off: 0, Len: 512, Data: 42},
-			{Op: OpRead, Off: 512, Len: 512, Data: 43},
-		})
-		for _, e := range ctx.GetEvents(p, 2, 2) {
-			if e.Err != nil {
-				t.Error(e.Err)
-			}
-			got = append(got, e.Data)
-		}
-	})
-	eng.Run()
-	if len(got) != 2 || (got[0] != 42 && got[1] != 42) {
-		t.Fatalf("event cookies = %v", got)
-	}
-}
-
-func TestNBDPathRoundTrip(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := &fakeDev{eng: eng, latency: 30 * sim.Microsecond}
-	nbd := NewNBDPath(eng, dev, DefaultCosts(), 10*sim.Microsecond)
-	var done sim.Time
-	nbd.Submit(OpWrite, 0, 4096, 0, func(err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		done = eng.Now()
-	})
-	eng.Run()
-	// The NBD loop must cost more than the bare device: socket RTT +
-	// context switches + copies.
-	if sim.Duration(done) <= 40*sim.Microsecond {
-		t.Fatalf("NBD path too fast: %v", done)
-	}
-	if nbd.Ops != 1 {
-		t.Fatalf("Ops = %d", nbd.Ops)
-	}
-}
-
-func TestNBDSlowerThanDirect(t *testing.T) {
-	const lat = 50 * sim.Microsecond
-	direct := func() sim.Duration {
-		eng := sim.NewEngine()
-		dev := &fakeDev{eng: eng, latency: lat}
-		var at sim.Time
-		dev.Submit(OpRead, 0, 131072, 0, func(error) { at = eng.Now() })
-		eng.Run()
-		return sim.Duration(at)
-	}()
-	viaNBD := func() sim.Duration {
-		eng := sim.NewEngine()
-		dev := &fakeDev{eng: eng, latency: lat}
-		nbd := NewNBDPath(eng, dev, DefaultCosts(), 10*sim.Microsecond)
-		var at sim.Time
-		nbd.Submit(OpRead, 0, 131072, 0, func(error) { at = eng.Now() })
-		eng.Run()
-		return sim.Duration(at)
-	}()
-	if viaNBD <= direct {
-		t.Fatalf("NBD (%v) not slower than direct (%v)", viaNBD, direct)
 	}
 }

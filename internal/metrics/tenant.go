@@ -108,16 +108,6 @@ func (ts *TenantSet) Summaries() []TenantSummary {
 	return out
 }
 
-// FairnessByCount returns Jain's fairness index over per-tenant op counts
-// (1 = perfectly fair, 1/n = one tenant got everything).
-func (ts *TenantSet) FairnessByCount() float64 {
-	xs := make([]float64, 0, len(ts.hists))
-	for _, id := range ts.Tenants() {
-		xs = append(xs, float64(ts.hists[id].Count()))
-	}
-	return Fairness(xs)
-}
-
 // Fairness computes Jain's fairness index (Σx)² / (n·Σx²) over the given
 // allocations. Empty or all-zero inputs return 0.
 func Fairness(xs []float64) float64 {

@@ -184,9 +184,6 @@ func (o *OSD) SetUp(up bool) {
 // cluster *believes*; Alive() is the ground truth fault injection controls.
 func (o *OSD) Alive() bool { return o.up && !o.silent }
 
-// Silent reports whether the OSD is in the undetected-failure state.
-func (o *OSD) Silent() bool { return o.silent }
-
 // SetSilent toggles the black-hole failure mode. Entering it aborts every
 // pending request WITHOUT completing its callback (the bytes are simply
 // lost, like a kernel panic before the ack hits the wire): clients discover
@@ -215,10 +212,6 @@ func (o *OSD) notifyHealth(was bool) {
 		o.healthWatch(now)
 	}
 }
-
-// Drain marks the OSD down gracefully: new requests are rejected but the
-// already-accepted ones run to completion (planned maintenance).
-func (o *OSD) Drain() { o.up = false }
 
 // crash fails every pending request with ErrOSDDown, scheduling the
 // failures at the current time in deterministic (pending-set) order.

@@ -39,9 +39,9 @@ type ScaleConfig struct {
 	BlockBytes   int
 
 	// Tenants attributes every op to a tenant in 1..Tenants and records
-	// latency per tenant (compact histograms). 0 disables tenancy entirely:
-	// no extra random draws, so the event stream and digest are identical
-	// to a pre-tenancy run.
+	// latency per tenant, each in a metrics.Histogram at 4-bit precision.
+	// 0 disables tenancy entirely: no extra random draws, so the event
+	// stream and digest are identical to a pre-tenancy run.
 	Tenants int
 	// TenantTheta Zipf-skews the per-op tenant draw (0 = uniform).
 	TenantTheta float64

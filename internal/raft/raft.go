@@ -233,22 +233,8 @@ type Group struct {
 // PG returns the group's placement group id.
 func (g *Group) PG() uint32 { return g.pg }
 
-// Members returns the number of members.
-func (g *Group) Members() int { return len(g.members) }
-
 // quorum returns the majority size.
 func (g *Group) quorum() int { return len(g.members)/2 + 1 }
-
-// Leader returns the index of the current leader if exactly known by some
-// live member claiming leadership, else -1 (tests and introspection only).
-func (g *Group) Leader() int {
-	for _, m := range g.members {
-		if m.role == roleLeader && m.osd.Alive() {
-			return m.idx
-		}
-	}
-	return -1
-}
 
 // Term returns the highest term any member has seen (introspection).
 func (g *Group) Term() uint64 {

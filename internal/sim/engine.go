@@ -393,6 +393,3 @@ func (e *Engine) peek() (Time, bool) {
 	}
 	return e.pq[0].at, true
 }
-
-// Running reports whether the engine is inside Run/RunUntil.
-func (e *Engine) Running() bool { return e.running }

@@ -74,10 +74,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.pause()
 }
 
-// Yield reschedules the process at the current time, letting other events
-// at the same instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Block suspends the process until the wake callback handed to register is
 // invoked. register runs immediately in the caller's context; the wake
 // callback must be invoked exactly once, either from engine context (inside
@@ -155,13 +151,6 @@ func (p *Proc) AwaitTimeout(c *Completion, d Duration) (val any, err error, ok b
 		return nil, nil, false
 	}
 	return c.val, c.err, true
-}
-
-// AwaitAll blocks until every completion in cs has fired.
-func (p *Proc) AwaitAll(cs ...*Completion) {
-	for _, c := range cs {
-		p.Await(c)
-	}
 }
 
 // Completion is a one-shot event carrying a value and an error. It is the

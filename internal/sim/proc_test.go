@@ -122,41 +122,6 @@ func TestCompletionDoublePanics(t *testing.T) {
 	c.Complete(2, nil)
 }
 
-func TestAwaitAll(t *testing.T) {
-	e := NewEngine()
-	c1, c2, c3 := e.NewCompletion(), e.NewCompletion(), e.NewCompletion()
-	var at Time
-	e.Spawn("w", func(p *Proc) {
-		p.AwaitAll(c1, c2, c3)
-		at = p.Now()
-	})
-	e.Schedule(30, func() { c2.Complete(nil, nil) })
-	e.Schedule(10, func() { c1.Complete(nil, nil) })
-	e.Schedule(20, func() { c3.Complete(nil, nil) })
-	e.Run()
-	if at != 30 {
-		t.Fatalf("AwaitAll finished at %v, want 30", at)
-	}
-}
-
-func TestProcYield(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Spawn("a", func(p *Proc) {
-		order = append(order, "a-before")
-		p.Yield()
-		order = append(order, "a-after")
-	})
-	e.Spawn("b", func(p *Proc) {
-		order = append(order, "b")
-	})
-	e.Run()
-	// a yields before b has run; b must run during the yield.
-	if order[0] != "a-before" || order[1] != "b" || order[2] != "a-after" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
 func TestSpawnFromProc(t *testing.T) {
 	e := NewEngine()
 	var childAt Time

@@ -5,116 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestQueueFIFO(t *testing.T) {
-	e := NewEngine()
-	q := e.NewQueue(0)
-	var got []int
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			q.Put(p, i)
-			p.Sleep(10)
-		}
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			v, ok := q.Get(p)
-			if !ok {
-				t.Error("Get returned !ok")
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got = %v", got)
-		}
-	}
-}
-
-func TestQueueBlockingGet(t *testing.T) {
-	e := NewEngine()
-	q := e.NewQueue(0)
-	var at Time
-	e.Spawn("consumer", func(p *Proc) {
-		v, _ := q.Get(p)
-		at = p.Now()
-		if v != "x" {
-			t.Errorf("v = %v", v)
-		}
-	})
-	e.Schedule(50, func() { q.TryPut("x") })
-	e.Run()
-	if at != 50 {
-		t.Fatalf("consumer woke at %v, want 50", at)
-	}
-}
-
-func TestQueueCapacityBlocksPut(t *testing.T) {
-	e := NewEngine()
-	q := e.NewQueue(2)
-	var putDone Time
-	e.Spawn("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Put(p, 3) // must block until a Get
-		putDone = p.Now()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		p.Sleep(100)
-		q.Get(p)
-	})
-	e.Run()
-	if putDone != 100 {
-		t.Fatalf("third Put completed at %v, want 100", putDone)
-	}
-}
-
-func TestQueueTryPutFull(t *testing.T) {
-	e := NewEngine()
-	q := e.NewQueue(1)
-	if !q.TryPut(1) {
-		t.Fatal("first TryPut failed")
-	}
-	if q.TryPut(2) {
-		t.Fatal("TryPut succeeded on full queue")
-	}
-	v, ok := q.TryGet()
-	if !ok || v != 1 {
-		t.Fatalf("TryGet = %v, %v", v, ok)
-	}
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet succeeded on empty queue")
-	}
-}
-
-func TestQueueClose(t *testing.T) {
-	e := NewEngine()
-	q := e.NewQueue(0)
-	q.TryPut(1)
-	var vals []any
-	var finalOK bool
-	e.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				finalOK = false
-				return
-			}
-			vals = append(vals, v)
-		}
-	})
-	e.Schedule(10, func() { q.Close() })
-	e.Run()
-	if len(vals) != 1 || finalOK {
-		t.Fatalf("vals=%v finalOK=%v", vals, finalOK)
-	}
-	if !q.Closed() {
-		t.Fatal("queue not closed")
-	}
-}
-
 func TestResourceContention(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(1)

@@ -131,9 +131,6 @@ func (s *Shards) AddDomainAt(name string, shard int) (DomainID, *Engine) {
 // Engine returns the shard engine domain d is pinned to.
 func (s *Shards) Engine(d DomainID) *Engine { return s.engines[s.domains[d].shard] }
 
-// ShardOf returns the shard index domain d is pinned to.
-func (s *Shards) ShardOf(d DomainID) int { return int(s.domains[d].shard) }
-
 // Domains returns the number of registered domains.
 func (s *Shards) Domains() int { return len(s.domains) }
 

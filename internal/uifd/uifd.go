@@ -275,33 +275,3 @@ func (c *cmd) finish() {
 	d.putCmd(c)
 	req.EndIO(perr)
 }
-
-// Tenancy manages multiple tenant drivers over one card.
-type Tenancy struct {
-	eng  *sim.Engine
-	qdma *qdma.Engine
-	ten  []*Driver
-}
-
-// NewTenancy wraps a QDMA engine for multi-tenant allocation.
-func NewTenancy(eng *sim.Engine, qe *qdma.Engine) *Tenancy {
-	return &Tenancy{eng: eng, qdma: qe}
-}
-
-// AddTenant creates an isolated driver for a tenant.
-func (t *Tenancy) AddTenant(kind TenantKind, hwQueues int, queue qdma.QueueKind, backend CardBackend) (*Driver, error) {
-	d, err := NewDriver(t.eng, t.qdma, backend, Config{
-		Tenant:   len(t.ten),
-		Kind:     kind,
-		HWQueues: hwQueues,
-		Queue:    queue,
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.ten = append(t.ten, d)
-	return d, nil
-}
-
-// Tenants returns the allocated drivers.
-func (t *Tenancy) Tenants() []*Driver { return t.ten }

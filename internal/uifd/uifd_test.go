@@ -138,18 +138,14 @@ func TestDriverValidation(t *testing.T) {
 func TestTenancyIsolation(t *testing.T) {
 	eng := sim.NewEngine()
 	qe := qdma.New(eng, qdma.DefaultConfig())
-	ten := NewTenancy(eng, qe)
 	be := &fakeBackend{eng: eng, delay: sim.Microsecond}
-	pf, err := ten.AddTenant(BareMetal, 2, qdma.ReplicationQueue, be)
+	pf, err := NewDriver(eng, qe, be, Config{Tenant: 0, Kind: BareMetal, HWQueues: 2, Queue: qdma.ReplicationQueue})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vf, err := ten.AddTenant(VirtualMachine, 2, qdma.ErasureQueue, be)
+	vf, err := NewDriver(eng, qe, be, Config{Tenant: 1, Kind: VirtualMachine, HWQueues: 2, Queue: qdma.ErasureQueue})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(ten.Tenants()) != 2 {
-		t.Fatal("tenant count wrong")
 	}
 	if pf.Function().Kind != qdma.PF || vf.Function().Kind != qdma.VF {
 		t.Fatal("function kinds wrong")
