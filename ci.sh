@@ -88,12 +88,15 @@ go run ./cmd/delibabench -quick -report "$tmp/report.json"
 
 # CLI smoke: the cmd/ packages have no tests, so drive deliba-fio's -stack
 # parser and -profile path end to end on every named stack, the +ec and
-# +repl-raft extensions, one layer-token hybrid, and one spec the
-# validator must reject (DeLiBA-1 has no EC accelerators).
+# +repl-raft extensions, the cache tier on the software client and a QoS
+# elevator on the card path (the cache-target and QoS branches of the
+# io_uring builder), one layer-token hybrid, and one spec the validator
+# must reject (DeLiBA-1 has no EC accelerators).
 echo "== CLI smoke (deliba-fio -stack ... -profile) =="
 go build -o "$tmp/deliba-fio" ./cmd/deliba-fio
 for spec in deliba-1-hw deliba-2-sw deliba-2-hw deliba-k-sw deliba-k-hw \
-    deliba-k-hw+ec deliba-k-hw+repl-raft iouring,dmq-bypass,qdma,hls-crush,card-rtl; do
+    deliba-k-hw+ec deliba-k-hw+repl-raft deliba-k-sw+cache-lsvd \
+    deliba-k-hw+qos-dmclock iouring,dmq-bypass,qdma,hls-crush,card-rtl; do
     "$tmp/deliba-fio" -stack "$spec" -profile -ops 200 > "$tmp/fio.out"
     head -n 1 "$tmp/fio.out"
 done

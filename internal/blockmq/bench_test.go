@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // BenchmarkSubmitBypass measures the host cost of the DMQ fast path.
@@ -16,7 +17,7 @@ func BenchmarkSubmitBypass(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mq.SubmitAsync(OpWrite, int64(i)*4096, 4096, 0, i%3, nil)
+		mq.SubmitAsyncTenant(OpWrite, int64(i)*4096, 4096, 0, i%3, 0, trace.Ref{}, nil)
 		if i%64 == 63 {
 			eng.Run()
 		}
@@ -35,7 +36,7 @@ func BenchmarkSubmitDeadline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mq.SubmitAsync(OpWrite, int64(i)*4096, 4096, 0, i%3, nil)
+		mq.SubmitAsyncTenant(OpWrite, int64(i)*4096, 4096, 0, i%3, 0, trace.Ref{}, nil)
 		if i%64 == 63 {
 			eng.Run()
 		}

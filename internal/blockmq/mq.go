@@ -127,26 +127,15 @@ func (mq *MQ) Submit(p *sim.Proc, op OpType, off int64, length int, cpu int, don
 	return req
 }
 
-// SubmitAsync is Submit from event context (e.g. an io_uring SQPOLL drain):
-// the layer's CPU cost is applied as scheduling delay instead of a proc
-// sleep. flags carries request hints.
-func (mq *MQ) SubmitAsync(op OpType, off int64, length int, flags uint32, cpu int, done func(err error)) *Request {
-	return mq.SubmitAsyncTraced(op, off, length, flags, cpu, trace.Ref{}, done)
-}
-
-// SubmitAsyncTraced is SubmitAsync carrying a per-I/O trace context. The
-// context is a parameter rather than a field the caller sets afterwards
-// because the bypass fast path can reach the driver synchronously inside
-// this call — the request must already carry it when place() runs.
-func (mq *MQ) SubmitAsyncTraced(op OpType, off int64, length int, flags uint32, cpu int, tr trace.Ref, done func(err error)) *Request {
-	return mq.SubmitAsyncTenant(op, off, length, flags, cpu, 0, tr, done)
-}
-
-// SubmitAsyncTenant is SubmitAsyncTraced for an I/O owned by a tenant: the
-// identity rides the request into the scheduler (per-tenant QoS accounting)
-// and the driver (SR-IOV function / queue-set selection). Tenant 0 is the
-// untenanted default and leaves the request path identical to
-// SubmitAsyncTraced.
+// SubmitAsyncTenant is Submit from event context (e.g. an io_uring SQPOLL
+// drain): the layer's CPU cost is applied as scheduling delay instead of a
+// proc sleep. flags carries request hints. tenant owns the I/O: the
+// identity rides the request into the scheduler (per-tenant QoS
+// accounting) and the driver (SR-IOV function / queue-set selection);
+// tenant 0 is the untenanted default. tr is the per-I/O trace context, a
+// parameter rather than a field the caller sets afterwards because the
+// bypass fast path can reach the driver synchronously inside this call —
+// the request must already carry it when place() runs.
 func (mq *MQ) SubmitAsyncTenant(op OpType, off int64, length int, flags uint32, cpu, tenant int, tr trace.Ref, done func(err error)) *Request {
 	req := mq.newRequest(op, off, length, flags, cpu, done)
 	req.Tenant = tenant

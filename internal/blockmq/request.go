@@ -61,7 +61,7 @@ type Request struct {
 	Tag int
 	// Trace is the per-I/O trace context handed to the driver (re-parented
 	// under the blk-mq span when sampled). It must be set at submit time
-	// (via SubmitAsyncTraced) because the bypass fast path can issue to
+	// (via SubmitAsyncTenant) because the bypass fast path can issue to
 	// the driver synchronously, before the caller sees the request.
 	Trace trace.Ref
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fpga"
 	"repro/internal/rados"
 	"repro/internal/rbd"
 	"repro/internal/sim"
@@ -12,26 +11,24 @@ import (
 
 // cardBackend is the FPGA-side pipeline shared by every card-bearing
 // composition: once a block request reaches the card, it is mapped to
-// backing objects, placed by the Placement layer's CRUSH kernel, (for EC
+// backing objects, placed by the card's CRUSH kernel, (for EC
 // writes) encoded by the RS accelerator, and fanned out to the OSD nodes
 // over the card's own TCP/IP stack. The layer kinds parameterise the
 // timing: the packetisation FSM cost follows the fan-out generation
 // (RTL vs. HLS TCP stack) and the kernel penalty scale follows the
 // placement generation.
 type cardBackend struct {
-	eng   *sim.Engine
-	cm    CostModel
-	shell *fpga.Shell
-	place Placement
+	eng *sim.Engine
+	cm  CostModel
+	// place is the CRUSH kernel on the card's FPGA shell; its latency
+	// scale also charges the HLS slowdown on the RS encoder.
+	place *cardPlacement
 	fan   *Fanout
 	image *rbd.Image
 	pool  *rados.Pool
 	// procCost is the card's fixed per-I/O pipeline stage (descriptor
 	// handling + packetisation FSM) for this fan-out generation.
 	procCost sim.Duration
-	// kernelScale is the HLS slowdown charged on non-placement kernels
-	// (the RS encoder); 1 for RTL designs.
-	kernelScale float64
 	// trace records card-side spans for sampled ops (nil = off).
 	trace *trace.Sink
 	// pipeNextFree serializes the card's fixed per-I/O pipeline stage.
@@ -50,15 +47,6 @@ func (cb *cardBackend) reservePipe(cost sim.Duration) sim.Duration {
 	}
 	cb.pipeNextFree = start.Add(cost)
 	return cb.pipeNextFree.Sub(now)
-}
-
-// hlsExtra returns the additional latency an HLS kernel pays over the RTL
-// redesign (zero for DeLiBA-K).
-func (cb *cardBackend) hlsExtra(spec fpga.KernelSpec, passes int) sim.Duration {
-	if cb.kernelScale <= 1 {
-		return 0
-	}
-	return sim.Duration(float64(spec.PipelineLatency()) * (cb.kernelScale - 1) * float64(passes))
 }
 
 // pcieTime is the legacy (pre-QDMA) host<->card transfer time for D1/D2.

@@ -299,7 +299,7 @@ func (cb *cardBackend) advance(o *cardOp) {
 					o.hs = cb.trace.Begin(o.tr, "rs-encode")
 				}
 				o.stage = cbEncoded
-				cb.shell.RS.Encode(e.Len, nil, o.errDone)
+				cb.place.shell.RS.Encode(e.Len, nil, o.errDone)
 			case o.op == Write:
 				o.stage = cbFanned
 				cb.fan.WriteReplicatedR(cb.pool, e.Object, e.Off, e.Len, opts, o.errDone)
@@ -318,7 +318,7 @@ func (cb *cardBackend) advance(o *cardOp) {
 				return
 			}
 			o.stage = cbECWrite
-			if d := cb.hlsExtra(cb.shell.RS.Spec, 1); d > 0 {
+			if d := cb.place.extra(cb.place.shell.RS.Spec, 1); d > 0 {
 				cb.eng.Schedule(d, o.step)
 				return
 			}
@@ -339,7 +339,7 @@ func (cb *cardBackend) advance(o *cardOp) {
 				o.hs.Link(trace.KindDegraded, 0)
 			}
 			o.stage = cbRebuilt
-			cb.shell.RS.Encode(o.ext.Len, nil, o.errDone)
+			cb.place.shell.RS.Encode(o.ext.Len, nil, o.errDone)
 			return
 		case cbRebuilt:
 			o.hs.End()

@@ -10,7 +10,6 @@
 package core
 
 import (
-	"repro/internal/rados"
 	"repro/internal/sim"
 )
 
@@ -57,21 +56,16 @@ type Stack interface {
 	Name() string
 	// Submit starts one block I/O from worker CPU cpu.
 	Submit(op OpType, pattern Pattern, off int64, n int, cpu int, done func(error))
+	// SubmitTenant is Submit for an I/O owned by a tenant: the identity
+	// rides the op through every layer (QoS scheduling, SR-IOV queue
+	// mapping, fan-out, per-tenant trace exemplars). Tenant 0 is the
+	// untenanted default and leaves the event sequence identical to
+	// Submit.
+	SubmitTenant(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, done func(error))
 	// ImageBytes returns the virtual disk size the stack exposes.
 	ImageBytes() int64
 	// Close releases stack resources (rings, pollers) after a run.
 	Close()
-}
-
-// TenantSubmitter is implemented by stacks that can attribute an I/O to a
-// tenant. SubmitTenant is Submit with the owning tenant's identity riding
-// the op through every layer — host API, block layer, transport queue
-// mapping, fan-out, and trace spans. Tenant 0 is the untenanted default and
-// must behave exactly like Submit. Workload generators probe for this
-// interface and fall back to Submit when a stack does not provide it.
-type TenantSubmitter interface {
-	Stack
-	SubmitTenant(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, done func(error))
 }
 
 // Do runs one I/O synchronously on a proc (convenience for tests and
@@ -80,23 +74,5 @@ func Do(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu 
 	c := p.Engine().NewCompletion()
 	s.Submit(op, pattern, off, n, cpu, func(err error) { c.Complete(nil, err) })
 	_, err := p.Await(c)
-	return err
-}
-
-// DoDeadline is Do with a per-op deadline: it returns rados.ErrDeadline if
-// the I/O has not completed after d. The abandoned I/O keeps running in the
-// stack (its eventual completion is dropped), mirroring a timed-out block
-// request. d <= 0 waits forever.
-func DoDeadline(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int, d sim.Duration) error {
-	c := p.Engine().NewCompletion()
-	s.Submit(op, pattern, off, n, cpu, func(err error) { c.Complete(nil, err) })
-	if d <= 0 {
-		_, err := p.Await(c)
-		return err
-	}
-	_, err, ok := p.AwaitTimeout(c, d)
-	if !ok {
-		return rados.ErrDeadline
-	}
 	return err
 }

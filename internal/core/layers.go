@@ -7,7 +7,6 @@ import (
 	"repro/internal/fpga"
 	"repro/internal/iouring"
 	"repro/internal/lsvd"
-	"repro/internal/netsim"
 	"repro/internal/qdma"
 	"repro/internal/rados"
 	"repro/internal/raft"
@@ -17,19 +16,18 @@ import (
 	"repro/internal/uifd"
 )
 
-// This file is the imperative half of the stack pipeline: the five layer
-// interfaces a stack composes (host API, block layer, transport, placement,
-// fan-out), their implementations, and BuildStack, which wires a validated
-// StackSpec into a running Stack. Every DeLiBA generation — and any valid
-// hybrid — is one path through these constructors; none has a bespoke
-// stack type anymore.
+// This file is the imperative half of the stack pipeline: the host API
+// boundary, the card placement kernel, the composed stack, and BuildStack,
+// which wires a validated StackSpec into a running Stack. The spec's layer
+// tokens pick the parts; the stack holds the parts directly, nil where the
+// spec has no such layer. Every DeLiBA generation — and any valid hybrid —
+// is one path through these constructors.
 //
-// Fidelity note: the builders preserve the exact construction order and
-// event sequences of the old per-generation constructors (fabric host →
-// shell → card backend → QDMA/UIFD → blk-mq → rings, fused daemon CPU
-// charges, fused card pipeline reservations), because experiment digests
-// are bit-exact regression oracles and event tie-breaking is
-// creation-order sensitive.
+// Fidelity note: the builders keep a fixed construction order (fabric
+// host → shell → card backend → QDMA/UIFD → blk-mq → rings) and event
+// sequences (fused daemon CPU charges, fused card pipeline reservations),
+// because experiment digests are bit-exact regression oracles and event
+// tie-breaking is creation-order sensitive.
 
 // HostAPI is how block I/O enters the stack: DeLiBA-K's io_uring ring set
 // or the DeLiBA-1/2 NBD daemon loop. tr is the per-I/O trace context
@@ -40,219 +38,86 @@ type HostAPI interface {
 	Close()
 }
 
-// BlockLayer is the kernel block layer between the host API and the
-// transport (DMQ bypass, mq-deadline, or none for the user-space daemons).
-type BlockLayer interface {
-	Kind() BlockKind
-	// MQ exposes the blk-mq instance; nil when the path has no kernel
-	// block queue (host-only transport folds the DMQ/RBD residency into
-	// the map cost; the NBD daemons bypass the kernel entirely).
-	MQ() *blockmq.MQ
-}
+// --- card placement ------------------------------------------------------
 
-// Transport is the host↔card data path (QDMA queue sets, the legacy DMA
-// engine, or nothing for host-only stacks).
-type Transport interface {
-	Kind() TransportKind
-	// Driver exposes the UIFD driver on the QDMA path (nil otherwise).
-	Driver() *uifd.Driver
-}
-
-// Placement computes CRUSH placement: an RTL or HLS kernel on the card, or
-// the software client (which embeds it in its request cost).
-type Placement interface {
-	Kind() PlacementKind
-	// Shell exposes the FPGA design hosting the kernels (nil for
-	// software placement).
-	Shell() *fpga.Shell
-	// Select computes one of the pool's PG placements asynchronously on
-	// the card, from the same CRUSH input Cluster.ActingSet selects on;
-	// cont receives the post-selection kernel penalty to charge (the HLS
-	// slowdown) and any error.
-	Select(pool *rados.Pool, pg uint32, cont func(penalty sim.Duration, err error))
-}
-
-// FanoutLayer is the network path that carries replica/shard fan-out: the
-// card NIC (RTL or HLS TCP/IP) or the host stack (raw Fanout for the D1
-// daemon, the Ceph client for the software baselines).
-type FanoutLayer interface {
-	Kind() FanoutKind
-	// Fan exposes the raw fan-out engine (nil on the client path).
-	Fan() *Fanout
-	// Client exposes the software Ceph client (nil on the card/host-NIC
-	// paths).
-	Client() *rados.Client
-}
-
-// --- host APIs -----------------------------------------------------------
-
-// uringHost adapts the shared ringSet to the HostAPI boundary.
-type uringHost struct{ rs *ringSet }
-
-func (h *uringHost) Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error)) {
-	h.rs.submit(op, pattern, off, n, cpu, tenant, tr, done)
-}
-
-func (h *uringHost) Close() { h.rs.close() }
-
-// --- block layers --------------------------------------------------------
-
-type dmqBlock struct {
-	kind BlockKind
-	mq   *blockmq.MQ
-}
-
-func (b *dmqBlock) Kind() BlockKind { return b.kind }
-func (b *dmqBlock) MQ() *blockmq.MQ { return b.mq }
-
-type noBlock struct{}
-
-func (noBlock) Kind() BlockKind { return BlockNone }
-func (noBlock) MQ() *blockmq.MQ { return nil }
-
-// --- transports ----------------------------------------------------------
-
-type qdmaTransport struct{ drv *uifd.Driver }
-
-func (t *qdmaTransport) Kind() TransportKind  { return TransportQDMA }
-func (t *qdmaTransport) Driver() *uifd.Driver { return t.drv }
-
-type legacyDMA struct{}
-
-func (legacyDMA) Kind() TransportKind  { return TransportLegacyDMA }
-func (legacyDMA) Driver() *uifd.Driver { return nil }
-
-type hostOnly struct{}
-
-func (hostOnly) Kind() TransportKind  { return TransportHostOnly }
-func (hostOnly) Driver() *uifd.Driver { return nil }
-
-// --- placements ----------------------------------------------------------
-
-// rtlPlacement is DeLiBA-K's straw2 kernel: full pipeline speed, no
-// penalty beyond the kernel occupancy itself.
-type rtlPlacement struct {
-	shell *fpga.Shell
-	free  []*placeSel
-}
-
-func (pl *rtlPlacement) Kind() PlacementKind { return PlacementRTL }
-func (pl *rtlPlacement) Shell() *fpga.Shell  { return pl.shell }
-
-func (pl *rtlPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
-	selectOnCard(&pl.free, pl.shell, pool, pg, 0, cont)
-}
-
-// placeSel is one placement in flight on the card's straw2 kernel. Selects
-// are pooled on their placement layer with the kernel callback bound once.
-type placeSel struct {
-	free    *[]*placeSel
-	penalty sim.Duration
-	cont    func(sim.Duration, error)
-	done    func([]int, error)
-}
-
-// selectOnCard runs one placement on the card and hands cont the given
-// penalty once the kernel answers.
-func selectOnCard(free *[]*placeSel, shell *fpga.Shell, pool *rados.Pool, pg uint32, penalty sim.Duration, cont func(sim.Duration, error)) {
-	var s *placeSel
-	if k := len(*free); k > 0 {
-		s = (*free)[k-1]
-		(*free)[k-1] = nil
-		*free = (*free)[:k-1]
-	} else {
-		s = &placeSel{free: free}
-		s.done = s.selected
-	}
-	s.penalty, s.cont = penalty, cont
-	shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), s.done)
-}
-
-func (s *placeSel) selected(_ []int, err error) {
-	penalty, cont := s.penalty, s.cont
-	s.cont = nil
-	*s.free = append(*s.free, s)
-	cont(penalty, err)
-}
-
-// hlsPlacement is the DeLiBA-1/2 HLS kernel: the same selection with the
-// HLS latency scale charged on top.
-type hlsPlacement struct {
+// cardPlacement is the CRUSH straw2 kernel on the card's FPGA shell. scale
+// is the kernel generation's latency scale: 1 for DeLiBA-K's RTL kernel
+// (no penalty beyond the kernel occupancy itself), the HLS slowdown for
+// the DeLiBA-1/2 HLS kernels, charged on top. Software placement has no
+// cardPlacement: the client's request cost embeds it.
+type cardPlacement struct {
 	shell *fpga.Shell
 	scale float64
 	free  []*placeSel
 }
 
-func (pl *hlsPlacement) Kind() PlacementKind { return PlacementHLS }
-func (pl *hlsPlacement) Shell() *fpga.Shell  { return pl.shell }
-
-func (pl *hlsPlacement) penalty(passes int) sim.Duration {
+// extra returns the additional latency a kernel of this generation pays
+// over the RTL redesign for passes pipeline passes (zero at scale 1).
+func (pl *cardPlacement) extra(spec fpga.KernelSpec, passes int) sim.Duration {
 	if pl.scale <= 1 {
 		return 0
 	}
-	return sim.Duration(float64(pl.shell.Straw2.Spec.PipelineLatency()) *
-		(pl.scale - 1) * float64(passes))
+	return sim.Duration(float64(spec.PipelineLatency()) * (pl.scale - 1) * float64(passes))
 }
 
-func (pl *hlsPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
-	selectOnCard(&pl.free, pl.shell, pool, pg, pl.penalty(pool.Width()), cont)
+// placeSel is one placement in flight on the card's straw2 kernel. Selects
+// are pooled on their placement with the kernel callback bound once.
+type placeSel struct {
+	pl      *cardPlacement
+	penalty sim.Duration
+	cont    func(sim.Duration, error)
+	done    func([]int, error)
 }
 
-// swPlacement marks placement as computed inside the software client (its
-// request cost embeds SWPlacement); nothing runs on a card.
-type swPlacement struct{}
-
-func (swPlacement) Kind() PlacementKind { return PlacementSoftware }
-func (swPlacement) Shell() *fpga.Shell  { return nil }
-func (swPlacement) Select(_ *rados.Pool, _ uint32, cont func(sim.Duration, error)) {
-	cont(0, nil)
+// Select computes one of the pool's PG placements asynchronously on the
+// card, from the same CRUSH input Cluster.ActingSet selects on; cont
+// receives the post-selection kernel penalty to charge (the HLS slowdown)
+// and any error.
+func (pl *cardPlacement) Select(pool *rados.Pool, pg uint32, cont func(sim.Duration, error)) {
+	var s *placeSel
+	if k := len(pl.free); k > 0 {
+		s = pl.free[k-1]
+		pl.free[k-1] = nil
+		pl.free = pl.free[:k-1]
+	} else {
+		s = &placeSel{pl: pl}
+		s.done = s.selected
+	}
+	s.penalty, s.cont = pl.extra(pl.shell.Straw2.Spec, pool.Width()), cont
+	pl.shell.Straw2.Select(pg, uint32(pool.ID), pool.Width(), s.done)
 }
 
-// --- fan-out layers ------------------------------------------------------
-
-// cardFanout is the card NIC's TCP/IP stack (RTL for DeLiBA-K, HLS for
-// DeLiBA-2) driving the raw fan-out engine.
-type cardFanout struct {
-	kind FanoutKind
-	fan  *Fanout
+func (s *placeSel) selected(_ []int, err error) {
+	penalty, cont := s.penalty, s.cont
+	s.cont = nil
+	s.pl.free = append(s.pl.free, s)
+	cont(penalty, err)
 }
-
-func (f *cardFanout) Kind() FanoutKind      { return f.kind }
-func (f *cardFanout) Fan() *Fanout          { return f.fan }
-func (f *cardFanout) Client() *rados.Client { return nil }
-
-// hostFanout is DeLiBA-1's host-NIC fan-out.
-type hostFanout struct{ fan *Fanout }
-
-func (f *hostFanout) Kind() FanoutKind      { return FanoutHostTCP }
-func (f *hostFanout) Fan() *Fanout          { return f.fan }
-func (f *hostFanout) Client() *rados.Client { return nil }
-
-// clientFanout is the software Ceph client (primary-copy protocol over the
-// host NIC, software CRUSH inside).
-type clientFanout struct{ client *rados.Client }
-
-func (f *clientFanout) Kind() FanoutKind      { return FanoutHostTCP }
-func (f *clientFanout) Fan() *Fanout          { return nil }
-func (f *clientFanout) Client() *rados.Client { return f.client }
 
 // --- the composed stack --------------------------------------------------
 
-// pipelineStack is the one Stack implementation: five layers assembled by
-// BuildStack.
+// pipelineStack is the one Stack implementation: the parts its spec names,
+// assembled by BuildStack. Each part is nil where the spec has no such
+// layer.
 type pipelineStack struct {
 	tb    *Testbed
 	spec  StackSpec
 	image *rbd.Image
 	pool  *rados.Pool
 
-	host      HostAPI
-	block     BlockLayer
-	transport Transport
-	placement Placement
-	fanout    FanoutLayer
-
-	// cache is the LSVD write-back tier (nil for cache-none specs).
+	host HostAPI
+	// mq and drv are the blk-mq instance and the UIFD driver of the QDMA
+	// transport.
+	mq  *blockmq.MQ
+	drv *uifd.Driver
+	// shell is the FPGA design hosting the card's CRUSH kernels (rtl-crush
+	// or hls-crush placement).
+	shell *fpga.Shell
+	// fan is the raw fan-out engine on the card NIC or DeLiBA-1's host
+	// NIC; client is the software Ceph client. A stack has one of them.
+	fan    *Fanout
+	client *rados.Client
+	// cache is the LSVD write-back tier (cache-lsvd).
 	cache *lsvd.Cache
 }
 
@@ -262,10 +127,6 @@ func (s *pipelineStack) Submit(op OpType, pattern Pattern, off int64, n int, cpu
 	s.SubmitTenant(op, pattern, off, n, cpu, 0, done)
 }
 
-// SubmitTenant is Submit for an I/O owned by a tenant: the identity rides
-// the op through every layer (QoS scheduling, SR-IOV queue mapping,
-// per-tenant trace exemplars). Tenant 0 is the untenanted default and
-// leaves the event sequence identical to Submit.
 func (s *pipelineStack) SubmitTenant(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, done func(error)) {
 	// Root the per-I/O trace here: every op (sampled or not) advances the
 	// deterministic submit sequence the sampling policy keys on.
@@ -306,19 +167,19 @@ func (s *pipelineStack) Spec() StackSpec { return s.spec }
 
 // Shell exposes the FPGA design (for the DFX and power experiments); nil
 // for software placement.
-func (s *pipelineStack) Shell() *fpga.Shell { return s.placement.Shell() }
+func (s *pipelineStack) Shell() *fpga.Shell { return s.shell }
 
 // MQ exposes the blk-mq instance (for ablation statistics); nil off the
 // QDMA path.
-func (s *pipelineStack) MQ() *blockmq.MQ { return s.block.MQ() }
+func (s *pipelineStack) MQ() *blockmq.MQ { return s.mq }
 
 // Driver exposes the UIFD driver; nil off the QDMA path.
-func (s *pipelineStack) Driver() *uifd.Driver { return s.transport.Driver() }
+func (s *pipelineStack) Driver() *uifd.Driver { return s.drv }
 
 // Rings exposes the io_uring instances; nil for NBD host APIs.
 func (s *pipelineStack) Rings() []*iouring.Ring {
-	if h, ok := s.host.(*uringHost); ok {
-		return h.rs.rings
+	if rs, ok := s.host.(*ringSet); ok {
+		return rs.rings
 	}
 	return nil
 }
@@ -348,97 +209,77 @@ func (tb *Testbed) BuildStack(spec StackSpec) (Stack, error) {
 	}
 	pool, image := tb.poolAndImage(spec.EC)
 	s := &pipelineStack{tb: tb, spec: spec, image: image, pool: pool}
-
-	switch {
-	case spec.Transport == TransportQDMA:
-		if err := tb.buildURingCard(s); err != nil {
-			return nil, err
-		}
-	case spec.Transport == TransportHostOnly && spec.HostAPI == HostIOUring:
-		if err := tb.buildURingClient(s); err != nil {
-			return nil, err
-		}
-	case spec.Transport == TransportHostOnly:
-		if err := tb.buildNBDClient(s); err != nil {
-			return nil, err
-		}
-	case spec.Fanout == FanoutHostTCP:
-		if err := tb.buildNBDOffload(s); err != nil {
-			return nil, err
-		}
-	default:
-		if err := tb.buildNBDCard(s); err != nil {
-			return nil, err
-		}
+	var err error
+	if spec.HostAPI == HostIOUring {
+		err = tb.buildURing(s)
+	} else {
+		err = tb.buildNBD(s)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if spec.Replication == ReplRaft {
 		// Route the replicated pool through the per-PG Raft backend: the
 		// fan-out engine and the software client both dispatch to a router
 		// bound to the stack's own client endpoint.
 		sys := tb.raftSystem()
-		if fan := s.fanout.Fan(); fan != nil {
-			r := raft.NewRouter(sys, fan.From)
+		if s.fan != nil {
+			r := raft.NewRouter(sys, s.fan.From)
 			r.Sink = tb.traceHost
-			fan.Raft = r
+			s.fan.Raft = r
 		}
-		if cl := s.fanout.Client(); cl != nil {
-			r := raft.NewRouter(sys, cl.Host)
+		if s.client != nil {
+			r := raft.NewRouter(sys, s.client.Host)
 			r.Sink = tb.traceHost
-			cl.Repl = r
+			s.client.Repl = r
 		}
 	}
 	return s, nil
 }
 
-// cardNIC returns the fabric host name and network stack profile for a
-// card fan-out kind.
-func (tb *Testbed) cardNIC(kind FanoutKind) (string, netsim.StackCost) {
-	if kind == FanoutCardHLS {
-		return "fpga-hls", tb.CM.HLSStack
+// buildPlacement builds the card's FPGA shell and its CRUSH kernel for the
+// spec's placement generation. HLS designs predate DFX: static shell, no
+// swappable RMs.
+func (tb *Testbed) buildPlacement(s *pipelineStack) (*cardPlacement, error) {
+	hls := s.spec.Placement == PlacementHLS
+	shell, err := buildShell(tb, s.pool, hls)
+	if err != nil {
+		return nil, err
 	}
-	return "fpga-cmac", tb.CM.RTLStack
+	s.shell = shell
+	pl := &cardPlacement{shell: shell, scale: 1}
+	if hls {
+		pl.scale = tb.CM.HLSLatencyScale
+	}
+	return pl, nil
 }
 
 // buildCardSide wires the layers living on the card — fabric host, FPGA
 // shell with the placement kernels, fan-out engine, and the card backend —
 // shared by the QDMA and legacy-DMA card shapes.
 func (tb *Testbed) buildCardSide(s *pipelineStack) (*cardBackend, error) {
-	hostName, stack := tb.cardNIC(s.spec.Fanout)
+	hostName, stack, procCost := "fpga-cmac", tb.CM.RTLStack, tb.CM.CardProcessing
+	if s.spec.Fanout == FanoutCardHLS {
+		hostName, stack, procCost = "fpga-hls", tb.CM.HLSStack, tb.CM.HLSCardProcessing
+	}
 	cardHost, err := tb.Fabric.AddHost(hostName, tb.CM.NICBitsPerSec, stack)
 	if err != nil {
 		return nil, err
 	}
-	// HLS designs predate DFX: static shell, no swappable RMs.
-	shell, err := buildShell(tb, s.pool, s.spec.Placement == PlacementHLS)
+	place, err := tb.buildPlacement(s)
 	if err != nil {
 		return nil, err
 	}
-	if s.spec.Placement == PlacementHLS {
-		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale}
-	} else {
-		s.placement = &rtlPlacement{shell: shell}
-	}
-	fan := &Fanout{Cluster: tb.Cluster, From: cardHost, Res: tb.Res, Trace: tb.traceHost}
-	s.fanout = &cardFanout{kind: s.spec.Fanout, fan: fan}
-	procCost := tb.CM.CardProcessing
-	if s.spec.Fanout == FanoutCardHLS {
-		procCost = tb.CM.HLSCardProcessing
-	}
-	kernelScale := 1.0
-	if s.spec.Placement == PlacementHLS {
-		kernelScale = tb.CM.HLSLatencyScale
-	}
+	s.fan = &Fanout{Cluster: tb.Cluster, From: cardHost, Res: tb.Res, Trace: tb.traceHost}
 	return &cardBackend{
-		eng:         tb.Eng,
-		cm:          tb.CM,
-		shell:       shell,
-		place:       s.placement,
-		fan:         fan,
-		image:       s.image,
-		pool:        s.pool,
-		procCost:    procCost,
-		kernelScale: kernelScale,
-		trace:       tb.traceHost,
+		eng:      tb.Eng,
+		cm:       tb.CM,
+		place:    place,
+		fan:      s.fan,
+		image:    s.image,
+		pool:     s.pool,
+		procCost: procCost,
+		trace:    tb.traceHost,
 	}, nil
 }
 
@@ -478,9 +319,47 @@ const (
 	qosInsertCost   = 600 * sim.Nanosecond
 )
 
-// buildURingCard wires the full hardware pipeline: io_uring → DMQ → UIFD/
-// QDMA → card kernels → card NIC fan-out (DeLiBA-K's shape).
-func (tb *Testbed) buildURingCard(s *pipelineStack) error {
+// buildURing wires the io_uring ring set over its ring target: the DMQ
+// on the card path (io_uring → DMQ → UIFD/QDMA → card kernels → card NIC
+// fan-out, DeLiBA-K's shape) or the software Ceph client (the DeLiBA-K
+// software baseline, whose DMQ/RBD kernel residency is folded into the
+// target's map cost), optionally behind the LSVD cache tier.
+func (tb *Testbed) buildURing(s *pipelineStack) error {
+	bare := s.spec.Cache == CacheLSVD
+	var target iouring.Target
+	if s.spec.Transport == TransportQDMA {
+		if err := tb.buildQDMA(s); err != nil {
+			return err
+		}
+		target = &dmqTarget{eng: tb.Eng, mq: s.mq, mapCost: tb.CM.DKRBDMapCost,
+			writeExtra: tb.CM.CardWriteOverhead, trace: tb.traceHost, bare: bare}
+	} else {
+		client, err := newSWClient(tb, "client-dksw")
+		if err != nil {
+			return err
+		}
+		s.client = client
+		target = &radosTarget{tb: tb, client: client, image: s.image, pool: s.pool,
+			mapCost: tb.CM.DKRBDMapCost, trace: tb.traceHost, bare: bare}
+	}
+	if s.spec.Cache == CacheLSVD {
+		cached, err := tb.buildCacheTarget(s, target)
+		if err != nil {
+			return err
+		}
+		target = cached
+	}
+	rs, err := newRingSet(tb, s.spec, target)
+	if err != nil {
+		return err
+	}
+	s.host = rs
+	return nil
+}
+
+// buildQDMA wires the card side, the UIFD driver over QDMA and the blk-mq
+// instance feeding it.
+func (tb *Testbed) buildQDMA(s *pipelineStack) error {
 	backend, err := tb.buildCardSide(s)
 	if err != nil {
 		return err
@@ -490,7 +369,7 @@ func (tb *Testbed) buildURingCard(s *pipelineStack) error {
 	if s.spec.EC {
 		queueKind = qdma.ErasureQueue
 	}
-	drv, err := uifd.NewDriver(tb.Eng, qe, backend, uifd.Config{
+	s.drv, err = uifd.NewDriver(tb.Eng, qe, backend, uifd.Config{
 		HWQueues: s.spec.ringInstances(),
 		Queue:    queueKind,
 		VFs:      uifdTenantVFs,
@@ -498,7 +377,6 @@ func (tb *Testbed) buildURingCard(s *pipelineStack) error {
 	if err != nil {
 		return err
 	}
-	s.transport = &qdmaTransport{drv: drv}
 	mqCfg := blockmq.Config{
 		CPUs:      s.spec.ringInstances(),
 		HWQueues:  s.spec.ringInstances(),
@@ -532,124 +410,48 @@ func (tb *Testbed) buildURingCard(s *pipelineStack) error {
 		mqCfg.Scheduler = sched
 		tb.QoSSched = sched
 	}
-	mq, err := blockmq.New(tb.Eng, mqCfg, drv)
+	s.mq, err = blockmq.New(tb.Eng, mqCfg, s.drv)
 	if err != nil {
 		return err
 	}
-	s.block = &dmqBlock{kind: s.spec.Block, mq: mq}
-	mq.SetTraceSink(tb.traceHost)
-	var target iouring.Target = &dmqTarget{eng: tb.Eng, mq: mq, mapCost: tb.CM.DKRBDMapCost,
-		writeExtra: tb.CM.CardWriteOverhead, trace: tb.traceHost,
-		bare: s.spec.Cache == CacheLSVD}
-	if s.spec.Cache == CacheLSVD {
-		target, err = tb.buildCacheTarget(s, target)
-		if err != nil {
-			return err
-		}
-	}
-	rs, err := newRingSet(tb, s.spec, target)
-	if err != nil {
-		return err
-	}
-	s.host = &uringHost{rs: rs}
+	s.mq.SetTraceSink(tb.traceHost)
 	return nil
 }
 
-// buildURingClient wires io_uring + kernel DMQ/RBD onto the software Ceph
-// client (the DeLiBA-K software baseline). The DMQ/RBD kernel residency is
-// folded into the ring target's map cost; there is no separate blk-mq
-// instance to expose.
-func (tb *Testbed) buildURingClient(s *pipelineStack) error {
-	client, err := newSWClient(tb, "client-dksw")
-	if err != nil {
-		return err
-	}
-	s.block = &dmqBlock{kind: s.spec.Block}
-	s.transport = hostOnly{}
-	s.placement = swPlacement{}
-	s.fanout = &clientFanout{client: client}
-	var target iouring.Target = &radosTarget{tb: tb, client: client, image: s.image, pool: s.pool,
-		mapCost: tb.CM.DKRBDMapCost, trace: tb.traceHost,
-		bare: s.spec.Cache == CacheLSVD}
-	if s.spec.Cache == CacheLSVD {
-		target, err = tb.buildCacheTarget(s, target)
-		if err != nil {
-			return err
-		}
-	}
-	rs, err := newRingSet(tb, s.spec, target)
-	if err != nil {
-		return err
-	}
-	s.host = &uringHost{rs: rs}
-	return nil
-}
-
-// buildNBDCard wires the NBD daemon onto the card over legacy DMA
+// buildNBD wires the NBD daemon loop onto its datapath: the user-space
+// Ceph libraries (the DeLiBA-2 software baseline), card placement offload
+// with host-side fan-out (DeLiBA-1's shape), or the card over legacy DMA
 // (DeLiBA-2's shape).
-func (tb *Testbed) buildNBDCard(s *pipelineStack) error {
-	backend, err := tb.buildCardSide(s)
-	if err != nil {
-		return err
+func (tb *Testbed) buildNBD(s *pipelineStack) error {
+	h := &nbdHost{tb: tb, profile: tb.CM.D2Host, daemon: tb.Eng.NewResource(1)}
+	switch {
+	case s.spec.Transport == TransportHostOnly:
+		client, err := newSWClient(tb, "client-d2sw")
+		if err != nil {
+			return err
+		}
+		s.client = client
+		h.path = &clientPath{cm: tb.CM, client: client, image: s.image, pool: s.pool}
+	case s.spec.Fanout == FanoutHostTCP:
+		hostNIC, err := tb.Fabric.AddHost("client-d1", tb.CM.NICBitsPerSec, tb.CM.D1NetStack)
+		if err != nil {
+			return err
+		}
+		place, err := tb.buildPlacement(s)
+		if err != nil {
+			return err
+		}
+		s.fan = &Fanout{Cluster: tb.Cluster, From: hostNIC, Res: tb.Res, Trace: tb.traceHost}
+		h.profile = tb.CM.D1Host
+		h.path = &d1Path{tb: tb, place: place, hls: s.spec.Placement == PlacementHLS,
+			fan: s.fan, image: s.image, pool: s.pool, daemon: h.daemon}
+	default:
+		backend, err := tb.buildCardSide(s)
+		if err != nil {
+			return err
+		}
+		h.path = &legacyCardPath{cm: tb.CM, backend: backend}
 	}
-	s.block = noBlock{}
-	s.transport = legacyDMA{}
-	s.host = &nbdHost{
-		tb:      tb,
-		profile: tb.CM.D2Host,
-		daemon:  tb.Eng.NewResource(1),
-		path:    &legacyCardPath{cm: tb.CM, backend: backend},
-	}
-	return nil
-}
-
-// buildNBDOffload wires the NBD daemon with card placement offload but
-// host-side fan-out (DeLiBA-1's shape).
-func (tb *Testbed) buildNBDOffload(s *pipelineStack) error {
-	hostNIC, err := tb.Fabric.AddHost("client-d1", tb.CM.NICBitsPerSec, tb.CM.D1NetStack)
-	if err != nil {
-		return err
-	}
-	shell, err := buildShell(tb, s.pool, s.spec.Placement == PlacementHLS)
-	if err != nil {
-		return err
-	}
-	if s.spec.Placement == PlacementHLS {
-		s.placement = &hlsPlacement{shell: shell, scale: tb.CM.HLSLatencyScale}
-	} else {
-		s.placement = &rtlPlacement{shell: shell}
-	}
-	fan := &Fanout{Cluster: tb.Cluster, From: hostNIC, Res: tb.Res, Trace: tb.traceHost}
-	s.fanout = &hostFanout{fan: fan}
-	s.block = noBlock{}
-	s.transport = legacyDMA{}
-	daemon := tb.Eng.NewResource(1)
-	s.host = &nbdHost{
-		tb:      tb,
-		profile: tb.CM.D1Host,
-		daemon:  daemon,
-		path: &d1Path{tb: tb, place: s.placement, fan: fan, image: s.image,
-			pool: s.pool, daemon: daemon},
-	}
-	return nil
-}
-
-// buildNBDClient wires the NBD daemon onto the user-space Ceph libraries
-// (the DeLiBA-2 software baseline).
-func (tb *Testbed) buildNBDClient(s *pipelineStack) error {
-	client, err := newSWClient(tb, "client-d2sw")
-	if err != nil {
-		return err
-	}
-	s.block = noBlock{}
-	s.transport = hostOnly{}
-	s.placement = swPlacement{}
-	s.fanout = &clientFanout{client: client}
-	s.host = &nbdHost{
-		tb:      tb,
-		profile: tb.CM.D2Host,
-		daemon:  tb.Eng.NewResource(1),
-		path:    &clientPath{cm: tb.CM, client: client, image: s.image, pool: s.pool},
-	}
+	s.host = h
 	return nil
 }

@@ -277,35 +277,3 @@ func TestClientReadDeadlineFailsOver(t *testing.T) {
 	}
 	assertDrained(t, tbd)
 }
-
-// TestDoDeadline pins the synchronous helper: a healthy op completes under a
-// generous deadline; with every message dropped the same op returns
-// ErrDeadline after exactly d of simulated time.
-func TestDoDeadline(t *testing.T) {
-	cfg := DefaultTestbedConfig()
-	cfg.Jitter = false
-	tbd, err := NewTestbed(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stack, err := buildNamed(tbd, "deliba-k-sw", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbd.Eng.Spawn("driver", func(p *sim.Proc) {
-		if err := DoDeadline(p, stack, Read, Seq, 0, 4096, 0, 50*sim.Millisecond); err != nil {
-			t.Errorf("healthy op under deadline: %v", err)
-		}
-		tbd.Fabric.SetFaultHook(func(src, dst *netsim.Host, n int) bool { return true })
-		start := p.Now()
-		err := DoDeadline(p, stack, Read, Seq, 0, 4096, 0, sim.Millisecond)
-		if !errors.Is(err, rados.ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline", err)
-		}
-		if got := p.Now().Sub(start); got != sim.Millisecond {
-			t.Errorf("timed out after %v, want exactly %v", got, sim.Millisecond)
-		}
-	})
-	tbd.Eng.Run()
-	stack.Close()
-}

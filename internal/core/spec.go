@@ -11,8 +11,9 @@ import (
 // kinds a DeLiBA generation is composed from, the StackSpec that names one
 // composition, the spec table for the paper's five stacks, and the
 // validation rules that reject combinations the modelled hardware cannot
-// form. The imperative half — turning a valid spec into a wired Stack — is
-// BuildStack in layers.go.
+// form. The spec's tokens are the only stack vocabulary; the imperative
+// half — BuildStack in layers.go — turns a valid spec into a Stack that
+// holds one concrete part per layer the spec names.
 
 // HostAPIKind selects how block I/O enters the host side of the stack.
 type HostAPIKind int

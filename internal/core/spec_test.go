@@ -21,43 +21,74 @@ func newSpecTestbed(t *testing.T) *Testbed {
 }
 
 // TestNamedSpecsBuild asserts the whole spec table is buildable: every one
-// of the paper's five stacks assembles through BuildStack and answers a
-// small I/O burst.
+// of the paper's five stacks, bare and with +repl-raft, assembles through
+// BuildStack holding exactly the parts its spec names and answers a small
+// I/O burst.
 func TestNamedSpecsBuild(t *testing.T) {
 	specs := NamedSpecs()
 	if len(specs) != 5 {
 		t.Fatalf("spec table has %d rows, want 5", len(specs))
 	}
 	wantNames := []string{"deliba-1-hw", "deliba-2-sw", "deliba-2-hw", "deliba-k-sw", "deliba-k-hw"}
-	for i, spec := range specs {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			if spec.Name != wantNames[i] {
-				t.Errorf("row %d named %q, want %q", i, spec.Name, wantNames[i])
-			}
-			if err := spec.Validate(); err != nil {
-				t.Fatalf("table row invalid: %v", err)
-			}
-			tb := newSpecTestbed(t)
-			stack, err := tb.BuildStack(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stack.Name() != spec.Name {
-				t.Errorf("stack name %q, want %q", stack.Name(), spec.Name)
-			}
-			var ioErr error
-			tb.Eng.Spawn("io", func(p *sim.Proc) {
-				for i := 0; i < 4 && ioErr == nil; i++ {
-					ioErr = Do(p, stack, Write, Seq, int64(i)*4096, 4096, i)
+	for i, named := range specs {
+		if named.Name != wantNames[i] {
+			t.Errorf("row %d named %q, want %q", i, named.Name, wantNames[i])
+		}
+		raft, err := ParseStackSpec(named.Name + "+repl-raft")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []StackSpec{named, raft} {
+			spec := spec
+			t.Run(spec.Name, func(t *testing.T) {
+				if err := spec.Validate(); err != nil {
+					t.Fatalf("spec invalid: %v", err)
+				}
+				tb := newSpecTestbed(t)
+				stack, err := tb.BuildStack(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stack.Name() != spec.Name {
+					t.Errorf("stack name %q, want %q", stack.Name(), spec.Name)
+				}
+				// The parts: each present exactly where the spec names its
+				// layer, so a builder that forgets one fails here rather
+				// than silently dropping the bench's blk-mq and UIFD rows.
+				ps := stack.(*pipelineStack)
+				qdma := spec.Transport == TransportQDMA
+				if (ps.MQ() != nil) != qdma || (ps.Driver() != nil) != qdma {
+					t.Errorf("MQ present %v, Driver present %v; want both %v on transport %v",
+						ps.MQ() != nil, ps.Driver() != nil, qdma, spec.Transport)
+				}
+				card := spec.Placement == PlacementRTL || spec.Placement == PlacementHLS
+				if (ps.Shell() != nil) != card {
+					t.Errorf("Shell present %v, want %v on placement %v", ps.Shell() != nil, card, spec.Placement)
+				}
+				if uring := spec.HostAPI == HostIOUring; (ps.Rings() != nil) != uring {
+					t.Errorf("Rings present %v, want %v on host API %v", ps.Rings() != nil, uring, spec.HostAPI)
+				}
+				if (ps.fan == nil) == (ps.client == nil) {
+					t.Errorf("fan-out engine present %v, software client present %v; want exactly one",
+						ps.fan != nil, ps.client != nil)
+				}
+				routed := (ps.fan != nil && ps.fan.Raft != nil) || (ps.client != nil && ps.client.Repl != nil)
+				if want := spec.Replication == ReplRaft; routed != want {
+					t.Errorf("Raft router wired %v, want %v", routed, want)
+				}
+				var ioErr error
+				tb.Eng.Spawn("io", func(p *sim.Proc) {
+					for i := 0; i < 4 && ioErr == nil; i++ {
+						ioErr = Do(p, stack, Write, Seq, int64(i)*4096, 4096, i)
+					}
+				})
+				tb.Eng.Run()
+				stack.Close()
+				if ioErr != nil {
+					t.Fatalf("I/O through %s: %v", spec.Name, ioErr)
 				}
 			})
-			tb.Eng.Run()
-			stack.Close()
-			if ioErr != nil {
-				t.Fatalf("I/O through %s: %v", spec.Name, ioErr)
-			}
-		})
+		}
 	}
 }
 

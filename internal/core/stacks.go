@@ -13,8 +13,9 @@ import (
 
 // This file holds the stack machinery shared across compositions: the
 // io_uring ring set, the two ring targets (DMQ/card and software client),
-// and the shell/client helpers. The layer implementations and BuildStack
-// live in layers.go; the declarative specs in spec.go.
+// and the shell/client helpers. The composed stack, the card placement
+// kernel and BuildStack live in layers.go; the declarative specs in
+// spec.go.
 
 // DKInstances is the number of io_uring instances DeLiBA-K creates, each
 // pinned to its own CPU core (paper §III-A: "DeLiBA-K uses 3 instances").
@@ -41,9 +42,9 @@ func errIO(res int32) error {
 	return nil
 }
 
-// ringSet manages the io_uring instances, each with a completion slot
-// table and a reaper. It is shared by every io_uring host API;
-// compositions differ only in the ring Target.
+// ringSet is the io_uring host API: the io_uring instances, each with a
+// completion slot table and a reaper. Compositions differ only in the
+// ring Target.
 //
 // A ring's reaper is its CQE-drain event (iouring.Ring.SetReaper), not a
 // process: a CQE's user data indexes the ring's slot table, and the drain
@@ -115,9 +116,9 @@ func (rs *ringSet) slot(idx int, done func(error)) uint64 {
 	return uint64(len(rs.slots[idx]) - 1)
 }
 
-// submit queues one SQE on the cpu's ring; if the SQ is momentarily full
+// Submit queues one SQE on the cpu's ring; if the SQ is momentarily full
 // it retries after a seeded-jitter backoff.
-func (rs *ringSet) submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error)) {
+func (rs *ringSet) Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error)) {
 	rs.submitBackoff(op, pattern, off, n, cpu, tenant, tr, -1, done)
 }
 
@@ -161,7 +162,7 @@ func (rs *ringSet) submitBackoff(op OpType, pattern Pattern, off int64, n int, c
 	}
 }
 
-func (rs *ringSet) close() {
+func (rs *ringSet) Close() {
 	for _, r := range rs.rings {
 		r.Close()
 	}

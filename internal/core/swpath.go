@@ -344,8 +344,10 @@ func (dp *clientPath) advance(o *ioOp) {
 // over its kernel TCP/IP stack on the same daemon thread (D1 had no FPGA
 // network stack).
 type d1Path struct {
-	tb     *Testbed
-	place  Placement
+	tb    *Testbed
+	place *cardPlacement
+	// hls marks an HLS placement kernel, whose slowdown the host sleeps.
+	hls    bool
 	fan    *Fanout
 	image  *rbd.Image
 	pool   *rados.Pool
@@ -404,7 +406,7 @@ func (dp *d1Path) advance(o *ioOp) {
 			}
 			// The HLS kernel's slowdown is a sleep of its own on the
 			// host, even when it is zero.
-			if dp.place.Kind() == PlacementHLS {
+			if dp.hls {
 				o.sleep(o.penalty, nbdPath+5)
 				return
 			}

@@ -78,16 +78,3 @@ func Hash4(a, b, c, d uint32) uint32 {
 	y, b, hash = hashMix(y, b, hash)
 	return hash
 }
-
-// Hash5 is crush_hash32_rjenkins1_5.
-func Hash5(a, b, c, d, e uint32) uint32 {
-	hash := hashSeed ^ a ^ b ^ c ^ d ^ e
-	x, y := uint32(231232), uint32(1232)
-	a, b, hash = hashMix(a, b, hash)
-	c, d, hash = hashMix(c, d, hash)
-	e, x, hash = hashMix(e, x, hash)
-	y, a, hash = hashMix(y, a, hash)
-	b, x, hash = hashMix(b, x, hash)
-	y, c, hash = hashMix(y, c, hash)
-	return hash
-}

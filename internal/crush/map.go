@@ -41,8 +41,7 @@ func DefaultTunables() Tunables {
 	}
 }
 
-// LegacyTunables returns the ancient (argonaut-era) profile, kept for the
-// bucket-behaviour ablation benches.
+// LegacyTunables returns the ancient (argonaut-era) profile.
 func LegacyTunables() Tunables {
 	return Tunables{
 		ChooseTotalTries: 19,

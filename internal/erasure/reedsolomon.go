@@ -109,8 +109,7 @@ func New(k, m int, c Construction) (*Code, error) {
 	return &Code{k: k, m: m, gen: gen, decCache: make(map[string]*gf256.Matrix)}, nil
 }
 
-// GeneratorRow returns a copy of row i of the generator matrix (useful for
-// the FPGA accelerator model, which streams coefficients).
+// GeneratorRow returns a copy of row i of the generator matrix.
 func (c *Code) GeneratorRow(i int) []byte {
 	return append([]byte(nil), c.gen.Row(i)...)
 }

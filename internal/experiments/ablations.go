@@ -118,8 +118,7 @@ var ablationSpecs = []ablationSpec{
 }
 
 // AblationStackSpecs returns the mutated spec of every grid entry (the
-// baseline DK-HW spec with the entry's mutation applied); ci.sh's
-// exhaustiveness stage validates each one.
+// baseline DK-HW spec with the entry's mutation applied).
 func AblationStackSpecs() ([]core.StackSpec, error) {
 	out := make([]core.StackSpec, 0, len(ablationSpecs))
 	for _, a := range ablationSpecs {

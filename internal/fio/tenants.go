@@ -90,9 +90,8 @@ func (tr *TenantResult) HogHist() *metrics.Histogram {
 
 // RunTenants executes the multi-tenant workload on the stack and drives the
 // engine until every operation (victim and hog) completes. The stack is
-// closed afterwards. Stacks implementing core.TenantSubmitter carry the
-// tenant identity down the pipeline; other stacks serve the same ops
-// untenanted (attribution still happens at the workload layer).
+// closed afterwards. Each op's tenant identity rides down the pipeline
+// through the stack's SubmitTenant.
 func RunTenants(eng *sim.Engine, stack core.Stack, spec TenantJob) (*TenantResult, error) {
 	if err := validate(&spec.Job, stack); err != nil {
 		return nil, err
@@ -131,7 +130,7 @@ func RunTenants(eng *sim.Engine, stack core.Stack, spec TenantJob) (*TenantResul
 		res:        tr,
 		victimLeft: spec.Job.Jobs * (spec.Job.RampOps + spec.Job.Ops),
 	}
-	submit := tenantSubmitter(stack)
+	submit := stack.SubmitTenant
 	start := eng.Now()
 	for j := 0; j < spec.Job.Jobs; j++ {
 		j := j
@@ -165,17 +164,6 @@ type tenantRun struct {
 func (run *tenantRun) charge(tenant, size int) {
 	if run.victimLeft > 0 {
 		run.res.ServiceUnits[tenant] += svcUnits(size)
-	}
-}
-
-// tenantSubmitter adapts a stack to a tenant-carrying submit function,
-// falling back to plain Submit for stacks without tenant support.
-func tenantSubmitter(stack core.Stack) func(op core.OpType, pattern core.Pattern, off int64, n, cpu, tenant int, done func(error)) {
-	if ts, ok := stack.(core.TenantSubmitter); ok {
-		return ts.SubmitTenant
-	}
-	return func(op core.OpType, pattern core.Pattern, off int64, n, cpu, _ int, done func(error)) {
-		stack.Submit(op, pattern, off, n, cpu, done)
 	}
 }
 

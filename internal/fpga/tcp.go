@@ -177,10 +177,3 @@ func (t *TCPStack) Ack(id int, n int) error {
 	s.acked += uint64(n)
 	return nil
 }
-
-// SessionTableBRAM estimates the session table's BRAM footprint (64 B of
-// state per session, 36 kb tiles), for the resource accounting.
-func (t *TCPStack) SessionTableBRAM() int {
-	bits := t.cfg.MaxSessions * 64 * 8
-	return (bits + 36*1024 - 1) / (36 * 1024)
-}

@@ -171,11 +171,3 @@ func TestAckTracking(t *testing.T) {
 		t.Fatal("ack on missing session accepted")
 	}
 }
-
-func TestSessionTableBRAMFootprint(t *testing.T) {
-	_, st := newTCP(t)
-	// 1024 sessions x 64B = 64 KiB = 512 kb → 15 BRAM tiles.
-	if got := st.SessionTableBRAM(); got < 10 || got > 20 {
-		t.Fatalf("BRAM tiles = %d", got)
-	}
-}

@@ -115,44 +115,6 @@ func (p *Proc) Await(c *Completion) (any, error) {
 	return c.val, c.err
 }
 
-// AwaitTimeout blocks the process until c completes or d elapses, whichever
-// comes first. ok reports whether the completion fired; on timeout the
-// value/error are zero and the completion stays pending (a late Complete is
-// observed by nobody unless another waiter registers). The deadline timer is
-// cancelled when the completion wins, so no stray event outlives the wait.
-func (p *Proc) AwaitTimeout(c *Completion, d Duration) (val any, err error, ok bool) {
-	if c.fired {
-		return c.val, c.err, true
-	}
-	if d <= 0 {
-		return nil, nil, false
-	}
-	waiting := true
-	timedOut := false
-	var timer EventID
-	c.onFire(func() {
-		if !waiting {
-			return // deadline already resumed the proc
-		}
-		waiting = false
-		p.eng.Cancel(timer)
-		p.eng.step(p)
-	})
-	timer = p.eng.Schedule(d, func() {
-		if !waiting {
-			return
-		}
-		waiting = false
-		timedOut = true
-		p.eng.step(p)
-	})
-	p.pause()
-	if timedOut {
-		return nil, nil, false
-	}
-	return c.val, c.err, true
-}
-
 // Completion is a one-shot event carrying a value and an error. It is the
 // simulation analogue of a future: model code completes it once, and any
 // number of Procs or callbacks observe it.
