@@ -199,28 +199,17 @@ func BenchmarkRealWorldOLTP(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSQPoll isolates optimization ① (kernel-polled rings).
-func BenchmarkAblationSQPoll(b *testing.B) {
+// BenchmarkAblations runs the ablation grid and reports the gains of
+// optimization ① (kernel-polled rings) and ② (DMQ scheduler bypass).
+func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.AblationSQPoll(benchCfg())
+		rs, err := experiments.Ablations(benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(a.Gain(), "sqpoll-gain-x")
-		}
-	}
-}
-
-// BenchmarkAblationSchedulerBypass isolates optimization ② (DMQ bypass).
-func BenchmarkAblationSchedulerBypass(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, err := experiments.AblationSchedulerBypass(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(a.Gain(), "bypass-gain-x")
+			b.ReportMetric(rs[0].Gain(), "sqpoll-gain-x")
+			b.ReportMetric(rs[1].Gain(), "bypass-gain-x")
 		}
 	}
 }

@@ -100,6 +100,13 @@ for spec in deliba-1-hw deliba-2-sw deliba-2-hw deliba-k-sw deliba-k-hw \
     "$tmp/deliba-fio" -stack "$spec" -profile -ops 200 > "$tmp/fio.out"
     head -n 1 "$tmp/fio.out"
 done
+# Two workload shapes beyond the default random read: a 50/50 mix on the
+# EC card path (the EC write and read fan-out) and sequential writes on
+# DeLiBA-1 (its host-side fan-out and fio's per-job sequential segments).
+"$tmp/deliba-fio" -stack deliba-k-hw+ec -rw rw:50 > "$tmp/fio.out"
+head -n 2 "$tmp/fio.out"
+"$tmp/deliba-fio" -stack deliba-1-hw -rw write > "$tmp/fio.out"
+head -n 2 "$tmp/fio.out"
 if "$tmp/deliba-fio" -stack deliba-1-hw+ec -profile -ops 200 > "$tmp/fio.out" 2>&1; then
     echo "deliba-fio accepted the invalid spec deliba-1-hw+ec"
     exit 1

@@ -36,11 +36,9 @@ type Fanout struct {
 	// other pools and EC stripes keep the paths below.
 	Raft *raft.Router
 
-	up       []int // scratch: up members of the current acting set
-	replFree []*replOp
-	readFree []*readOp
-	ecwFree  []*ecWriteOp
-	ecrFree  []*ecReadOp
+	up      []int // scratch: up members (or EC source ranks) of an acting set
+	opFree  []*fanOp
+	tgtFree []*fanTarget
 }
 
 // zeroPool avoids per-op payload allocation on the timing-only fan-out
@@ -60,88 +58,131 @@ func zeros(n int) []byte {
 	return zeroPool[:n]
 }
 
-// --- replicated write --------------------------------------------------
+// --- pooled op and target --------------------------------------------
 
-// replOp is the in-flight state of one replicated fan-out write. Ops are
-// pooled on the Fanout; each holds its own pooled targets whose closures
-// were bound to the target struct once, so reissue costs no allocation.
-type replOp struct {
-	f         *Fanout
-	opts      rados.ReqOpts
-	obj       string
-	off, n    int
-	remaining int
-	firstErr  error
-	done      func(error)
-	targets   []*replTarget
+// fanOp is the in-flight state of one fan-out operation: a replicated write
+// to every up replica, a primary read, or an EC stripe write or read with
+// one target per shard. It completes when the last target's ack returns.
+type fanOp struct {
+	f          *Fanout
+	opts       rados.ReqOpts
+	remaining  int
+	needDecode bool
+	firstErr   error
+	done       func(error)
+	ecDone     func(needDecode bool, err error) // EC reads report needDecode
 }
 
-// replTarget is one replica destination of a replOp. send fires on fabric
-// arrival at the OSD's node, onResult when the OSD completes, ack when the
-// ack hops back to the client.
-type replTarget struct {
-	op   *replOp
-	osd  int
-	node *netsim.Host
-	err  error
-	span trace.H
+// fanTarget is one OSD destination of a fanOp: write n bytes at off of the
+// object key (a replica's object name or an EC shard key), or read them.
+// The request carries HdrBytes plus n on writes, the reply HdrBytes plus n
+// on reads. send fires on fabric arrival at the OSD's node, onResult when
+// the OSD completes, ack when the reply hops back to the client; the three
+// are bound to the target once, and targets are pooled on the Fanout, so
+// reissue costs no allocation. keyBuf holds an EC shard key between
+// issues; the string conversion at the store boundary is the EC paths'
+// one remaining per-shard allocation.
+type fanTarget struct {
+	op     *fanOp
+	write  bool
+	key    string
+	keyBuf []byte
+	off, n int
+	osd    int
+	node   *netsim.Host
+	err    error
+	span   trace.H
 
 	send     func()
 	onResult func(rados.Result)
 	ack      func()
 }
 
-// target returns the i-th pooled target, growing the pool on first use.
-func (op *replOp) target(i int) *replTarget {
-	for len(op.targets) <= i {
-		t := &replTarget{op: op}
-		t.send = func() {
-			o := t.op
-			sopts := o.opts
-			if t.span.On() {
-				sopts.Trace = t.span.Ref()
-			}
-			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, o.obj, o.off, zeros(o.n), 0, t.onResult)
-		}
-		t.onResult = func(r rados.Result) {
-			t.err = r.Err
-			o := t.op
-			o.f.Cluster.Fabric.Send(t.node, o.f.From, rados.HdrBytes, t.ack)
-		}
-		t.ack = func() {
-			t.span.End()
-			t.span = trace.H{}
-			t.op.finish(t.err)
-		}
-		op.targets = append(op.targets, t)
+func (f *Fanout) getOp(opts rados.ReqOpts, remaining int) *fanOp {
+	var op *fanOp
+	if n := len(f.opFree); n > 0 {
+		op = f.opFree[n-1]
+		f.opFree[n-1] = nil
+		f.opFree = f.opFree[:n-1]
+	} else {
+		op = &fanOp{f: f}
 	}
-	return op.targets[i]
+	op.opts, op.remaining, op.needDecode, op.firstErr = opts, remaining, false, nil
+	return op
 }
 
-// finish accounts one completed replica; the last one recycles the op and
+func (f *Fanout) getTarget() *fanTarget {
+	if n := len(f.tgtFree); n > 0 {
+		t := f.tgtFree[n-1]
+		f.tgtFree[n-1] = nil
+		f.tgtFree = f.tgtFree[:n-1]
+		return t
+	}
+	t := &fanTarget{}
+	t.send = func() {
+		o := t.op
+		sopts := o.opts
+		if t.span.On() {
+			sopts.Trace = t.span.Ref()
+		}
+		if t.write {
+			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, t.key, t.off, zeros(t.n), 0, t.onResult)
+		} else {
+			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpRead, t.key, t.off, nil, t.n, t.onResult)
+		}
+	}
+	t.onResult = func(r rados.Result) {
+		t.err = r.Err
+		reply := rados.HdrBytes
+		if !t.write {
+			reply += t.n
+		}
+		t.op.f.Cluster.Fabric.Send(t.node, t.op.f.From, reply, t.ack)
+	}
+	t.ack = func() {
+		t.span.End()
+		op, err := t.op, t.err
+		t.key = ""
+		op.f.tgtFree = append(op.f.tgtFree, t)
+		op.finish(err)
+	}
+	return t
+}
+
+// issue sends target t of op to osd; the caller has set t.key.
+func (f *Fanout) issue(op *fanOp, t *fanTarget, osd int, write bool, off, n int, span string) {
+	t.op, t.write, t.off, t.n = op, write, off, n
+	t.osd, t.node, t.err = osd, f.Cluster.NodeOf(osd), nil
+	t.span = trace.H{}
+	if f.Trace != nil && op.opts.Trace.Sampled() {
+		t.span = f.Trace.Begin(op.opts.Trace, span)
+	}
+	out := rados.HdrBytes
+	if write {
+		out += n
+	}
+	f.Cluster.Fabric.Send(f.From, t.node, out, t.send)
+}
+
+// finish accounts one completed target; the last one recycles the op and
 // then invokes done (in that order — done may immediately issue a new op
 // that reuses this struct).
-func (op *replOp) finish(err error) {
+func (op *fanOp) finish(err error) {
 	if err != nil && op.firstErr == nil {
 		op.firstErr = err
 	}
 	op.remaining--
-	if op.remaining == 0 {
-		done, ferr := op.done, op.firstErr
-		op.done, op.firstErr, op.obj = nil, nil, ""
-		op.f.replFree = append(op.f.replFree, op)
-		done(ferr)
+	if op.remaining > 0 {
+		return
 	}
-}
-
-func (f *Fanout) getRepl() *replOp {
-	if n := len(f.replFree); n > 0 {
-		op := f.replFree[n-1]
-		f.replFree[n-1] = nil
-		f.replFree = f.replFree[:n-1]
-		return op
+	done, ecDone, ferr, nd := op.done, op.ecDone, op.firstErr, op.needDecode
+	op.done, op.ecDone = nil, nil
+	op.f.opFree = append(op.f.opFree, op)
+	if ecDone != nil {
+		ecDone(nd, ferr)
+		return
 	}
-	return &replOp{f: f}
+	done(ferr)
 }
 
 // upSet filters the acting set's up members into the scratch slice.
@@ -155,6 +196,8 @@ func (f *Fanout) upSet(acting []int) []int {
 	}
 	return f.up
 }
+
+// --- replicated --------------------------------------------------------
 
 // WriteReplicated sends n bytes to every up member of the object's acting
 // set in parallel and completes when all acks return. With repl-raft
@@ -176,74 +219,28 @@ func (f *Fanout) WriteReplicated(pool *rados.Pool, obj string, off, n int, opts 
 		done(fmt.Errorf("core: pg for %q has no up replicas", obj))
 		return
 	}
-	op := f.getRepl()
-	op.opts, op.obj, op.off, op.n = opts, obj, off, n
-	op.remaining, op.firstErr, op.done = len(up), nil, done
-	for i, o := range up {
-		t := op.target(i)
-		t.osd, t.node, t.err = o, c.NodeOf(o), nil
-		t.span = trace.H{}
-		if f.Trace != nil && opts.Trace.Sampled() {
-			t.span = f.Trace.Begin(opts.Trace, "replica-write")
-		}
-		c.Fabric.Send(f.From, t.node, rados.HdrBytes+n, t.send)
+	op := f.getOp(opts, len(up))
+	op.done = done
+	for _, o := range up {
+		t := f.getTarget()
+		t.key = obj
+		f.issue(op, t, o, true, off, n, "replica-write")
 	}
-}
-
-// --- replicated read ---------------------------------------------------
-
-// readOp is the in-flight state of one primary read.
-type readOp struct {
-	f    *Fanout
-	opts rados.ReqOpts
-	obj  string
-	off  int
-	n    int
-	osd  int
-	node *netsim.Host
-	err  error
-	span trace.H
-	done func(error)
-
-	send     func()
-	onResult func(rados.Result)
-	ack      func()
-}
-
-func (f *Fanout) getRead() *readOp {
-	if n := len(f.readFree); n > 0 {
-		op := f.readFree[n-1]
-		f.readFree[n-1] = nil
-		f.readFree = f.readFree[:n-1]
-		return op
-	}
-	op := &readOp{f: f}
-	op.send = func() {
-		sopts := op.opts
-		if op.span.On() {
-			sopts.Trace = op.span.Ref()
-		}
-		op.f.Cluster.OSDs[op.osd].SubmitOpts(sopts, rados.OpRead, op.obj, op.off, nil, op.n, op.onResult)
-	}
-	op.onResult = func(r rados.Result) {
-		op.err = r.Err
-		op.f.Cluster.Fabric.Send(op.node, op.f.From, rados.HdrBytes+op.n, op.ack)
-	}
-	op.ack = func() {
-		op.span.End()
-		op.span = trace.H{}
-		done, err := op.done, op.err
-		op.done, op.err, op.obj = nil, nil, ""
-		op.f.readFree = append(op.f.readFree, op)
-		done(err)
-	}
-	return op
 }
 
 // ReadReplicated fetches n bytes from the acting primary — or, with
 // repl-raft selected, from the group leader under its lease.
 func (f *Fanout) ReadReplicated(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
+	f.readReplicatedShift(pool, obj, off, n, opts, 0, done)
+}
+
+// readReplicatedShift is ReadReplicated reading from the (shift mod up)-th
+// up member of the acting set instead of the primary, the failover path for
+// retry attempt `shift`.
+func (f *Fanout) readReplicatedShift(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, shift int, done func(error)) {
 	if f.Raft != nil && pool == f.Raft.Sys.Pool {
+		// repl-raft: the router rotates targets itself when the leader hint
+		// goes stale; replica-shift failover belongs to primary-copy.
 		f.Raft.Read(obj, off, n, opts, done)
 		return
 	}
@@ -253,102 +250,26 @@ func (f *Fanout) ReadReplicated(pool *rados.Pool, obj string, off, n int, opts r
 		done(err)
 		return
 	}
-	primary, ok := c.PrimaryFor(acting)
-	if !ok {
+	up := f.upSet(acting)
+	if len(up) == 0 {
 		done(fmt.Errorf("core: pg for %q has no up replicas", obj))
 		return
 	}
-	op := f.getRead()
-	op.opts, op.obj, op.off, op.n = opts, obj, off, n
-	op.osd, op.node, op.err, op.done = primary, c.NodeOf(primary), nil, done
-	op.span = trace.H{}
-	if f.Trace != nil && opts.Trace.Sampled() {
-		op.span = f.Trace.Begin(opts.Trace, "replica-read")
-	}
-	c.Fabric.Send(f.From, op.node, rados.HdrBytes, op.send)
-}
-
-// --- EC write ----------------------------------------------------------
-
-// ecWriteOp is the in-flight state of one EC stripe write.
-type ecWriteOp struct {
-	f         *Fanout
-	opts      rados.ReqOpts
-	shardSize int
-	remaining int
-	firstErr  error
-	done      func(error)
-	targets   []*ecTarget
-}
-
-// ecTarget is one shard destination. key is rebuilt into keyBuf per issue;
-// the string conversion at the store boundary is the EC path's one
-// remaining per-shard allocation.
-type ecTarget struct {
-	op     *ecWriteOp
-	osd    int
-	node   *netsim.Host
-	key    string
-	keyBuf []byte
-	err    error
-	span   trace.H
-
-	send     func()
-	onResult func(rados.Result)
-	ack      func()
-}
-
-func (op *ecWriteOp) target(i int) *ecTarget {
-	for len(op.targets) <= i {
-		t := &ecTarget{op: op}
-		t.send = func() {
-			o := t.op
-			sopts := o.opts
-			if t.span.On() {
-				sopts.Trace = t.span.Ref()
-			}
-			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, t.key, 0, zeros(o.shardSize), 0, t.onResult)
+	osd := up[shift%len(up)]
+	if shift > 0 && osd != up[0] {
+		f.Res.Counters.Failovers++
+		if f.Trace != nil {
+			f.Trace.Mark(opts.Trace, "replica-failover", trace.KindFailover, 0)
 		}
-		t.onResult = func(r rados.Result) {
-			t.err = r.Err
-			o := t.op
-			o.f.Cluster.Fabric.Send(t.node, o.f.From, rados.HdrBytes, t.ack)
-		}
-		t.ack = func() {
-			t.span.End()
-			t.span = trace.H{}
-			t.op.finish(t.err)
-		}
-		op.targets = append(op.targets, t)
 	}
-	return op.targets[i]
+	op := f.getOp(opts, 1)
+	op.done = done
+	t := f.getTarget()
+	t.key = obj
+	f.issue(op, t, osd, false, off, n, "replica-read")
 }
 
-func (op *ecWriteOp) finish(err error) {
-	if err != nil && op.firstErr == nil {
-		op.firstErr = err
-	}
-	op.remaining--
-	if op.remaining == 0 {
-		done, ferr := op.done, op.firstErr
-		op.done, op.firstErr = nil, nil
-		for _, t := range op.targets {
-			t.key = ""
-		}
-		op.f.ecwFree = append(op.f.ecwFree, op)
-		done(ferr)
-	}
-}
-
-func (f *Fanout) getECWrite() *ecWriteOp {
-	if n := len(f.ecwFree); n > 0 {
-		op := f.ecwFree[n-1]
-		f.ecwFree[n-1] = nil
-		f.ecwFree = f.ecwFree[:n-1]
-		return op
-	}
-	return &ecWriteOp{f: f}
-}
+// --- EC ----------------------------------------------------------------
 
 // WriteEC sends one shard of size ceil(n/k) to each up acting rank in
 // parallel (the client has already erasure-encoded the stripe).
@@ -374,105 +295,17 @@ func (f *Fanout) WriteEC(pool *rados.Pool, obj string, off, n int, opts rados.Re
 		done(fmt.Errorf("core: pg for %q has %d up shards, need >= %d", obj, upCount, pool.K))
 		return
 	}
-	op := f.getECWrite()
-	op.opts, op.shardSize = opts, shardSize
-	op.remaining, op.firstErr, op.done = upCount, nil, done
-	i := 0
+	op := f.getOp(opts, upCount)
+	op.done = done
 	for rank, o := range acting {
 		if o == crush.ItemNone || !c.OSDs[o].Up() {
 			continue
 		}
-		t := op.target(i)
-		i++
+		t := f.getTarget()
 		t.keyBuf = rados.AppendShardKey(t.keyBuf[:0], obj, off, rank)
 		t.key = string(t.keyBuf)
-		t.osd, t.node, t.err = o, c.NodeOf(o), nil
-		t.span = trace.H{}
-		if f.Trace != nil && opts.Trace.Sampled() {
-			t.span = f.Trace.Begin(opts.Trace, "ec-shard-write")
-		}
-		c.Fabric.Send(f.From, t.node, rados.HdrBytes+shardSize, t.send)
+		f.issue(op, t, o, true, 0, shardSize, "ec-shard-write")
 	}
-}
-
-// --- EC read -----------------------------------------------------------
-
-// ecReadOp is the in-flight state of one EC stripe read (k-shard gather).
-type ecReadOp struct {
-	f          *Fanout
-	opts       rados.ReqOpts
-	shardSize  int
-	remaining  int
-	needDecode bool
-	firstErr   error
-	done       func(needDecode bool, err error)
-	targets    []*ecReadTarget
-}
-
-type ecReadTarget struct {
-	op     *ecReadOp
-	osd    int
-	node   *netsim.Host
-	key    string
-	keyBuf []byte
-	err    error
-	span   trace.H
-
-	send     func()
-	onResult func(rados.Result)
-	ack      func()
-}
-
-func (op *ecReadOp) target(i int) *ecReadTarget {
-	for len(op.targets) <= i {
-		t := &ecReadTarget{op: op}
-		t.send = func() {
-			o := t.op
-			sopts := o.opts
-			if t.span.On() {
-				sopts.Trace = t.span.Ref()
-			}
-			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpRead, t.key, 0, nil, o.shardSize, t.onResult)
-		}
-		t.onResult = func(r rados.Result) {
-			t.err = r.Err
-			o := t.op
-			o.f.Cluster.Fabric.Send(t.node, o.f.From, rados.HdrBytes+o.shardSize, t.ack)
-		}
-		t.ack = func() {
-			t.span.End()
-			t.span = trace.H{}
-			t.op.finish(t.err)
-		}
-		op.targets = append(op.targets, t)
-	}
-	return op.targets[i]
-}
-
-func (op *ecReadOp) finish(err error) {
-	if err != nil && op.firstErr == nil {
-		op.firstErr = err
-	}
-	op.remaining--
-	if op.remaining == 0 {
-		done, ferr, nd := op.done, op.firstErr, op.needDecode
-		op.done, op.firstErr = nil, nil
-		for _, t := range op.targets {
-			t.key = ""
-		}
-		op.f.ecrFree = append(op.f.ecrFree, op)
-		done(nd, ferr)
-	}
-}
-
-func (f *Fanout) getECRead() *ecReadOp {
-	if n := len(f.ecrFree); n > 0 {
-		op := f.ecrFree[n-1]
-		f.ecrFree[n-1] = nil
-		f.ecrFree = f.ecrFree[:n-1]
-		return op
-	}
-	return &ecReadOp{f: f}
 }
 
 // ReadEC gathers k shards in parallel (data ranks preferred) and completes
@@ -489,45 +322,27 @@ func (f *Fanout) ReadEC(pool *rados.Pool, obj string, off, n int, opts rados.Req
 		done(false, err)
 		return
 	}
-	shardSize := (n + pool.K - 1) / pool.K
-	op := f.getECRead()
-	op.opts, op.shardSize = opts, shardSize
-
 	// Choose k source ranks, preferring the data shards so no decode is
-	// needed on the healthy path. Targets double as the source list.
-	srcs := 0
-	for rank := 0; rank < pool.K && srcs < pool.K; rank++ {
+	// needed on the healthy path.
+	srcs := f.up[:0]
+	for rank := 0; rank < pool.K+pool.M && len(srcs) < pool.K; rank++ {
 		if o := acting[rank]; o != crush.ItemNone && c.OSDs[o].Up() {
-			t := op.target(srcs)
-			srcs++
-			t.keyBuf = rados.AppendShardKey(t.keyBuf[:0], obj, off, rank)
-			t.osd = o
+			srcs = append(srcs, rank)
 		}
 	}
-	op.needDecode = srcs < pool.K
-	for rank := pool.K; rank < pool.K+pool.M && srcs < pool.K; rank++ {
-		if o := acting[rank]; o != crush.ItemNone && c.OSDs[o].Up() {
-			t := op.target(srcs)
-			srcs++
-			t.keyBuf = rados.AppendShardKey(t.keyBuf[:0], obj, off, rank)
-			t.osd = o
-		}
-	}
-	if srcs < pool.K {
-		nd := op.needDecode
-		op.f.ecrFree = append(op.f.ecrFree, op)
-		done(nd, fmt.Errorf("core: pg for %q has too few up shards", obj))
+	f.up = srcs
+	needDecode := len(srcs) < pool.K || srcs[pool.K-1] >= pool.K
+	if len(srcs) < pool.K {
+		done(needDecode, fmt.Errorf("core: pg for %q has too few up shards", obj))
 		return
 	}
-	op.remaining, op.firstErr, op.done = srcs, nil, done
-	for i := 0; i < srcs; i++ {
-		t := op.targets[i]
+	op := f.getOp(opts, len(srcs))
+	op.needDecode, op.ecDone = needDecode, done
+	shardSize := (n + pool.K - 1) / pool.K
+	for _, rank := range srcs {
+		t := f.getTarget()
+		t.keyBuf = rados.AppendShardKey(t.keyBuf[:0], obj, off, rank)
 		t.key = string(t.keyBuf)
-		t.node, t.err = c.NodeOf(t.osd), nil
-		t.span = trace.H{}
-		if f.Trace != nil && opts.Trace.Sampled() {
-			t.span = f.Trace.Begin(opts.Trace, "ec-shard-read")
-		}
-		c.Fabric.Send(f.From, t.node, rados.HdrBytes, t.send)
+		f.issue(op, t, acting[rank], false, 0, shardSize, "ec-shard-read")
 	}
 }

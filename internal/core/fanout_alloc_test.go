@@ -63,11 +63,30 @@ func TestFanoutIssueZeroAlloc(t *testing.T) {
 	if readAllocs != 0 {
 		t.Errorf("ReadReplicated issue path allocated %.1f/op, want 0", readAllocs)
 	}
+
+	// Mixed phase: every op kind shares one op pool and one target pool,
+	// so a replicated write issued right after reads and EC ops recycled
+	// pops structs they last used and must still allocate nothing.
+	ecDone := func(_ bool, err error) { done(err) }
+	for i := 0; i < warm; i++ {
+		f.ReadReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.WriteEC(tb.ECPool, "obj", 0, 64<<10, rados.ReqOpts{}, done)
+		f.ReadEC(tb.ECPool, "obj", 0, 64<<10, rados.ReqOpts{}, ecDone)
+	}
+	tb.Eng.Run()
+	mixedAllocs := testing.AllocsPerRun(100, func() {
+		f.WriteReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+	})
+	tb.Eng.Run()
+	if mixedAllocs != 0 {
+		t.Errorf("WriteReplicated after reads and EC ops allocated %.1f/op, want 0", mixedAllocs)
+	}
 }
 
-// TestFanoutECIssueAllocBound bounds the EC write path: the only permitted
-// steady-state allocation is the per-shard key string handed to the store
-// (one alloc per shard; 6 shards in the default 4+2 geometry).
+// TestFanoutECIssueAllocBound bounds the EC paths: the only permitted
+// steady-state allocation is the per-shard key string handed to the store,
+// one per shard: 6 for a write in the default 4+2 geometry, 4 for a
+// healthy read.
 func TestFanoutECIssueAllocBound(t *testing.T) {
 	tb, f := newFanoutHarness(t)
 	pool := tb.ECPool
@@ -92,6 +111,19 @@ func TestFanoutECIssueAllocBound(t *testing.T) {
 	tb.Eng.Run()
 	if max := float64(pool.K + pool.M); allocs > max {
 		t.Errorf("WriteEC issue path allocated %.1f/op, want <= %.0f (key strings)", allocs, max)
+	}
+
+	ecDone := func(_ bool, err error) { done(err) }
+	for i := 0; i < warm; i++ {
+		f.ReadEC(pool, "obj", 0, 64<<10, rados.ReqOpts{}, ecDone)
+	}
+	tb.Eng.Run()
+	allocs = testing.AllocsPerRun(100, func() {
+		f.ReadEC(pool, "obj", 0, 64<<10, rados.ReqOpts{}, ecDone)
+	})
+	tb.Eng.Run()
+	if max := float64(pool.K); allocs > max {
+		t.Errorf("ReadEC issue path allocated %.1f/op, want <= %.0f (key strings)", allocs, max)
 	}
 }
 

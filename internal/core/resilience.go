@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/rados"
@@ -225,42 +223,4 @@ func (f *Fanout) ReadECR(pool *rados.Pool, obj string, off, n int, opts rados.Re
 			cb(err)
 		})
 	}, func(err error) { done(degraded, err) })
-}
-
-// readReplicatedShift is ReadReplicated reading from the (shift mod up)-th
-// up member of the acting set instead of the primary, the failover path for
-// retry attempt `shift`.
-func (f *Fanout) readReplicatedShift(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, shift int, done func(error)) {
-	if f.Raft != nil && pool == f.Raft.Sys.Pool {
-		// repl-raft: the router rotates targets itself when the leader hint
-		// goes stale; replica-shift failover belongs to primary-copy.
-		f.Raft.Read(obj, off, n, opts, done)
-		return
-	}
-	c := f.Cluster
-	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
-	if err != nil {
-		done(err)
-		return
-	}
-	up := f.upSet(acting)
-	if len(up) == 0 {
-		done(fmt.Errorf("core: pg for %q has no up replicas", obj))
-		return
-	}
-	osd := up[shift%len(up)]
-	if shift > 0 && osd != up[0] {
-		f.Res.Counters.Failovers++
-		if f.Trace != nil {
-			f.Trace.Mark(opts.Trace, "replica-failover", trace.KindFailover, 0)
-		}
-	}
-	op := f.getRead()
-	op.opts, op.obj, op.off, op.n = opts, obj, off, n
-	op.osd, op.node, op.err, op.done = osd, c.NodeOf(osd), nil, done
-	op.span = trace.H{}
-	if f.Trace != nil && opts.Trace.Sampled() {
-		op.span = f.Trace.Begin(opts.Trace, "replica-read")
-	}
-	c.Fabric.Send(f.From, op.node, rados.HdrBytes, op.send)
 }

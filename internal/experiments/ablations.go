@@ -183,32 +183,6 @@ func AblationsDigest(results []*AblationResult) uint64 {
 	return h.Sum64()
 }
 
-// AblationSQPoll isolates optimization ①: kernel-polled rings versus
-// interrupt-driven rings with enter syscalls.
-func AblationSQPoll(cfg Config) (*AblationResult, error) {
-	return oneAblation(cfg, 0)
-}
-
-// AblationSchedulerBypass isolates optimization ②: the DMQ direct-issue
-// path versus a conventional mq-deadline elevator.
-func AblationSchedulerBypass(cfg Config) (*AblationResult, error) {
-	return oneAblation(cfg, 1)
-}
-
-// AblationInstances isolates the multi-instance design: 3 pinned io_uring
-// instances versus a single shared one.
-func AblationInstances(cfg Config) (*AblationResult, error) {
-	return oneAblation(cfg, 2)
-}
-
-func oneAblation(cfg Config, i int) (*AblationResult, error) {
-	res, err := runAblations(cfg, ablationSpecs[i:i+1])
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // DFXResult quantifies optimization ⑤: adapting the replication
 // accelerator to a changed cluster without a full reprogram.
 type DFXResult struct {

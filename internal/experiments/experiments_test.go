@@ -239,24 +239,19 @@ func TestRealWorldReduction(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	cfg := Quick()
-	sq, err := AblationSQPoll(cfg)
+	rs, err := Ablations(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rs) != 3 {
+		t.Fatalf("ablation grid has %d entries, want 3", len(rs))
+	}
+	sq, byp, inst := rs[0], rs[1], rs[2]
 	if sq.BaselineLat >= sq.VariantLat {
 		t.Errorf("SQPOLL latency %v not below interrupt mode %v", sq.BaselineLat, sq.VariantLat)
 	}
-	byp, err := AblationSchedulerBypass(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if byp.BaselineLat >= byp.VariantLat {
 		t.Errorf("bypass latency %v not below elevator %v", byp.BaselineLat, byp.VariantLat)
-	}
-	inst, err := AblationInstances(cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if inst.BaselineKIOPS < inst.VariantKIOPS {
 		t.Errorf("3 instances (%.1f kIOPS) below 1 instance (%.1f)",

@@ -3,6 +3,14 @@
 // sequential or random access, pure or mixed read/write, fixed block sizes,
 // latency histograms and throughput/IOPS accounting — all in virtual time
 // against a core.Stack.
+//
+// Every job, the multi-tenant victims and the noisy neighbor included, is
+// one worker: a closed loop run as an event chain on the engine, with no
+// process and no goroutine. A job starts with one Schedule(0), a worker
+// whose queue-depth window is full waits for the one wake event the
+// window's Release schedules, and think time is one Schedule after every
+// submit, the last one included: that wait can end the run, so it counts
+// in Result.Elapsed.
 package fio
 
 import (
@@ -136,25 +144,28 @@ func Run(eng *sim.Engine, stack core.Stack, spec JobSpec) (*Result, error) {
 	if err := validate(&spec, stack); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Spec:     spec,
-		Lat:      metrics.NewHistogram(),
-		ReadLat:  metrics.NewHistogram(),
-		WriteLat: metrics.NewHistogram(),
-		Meter:    metrics.NewMeter(eng.Now()),
-	}
+	res := newResult(eng, spec)
 	start := eng.Now()
 	for j := 0; j < spec.Jobs; j++ {
-		j := j
-		eng.Spawn(fmt.Sprintf("fio-%s-j%d", spec.Name, j), func(p *sim.Proc) {
-			runWorker(p, stack, spec, j, res)
-		})
+		w := newWorker(eng, stack, spec, j, jobSeed(spec, j))
+		w.res = res
+		w.start()
 	}
 	eng.Run()
 	res.Elapsed = eng.Now().Sub(start)
 	res.Meter.CloseAt(eng.Now())
 	stack.Close()
 	return res, nil
+}
+
+func newResult(eng *sim.Engine, spec JobSpec) *Result {
+	return &Result{
+		Spec:     spec,
+		Lat:      metrics.NewHistogram(),
+		ReadLat:  metrics.NewHistogram(),
+		WriteLat: metrics.NewHistogram(),
+		Meter:    metrics.NewMeter(eng.Now()),
+	}
 }
 
 func validate(spec *JobSpec, stack core.Stack) error {
@@ -187,105 +198,213 @@ func validate(spec *JobSpec, stack core.Stack) error {
 	return nil
 }
 
-// runWorker issues RampOps+Ops operations keeping at most QueueDepth in
-// flight, using a sim.Resource as the depth window.
-func runWorker(p *sim.Proc, stack core.Stack, spec JobSpec, job int, res *Result) {
-	eng := p.Engine()
-	window := eng.NewResource(spec.QueueDepth)
-	rng := sim.NewRNG(spec.Seed*2654435761 + uint64(job)*0x9e3779b9)
+// jobSeed is the random stream seed of job j.
+func jobSeed(spec JobSpec, j int) uint64 {
+	return spec.Seed*2654435761 + uint64(j)*0x9e3779b9
+}
 
+// worker is one job's closed loop, an event chain (see the package doc):
+// it issues RampOps+Ops operations from CPU cpu, keeping at most
+// QueueDepth in flight behind a sim.Resource window.
+type worker struct {
+	eng    *sim.Engine
+	stack  core.Stack
+	spec   JobSpec
+	cpu    int
+	rng    *sim.RNG
+	window *sim.Resource
+
+	// res aggregates the worker's measured ops (nil for a noisy
+	// neighbor, which records per tenant only). run, when non-nil, is the
+	// multi-tenant run the worker charges its service to; draw then picks
+	// each op's tenant, or, when nil, every op goes to tenant.
+	res    *Result
+	run    *tenantRun
+	draw   *tenantDraw
+	tenant int
+
+	blocks, hotBlocks int64
+	zipf              *zipfGen
 	// Sequential workers own a private segment so jobs do not interleave
 	// into each other's streams.
-	segment := spec.OffsetRange / int64(spec.Jobs)
-	segment -= segment % int64(spec.BlockSize)
-	if segment < int64(spec.BlockSize) {
-		segment = int64(spec.BlockSize)
-	}
-	segStart := (int64(job) * segment) % (spec.OffsetRange - int64(spec.BlockSize) + 1)
-	seqOff := segStart
+	segStart, segment, seqOff int64
 
-	blocks := spec.OffsetRange / int64(spec.BlockSize)
-	var hotBlocks int64
+	issued int
+	held   bool // a window wake handed the worker its slot
+	free   []*ioRec
+	nextFn func()
+	slotFn func()
+}
+
+// ioRec is one in-flight op of a worker, recycled on completion; done is
+// bound once, so issuing an op binds no closure.
+type ioRec struct {
+	w        *worker
+	op       core.OpType
+	size     int
+	tenant   int
+	measured bool
+	at       sim.Time
+	done     func(error)
+}
+
+func newWorker(eng *sim.Engine, stack core.Stack, spec JobSpec, cpu int, seed uint64) *worker {
+	w := &worker{
+		eng:    eng,
+		stack:  stack,
+		spec:   spec,
+		cpu:    cpu,
+		rng:    sim.NewRNG(seed),
+		window: eng.NewResource(spec.QueueDepth),
+	}
+	bs := int64(spec.BlockSize)
+	w.blocks = spec.OffsetRange / bs
+	if w.blocks < 1 { // a hog's block size is not validated against the range
+		w.blocks = 1
+	}
 	if spec.HotOpPct > 0 && spec.HotRangeBytes > 0 {
-		hotBlocks = spec.HotRangeBytes / int64(spec.BlockSize)
-		if hotBlocks > blocks {
-			hotBlocks = blocks
-		}
+		w.hotBlocks = min(spec.HotRangeBytes/bs, w.blocks)
 	}
-	var zipf *zipfGen
 	if spec.ZipfTheta > 0 && spec.HotOpPct == 0 {
-		zipf = newZipfGen(blocks, spec.ZipfTheta)
+		w.zipf = newZipfGen(w.blocks, spec.ZipfTheta)
 	}
-	total := spec.RampOps + spec.Ops
-	allDone := eng.NewCompletion()
-	outstanding := total
+	if spec.Pattern != core.Rand {
+		w.segment = spec.OffsetRange / int64(spec.Jobs)
+		w.segment -= w.segment % bs
+		if w.segment < bs {
+			w.segment = bs
+		}
+		w.segStart = (int64(cpu) * w.segment) % (spec.OffsetRange - bs + 1)
+		w.seqOff = w.segStart
+	}
+	w.nextFn = w.next
+	w.slotFn = w.onSlot
+	return w
+}
 
-	for i := 0; i < total; i++ {
-		window.Acquire(p, 1)
-		measured := i >= spec.RampOps
+// start schedules the worker's first step at the current virtual time.
+func (w *worker) start() { w.eng.Schedule(0, w.nextFn) }
 
-		var off int64
-		if spec.Pattern == core.Rand {
-			switch {
-			case spec.HotOpPct > 0 && hotBlocks > 0:
-				if rng.Intn(100) < spec.HotOpPct {
-					off = rng.Int63n(hotBlocks) * int64(spec.BlockSize)
-				} else {
-					off = rng.Int63n(blocks) * int64(spec.BlockSize)
-				}
-			case zipf != nil:
-				rank := zipf.next(rng)
-				// Scatter ranks across the range so the hot set is not
-				// one contiguous prefix.
-				off = (rank * 2654435761) % blocks * int64(spec.BlockSize)
-			default:
-				off = rng.Int63n(blocks) * int64(spec.BlockSize)
-			}
-		} else {
-			off = seqOff
-			seqOff += int64(spec.BlockSize)
-			if seqOff+int64(spec.BlockSize) > segStart+segment ||
-				seqOff+int64(spec.BlockSize) > spec.OffsetRange {
-				seqOff = segStart
-			}
+// next issues ops until the window is full, the think time defers the
+// next one, or every op is issued.
+func (w *worker) next() {
+	for w.issued < w.spec.RampOps+w.spec.Ops {
+		if !w.held && !w.window.TryAcquire(1) {
+			w.window.AcquireThen(1, w.slotFn)
+			return
 		}
-		op := core.Write
-		if spec.ReadPct == 100 || (spec.ReadPct > 0 && rng.Intn(100) < spec.ReadPct) {
-			op = core.Read
-		}
-		size := spec.pickSize(rng)
-		if off+int64(size) > spec.OffsetRange {
-			off = spec.OffsetRange - int64(size)
-			off -= off % int64(spec.BlockSize)
-			if off < 0 {
-				off = 0
-			}
-		}
-		issued := eng.Now()
-		stack.Submit(op, spec.Pattern, off, size, job, func(err error) {
-			window.Release(1)
-			if measured {
-				lat := eng.Now().Sub(issued)
-				res.Lat.Record(lat)
-				if op == core.Read {
-					res.ReadLat.Record(lat)
-				} else {
-					res.WriteLat.Record(lat)
-				}
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Meter.Add(eng.Now(), size)
-				}
-			}
-			outstanding--
-			if outstanding == 0 {
-				allDone.Complete(nil, nil)
-			}
-		})
-		if spec.ThinkTime > 0 {
-			p.Sleep(spec.ThinkTime)
+		w.held = false
+		w.issue()
+		if w.spec.ThinkTime > 0 {
+			w.eng.Schedule(w.spec.ThinkTime, w.nextFn)
+			return
 		}
 	}
-	p.Await(allDone)
+}
+
+// onSlot is the window wake: the released unit is already the worker's.
+func (w *worker) onSlot() {
+	w.held = true
+	w.next()
+}
+
+// issue draws and submits one op. The draw order is fixed: tenant, then
+// offset, then direction, then size.
+func (w *worker) issue() {
+	spec := &w.spec
+	measured := w.issued >= spec.RampOps
+	w.issued++
+	tenant := w.tenant
+	if w.draw != nil {
+		tenant = w.draw.next(w.rng)
+	}
+	off := w.offset()
+	op := core.Write
+	if spec.ReadPct == 100 || (spec.ReadPct > 0 && w.rng.Intn(100) < spec.ReadPct) {
+		op = core.Read
+	}
+	size := spec.pickSize(w.rng)
+	if off+int64(size) > spec.OffsetRange {
+		off = spec.OffsetRange - int64(size)
+		off -= off % int64(spec.BlockSize)
+		if off < 0 {
+			off = 0
+		}
+	}
+	r := w.getRec()
+	r.op, r.size, r.tenant, r.measured, r.at = op, size, tenant, measured, w.eng.Now()
+	w.stack.SubmitTenant(op, spec.Pattern, off, size, w.cpu, tenant, r.done)
+}
+
+// offset draws the next op's offset.
+func (w *worker) offset() int64 {
+	spec := &w.spec
+	bs := int64(spec.BlockSize)
+	if spec.Pattern != core.Rand {
+		off := w.seqOff
+		w.seqOff += bs
+		if w.seqOff+bs > w.segStart+w.segment || w.seqOff+bs > spec.OffsetRange {
+			w.seqOff = w.segStart
+		}
+		return off
+	}
+	switch {
+	case w.hotBlocks > 0:
+		if w.rng.Intn(100) < spec.HotOpPct {
+			return w.rng.Int63n(w.hotBlocks) * bs
+		}
+		return w.rng.Int63n(w.blocks) * bs
+	case w.zipf != nil:
+		// Scatter ranks across the range so the hot set is not one
+		// contiguous prefix.
+		rank := w.zipf.next(w.rng)
+		return (rank * 2654435761) % w.blocks * bs
+	default:
+		return w.rng.Int63n(w.blocks) * bs
+	}
+}
+
+func (w *worker) getRec() *ioRec {
+	if n := len(w.free); n > 0 {
+		r := w.free[n-1]
+		w.free = w.free[:n-1]
+		return r
+	}
+	r := &ioRec{w: w}
+	r.done = r.complete
+	return r
+}
+
+// complete frees the op's window slot, then records it.
+func (r *ioRec) complete(err error) {
+	w := r.w
+	w.window.Release(1)
+	run := w.run
+	if run != nil {
+		run.charge(r.tenant, r.size)
+		if w.res != nil {
+			run.victimLeft--
+		}
+	}
+	if r.measured {
+		now := w.eng.Now()
+		lat := now.Sub(r.at)
+		if run != nil {
+			run.res.PerTenant.Record(r.tenant, lat)
+		}
+		if res := w.res; res != nil {
+			res.Lat.Record(lat)
+			if r.op == core.Read {
+				res.ReadLat.Record(lat)
+			} else {
+				res.WriteLat.Record(lat)
+			}
+			if err != nil {
+				res.Errors++
+			} else {
+				res.Meter.Add(now, r.size)
+			}
+		}
+	}
+	w.free = append(w.free, r)
 }

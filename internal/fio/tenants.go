@@ -9,10 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the multi-tenant workload layer: the same closed-loop
-// generator as Run, but every op is attributed to a tenant drawn from a
-// Zipf-skewed tenant population, with an optional noisy-neighbor hog tenant
-// hammering the stack from its own worker while the victim population runs.
+// This file is the multi-tenant workload layer: Run's worker, with every op
+// attributed to a tenant drawn from a Zipf-skewed tenant population before
+// its offset is drawn, and an optional noisy-neighbor hog tenant hammering
+// the stack from one more worker while the victim population runs. A
+// single-tenant job without a hog submits exactly Run's op stream.
 // Latencies are recorded per tenant, each in a metrics.Histogram at 4-bit
 // precision, alongside the aggregate result, and Jain's fairness index
 // summarizes the isolation.
@@ -115,33 +116,34 @@ func RunTenants(eng *sim.Engine, stack core.Stack, spec TenantJob) (*TenantResul
 		spec.HogBlockSize = spec.Job.BlockSize
 	}
 	tr := &TenantResult{
-		Base: &Result{
-			Spec:     spec.Job,
-			Lat:      metrics.NewHistogram(),
-			ReadLat:  metrics.NewHistogram(),
-			WriteLat: metrics.NewHistogram(),
-			Meter:    metrics.NewMeter(eng.Now()),
-		},
+		Base:         newResult(eng, spec.Job),
 		PerTenant:    metrics.NewTenantSet(),
 		ServiceUnits: make(map[int]int64),
 		Hog:          spec.Hog,
 	}
-	run := &tenantRun{
-		res:        tr,
-		victimLeft: spec.Job.Jobs * (spec.Job.RampOps + spec.Job.Ops),
-	}
-	submit := stack.SubmitTenant
+	js := spec.Job
+	run := &tenantRun{res: tr, victimLeft: js.Jobs * (js.RampOps + js.Ops)}
 	start := eng.Now()
-	for j := 0; j < spec.Job.Jobs; j++ {
-		j := j
-		eng.Spawn(fmt.Sprintf("fio-tenant-%s-j%d", spec.Job.Name, j), func(p *sim.Proc) {
-			runTenantWorker(p, submit, spec, j, run)
-		})
+	for j := 0; j < js.Jobs; j++ {
+		w := newWorker(eng, stack, js, j, jobSeed(js, j))
+		w.res, w.run, w.draw = tr.Base, run, newTenantDraw(spec)
+		w.start()
 	}
 	if spec.Hog != 0 {
-		eng.Spawn(fmt.Sprintf("fio-hog-%s", spec.Job.Name), func(p *sim.Proc) {
-			runHogWorker(p, submit, spec, run)
-		})
+		// The noisy neighbor: one tenant, deep queue, uniform random
+		// traffic over the whole range on the core after the victims'.
+		hog := JobSpec{
+			ReadPct:     js.ReadPct,
+			Pattern:     core.Rand,
+			BlockSize:   spec.HogBlockSize,
+			QueueDepth:  spec.HogDepth,
+			Jobs:        1,
+			Ops:         spec.HogOps,
+			OffsetRange: js.OffsetRange,
+		}
+		w := newWorker(eng, stack, hog, js.Jobs, js.Seed*0x9e3779b97f4a7c15+0x40a9)
+		w.run, w.tenant = run, spec.Hog
+		w.start()
 	}
 	eng.Run()
 	tr.Base.Elapsed = eng.Now().Sub(start)
@@ -217,135 +219,4 @@ func (d *tenantDraw) next(rng *sim.RNG) int {
 		id++ // skip over the hog's slot
 	}
 	return id
-}
-
-// runTenantWorker is runWorker with a per-op tenant draw and per-tenant
-// recording; the offset/op-mix machinery matches the untenanted worker so a
-// single-tenant TenantJob reproduces Run's access stream shape.
-func runTenantWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, int, int, int, func(error)), spec TenantJob, job int, run *tenantRun) {
-	eng := p.Engine()
-	tr := run.res
-	js := spec.Job
-	window := eng.NewResource(js.QueueDepth)
-	rng := sim.NewRNG(js.Seed*2654435761 + uint64(job)*0x9e3779b9)
-	draw := newTenantDraw(spec)
-
-	segment := js.OffsetRange / int64(js.Jobs)
-	segment -= segment % int64(js.BlockSize)
-	if segment < int64(js.BlockSize) {
-		segment = int64(js.BlockSize)
-	}
-	segStart := (int64(job) * segment) % (js.OffsetRange - int64(js.BlockSize) + 1)
-	seqOff := segStart
-
-	blocks := js.OffsetRange / int64(js.BlockSize)
-	var zipf *zipfGen
-	if js.ZipfTheta > 0 {
-		zipf = newZipfGen(blocks, js.ZipfTheta)
-	}
-	total := js.RampOps + js.Ops
-	allDone := eng.NewCompletion()
-	outstanding := total
-
-	for i := 0; i < total; i++ {
-		window.Acquire(p, 1)
-		measured := i >= js.RampOps
-		tenant := draw.next(rng)
-
-		var off int64
-		if js.Pattern == core.Rand {
-			if zipf != nil {
-				rank := zipf.next(rng)
-				off = (rank * 2654435761) % blocks * int64(js.BlockSize)
-			} else {
-				off = rng.Int63n(blocks) * int64(js.BlockSize)
-			}
-		} else {
-			off = seqOff
-			seqOff += int64(js.BlockSize)
-			if seqOff+int64(js.BlockSize) > segStart+segment ||
-				seqOff+int64(js.BlockSize) > js.OffsetRange {
-				seqOff = segStart
-			}
-		}
-		op := core.Write
-		if js.ReadPct == 100 || (js.ReadPct > 0 && rng.Intn(100) < js.ReadPct) {
-			op = core.Read
-		}
-		size := js.pickSize(rng)
-		if off+int64(size) > js.OffsetRange {
-			off = js.OffsetRange - int64(size)
-			off -= off % int64(js.BlockSize)
-			if off < 0 {
-				off = 0
-			}
-		}
-		issued := eng.Now()
-		submit(op, js.Pattern, off, size, job, tenant, func(err error) {
-			window.Release(1)
-			run.charge(tenant, size)
-			run.victimLeft--
-			if measured {
-				lat := eng.Now().Sub(issued)
-				tr.Base.Lat.Record(lat)
-				tr.PerTenant.Record(tenant, lat)
-				if op == core.Read {
-					tr.Base.ReadLat.Record(lat)
-				} else {
-					tr.Base.WriteLat.Record(lat)
-				}
-				if err != nil {
-					tr.Base.Errors++
-				} else {
-					tr.Base.Meter.Add(eng.Now(), size)
-				}
-			}
-			outstanding--
-			if outstanding == 0 {
-				allDone.Complete(nil, nil)
-			}
-		})
-		if js.ThinkTime > 0 {
-			p.Sleep(js.ThinkTime)
-		}
-	}
-	p.Await(allDone)
-}
-
-// runHogWorker is the noisy neighbor: one tenant, deep queue, uniform
-// random traffic over the whole range. Its latencies land only in the
-// per-tenant set; the victim aggregate excludes it.
-func runHogWorker(p *sim.Proc, submit func(core.OpType, core.Pattern, int64, int, int, int, func(error)), spec TenantJob, run *tenantRun) {
-	eng := p.Engine()
-	tr := run.res
-	js := spec.Job
-	window := eng.NewResource(spec.HogDepth)
-	rng := sim.NewRNG(js.Seed*0x9e3779b97f4a7c15 + 0x40a9)
-	blocks := js.OffsetRange / int64(spec.HogBlockSize)
-	if blocks < 1 {
-		blocks = 1
-	}
-	cpu := js.Jobs // the core after the victim workers
-	allDone := eng.NewCompletion()
-	outstanding := spec.HogOps
-
-	for i := 0; i < spec.HogOps; i++ {
-		window.Acquire(p, 1)
-		off := rng.Int63n(blocks) * int64(spec.HogBlockSize)
-		op := core.Write
-		if js.ReadPct == 100 || (js.ReadPct > 0 && rng.Intn(100) < js.ReadPct) {
-			op = core.Read
-		}
-		issued := eng.Now()
-		submit(op, core.Rand, off, spec.HogBlockSize, cpu, spec.Hog, func(error) {
-			window.Release(1)
-			run.charge(spec.Hog, spec.HogBlockSize)
-			tr.PerTenant.Record(spec.Hog, eng.Now().Sub(issued))
-			outstanding--
-			if outstanding == 0 {
-				allDone.Complete(nil, nil)
-			}
-		})
-	}
-	p.Await(allDone)
 }
