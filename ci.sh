@@ -111,6 +111,11 @@ if "$tmp/deliba-fio" -stack deliba-1-hw+ec -profile -ops 200 > "$tmp/fio.out" 2>
     echo "deliba-fio accepted the invalid spec deliba-1-hw+ec"
     exit 1
 fi
+# dfxtool's live RM swap loop: three partial reconfigurations, each waited
+# on through the shell's callback LoadDynKernel.
+echo "== CLI smoke (dfxtool -exercise) =="
+go run ./cmd/dfxtool -exercise > "$tmp/dfx.out"
+tail -n 1 "$tmp/dfx.out"
 
 # Examples smoke: the examples have no tests, so run each one; an example
 # that stops building or exits non-zero fails CI. Runs under -short too.

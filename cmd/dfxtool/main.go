@@ -93,7 +93,14 @@ func main() {
 		eng.Spawn("swap", func(p *sim.Proc) {
 			for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
 				start := p.Now()
-				if err := shell.LoadDynKernel(p, k); err != nil {
+				var err error
+				p.Block(func(wake func()) {
+					shell.LoadDynKernel(k, func(e error) {
+						err = e
+						wake()
+					})
+				})
+				if err != nil {
 					fmt.Println("  swap error:", err)
 					return
 				}

@@ -55,7 +55,14 @@ func main() {
 	eng.Spawn("demo", func(p *sim.Proc) {
 		fmt.Println("writing 8 x 16 kB extents into the EC(4+2) image...")
 		for i, data := range payloads {
-			if err := dev.WriteAt(p, int64(i)*chunk, data); err != nil {
+			var err error
+			p.Block(func(wake func()) {
+				dev.WriteAtAsync(int64(i)*chunk, data, func(e error) {
+					err = e
+					wake()
+				})
+			})
+			if err != nil {
 				log.Fatalf("write %d: %v", i, err)
 			}
 		}
@@ -72,7 +79,13 @@ func main() {
 
 		fmt.Println("reading everything back (degraded, reconstructing)...")
 		for i, want := range payloads {
-			got, err := dev.ReadAt(p, int64(i)*chunk, chunk)
+			var got []byte
+			p.Block(func(wake func()) {
+				dev.ReadAtAsync(int64(i)*chunk, chunk, func(b []byte, e error) {
+					got, err = b, e
+					wake()
+				})
+			})
 			if err != nil {
 				log.Fatalf("degraded read %d: %v", i, err)
 			}

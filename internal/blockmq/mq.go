@@ -113,23 +113,12 @@ func (mq *MQ) Stats() Stats { return mq.stats }
 // TagsAvailable reports free tags on a hardware context.
 func (mq *MQ) TagsAvailable(hctx int) int { return mq.tags[hctx].available() }
 
-// Submit sends a request into the block layer from proc context. The
-// returned request has been queued (or directly issued); its callback fires
-// at completion. The caller supplies the completion callback. Requests are
-// pooled: the returned pointer is the caller's to inspect only until the
-// request completes or is merged into another.
-func (mq *MQ) Submit(p *sim.Proc, op OpType, off int64, length int, cpu int, done func(err error)) *Request {
-	req := mq.newRequest(op, off, length, 0, cpu, done)
-	if cost := mq.pathCost(); cost > 0 {
-		p.Sleep(cost)
-	}
-	mq.place(req)
-	return req
-}
-
-// SubmitAsyncTenant is Submit from event context (e.g. an io_uring SQPOLL
-// drain): the layer's CPU cost is applied as scheduling delay instead of a
-// proc sleep. flags carries request hints. tenant owns the I/O: the
+// SubmitAsyncTenant sends a request into the block layer from event
+// context (e.g. an io_uring SQPOLL drain): the layer's CPU cost is applied
+// as scheduling delay, then the request is queued or directly issued, and
+// done fires at completion. Requests are pooled: the returned pointer is
+// the caller's to inspect only until the request completes or is merged
+// into another. flags carries request hints. tenant owns the I/O: the
 // identity rides the request into the scheduler (per-tenant QoS
 // accounting) and the driver (SR-IOV function / queue-set selection);
 // tenant 0 is the untenanted default. tr is the per-I/O trace context, a

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeDevice completes requests after a fixed latency with bounded
@@ -37,6 +38,11 @@ func (d *fakeDevice) QueueRq(hctx int, req *Request) bool {
 	return true
 }
 
+// submit is an untenanted, untraced SubmitAsyncTenant.
+func submit(mq *MQ, op OpType, off int64, n, cpu int, done func(error)) *Request {
+	return mq.SubmitAsyncTenant(op, off, n, 0, cpu, 0, trace.Ref{}, done)
+}
+
 func newMQT(t *testing.T, eng *sim.Engine, cfg Config, dev *fakeDevice) *MQ {
 	t.Helper()
 	mq, err := New(eng, cfg, dev)
@@ -52,9 +58,9 @@ func TestSubmitComplete(t *testing.T) {
 	dev := newFakeDevice(eng, 10*sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 2, HWQueues: 2, TagsPerHW: 8}, dev)
 	completions := 0
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for i := 0; i < 5; i++ {
-			mq.Submit(p, OpRead, int64(i*4096), 4096, 0, func(err error) {
+			submit(mq, OpRead, int64(i*4096), 4096, 0, func(err error) {
 				if err != nil {
 					t.Errorf("completion err: %v", err)
 				}
@@ -77,9 +83,9 @@ func TestTagExhaustionBackpressure(t *testing.T) {
 	dev := newFakeDevice(eng, 100*sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 2}, dev)
 	var doneTimes []sim.Time
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
-			mq.Submit(p, OpWrite, int64(i)*1e6, 4096, 0, func(err error) {
+			submit(mq, OpWrite, int64(i)*1e6, 4096, 0, func(err error) {
 				doneTimes = append(doneTimes, eng.Now())
 			})
 		}
@@ -99,9 +105,9 @@ func TestDeviceBusyRequeue(t *testing.T) {
 	dev := newFakeDevice(eng, 50*sim.Microsecond, 1) // device accepts 1 at a time
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 8}, dev)
 	done := 0
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			mq.Submit(p, OpRead, 0, 512, 0, func(error) { done++ })
+			submit(mq, OpRead, 0, 512, 0, func(error) { done++ })
 		}
 	})
 	// Device completions must re-kick the queue.
@@ -124,9 +130,9 @@ func TestHCtxMapping(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := newFakeDevice(eng, sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 4, HWQueues: 4, TagsPerHW: 4}, dev)
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for cpu := 0; cpu < 4; cpu++ {
-			mq.Submit(p, OpRead, 0, 512, cpu, nil)
+			submit(mq, OpRead, 0, 512, cpu, nil)
 		}
 	})
 	eng.Run()
@@ -148,7 +154,7 @@ func TestBypassDirectIssue(t *testing.T) {
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 8, Bypass: true}, dev)
 	eng.Spawn("app", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			mq.Submit(p, OpWrite, int64(i)*4096, 4096, 0, nil)
+			submit(mq, OpWrite, int64(i)*4096, 4096, 0, nil)
 			p.Sleep(5 * sim.Microsecond) // let each complete
 		}
 	})
@@ -189,12 +195,12 @@ func TestDeadlineSchedulerMerging(t *testing.T) {
 	dev := newFakeDevice(eng, 100*sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 1, Scheduler: sched}, dev)
 	done := 0
-	eng.Spawn("app", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		// One request occupies the single tag; the next three contiguous
 		// writes pile up in the scheduler and merge.
-		mq.Submit(p, OpWrite, 1<<20, 4096, 0, func(error) { done++ })
+		submit(mq, OpWrite, 1<<20, 4096, 0, func(error) { done++ })
 		for i := 0; i < 3; i++ {
-			mq.Submit(p, OpWrite, int64(4096*i), 4096, 0, func(error) { done++ })
+			submit(mq, OpWrite, int64(4096*i), 4096, 0, func(error) { done++ })
 		}
 	})
 	eng.Run()
@@ -301,9 +307,9 @@ func TestMQConservationProperty(t *testing.T) {
 			return false
 		}
 		completions := 0
-		eng.Spawn("app", func(p *sim.Proc) {
+		eng.Schedule(0, func() {
 			for i, op := range ops {
-				mq.Submit(p, OpType(op%2), int64(i)*4096, 4096, i%3,
+				submit(mq, OpType(op%2), int64(i)*4096, 4096, i%3,
 					func(error) { completions++ })
 			}
 		})
@@ -328,8 +334,8 @@ func TestEndIOTwicePanics(t *testing.T) {
 	dev := newFakeDevice(eng, 0, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 1}, dev)
 	var req *Request
-	eng.Spawn("app", func(p *sim.Proc) {
-		req = mq.Submit(p, OpRead, 0, 512, 0, nil)
+	eng.Schedule(0, func() {
+		req = submit(mq, OpRead, 0, 512, 0, nil)
 	})
 	eng.Run()
 	defer func() {

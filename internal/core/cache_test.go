@@ -114,11 +114,11 @@ func readLatency(t *testing.T, tb *Testbed, spec string) sim.Duration {
 	}
 	var lat sim.Duration
 	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		if err := Do(p, stack, Write, Rand, 0, 4096, 0); err != nil {
+		if err := do(p, stack, Write, Rand, 0, 4096, 0); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		start := p.Now()
-		if err := Do(p, stack, Read, Rand, 0, 4096, 0); err != nil {
+		if err := do(p, stack, Read, Rand, 0, 4096, 0); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		lat = p.Now().Sub(start)

@@ -9,10 +9,6 @@
 // generator and the experiment harnesses drive them interchangeably.
 package core
 
-import (
-	"repro/internal/sim"
-)
-
 // OpType is a block I/O direction.
 type OpType int
 
@@ -66,13 +62,4 @@ type Stack interface {
 	ImageBytes() int64
 	// Close releases stack resources (rings, pollers) after a run.
 	Close()
-}
-
-// Do runs one I/O synchronously on a proc (convenience for tests and
-// latency-mode benchmarks).
-func Do(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int) error {
-	c := p.Engine().NewCompletion()
-	s.Submit(op, pattern, off, n, cpu, func(err error) { c.Complete(nil, err) })
-	_, err := p.Await(c)
-	return err
 }

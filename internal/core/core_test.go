@@ -17,6 +17,18 @@ func buildNamed(tb *Testbed, name string, ec bool) (Stack, error) {
 	return tb.BuildStack(spec)
 }
 
+// do runs one I/O on the stack and waits for it from a test proc.
+func do(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int) error {
+	var err error
+	p.Block(func(wake func()) {
+		s.Submit(op, pattern, off, n, cpu, func(e error) {
+			err = e
+			wake()
+		})
+	})
+	return err
+}
+
 // measureQD1 runs ops sequential operations at queue depth 1 and returns
 // the mean latency.
 func measureQD1(t *testing.T, name string, ec bool, op OpType, pattern Pattern, size, ops int) sim.Duration {
@@ -42,7 +54,7 @@ func measureQD1(t *testing.T, name string, ec bool, op OpType, pattern Pattern, 
 				off = int64(i*size) % (tb.Cfg.ImageBytes - int64(size))
 			}
 			start := p.Now()
-			if err := Do(p, stack, op, pattern, off, size, i%DKInstances); err != nil {
+			if err := do(p, stack, op, pattern, off, size, i%DKInstances); err != nil {
 				t.Errorf("op %d: %v", i, err)
 				return
 			}

@@ -24,7 +24,7 @@ func TestSixStageLifecycleCounters(t *testing.T) {
 	dk := stack.(*pipelineStack)
 	tb.Eng.Spawn("io", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			if err := Do(p, stack, Write, Seq, int64(i)*4096, 4096, i%DKInstances); err != nil {
+			if err := do(p, stack, Write, Seq, int64(i)*4096, 4096, i%DKInstances); err != nil {
 				t.Errorf("write %d: %v", i, err)
 			}
 		}
@@ -107,7 +107,7 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	failures := 0
 	tb.Eng.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < ops; i++ {
-			if err := Do(p, stack, Write, Rand, int64(i%512)*4096, 4096, i%DKInstances); err != nil {
+			if err := do(p, stack, Write, Rand, int64(i%512)*4096, 4096, i%DKInstances); err != nil {
 				failures++
 			}
 			if i == 30 {
@@ -146,7 +146,7 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 			return
 		}
 		for i := 0; i < 40; i++ {
-			Do(p, stack2, Write, Rand, int64(i)*8192, 4096, 0)
+			do(p, stack2, Write, Rand, int64(i)*8192, 4096, 0)
 		}
 		stack2.Close()
 	})

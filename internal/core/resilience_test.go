@@ -220,8 +220,7 @@ func newSWClientHarness(t *testing.T) (*Testbed, *rados.Client) {
 	return tbd, cl
 }
 
-// TestClientWriteRetriesAfterCrash exercises the proc-blocking software
-// client: the primary crashes mid-service, the aborted attempt surfaces
+// TestClientWriteRetriesAfterCrash exercises the software client: the primary crashes mid-service, the aborted attempt surfaces
 // ErrOSDDown inside the client's retry chain, and the re-issue lands on the
 // new primary.
 func TestClientWriteRetriesAfterCrash(t *testing.T) {
@@ -231,9 +230,10 @@ func TestClientWriteRetriesAfterCrash(t *testing.T) {
 	osd.SetSlow(500)
 	var gotErr error
 	completed := false
-	tbd.Eng.Spawn("writer", func(p *sim.Proc) {
-		gotErr = cl.Write(p, tbd.ReplPool, obj, 0, make([]byte, 4096))
-		completed = true
+	tbd.Eng.Schedule(0, func() {
+		cl.WriteAsync(tbd.ReplPool, obj, 0, make([]byte, 4096), rados.ReqOpts{}, func(err error) {
+			gotErr, completed = err, true
+		})
 	})
 	tbd.Eng.Schedule(500*sim.Microsecond, func() { osd.SetUp(false) })
 	tbd.Eng.Run()
@@ -260,9 +260,10 @@ func TestClientReadDeadlineFailsOver(t *testing.T) {
 	})
 	var gotErr error
 	completed := false
-	tbd.Eng.Spawn("reader", func(p *sim.Proc) {
-		_, gotErr = cl.Read(p, tbd.ReplPool, obj, 0, 4096)
-		completed = true
+	tbd.Eng.Schedule(0, func() {
+		cl.ReadAsync(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(_ []byte, err error) {
+			gotErr, completed = err, true
+		})
 	})
 	tbd.Eng.Run()
 	if !completed {

@@ -79,7 +79,7 @@ func TestNamedSpecsBuild(t *testing.T) {
 				var ioErr error
 				tb.Eng.Spawn("io", func(p *sim.Proc) {
 					for i := 0; i < 4 && ioErr == nil; i++ {
-						ioErr = Do(p, stack, Write, Seq, int64(i)*4096, 4096, i)
+						ioErr = do(p, stack, Write, Seq, int64(i)*4096, 4096, i)
 					}
 				})
 				tb.Eng.Run()
@@ -201,7 +201,7 @@ func TestBuildStackHybrid(t *testing.T) {
 	}
 	var ioErr error
 	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		ioErr = Do(p, stack, Write, Seq, 0, 65536, 0)
+		ioErr = do(p, stack, Write, Seq, 0, 65536, 0)
 	})
 	tb.Eng.Run()
 	stack.Close()
@@ -304,7 +304,7 @@ func TestSQFullBackoffDeterministic(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			off := int64(i) * 4096
 			tb.Eng.Spawn("io", func(p *sim.Proc) {
-				if err := Do(p, stack, Write, Seq, off, 4096, 0); err != nil {
+				if err := do(p, stack, Write, Seq, off, 4096, 0); err != nil {
 					t.Errorf("write at %d: %v", off, err)
 				}
 				done++

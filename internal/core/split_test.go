@@ -47,7 +47,7 @@ func splitRunDigestCfg(t *testing.T, cfg TestbedConfig, seed uint64) (uint64, ui
 			}
 			off := int64(rng.Intn(256)) * 4096
 			start := p.Now()
-			if err := Do(p, stack, op, Rand, off, 4096, 0); err != nil {
+			if err := do(p, stack, op, Rand, off, 4096, 0); err != nil {
 				t.Errorf("op %d: %v", i, err)
 				return
 			}

@@ -88,7 +88,7 @@ func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, e
 		idx := i
 		ring.SetReaper(func(cqe iouring.CQE) { rs.reaped(idx, cqe) })
 		if mode != iouring.SQPollMode {
-			rs.enter[i] = ring.Enter
+			rs.enter[i] = func() { ring.Enter(nil) }
 		}
 	}
 	return rs, nil

@@ -34,12 +34,12 @@ func TestSpanStagesRecordPipeline(t *testing.T) {
 	}
 	tb.Eng.Spawn("io", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			if err := Do(p, stack, Write, Rand, int64(i)*8192, 8192, 0); err != nil {
+			if err := do(p, stack, Write, Rand, int64(i)*8192, 8192, 0); err != nil {
 				t.Errorf("op %d: %v", i, err)
 			}
 		}
 		for i := 0; i < 5; i++ {
-			if err := Do(p, stack, Read, Rand, int64(i)*8192, 8192, 0); err != nil {
+			if err := do(p, stack, Read, Rand, int64(i)*8192, 8192, 0); err != nil {
 				t.Errorf("read %d: %v", i, err)
 			}
 		}
@@ -110,7 +110,7 @@ func splitStagesFingerprint(t *testing.T, seed uint64) ([]trace.Stage, string) {
 				op = Read
 			}
 			off := int64(rng.Intn(256)) * 4096
-			if err := Do(p, stack, op, Rand, off, 4096, 0); err != nil {
+			if err := do(p, stack, op, Rand, off, 4096, 0); err != nil {
 				t.Errorf("op %d: %v", i, err)
 				return
 			}

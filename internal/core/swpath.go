@@ -15,20 +15,19 @@ import (
 // This file is the software data path: the NBD daemon loop of DeLiBA-1/2
 // with its three datapaths, and the DK-SW ring target. Each block request
 // is an ioOp — a pooled struct whose step is bound once — walking its
-// owner's stage machine, so no request needs a goroutine. The chains issue
-// exactly the Schedule calls the per-request Procs they replace did, in the
-// same order (see the rados client's clientop.go for the rules), which
+// owner's stage machine, so no request needs a goroutine. Every wait has a
+// fixed event shape, the one the per-request Procs these chains replaced
+// had (clientop.go in the rados client follows the same rules), which
 // keeps every digest byte-identical:
 //
-//   - the request's Spawn is one Schedule(0) of step;
-//   - a Sleep(d), including Sleep(0), is Schedule(d, step);
-//   - a Resource.Use is AcquireThen, Schedule(d) and Release;
-//   - waiting on a callback operation through a Completion (the card
-//     backend, the fan-out engine, the placement kernel) costs one hop
-//     when it completes (hopDone, selDone);
-//   - a rados client call costs none: the blocking client returned inside
-//     the client's final event, so the chain continues right there
-//     (callDone, readDone).
+//   - a request starts with one Schedule(0) of step;
+//   - a delay d, including 0, is Schedule(d, step);
+//   - holding a daemon slot for d is AcquireThen, Schedule(d) and Release;
+//   - a callback operation the chain parks on (the card backend, the
+//     fan-out engine, the placement kernel) costs one hop when it
+//     completes (hopDone, selDone);
+//   - a rados client call costs none: the chain continues inside the
+//     client's final event (callDone, readDone).
 
 // ioOp is one block request in flight on a software data path.
 type ioOp struct {
@@ -129,8 +128,8 @@ func (o *ioOp) park() bool {
 	return true
 }
 
-// hopped is the callback of an operation awaited through a Completion: one
-// hop if the chain parked, inline if it completed before that.
+// hopped is the callback of an operation the chain parks on: one hop if
+// the chain parked, inline if it completed before that.
 func (o *ioOp) hopped(err error) {
 	o.err = err
 	if o.parked {

@@ -230,13 +230,23 @@ func DFX() (*DFXResult, error) {
 	var swapErr error
 	tb.Eng.Spawn("resize", func(p *sim.Proc) {
 		for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
-			if err := shell.LoadDynKernel(p, k); err != nil {
-				swapErr = err
+			p.Block(func(wake func()) {
+				shell.LoadDynKernel(k, func(err error) {
+					swapErr = err
+					wake()
+				})
+			})
+			if swapErr != nil {
 				return
 			}
 			// The static Straw2 kernel keeps serving while swapping.
-			if _, err := shell.Straw2.SelectWait(p, 1, 0, 2); err != nil {
-				swapErr = err
+			p.Block(func(wake func()) {
+				shell.Straw2.Select(1, 0, 2, func(_ []int, err error) {
+					swapErr = err
+					wake()
+				})
+			})
+			if swapErr != nil {
 				return
 			}
 		}

@@ -73,8 +73,13 @@ func recoveryCell(cfg Config) (*RecoveryResult, error) {
 	eng.Spawn("scenario", func(p *sim.Proc) {
 		for i := 0; i < res.ObjectsStored; i++ {
 			name := fmt.Sprintf("obj%04d", i)
-			if err := client.Write(p, pool, name, 0, make([]byte, 32*1024)); err != nil {
-				runErr = err
+			p.Block(func(wake func()) {
+				client.WriteAsync(pool, name, 0, make([]byte, 32*1024), rados.ReqOpts{}, func(err error) {
+					runErr = err
+					wake()
+				})
+			})
+			if runErr != nil {
 				return
 			}
 		}

@@ -140,7 +140,9 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 		// real card; model it as a QDMA-class PCIe crossing.
 		p.Sleep(3 * sim.Microsecond)
 		if id == fpga.KRSEncoder {
-			shell.RS.EncodeWait(p, 4096, nil)
+			p.Block(func(wake func()) {
+				shell.RS.Encode(4096, nil, func(error) { wake() })
+			})
 		} else {
 			var acc *fpga.CrushAccel
 			switch id {
@@ -152,7 +154,9 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 				acc, _ = shell.DynAccel(id)
 			}
 			if acc != nil {
-				acc.SelectWait(p, 7, 0, 2)
+				p.Block(func(wake func()) {
+					acc.Select(7, 0, 2, func([]int, error) { wake() })
+				})
 			}
 		}
 		p.Sleep(2 * sim.Microsecond) // C2H result + completion
@@ -344,9 +348,7 @@ func Power() (*PowerResult, error) {
 			return 0, err
 		}
 		if !staticOnly {
-			tb.Eng.Spawn("load", func(p *sim.Proc) {
-				shell.LoadDynKernel(p, fpga.KUniform)
-			})
+			shell.LoadDynKernel(fpga.KUniform, func(error) {})
 			tb.Eng.Run()
 		}
 		return shell.Power(), nil

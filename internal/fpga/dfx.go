@@ -150,14 +150,6 @@ func (rp *RP) Reconfigure(name string, done func(err error)) {
 	})
 }
 
-// ReconfigureWait is the Proc-blocking form of Reconfigure.
-func (rp *RP) ReconfigureWait(p *sim.Proc, name string) error {
-	c := rp.eng.NewCompletion()
-	rp.Reconfigure(name, func(err error) { c.Complete(nil, err) })
-	_, err := p.Await(c)
-	return err
-}
-
 // Configuration pairs a partition with one RM per the DFX flow: each
 // configuration produces one full bitstream plus one partial per RM.
 type Configuration struct {

@@ -153,7 +153,14 @@ func TestCrushAccelMatchesSoftware(t *testing.T) {
 	acc := NewCrushAccel(eng, KStraw2, m, rule)
 	var hwResult []int
 	eng.Spawn("hw", func(p *sim.Proc) {
-		osds, err := acc.SelectWait(p, 1234, 0, 3)
+		var osds []int
+		var err error
+		p.Block(func(wake func()) {
+			acc.Select(1234, 0, 3, func(o []int, e error) {
+				osds, err = o, e
+				wake()
+			})
+		})
 		if err != nil {
 			t.Error(err)
 			return
@@ -186,7 +193,12 @@ func TestRSAccelEncodes(t *testing.T) {
 	shards := code.Split(data)
 	var encErr error
 	eng.Spawn("enc", func(p *sim.Proc) {
-		encErr = acc.EncodeWait(p, len(data), shards)
+		p.Block(func(wake func()) {
+			acc.Encode(len(data), shards, func(err error) {
+				encErr = err
+				wake()
+			})
+		})
 	})
 	eng.Run()
 	if encErr != nil {
@@ -259,7 +271,7 @@ func TestShellDFXLifecycle(t *testing.T) {
 	}
 	var loadErr error
 	eng.Spawn("ops", func(p *sim.Proc) {
-		if loadErr = s.LoadDynKernel(p, KList); loadErr != nil {
+		if loadErr = loadKernel(p, s, KList); loadErr != nil {
 			return
 		}
 		if _, err := s.DynAccel(KList); err != nil {
@@ -271,7 +283,7 @@ func TestShellDFXLifecycle(t *testing.T) {
 			return
 		}
 		// Swap to tree.
-		if loadErr = s.LoadDynKernel(p, KTree); loadErr != nil {
+		if loadErr = loadKernel(p, s, KTree); loadErr != nil {
 			return
 		}
 		if _, err := s.DynAccel(KTree); err != nil {
@@ -291,6 +303,18 @@ func TestShellDFXLifecycle(t *testing.T) {
 	}
 }
 
+// loadKernel waits on LoadDynKernel from a proc.
+func loadKernel(p *sim.Proc, s *Shell, id KernelID) error {
+	var err error
+	p.Block(func(wake func()) {
+		s.LoadDynKernel(id, func(e error) {
+			err = e
+			wake()
+		})
+	})
+	return err
+}
+
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
@@ -299,7 +323,7 @@ func TestShellStaticBuildHasAllKernels(t *testing.T) {
 	eng, s := newShellT(t, true)
 	eng.Spawn("ops", func(p *sim.Proc) {
 		for _, id := range []KernelID{KUniform, KList, KTree} {
-			if err := s.LoadDynKernel(p, id); err != nil {
+			if err := loadKernel(p, s, id); err != nil {
 				t.Errorf("static load %v: %v", id, err)
 			}
 			if _, err := s.DynAccel(id); err != nil {
@@ -321,7 +345,7 @@ func TestShellPowerMatchesPaper(t *testing.T) {
 	}
 	// Load one RM, then measure.
 	engD.Spawn("load", func(p *sim.Proc) {
-		if err := dfx.LoadDynKernel(p, KUniform); err != nil {
+		if err := loadKernel(p, dfx, KUniform); err != nil {
 			t.Error(err)
 		}
 	})
@@ -415,7 +439,7 @@ func TestAcceleratorForAlg(t *testing.T) {
 		t.Fatal("list available before DFX load")
 	}
 	eng.Spawn("load", func(p *sim.Proc) {
-		s.LoadDynKernel(p, KList)
+		loadKernel(p, s, KList)
 	})
 	eng.Run()
 	if _, err := s.AcceleratorFor(crush.ListAlg); err != nil {

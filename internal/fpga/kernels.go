@@ -276,17 +276,6 @@ func (c *CrushAccel) Select(pg, pool uint32, numRep int, done func(osds []int, e
 	c.run(sim.Duration(numRep)*c.Spec.PipelineLatency(), j.retire)
 }
 
-// SelectWait is the Proc-blocking form of Select.
-func (c *CrushAccel) SelectWait(p *sim.Proc, pg, pool uint32, numRep int) ([]int, error) {
-	comp := c.eng.NewCompletion()
-	c.Select(pg, pool, numRep, func(osds []int, err error) { comp.Complete(osds, err) })
-	v, err := p.Await(comp)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int), nil
-}
-
 // RSAccel is the Reed-Solomon encoder kernel.
 type RSAccel struct {
 	*Accel
@@ -342,12 +331,4 @@ func (r *RSAccel) Encode(n int, shards [][]byte, done func(err error)) {
 	}
 	j.shards, j.done = shards, done
 	r.run(r.EncodeTime(n), j.retire)
-}
-
-// EncodeWait is the Proc-blocking form of Encode.
-func (r *RSAccel) EncodeWait(p *sim.Proc, n int, shards [][]byte) error {
-	comp := r.eng.NewCompletion()
-	r.Encode(n, shards, func(err error) { comp.Complete(nil, err) })
-	_, err := p.Await(comp)
-	return err
 }

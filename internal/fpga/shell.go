@@ -190,12 +190,15 @@ func (s *Shell) DynAccel(id KernelID) (*CrushAccel, error) {
 	return a, nil
 }
 
-// LoadDynKernel swaps the RP to the given kernel (DFX builds only).
-func (s *Shell) LoadDynKernel(p *sim.Proc, id KernelID) error {
+// LoadDynKernel swaps the RP to the given kernel and calls done once it is
+// live (DFX builds only). A static build has every kernel resident, so done
+// runs before LoadDynKernel returns.
+func (s *Shell) LoadDynKernel(id KernelID, done func(err error)) {
 	if !s.UseDFX {
-		return nil // all kernels resident
+		done(nil)
+		return
 	}
-	return s.RP.ReconfigureWait(p, id.String())
+	s.RP.Reconfigure(id.String(), done)
 }
 
 // AcceleratorFor returns the placement accelerator matching a bucket

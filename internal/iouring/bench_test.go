@@ -25,7 +25,7 @@ func BenchmarkSubmitCompleteBatch32(b *testing.B) {
 				sqe.Op = OpNop
 				sqe.UserData = uint64(j)
 			}
-			r.Submit(p)
+			submit(p, r)
 			for j := 0; j < 32; j++ {
 				r.WaitCQE(p)
 			}

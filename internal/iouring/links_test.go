@@ -46,7 +46,7 @@ func TestLinkedChainExecutesSequentially(t *testing.T) {
 				sqe.Flags = FlagIOLink
 			}
 		}
-		r.Submit(p)
+		submit(p, r)
 		for i := 0; i < 3; i++ {
 			cqe, err := r.WaitCQE(p)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestLinkedChainFailureCancelsRest(t *testing.T) {
 				sqe.Flags = FlagIOLink
 			}
 		}
-		r.Submit(p)
+		submit(p, r)
 		for i := 0; i < 4; i++ {
 			cqe, err := r.WaitCQE(p)
 			if err != nil {
@@ -159,7 +159,7 @@ func TestDrainBarrierWaitsForInflight(t *testing.T) {
 		fs.Off = 99
 		fs.UserData = 99
 		fs.Flags = FlagIODrain
-		r.Submit(p)
+		submit(p, r)
 		for i := 0; i < 3; i++ {
 			if _, err := r.WaitCQE(p); err != nil {
 				t.Error(err)
@@ -220,7 +220,7 @@ func TestRegisterBuffers(t *testing.T) {
 		c.Len = 8192
 		c.BufIndex = 0
 		c.UserData = 3
-		r.Submit(p)
+		submit(p, r)
 		for i := 0; i < 3; i++ {
 			cqe, err := r.WaitCQE(p)
 			if err != nil {
@@ -366,7 +366,7 @@ func TestLinkedChainTruncatesAtSubmitBoundary(t *testing.T) {
 			sqe.UserData = uint64(i)
 			sqe.Flags = FlagIOLink
 		}
-		if _, err := r.Submit(p); err != nil {
+		if _, err := submit(p, r); err != nil {
 			t.Error(err)
 			return
 		}
@@ -377,7 +377,7 @@ func TestLinkedChainTruncatesAtSubmitBoundary(t *testing.T) {
 		sqe.Off = 2
 		sqe.Len = 512
 		sqe.UserData = 2
-		if _, err := r.Submit(p); err != nil {
+		if _, err := submit(p, r); err != nil {
 			t.Error(err)
 			return
 		}

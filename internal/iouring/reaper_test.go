@@ -35,7 +35,7 @@ func reapTrace(t *testing.T, mode Mode, proc bool) ([][2]int64, uint64) {
 			t.Fatal("SQ full")
 		}
 		sqe.Op, sqe.Off, sqe.Len, sqe.UserData = OpRead, int64(ud), 512, ud
-		r.Enter()
+		r.Enter(nil)
 	}
 	reap := func(cqe CQE) {
 		trace = append(trace, [2]int64{int64(eng.Now()), int64(cqe.UserData)})

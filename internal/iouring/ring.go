@@ -303,7 +303,7 @@ func (r *Ring) Stats() (enters, submitted, completed, overflow uint64, maxInFlig
 }
 
 // GetSQE reserves the next submission slot, or nil when the SQ is full.
-// Fill the returned entry before calling Submit (or before the SQPOLL
+// Fill the returned entry before calling Enter (or before the SQPOLL
 // poller picks it up).
 func (r *Ring) GetSQE() *SQE {
 	if r.closed {
@@ -420,31 +420,26 @@ func (r *Ring) Close() {
 	}
 }
 
-// Submit pushes all queued SQEs to the kernel (io_uring_enter with
-// to_submit = pending). In SQPOLL mode there is no syscall: the poller owns
-// submission and Submit only reports what is pending.
-func (r *Ring) Submit(p *sim.Proc) (int, error) {
-	if r.closed {
-		return 0, ErrRingClosed
-	}
-	n := r.SQPending()
-	if r.params.Mode == SQPollMode || n == 0 {
+// Enter pushes all queued SQEs to the kernel (io_uring_enter with
+// to_submit = pending) and calls then, if non-nil, once they have drained,
+// inside the syscall's completion event. It must run in engine context. In
+// SQPOLL mode there is no syscall (the poller owns submission), so Enter
+// only reports what is pending; on a closed ring it fails with
+// ErrRingClosed. In both cases, and with nothing pending, then runs before
+// Enter returns. It reports the number of SQEs entered.
+func (r *Ring) Enter(then func()) (int, error) {
+	n, err := r.SQPending(), error(nil)
+	switch {
+	case r.closed:
+		n, err = 0, ErrRingClosed
+	case r.params.Mode != SQPollMode && n > 0:
+		r.enter(n, then)
 		return n, nil
 	}
-	p.Block(func(wake func()) { r.enter(n, wake) })
-	return n, nil
-}
-
-// Enter is Submit for an event-driven submitter. It must run in engine
-// context; like Submit it does nothing on a closed ring, in SQPOLL mode,
-// or with nothing pending.
-func (r *Ring) Enter() {
-	if r.closed || r.params.Mode == SQPollMode {
-		return
+	if then != nil {
+		then()
 	}
-	if n := r.SQPending(); n > 0 {
-		r.enter(n, nil)
-	}
+	return n, err
 }
 
 // enter is io_uring_enter: the syscall and per-SQE costs elapse as one

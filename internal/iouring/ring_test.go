@@ -21,6 +21,13 @@ func (s *stubTarget) Submit(req Request, complete func(res int32)) {
 	s.eng.Schedule(s.latency, func() { complete(res) })
 }
 
+// submit enters the ring's pending SQEs from a proc and waits out the
+// syscall, as a blocking io_uring_enter does.
+func submit(p *sim.Proc, r *Ring) (n int, err error) {
+	p.Block(func(wake func()) { n, err = r.Enter(wake) })
+	return n, err
+}
+
 func newRingT(t *testing.T, eng *sim.Engine, params Params, lat sim.Duration) (*Ring, *stubTarget) {
 	t.Helper()
 	st := &stubTarget{eng: eng, latency: lat}
@@ -60,9 +67,9 @@ func TestSubmitAndComplete(t *testing.T) {
 			sqe.Len = 4096
 			sqe.UserData = uint64(i)
 		}
-		n, err := r.Submit(p)
+		n, err := submit(p, r)
 		if err != nil || n != 4 {
-			t.Errorf("Submit = %d, %v", n, err)
+			t.Errorf("Enter = %d, %v", n, err)
 			return
 		}
 		for i := 0; i < 4; i++ {
@@ -112,7 +119,7 @@ func TestBatchingAmortizesSyscalls(t *testing.T) {
 					sqe.Op = OpNop
 					sqe.UserData = uint64(i + j)
 				}
-				if _, err := r.Submit(p); err != nil {
+				if _, err := submit(p, r); err != nil {
 					t.Error(err)
 				}
 			}
@@ -201,7 +208,7 @@ func TestInterruptModeWakeupCost(t *testing.T) {
 			sqe.Len = 4096
 			sqe.BufIndex = 0 // registered: no copy cost in either mode
 			start := p.Now()
-			r.Submit(p)
+			submit(p, r)
 			r.WaitCQE(p)
 			done = p.Now().Sub(start)
 		})
@@ -228,7 +235,7 @@ func TestRegisteredBuffersSkipCopy(t *testing.T) {
 			sqe.Op = OpWrite
 			sqe.Len = 128 * 1024
 			sqe.BufIndex = bufIndex
-			r.Submit(p)
+			submit(p, r)
 			r.WaitCQE(p)
 		})
 		eng.Run()
@@ -258,7 +265,7 @@ func TestCQOverflowCounted(t *testing.T) {
 					sqe.Op = OpNop
 				}
 			}
-			r.Submit(p)
+			submit(p, r)
 		}
 	})
 	eng.Run()
@@ -284,8 +291,8 @@ func TestClosedRing(t *testing.T) {
 		t.Fatal("GetSQE on closed ring")
 	}
 	eng.Spawn("app", func(p *sim.Proc) {
-		if _, err := r.Submit(p); err != ErrRingClosed {
-			t.Errorf("Submit err = %v", err)
+		if _, err := submit(p, r); err != ErrRingClosed {
+			t.Errorf("Enter err = %v", err)
 		}
 		if _, err := r.WaitCQE(p); err != ErrRingClosed {
 			t.Errorf("WaitCQE err = %v", err)
@@ -300,7 +307,7 @@ func TestCPUAffinityForwarded(t *testing.T) {
 	eng.Spawn("app", func(p *sim.Proc) {
 		sqe := r.GetSQE()
 		sqe.Op = OpRead
-		r.Submit(p)
+		submit(p, r)
 	})
 	eng.Run()
 	if st.reqs[0].CPU != 5 {
@@ -335,7 +342,7 @@ func TestRingConservationProperty(t *testing.T) {
 					id++
 					want++
 				}
-				if _, err := r.Submit(p); err != nil {
+				if _, err := submit(p, r); err != nil {
 					ok = false
 					return
 				}
@@ -380,7 +387,7 @@ func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		eng.Spawn("enter", func(p *sim.Proc) {
-			r.Submit(p)
+			submit(p, r)
 		})
 	}
 	eng.Run()
@@ -409,7 +416,7 @@ func TestMaxInFlightTracked(t *testing.T) {
 			sqe := r.GetSQE()
 			sqe.Op = OpNop
 		}
-		r.Submit(p)
+		submit(p, r)
 	})
 	eng.Run()
 	_, _, _, _, maxIF := r.Stats()

@@ -101,9 +101,12 @@ func (c *Cache) Recover(done func()) {
 				continue
 			}
 			// Scan pass: journal header + record headers.
-			comp := c.eng.NewCompletion()
-			c.dev.Read(SegHdrBytes+len(seg.records)*RecordHdrBytes, func() { comp.Complete(nil, nil) })
-			p.Await(comp)
+			// The wake rides one Schedule(0) hop after the read's event,
+			// which is part of the cache family's event order.
+			n := SegHdrBytes + len(seg.records)*RecordHdrBytes
+			p.Block(func(wake func()) {
+				c.dev.Read(n, func() { c.eng.Schedule(0, wake) })
+			})
 			for _, r := range seg.records {
 				replay = append(replay, replayRec{seg: seg.id, rec: r})
 			}

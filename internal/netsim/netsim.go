@@ -306,20 +306,6 @@ func (f *Fabric) SetFaultHook(hook func(src, dst *Host, n int) bool) {
 	f.faultHook = hook
 }
 
-// SendWait is the Proc-blocking form of Send: it returns once the message
-// has been processed by the receiver. It is a same-domain primitive: on a
-// sharded fabric the arrival callback runs on the receiver's shard, where
-// completing the sender's completion would race, so cross-domain callers
-// must use Send with an explicit arrival-driven protocol instead.
-func (f *Fabric) SendWait(p *sim.Proc, src, dst *Host, n int) {
-	if f.group != nil && src.dom != dst.dom {
-		panic(fmt.Sprintf("netsim: SendWait %s -> %s crosses topology domains", src.Name, dst.Name))
-	}
-	done := src.eng.NewCompletion()
-	f.Send(src, dst, n, func() { done.Complete(nil, nil) })
-	p.Await(done)
-}
-
 // RTT estimates a request/response round trip for the given payload sizes
 // on an idle network (no queueing): useful for calibration and tests.
 func (f *Fabric) RTT(a, b *Host, reqBytes, respBytes int) sim.Duration {

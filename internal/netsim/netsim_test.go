@@ -83,12 +83,12 @@ func TestSendWait(t *testing.T) {
 	eng, f, a, b := newFabricT(t)
 	var done sim.Time
 	eng.Spawn("sender", func(p *sim.Proc) {
-		f.SendWait(p, a, b, 1000)
+		p.Block(func(wake func()) { f.Send(a, b, 1000, wake) })
 		done = p.Now()
 	})
 	eng.Run()
 	if done == 0 {
-		t.Fatal("SendWait never returned")
+		t.Fatal("the wait on Send never returned")
 	}
 }
 

@@ -349,16 +349,6 @@ func (e *Engine) admitH2C(x *xfer) {
 	e.eng.Schedule(e.Cycles(e.cfg.DescriptorFetchCycles), x.admitFn)
 }
 
-// TransferWait is the Proc-blocking form of Transfer.
-func (qs *QueueSet) TransferWait(p *sim.Proc, dir Direction, n int, desc Descriptor) error {
-	c := qs.engine.eng.NewCompletion()
-	if err := qs.Transfer(dir, n, desc, func() { c.Complete(nil, nil) }); err != nil {
-		return err
-	}
-	_, err := p.Await(c)
-	return err
-}
-
 // Pending returns outstanding descriptors per direction.
 func (qs *QueueSet) Pending(dir Direction) int {
 	if dir == H2C {

@@ -174,14 +174,21 @@ func TestTransferWait(t *testing.T) {
 	qs, _ := q.AllocQueueSet(ReplicationQueue, nil)
 	var end sim.Time
 	eng.Spawn("xfer", func(p *sim.Proc) {
-		if err := qs.TransferWait(p, C2H, 1024, Descriptor{}); err != nil {
+		var err error
+		p.Block(func(wake func()) {
+			err = qs.Transfer(C2H, 1024, Descriptor{}, wake)
+			if err != nil {
+				wake()
+			}
+		})
+		if err != nil {
 			t.Error(err)
 		}
 		end = p.Now()
 	})
 	eng.Run()
 	if end == 0 {
-		t.Fatal("TransferWait returned instantly")
+		t.Fatal("the wait on Transfer returned instantly")
 	}
 	if qs.Completions() != 1 {
 		t.Fatal("completion not posted")

@@ -49,13 +49,16 @@ type BackfillReport struct {
 func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint32) (BackfillReport, error) {
 	start := p.Now()
 	rep := BackfillReport{Pool: pool.Name}
-	streams := b.c.Eng.NewResource(b.Streams)
-	done := b.c.Eng.NewCompletion()
+	eng := b.c.Eng
+	streams := eng.NewResource(b.Streams)
 	outstanding := 0
+	var resume func()
 	finishOne := func() {
 		outstanding--
 		if outstanding == 0 {
-			done.Complete(nil, nil)
+			// One Schedule(0) hop after the last copy: the hop is part
+			// of the recovery scenario's event order.
+			eng.Schedule(0, resume)
 		}
 	}
 
@@ -114,19 +117,23 @@ func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint3
 				rep.ObjectsMoved++
 				rep.BytesMoved += int64(size)
 				moveKey := key
-				b.c.Eng.Spawn("backfill", func(sp *sim.Proc) {
-					streams.Acquire(sp, 1)
-					sp.Sleep(b.PerObjectCost +
-						sim.Duration(float64(size)/b.BytesPerSec*1e9))
-					streams.Release(1)
-					b.c.OSDs[to].Store.Write(moveKey, 0, data)
-					finishOne()
+				cost := b.PerObjectCost + sim.Duration(float64(size)/b.BytesPerSec*1e9)
+				// One copy: wait for a stream, hold it for the copy time,
+				// then release it and land the bytes.
+				eng.Schedule(0, func() {
+					streams.AcquireThen(1, func() {
+						eng.Schedule(cost, func() {
+							streams.Release(1)
+							b.c.OSDs[to].Store.Write(moveKey, 0, data)
+							finishOne()
+						})
+					})
 				})
 			}
 		}
 	}
 	if outstanding > 0 {
-		p.Await(done)
+		p.Block(func(wake func()) { resume = wake })
 	}
 	rep.Elapsed = p.Now().Sub(start)
 	return rep, nil

@@ -25,7 +25,7 @@ func TestBackfillRestoresRedundancy(t *testing.T) {
 			name := fmt.Sprintf("obj%03d", i)
 			data := bytes.Repeat([]byte{byte(i)}, 2048+i)
 			payloads[name] = data
-			if err := cl.Write(p, pool, name, 0, data); err != nil {
+			if err := writeObj(p, cl, pool, name, 0, data); err != nil {
 				t.Errorf("write %s: %v", name, err)
 			}
 		}
@@ -91,7 +91,7 @@ func TestBackfillECShards(t *testing.T) {
 	var failed int
 	eng.Spawn("scenario", func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
-			if err := cl.Write(p, pool, fmt.Sprintf("s%d", i), 0, payload); err != nil {
+			if err := writeObj(p, cl, pool, fmt.Sprintf("s%d", i), 0, payload); err != nil {
 				t.Errorf("write: %v", err)
 			}
 		}
@@ -109,7 +109,7 @@ func TestBackfillECShards(t *testing.T) {
 		// detour; then verify the stripes read back intact from the new
 		// layout.
 		for i := 0; i < 6; i++ {
-			got, err := cl.Read(p, pool, fmt.Sprintf("s%d", i), 0, len(payload))
+			got, err := readObj(p, cl, pool, fmt.Sprintf("s%d", i), 0, len(payload))
 			if err != nil {
 				t.Errorf("read s%d: %v", i, err)
 				continue
@@ -131,7 +131,7 @@ func TestBackfillNoChangeIsNoop(t *testing.T) {
 	pool, _ := c.CreateReplicatedPool("p", 2, 32)
 	var rep BackfillReport
 	eng.Spawn("scenario", func(p *sim.Proc) {
-		cl.Write(p, pool, "x", 0, []byte("data"))
+		writeObj(p, cl, pool, "x", 0, []byte("data"))
 		var err error
 		rep, err = NewBackfiller(c).BackfillPool(p, pool, mon.Reweights(), mon.Reweights())
 		if err != nil {
@@ -154,7 +154,7 @@ func TestBackfillThrottleScalesTime(t *testing.T) {
 		var rep BackfillReport
 		eng.Spawn("scenario", func(p *sim.Proc) {
 			for i := 0; i < 16; i++ {
-				cl.Write(p, pool, fmt.Sprintf("o%02d", i), 0, make([]byte, 64*1024))
+				writeObj(p, cl, pool, fmt.Sprintf("o%02d", i), 0, make([]byte, 64*1024))
 			}
 			before := mon.Reweights()
 			var failed int

@@ -56,8 +56,8 @@ type Repl interface {
 // Requests are continuation-passing: WriteAsync and ReadAsync run each
 // request as an event chain over a pooled op (clientop.go) and call done
 // from the event in which it finishes, so the data path needs no
-// goroutine per request. Write, Read, WriteOpts and ReadOpts are the
-// blocking adapters for long-lived Procs.
+// goroutine per request. A Proc waits on a request with Proc.Block, waking
+// from done.
 type Client struct {
 	Cluster *Cluster
 	Host    *netsim.Host
@@ -204,45 +204,6 @@ func (cl *Client) protocol(write bool, pool *Pool) opKind {
 	default:
 		return kindReadRepl
 	}
-}
-
-// Write stores data at (obj, off) in the pool and returns when the write is
-// durable on all reachable placement targets.
-func (cl *Client) Write(p *sim.Proc, pool *Pool, obj string, off int, data []byte) error {
-	return cl.WriteOpts(p, pool, obj, off, data, ReqOpts{})
-}
-
-// WriteOpts is Write with per-request service hints: WriteAsync with the
-// proc blocked until done. The proc resumes inside the request's final
-// event, so the adapter adds no event of its own.
-func (cl *Client) WriteOpts(p *sim.Proc, pool *Pool, obj string, off int, data []byte, opts ReqOpts) error {
-	var err error
-	p.Block(func(wake func()) {
-		cl.WriteAsync(pool, obj, off, data, opts, func(e error) {
-			err = e
-			wake()
-		})
-	})
-	return err
-}
-
-// Read returns n bytes at (obj, off).
-func (cl *Client) Read(p *sim.Proc, pool *Pool, obj string, off, n int) ([]byte, error) {
-	return cl.ReadOpts(p, pool, obj, off, n, ReqOpts{})
-}
-
-// ReadOpts is Read with per-request service hints: ReadAsync with the proc
-// blocked until done, adding no event.
-func (cl *Client) ReadOpts(p *sim.Proc, pool *Pool, obj string, off, n int, opts ReqOpts) ([]byte, error) {
-	var data []byte
-	var err error
-	p.Block(func(wake func()) {
-		cl.ReadAsync(pool, obj, off, n, opts, func(d []byte, e error) {
-			data, err = d, e
-			wake()
-		})
-	})
-	return data, err
 }
 
 // splitActing returns the acting set of obj's PG from the client's own

@@ -11,18 +11,18 @@ import (
 
 // This file holds the client's request chains. Each request is an op: a
 // pooled struct whose step is bound once and re-scheduled for every wait,
-// walking a per-protocol stage machine. The chains are the continuation
-// form of the sequential Proc code the client used to run, and they issue
-// the same Schedule calls in the same order, one for one:
+// walking a per-protocol stage machine. Every wait has a fixed event
+// shape, the one the sequential Proc code these chains replaced had:
 //
-//   - a Proc Sleep(d), including Sleep(0), is Schedule(d, step);
-//   - a SendWait is the fabric arrival plus one Schedule(0) hop;
-//   - an Await on a completion that has not fired yet is one Schedule(0)
-//     hop when it fires, and an Await on one that has is no event at all
-//     (see resume and gather);
-//   - a spawned per-attempt Proc is one Schedule(0) that starts the
-//     attempt's op, and the attempt's completion one Schedule(0) hop back
-//     to the retry op (see finish and deliver).
+//   - a delay d, including 0, is Schedule(d, step);
+//   - a message wait is the fabric arrival plus one Schedule(0) hop (see
+//     sendWait);
+//   - a sub-operation the chain parks on is one Schedule(0) hop when it
+//     completes, and one that completed before the chain parked is no
+//     event at all (see resume and gather);
+//   - a per-attempt op starts one Schedule(0) after the retry op issues
+//     it, and the attempt's completion is one Schedule(0) hop back to the
+//     retry op (see finish and deliver).
 //
 // Event order is a digest input, so none of these may be merged or
 // skipped, even where the wait is zero.
@@ -188,14 +188,13 @@ func (o *op) finish(res []byte, err error) {
 	}
 }
 
-// hop resumes the chain one Schedule(0) later: the resumption of a Proc
-// whose awaited completion just fired.
+// hop resumes the chain one Schedule(0) later.
 func (o *op) hop() { o.eng.Schedule(0, o.step) }
 
 // resume is the completion callback of a sub-operation the chain waits on.
 // If the chain already parked on it, that is one hop; if the callback runs
 // before the chain parks (the sub-operation completed synchronously), the
-// chain continues inline, as an Await of a fired completion did.
+// chain continues inline, with no event.
 func (o *op) resume() {
 	if o.parked {
 		o.parked = false
@@ -221,8 +220,8 @@ func (o *op) sleep(d sim.Duration, next uint8) {
 	o.eng.Schedule(d, o.step)
 }
 
-// sendWait is Fabric.SendWait: the chain continues at stage next one hop
-// after the message is processed at dst.
+// sendWait sends n bytes from src to dst; the chain continues at stage
+// next one hop after the message is processed at dst.
 func (o *op) sendWait(src, dst *netsim.Host, n int, next uint8) {
 	o.stage = next
 	o.cl.fabric().Send(src, dst, n, o.arrived)

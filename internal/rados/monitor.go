@@ -27,6 +27,7 @@ type Monitor struct {
 
 	subs    []func(epoch uint64)
 	started bool
+	next    sim.EventID // the pending heartbeat
 
 	// Stats.
 	MarkedOut uint64
@@ -123,9 +124,9 @@ func (m *Monitor) Reweight(osd int, w uint32) error {
 	return nil
 }
 
-// Start launches the heartbeat process: every HeartbeatEvery it checks OSD
-// liveness; an OSD down for longer than Grace is marked out, and a marked-
-// out OSD that has come back up is marked in.
+// Start arms the heartbeat: every HeartbeatEvery it checks OSD liveness;
+// an OSD down for longer than Grace is marked out, and a marked-out OSD
+// that has come back up is marked in.
 //
 // The heartbeat keeps an event scheduled at all times, so a started
 // monitor prevents Engine.Run from draining: bound runs with RunUntil or
@@ -135,16 +136,23 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.started = true
-	m.c.Eng.Spawn("monitor-heartbeat", func(p *sim.Proc) {
-		for m.started {
-			p.Sleep(m.HeartbeatEvery)
-			m.checkHeartbeats(p.Now())
-		}
-	})
+	m.next = m.c.Eng.Schedule(m.HeartbeatEvery, m.heartbeat)
 }
 
-// Stop ends the heartbeat process after its current sleep.
-func (m *Monitor) Stop() { m.started = false }
+// heartbeat is one liveness check; it arms the next one after it.
+func (m *Monitor) heartbeat() {
+	m.checkHeartbeats(m.c.Eng.Now())
+	m.next = m.c.Eng.Schedule(m.HeartbeatEvery, m.heartbeat)
+}
+
+// Stop cancels the pending heartbeat, so a stopped monitor leaves no event
+// behind.
+func (m *Monitor) Stop() {
+	if m.started {
+		m.started = false
+		m.c.Eng.Cancel(m.next)
+	}
+}
 
 func (m *Monitor) checkHeartbeats(now sim.Time) {
 	for id, osd := range m.c.OSDs {

@@ -113,6 +113,44 @@ func TestHeartbeatMarksOutAfterGrace(t *testing.T) {
 		t.Fatal("not marked back in after recovery")
 	}
 	m.Stop()
+	eng.Run()
+	if eng.Pending() != 0 || eng.Procs() != 0 {
+		t.Fatalf("after Stop: Pending = %d, Procs = %d, want 0 and 0", eng.Pending(), eng.Procs())
+	}
+}
+
+// TestMonitorStopCancelsHeartbeat: Stop takes effect at once, so a stopped
+// monitor lets the engine drain, and a restart beats on its new schedule.
+func TestMonitorStopCancelsHeartbeat(t *testing.T) {
+	eng, c, m := newMonCluster(t)
+	m.HeartbeatEvery = sim.Second
+	m.Grace = 0
+	m.Start()
+	eng.RunUntil(sim.Time(3*sim.Second + sim.Second/2))
+	m.Stop()
+	if end := eng.Run(); end != sim.Time(3*sim.Second+sim.Second/2) {
+		t.Fatalf("a stopped monitor kept the engine running until %v", end)
+	}
+	if eng.Pending() != 0 || eng.Procs() != 0 {
+		t.Fatalf("after Stop: Pending = %d, Procs = %d, want 0 and 0", eng.Pending(), eng.Procs())
+	}
+	// Restarted at 3.5 s, the heartbeat sees osd.3 down at its first beat
+	// (4.5 s) and marks it out at the second (5.5 s).
+	c.OSDs[3].SetUp(false)
+	m.Start()
+	eng.RunUntil(sim.Time(5 * sim.Second))
+	if m.Reweights()[3] == 0 {
+		t.Fatal("osd.3 marked out before the restarted heartbeat's second beat")
+	}
+	eng.RunUntil(sim.Time(6 * sim.Second))
+	if m.Reweights()[3] != 0 {
+		t.Fatal("restarted heartbeat did not mark osd.3 out")
+	}
+	m.Stop()
+	eng.Run()
+	if eng.Pending() != 0 {
+		t.Fatalf("after the second Stop: Pending = %d", eng.Pending())
+	}
 }
 
 func TestReweightPartial(t *testing.T) {
@@ -196,7 +234,7 @@ func TestDegradedWriteDuringMarkOutWindow(t *testing.T) {
 	eng.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			obj := objName(i)
-			if err := cl.Write(p, pool, obj, 0, make([]byte, 4096)); err != nil {
+			if err := writeObj(p, cl, pool, obj, 0, make([]byte, 4096)); err != nil {
 				failures++
 			}
 			writes++
@@ -206,10 +244,14 @@ func TestDegradedWriteDuringMarkOutWindow(t *testing.T) {
 			p.Sleep(500 * sim.Millisecond)
 		}
 	})
-	// The heartbeat proc runs until stopped, so bound the run instead of
+	// The heartbeat beats until stopped, so bound the run instead of
 	// draining the engine.
 	eng.RunUntil(sim.Time(30 * sim.Second))
 	m.Stop()
+	eng.Run()
+	if eng.Pending() != 0 || eng.Procs() != 0 {
+		t.Fatalf("after Stop: Pending = %d, Procs = %d, want 0 and 0", eng.Pending(), eng.Procs())
+	}
 	if writes != 40 {
 		t.Fatalf("writes = %d", writes)
 	}

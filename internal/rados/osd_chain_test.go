@@ -121,7 +121,7 @@ func TestSplitWriteKeepsMemoIntact(t *testing.T) {
 		t.Fatalf("acting set %v has no ItemNone hole to skip", before)
 	}
 	var werr error
-	eng.Spawn("w", func(p *sim.Proc) { werr = cl.Write(p, pool, obj, 0, []byte("data")) })
+	eng.Spawn("w", func(p *sim.Proc) { werr = writeObj(p, cl, pool, obj, 0, []byte("data")) })
 	eng.Run()
 	if werr != nil {
 		t.Fatal(werr)

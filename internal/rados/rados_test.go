@@ -9,6 +9,30 @@ import (
 	"repro/internal/sim"
 )
 
+// writeObj and readObj wait on the client's callback API from a test proc.
+func writeObj(p *sim.Proc, cl *Client, pool *Pool, obj string, off int, data []byte) error {
+	var err error
+	p.Block(func(wake func()) {
+		cl.WriteAsync(pool, obj, off, data, ReqOpts{}, func(e error) {
+			err = e
+			wake()
+		})
+	})
+	return err
+}
+
+func readObj(p *sim.Proc, cl *Client, pool *Pool, obj string, off, n int) ([]byte, error) {
+	var data []byte
+	var err error
+	p.Block(func(wake func()) {
+		cl.ReadAsync(pool, obj, off, n, ReqOpts{}, func(d []byte, e error) {
+			data, err = d, e
+			wake()
+		})
+	})
+	return data, err
+}
+
 func newTestCluster(t *testing.T) (*sim.Engine, *Cluster, *Client) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -139,11 +163,11 @@ func TestReplicatedWriteReadRoundTrip(t *testing.T) {
 	payload := []byte("hello deliba-k replicated world")
 	var readBack []byte
 	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "obj1", 0, payload); err != nil {
+		if err := writeObj(p, cl, pool, "obj1", 0, payload); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
-		readBack, err = cl.Read(p, pool, "obj1", 0, len(payload))
+		readBack, err = readObj(p, cl, pool, "obj1", 0, len(payload))
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
@@ -177,11 +201,11 @@ func TestReplicatedDegradedWriteRead(t *testing.T) {
 	payload := []byte("degraded path data")
 	var readBack []byte
 	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "objX", 0, payload); err != nil {
+		if err := writeObj(p, cl, pool, "objX", 0, payload); err != nil {
 			t.Errorf("degraded write: %v", err)
 			return
 		}
-		readBack, err = cl.Read(p, pool, "objX", 0, len(payload))
+		readBack, err = readObj(p, cl, pool, "objX", 0, len(payload))
 		if err != nil {
 			t.Errorf("degraded read: %v", err)
 		}
@@ -207,11 +231,11 @@ func TestECWriteReadRoundTrip(t *testing.T) {
 	}
 	var readBack []byte
 	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "vol.0", 0, payload); err != nil {
+		if err := writeObj(p, cl, pool, "vol.0", 0, payload); err != nil {
 			t.Errorf("ec write: %v", err)
 			return
 		}
-		readBack, err = cl.Read(p, pool, "vol.0", 0, len(payload))
+		readBack, err = readObj(p, cl, pool, "vol.0", 0, len(payload))
 		if err != nil {
 			t.Errorf("ec read: %v", err)
 		}
@@ -243,7 +267,7 @@ func TestECDegradedReadReconstructs(t *testing.T) {
 	}
 	var readBack []byte
 	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "vol.7", 0, payload); err != nil {
+		if err := writeObj(p, cl, pool, "vol.7", 0, payload); err != nil {
 			t.Errorf("write: %v", err)
 			return
 		}
@@ -251,7 +275,7 @@ func TestECDegradedReadReconstructs(t *testing.T) {
 		// reconstruct from the remaining 4 shards.
 		c.OSDs[acting[0]].SetUp(false)
 		c.OSDs[acting[1]].SetUp(false)
-		readBack, err = cl.Read(p, pool, "vol.7", 0, len(payload))
+		readBack, err = readObj(p, cl, pool, "vol.7", 0, len(payload))
 		if err != nil {
 			t.Errorf("degraded read: %v", err)
 		}
@@ -271,7 +295,7 @@ func TestECWriteFailsBelowK(t *testing.T) {
 	}
 	var gotErr error
 	eng.Spawn("io", func(p *sim.Proc) {
-		gotErr = cl.Write(p, pool, "volZ", 0, make([]byte, 1024))
+		gotErr = writeObj(p, cl, pool, "volZ", 0, make([]byte, 1024))
 	})
 	eng.Run()
 	if gotErr == nil {
@@ -343,7 +367,7 @@ func TestWriteLatencyOrdering(t *testing.T) {
 		var lat sim.Duration
 		eng.Spawn("io", func(p *sim.Proc) {
 			start := p.Now()
-			if err := cl.Write(p, pool, "o", 0, make([]byte, size)); err != nil {
+			if err := writeObj(p, cl, pool, "o", 0, make([]byte, size)); err != nil {
 				t.Errorf("write: %v", err)
 			}
 			lat = p.Now().Sub(start)

@@ -13,7 +13,7 @@ func TestScrubCleanPool(t *testing.T) {
 	var rep ScrubReport
 	eng.Spawn("io", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			cl.Write(p, pool, objName(i), 0, []byte("payload-"+objName(i)))
+			writeObj(p, cl, pool, objName(i), 0, []byte("payload-"+objName(i)))
 		}
 		var err error
 		rep, err = NewScrubber(c).ScrubPool(p, pool)
@@ -35,7 +35,7 @@ func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
 	var fixed int
 	var badOSD int
 	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "victim", 0, payload); err != nil {
+		if err := writeObj(p, cl, pool, "victim", 0, payload); err != nil {
 			t.Error(err)
 			return
 		}
@@ -100,7 +100,7 @@ func TestScrubECParityDamage(t *testing.T) {
 	var report ScrubReport
 	var fixed int
 	eng.Spawn("io", func(p *sim.Proc) {
-		if err := cl.Write(p, pool, "stripe", 0, payload); err != nil {
+		if err := writeObj(p, cl, pool, "stripe", 0, payload); err != nil {
 			t.Error(err)
 			return
 		}
@@ -131,7 +131,7 @@ func TestScrubECParityDamage(t *testing.T) {
 	var got []byte
 	eng.Spawn("read", func(p *sim.Proc) {
 		var err error
-		got, err = cl.Read(p, pool, "stripe", 0, len(payload))
+		got, err = readObj(p, cl, pool, "stripe", 0, len(payload))
 		if err != nil {
 			t.Error(err)
 		}
@@ -147,7 +147,7 @@ func TestScrubChargesTime(t *testing.T) {
 	pool, _ := c.CreateReplicatedPool("p", 2, 64)
 	var before, after sim.Time
 	eng.Spawn("io", func(p *sim.Proc) {
-		cl.Write(p, pool, "o", 0, []byte("x"))
+		writeObj(p, cl, pool, "o", 0, []byte("x"))
 		before = p.Now()
 		NewScrubber(c).ScrubPool(p, pool)
 		after = p.Now()

@@ -285,28 +285,3 @@ func (g *join) await() {
 	}
 	g.done(g.parts, firstErr)
 }
-
-// WriteAt is WriteAtAsync with the proc blocked until done.
-func (d *Dev) WriteAt(p *sim.Proc, off int64, data []byte) error {
-	var err error
-	p.Block(func(wake func()) {
-		d.WriteAtAsync(off, data, func(e error) {
-			err = e
-			wake()
-		})
-	})
-	return err
-}
-
-// ReadAt is ReadAtAsync with the proc blocked until done.
-func (d *Dev) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	var out []byte
-	var err error
-	p.Block(func(wake func()) {
-		d.ReadAtAsync(off, n, func(b []byte, e error) {
-			out, err = b, e
-			wake()
-		})
-	})
-	return out, err
-}

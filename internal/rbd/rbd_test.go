@@ -104,17 +104,7 @@ func TestDevRoundTripWithinObject(t *testing.T) {
 	dev := NewDev(im, cl)
 	payload := []byte("rbd single-object payload")
 	var got []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := dev.WriteAt(p, 12345, payload); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		var err error
-		got, err = dev.ReadAt(p, 12345, len(payload))
-		if err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
+	roundTrip(eng, dev, 12345, payload, &got, t)
 	eng.Run()
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("round trip = %q", got)
@@ -131,17 +121,7 @@ func TestDevRoundTripAcrossObjects(t *testing.T) {
 	}
 	off := int64(1<<20 - 512)
 	var got []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := dev.WriteAt(p, off, payload); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		var err error
-		got, err = dev.ReadAt(p, off, len(payload))
-		if err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
+	roundTrip(eng, dev, off, payload, &got, t)
 	eng.Run()
 	if !bytes.Equal(got, payload) {
 		t.Fatal("cross-object round trip corrupted")
@@ -160,13 +140,42 @@ func TestDevOutOfRange(t *testing.T) {
 	eng, _, cl, pool := newStack(t)
 	im, _ := NewImage("vol", 1<<20, 1<<20, pool)
 	dev := NewDev(im, cl)
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := dev.WriteAt(p, 1<<20, []byte{1}); err == nil {
-			t.Error("write past end accepted")
-		}
-		if _, err := dev.ReadAt(p, -5, 10); err == nil {
-			t.Error("negative read accepted")
-		}
+	calls := 0
+	eng.Schedule(0, func() {
+		dev.WriteAtAsync(1<<20, []byte{1}, func(err error) {
+			calls++
+			if err == nil {
+				t.Error("write past end accepted")
+			}
+			dev.ReadAtAsync(-5, 10, func(_ []byte, err error) {
+				calls++
+				if err == nil {
+					t.Error("negative read accepted")
+				}
+			})
+		})
 	})
 	eng.Run()
+	if calls != 2 {
+		t.Fatalf("%d of 2 callbacks ran", calls)
+	}
+}
+
+// roundTrip writes payload at off, then reads it back into *got, as one
+// callback chain started at time 0.
+func roundTrip(eng *sim.Engine, dev *Dev, off int64, payload []byte, got *[]byte, t *testing.T) {
+	eng.Schedule(0, func() {
+		dev.WriteAtAsync(off, payload, func(err error) {
+			if err != nil {
+				t.Errorf("write: %v", err)
+				return
+			}
+			dev.ReadAtAsync(off, len(payload), func(b []byte, err error) {
+				if err != nil {
+					t.Errorf("read: %v", err)
+				}
+				*got = b
+			})
+		})
+	})
 }

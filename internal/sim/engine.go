@@ -216,7 +216,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Pending() int { return len(e.pq) }
 
 // Procs reports the number of live Procs: spawned and not yet returned. A
-// Proc parked forever (on a completion nobody fires, a queue nobody fills)
+// Proc parked forever (on a wake nobody calls, a queue nobody fills)
 // stays counted, so a drained engine reporting more Procs than its
 // long-lived ones has leaked some.
 func (e *Engine) Procs() int { return e.procs }

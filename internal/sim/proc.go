@@ -1,9 +1,10 @@
 package sim
 
 // Proc is a coroutine-style simulation process. A Proc runs ordinary
-// sequential Go code and advances virtual time with Sleep and Await; under
-// the hood the engine runs exactly one of {event loop, some Proc} at any
-// instant, so Procs need no locking and the interleaving is deterministic.
+// sequential Go code and advances virtual time with Sleep, and waits on a
+// layer's callback API with Block; under the hood the engine runs exactly
+// one of {event loop, some Proc} at any instant, so Procs need no locking
+// and the interleaving is deterministic.
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -79,9 +80,11 @@ func (p *Proc) Sleep(d Duration) {
 // callback must be invoked exactly once, either from engine context (inside
 // an event), which resumes the process right there without scheduling an
 // event, or synchronously from inside register, in which case Block
-// returns without suspending. Block is the primitive custom wait-queues
-// (rings, tag sets) build on, and how a process waits on a callback-driven
-// operation without adding an event to it. The wake callback is bound once
+// returns without suspending. Block is the process's only wait: custom
+// wait-queues (rings) build on it, and a process waits on any layer's
+// callback API by waking from the callback, which adds no event to the
+// operation (a caller that wants the wake one event later passes
+// func() { eng.Schedule(0, wake) } instead). The wake callback is bound once
 // per process, so Block allocates nothing after its first use.
 func (p *Proc) Block(register func(wake func())) {
 	if p.wake == nil {
@@ -102,76 +105,4 @@ func (p *Proc) onWake() {
 	if !p.registering {
 		p.eng.step(p)
 	}
-}
-
-// Await blocks the process until c completes and returns its value/error.
-// If c has already completed it returns immediately (consuming no virtual
-// time).
-func (p *Proc) Await(c *Completion) (any, error) {
-	if !c.fired {
-		c.onFire(func() { p.eng.step(p) })
-		p.pause()
-	}
-	return c.val, c.err
-}
-
-// Completion is a one-shot event carrying a value and an error. It is the
-// simulation analogue of a future: model code completes it once, and any
-// number of Procs or callbacks observe it.
-type Completion struct {
-	eng     *Engine
-	fired   bool
-	val     any
-	err     error
-	at      Time
-	waiters []func()
-}
-
-// NewCompletion returns an unfired completion bound to e.
-func (e *Engine) NewCompletion() *Completion { return &Completion{eng: e} }
-
-// Complete fires the completion with the given value and error. Waiters run
-// as fresh events at the current virtual time, preserving deterministic
-// ordering. Completing twice panics: a completion is strictly one-shot.
-func (c *Completion) Complete(val any, err error) {
-	if c.fired {
-		panic("sim: Completion completed twice")
-	}
-	c.fired = true
-	c.val = val
-	c.err = err
-	c.at = c.eng.Now()
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		w := w
-		c.eng.Schedule(0, w)
-	}
-}
-
-// Done reports whether the completion has fired.
-func (c *Completion) Done() bool { return c.fired }
-
-// Value returns the completion value; valid only after Done.
-func (c *Completion) Value() any { return c.val }
-
-// Err returns the completion error; valid only after Done.
-func (c *Completion) Err() error { return c.err }
-
-// At returns the virtual time the completion fired; valid only after Done.
-func (c *Completion) At() Time { return c.at }
-
-// OnComplete registers fn to run (as an event) when the completion fires.
-// If already fired, fn is scheduled at the current time.
-func (c *Completion) OnComplete(fn func(val any, err error)) {
-	wrap := func() { fn(c.val, c.err) }
-	if c.fired {
-		c.eng.Schedule(0, wrap)
-		return
-	}
-	c.waiters = append(c.waiters, wrap)
-}
-
-func (c *Completion) onFire(fn func()) {
-	c.waiters = append(c.waiters, fn)
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
@@ -47,79 +44,91 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestCompletionAwait(t *testing.T) {
+// TestBlockWakeInsideRegister: a wake invoked synchronously from register
+// returns from Block without suspending the proc and without an event.
+func TestBlockWakeInsideRegister(t *testing.T) {
 	e := NewEngine()
-	c := e.NewCompletion()
-	var got any
-	var gotErr error
-	var at Time
+	sibling := false
 	e.Spawn("waiter", func(p *Proc) {
-		got, gotErr = p.Await(c)
-		at = p.Now()
-	})
-	e.Schedule(42, func() { c.Complete("done", nil) })
-	e.Run()
-	if got != "done" || gotErr != nil || at != 42 {
-		t.Fatalf("got=%v err=%v at=%v", got, gotErr, at)
-	}
-	if c.At() != 42 {
-		t.Fatalf("Completion.At = %v, want 42", c.At())
-	}
-}
-
-func TestAwaitAlreadyFired(t *testing.T) {
-	e := NewEngine()
-	c := e.NewCompletion()
-	errBoom := errors.New("boom")
-	e.Schedule(5, func() { c.Complete(nil, errBoom) })
-	e.Schedule(10, func() {
-		e.Spawn("late", func(p *Proc) {
-			_, err := p.Await(c)
-			if err != errBoom {
-				t.Errorf("err = %v, want boom", err)
-			}
-			if p.Now() != 10 {
-				t.Errorf("await of fired completion advanced time to %v", p.Now())
-			}
-		})
-	})
-	e.Run()
-}
-
-func TestCompletionMultipleWaiters(t *testing.T) {
-	e := NewEngine()
-	c := e.NewCompletion()
-	woken := 0
-	for i := 0; i < 5; i++ {
-		e.Spawn("w", func(p *Proc) {
-			p.Await(c)
-			woken++
-		})
-	}
-	cbRan := false
-	c.OnComplete(func(val any, err error) {
-		cbRan = true
-		if val != 7 {
-			t.Errorf("callback val = %v", val)
+		e.Schedule(0, func() { sibling = true })
+		before := e.Executed()
+		p.Block(func(wake func()) { wake() })
+		if sibling {
+			t.Error("Block suspended: a same-time event ran before it returned")
+		}
+		if e.Executed() != before || e.Pending() != 1 {
+			t.Errorf("Block ran %d events and left %d pending, want 0 and 1",
+				e.Executed()-before, e.Pending())
 		}
 	})
-	e.Schedule(100, func() { c.Complete(7, nil) })
 	e.Run()
-	if woken != 5 || !cbRan {
-		t.Fatalf("woken=%d cbRan=%v", woken, cbRan)
+	if e.Executed() != 2 || e.Procs() != 0 {
+		t.Fatalf("Executed = %d, Procs = %d, want 2 and 0", e.Executed(), e.Procs())
 	}
 }
 
-func TestCompletionDoublePanics(t *testing.T) {
+// blockOn runs one proc that waits (wait = true) or not on a callback
+// event at t=42, whose wake is wrapped by hop, and reports the events
+// executed, when the proc resumed, and whether it resumed before the
+// callback's event returned.
+func blockOn(t *testing.T, wait bool, hop func(e *Engine, wake func()) func()) (uint64, Time, bool) {
+	t.Helper()
 	e := NewEngine()
-	c := e.NewCompletion()
-	c.Complete(1, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("double Complete did not panic")
+	var (
+		at       Time
+		returned bool
+		inside   bool
+		wake     func()
+	)
+	e.Spawn("waiter", func(p *Proc) {
+		if !wait {
+			return
 		}
-	}()
-	c.Complete(2, nil)
+		p.Block(func(w func()) { wake = hop(e, w) })
+		at, inside = p.Now(), !returned
+	})
+	e.Schedule(42, func() {
+		if wake != nil {
+			wake()
+		}
+		returned = true
+	})
+	e.Run()
+	if e.Procs() != 0 || e.Pending() != 0 {
+		t.Fatalf("Procs = %d, Pending = %d after drain", e.Procs(), e.Pending())
+	}
+	return e.Executed(), at, inside
+}
+
+// TestBlockWakeFromEvent: a wake from an event resumes the proc inside that
+// event, adding no event to the callback's own.
+func TestBlockWakeFromEvent(t *testing.T) {
+	direct := func(_ *Engine, wake func()) func() { return wake }
+	alone, _, _ := blockOn(t, false, direct)
+	got, at, inside := blockOn(t, true, direct)
+	if at != 42 || !inside {
+		t.Fatalf("resumed at %v (inside the callback's event: %v), want 42, true", at, inside)
+	}
+	if got != alone {
+		t.Fatalf("Executed = %d, want %d as for the callback alone", got, alone)
+	}
+}
+
+// TestBlockWakeViaSchedule: waking through Schedule(0, wake) costs exactly
+// one extra event and resumes at the same virtual time, after the
+// callback's event.
+func TestBlockWakeViaSchedule(t *testing.T) {
+	alone, _, _ := blockOn(t, false, nil)
+	hop := func(e *Engine, wake func()) func() {
+		return func() { e.Schedule(0, wake) }
+	}
+	got, at, inside := blockOn(t, true, hop)
+	if at != 42 || inside {
+		t.Fatalf("resumed at %v (inside the callback's event: %v), want 42, false", at, inside)
+	}
+	if got != alone+1 {
+		t.Fatalf("Executed = %d, want %d (one hop over the callback alone)", got, alone+1)
+	}
 }
 
 func TestSpawnFromProc(t *testing.T) {

@@ -6,7 +6,11 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	// waiters[head:] is the FIFO. The popped front is reused once the
+	// queue drains (or slid over when it fills), so a steady wait/release
+	// cycle allocates nothing.
+	waiters []resWaiter
+	head    int
 }
 
 type resWaiter struct {
@@ -31,37 +35,29 @@ func (r *Resource) TryAcquire(n int) bool {
 		panic("sim: bad acquire count")
 	}
 	// FIFO fairness: do not jump the wait queue.
-	if len(r.waiters) > 0 || r.inUse+n > r.capacity {
+	if r.head < len(r.waiters) || r.inUse+n > r.capacity {
 		return false
 	}
 	r.inUse += n
 	return true
 }
 
-// Acquire takes n units, blocking the proc until they are available.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if r.TryAcquire(n) {
-		return
-	}
-	acquired := false
-	r.waiters = append(r.waiters, resWaiter{n: n, wake: func() {
-		acquired = true
-		r.eng.step(p)
-	}})
-	for !acquired {
-		p.pause()
-	}
-}
-
-// AcquireThen takes n units and runs fn once they are held — the
-// callback form of Acquire for event-driven model code that has no Proc.
-// When the units are free and nobody is queued, fn runs inline before
-// AcquireThen returns; otherwise fn joins the same FIFO as Acquire's
-// waiters and runs as a fresh event when a Release makes room for it.
+// AcquireThen takes n units and runs fn once they are held. When the units
+// are free and nobody is queued, fn runs inline before AcquireThen returns;
+// otherwise fn joins the FIFO and runs as a fresh event when a Release
+// makes room for it. A Proc waits for the units with
+// p.Block(func(wake func()) { r.AcquireThen(n, wake) }).
 func (r *Resource) AcquireThen(n int, fn func()) {
 	if r.TryAcquire(n) {
 		fn()
 		return
+	}
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		// Full but with a popped front: slide the queue down instead of
+		// growing, so a queue that never drains stays bounded.
+		k := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[k:])
+		r.waiters, r.head = r.waiters[:k], 0
 	}
 	r.waiters = append(r.waiters, resWaiter{n: n, wake: fn})
 }
@@ -72,21 +68,18 @@ func (r *Resource) Release(n int) {
 		panic("sim: bad release count")
 	}
 	r.inUse -= n
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.head < len(r.waiters) {
+		w := &r.waiters[r.head]
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		wake := w.wake
+		w.wake = nil
+		r.head++
 		r.inUse += w.n
-		r.eng.Schedule(0, w.wake)
+		r.eng.Schedule(0, wake)
 	}
-}
-
-// Use acquires n units, holds them for d, then releases them. It is the
-// common "serve a request on this station" idiom.
-func (r *Resource) Use(p *Proc, n int, d Duration) {
-	r.Acquire(p, n)
-	p.Sleep(d)
-	r.Release(n)
+	if r.head == len(r.waiters) {
+		r.waiters, r.head = r.waiters[:0], 0
+	}
 }

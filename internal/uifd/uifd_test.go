@@ -7,6 +7,7 @@ import (
 	"repro/internal/blockmq"
 	"repro/internal/qdma"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeBackend completes card processing after a fixed delay.
@@ -20,6 +21,11 @@ type fakeBackend struct {
 func (b *fakeBackend) Process(req CardRequest, done func(err error)) {
 	b.seen = append(b.seen, req)
 	b.eng.Schedule(b.delay, func() { done(b.err) })
+}
+
+// submit is an untenanted, untraced SubmitAsyncTenant.
+func submit(mq *blockmq.MQ, op blockmq.OpType, off int64, n, cpu int, done func(error)) {
+	mq.SubmitAsyncTenant(op, off, n, 0, cpu, 0, trace.Ref{}, done)
 }
 
 func newStackT(t *testing.T, hwQueues int) (*sim.Engine, *blockmq.MQ, *Driver, *fakeBackend) {
@@ -43,8 +49,8 @@ func newStackT(t *testing.T, hwQueues int) (*sim.Engine, *blockmq.MQ, *Driver, *
 func TestWritePath(t *testing.T) {
 	eng, mq, drv, be := newStackT(t, 2)
 	var done sim.Time
-	eng.Spawn("io", func(p *sim.Proc) {
-		mq.Submit(p, blockmq.OpWrite, 4096, 4096, 0, func(err error) {
+	eng.Schedule(0, func() {
+		submit(mq, blockmq.OpWrite, 4096, 4096, 0, func(err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -73,8 +79,8 @@ func TestReadPathMovesPayloadC2H(t *testing.T) {
 	measure := func(op blockmq.OpType) sim.Duration {
 		eng, mq, _, _ := newStackT(t, 1)
 		var done sim.Time
-		eng.Spawn("io", func(p *sim.Proc) {
-			mq.Submit(p, op, 0, 1<<20, 0, func(error) { done = eng.Now() })
+		eng.Schedule(0, func() {
+			submit(mq, op, 0, 1<<20, 0, func(error) { done = eng.Now() })
 		})
 		eng.Run()
 		return sim.Duration(done)
@@ -95,8 +101,8 @@ func TestBackendErrorPropagates(t *testing.T) {
 	eng, mq, _, be := newStackT(t, 1)
 	be.err = errors.New("osd down")
 	var got error
-	eng.Spawn("io", func(p *sim.Proc) {
-		mq.Submit(p, blockmq.OpWrite, 0, 512, 0, func(err error) { got = err })
+	eng.Schedule(0, func() {
+		submit(mq, blockmq.OpWrite, 0, 512, 0, func(err error) { got = err })
 	})
 	eng.Run()
 	if got == nil || got.Error() != "osd down" {
@@ -109,9 +115,9 @@ func TestPerHctxQueueSets(t *testing.T) {
 	if len(drv.QueueSets()) != 4 {
 		t.Fatalf("queue sets = %d", len(drv.QueueSets()))
 	}
-	eng.Spawn("io", func(p *sim.Proc) {
+	eng.Schedule(0, func() {
 		for cpu := 0; cpu < 4; cpu++ {
-			mq.Submit(p, blockmq.OpWrite, int64(cpu)*4096, 4096, cpu, nil)
+			submit(mq, blockmq.OpWrite, int64(cpu)*4096, 4096, cpu, nil)
 		}
 	})
 	eng.Run()
@@ -153,9 +159,9 @@ func TestTenancyIsolation(t *testing.T) {
 	// Each tenant's requests carry its tenant id.
 	mqPF, _ := blockmq.New(eng, blockmq.Config{CPUs: 2, HWQueues: 2, TagsPerHW: 4, Bypass: true}, pf)
 	mqVF, _ := blockmq.New(eng, blockmq.Config{CPUs: 2, HWQueues: 2, TagsPerHW: 4, Bypass: true}, vf)
-	eng.Spawn("io", func(p *sim.Proc) {
-		mqPF.Submit(p, blockmq.OpWrite, 0, 512, 0, nil)
-		mqVF.Submit(p, blockmq.OpWrite, 0, 512, 0, nil)
+	eng.Schedule(0, func() {
+		submit(mqPF, blockmq.OpWrite, 0, 512, 0, nil)
+		submit(mqVF, blockmq.OpWrite, 0, 512, 0, nil)
 	})
 	eng.Run()
 	tenants := map[int]bool{}
@@ -177,8 +183,8 @@ func TestCMACOnlyPath(t *testing.T) {
 	}
 	mq, _ := blockmq.New(eng, blockmq.Config{CPUs: 1, HWQueues: 1, TagsPerHW: 4, Bypass: true}, drv)
 	var done bool
-	eng.Spawn("io", func(p *sim.Proc) {
-		mq.Submit(p, blockmq.OpWrite, 0, 64, 0, func(err error) { done = err == nil })
+	eng.Schedule(0, func() {
+		submit(mq, blockmq.OpWrite, 0, 64, 0, func(err error) { done = err == nil })
 	})
 	eng.Run()
 	if !done {
