@@ -55,7 +55,9 @@ echo "== bench module (vet + test) =="
 #     misalignment;
 #   - faults retry backoff: bounds (jitter in [base, cap]), nil-rng
 #     upper-edge dominance, and same-seed replay;
-#   - raft wire codec.
+#   - raft wire codec;
+#   - stack spec grammar: every string parses to a spec that validates
+#     and builds, or is rejected with an error (never a panic).
 echo "== trace encoder fuzz seeds =="
 go test -run 'Fuzz' ./internal/trace/
 echo "== lsvd extent-index fuzz seeds =="
@@ -66,6 +68,8 @@ echo "== faults backoff fuzz seeds =="
 go test -run 'Fuzz' ./internal/faults/
 echo "== raft codec fuzz seeds =="
 go test -run 'Fuzz' ./internal/raft/
+echo "== stack spec fuzz seeds =="
+go test -run 'Fuzz' ./internal/core/
 
 if [ "${1:-}" != "-short" ]; then
     # One iteration of every benchmark with allocation counts: catches

@@ -12,7 +12,8 @@
 // (deliba-1-hw, deliba-2-sw, deliba-2-hw, deliba-k-sw, deliba-k-hw), a name
 // with '+'-joined options (ec, cache-lsvd, repl-raft, qos-dmclock, ...), or
 // a layer-token list. Workloads (-rw): read, write, randread, randwrite, or
-// rw:<readpct>.
+// rw:<readpct>. The command exits 1 when any op fails, after printing the
+// summary.
 package main
 
 import (
@@ -103,6 +104,10 @@ func main() {
 	if tr != nil {
 		fmt.Println()
 		fmt.Println(trace.StageTable(tr.Stages()))
+	}
+	if res.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "deliba-fio: %d ops failed\n", res.Errors)
+		os.Exit(1)
 	}
 }
 

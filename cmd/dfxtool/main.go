@@ -90,24 +90,22 @@ func main() {
 
 	if *exercise {
 		fmt.Println("\nlive swap exercise (static region keeps serving):")
-		eng.Spawn("swap", func(p *sim.Proc) {
-			for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
-				start := p.Now()
-				var err error
-				p.Block(func(wake func()) {
-					shell.LoadDynKernel(k, func(e error) {
-						err = e
-						wake()
-					})
+		for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
+			start := eng.Now()
+			var err error
+			eng.Wait(func(wake func()) {
+				shell.LoadDynKernel(k, func(e error) {
+					err = e
+					wake()
 				})
-				if err != nil {
-					fmt.Println("  swap error:", err)
-					return
-				}
-				fmt.Printf("  loaded %-8v in %v (power now %.1f W)\n",
-					k, p.Now().Sub(start), shell.Power())
+			})
+			if err != nil {
+				fmt.Println("  swap error:", err)
+				break
 			}
-		})
+			fmt.Printf("  loaded %-8v in %v (power now %.1f W)\n",
+				k, eng.Now().Sub(start), shell.Power())
+		}
 		eng.Run()
 		fmt.Printf("reconfigurations: %d, cumulative reconfig time: %v\n",
 			shell.RP.Reconfigs(), shell.RP.TotalReconfigTime())

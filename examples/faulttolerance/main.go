@@ -52,68 +52,66 @@ func main() {
 		}
 	}
 
-	eng.Spawn("demo", func(p *sim.Proc) {
-		fmt.Println("writing 8 x 16 kB extents into the EC(4+2) image...")
-		for i, data := range payloads {
-			var err error
-			p.Block(func(wake func()) {
-				dev.WriteAtAsync(int64(i)*chunk, data, func(e error) {
-					err = e
-					wake()
-				})
+	fmt.Println("writing 8 x 16 kB extents into the EC(4+2) image...")
+	for i, data := range payloads {
+		var err error
+		eng.Wait(func(wake func()) {
+			dev.WriteAtAsync(int64(i)*chunk, data, func(e error) {
+				err = e
+				wake()
 			})
-			if err != nil {
-				log.Fatalf("write %d: %v", i, err)
-			}
-		}
-
-		// Fail two OSDs that hold shards of extent 0.
-		acting, err := cluster.ActingSet(ecPool, cluster.PGOf(ecPool, img.ObjectName(0)))
+		})
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("write %d: %v", i, err)
 		}
-		fmt.Printf("extent 0 shard placement (k=4, m=2): OSDs %v\n", acting)
-		cluster.OSDs[acting[0]].SetUp(false)
-		cluster.OSDs[acting[1]].SetUp(false)
-		fmt.Printf("failed osd.%d and osd.%d (two data shards lost)\n", acting[0], acting[1])
+	}
 
-		fmt.Println("reading everything back (degraded, reconstructing)...")
-		for i, want := range payloads {
-			var got []byte
-			p.Block(func(wake func()) {
-				dev.ReadAtAsync(int64(i)*chunk, chunk, func(b []byte, e error) {
-					got, err = b, e
-					wake()
-				})
+	// Fail two OSDs that hold shards of extent 0.
+	acting, err := cluster.ActingSet(ecPool, cluster.PGOf(ecPool, img.ObjectName(0)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("extent 0 shard placement (k=4, m=2): OSDs %v\n", acting)
+	cluster.OSDs[acting[0]].SetUp(false)
+	cluster.OSDs[acting[1]].SetUp(false)
+	fmt.Printf("failed osd.%d and osd.%d (two data shards lost)\n", acting[0], acting[1])
+
+	fmt.Println("reading everything back (degraded, reconstructing)...")
+	for i, want := range payloads {
+		var got []byte
+		eng.Wait(func(wake func()) {
+			dev.ReadAtAsync(int64(i)*chunk, chunk, func(b []byte, e error) {
+				got, err = b, e
+				wake()
 			})
-			if err != nil {
-				log.Fatalf("degraded read %d: %v", i, err)
-			}
-			if !bytes.Equal(got, want) {
-				log.Fatalf("extent %d corrupted after reconstruction", i)
-			}
+		})
+		if err != nil {
+			log.Fatalf("degraded read %d: %v", i, err)
 		}
-		fmt.Println("all extents intact: Reed-Solomon reconstruction verified ✔")
+		if !bytes.Equal(got, want) {
+			log.Fatalf("extent %d corrupted after reconstruction", i)
+		}
+	}
+	fmt.Println("all extents intact: Reed-Solomon reconstruction verified ✔")
 
-		// CRUSH remapping demo on the replicated pool.
-		reweight := make([]uint32, cluster.Map.MaxDevices())
-		for i := range reweight {
-			reweight[i] = crush.WeightOne
+	// CRUSH remapping demo on the replicated pool.
+	reweight := make([]uint32, cluster.Map.MaxDevices())
+	for i := range reweight {
+		reweight[i] = crush.WeightOne
+	}
+	const failed = 5
+	reweight[failed] = 0
+	moved := 0
+	const samples = 2000
+	for x := uint32(0); x < samples; x++ {
+		before, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, nil)
+		after, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, reweight)
+		if !equalSets(before, after) {
+			moved++
 		}
-		const failed = 5
-		reweight[failed] = 0
-		moved := 0
-		const samples = 2000
-		for x := uint32(0); x < samples; x++ {
-			before, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, nil)
-			after, _ := cluster.Map.Select(cluster.Map.Rule("replicated_osd"), x, replPool.Size, reweight)
-			if !equalSets(before, after) {
-				moved++
-			}
-		}
-		fmt.Printf("CRUSH: marking osd.%d out remaps %.1f%% of placements (ideal ≈ %.1f%%)\n",
-			failed, 100*float64(moved)/samples, 100*float64(replPool.Size)/32)
-	})
+	}
+	fmt.Printf("CRUSH: marking osd.%d out remaps %.1f%% of placements (ideal ≈ %.1f%%)\n",
+		failed, 100*float64(moved)/samples, 100*float64(replPool.Size)/32)
 	eng.Run()
 	fmt.Printf("simulation finished at t=%v\n", eng.Now())
 }

@@ -111,12 +111,9 @@ func TestDeviceBusyRequeue(t *testing.T) {
 		}
 	})
 	// Device completions must re-kick the queue.
-	eng.Spawn("kicker", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			p.Sleep(20 * sim.Microsecond)
-			mq.Kick()
-		}
-	})
+	for i := 1; i <= 20; i++ {
+		eng.Schedule(sim.Duration(i)*20*sim.Microsecond, mq.Kick)
+	}
 	eng.Run()
 	if done != 3 {
 		t.Fatalf("done = %d", done)
@@ -152,12 +149,10 @@ func TestBypassDirectIssue(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := newFakeDevice(eng, sim.Microsecond, 0)
 	mq := newMQT(t, eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 8, Bypass: true}, dev)
-	eng.Spawn("app", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			submit(mq, OpWrite, int64(i)*4096, 4096, 0, nil)
-			p.Sleep(5 * sim.Microsecond) // let each complete
-		}
-	})
+	for i := 0; i < 5; i++ {
+		submit(mq, OpWrite, int64(i)*4096, 4096, 0, nil)
+		eng.RunUntil(eng.Now().Add(5 * sim.Microsecond)) // let each complete
+	}
 	eng.Run()
 	st := mq.Stats()
 	if st.DirectHits != 5 {

@@ -155,7 +155,7 @@ func (b *cacheBackend) flushNext() {
 	e := b.image.ExtentAt(b.flushOff, b.flushLeft)
 	b.flushOff += int64(e.Len)
 	b.flushLeft -= e.Len
-	b.client.WriteAsync(b.pool, e.Object, e.Off, zeros(e.Len), rados.ReqOpts{Random: true}, b.flushed)
+	b.client.WriteAsync(b.pool, e.Object, e.Off, rados.Zeros(e.Len), rados.ReqOpts{Random: true}, b.flushed)
 }
 
 func (b *cacheBackend) flushWrote(err error) {

@@ -113,16 +113,14 @@ func readLatency(t *testing.T, tb *Testbed, spec string) sim.Duration {
 		t.Fatal(err)
 	}
 	var lat sim.Duration
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		if err := do(p, stack, Write, Rand, 0, 4096, 0); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		start := p.Now()
-		if err := do(p, stack, Read, Rand, 0, 4096, 0); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		lat = p.Now().Sub(start)
-	})
+	if err := do(tb.Eng, stack, Write, Rand, 0, 4096, 0); err != nil {
+		t.Errorf("write: %v", err)
+	}
+	start := tb.Eng.Now()
+	if err := do(tb.Eng, stack, Read, Rand, 0, 4096, 0); err != nil {
+		t.Errorf("read: %v", err)
+	}
+	lat = tb.Eng.Now().Sub(start)
 	tb.Eng.Run()
 	if cache := CacheOf(stack); sp.Cache == CacheLSVD {
 		if cache == nil {

@@ -5,8 +5,8 @@ import "testing"
 // TestCardPathRunsNoProcs drives 1,000 ops through the DeLiBA-K stacks —
 // the card path plain and behind the LSVD cache, the software target, and
 // the ablation grid's three mutations of deliba-k-hw (interrupt-mode rings,
-// one ring instance, the mq-deadline elevator) — and checks they run
-// without a Proc or a goroutine (see runsNoProcs).
+// one ring instance, the mq-deadline elevator) — and checks every op
+// completes and nothing outlives the run (see runsNoProcs).
 func TestCardPathRunsNoProcs(t *testing.T) {
 	for _, spec := range []string{
 		"deliba-k-hw",

@@ -17,10 +17,10 @@ func buildNamed(tb *Testbed, name string, ec bool) (Stack, error) {
 	return tb.BuildStack(spec)
 }
 
-// do runs one I/O on the stack and waits for it from a test proc.
-func do(p *sim.Proc, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int) error {
+// do runs one I/O on the stack and waits for it.
+func do(eng *sim.Engine, s Stack, op OpType, pattern Pattern, off int64, n int, cpu int) error {
 	var err error
-	p.Block(func(wake func()) {
+	eng.Wait(func(wake func()) {
 		s.Submit(op, pattern, off, n, cpu, func(e error) {
 			err = e
 			wake()
@@ -44,23 +44,20 @@ func measureQD1(t *testing.T, name string, ec bool, op OpType, pattern Pattern, 
 		t.Fatal(err)
 	}
 	var total sim.Duration
-	tb.Eng.Spawn("bench", func(p *sim.Proc) {
-		rng := sim.NewRNG(1)
-		for i := 0; i < ops; i++ {
-			var off int64
-			if pattern == Rand {
-				off = rng.Int63n(tb.Cfg.ImageBytes/int64(size)) * int64(size)
-			} else {
-				off = int64(i*size) % (tb.Cfg.ImageBytes - int64(size))
-			}
-			start := p.Now()
-			if err := do(p, stack, op, pattern, off, size, i%DKInstances); err != nil {
-				t.Errorf("op %d: %v", i, err)
-				return
-			}
-			total += p.Now().Sub(start)
+	rng := sim.NewRNG(1)
+	for i := 0; i < ops; i++ {
+		var off int64
+		if pattern == Rand {
+			off = rng.Int63n(tb.Cfg.ImageBytes/int64(size)) * int64(size)
+		} else {
+			off = int64(i*size) % (tb.Cfg.ImageBytes - int64(size))
 		}
-	})
+		start := tb.Eng.Now()
+		if err := do(tb.Eng, stack, op, pattern, off, size, i%DKInstances); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		total += tb.Eng.Now().Sub(start)
+	}
 	tb.Eng.Run()
 	stack.Close()
 	return total / sim.Duration(ops)

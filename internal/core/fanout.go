@@ -41,23 +41,6 @@ type Fanout struct {
 	tgtFree []*fanTarget
 }
 
-// zeroPool avoids per-op payload allocation on the timing-only fan-out
-// paths (stores only use the length). zeros hands out overlapping views of
-// this one backing array, so the payload contract on rados.ObjectStore is
-// load-bearing here: stores must treat written payloads as read-only and
-// must not retain them (see store.go); a store that scribbled on a zeros()
-// view would corrupt every concurrent fan-out write sharing the pool.
-var zeroPool = make([]byte, 1<<20)
-
-// zeros returns an n-byte zero slice, shared when it fits the pool; larger
-// requests grow the pool (amortised) so repeated jumbo ops stay alloc-free.
-func zeros(n int) []byte {
-	if n > len(zeroPool) {
-		zeroPool = make([]byte, n)
-	}
-	return zeroPool[:n]
-}
-
 // --- pooled op and target --------------------------------------------
 
 // fanOp is the in-flight state of one fan-out operation: a replicated write
@@ -126,7 +109,7 @@ func (f *Fanout) getTarget() *fanTarget {
 			sopts.Trace = t.span.Ref()
 		}
 		if t.write {
-			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, t.key, t.off, zeros(t.n), 0, t.onResult)
+			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpWrite, t.key, t.off, rados.Zeros(t.n), 0, t.onResult)
 		} else {
 			o.f.Cluster.OSDs[t.osd].SubmitOpts(sopts, rados.OpRead, t.key, t.off, nil, t.n, t.onResult)
 		}

@@ -22,13 +22,11 @@ func TestSixStageLifecycleCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	dk := stack.(*pipelineStack)
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		for i := 0; i < 8; i++ {
-			if err := do(p, stack, Write, Seq, int64(i)*4096, 4096, i%DKInstances); err != nil {
-				t.Errorf("write %d: %v", i, err)
-			}
+	for i := 0; i < 8; i++ {
+		if err := do(tb.Eng, stack, Write, Seq, int64(i)*4096, 4096, i%DKInstances); err != nil {
+			t.Errorf("write %d: %v", i, err)
 		}
-	})
+	}
 	tb.Eng.Run()
 	stack.Close()
 
@@ -105,17 +103,15 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 
 	const ops = 150
 	failures := 0
-	tb.Eng.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < ops; i++ {
-			if err := do(p, stack, Write, Rand, int64(i%512)*4096, 4096, i%DKInstances); err != nil {
-				failures++
-			}
-			if i == 30 {
-				tb.Cluster.OSDs[9].SetUp(false)
-			}
-			p.Sleep(100 * sim.Microsecond)
+	for i := 0; i < ops; i++ {
+		if err := do(tb.Eng, stack, Write, Rand, int64(i%512)*4096, 4096, i%DKInstances); err != nil {
+			failures++
 		}
-	})
+		if i == 30 {
+			tb.Cluster.OSDs[9].SetUp(false)
+		}
+		tb.Eng.RunUntil(tb.Eng.Now().Add(100 * sim.Microsecond))
+	}
 	tb.Eng.RunUntil(sim.Time(60 * sim.Millisecond))
 	mon.Stop()
 	tb.Eng.Run()
@@ -139,17 +135,14 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	// And the dead OSD no longer receives traffic once ejected: write more
 	// and check its counter stays put.
 	before := tb.Cluster.OSDs[9].Served()
-	tb.Eng.Spawn("post", func(p *sim.Proc) {
-		stack2, err := buildNamed(tb, "deliba-2-sw", false) // fresh stack on same testbed
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 40; i++ {
-			do(p, stack2, Write, Rand, int64(i)*8192, 4096, 0)
-		}
-		stack2.Close()
-	})
+	stack2, err := buildNamed(tb, "deliba-2-sw", false) // fresh stack on same testbed
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		do(tb.Eng, stack2, Write, Rand, int64(i)*8192, 4096, 0)
+	}
+	stack2.Close()
 	tb.Eng.Run()
 	if got := tb.Cluster.OSDs[9].Served(); got != before {
 		t.Fatalf("ejected OSD served %d new requests", got-before)

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/lsvd"
 )
 
 // This file is the declarative half of the stack pipeline: the five layer
@@ -299,6 +301,12 @@ func (s StackSpec) Validate() error {
 	if s.CacheLogMB < 0 || s.CacheReadMB < 0 {
 		return fmt.Errorf("core: spec %q: negative cache size (log=%d read=%d MiB)", s.Name, s.CacheLogMB, s.CacheReadMB)
 	}
+	if s.CacheLogMB > maxCacheMB || s.CacheReadMB > maxCacheMB {
+		return fmt.Errorf("core: spec %q: cache size (log=%d read=%d MiB) above %d MiB", s.Name, s.CacheLogMB, s.CacheReadMB, maxCacheMB)
+	}
+	if seg := lsvd.DefaultConfig().SegmentBytes; s.CacheLogMB != 0 && int64(s.CacheLogMB)<<20 < seg {
+		return fmt.Errorf("core: spec %q: cachelog %d MiB holds no %d MiB log segment", s.Name, s.CacheLogMB, seg>>20)
+	}
 
 	// Host API ↔ block layer: io_uring submits into the kernel block
 	// layer; the NBD daemons predate DMQ and never touch it.
@@ -376,8 +384,19 @@ func (s StackSpec) Validate() error {
 	if s.RingEntries < 0 {
 		return fmt.Errorf("core: spec %q: negative ring entries %d", s.Name, s.RingEntries)
 	}
+	if s.RingEntries > maxRingEntries {
+		return fmt.Errorf("core: spec %q: ring entries %d above io_uring's limit %d", s.Name, s.RingEntries, maxRingEntries)
+	}
 	return nil
 }
+
+const (
+	// maxRingEntries is io_uring's own SQ limit (IORING_MAX_ENTRIES).
+	maxRingEntries = 32768
+	// maxCacheMB bounds the cache partitions at 1 TiB: the log's segment
+	// table is allocated when the stack is built.
+	maxCacheMB = 1 << 20
+)
 
 // ringInstances resolves the ring/queue count.
 func (s StackSpec) ringInstances() int {

@@ -77,11 +77,9 @@ func TestNamedSpecsBuild(t *testing.T) {
 					t.Errorf("Raft router wired %v, want %v", routed, want)
 				}
 				var ioErr error
-				tb.Eng.Spawn("io", func(p *sim.Proc) {
-					for i := 0; i < 4 && ioErr == nil; i++ {
-						ioErr = do(p, stack, Write, Seq, int64(i)*4096, 4096, i)
-					}
-				})
+				for i := 0; i < 4 && ioErr == nil; i++ {
+					ioErr = do(tb.Eng, stack, Write, Seq, int64(i)*4096, 4096, i)
+				}
 				tb.Eng.Run()
 				stack.Close()
 				if ioErr != nil {
@@ -200,9 +198,7 @@ func TestBuildStackHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ioErr error
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		ioErr = do(p, stack, Write, Seq, 0, 65536, 0)
-	})
+	ioErr = do(tb.Eng, stack, Write, Seq, 0, 65536, 0)
 	tb.Eng.Run()
 	stack.Close()
 	if ioErr != nil {
@@ -303,11 +299,13 @@ func TestSQFullBackoffDeterministic(t *testing.T) {
 		done := 0
 		for i := 0; i < 32; i++ {
 			off := int64(i) * 4096
-			tb.Eng.Spawn("io", func(p *sim.Proc) {
-				if err := do(p, stack, Write, Seq, off, 4096, 0); err != nil {
-					t.Errorf("write at %d: %v", off, err)
-				}
-				done++
+			tb.Eng.Schedule(0, func() {
+				stack.Submit(Write, Seq, off, 4096, 0, func(err error) {
+					if err != nil {
+						t.Errorf("write at %d: %v", off, err)
+					}
+					done++
+				})
 			})
 		}
 		tb.Eng.Run()
@@ -323,4 +321,47 @@ func TestSQFullBackoffDeterministic(t *testing.T) {
 			t.Fatalf("run %d finished at %v, first at %v — backoff jitter not deterministic", i+2, again, first)
 		}
 	}
+}
+
+// FuzzParseStackSpec: any string either parses to a spec that validates
+// and builds on a default testbed, or is rejected with an error; it never
+// panics. The seeds are every named stack, the hybrids CI drives through
+// deliba-fio, the benchmark's cache stack, the rejected deliba-1-hw+ec,
+// the empty string, and duplicated, misplaced, unknown and out-of-range
+// tokens.
+func FuzzParseStackSpec(f *testing.F) {
+	for _, s := range NamedSpecs() {
+		f.Add(s.Name)
+	}
+	for _, s := range []string{
+		"deliba-k-hw+ec", "deliba-k-hw+repl-raft", "deliba-k-sw+cache-lsvd",
+		"deliba-k-hw+qos-dmclock", "iouring,dmq-bypass,qdma,hls-crush,card-rtl",
+		"deliba-k-hw+cache-lsvd+cachelog=64+cacheread=16",
+		"deliba-1-hw+ec", "",
+		"deliba-k-hw+ec+ec", "iouring,iouring,qdma,qdma", "deliba-k-hw+deliba-2-sw",
+		"ec+deliba-k-hw", "deliba-k-hw+warp-drive", "+,+ ,",
+		"deliba-k-hw+instances=65", "deliba-k-hw+entries=40000", "deliba-k-hw+entries=x",
+		"deliba-k-hw+cache-lsvd+cachelog=1", "deliba-k-hw+cache-lsvd+cacheread=-1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseStackSpec(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("ParseStackSpec(%q) accepted a spec Validate rejects: %v", s, err)
+		}
+		tb, err := NewTestbed(DefaultTestbedConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack, err := tb.BuildStack(spec)
+		if err != nil {
+			t.Fatalf("ParseStackSpec(%q) accepted a spec BuildStack rejects: %v", s, err)
+		}
+		stack.Close()
+		tb.Eng.Run()
+	})
 }

@@ -16,6 +16,37 @@ func splitConfig() TestbedConfig {
 	return cfg
 }
 
+// splitOps runs 200 seeded 4 KiB ops, half reads, one after another as an
+// event chain (a sharded engine cannot stop mid-window for Wait), hands
+// each op's latency to lat, and drains the engine.
+func splitOps(t *testing.T, tb *Testbed, stack Stack, seed uint64, lat func(i int, d sim.Duration)) {
+	rng := sim.NewRNG(seed)
+	var issue func(i int)
+	issue = func(i int) {
+		if i == 200 {
+			return
+		}
+		op := Write
+		if rng.Intn(100) < 50 {
+			op = Read
+		}
+		off := int64(rng.Intn(256)) * 4096
+		start := tb.Eng.Now()
+		stack.Submit(op, Rand, off, 4096, 0, func(err error) {
+			if err != nil {
+				t.Errorf("op %d: %v", i, err)
+				return
+			}
+			if lat != nil {
+				lat(i, tb.Eng.Now().Sub(start))
+			}
+			issue(i + 1)
+		})
+	}
+	tb.Eng.Schedule(0, func() { issue(0) })
+	tb.Eng.Run()
+}
+
 // splitRunDigest runs a mixed read/write stream on the split-domain
 // testbed over deliba-k-sw+cache-lsvd and returns an FNV digest of every
 // op's completion latency plus the group's cross-shard message count.
@@ -38,23 +69,9 @@ func splitRunDigestCfg(t *testing.T, cfg TestbedConfig, seed uint64) (uint64, ui
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	tb.Eng.Spawn("split-io", func(p *sim.Proc) {
-		rng := sim.NewRNG(seed)
-		for i := 0; i < 200; i++ {
-			op := Write
-			if rng.Intn(100) < 50 {
-				op = Read
-			}
-			off := int64(rng.Intn(256)) * 4096
-			start := p.Now()
-			if err := do(p, stack, op, Rand, off, 4096, 0); err != nil {
-				t.Errorf("op %d: %v", i, err)
-				return
-			}
-			fmt.Fprintf(h, "%d|%d\n", i, int64(p.Now().Sub(start)))
-		}
+	splitOps(t, tb, stack, seed, func(i int, lat sim.Duration) {
+		fmt.Fprintf(h, "%d|%d\n", i, int64(lat))
 	})
-	tb.Eng.Run()
 	if tb.Shards == nil {
 		t.Fatal("split testbed built no shard group")
 	}

@@ -32,18 +32,16 @@ func TestSpanStagesRecordPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Eng.Spawn("io", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			if err := do(p, stack, Write, Rand, int64(i)*8192, 8192, 0); err != nil {
-				t.Errorf("op %d: %v", i, err)
-			}
+	for i := 0; i < 10; i++ {
+		if err := do(tb.Eng, stack, Write, Rand, int64(i)*8192, 8192, 0); err != nil {
+			t.Errorf("op %d: %v", i, err)
 		}
-		for i := 0; i < 5; i++ {
-			if err := do(p, stack, Read, Rand, int64(i)*8192, 8192, 0); err != nil {
-				t.Errorf("read %d: %v", i, err)
-			}
+	}
+	for i := 0; i < 5; i++ {
+		if err := do(tb.Eng, stack, Read, Rand, int64(i)*8192, 8192, 0); err != nil {
+			t.Errorf("read %d: %v", i, err)
 		}
-	})
+	}
 	tb.Eng.Run()
 	stack.Close()
 
@@ -102,21 +100,7 @@ func splitStagesFingerprint(t *testing.T, seed uint64) ([]trace.Stage, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Eng.Spawn("split-traced-io", func(p *sim.Proc) {
-		rng := sim.NewRNG(seed)
-		for i := 0; i < 200; i++ {
-			op := Write
-			if rng.Intn(100) < 50 {
-				op = Read
-			}
-			off := int64(rng.Intn(256)) * 4096
-			if err := do(p, stack, op, Rand, off, 4096, 0); err != nil {
-				t.Errorf("op %d: %v", i, err)
-				return
-			}
-		}
-	})
-	tb.Eng.Run()
+	splitOps(t, tb, stack, seed, nil)
 	stack.Close()
 	tb.Eng.Run() // drain the cache flusher's shutdown
 	stages := tr.Stages()

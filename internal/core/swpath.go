@@ -16,9 +16,8 @@ import (
 // with its three datapaths, and the DK-SW ring target. Each block request
 // is an ioOp — a pooled struct whose step is bound once — walking its
 // owner's stage machine, so no request needs a goroutine. Every wait has a
-// fixed event shape, the one the per-request Procs these chains replaced
-// had (clientop.go in the rados client follows the same rules), which
-// keeps every digest byte-identical:
+// fixed event shape (clientop.go in the rados client follows the same
+// rules), which the golden digests pin:
 //
 //   - a request starts with one Schedule(0) of step;
 //   - a delay d, including 0, is Schedule(d, step);
@@ -194,7 +193,7 @@ func (o *ioOp) callClient(cl *rados.Client, pool *rados.Pool) {
 	opts := rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}
 	e := o.ext
 	if o.op == Write {
-		cl.WriteAsync(pool, e.Object, e.Off, zeros(e.Len), opts, o.callDone)
+		cl.WriteAsync(pool, e.Object, e.Off, rados.Zeros(e.Len), opts, o.callDone)
 	} else {
 		cl.ReadAsync(pool, e.Object, e.Off, e.Len, opts, o.readDone)
 	}

@@ -227,33 +227,29 @@ func DFX() (*DFXResult, error) {
 	}
 	// Live swap exercise: uniform → list → tree, as a cluster shrinks and
 	// grows.
-	var swapErr error
-	tb.Eng.Spawn("resize", func(p *sim.Proc) {
-		for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
-			p.Block(func(wake func()) {
-				shell.LoadDynKernel(k, func(err error) {
-					swapErr = err
-					wake()
-				})
-			})
-			if swapErr != nil {
+	// An event chain, not a sequential driver: the testbed may be sharded.
+	kernels := []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree}
+	var swap func(i int)
+	swap = func(i int) {
+		if i == len(kernels) {
+			return
+		}
+		shell.LoadDynKernel(kernels[i], func(e error) {
+			if err = e; err != nil {
 				return
 			}
 			// The static Straw2 kernel keeps serving while swapping.
-			p.Block(func(wake func()) {
-				shell.Straw2.Select(1, 0, 2, func(_ []int, err error) {
-					swapErr = err
-					wake()
-				})
+			shell.Straw2.Select(1, 0, 2, func(_ []int, e error) {
+				if err = e; err == nil {
+					swap(i + 1)
+				}
 			})
-			if swapErr != nil {
-				return
-			}
-		}
-	})
+		})
+	}
+	tb.Eng.Schedule(0, func() { swap(0) })
 	tb.Eng.Run()
-	if swapErr != nil {
-		return nil, swapErr
+	if err != nil {
+		return nil, err
 	}
 	res.Reconfigs = shell.RP.Reconfigs()
 	res.FullReloadTime = sim.Duration(float64(fullBitstreamBytes)/fpga.MCAPBytesPerSec*1e9) + powerCycleTime

@@ -69,57 +69,59 @@ func recoveryCell(cfg Config) (*RecoveryResult, error) {
 	}
 
 	res := &RecoveryResult{ObjectsStored: cfg.Ops / 2}
-	var runErr error
-	eng.Spawn("scenario", func(p *sim.Proc) {
-		for i := 0; i < res.ObjectsStored; i++ {
-			name := fmt.Sprintf("obj%04d", i)
-			p.Block(func(wake func()) {
-				client.WriteAsync(pool, name, 0, make([]byte, 32*1024), rados.ReqOpts{}, func(err error) {
-					runErr = err
-					wake()
-				})
+	for i := 0; i < res.ObjectsStored; i++ {
+		name := fmt.Sprintf("obj%04d", i)
+		eng.Wait(func(wake func()) {
+			client.WriteAsync(pool, name, 0, make([]byte, 32*1024), rados.ReqOpts{}, func(e error) {
+				err = e
+				wake()
 			})
-			if runErr != nil {
-				return
-			}
-		}
-		// Fail the OSD holding the most objects.
-		best, bestN := -1, -1
-		for id, o := range cluster.OSDs {
-			if n := o.Store.Objects(); n > bestN {
-				best, bestN = id, n
-			}
-		}
-		res.FailedOSD = best
-		before := mon.Reweights()
-		cluster.OSDs[best].SetUp(false)
-		mon.MarkOut(best)
-		after := mon.Reweights()
-
-		res.Planned, runErr = cluster.PlanRebalance(pool, before, after)
-		if runErr != nil {
-			return
-		}
-		rep, err := rados.NewBackfiller(cluster).BackfillPool(p, pool, before, after)
+		})
 		if err != nil {
-			runErr = err
-			return
+			return nil, err
 		}
-		res.Moved = rep.ObjectsMoved
-		res.Bytes = rep.BytesMoved
-		res.Elapsed = rep.Elapsed
-
-		scrub, err := rados.NewScrubber(cluster).ScrubPool(p, pool)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res.ScrubClean = scrub.Clean()
-	})
-	eng.Run()
-	if runErr != nil {
-		return nil, runErr
 	}
+	// Fail the OSD holding the most objects.
+	best, bestN := -1, -1
+	for id, o := range cluster.OSDs {
+		if n := o.Store.Objects(); n > bestN {
+			best, bestN = id, n
+		}
+	}
+	res.FailedOSD = best
+	before := mon.Reweights()
+	cluster.OSDs[best].SetUp(false)
+	mon.MarkOut(best)
+	after := mon.Reweights()
+
+	if res.Planned, err = cluster.PlanRebalance(pool, before, after); err != nil {
+		return nil, err
+	}
+	var rep rados.BackfillReport
+	eng.Wait(func(wake func()) {
+		rados.NewBackfiller(cluster).BackfillPool(pool, before, after, func(r rados.BackfillReport, e error) {
+			rep, err = r, e
+			wake()
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Moved = rep.ObjectsMoved
+	res.Bytes = rep.BytesMoved
+	res.Elapsed = rep.Elapsed
+
+	var scrub rados.ScrubReport
+	eng.Wait(func(wake func()) {
+		rados.NewScrubber(cluster).ScrubPool(pool, func(r rados.ScrubReport, e error) {
+			scrub, err = r, e
+			wake()
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.ScrubClean = scrub.Clean()
 	return res, nil
 }
 

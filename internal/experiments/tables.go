@@ -134,35 +134,35 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	// An event chain, not a sequential driver: the testbed may be sharded.
+	eng := tb.Eng
 	var end sim.Time
-	tb.Eng.Spawn("hwexec", func(p *sim.Proc) {
-		// Host→card operand movement is part of the measured time on the
-		// real card; model it as a QDMA-class PCIe crossing.
-		p.Sleep(3 * sim.Microsecond)
+	c2h := func() { // C2H result + completion
+		eng.Schedule(2*sim.Microsecond, func() { end = eng.Now() })
+	}
+	// Host→card operand movement is part of the measured time on the real
+	// card; model it as a QDMA-class PCIe crossing.
+	eng.Schedule(3*sim.Microsecond, func() {
 		if id == fpga.KRSEncoder {
-			p.Block(func(wake func()) {
-				shell.RS.Encode(4096, nil, func(error) { wake() })
-			})
-		} else {
-			var acc *fpga.CrushAccel
-			switch id {
-			case fpga.KStraw:
-				acc = shell.Straw
-			case fpga.KStraw2:
-				acc = shell.Straw2
-			default:
-				acc, _ = shell.DynAccel(id)
-			}
-			if acc != nil {
-				p.Block(func(wake func()) {
-					acc.Select(7, 0, 2, func([]int, error) { wake() })
-				})
-			}
+			shell.RS.Encode(4096, nil, func(error) { c2h() })
+			return
 		}
-		p.Sleep(2 * sim.Microsecond) // C2H result + completion
-		end = p.Now()
+		var acc *fpga.CrushAccel
+		switch id {
+		case fpga.KStraw:
+			acc = shell.Straw
+		case fpga.KStraw2:
+			acc = shell.Straw2
+		default:
+			acc, _ = shell.DynAccel(id)
+		}
+		if acc == nil {
+			c2h()
+			return
+		}
+		acc.Select(7, 0, 2, func([]int, error) { c2h() })
 	})
-	tb.Eng.Run()
+	eng.Run()
 	return sim.Duration(end), nil
 }
 

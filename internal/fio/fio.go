@@ -6,7 +6,7 @@
 //
 // Every job, the multi-tenant victims and the noisy neighbor included, is
 // one worker: a closed loop run as an event chain on the engine, with no
-// process and no goroutine. A job starts with one Schedule(0), a worker
+// goroutine. A job starts with one Schedule(0), a worker
 // whose queue-depth window is full waits for the one wake event the
 // window's Release schedules, and think time is one Schedule after every
 // submit, the last one included: that wait can end the run, so it counts

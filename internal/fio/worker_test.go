@@ -45,20 +45,15 @@ func (s *recordingStack) ImageBytes() int64 { return 64 << 20 }
 
 func (s *recordingStack) Close() {}
 
-// TestRunsNoProcs checks that fio's closed loop is an event chain: no Proc
-// is alive at any completion, in Run (sequential, with think time) or in
-// RunTenants (three tenants and a hog).
+// TestRunsNoProcs checks that fio's closed loop runs every op as an event
+// chain and leaves no event pending, in Run (sequential, with think time)
+// and in RunTenants (three tenants and a hog).
 func TestRunsNoProcs(t *testing.T) {
 	newStack := func() (*sim.Engine, *recordingStack, *int) {
 		eng := sim.NewEngine()
 		completions := 0
 		s := &recordingStack{eng: eng}
-		s.onDone = func() {
-			completions++
-			if n := eng.Procs(); n != 0 {
-				t.Fatalf("%d procs alive at completion %d", n, completions)
-			}
-		}
+		s.onDone = func() { completions++ }
 		return eng, s, &completions
 	}
 
@@ -71,8 +66,9 @@ func TestRunsNoProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *completions != 90 || res.Lat.Count() != 80 {
-		t.Fatalf("Run completed %d ops (%d measured), want 90 (80)", *completions, res.Lat.Count())
+	if *completions != 90 || res.Lat.Count() != 80 || eng.Pending() != 0 {
+		t.Fatalf("Run completed %d ops (%d measured) and left %d events, want 90 (80) and 0",
+			*completions, res.Lat.Count(), eng.Pending())
 	}
 
 	eng, s, completions = newStack()
@@ -86,9 +82,9 @@ func TestRunsNoProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *completions != 110 || tr.PerTenant.Hist(3).Count() != 50 {
-		t.Fatalf("RunTenants completed %d ops (%d hog), want 110 (50)",
-			*completions, tr.PerTenant.Hist(3).Count())
+	if *completions != 110 || tr.PerTenant.Hist(3).Count() != 50 || eng.Pending() != 0 {
+		t.Fatalf("RunTenants completed %d ops (%d hog) and left %d events, want 110 (50) and 0",
+			*completions, tr.PerTenant.Hist(3).Count(), eng.Pending())
 	}
 }
 

@@ -152,21 +152,18 @@ func TestCrushAccelMatchesSoftware(t *testing.T) {
 	rule := m.Rule("replicated_rule")
 	acc := NewCrushAccel(eng, KStraw2, m, rule)
 	var hwResult []int
-	eng.Spawn("hw", func(p *sim.Proc) {
-		var osds []int
-		var err error
-		p.Block(func(wake func()) {
-			acc.Select(1234, 0, 3, func(o []int, e error) {
-				osds, err = o, e
-				wake()
-			})
+	var osds []int
+	var err error
+	eng.Wait(func(wake func()) {
+		acc.Select(1234, 0, 3, func(o []int, e error) {
+			osds, err = o, e
+			wake()
 		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		hwResult = osds
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hwResult = osds
 	eng.Run()
 	swResult, err := m.Select(rule, crush.Hash2(1234, 0), 3, nil)
 	if err != nil {
@@ -192,12 +189,10 @@ func TestRSAccelEncodes(t *testing.T) {
 	}
 	shards := code.Split(data)
 	var encErr error
-	eng.Spawn("enc", func(p *sim.Proc) {
-		p.Block(func(wake func()) {
-			acc.Encode(len(data), shards, func(err error) {
-				encErr = err
-				wake()
-			})
+	eng.Wait(func(wake func()) {
+		acc.Encode(len(data), shards, func(err error) {
+			encErr = err
+			wake()
 		})
 	})
 	eng.Run()
@@ -269,31 +264,23 @@ func TestShellDFXLifecycle(t *testing.T) {
 	if _, err := s.DynAccel(KList); err == nil {
 		t.Fatal("DynAccel before load succeeded")
 	}
-	var loadErr error
-	eng.Spawn("ops", func(p *sim.Proc) {
-		if loadErr = loadKernel(p, s, KList); loadErr != nil {
-			return
-		}
-		if _, err := s.DynAccel(KList); err != nil {
-			loadErr = err
-			return
-		}
-		if _, err := s.DynAccel(KTree); err == nil {
-			loadErr = errTest("wrong kernel available")
-			return
-		}
-		// Swap to tree.
-		if loadErr = loadKernel(p, s, KTree); loadErr != nil {
-			return
-		}
-		if _, err := s.DynAccel(KTree); err != nil {
-			loadErr = err
-		}
-	})
-	end := eng.Run()
-	if loadErr != nil {
-		t.Fatal(loadErr)
+	if err := loadKernel(eng, s, KList); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := s.DynAccel(KList); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DynAccel(KTree); err == nil {
+		t.Fatal("wrong kernel available")
+	}
+	// Swap to tree.
+	if err := loadKernel(eng, s, KTree); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DynAccel(KTree); err != nil {
+		t.Fatal(err)
+	}
+	end := eng.Run()
 	if s.RP.Reconfigs() != 2 {
 		t.Fatalf("reconfigs = %d", s.RP.Reconfigs())
 	}
@@ -303,10 +290,10 @@ func TestShellDFXLifecycle(t *testing.T) {
 	}
 }
 
-// loadKernel waits on LoadDynKernel from a proc.
-func loadKernel(p *sim.Proc, s *Shell, id KernelID) error {
+// loadKernel waits on LoadDynKernel.
+func loadKernel(eng *sim.Engine, s *Shell, id KernelID) error {
 	var err error
-	p.Block(func(wake func()) {
+	eng.Wait(func(wake func()) {
 		s.LoadDynKernel(id, func(e error) {
 			err = e
 			wake()
@@ -315,22 +302,16 @@ func loadKernel(p *sim.Proc, s *Shell, id KernelID) error {
 	return err
 }
 
-type errTest string
-
-func (e errTest) Error() string { return string(e) }
-
 func TestShellStaticBuildHasAllKernels(t *testing.T) {
 	eng, s := newShellT(t, true)
-	eng.Spawn("ops", func(p *sim.Proc) {
-		for _, id := range []KernelID{KUniform, KList, KTree} {
-			if err := loadKernel(p, s, id); err != nil {
-				t.Errorf("static load %v: %v", id, err)
-			}
-			if _, err := s.DynAccel(id); err != nil {
-				t.Errorf("static DynAccel %v: %v", id, err)
-			}
+	for _, id := range []KernelID{KUniform, KList, KTree} {
+		if err := loadKernel(eng, s, id); err != nil {
+			t.Errorf("static load %v: %v", id, err)
 		}
-	})
+		if _, err := s.DynAccel(id); err != nil {
+			t.Errorf("static DynAccel %v: %v", id, err)
+		}
+	}
 	eng.Run()
 	if s.RP != nil {
 		t.Fatal("static build should have no RP")
@@ -344,11 +325,9 @@ func TestShellPowerMatchesPaper(t *testing.T) {
 		t.Fatalf("static full-load power = %.1f W, want 195", got)
 	}
 	// Load one RM, then measure.
-	engD.Spawn("load", func(p *sim.Proc) {
-		if err := loadKernel(p, dfx, KUniform); err != nil {
-			t.Error(err)
-		}
-	})
+	if err := loadKernel(engD, dfx, KUniform); err != nil {
+		t.Error(err)
+	}
 	engD.Run()
 	if got := dfx.Power(); math.Abs(got-170) > 0.1 {
 		t.Fatalf("DFX full-load power = %.1f W, want 170", got)
@@ -438,9 +417,7 @@ func TestAcceleratorForAlg(t *testing.T) {
 	if _, err := s.AcceleratorFor(crush.ListAlg); err == nil {
 		t.Fatal("list available before DFX load")
 	}
-	eng.Spawn("load", func(p *sim.Proc) {
-		loadKernel(p, s, KList)
-	})
+	loadKernel(eng, s, KList)
 	eng.Run()
 	if _, err := s.AcceleratorFor(crush.ListAlg); err != nil {
 		t.Fatalf("list after load: %v", err)

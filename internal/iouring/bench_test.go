@@ -17,19 +17,15 @@ func BenchmarkSubmitCompleteBatch32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	r.SetReaper(func(CQE) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Spawn("app", func(p *sim.Proc) {
-			for j := 0; j < 32; j++ {
-				sqe := r.GetSQE()
-				sqe.Op = OpNop
-				sqe.UserData = uint64(j)
-			}
-			submit(p, r)
-			for j := 0; j < 32; j++ {
-				r.WaitCQE(p)
-			}
-		})
+		for j := 0; j < 32; j++ {
+			sqe := r.GetSQE()
+			sqe.Op = OpNop
+			sqe.UserData = uint64(j)
+		}
+		submit(eng, r)
 		eng.Run()
 	}
 }
@@ -42,14 +38,7 @@ func BenchmarkSQPollPickup(b *testing.B) {
 		b.Fatal(err)
 	}
 	reaped := 0
-	eng.Spawn("reaper", func(p *sim.Proc) {
-		for {
-			if _, err := r.WaitCQE(p); err != nil {
-				return
-			}
-			reaped++
-		}
-	})
+	r.SetReaper(func(CQE) { reaped++ })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sqe := r.GetSQE()

@@ -23,6 +23,14 @@ func (o *orderTarget) Submit(req Request, complete func(res int32)) {
 	o.eng.Schedule(o.latency, func() { complete(res) })
 }
 
+// reapResults records each completion's result by user data through the
+// ring's SetReaper drain.
+func reapResults(r *Ring) map[uint64]int32 {
+	results := map[uint64]int32{}
+	r.SetReaper(func(cqe CQE) { results[cqe.UserData] = cqe.Res })
+	return results
+}
+
 func TestLinkedChainExecutesSequentially(t *testing.T) {
 	eng := sim.NewEngine()
 	ot := &orderTarget{eng: eng, latency: 10 * sim.Microsecond, failOff: map[int64]bool{}}
@@ -34,30 +42,23 @@ func TestLinkedChainExecutesSequentially(t *testing.T) {
 	wrapped := &hookTarget{inner: ot, onSubmit: func() { starts = append(starts, eng.Now()) }}
 	r.target = wrapped
 
-	eng.Spawn("app", func(p *sim.Proc) {
-		// write(0) -> write(1) -> fsync, linked.
-		for i, op := range []Op{OpWrite, OpWrite, OpFsync} {
-			sqe := r.GetSQE()
-			sqe.Op = op
-			sqe.Off = int64(i)
-			sqe.Len = 512
-			sqe.UserData = uint64(i)
-			if i < 2 {
-				sqe.Flags = FlagIOLink
-			}
-		}
-		submit(p, r)
-		for i := 0; i < 3; i++ {
-			cqe, err := r.WaitCQE(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if cqe.Res < 0 {
-				t.Errorf("cqe %d res %d", cqe.UserData, cqe.Res)
-			}
+	r.SetReaper(func(cqe CQE) {
+		if cqe.Res < 0 {
+			t.Errorf("cqe %d res %d", cqe.UserData, cqe.Res)
 		}
 	})
+	// write(0) -> write(1) -> fsync, linked.
+	for i, op := range []Op{OpWrite, OpWrite, OpFsync} {
+		sqe := r.GetSQE()
+		sqe.Op = op
+		sqe.Off = int64(i)
+		sqe.Len = 512
+		sqe.UserData = uint64(i)
+		if i < 2 {
+			sqe.Flags = FlagIOLink
+		}
+	}
+	submit(eng, r)
 	eng.Run()
 	if len(starts) != 3 {
 		t.Fatalf("dispatches = %d", len(starts))
@@ -92,28 +93,18 @@ func TestLinkedChainFailureCancelsRest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := map[uint64]int32{}
-	eng.Spawn("app", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			sqe := r.GetSQE()
-			sqe.Op = OpWrite
-			sqe.Off = int64(i)
-			sqe.Len = 512
-			sqe.UserData = uint64(i)
-			if i < 3 {
-				sqe.Flags = FlagIOLink
-			}
+	results := reapResults(r)
+	for i := 0; i < 4; i++ {
+		sqe := r.GetSQE()
+		sqe.Op = OpWrite
+		sqe.Off = int64(i)
+		sqe.Len = 512
+		sqe.UserData = uint64(i)
+		if i < 3 {
+			sqe.Flags = FlagIOLink
 		}
-		submit(p, r)
-		for i := 0; i < 4; i++ {
-			cqe, err := r.WaitCQE(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[cqe.UserData] = cqe.Res
-		}
-	})
+	}
+	submit(eng, r)
 	eng.Run()
 	if results[0] != 512 {
 		t.Fatalf("op0 res = %d", results[0])
@@ -145,29 +136,25 @@ func TestDrainBarrierWaitsForInflight(t *testing.T) {
 			fsyncStart = eng.Now()
 		}
 	}}
-	eng.Spawn("app", func(p *sim.Proc) {
-		// Two writes, then a drain-flagged fsync, then reap all.
-		for i := 0; i < 2; i++ {
-			sqe := r.GetSQE()
-			sqe.Op = OpWrite
-			sqe.Off = int64(i)
-			sqe.Len = 512
-			sqe.UserData = uint64(i)
-		}
-		fs := r.GetSQE()
-		fs.Op = OpFsync
-		fs.Off = 99
-		fs.UserData = 99
-		fs.Flags = FlagIODrain
-		submit(p, r)
-		for i := 0; i < 3; i++ {
-			if _, err := r.WaitCQE(p); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
+	results := reapResults(r)
+	// Two writes, then a drain-flagged fsync, then reap all.
+	for i := 0; i < 2; i++ {
+		sqe := r.GetSQE()
+		sqe.Op = OpWrite
+		sqe.Off = int64(i)
+		sqe.Len = 512
+		sqe.UserData = uint64(i)
+	}
+	fs := r.GetSQE()
+	fs.Op = OpFsync
+	fs.Off = 99
+	fs.UserData = 99
+	fs.Flags = FlagIODrain
+	submit(eng, r)
 	eng.Run()
+	if len(results) != 3 {
+		t.Fatalf("reaped %d CQEs, want 3", len(results))
+	}
 	// The fsync dispatch must wait for the 50µs writes.
 	if fsyncStart < sim.Time(50*sim.Microsecond) {
 		t.Fatalf("drain barrier violated: fsync at %v", fsyncStart)
@@ -200,36 +187,26 @@ func TestRegisterBuffers(t *testing.T) {
 		t.Fatalf("table size = %d", r.RegisteredBuffers())
 	}
 
-	results := map[uint64]int32{}
-	eng.Spawn("app", func(p *sim.Proc) {
-		// Valid fixed buffer.
-		a := r.GetSQE()
-		a.Op = OpWrite
-		a.Len = 4096
-		a.BufIndex = 0
-		a.UserData = 1
-		// Out-of-table index.
-		b := r.GetSQE()
-		b.Op = OpWrite
-		b.Len = 512
-		b.BufIndex = 9
-		b.UserData = 2
-		// Length exceeding the registered buffer.
-		c := r.GetSQE()
-		c.Op = OpWrite
-		c.Len = 8192
-		c.BufIndex = 0
-		c.UserData = 3
-		submit(p, r)
-		for i := 0; i < 3; i++ {
-			cqe, err := r.WaitCQE(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[cqe.UserData] = cqe.Res
-		}
-	})
+	results := reapResults(r)
+	// Valid fixed buffer.
+	a := r.GetSQE()
+	a.Op = OpWrite
+	a.Len = 4096
+	a.BufIndex = 0
+	a.UserData = 1
+	// Out-of-table index.
+	b := r.GetSQE()
+	b.Op = OpWrite
+	b.Len = 512
+	b.BufIndex = 9
+	b.UserData = 2
+	// Length exceeding the registered buffer.
+	c := r.GetSQE()
+	c.Op = OpWrite
+	c.Len = 8192
+	c.BufIndex = 0
+	c.UserData = 3
+	submit(eng, r)
 	eng.Run()
 	if results[1] != 4096 {
 		t.Fatalf("valid fixed write res = %d", results[1])
@@ -272,41 +249,31 @@ func TestLinkedChainSpansSQPollBatches(t *testing.T) {
 			var starts []sim.Time
 			r.target = &hookTarget{inner: ot, onSubmit: func() { starts = append(starts, eng.Now()) }}
 
-			results := map[uint64]int32{}
-			eng.Spawn("app", func(p *sim.Proc) {
-				// Publish the first two links, then stall long enough for the
-				// poller to drain them with the chain still open.
-				for i := 0; i < 2; i++ {
-					sqe := r.GetSQE()
-					sqe.Op = OpWrite
-					sqe.Off = int64(i)
-					sqe.Len = 512
-					sqe.UserData = uint64(i)
-					sqe.Flags = FlagIOLink
-				}
-				p.Sleep(10 * r.Params().SQPollLatency)
-				if r.SQPending() != 0 {
-					t.Errorf("poller did not drain the open chain: %d pending", r.SQPending())
-				}
-				if len(starts) != 0 {
-					t.Errorf("open chain dispatched early: %d starts", len(starts))
-				}
-				// Now publish the chain's tail; the next poll must resume the
-				// parked chain rather than start a fresh one.
+			results := reapResults(r)
+			// Publish the first two links, then stall long enough for the
+			// poller to drain them with the chain still open.
+			for i := 0; i < 2; i++ {
 				sqe := r.GetSQE()
-				sqe.Op = OpFsync
-				sqe.Off = 2
+				sqe.Op = OpWrite
+				sqe.Off = int64(i)
 				sqe.Len = 512
-				sqe.UserData = 2
-				for i := 0; i < 3; i++ {
-					cqe, err := r.WaitCQE(p)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					results[cqe.UserData] = cqe.Res
-				}
-			})
+				sqe.UserData = uint64(i)
+				sqe.Flags = FlagIOLink
+			}
+			eng.RunUntil(eng.Now().Add(10 * r.Params().SQPollLatency))
+			if r.SQPending() != 0 {
+				t.Errorf("poller did not drain the open chain: %d pending", r.SQPending())
+			}
+			if len(starts) != 0 {
+				t.Errorf("open chain dispatched early: %d starts", len(starts))
+			}
+			// Now publish the chain's tail; the next poll must resume the
+			// parked chain rather than start a fresh one.
+			sqe := r.GetSQE()
+			sqe.Op = OpFsync
+			sqe.Off = 2
+			sqe.Len = 512
+			sqe.UserData = 2
 			eng.Run()
 			if fail {
 				if results[0] != -5 {
@@ -354,42 +321,30 @@ func TestLinkedChainTruncatesAtSubmitBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := map[uint64]int32{}
-	eng.Spawn("app", func(p *sim.Proc) {
-		// Both SQEs carry FlagIOLink: the second one's link dangles past the
-		// submit window.
-		for i := 0; i < 2; i++ {
-			sqe := r.GetSQE()
-			sqe.Op = OpWrite
-			sqe.Off = int64(i)
-			sqe.Len = 512
-			sqe.UserData = uint64(i)
-			sqe.Flags = FlagIOLink
-		}
-		if _, err := submit(p, r); err != nil {
-			t.Error(err)
-			return
-		}
-		// A later submission must not join the truncated chain — op1 fails,
-		// but op2 still runs.
+	results := reapResults(r)
+	// Both SQEs carry FlagIOLink: the second one's link dangles past the
+	// submit window.
+	for i := 0; i < 2; i++ {
 		sqe := r.GetSQE()
 		sqe.Op = OpWrite
-		sqe.Off = 2
+		sqe.Off = int64(i)
 		sqe.Len = 512
-		sqe.UserData = 2
-		if _, err := submit(p, r); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 3; i++ {
-			cqe, err := r.WaitCQE(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[cqe.UserData] = cqe.Res
-		}
-	})
+		sqe.UserData = uint64(i)
+		sqe.Flags = FlagIOLink
+	}
+	if _, err := submit(eng, r); err != nil {
+		t.Fatal(err)
+	}
+	// A later submission must not join the truncated chain — op1 fails,
+	// but op2 still runs.
+	sqe := r.GetSQE()
+	sqe.Op = OpWrite
+	sqe.Off = 2
+	sqe.Len = 512
+	sqe.UserData = 2
+	if _, err := submit(eng, r); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
 	if results[0] != 512 {
 		t.Fatalf("op0 res = %d, want 512", results[0])

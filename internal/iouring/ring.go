@@ -227,8 +227,6 @@ type Ring struct {
 	cqTail    uint32
 	cqMask    uint32
 
-	// cqWaiters are procs blocked in WaitCQE.
-	cqWaiters []func()
 	// reaper, when set, consumes every CQE (see SetReaper); reapArmed
 	// reports a drain scheduled or running, and wake/drain are its
 	// events, bound on SetReaper.
@@ -289,12 +287,6 @@ func (r *Ring) SQSize() int { return len(r.sqEntries) }
 
 // SQPending returns queued-but-unsubmitted SQEs.
 func (r *Ring) SQPending() int { return int(r.sqTail - r.sqHead) }
-
-// CQReady returns completions ready to reap.
-func (r *Ring) CQReady() int { return int(r.cqTail - r.cqHead) }
-
-// InFlight returns submitted-but-uncompleted operations.
-func (r *Ring) InFlight() int { return r.inFlight }
 
 // Stats returns cumulative counters: enter syscalls, submitted SQEs,
 // completions reaped, CQ overflows, and the in-flight high-water mark.
@@ -371,9 +363,9 @@ func (r *Ring) validateBufIndex(sqe SQE) int32 {
 // SetReaper makes fn the ring's completion reaper: each posted CQE arms
 // one drain event (unless one is already pending or running), which reaps
 // every ready CQE and hands it to fn. The drain runs one Schedule(0) after
-// the post, where a reaper process blocked in WaitCQE would have been
-// woken; in interrupt mode it pays WakeupCost before reaping, as that
-// process's wakeup sleep did. A reaper needs no process and no goroutine.
+// the post (the reaping thread's wake-up); in interrupt mode it pays
+// WakeupCost before reaping. The reaper is the ring's only way to reap
+// besides PeekCQE.
 func (r *Ring) SetReaper(fn func(CQE)) {
 	r.reaper = fn
 	r.wake = r.wakeReaper
@@ -404,19 +396,13 @@ func (r *Ring) drainCQ() {
 
 // Close stops the ring; pending completions still drain but new
 // submissions fail. A link chain parked by the SQPOLL poller (its tail
-// never published) dispatches truncated, and blocked CQ waiters are woken
-// so reaper loops can exit.
+// never published) dispatches truncated.
 func (r *Ring) Close() {
 	r.closed = true
 	if r.chain != nil {
 		chain := r.chain
 		r.chain = nil
 		r.dispatchChain(chain)
-	}
-	ws := r.cqWaiters
-	r.cqWaiters = nil
-	for _, w := range ws {
-		r.eng.Schedule(0, w)
 	}
 }
 
@@ -636,7 +622,7 @@ func (f *inflight) completed(res int32) {
 	}
 }
 
-// postCQE appends a completion and wakes the reaper or CQ waiters.
+// postCQE appends a completion and arms the reaper.
 func (r *Ring) postCQE(cqe CQE) {
 	if r.cqTail-r.cqHead >= uint32(len(r.cqEntries)) {
 		r.cqOverflow++
@@ -648,11 +634,6 @@ func (r *Ring) postCQE(cqe CQE) {
 		r.reapArmed = true
 		r.eng.Schedule(0, r.wake)
 	}
-	for _, w := range r.cqWaiters {
-		r.eng.Schedule(0, w)
-	}
-	clear(r.cqWaiters)
-	r.cqWaiters = r.cqWaiters[:0]
 }
 
 // PeekCQE reaps one completion without blocking (kernel-polled read of the
@@ -665,26 +646,4 @@ func (r *Ring) PeekCQE() (CQE, bool) {
 	r.cqHead++
 	r.completed++
 	return cqe, true
-}
-
-// WaitCQE blocks the proc until a completion is available and reaps it.
-// Interrupt mode pays the wakeup cost; polled/SQPOLL modes observe the CQE
-// as soon as it is posted (the model folds the poll loop into zero cost
-// because the polling core does no other useful work). It is the process
-// form of SetReaper; a ring has one or the other.
-func (r *Ring) WaitCQE(p *sim.Proc) (CQE, error) {
-	for {
-		if cqe, ok := r.PeekCQE(); ok {
-			return cqe, nil
-		}
-		if r.closed && r.inFlight == 0 {
-			return CQE{}, ErrRingClosed
-		}
-		p.Block(func(wake func()) {
-			r.cqWaiters = append(r.cqWaiters, wake)
-		})
-		if r.params.Mode == InterruptMode {
-			p.Sleep(r.params.WakeupCost)
-		}
-	}
 }

@@ -21,11 +21,41 @@ func (s *stubTarget) Submit(req Request, complete func(res int32)) {
 	s.eng.Schedule(s.latency, func() { complete(res) })
 }
 
-// submit enters the ring's pending SQEs from a proc and waits out the
-// syscall, as a blocking io_uring_enter does.
-func submit(p *sim.Proc, r *Ring) (n int, err error) {
-	p.Block(func(wake func()) { n, err = r.Enter(wake) })
+// submit enters the ring's pending SQEs and waits out the syscall, as a
+// blocking io_uring_enter does.
+func submit(eng *sim.Engine, r *Ring) (n int, err error) {
+	eng.Wait(func(wake func()) { n, err = r.Enter(wake) })
 	return n, err
+}
+
+// cqQueue collects a ring's completions through its SetReaper drain, so a
+// test driving the engine with Wait takes them in order as they are reaped.
+type cqQueue struct {
+	eng  *sim.Engine
+	cqes []CQE
+	wake func()
+}
+
+func reapInto(eng *sim.Engine, r *Ring) *cqQueue {
+	q := &cqQueue{eng: eng}
+	r.SetReaper(func(cqe CQE) {
+		q.cqes = append(q.cqes, cqe)
+		if w := q.wake; w != nil {
+			q.wake = nil
+			w()
+		}
+	})
+	return q
+}
+
+// next waits for the oldest completion not yet taken and returns it.
+func (q *cqQueue) next() CQE {
+	if len(q.cqes) == 0 {
+		q.eng.Wait(func(wake func()) { q.wake = wake })
+	}
+	cqe := q.cqes[0]
+	q.cqes = q.cqes[1:]
+	return cqe
 }
 
 func newRingT(t *testing.T, eng *sim.Engine, params Params, lat sim.Duration) (*Ring, *stubTarget) {
@@ -55,38 +85,23 @@ func TestSetupDefaults(t *testing.T) {
 func TestSubmitAndComplete(t *testing.T) {
 	eng := sim.NewEngine()
 	r, st := newRingT(t, eng, Params{Entries: 8}, 10*sim.Microsecond)
-	var got []CQE
-	eng.Spawn("app", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			sqe := r.GetSQE()
-			if sqe == nil {
-				t.Error("GetSQE returned nil")
-				return
-			}
-			sqe.Op = OpWrite
-			sqe.Len = 4096
-			sqe.UserData = uint64(i)
+	q := reapInto(eng, r)
+	for i := 0; i < 4; i++ {
+		sqe := r.GetSQE()
+		if sqe == nil {
+			t.Fatal("GetSQE returned nil")
 		}
-		n, err := submit(p, r)
-		if err != nil || n != 4 {
-			t.Errorf("Enter = %d, %v", n, err)
-			return
-		}
-		for i := 0; i < 4; i++ {
-			cqe, err := r.WaitCQE(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got = append(got, cqe)
-		}
-	})
-	eng.Run()
-	if len(got) != 4 {
-		t.Fatalf("reaped %d CQEs", len(got))
+		sqe.Op = OpWrite
+		sqe.Len = 4096
+		sqe.UserData = uint64(i)
+	}
+	n, err := submit(eng, r)
+	if err != nil || n != 4 {
+		t.Fatalf("Enter = %d, %v", n, err)
 	}
 	seen := map[uint64]bool{}
-	for _, c := range got {
+	for i := 0; i < 4; i++ {
+		c := q.next()
 		if c.Res != 4096 {
 			t.Fatalf("Res = %d", c.Res)
 		}
@@ -110,23 +125,17 @@ func TestBatchingAmortizesSyscalls(t *testing.T) {
 	run := func(batch int) sim.Duration {
 		eng := sim.NewEngine()
 		r, _ := newRingT(t, eng, Params{Entries: 64}, 0)
-		var spent sim.Duration
-		eng.Spawn("app", func(p *sim.Proc) {
-			start := p.Now()
-			for i := 0; i < 32; i += batch {
-				for j := 0; j < batch; j++ {
-					sqe := r.GetSQE()
-					sqe.Op = OpNop
-					sqe.UserData = uint64(i + j)
-				}
-				if _, err := submit(p, r); err != nil {
-					t.Error(err)
-				}
+		for i := 0; i < 32; i += batch {
+			for j := 0; j < batch; j++ {
+				sqe := r.GetSQE()
+				sqe.Op = OpNop
+				sqe.UserData = uint64(i + j)
 			}
-			spent = p.Now().Sub(start)
-		})
-		eng.Run()
-		return spent
+			if _, err := submit(eng, r); err != nil {
+				t.Error(err)
+			}
+		}
+		return sim.Duration(eng.Now())
 	}
 	batched := run(32)
 	single := run(1)
@@ -158,21 +167,17 @@ func TestSQFull(t *testing.T) {
 func TestSQPollModeNoSyscalls(t *testing.T) {
 	eng := sim.NewEngine()
 	r, st := newRingT(t, eng, Params{Entries: 8, Mode: SQPollMode}, 5*sim.Microsecond)
-	eng.Spawn("app", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			sqe := r.GetSQE()
-			sqe.Op = OpRead
-			sqe.Len = 512
-			sqe.UserData = uint64(i)
-		}
-		// No Submit call at all: the kernel poller must pick the SQEs up.
-		for i := 0; i < 3; i++ {
-			if _, err := r.WaitCQE(p); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	eng.Run()
+	q := reapInto(eng, r)
+	for i := 0; i < 3; i++ {
+		sqe := r.GetSQE()
+		sqe.Op = OpRead
+		sqe.Len = 512
+		sqe.UserData = uint64(i)
+	}
+	// No Enter call at all: the kernel poller must pick the SQEs up.
+	for i := 0; i < 3; i++ {
+		q.next()
+	}
 	enters, submitted, _, _, _ := r.Stats()
 	if enters != 0 {
 		t.Fatalf("SQPOLL mode made %d enter syscalls", enters)
@@ -201,19 +206,14 @@ func TestInterruptModeWakeupCost(t *testing.T) {
 	run := func(mode Mode) sim.Duration {
 		eng := sim.NewEngine()
 		r, _ := newRingT(t, eng, Params{Entries: 8, Mode: mode}, lat)
-		var done sim.Duration
-		eng.Spawn("app", func(p *sim.Proc) {
-			sqe := r.GetSQE()
-			sqe.Op = OpRead
-			sqe.Len = 4096
-			sqe.BufIndex = 0 // registered: no copy cost in either mode
-			start := p.Now()
-			submit(p, r)
-			r.WaitCQE(p)
-			done = p.Now().Sub(start)
-		})
-		eng.Run()
-		return done
+		q := reapInto(eng, r)
+		sqe := r.GetSQE()
+		sqe.Op = OpRead
+		sqe.Len = 4096
+		sqe.BufIndex = 0 // registered: no copy cost in either mode
+		submit(eng, r)
+		q.next()
+		return sim.Duration(eng.Now())
 	}
 	intr := run(InterruptMode)
 	poll := run(PolledMode)
@@ -230,15 +230,13 @@ func TestRegisteredBuffersSkipCopy(t *testing.T) {
 	run := func(bufIndex int32) sim.Time {
 		eng := sim.NewEngine()
 		r, st := newRingT(t, eng, Params{Entries: 8}, lat)
-		eng.Spawn("app", func(p *sim.Proc) {
-			sqe := r.GetSQE()
-			sqe.Op = OpWrite
-			sqe.Len = 128 * 1024
-			sqe.BufIndex = bufIndex
-			submit(p, r)
-			r.WaitCQE(p)
-		})
-		eng.Run()
+		q := reapInto(eng, r)
+		sqe := r.GetSQE()
+		sqe.Op = OpWrite
+		sqe.Len = 128 * 1024
+		sqe.BufIndex = bufIndex
+		submit(eng, r)
+		q.next()
 		if len(st.reqs) != 1 {
 			t.Fatal("no request seen")
 		}
@@ -258,16 +256,14 @@ func TestCQOverflowCounted(t *testing.T) {
 	eng := sim.NewEngine()
 	// SQ 4 → CQ 8. Complete 10 ops without reaping: 2 must overflow.
 	r, _ := newRingT(t, eng, Params{Entries: 4}, 0)
-	eng.Spawn("app", func(p *sim.Proc) {
-		for round := 0; round < 3; round++ {
-			for i := 0; i < 4; i++ {
-				if sqe := r.GetSQE(); sqe != nil {
-					sqe.Op = OpNop
-				}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4; i++ {
+			if sqe := r.GetSQE(); sqe != nil {
+				sqe.Op = OpNop
 			}
-			submit(p, r)
 		}
-	})
+		submit(eng, r)
+	}
 	eng.Run()
 	_, _, _, overflow, _ := r.Stats()
 	if overflow != 4 { // 12 submitted, 8 CQ slots
@@ -290,26 +286,17 @@ func TestClosedRing(t *testing.T) {
 	if r.GetSQE() != nil {
 		t.Fatal("GetSQE on closed ring")
 	}
-	eng.Spawn("app", func(p *sim.Proc) {
-		if _, err := submit(p, r); err != ErrRingClosed {
-			t.Errorf("Enter err = %v", err)
-		}
-		if _, err := r.WaitCQE(p); err != ErrRingClosed {
-			t.Errorf("WaitCQE err = %v", err)
-		}
-	})
-	eng.Run()
+	if _, err := submit(eng, r); err != ErrRingClosed {
+		t.Errorf("Enter err = %v", err)
+	}
 }
 
 func TestCPUAffinityForwarded(t *testing.T) {
 	eng := sim.NewEngine()
 	r, st := newRingT(t, eng, Params{Entries: 4, CPU: 5}, 0)
-	eng.Spawn("app", func(p *sim.Proc) {
-		sqe := r.GetSQE()
-		sqe.Op = OpRead
-		submit(p, r)
-	})
-	eng.Run()
+	sqe := r.GetSQE()
+	sqe.Op = OpRead
+	submit(eng, r)
 	if st.reqs[0].CPU != 5 {
 		t.Fatalf("CPU = %d, want 5", st.reqs[0].CPU)
 	}
@@ -325,40 +312,27 @@ func TestRingConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var want uint64
+		var id uint64
 		seen := make(map[uint64]int)
-		ok := true
-		eng.Spawn("app", func(p *sim.Proc) {
-			var id uint64
-			for _, bs := range batchSizes {
-				n := int(bs%16) + 1
-				for i := 0; i < n; i++ {
-					sqe := r.GetSQE()
-					if sqe == nil {
-						break
-					}
-					sqe.Op = OpNop
-					sqe.UserData = id
-					id++
-					want++
+		r.SetReaper(func(cqe CQE) { seen[cqe.UserData]++ })
+		for _, bs := range batchSizes {
+			n := int(bs%16) + 1
+			for i := 0; i < n; i++ {
+				sqe := r.GetSQE()
+				if sqe == nil {
+					break
 				}
-				if _, err := submit(p, r); err != nil {
-					ok = false
-					return
-				}
-				// Reap everything before the next batch.
-				for r.InFlight() > 0 || r.CQReady() > 0 {
-					cqe, err := r.WaitCQE(p)
-					if err != nil {
-						ok = false
-						return
-					}
-					seen[cqe.UserData]++
-				}
+				sqe.Op = OpNop
+				sqe.UserData = id
+				id++
 			}
-		})
-		eng.Run()
-		if !ok || uint64(len(seen)) != want {
+			if _, err := submit(eng, r); err != nil {
+				return false
+			}
+			// Reap everything before the next batch.
+			eng.Run()
+		}
+		if uint64(len(seen)) != id {
 			return false
 		}
 		for _, c := range seen {
@@ -374,7 +348,8 @@ func TestRingConservationProperty(t *testing.T) {
 }
 
 // Regression: concurrent enter "threads" must not double-consume SQEs.
-// Each of several procs observes the same pending count and calls Submit;
+// Each of several same-time events observes the same pending count and
+// calls Enter;
 // the ring may only dispatch each SQE once and the head must never pass
 // the tail.
 func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
@@ -386,9 +361,7 @@ func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
 		sqe.UserData = uint64(i)
 	}
 	for i := 0; i < 8; i++ {
-		eng.Spawn("enter", func(p *sim.Proc) {
-			submit(p, r)
-		})
+		eng.Schedule(0, func() { r.Enter(nil) })
 	}
 	eng.Run()
 	if len(st.reqs) != 8 {
@@ -411,13 +384,11 @@ func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
 func TestMaxInFlightTracked(t *testing.T) {
 	eng := sim.NewEngine()
 	r, _ := newRingT(t, eng, Params{Entries: 16}, 50*sim.Microsecond)
-	eng.Spawn("app", func(p *sim.Proc) {
-		for i := 0; i < 8; i++ {
-			sqe := r.GetSQE()
-			sqe.Op = OpNop
-		}
-		submit(p, r)
-	})
+	for i := 0; i < 8; i++ {
+		sqe := r.GetSQE()
+		sqe.Op = OpNop
+	}
+	submit(eng, r)
 	eng.Run()
 	_, _, _, _, maxIF := r.Stats()
 	if maxIF != 8 {

@@ -7,11 +7,10 @@ import (
 
 // flusher is the background write-back: it drains sealed segments to the
 // backend in rounds of up to FlushBatch, parking between rounds until
-// wakeFlusher. It is an event chain, not a process: a stage machine whose
-// step and callbacks are bound once, issuing the events a flusher process
-// would (one Schedule(0) hop when woken from its park or when the
-// device's read-back lands, none when a write-back acknowledges, and a
-// 1 ms sleep after a refused write-back).
+// wakeFlusher. It is an event chain: a stage machine whose step and
+// callbacks are bound once, issuing one Schedule(0) hop when woken from its
+// park or when the device's read-back lands, none when a write-back
+// acknowledges, and a 1 ms sleep after a refused write-back.
 type flusher struct {
 	c     *Cache
 	stage uint8
@@ -83,8 +82,7 @@ func (f *flusher) wait() bool {
 	return true
 }
 
-// readDone continues one hop after the device read-back, like a process
-// awaiting a completion.
+// readDone continues one hop after the device read-back.
 func (f *flusher) readDone() {
 	if f.waiting {
 		f.waiting = false

@@ -92,68 +92,84 @@ func (c *Cache) Recover(done func()) {
 	}
 	c.crashed = false
 	c.recovering = true
-	c.eng.Spawn("lsvd-recover", func(p *sim.Proc) {
+	c.eng.Schedule(0, func() {
 		start := c.eng.Now()
-		// Surviving segments, oldest first (by first record sequence).
+		// Scan pass over each surviving segment in turn: journal header +
+		// record headers. Each read's continuation rides one Schedule(0)
+		// hop after the read's event, which is part of the cache family's
+		// event order.
 		var replay []replayRec
-		for _, seg := range c.segs {
-			if seg.state == segFree {
-				continue
+		i := 0
+		var scan func()
+		scan = func() {
+			for i < len(c.segs) {
+				seg := c.segs[i]
+				i++
+				if seg.state == segFree {
+					continue
+				}
+				n := SegHdrBytes + len(seg.records)*RecordHdrBytes
+				c.dev.Read(n, func() {
+					c.eng.Schedule(0, func() {
+						for _, r := range seg.records {
+							replay = append(replay, replayRec{seg: seg.id, rec: r})
+						}
+						scan()
+					})
+				})
+				return
 			}
-			// Scan pass: journal header + record headers.
-			// The wake rides one Schedule(0) hop after the read's event,
-			// which is part of the cache family's event order.
-			n := SegHdrBytes + len(seg.records)*RecordHdrBytes
-			p.Block(func(wake func()) {
-				c.dev.Read(n, func() { c.eng.Schedule(0, wake) })
-			})
-			for _, r := range seg.records {
-				replay = append(replay, replayRec{seg: seg.id, rec: r})
-			}
+			c.finishRecovery(replay, start, done)
 		}
-		sortRecords(replay)
-		for _, rr := range replay {
-			c.writeIdx.Insert(Extent{
-				Off:    rr.rec.off,
-				End:    rr.rec.off + int64(rr.rec.n),
-				Seg:    rr.seg,
-				SegOff: rr.rec.segOff,
-				Seq:    rr.rec.seq,
-			})
-			if rr.rec.seq > c.seq {
-				c.seq = rr.rec.seq
-			}
-		}
-		// Every surviving segment is sealed (partial actives included)
-		// and queued for flush, oldest first.
-		c.sealedQ = c.sealedQ[:0]
-		for _, rr := range replay {
-			seg := c.segs[rr.seg]
-			if seg.state != segSealed {
-				seg.state = segSealed
-				c.sealedQ = append(c.sealedQ, seg.id)
-			}
-		}
-		c.stats.Recoveries++
-		c.stats.RecoveryTime = c.eng.Now().Sub(start)
-		if c.cfg.Verify {
-			c.stats.LostAcked += c.auditAcked()
-		}
-		c.recovering = false
-		pend := c.pending
-		c.pending = nil
-		for _, po := range pend {
-			if po.write {
-				c.WriteTraced(po.off, po.n, po.tr, po.done)
-			} else {
-				c.ReadTraced(po.off, po.n, po.tr, po.done)
-			}
-		}
-		c.wakeFlusher()
-		if done != nil {
-			done()
-		}
+		scan()
 	})
+}
+
+// finishRecovery rebuilds the index from the scanned records, requeues every
+// surviving segment for flush, and re-executes the held I/O.
+func (c *Cache) finishRecovery(replay []replayRec, start sim.Time, done func()) {
+	sortRecords(replay)
+	for _, rr := range replay {
+		c.writeIdx.Insert(Extent{
+			Off:    rr.rec.off,
+			End:    rr.rec.off + int64(rr.rec.n),
+			Seg:    rr.seg,
+			SegOff: rr.rec.segOff,
+			Seq:    rr.rec.seq,
+		})
+		if rr.rec.seq > c.seq {
+			c.seq = rr.rec.seq
+		}
+	}
+	// Every surviving segment is sealed (partial actives included)
+	// and queued for flush, oldest first.
+	c.sealedQ = c.sealedQ[:0]
+	for _, rr := range replay {
+		seg := c.segs[rr.seg]
+		if seg.state != segSealed {
+			seg.state = segSealed
+			c.sealedQ = append(c.sealedQ, seg.id)
+		}
+	}
+	c.stats.Recoveries++
+	c.stats.RecoveryTime = c.eng.Now().Sub(start)
+	if c.cfg.Verify {
+		c.stats.LostAcked += c.auditAcked()
+	}
+	c.recovering = false
+	pend := c.pending
+	c.pending = nil
+	for _, po := range pend {
+		if po.write {
+			c.WriteTraced(po.off, po.n, po.tr, po.done)
+		} else {
+			c.ReadTraced(po.off, po.n, po.tr, po.done)
+		}
+	}
+	c.wakeFlusher()
+	if done != nil {
+		done()
+	}
 }
 
 // auditAcked returns the number of acknowledged bytes that neither the

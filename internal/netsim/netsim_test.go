@@ -82,10 +82,8 @@ func TestRTLStackCheaperThanSoftware(t *testing.T) {
 func TestSendWait(t *testing.T) {
 	eng, f, a, b := newFabricT(t)
 	var done sim.Time
-	eng.Spawn("sender", func(p *sim.Proc) {
-		p.Block(func(wake func()) { f.Send(a, b, 1000, wake) })
-		done = p.Now()
-	})
+	eng.Wait(func(wake func()) { f.Send(a, b, 1000, wake) })
+	done = eng.Now()
 	eng.Run()
 	if done == 0 {
 		t.Fatal("the wait on Send never returned")

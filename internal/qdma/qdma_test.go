@@ -173,19 +173,17 @@ func TestTransferWait(t *testing.T) {
 	eng, q := newEngineT(t)
 	qs, _ := q.AllocQueueSet(ReplicationQueue, nil)
 	var end sim.Time
-	eng.Spawn("xfer", func(p *sim.Proc) {
-		var err error
-		p.Block(func(wake func()) {
-			err = qs.Transfer(C2H, 1024, Descriptor{}, wake)
-			if err != nil {
-				wake()
-			}
-		})
+	var err error
+	eng.Wait(func(wake func()) {
+		err = qs.Transfer(C2H, 1024, Descriptor{}, wake)
 		if err != nil {
-			t.Error(err)
+			wake()
 		}
-		end = p.Now()
 	})
+	if err != nil {
+		t.Error(err)
+	}
+	end = eng.Now()
 	eng.Run()
 	if end == 0 {
 		t.Fatal("the wait on Transfer returned instantly")

@@ -44,12 +44,13 @@ type BackfillReport struct {
 }
 
 // BackfillPool moves every object whose placement changed between the two
-// reweight tables, from proc context. Replicated pools move whole objects;
-// EC pools move rank-addressed shards.
-func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint32) (BackfillReport, error) {
-	start := p.Now()
-	rep := BackfillReport{Pool: pool.Name}
+// reweight tables and calls done with the report once the last copy has
+// landed (before BackfillPool returns when nothing moves or on an error).
+// Replicated pools move whole objects; EC pools move rank-addressed shards.
+func (b *Backfiller) BackfillPool(pool *Pool, before, after []uint32, done func(BackfillReport, error)) {
 	eng := b.c.Eng
+	start := eng.Now()
+	rep := BackfillReport{Pool: pool.Name}
 	streams := eng.NewResource(b.Streams)
 	outstanding := 0
 	var resume func()
@@ -73,11 +74,13 @@ func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint3
 		x := crush.Hash2(pg, uint32(pool.ID))
 		old, err := b.c.Map.Select(pool.rule, x, pool.Width(), before)
 		if err != nil {
-			return rep, err
+			done(rep, err)
+			return
 		}
 		new_, err := b.c.Map.Select(pool.rule, x, pool.Width(), after)
 		if err != nil {
-			return rep, err
+			done(rep, err)
+			return
 		}
 		moves := b.movesFor(pool, old, new_)
 		if len(moves) == 0 {
@@ -132,11 +135,14 @@ func (b *Backfiller) BackfillPool(p *sim.Proc, pool *Pool, before, after []uint3
 			}
 		}
 	}
-	if outstanding > 0 {
-		p.Block(func(wake func()) { resume = wake })
+	if outstanding == 0 {
+		done(rep, nil)
+		return
 	}
-	rep.Elapsed = p.Now().Sub(start)
-	return rep, nil
+	resume = func() {
+		rep.Elapsed = eng.Now().Sub(start)
+		done(rep, nil)
+	}
 }
 
 type shardMove struct {

@@ -20,33 +20,31 @@ func TestBackfillRestoresRedundancy(t *testing.T) {
 
 	var rep BackfillReport
 	var failed int
-	eng.Spawn("scenario", func(p *sim.Proc) {
-		for i := 0; i < objects; i++ {
-			name := fmt.Sprintf("obj%03d", i)
-			data := bytes.Repeat([]byte{byte(i)}, 2048+i)
-			payloads[name] = data
-			if err := writeObj(p, cl, pool, name, 0, data); err != nil {
-				t.Errorf("write %s: %v", name, err)
-			}
+	for i := 0; i < objects; i++ {
+		name := fmt.Sprintf("obj%03d", i)
+		data := bytes.Repeat([]byte{byte(i)}, 2048+i)
+		payloads[name] = data
+		if err := writeObj(eng, cl, pool, name, 0, data); err != nil {
+			t.Errorf("write %s: %v", name, err)
 		}
-		before := mon.Reweights()
-		// Fail an OSD that certainly holds data.
-		for osd := 0; osd < 32; osd++ {
-			if c.OSDs[osd].Store.Objects() > 0 {
-				failed = osd
-				break
-			}
+	}
+	before := mon.Reweights()
+	// Fail an OSD that certainly holds data.
+	for osd := 0; osd < 32; osd++ {
+		if c.OSDs[osd].Store.Objects() > 0 {
+			failed = osd
+			break
 		}
-		c.OSDs[failed].SetUp(false)
-		mon.MarkOut(failed)
-		after := mon.Reweights()
+	}
+	c.OSDs[failed].SetUp(false)
+	mon.MarkOut(failed)
+	after := mon.Reweights()
 
-		var err error
-		rep, err = NewBackfiller(c).BackfillPool(p, pool, before, after)
-		if err != nil {
-			t.Error(err)
-		}
-	})
+	var err error
+	rep, err = backfill(eng, NewBackfiller(c), pool, before, after)
+	if err != nil {
+		t.Error(err)
+	}
 	eng.Run()
 
 	if rep.ObjectsMoved == 0 || rep.BytesMoved == 0 {
@@ -89,36 +87,34 @@ func TestBackfillECShards(t *testing.T) {
 	}
 	var rep BackfillReport
 	var failed int
-	eng.Spawn("scenario", func(p *sim.Proc) {
-		for i := 0; i < 6; i++ {
-			if err := writeObj(p, cl, pool, fmt.Sprintf("s%d", i), 0, payload); err != nil {
-				t.Errorf("write: %v", err)
-			}
+	for i := 0; i < 6; i++ {
+		if err := writeObj(eng, cl, pool, fmt.Sprintf("s%d", i), 0, payload); err != nil {
+			t.Errorf("write: %v", err)
 		}
-		before := mon.Reweights()
-		acting, _ := c.ActingSet(pool, c.PGOf(pool, "s0"))
-		failed = acting[1]
-		c.OSDs[failed].SetUp(false)
-		mon.MarkOut(failed)
-		var err error
-		rep, err = NewBackfiller(c).BackfillPool(p, pool, before, mon.Reweights())
+	}
+	before := mon.Reweights()
+	acting, _ := c.ActingSet(pool, c.PGOf(pool, "s0"))
+	failed = acting[1]
+	c.OSDs[failed].SetUp(false)
+	mon.MarkOut(failed)
+	var err error
+	rep, err = backfill(eng, NewBackfiller(c), pool, before, mon.Reweights())
+	if err != nil {
+		t.Error(err)
+	}
+	// Restore the OSD's liveness (weight stays 0) so reads do not
+	// detour; then verify the stripes read back intact from the new
+	// layout.
+	for i := 0; i < 6; i++ {
+		got, err := readObj(eng, cl, pool, fmt.Sprintf("s%d", i), 0, len(payload))
 		if err != nil {
-			t.Error(err)
+			t.Errorf("read s%d: %v", i, err)
+			continue
 		}
-		// Restore the OSD's liveness (weight stays 0) so reads do not
-		// detour; then verify the stripes read back intact from the new
-		// layout.
-		for i := 0; i < 6; i++ {
-			got, err := readObj(p, cl, pool, fmt.Sprintf("s%d", i), 0, len(payload))
-			if err != nil {
-				t.Errorf("read s%d: %v", i, err)
-				continue
-			}
-			if !bytes.Equal(got, payload) {
-				t.Errorf("s%d corrupted after EC backfill", i)
-			}
+		if !bytes.Equal(got, payload) {
+			t.Errorf("s%d corrupted after EC backfill", i)
 		}
-	})
+	}
 	eng.Run()
 	if rep.ObjectsMoved == 0 {
 		t.Fatalf("no shards moved: %+v", rep)
@@ -130,14 +126,12 @@ func TestBackfillNoChangeIsNoop(t *testing.T) {
 	mon := NewMonitor(c)
 	pool, _ := c.CreateReplicatedPool("p", 2, 32)
 	var rep BackfillReport
-	eng.Spawn("scenario", func(p *sim.Proc) {
-		writeObj(p, cl, pool, "x", 0, []byte("data"))
-		var err error
-		rep, err = NewBackfiller(c).BackfillPool(p, pool, mon.Reweights(), mon.Reweights())
-		if err != nil {
-			t.Error(err)
-		}
-	})
+	writeObj(eng, cl, pool, "x", 0, []byte("data"))
+	var err error
+	rep, err = backfill(eng, NewBackfiller(c), pool, mon.Reweights(), mon.Reweights())
+	if err != nil {
+		t.Error(err)
+	}
 	eng.Run()
 	if rep.ObjectsMoved != 0 || rep.BytesMoved != 0 {
 		t.Fatalf("no-op backfill moved data: %+v", rep)
@@ -152,28 +146,26 @@ func TestBackfillThrottleScalesTime(t *testing.T) {
 		// failure moves all 16 objects and the throttle is visible.
 		pool, _ := c.CreateReplicatedPool("p", 2, 1)
 		var rep BackfillReport
-		eng.Spawn("scenario", func(p *sim.Proc) {
-			for i := 0; i < 16; i++ {
-				writeObj(p, cl, pool, fmt.Sprintf("o%02d", i), 0, make([]byte, 64*1024))
+		for i := 0; i < 16; i++ {
+			writeObj(eng, cl, pool, fmt.Sprintf("o%02d", i), 0, make([]byte, 64*1024))
+		}
+		before := mon.Reweights()
+		var failed int
+		for osd := 0; osd < 32; osd++ {
+			if c.OSDs[osd].Store.Objects() > 0 {
+				failed = osd
+				break
 			}
-			before := mon.Reweights()
-			var failed int
-			for osd := 0; osd < 32; osd++ {
-				if c.OSDs[osd].Store.Objects() > 0 {
-					failed = osd
-					break
-				}
-			}
-			c.OSDs[failed].SetUp(false)
-			mon.MarkOut(failed)
-			bf := NewBackfiller(c)
-			bf.Streams = streams
-			var err error
-			rep, err = bf.BackfillPool(p, pool, before, mon.Reweights())
-			if err != nil {
-				t.Error(err)
-			}
-		})
+		}
+		c.OSDs[failed].SetUp(false)
+		mon.MarkOut(failed)
+		bf := NewBackfiller(c)
+		bf.Streams = streams
+		var err error
+		rep, err = backfill(eng, bf, pool, before, mon.Reweights())
+		if err != nil {
+			t.Error(err)
+		}
 		eng.Run()
 		if rep.ObjectsMoved == 0 {
 			t.Skip("failed OSD held no data in this layout")

@@ -56,8 +56,7 @@ type Repl interface {
 // Requests are continuation-passing: WriteAsync and ReadAsync run each
 // request as an event chain over a pooled op (clientop.go) and call done
 // from the event in which it finishes, so the data path needs no
-// goroutine per request. A Proc waits on a request with Proc.Block, waking
-// from done.
+// goroutine per request.
 type Client struct {
 	Cluster *Cluster
 	Host    *netsim.Host
@@ -93,7 +92,7 @@ type Client struct {
 	// queue state may be touched across the boundary. Erasure pools,
 	// retries and fault injection are unsupported in this mode.
 	Split bool
-	// Eng is the engine the client's procs and completions live on; nil
+	// Eng is the engine the client's request chains run on; nil
 	// means the cluster's engine (the single-domain default).
 	Eng *sim.Engine
 

@@ -12,7 +12,7 @@ import (
 // This file holds the client's request chains. Each request is an op: a
 // pooled struct whose step is bound once and re-scheduled for every wait,
 // walking a per-protocol stage machine. Every wait has a fixed event
-// shape, the one the sequential Proc code these chains replaced had:
+// shape, which the golden digests pin:
 //
 //   - a delay d, including 0, is Schedule(d, step);
 //   - a message wait is the fabric arrival plus one Schedule(0) hop (see
@@ -168,10 +168,9 @@ func (o *op) recycle() {
 	cl.free = append(cl.free, o)
 }
 
-// finish ends the chain where the Proc code returned. A top-level op
-// recycles itself and then calls done (in that order: done may issue a
-// request that reuses the struct); an attempt instead hops to its retry
-// op, as the attempt Proc's completion did.
+// finish ends the chain. A top-level op recycles itself and then calls done
+// (in that order: done may issue a request that reuses the struct); an
+// attempt instead hops to its retry op.
 func (o *op) finish(res []byte, err error) {
 	if o.parent != nil {
 		o.res, o.err = res, err
@@ -214,7 +213,7 @@ func (o *op) park() bool {
 	return true
 }
 
-// sleep is Proc.Sleep: the chain continues at stage next after d.
+// sleep continues the chain at stage next after d.
 func (o *op) sleep(d sim.Duration, next uint8) {
 	o.stage = next
 	o.eng.Schedule(d, o.step)
@@ -356,11 +355,10 @@ func (t *target) done(err error) {
 	}
 }
 
-// gather awaits the live targets in issue order, like a Proc awaiting one
-// completion after another: the chain parks on the first unfired target
-// and one hop after it fires re-checks the rest, so targets that fired in
-// the meantime cost no event. With stopOnErr it returns at the first
-// failed target. It reports whether the chain may continue; the first
+// gather awaits the live targets in issue order: the chain parks on the
+// first unfired target and one hop after it fires re-checks the rest, so
+// targets that fired in the meantime cost no event. With stopOnErr it
+// returns at the first failed target. It reports whether the chain may continue; the first
 // error seen is in firstErr.
 func (o *op) gather(stopOnErr bool) bool {
 	for o.awaitIdx < o.live {

@@ -114,8 +114,8 @@ func TestHeartbeatMarksOutAfterGrace(t *testing.T) {
 	}
 	m.Stop()
 	eng.Run()
-	if eng.Pending() != 0 || eng.Procs() != 0 {
-		t.Fatalf("after Stop: Pending = %d, Procs = %d, want 0 and 0", eng.Pending(), eng.Procs())
+	if eng.Pending() != 0 {
+		t.Fatalf("after Stop: Pending = %d, want 0", eng.Pending())
 	}
 }
 
@@ -131,8 +131,8 @@ func TestMonitorStopCancelsHeartbeat(t *testing.T) {
 	if end := eng.Run(); end != sim.Time(3*sim.Second+sim.Second/2) {
 		t.Fatalf("a stopped monitor kept the engine running until %v", end)
 	}
-	if eng.Pending() != 0 || eng.Procs() != 0 {
-		t.Fatalf("after Stop: Pending = %d, Procs = %d, want 0 and 0", eng.Pending(), eng.Procs())
+	if eng.Pending() != 0 {
+		t.Fatalf("after Stop: Pending = %d, want 0", eng.Pending())
 	}
 	// Restarted at 3.5 s, the heartbeat sees osd.3 down at its first beat
 	// (4.5 s) and marks it out at the second (5.5 s).
@@ -231,26 +231,24 @@ func TestDegradedWriteDuringMarkOutWindow(t *testing.T) {
 	pool, _ := c.CreateReplicatedPool("p", 2, 64)
 	failures := 0
 	writes := 0
-	eng.Spawn("load", func(p *sim.Proc) {
-		for i := 0; i < 40; i++ {
-			obj := objName(i)
-			if err := writeObj(p, cl, pool, obj, 0, make([]byte, 4096)); err != nil {
-				failures++
-			}
-			writes++
-			if i == 10 {
-				c.OSDs[5].SetUp(false) // die mid-run
-			}
-			p.Sleep(500 * sim.Millisecond)
+	for i := 0; i < 40; i++ {
+		obj := objName(i)
+		if err := writeObj(eng, cl, pool, obj, 0, make([]byte, 4096)); err != nil {
+			failures++
 		}
-	})
+		writes++
+		if i == 10 {
+			c.OSDs[5].SetUp(false) // die mid-run
+		}
+		eng.RunUntil(eng.Now().Add(500 * sim.Millisecond))
+	}
 	// The heartbeat beats until stopped, so bound the run instead of
 	// draining the engine.
 	eng.RunUntil(sim.Time(30 * sim.Second))
 	m.Stop()
 	eng.Run()
-	if eng.Pending() != 0 || eng.Procs() != 0 {
-		t.Fatalf("after Stop: Pending = %d, Procs = %d, want 0 and 0", eng.Pending(), eng.Procs())
+	if eng.Pending() != 0 {
+		t.Fatalf("after Stop: Pending = %d, want 0", eng.Pending())
 	}
 	if writes != 40 {
 		t.Fatalf("writes = %d", writes)

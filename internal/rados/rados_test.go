@@ -9,10 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// writeObj and readObj wait on the client's callback API from a test proc.
-func writeObj(p *sim.Proc, cl *Client, pool *Pool, obj string, off int, data []byte) error {
+// writeObj and readObj wait on the client's callback API from a test.
+func writeObj(eng *sim.Engine, cl *Client, pool *Pool, obj string, off int, data []byte) error {
 	var err error
-	p.Block(func(wake func()) {
+	eng.Wait(func(wake func()) {
 		cl.WriteAsync(pool, obj, off, data, ReqOpts{}, func(e error) {
 			err = e
 			wake()
@@ -21,10 +21,10 @@ func writeObj(p *sim.Proc, cl *Client, pool *Pool, obj string, off int, data []b
 	return err
 }
 
-func readObj(p *sim.Proc, cl *Client, pool *Pool, obj string, off, n int) ([]byte, error) {
+func readObj(eng *sim.Engine, cl *Client, pool *Pool, obj string, off, n int) ([]byte, error) {
 	var data []byte
 	var err error
-	p.Block(func(wake func()) {
+	eng.Wait(func(wake func()) {
 		cl.ReadAsync(pool, obj, off, n, ReqOpts{}, func(d []byte, e error) {
 			data, err = d, e
 			wake()
@@ -162,16 +162,13 @@ func TestReplicatedWriteReadRoundTrip(t *testing.T) {
 	}
 	payload := []byte("hello deliba-k replicated world")
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := writeObj(p, cl, pool, "obj1", 0, payload); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		readBack, err = readObj(p, cl, pool, "obj1", 0, len(payload))
-		if err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
+	if err := writeObj(eng, cl, pool, "obj1", 0, payload); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	readBack, err = readObj(eng, cl, pool, "obj1", 0, len(payload))
+	if err != nil {
+		t.Errorf("read: %v", err)
+	}
 	eng.Run()
 	if !bytes.Equal(readBack, payload) {
 		t.Fatalf("read back %q", readBack)
@@ -200,16 +197,13 @@ func TestReplicatedDegradedWriteRead(t *testing.T) {
 	c.OSDs[acting[0]].SetUp(false)
 	payload := []byte("degraded path data")
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := writeObj(p, cl, pool, "objX", 0, payload); err != nil {
-			t.Errorf("degraded write: %v", err)
-			return
-		}
-		readBack, err = readObj(p, cl, pool, "objX", 0, len(payload))
-		if err != nil {
-			t.Errorf("degraded read: %v", err)
-		}
-	})
+	if err := writeObj(eng, cl, pool, "objX", 0, payload); err != nil {
+		t.Fatalf("degraded write: %v", err)
+	}
+	readBack, err = readObj(eng, cl, pool, "objX", 0, len(payload))
+	if err != nil {
+		t.Errorf("degraded read: %v", err)
+	}
 	eng.Run()
 	if !bytes.Equal(readBack, payload) {
 		t.Fatalf("read back %q", readBack)
@@ -230,16 +224,13 @@ func TestECWriteReadRoundTrip(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := writeObj(p, cl, pool, "vol.0", 0, payload); err != nil {
-			t.Errorf("ec write: %v", err)
-			return
-		}
-		readBack, err = readObj(p, cl, pool, "vol.0", 0, len(payload))
-		if err != nil {
-			t.Errorf("ec read: %v", err)
-		}
-	})
+	if err := writeObj(eng, cl, pool, "vol.0", 0, payload); err != nil {
+		t.Fatalf("ec write: %v", err)
+	}
+	readBack, err = readObj(eng, cl, pool, "vol.0", 0, len(payload))
+	if err != nil {
+		t.Errorf("ec read: %v", err)
+	}
 	eng.Run()
 	if !bytes.Equal(readBack, payload) {
 		t.Fatal("EC round trip corrupted data")
@@ -266,20 +257,17 @@ func TestECDegradedReadReconstructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var readBack []byte
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := writeObj(p, cl, pool, "vol.7", 0, payload); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		// Fail two data-shard OSDs after the write: the read must
-		// reconstruct from the remaining 4 shards.
-		c.OSDs[acting[0]].SetUp(false)
-		c.OSDs[acting[1]].SetUp(false)
-		readBack, err = readObj(p, cl, pool, "vol.7", 0, len(payload))
-		if err != nil {
-			t.Errorf("degraded read: %v", err)
-		}
-	})
+	if err := writeObj(eng, cl, pool, "vol.7", 0, payload); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// Fail two data-shard OSDs after the write: the read must
+	// reconstruct from the remaining 4 shards.
+	c.OSDs[acting[0]].SetUp(false)
+	c.OSDs[acting[1]].SetUp(false)
+	readBack, err = readObj(eng, cl, pool, "vol.7", 0, len(payload))
+	if err != nil {
+		t.Errorf("degraded read: %v", err)
+	}
 	eng.Run()
 	if !bytes.Equal(readBack, payload) {
 		t.Fatal("degraded EC read returned wrong data")
@@ -294,9 +282,7 @@ func TestECWriteFailsBelowK(t *testing.T) {
 		c.OSDs[o].SetUp(false)
 	}
 	var gotErr error
-	eng.Spawn("io", func(p *sim.Proc) {
-		gotErr = writeObj(p, cl, pool, "volZ", 0, make([]byte, 1024))
-	})
+	gotErr = writeObj(eng, cl, pool, "volZ", 0, make([]byte, 1024))
 	eng.Run()
 	if gotErr == nil {
 		t.Fatal("EC write below k up shards succeeded")
@@ -365,13 +351,11 @@ func TestWriteLatencyOrdering(t *testing.T) {
 		eng, c, cl := newTestCluster(t)
 		pool, _ := c.CreateReplicatedPool("p", replicas, 64)
 		var lat sim.Duration
-		eng.Spawn("io", func(p *sim.Proc) {
-			start := p.Now()
-			if err := writeObj(p, cl, pool, "o", 0, make([]byte, size)); err != nil {
-				t.Errorf("write: %v", err)
-			}
-			lat = p.Now().Sub(start)
-		})
+		start := eng.Now()
+		if err := writeObj(eng, cl, pool, "o", 0, make([]byte, size)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		lat = eng.Now().Sub(start)
 		eng.Run()
 		return lat
 	}

@@ -2,6 +2,7 @@ package rados
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -47,29 +48,56 @@ type ScrubReport struct {
 // Clean reports whether the scrub found no damage.
 func (r ScrubReport) Clean() bool { return len(r.Inconsistencies) == 0 }
 
-// ScrubPool scans every object of the pool from proc context, charging
-// virtual read time per copy examined.
-func (s *Scrubber) ScrubPool(p *sim.Proc, pool *Pool) (ScrubReport, error) {
+// ScrubPool scans every object of the pool, one object after another,
+// charging ReadCost of virtual time per copy examined, and calls done with
+// the report.
+func (s *Scrubber) ScrubPool(pool *Pool, done func(ScrubReport, error)) {
 	rep := ScrubReport{Pool: pool.Name}
 	objs := s.objectsOf(pool)
-	for _, obj := range objs {
-		rep.ObjectsScanned++
-		var inc *Inconsistency
-		var err error
-		if pool.Kind == ECPool {
-			inc, err = s.scrubECStripe(p, pool, obj)
-		} else {
-			inc, err = s.scrubReplicated(p, pool, obj)
-		}
-		if err != nil {
-			return rep, err
-		}
-		if inc != nil {
-			rep.Inconsistencies = append(rep.Inconsistencies, *inc)
-		}
+	scrub := s.scrubReplicated
+	if pool.Kind == ECPool {
+		scrub = s.scrubECStripe
 	}
-	return rep, nil
+	inTurn(len(objs), func(i int, next func(error)) {
+		rep.ObjectsScanned++
+		scrub(pool, objs[i], func(inc *Inconsistency, err error) {
+			if inc != nil {
+				rep.Inconsistencies = append(rep.Inconsistencies, *inc)
+			}
+			next(err)
+		})
+	}, func(err error) { done(rep, err) })
 }
+
+// inTurn runs step for i = 0..n-1, each once the one before calls next
+// with nil, and then calls done with the first error or nil.
+func inTurn(n int, step func(i int, next func(error)), done func(error)) {
+	var run func(i int)
+	run = func(i int) {
+		if i == n {
+			done(nil)
+			return
+		}
+		step(i, func(err error) {
+			if err != nil {
+				done(err)
+				return
+			}
+			run(i + 1)
+		})
+	}
+	run(0)
+}
+
+// pace runs access for i = 0..n-1 in turn, each ReadCost of virtual time
+// after the one before, as its media access completes.
+func (s *Scrubber) pace(n int, access func(i int) error, done func(error)) {
+	inTurn(n, func(i int, next func(error)) {
+		s.c.Eng.Schedule(s.ReadCost, func() { next(access(i)) })
+	}, done)
+}
+
+var errScrubStore = errors.New("rados: scrub requires MemStore clusters")
 
 // objectsOf enumerates logical object names for the pool by scanning OSD
 // stores. For EC pools, shard keys ("obj:off.sN") collapse to stripes.
@@ -107,32 +135,46 @@ func lastIndex(s, sub string) int {
 	return -1
 }
 
-// scrubReplicated majority-compares the copies on the acting set.
-func (s *Scrubber) scrubReplicated(p *sim.Proc, pool *Pool, obj string) (*Inconsistency, error) {
+type copyData struct {
+	osd  int
+	data []byte
+}
+
+// scrubReplicated reads the copies on the up members of the acting set
+// and majority-compares them.
+func (s *Scrubber) scrubReplicated(pool *Pool, obj string, done func(*Inconsistency, error)) {
 	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, obj))
 	if err != nil {
-		return nil, err
-	}
-	type copyData struct {
-		osd  int
-		data []byte
+		done(nil, err)
+		return
 	}
 	var copies []copyData
 	for _, o := range acting {
-		if o < 0 || !s.c.OSDs[o].Up() {
-			continue
+		if o >= 0 && s.c.OSDs[o].Up() {
+			copies = append(copies, copyData{osd: o})
 		}
-		ms, ok := s.c.OSDs[o].Store.(*MemStore)
-		if !ok {
-			return nil, fmt.Errorf("rados: scrub requires MemStore clusters")
-		}
-		p.Sleep(s.ReadCost)
-		n := ms.Size(obj)
-		d, _ := ms.Read(obj, 0, n)
-		copies = append(copies, copyData{o, d})
 	}
+	s.pace(len(copies), func(i int) error {
+		ms, ok := s.c.OSDs[copies[i].osd].Store.(*MemStore)
+		if !ok {
+			return errScrubStore
+		}
+		copies[i].data, _ = ms.Read(obj, 0, ms.Size(obj))
+		return nil
+	}, func(err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		done(majority(pool, obj, copies), nil)
+	})
+}
+
+// majority blames every copy whose content differs from the most common
+// one, or returns nil when all agree.
+func majority(pool *Pool, obj string, copies []copyData) *Inconsistency {
 	if len(copies) < 2 {
-		return nil, nil
+		return nil
 	}
 	// Majority vote by content.
 	counts := map[string][]int{}
@@ -140,7 +182,7 @@ func (s *Scrubber) scrubReplicated(p *sim.Proc, pool *Pool, obj string) (*Incons
 		counts[string(c.data)] = append(counts[string(c.data)], c.osd)
 	}
 	if len(counts) == 1 {
-		return nil, nil
+		return nil
 	}
 	// The most common content wins; everything else is bad.
 	var bestKey string
@@ -158,34 +200,46 @@ func (s *Scrubber) scrubReplicated(p *sim.Proc, pool *Pool, obj string) (*Incons
 		}
 	}
 	sort.Ints(inc.BadOSDs)
-	return inc, nil
+	return inc
 }
 
-// scrubECStripe gathers all shards of a stripe and verifies parity.
-func (s *Scrubber) scrubECStripe(p *sim.Proc, pool *Pool, stripe string) (*Inconsistency, error) {
+// scrubECStripe gathers the stored shards of a stripe on its up OSDs and
+// verifies parity.
+func (s *Scrubber) scrubECStripe(pool *Pool, stripe string, done func(*Inconsistency, error)) {
 	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, stripeBase(stripe)))
 	if err != nil {
-		return nil, err
+		done(nil, err)
+		return
 	}
 	shards := make([][]byte, pool.K+pool.M)
 	osdOf := make([]int, pool.K+pool.M)
+	var ranks []int
 	for rank, o := range acting {
 		if rank >= len(shards) || o < 0 || !s.c.OSDs[o].Up() {
 			continue
 		}
 		ms, ok := s.c.OSDs[o].Store.(*MemStore)
 		if !ok {
-			return nil, fmt.Errorf("rados: scrub requires MemStore clusters")
+			done(nil, errScrubStore)
+			return
 		}
-		key := StripeShard(stripe, rank)
-		if ms.Size(key) == 0 {
-			continue
+		if ms.Size(StripeShard(stripe, rank)) > 0 {
+			ranks = append(ranks, rank)
 		}
-		p.Sleep(s.ReadCost)
-		d, _ := ms.Read(key, 0, ms.Size(key))
-		shards[rank] = d
-		osdOf[rank] = o
 	}
+	s.pace(len(ranks), func(i int) error {
+		rank := ranks[i]
+		ms := s.c.OSDs[acting[rank]].Store.(*MemStore)
+		key := StripeShard(stripe, rank)
+		shards[rank], _ = ms.Read(key, 0, ms.Size(key))
+		osdOf[rank] = acting[rank]
+		return nil
+	}, func(error) { done(verifyStripe(pool, stripe, shards, osdOf)) })
+}
+
+// verifyStripe checks a gathered stripe's parity and blames the shards
+// whose reconstruction from the others differs from what is stored.
+func verifyStripe(pool *Pool, stripe string, shards [][]byte, osdOf []int) (*Inconsistency, error) {
 	complete := true
 	for _, sh := range shards {
 		if sh == nil {
@@ -228,31 +282,30 @@ func stripeBase(stripe string) string {
 }
 
 // Repair overwrites the bad copies found by a scrub with the majority /
-// reconstructed content. It returns how many copies were fixed.
-func (s *Scrubber) Repair(p *sim.Proc, pool *Pool, rep ScrubReport) (int, error) {
-	fixed := 0
-	for _, inc := range rep.Inconsistencies {
-		if pool.Kind == ECPool {
-			n, err := s.repairEC(p, pool, inc)
-			if err != nil {
-				return fixed, err
-			}
-			fixed += n
-			continue
-		}
-		n, err := s.repairReplicated(p, pool, inc)
-		if err != nil {
-			return fixed, err
-		}
-		fixed += n
+// reconstructed content, one inconsistency after another, charging
+// ReadCost per copy written, and calls done with how many copies were
+// fixed.
+func (s *Scrubber) Repair(pool *Pool, rep ScrubReport, done func(int, error)) {
+	repair := s.repairReplicated
+	if pool.Kind == ECPool {
+		repair = s.repairEC
 	}
-	return fixed, nil
+	fixed := 0
+	inTurn(len(rep.Inconsistencies), func(i int, next func(error)) {
+		repair(pool, rep.Inconsistencies[i], func(n int, err error) {
+			if err == nil {
+				fixed += n
+			}
+			next(err)
+		})
+	}, func(err error) { done(fixed, err) })
 }
 
-func (s *Scrubber) repairReplicated(p *sim.Proc, pool *Pool, inc Inconsistency) (int, error) {
+func (s *Scrubber) repairReplicated(pool *Pool, inc Inconsistency, done func(int, error)) {
 	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, inc.Object))
 	if err != nil {
-		return 0, err
+		done(0, err)
+		return
 	}
 	bad := map[int]bool{}
 	for _, o := range inc.BadOSDs {
@@ -269,23 +322,29 @@ func (s *Scrubber) repairReplicated(p *sim.Proc, pool *Pool, inc Inconsistency) 
 		break
 	}
 	if good == nil {
-		return 0, fmt.Errorf("rados: no good copy of %s to repair from", inc.Object)
+		done(0, fmt.Errorf("rados: no good copy of %s to repair from", inc.Object))
+		return
 	}
-	fixed := 0
+	targets := make([]int, 0, len(bad))
 	for o := range bad {
-		p.Sleep(s.ReadCost)
-		if err := s.c.OSDs[o].Store.Write(inc.Object, 0, good); err != nil {
-			return fixed, err
+		targets = append(targets, o)
+	}
+	sort.Ints(targets)
+	fixed := 0
+	s.pace(len(targets), func(i int) error {
+		if err := s.c.OSDs[targets[i]].Store.Write(inc.Object, 0, good); err != nil {
+			return err
 		}
 		fixed++
-	}
-	return fixed, nil
+		return nil
+	}, func(err error) { done(fixed, err) })
 }
 
-func (s *Scrubber) repairEC(p *sim.Proc, pool *Pool, inc Inconsistency) (int, error) {
+func (s *Scrubber) repairEC(pool *Pool, inc Inconsistency, done func(int, error)) {
 	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, stripeBase(inc.Object)))
 	if err != nil {
-		return 0, err
+		done(0, err)
+		return
 	}
 	bad := map[int]bool{}
 	for _, o := range inc.BadOSDs {
@@ -305,19 +364,23 @@ func (s *Scrubber) repairEC(p *sim.Proc, pool *Pool, inc Inconsistency) (int, er
 		shards[rank] = d
 	}
 	if err := pool.Code.Reconstruct(shards); err != nil {
-		return 0, err
+		done(0, err)
+		return
+	}
+	var ranks []int
+	for rank, o := range acting {
+		if rank < len(shards) && o >= 0 && bad[o] {
+			ranks = append(ranks, rank)
+		}
 	}
 	fixed := 0
-	for rank, o := range acting {
-		if rank >= len(shards) || o < 0 || !bad[o] {
-			continue
-		}
-		p.Sleep(s.ReadCost)
+	s.pace(len(ranks), func(i int) error {
+		rank := ranks[i]
 		key := StripeShard(inc.Object, rank)
-		if err := s.c.OSDs[o].Store.Write(key, 0, shards[rank]); err != nil {
-			return fixed, err
+		if err := s.c.OSDs[acting[rank]].Store.Write(key, 0, shards[rank]); err != nil {
+			return err
 		}
 		fixed++
-	}
-	return fixed, nil
+		return nil
+	}, func(err error) { done(fixed, err) })
 }

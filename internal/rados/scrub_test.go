@@ -7,20 +7,49 @@ import (
 	"repro/internal/sim"
 )
 
+// scrubPool, repair and backfill wait on the callback APIs from a test.
+func scrubPool(eng *sim.Engine, sc *Scrubber, pool *Pool) (rep ScrubReport, err error) {
+	eng.Wait(func(wake func()) {
+		sc.ScrubPool(pool, func(r ScrubReport, e error) {
+			rep, err = r, e
+			wake()
+		})
+	})
+	return rep, err
+}
+
+func repair(eng *sim.Engine, sc *Scrubber, pool *Pool, rep ScrubReport) (fixed int, err error) {
+	eng.Wait(func(wake func()) {
+		sc.Repair(pool, rep, func(n int, e error) {
+			fixed, err = n, e
+			wake()
+		})
+	})
+	return fixed, err
+}
+
+func backfill(eng *sim.Engine, bf *Backfiller, pool *Pool, before, after []uint32) (rep BackfillReport, err error) {
+	eng.Wait(func(wake func()) {
+		bf.BackfillPool(pool, before, after, func(r BackfillReport, e error) {
+			rep, err = r, e
+			wake()
+		})
+	})
+	return rep, err
+}
+
 func TestScrubCleanPool(t *testing.T) {
 	eng, c, cl := newTestCluster(t)
 	pool, _ := c.CreateReplicatedPool("p", 3, 64)
 	var rep ScrubReport
-	eng.Spawn("io", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			writeObj(p, cl, pool, objName(i), 0, []byte("payload-"+objName(i)))
-		}
-		var err error
-		rep, err = NewScrubber(c).ScrubPool(p, pool)
-		if err != nil {
-			t.Error(err)
-		}
-	})
+	for i := 0; i < 5; i++ {
+		writeObj(eng, cl, pool, objName(i), 0, []byte("payload-"+objName(i)))
+	}
+	var err error
+	rep, err = scrubPool(eng, NewScrubber(c), pool)
+	if err != nil {
+		t.Error(err)
+	}
 	eng.Run()
 	if !rep.Clean() || rep.ObjectsScanned != 5 {
 		t.Fatalf("report: %+v", rep)
@@ -34,28 +63,24 @@ func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
 	var report ScrubReport
 	var fixed int
 	var badOSD int
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := writeObj(p, cl, pool, "victim", 0, payload); err != nil {
-			t.Error(err)
-			return
-		}
-		// Corrupt one replica directly in its store (silent bitrot).
-		acting, _ := c.ActingSet(pool, c.PGOf(pool, "victim"))
-		badOSD = acting[1]
-		c.OSDs[badOSD].Store.Write("victim", 4, []byte{0xde, 0xad})
+	if err := writeObj(eng, cl, pool, "victim", 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt one replica directly in its store (silent bitrot).
+	acting, _ := c.ActingSet(pool, c.PGOf(pool, "victim"))
+	badOSD = acting[1]
+	c.OSDs[badOSD].Store.Write("victim", 4, []byte{0xde, 0xad})
 
-		sc := NewScrubber(c)
-		var err error
-		report, err = sc.ScrubPool(p, pool)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		fixed, err = sc.Repair(p, pool, report)
-		if err != nil {
-			t.Error(err)
-		}
-	})
+	sc := NewScrubber(c)
+	var err error
+	report, err = scrubPool(eng, sc, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err = repair(eng, sc, pool, report)
+	if err != nil {
+		t.Error(err)
+	}
 	eng.Run()
 	if report.Clean() {
 		t.Fatal("scrub missed the corrupted replica")
@@ -71,17 +96,11 @@ func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
 		t.Fatalf("fixed = %d", fixed)
 	}
 	// Post-repair scrub is clean and the copy matches.
-	var clean bool
-	eng.Spawn("verify", func(p *sim.Proc) {
-		rep2, err := NewScrubber(c).ScrubPool(p, pool)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		clean = rep2.Clean()
-	})
-	eng.Run()
-	if !clean {
+	rep2, err := scrubPool(eng, NewScrubber(c), pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep2.Clean() {
 		t.Fatal("pool still inconsistent after repair")
 	}
 	got, _ := c.OSDs[badOSD].Store.Read("victim", 0, len(payload))
@@ -99,27 +118,23 @@ func TestScrubECParityDamage(t *testing.T) {
 	}
 	var report ScrubReport
 	var fixed int
-	eng.Spawn("io", func(p *sim.Proc) {
-		if err := writeObj(p, cl, pool, "stripe", 0, payload); err != nil {
-			t.Error(err)
-			return
-		}
-		// Corrupt one shard silently.
-		acting, _ := c.ActingSet(pool, c.PGOf(pool, "stripe"))
-		c.OSDs[acting[2]].Store.Write("stripe:0.s2", 10, []byte{0xff, 0xff, 0xff})
+	if err := writeObj(eng, cl, pool, "stripe", 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt one shard silently.
+	acting, _ := c.ActingSet(pool, c.PGOf(pool, "stripe"))
+	c.OSDs[acting[2]].Store.Write("stripe:0.s2", 10, []byte{0xff, 0xff, 0xff})
 
-		sc := NewScrubber(c)
-		var err error
-		report, err = sc.ScrubPool(p, pool)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		fixed, err = sc.Repair(p, pool, report)
-		if err != nil {
-			t.Error(err)
-		}
-	})
+	sc := NewScrubber(c)
+	var err error
+	report, err = scrubPool(eng, sc, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err = repair(eng, sc, pool, report)
+	if err != nil {
+		t.Error(err)
+	}
 	eng.Run()
 	if report.Clean() {
 		t.Fatal("EC scrub missed shard damage")
@@ -128,15 +143,10 @@ func TestScrubECParityDamage(t *testing.T) {
 		t.Fatal("repair fixed nothing")
 	}
 	// The stripe must read back intact.
-	var got []byte
-	eng.Spawn("read", func(p *sim.Proc) {
-		var err error
-		got, err = readObj(p, cl, pool, "stripe", 0, len(payload))
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run()
+	got, err := readObj(eng, cl, pool, "stripe", 0, len(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("stripe wrong after EC repair")
 	}
@@ -146,12 +156,10 @@ func TestScrubChargesTime(t *testing.T) {
 	eng, c, cl := newTestCluster(t)
 	pool, _ := c.CreateReplicatedPool("p", 2, 64)
 	var before, after sim.Time
-	eng.Spawn("io", func(p *sim.Proc) {
-		writeObj(p, cl, pool, "o", 0, []byte("x"))
-		before = p.Now()
-		NewScrubber(c).ScrubPool(p, pool)
-		after = p.Now()
-	})
+	writeObj(eng, cl, pool, "o", 0, []byte("x"))
+	before = eng.Now()
+	scrubPool(eng, NewScrubber(c), pool)
+	after = eng.Now()
 	eng.Run()
 	if after.Sub(before) < 100*sim.Microsecond { // 2 copies x 50µs
 		t.Fatalf("scrub consumed only %v", after.Sub(before))

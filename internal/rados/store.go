@@ -21,8 +21,8 @@ import (
 // Payload contract: implementations must treat the data slice passed to
 // Write as READ-ONLY and must not retain it after Write returns — copy the
 // bytes if they are kept (MemStore does), or ignore them (NullStore).
-// Callers rely on this: the core fan-out paths pass overlapping views of
-// one shared zero buffer, and the client EC path hands the same shard
+// Callers rely on this: the timing-only write paths pass overlapping views
+// of one shared zero buffer (Zeros), and the client EC path hands the same shard
 // slices to the codec and the store. A store that mutated or aliased a
 // payload would corrupt unrelated in-flight writes. TestStorePayloadContract
 // enforces both halves for the built-in stores.
@@ -41,6 +41,21 @@ type ObjectStore interface {
 	Objects() int
 	// Delete removes an object; deleting an absent object is a no-op.
 	Delete(obj string)
+}
+
+// zeroPool backs Zeros. Nothing writes it after init, so parallel
+// experiment cells and shard workers share it without a lock.
+var zeroPool = make([]byte, 1<<20)
+
+// Zeros returns an n-byte zero payload for the timing-only write paths
+// (the stores there only use its length). Up to 1 MiB it is a view of one
+// shared array and allocates nothing; beyond that it is a fresh slice.
+// Under the payload contract above, nobody writes to it.
+func Zeros(n int) []byte {
+	if n > len(zeroPool) {
+		return make([]byte, n)
+	}
+	return zeroPool[:n]
 }
 
 // MemStore keeps full object payloads in memory.

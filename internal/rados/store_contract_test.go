@@ -2,6 +2,7 @@ package rados
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ func TestStorePayloadContract(t *testing.T) {
 		if !bytes.Equal(payload, orig) {
 			t.Fatalf("%s: Write mutated the caller's payload: %v", name, payload)
 		}
-		// Caller reuses its buffer (exactly what zeros() does): the store
+		// Caller reuses its buffer (exactly what Zeros does): the store
 		// must have copied, not aliased.
 		for i := range payload {
 			payload[i] = 0xff
@@ -71,5 +72,32 @@ func TestShardKeyBuilders(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Append builders allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestZerosBeyondPoolRaceFree: a payload above the shared pool is a fresh
+// slice and the pool never changes, so writers on parallel experiment
+// cells and shard workers share no mutable state (checked under -race);
+// within the pool, Zeros allocates nothing.
+func TestZerosBeyondPoolRaceFree(t *testing.T) {
+	pool := len(zeroPool)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= 64; i++ {
+				if b := Zeros(pool + i); len(b) != pool+i {
+					t.Errorf("Zeros(%d) has length %d", pool+i, len(b))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(zeroPool) != pool {
+		t.Fatalf("pool resized from %d to %d", pool, len(zeroPool))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Zeros(pool) }); allocs != 0 {
+		t.Fatalf("Zeros within the pool allocated %.1f/op", allocs)
 	}
 }

@@ -12,8 +12,8 @@
 // scenario) pair replays bit-identically at any -parallel setting. No map
 // is ever iterated on an event path.
 //
-// The backend is a timing and availability model, like the fan-out zeros
-// path: member OSD writes charge real service time (journal fsync) against
+// The backend is a timing and availability model, like the fan-out's
+// rados.Zeros payloads: member OSD writes charge real service time (journal fsync) against
 // the member's OSD, but log entries carry sizes, not payload bytes.
 package raft
 
@@ -711,7 +711,7 @@ func (m *member) onAppend(from *member, term, prevIdx, prevTerm uint64, es []Ent
 	// its drive. A crash mid-write drops the ack (callback errors or never
 	// fires), and the leader's next round retries.
 	me := m
-	m.osd.SubmitOpts(rados.ReqOpts{Trace: tr}, rados.OpWrite, m.logObj(), 0, zeros(payload), 0, func(r rados.Result) {
+	m.osd.SubmitOpts(rados.ReqOpts{Trace: tr}, rados.OpWrite, m.logObj(), 0, rados.Zeros(payload), 0, func(r rados.Result) {
 		if r.Err != nil {
 			return
 		}
@@ -861,7 +861,7 @@ func (m *member) onInstallSnapshot(from *member, term, snapIdx, snapTerm, leader
 	matchIdx := m.log.LastIndex()
 	me := m
 	// Applying a snapshot rewrites the PG's object map: charge one write.
-	m.osd.SubmitOpts(rados.ReqOpts{}, rados.OpWrite, m.logObj(), 0, zeros(snapshotBytes), 0, func(r rados.Result) {
+	m.osd.SubmitOpts(rados.ReqOpts{}, rados.OpWrite, m.logObj(), 0, rados.Zeros(snapshotBytes), 0, func(r rados.Result) {
 		if r.Err != nil {
 			return
 		}
@@ -898,7 +898,7 @@ func (g *Group) propose(m *member, obj string, off, size int, tr trace.Ref, fini
 	m.waiters = append(m.waiters, waiter{index: idx, start: m.eng().Now(), tr: tr, finish: finish})
 	term := m.term
 	// Leader journal fsync: the real object write on the leader's drive.
-	m.osd.SubmitOpts(rados.ReqOpts{Trace: tr}, rados.OpWrite, obj, off, zeros(size), 0, func(r rados.Result) {
+	m.osd.SubmitOpts(rados.ReqOpts{Trace: tr}, rados.OpWrite, obj, off, rados.Zeros(size), 0, func(r rados.Result) {
 		if r.Err != nil || m.role != roleLeader || m.term != term {
 			return
 		}
@@ -936,15 +936,4 @@ func (m *member) serveRead(obj string, off, n int, tr trace.Ref, finish func(ok 
 	m.osd.SubmitOpts(rados.ReqOpts{Trace: tr}, rados.OpRead, obj, off, nil, n, func(r rados.Result) {
 		finish(r.Err == nil, hint, 0)
 	})
-}
-
-// zeroPool backs payload charges without per-op allocation (the stores
-// only use lengths on this path, exactly like the fan-out zeros pool).
-var zeroPool = make([]byte, 1<<16)
-
-func zeros(n int) []byte {
-	if n > len(zeroPool) {
-		zeroPool = make([]byte, n)
-	}
-	return zeroPool[:n]
 }

@@ -243,9 +243,9 @@ func (d *Dev) ReadAtAsync(off int64, n int, done func([]byte, error)) {
 }
 
 // join collects a multi-object request's per-object results, awaiting
-// them in image order as a Proc awaiting one completion after another
-// does: it parks on the first unfinished part, resumes one event after that
-// part finishes, and passes parts that finished meanwhile at no cost.
+// them in image order: it parks on the first unfinished part, resumes one
+// event after that part finishes, and passes parts that finished meanwhile
+// at no cost.
 type join struct {
 	eng     *sim.Engine
 	fired   []bool

@@ -8,7 +8,7 @@
 // A single Engine is single-threaded by design: all model callbacks run on
 // the goroutine that called Run, so model code needs no locking. Concurrency
 // in the modelled system (multiple CPU cores, queues, devices) is expressed
-// as interleaved events and coroutine-style Procs, not OS parallelism.
+// as interleaved event chains, not OS parallelism.
 //
 // For city-scale topologies an Engine can instead be one shard of a Shards
 // group (see shard.go): each shard runs its own event loop on its own
@@ -195,7 +195,6 @@ type Engine struct {
 	freeCap  int      // retention bound for free
 	running  bool
 	stopped  bool
-	procs    int    // live coroutine processes
 	executed uint64 // events dispatched (stats)
 
 	// group/shard link this engine to a Shards front end; nil for a plain
@@ -214,12 +213,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of scheduled (uncancelled) events.
 func (e *Engine) Pending() int { return len(e.pq) }
-
-// Procs reports the number of live Procs: spawned and not yet returned. A
-// Proc parked forever (on a wake nobody calls, a queue nobody fills)
-// stays counted, so a drained engine reporting more Procs than its
-// long-lived ones has leaked some.
-func (e *Engine) Procs() int { return e.procs }
 
 // Executed reports the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -309,6 +302,37 @@ func (e *Engine) Cancel(id EventID) bool {
 // engine the whole group winds down at the next window barrier.
 func (e *Engine) Stop() {
 	e.stopped = true
+}
+
+// Wait runs events until the wake callback handed to register fires, then
+// returns with later events still pending and the clock at the waking
+// event. It is how a sequential driver outside the loop (a script, a test)
+// waits on a layer's callback API: register starts the operation and
+// passes wake as (or calls it from) the completion callback. A wake inside
+// register returns at once, running no event; a wake after Wait returned
+// does nothing. The driver's next step runs after the waking event
+// finishes, not inside it. Wait panics if the queue drains before the wake
+// (a lost wake-up) and on a Shards engine, where Stop only lands at the
+// next window barrier.
+func (e *Engine) Wait(register func(wake func())) {
+	if e.group != nil {
+		panic("sim: Wait on a sharded engine")
+	}
+	woken, looping := false, false
+	register(func() {
+		woken = true
+		if looping {
+			looping = false
+			e.stopped = true
+		}
+	})
+	looping = !woken
+	for !woken {
+		if len(e.pq) == 0 {
+			panic(fmt.Sprintf("sim: Wait: event queue drained at %v before the wake", e.now))
+		}
+		e.RunUntil(MaxTime)
+	}
 }
 
 // Run executes events until the queue drains or Stop is called.

@@ -45,8 +45,7 @@ func (r *Resource) TryAcquire(n int) bool {
 // AcquireThen takes n units and runs fn once they are held. When the units
 // are free and nobody is queued, fn runs inline before AcquireThen returns;
 // otherwise fn joins the FIFO and runs as a fresh event when a Release
-// makes room for it. A Proc waits for the units with
-// p.Block(func(wake func()) { r.AcquireThen(n, wake) }).
+// makes room for it.
 func (r *Resource) AcquireThen(n int, fn func()) {
 	if r.TryAcquire(n) {
 		fn()

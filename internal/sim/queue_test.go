@@ -5,21 +5,16 @@ import (
 	"testing/quick"
 )
 
-// acquire waits on r.AcquireThen from a proc.
-func acquire(p *Proc, r *Resource, n int) {
-	p.Block(func(wake func()) { r.AcquireThen(n, wake) })
-}
-
 func TestResourceContention(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(1)
 	var done []Time
 	for i := 0; i < 3; i++ {
-		e.Spawn("user", func(p *Proc) {
-			acquire(p, r, 1)
-			p.Sleep(10)
-			r.Release(1)
-			done = append(done, p.Now())
+		r.AcquireThen(1, func() {
+			e.Schedule(10, func() {
+				r.Release(1)
+				done = append(done, e.Now())
+			})
 		})
 	}
 	e.Run()
@@ -43,11 +38,11 @@ func TestResourceMultiUnit(t *testing.T) {
 	}
 	hold(2, 10)
 	hold(2, 30)
-	e.Spawn("big", func(p *Proc) {
-		p.Sleep(1)
-		acquire(p, r, 4) // must wait for both smalls
-		bigAt = p.Now()
-		r.Release(4)
+	e.Schedule(1, func() {
+		r.AcquireThen(4, func() { // must wait for both smalls
+			bigAt = e.Now()
+			r.Release(4)
+		})
 	})
 	e.Run()
 	if bigAt != 30 {
@@ -63,11 +58,9 @@ func TestResourceFIFOFairness(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Schedule(Duration(i+1), func() {
-			e.Spawn("w", func(p *Proc) {
-				acquire(p, r, 1)
+			r.AcquireThen(1, func() {
 				order = append(order, i)
-				p.Sleep(5)
-				r.Release(1)
+				e.Schedule(5, func() { r.Release(1) })
 			})
 		})
 	}
@@ -82,9 +75,8 @@ func TestResourceFIFOFairness(t *testing.T) {
 	}
 }
 
-// TestResourceAcquireThenFIFO: callback waiters and Proc waiters (Block on
-// AcquireThen) share one FIFO, so they are granted in arrival order
-// whatever form each took; a free resource runs the callback inline.
+// TestResourceAcquireThenFIFO: a free resource runs the callback inline,
+// and queued callbacks are granted in arrival order.
 func TestResourceAcquireThenFIFO(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(1)
@@ -97,17 +89,9 @@ func TestResourceAcquireThenFIFO(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		i := i
 		e.Schedule(Duration(i+1), func() {
-			hold := func() {
+			r.AcquireThen(1, func() {
 				order = append(order, i)
 				e.Schedule(5, func() { r.Release(1) })
-			}
-			if i%2 == 0 {
-				r.AcquireThen(1, hold)
-				return
-			}
-			e.Spawn("w", func(p *Proc) {
-				acquire(p, r, 1)
-				hold()
 			})
 		})
 	}
@@ -131,7 +115,7 @@ func TestResourceTryAcquireRespectsWaiters(t *testing.T) {
 	e := NewEngine()
 	r := e.NewResource(2)
 	r.TryAcquire(2)
-	e.Spawn("w", func(p *Proc) { acquire(p, r, 1) })
+	r.AcquireThen(1, func() {})
 	e.Schedule(1, func() {
 		r.Release(1)
 	})
