@@ -227,6 +227,30 @@ func BenchmarkDFXReconfiguration(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleSweep runs the city-scale sweep at the quick config on one
+// worker and reports what the real cluster costs the simulator: engine
+// events per completed op and wall-clock nanoseconds per event, over both
+// runs of every cell.
+func BenchmarkScaleSweep(b *testing.B) {
+	prev := experiments.SetParallelism(1)
+	defer experiments.SetParallelism(prev)
+	var events, ops uint64
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.ScaleSweep(experiments.Quick())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range res.Cells {
+			events += c.Events
+			// Each run completes every op its clients issue once, so the
+			// failure run completes as many as the healthy one.
+			ops += 2 * c.TotalOps
+		}
+	}
+	b.ReportMetric(float64(events)/float64(ops), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkStackDKHW4kRandWrite is the raw headline datapoint: DeLiBA-K
 // hardware, 4 kB random writes at the paper's queue configuration.
 func BenchmarkStackDKHW4kRandWrite(b *testing.B) {

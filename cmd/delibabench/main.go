@@ -20,8 +20,9 @@
 // -shards sets the simulation engine's shard count: testbeds are built on a
 // sharded engine group whose per-domain event loops run in parallel under
 // conservative-lookahead synchronization. Results are bit-identical at any
-// setting (the determinism property the sharded engine guarantees); the
-// city-scale `scale` family gains wall-clock parallelism from it.
+// setting (the determinism property the sharded engine guarantees). The
+// classic testbeds are one domain each, and the `scale` and `tenant` fleet
+// cells run on one plain engine, so the setting does not speed them up.
 //
 // -report runs each selected family three times — serially, at -parallel
 // workers, and on 2-shard engines — and writes one delibabench/report-v1

@@ -51,9 +51,8 @@ type TestbedConfig struct {
 	// Shards > 1 runs the testbed inside a sharded engine group: the whole
 	// classic testbed is one topology domain on the group's home shard, so
 	// event order — and therefore every digest — is byte-identical to the
-	// plain engine; the remaining shards are available to co-scheduled
-	// domains (the city-scale experiment family) or simply idle. 0 or 1
-	// builds a plain engine.
+	// plain engine, and the remaining shards stay idle. 0 or 1 builds a
+	// plain engine.
 	Shards int
 	// SplitDomains partitions the classic testbed itself over the shard
 	// group: the client host — rings, kernel layers and the LSVD cache

@@ -404,6 +404,17 @@ func (b *Bucket) chooseStraw(x, r uint32) int {
 
 // --- straw2 -----------------------------------------------------------
 
+// straw2Ln[u] is ln((u+1)/65536), the log of straw2 draw u. It is filled
+// once with the same math.Log values a draw would compute, so placements
+// do not change; a draw costs a load instead of a logarithm.
+var straw2Ln [1 << 16]float64
+
+func init() {
+	for u := range straw2Ln {
+		straw2Ln[u] = math.Log(float64(u+1) / 65536.0)
+	}
+}
+
 // chooseStraw2 gives exact weight-proportional selection: each item draws
 // u ~ U(0,1] keyed by (x, item, r) and scores ln(u)/w; the maximum (least
 // negative) score wins. This is the continuous formulation of Ceph's
@@ -420,8 +431,7 @@ func (b *Bucket) chooseStraw2(x, r uint32) int {
 			draw = math.Inf(-1)
 		} else {
 			u := Hash3(x, uint32(int32(item)), r) & 0xffff
-			// (u+1)/65536 ∈ (0, 1]
-			draw = math.Log(float64(u+1)/65536.0) / float64(w)
+			draw = straw2Ln[u] / float64(w)
 		}
 		if first || draw > bestDraw {
 			best, bestDraw, first = item, draw, false

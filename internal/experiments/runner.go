@@ -57,8 +57,8 @@ func Shards() int {
 
 // SetShards sets the engine shard count for subsequently built testbeds and
 // returns the previous setting. Classic testbeds are a single topology
-// domain, so results are byte-identical at any shard count; the city-scale
-// family spreads its racks over the shards and gains wall-clock parallelism.
+// domain, so results are byte-identical at any shard count; the fleet cells
+// of the scale and tenant families run on one plain engine regardless.
 func SetShards(n int) int {
 	prev := int(shardCount.Load())
 	if n < 1 {

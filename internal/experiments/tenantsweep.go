@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/metrics"
-	"repro/internal/rados"
 	"repro/internal/sim"
 )
 
@@ -20,9 +19,9 @@ import (
 // population runs its ordinary traffic. The measurement is isolation: how
 // far the victims' tail latency degrades relative to the hog-free baseline,
 // and how evenly per-tenant service rates are shared (Jain's index). A
-// second grid scales the tenant population itself (10 → 10,000) on the
-// rack-granular sharded ScaleCluster, where per-tenant accounting has to
-// stay cheap enough to keep one histogram per tenant.
+// second grid scales the tenant population itself (10 → 10,000) on a
+// 128-OSD rados.Cluster fleet, where per-tenant accounting has to stay
+// cheap enough to keep one histogram per tenant.
 
 // tenantScenarios is the noisy-neighbor axis: the hog-free baseline first,
 // then the hog.
@@ -69,18 +68,19 @@ type TenantCell struct {
 	Stats blockmq.QoSStats
 }
 
-// TenantFleetCell is one measured tenant population size on the sharded
-// city-scale model.
+// TenantFleetCell is one measured tenant population size on a fleet run
+// (fleet.go).
 type TenantFleetCell struct {
 	Tenants int
-	Shards  int
 	// Active is how many tenants actually received at least one op under
 	// the Zipf draw.
 	Active   int
 	TotalOps uint64
-	KIOPS    float64
-	Mean     sim.Duration
-	P99      sim.Duration
+	// Failed counts ops that completed with an error.
+	Failed int
+	KIOPS  float64
+	Mean   sim.Duration
+	P99    sim.Duration
 	// HotShare is the hottest tenant's fraction of all ops (the Zipf head).
 	HotShare float64
 	Fairness float64
@@ -199,39 +199,38 @@ func runTenantCell(cfg Config, qos core.QoSKind, scenario string) (TenantCell, e
 	return cell, nil
 }
 
-// runTenantFleetCell measures one tenant population size on the sharded
-// ScaleCluster: a fixed 128-OSD deployment with the per-op tenant draw
-// Zipf-skewed, so the head tenants dominate while the tail barely appears.
+// runTenantFleetCell measures one tenant population size on a 128-OSD
+// fleet run with the per-op tenant draw Zipf-skewed, so the head tenants
+// dominate while the tail barely appears.
 func runTenantFleetCell(cfg Config, tenants int) (TenantFleetCell, error) {
-	sc := ScaleScenario(cfg, 128)
-	sc.Tenants = tenants
-	sc.TenantTheta = 0.99
-	cl, err := rados.NewScaleCluster(sc)
+	spec := fleetScenario(cfg, 128)
+	spec.tenants, spec.theta = tenants, 0.99
+	res, err := runFleet(spec)
 	if err != nil {
 		return TenantFleetCell{}, err
 	}
-	res := cl.Run()
 	cell := TenantFleetCell{
 		Tenants:  tenants,
-		Shards:   res.Shards,
-		TotalOps: res.TotalOps,
-		KIOPS:    res.KIOPS,
-		Mean:     res.Lat.Mean(),
-		P99:      res.Lat.Percentile(99),
-		Fairness: res.Fairness,
+		Active:   res.tenants.Len(),
+		TotalOps: res.ops,
+		Failed:   res.failed,
+		KIOPS:    res.kiops(),
+		Mean:     res.lat.Mean(),
+		P99:      res.lat.Percentile(99),
 	}
-	if res.Tenants != nil {
-		cell.Active = res.Tenants.Len()
-		var hot uint64
-		for _, id := range res.Tenants.Tenants() {
-			if c := res.Tenants.Hist(id).Count(); c > hot {
-				hot = c
-			}
-		}
-		if res.TotalOps > 0 {
-			cell.HotShare = float64(hot) / float64(res.TotalOps)
+	var hot uint64
+	var rates []float64
+	for _, id := range res.tenants.Tenants() {
+		h := res.tenants.Hist(id)
+		hot = max(hot, h.Count())
+		if m := h.Mean(); m > 0 {
+			rates = append(rates, 1/float64(m))
 		}
 	}
+	if res.ops > 0 {
+		cell.HotShare = float64(hot) / float64(res.ops)
+	}
+	cell.Fairness = metrics.Fairness(rates)
 	return cell, nil
 }
 
@@ -287,8 +286,8 @@ func (r *TenantSweepResult) Digest() uint64 {
 			c.Stats.Dispatched, c.Stats.Throttled, c.Stats.ResPhase, c.Stats.WeightPhase)
 	}
 	for _, c := range r.Fleet {
-		fmt.Fprintf(h, "fleet|%d|%d|%d|%.9g|%d|%d|%.9g|%.9g\n",
-			c.Tenants, c.Active, c.TotalOps, c.KIOPS,
+		fmt.Fprintf(h, "fleet|%d|%d|%d|%d|%.9g|%d|%d|%.9g|%.9g\n",
+			c.Tenants, c.Active, c.TotalOps, c.Failed, c.KIOPS,
 			int64(c.Mean), int64(c.P99), c.HotShare, c.Fairness)
 	}
 	return h.Sum64()
@@ -310,10 +309,10 @@ func (r *TenantSweepResult) Table() *metrics.Table {
 
 // FleetTable renders the population-scale grid.
 func (r *TenantSweepResult) FleetTable() *metrics.Table {
-	t := metrics.NewTable("Tenant fleet scale: per-tenant accounting on the sharded city-scale model (Zipf 0.99 tenant draw, 128 OSDs)",
-		"tenants", "active", "ops", "kiops", "mean us", "p99 us", "hot share", "fairness")
+	t := metrics.NewTable("Tenant fleet scale: per-tenant accounting on a 128-OSD rados.Cluster (Zipf 0.99 tenant draw)",
+		"tenants", "active", "ops", "failed", "kiops", "mean us", "p99 us", "hot share", "fairness")
 	for _, c := range r.Fleet {
-		t.AddRow(c.Tenants, c.Active, c.TotalOps,
+		t.AddRow(c.Tenants, c.Active, c.TotalOps, c.Failed,
 			fmt.Sprintf("%.1f", c.KIOPS), us(c.Mean), us(c.P99),
 			fmt.Sprintf("%.4f", c.HotShare), fmt.Sprintf("%.4f", c.Fairness))
 	}

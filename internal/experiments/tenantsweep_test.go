@@ -32,7 +32,7 @@ func tenantSweepSerialRef(cfg Config) (*TenantSweepResult, error) {
 // TestTenantSweepDigestInvariantAcrossParallelism proves the multi-tenant
 // grid — per-tenant histograms, QoS scheduler counters and the Zipf fleet
 // cells included — is bit-identical run serially, with 1 and 4 workers, and
-// on 8-shard engines.
+// with 8-shard engines for the classic-testbed cells.
 func TestTenantSweepDigestInvariantAcrossParallelism(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		cfg := determinismConfig(seed)
@@ -69,7 +69,9 @@ func TestTenantSweepDigestInvariantAcrossParallelism(t *testing.T) {
 // (Check: the noisy neighbor hurts the unprotected victims, dmclock holds
 // them within 4x of the hog-free baseline, and its fairness beats the
 // bypass) plus the shape behind it: both QoS schedulers throttle the hog
-// and shield the victims, and the fleet cells are sane.
+// and shield the victims, and the fleet cells are sane and fail no op
+// (runFleet itself rejects a run that leaves an event pending once its
+// monitor stops).
 func TestTenantSweepIsolation(t *testing.T) {
 	res, err := TenantSweep(Quick())
 	if err != nil {
@@ -105,6 +107,9 @@ func TestTenantSweepIsolation(t *testing.T) {
 		if c.Active == 0 || c.TotalOps == 0 {
 			t.Errorf("fleet cell %d tenants: degenerate (%d active, %d ops)",
 				c.Tenants, c.Active, c.TotalOps)
+		}
+		if c.Failed != 0 {
+			t.Errorf("fleet cell %d tenants: %d ops failed on a healthy cluster", c.Tenants, c.Failed)
 		}
 		if c.Fairness <= 0 || c.Fairness > 1 {
 			t.Errorf("fleet cell %d tenants: fairness %.4f outside (0,1]", c.Tenants, c.Fairness)

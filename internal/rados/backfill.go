@@ -1,6 +1,7 @@
 package rados
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/crush"
@@ -9,9 +10,11 @@ import (
 
 // Backfiller moves data to its new home after a map change — the execution
 // half of Ceph's backfill, complementing PlanRebalance's estimate. It is
-// functional: object bytes really move between MemStores, throttled by a
+// functional: object bytes really move between stores, throttled by a
 // per-stream bandwidth and a bounded number of concurrent streams, so
-// recovery time and interference are measurable in virtual time.
+// recovery time and interference are measurable in virtual time. It works
+// on any ObjectStore: a NullStore cluster moves the same objects, as
+// zeros.
 type Backfiller struct {
 	c *Cluster
 	// Streams bounds concurrent object copies cluster-wide.
@@ -70,6 +73,9 @@ func (b *Backfiller) BackfillPool(pool *Pool, before, after []uint32, done func(
 	}
 	sort.Slice(pgs, func(i, j int) bool { return pgs[i] < pgs[j] })
 
+	// When after is the monitor's current table, the new placements are
+	// the cluster's cached acting sets, which its clients share.
+	current := b.c.monitor != nil && slices.Equal(after, b.c.monitor.reweight)
 	for _, pg := range pgs {
 		x := crush.Hash2(pg, uint32(pool.ID))
 		old, err := b.c.Map.Select(pool.rule, x, pool.Width(), before)
@@ -77,7 +83,12 @@ func (b *Backfiller) BackfillPool(pool *Pool, before, after []uint32, done func(
 			done(rep, err)
 			return
 		}
-		new_, err := b.c.Map.Select(pool.rule, x, pool.Width(), after)
+		var new_ []int
+		if current {
+			new_, err = b.c.ActingSet(pool, pg)
+		} else {
+			new_, err = b.c.Map.Select(pool.rule, x, pool.Width(), after)
+		}
 		if err != nil {
 			done(rep, err)
 			return
@@ -92,42 +103,39 @@ func (b *Backfiller) BackfillPool(pool *Pool, before, after []uint32, done func(
 				if pool.Kind == ECPool {
 					key = StripeShard(obj, mv.rank)
 				}
-				var data []byte
-				src := b.findSource(key, old, mv.to)
-				switch {
-				case src >= 0:
-					ms := b.c.OSDs[src].Store.(*MemStore)
-					size := ms.Size(key)
-					if size == 0 {
-						continue
-					}
-					data, _ = ms.Read(key, 0, size)
-				case pool.Kind == ECPool:
+				var src ObjectStore
+				var size int
+				var rebuilt []byte
+				if o := b.findSource(key, old, mv.to); o >= 0 {
+					src = b.c.OSDs[o].Store
+					size = src.Size(key)
+				} else if pool.Kind == ECPool {
 					// The shard's only holder is gone: rebuild it from the
 					// surviving shards (recovery, not plain backfill).
-					data = b.reconstructShard(pool, obj, mv.rank, old)
-					if data == nil {
-						rep.Degraded++
-						continue
-					}
-				default:
+					rebuilt = b.reconstructShard(pool, obj, mv.rank, old)
+					size = len(rebuilt)
+				}
+				if size == 0 {
 					rep.Degraded++
 					continue
 				}
-				size := len(data)
-				to := mv.to
+				dst := b.c.OSDs[mv.to].Store
 				outstanding++
 				rep.ObjectsMoved++
 				rep.BytesMoved += int64(size)
-				moveKey := key
 				cost := b.PerObjectCost + sim.Duration(float64(size)/b.BytesPerSec*1e9)
 				// One copy: wait for a stream, hold it for the copy time,
-				// then release it and land the bytes.
+				// then release it and land the bytes, read from the source
+				// as the copy ends.
 				eng.Schedule(0, func() {
 					streams.AcquireThen(1, func() {
 						eng.Schedule(cost, func() {
 							streams.Release(1)
-							b.c.OSDs[to].Store.Write(moveKey, 0, data)
+							data := rebuilt
+							if src != nil {
+								data, _ = src.Read(key, 0, size)
+							}
+							dst.Write(key, 0, data)
 							finishOne()
 						})
 					})
@@ -184,15 +192,12 @@ func (b *Backfiller) reconstructShard(pool *Pool, stripe string, rank int, old [
 		if r >= len(shards) || r == rank || o < 0 || o >= len(b.c.OSDs) || !b.c.OSDs[o].Up() {
 			continue
 		}
-		ms, ok := b.c.OSDs[o].Store.(*MemStore)
-		if !ok {
-			continue
-		}
+		st := b.c.OSDs[o].Store
 		key := StripeShard(stripe, r)
-		if ms.Size(key) == 0 {
+		if st.Size(key) == 0 {
 			continue
 		}
-		d, _ := ms.Read(key, 0, ms.Size(key))
+		d, _ := st.Read(key, 0, st.Size(key))
 		shards[r] = d
 		have++
 	}
@@ -211,42 +216,17 @@ func (b *Backfiller) findSource(key string, old []int, exclude int) int {
 		if o < 0 || o == exclude || o >= len(b.c.OSDs) || !b.c.OSDs[o].Up() {
 			continue
 		}
-		ms, ok := b.c.OSDs[o].Store.(*MemStore)
-		if !ok {
-			continue
-		}
-		if ms.Size(key) > 0 {
+		if b.c.OSDs[o].Store.Size(key) > 0 {
 			return o
 		}
 	}
 	return -1
 }
 
-// objectsByPG groups the pool's logical objects by placement group by
-// scanning the MemStores (EC shard keys collapse to stripes).
+// objectsByPG groups the pool's logical objects by placement group.
 func (b *Backfiller) objectsByPG(pool *Pool) map[uint32][]string {
-	seen := map[string]bool{}
-	for _, osd := range b.c.OSDs {
-		ms, ok := osd.Store.(*MemStore)
-		if !ok {
-			continue
-		}
-		for _, name := range ms.ObjectNames() {
-			if pool.Kind == ECPool {
-				if i := lastIndex(name, ".s"); i > 0 {
-					name = name[:i]
-				}
-			}
-			seen[name] = true
-		}
-	}
 	out := map[uint32][]string{}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range b.c.objectNames(pool) {
 		pg := b.c.PGOf(pool, stripeBase(n))
 		out[pg] = append(out[pg], n)
 	}

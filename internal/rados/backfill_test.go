@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/crush"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -178,4 +179,65 @@ func TestBackfillThrottleScalesTime(t *testing.T) {
 		t.Fatalf("1 stream (%v) not slower than 8 streams (%v)", narrow, wide)
 	}
 	_ = crush.WeightOne
+}
+
+// TestBackfillAnyStore: the backfiller finds, sizes and copies objects
+// through the ObjectStore interface, so the same writes backfill the same
+// objects and bytes, in the same virtual time, on a NullStore cluster as
+// on a MemStore one, and leave every object whole on its new acting set.
+func TestBackfillAnyStore(t *testing.T) {
+	run := func(newStore func() ObjectStore) BackfillReport {
+		eng := sim.NewEngine()
+		cfg := DefaultClusterConfig()
+		cfg.Profile.JitterFrac = 0
+		cfg.NewStore = newStore
+		c, err := NewCluster(eng, netsim.NewFabric(eng, 5*sim.Microsecond), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewClient(c, "client", 10e9, netsim.SoftwareStack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon := NewMonitor(c)
+		pool, _ := c.CreateReplicatedPool("p", 2, 64)
+		const objects = 40
+		for i := 0; i < objects; i++ {
+			if err := writeObj(eng, cl, pool, fmt.Sprintf("obj%03d", i), 0, make([]byte, 4096+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Fail the OSD holding the most objects (the first on a tie).
+		failed := 0
+		for id, o := range c.OSDs {
+			if o.Store.Objects() > c.OSDs[failed].Store.Objects() {
+				failed = id
+			}
+		}
+		before := mon.Reweights()
+		c.OSDs[failed].SetUp(false)
+		mon.MarkOut(failed)
+		rep, err := backfill(eng, NewBackfiller(c), pool, before, mon.Reweights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < objects; i++ {
+			name := fmt.Sprintf("obj%03d", i)
+			acting, _ := c.ActingSet(pool, c.PGOf(pool, name))
+			for _, o := range acting {
+				if got := c.OSDs[o].Store.Size(name); got != 4096+i {
+					t.Fatalf("%s on osd.%d has %d bytes after backfill, want %d", name, o, got, 4096+i)
+				}
+			}
+		}
+		return rep
+	}
+	mem := run(func() ObjectStore { return NewMemStore() })
+	null := run(func() ObjectStore { return NewNullStore() })
+	if mem.ObjectsMoved == 0 {
+		t.Fatalf("nothing moved on the MemStore cluster: %+v", mem)
+	}
+	if null != mem {
+		t.Fatalf("NullStore backfill %+v != MemStore backfill %+v", null, mem)
+	}
 }

@@ -218,5 +218,3 @@ func (cl *Client) splitActing(pool *Pool, obj string) ([]int, error) {
 	}
 	return c.actingIn(cl.place, pool, c.PGOf(pool, obj))
 }
-
-func zeroBytes(n int) []byte { return make([]byte, n) }

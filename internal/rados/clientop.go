@@ -312,7 +312,7 @@ func (t *target) submit() {
 	case kindWriteEC:
 		d := t.shard
 		if !o.cl.Functional {
-			d = zeroBytes(o.shardSize)
+			d = Zeros(o.shardSize)
 		}
 		osd.SubmitOpts(o.opts, OpWrite, t.key, 0, d, 0, t.onResult)
 	case kindReadEC:
@@ -670,7 +670,7 @@ func (o *op) readEC() {
 // recomputing it would be wasted work).
 func (o *op) assemble() ([]byte, error) {
 	if !o.cl.Functional {
-		return zeroBytes(o.n), nil
+		return Zeros(o.n), nil
 	}
 	if o.needDecode {
 		if err := o.pool.Code.ReconstructData(o.gathered); err != nil {
@@ -708,7 +708,7 @@ func (o *op) replicate() {
 				o.finish(nil, o.err)
 				return
 			}
-			o.finish(zeroBytes(o.n), nil)
+			o.finish(Zeros(o.n), nil)
 			return
 		}
 	}

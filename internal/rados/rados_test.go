@@ -377,3 +377,48 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Fatal("empty config accepted")
 	}
 }
+
+// TestTimingECOpAllocs bounds the allocations of a warm non-functional
+// erasure-coded write and read through the client. Their shard payloads
+// and the read's result are views of Zeros, so what remains is the shard
+// keys of the shards the op touches, six for the 4+2 write and four for
+// the read, at two allocations each (ShardKey's buffer and its string).
+func TestTimingECOpAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultClusterConfig()
+	cfg.NewStore = func() ObjectStore { return NewNullStore() }
+	c, err := NewCluster(eng, netsim.NewFabric(eng, 5*sim.Microsecond), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClient(c, "client", 10e9, netsim.SoftwareStack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Functional = false
+	pool, err := c.CreateECPool("ec", 4, 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64 << 10
+	onWrite := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	onRead := func(b []byte, err error) {
+		if err != nil || len(b) != n {
+			t.Fatalf("read %d bytes, err %v", len(b), err)
+		}
+	}
+	op := func() {
+		cl.WriteAsync(pool, "obj", 0, Zeros(n), ReqOpts{}, onWrite)
+		eng.Run()
+		cl.ReadAsync(pool, "obj", 0, n, ReqOpts{}, onRead)
+		eng.Run()
+	}
+	op()
+	if allocs := testing.AllocsPerRun(50, op); allocs > 20 {
+		t.Fatalf("warm timing-mode EC write+read allocated %.1f/op, want <= 20 (the shard keys)", allocs)
+	}
+}

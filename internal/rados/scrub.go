@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -53,7 +54,7 @@ func (r ScrubReport) Clean() bool { return len(r.Inconsistencies) == 0 }
 // the report.
 func (s *Scrubber) ScrubPool(pool *Pool, done func(ScrubReport, error)) {
 	rep := ScrubReport{Pool: pool.Name}
-	objs := s.objectsOf(pool)
+	objs := s.c.objectNames(pool)
 	scrub := s.scrubReplicated
 	if pool.Kind == ECPool {
 		scrub = s.scrubECStripe
@@ -99,40 +100,19 @@ func (s *Scrubber) pace(n int, access func(i int) error, done func(error)) {
 
 var errScrubStore = errors.New("rados: scrub requires MemStore clusters")
 
-// objectsOf enumerates logical object names for the pool by scanning OSD
-// stores. For EC pools, shard keys ("obj:off.sN") collapse to stripes.
-func (s *Scrubber) objectsOf(pool *Pool) []string {
+// objectNames lists the logical objects in the cluster's stores, sorted.
+// For EC pools, shard keys ("obj:off.sN") collapse to stripes.
+func (c *Cluster) objectNames(pool *Pool) []string {
 	seen := map[string]bool{}
-	for _, osd := range s.c.OSDs {
-		ms, ok := osd.Store.(*MemStore)
-		if !ok {
-			continue
-		}
-		for _, name := range ms.ObjectNames() {
-			if pool.Kind == ECPool {
-				// strip the ".sN" rank suffix
-				if i := lastIndex(name, ".s"); i > 0 {
-					name = name[:i]
-				}
+	for _, osd := range c.OSDs {
+		for _, name := range osd.Store.ObjectNames() {
+			if i := strings.LastIndex(name, ".s"); pool.Kind == ECPool && i > 0 {
+				name = name[:i]
 			}
 			seen[name] = true
 		}
 	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func lastIndex(s, sub string) int {
-	for i := len(s) - len(sub); i >= 0; i-- {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
+	return sortedKeys(seen)
 }
 
 type copyData struct {
@@ -275,7 +255,7 @@ func verifyStripe(pool *Pool, stripe string, shards [][]byte, osdOf []int) (*Inc
 // stripeBase strips the ":off" suffix of a stripe key to recover the
 // logical object name used for placement.
 func stripeBase(stripe string) string {
-	if i := lastIndex(stripe, ":"); i > 0 {
+	if i := strings.LastIndex(stripe, ":"); i > 0 {
 		return stripe[:i]
 	}
 	return stripe

@@ -32,24 +32,29 @@ type ObjectStore interface {
 	Write(obj string, off int, data []byte) error
 	// Read returns n bytes at offset off. Reading past the written extent
 	// returns zero bytes (objects are sparse, as in RADOS). The returned
-	// slice is read-only and only valid until the next Read on the same
-	// store — NullStore serves every read from one scratch buffer.
+	// slice is read-only: NullStore serves every read from Zeros.
 	Read(obj string, off, n int) ([]byte, error)
 	// Size returns the current object size in bytes (0 if absent).
 	Size(obj string) int
 	// Objects returns the number of stored objects.
 	Objects() int
+	// ObjectNames returns the stored object names, sorted.
+	ObjectNames() []string
 	// Delete removes an object; deleting an absent object is a no-op.
 	Delete(obj string)
 }
 
-// zeroPool backs Zeros. Nothing writes it after init, so parallel
-// experiment cells and shard workers share it without a lock.
-var zeroPool = make([]byte, 1<<20)
+// zeroPool backs Zeros. It holds a whole 4 MiB object, RBD's default
+// object size, so backfilling one allocates nothing. Nothing writes it,
+// so parallel experiment cells and shard workers share it without a lock;
+// as a package-level array it adds nothing to the GC heap, and a page of
+// it takes memory only once a reader touches it.
+var zeroPool [4 << 20]byte
 
-// Zeros returns an n-byte zero payload for the timing-only write paths
-// (the stores there only use its length). Up to 1 MiB it is a view of one
-// shared array and allocates nothing; beyond that it is a fresh slice.
+// Zeros returns an n-byte zero payload for the timing-only paths: write
+// payloads (the stores there only use their length), NullStore reads and
+// the non-functional client's read results. Up to 4 MiB it is a view of
+// one shared array and allocates nothing; beyond that it is a fresh slice.
 // Under the payload contract above, nobody writes to it.
 func Zeros(n int) []byte {
 	if n > len(zeroPool) {
@@ -107,10 +112,13 @@ func (s *MemStore) Objects() int { return len(s.objs) }
 // Delete implements ObjectStore.
 func (s *MemStore) Delete(obj string) { delete(s.objs, obj) }
 
-// ObjectNames returns the stored object names, sorted (testing aid).
-func (s *MemStore) ObjectNames() []string {
-	names := make([]string, 0, len(s.objs))
-	for n := range s.objs {
+// ObjectNames implements ObjectStore.
+func (s *MemStore) ObjectNames() []string { return sortedKeys(s.objs) }
+
+// sortedKeys returns a store map's object names, sorted.
+func sortedKeys[V any](objs map[string]V) []string {
+	names := make([]string, 0, len(objs))
+	for n := range objs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -121,10 +129,6 @@ func (s *MemStore) ObjectNames() []string {
 // use it so multi-gigabyte simulated workloads do not hold real memory.
 type NullStore struct {
 	sizes map[string]int
-	// scratch backs Read results. A NullStore's content is always zero, so
-	// every read can share one buffer: it is read-only for callers (like
-	// all Read results) and its bytes never change.
-	scratch []byte
 }
 
 // NewNullStore returns an empty metadata-only store.
@@ -143,16 +147,13 @@ func (s *NullStore) Write(obj string, off int, data []byte) error {
 	return nil
 }
 
-// Read implements ObjectStore. It returns zeroed bytes from a shared
-// per-store scratch buffer: allocation-free after the first large read.
+// Read implements ObjectStore. A NullStore's content is always zero, so
+// every read is a view of Zeros: read-only, like all Read results.
 func (s *NullStore) Read(obj string, off, n int) ([]byte, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("rados: bad read off=%d n=%d", off, n)
 	}
-	if n > len(s.scratch) {
-		s.scratch = make([]byte, n)
-	}
-	return s.scratch[:n], nil
+	return Zeros(n), nil
 }
 
 // Size implements ObjectStore.
@@ -160,6 +161,9 @@ func (s *NullStore) Size(obj string) int { return s.sizes[obj] }
 
 // Objects implements ObjectStore.
 func (s *NullStore) Objects() int { return len(s.sizes) }
+
+// ObjectNames implements ObjectStore.
+func (s *NullStore) ObjectNames() []string { return sortedKeys(s.sizes) }
 
 // Delete implements ObjectStore.
 func (s *NullStore) Delete(obj string) { delete(s.sizes, obj) }

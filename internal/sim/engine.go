@@ -10,8 +10,8 @@
 // in the modelled system (multiple CPU cores, queues, devices) is expressed
 // as interleaved event chains, not OS parallelism.
 //
-// For city-scale topologies an Engine can instead be one shard of a Shards
-// group (see shard.go): each shard runs its own event loop on its own
+// For a topology split into domains an Engine can instead be one shard of
+// a Shards group (see shard.go): each shard runs its own event loop on its own
 // worker, and cross-shard interactions travel as time-stamped messages under
 // conservative-lookahead barrier synchronization.
 package sim

@@ -46,7 +46,6 @@ type Shards struct {
 	outbox    [][]xmsg // per shard, owned by that shard's worker during a window
 	pending   []xmsg   // barrier merge scratch
 	running   bool
-	rr        int // round-robin cursor for AddDomain
 	// faults[sh] is the panic recovered from shard sh's last window, if
 	// any; only the worker running shard sh writes its slot.
 	faults []*shardPanic
@@ -98,30 +97,16 @@ func NewShards(n int, lookahead Duration) *Shards {
 	return s
 }
 
-// N returns the shard count.
-func (s *Shards) N() int { return len(s.engines) }
-
-// Lookahead returns the conservative lookahead bound.
-func (s *Shards) Lookahead() Duration { return s.lookahead }
-
-// AddDomain registers a domain, assigning it to a shard round-robin, and
-// returns its ID plus the engine it runs on. All of the domain's state must
-// live on that engine.
-func (s *Shards) AddDomain(name string) (DomainID, *Engine) {
-	shard := s.rr
-	s.rr = (s.rr + 1) % len(s.engines)
-	return s.AddDomainAt(name, shard)
-}
-
 // AddDomainAt registers a domain on an explicit shard (the "home shard"
 // idiom: clients and the card live on shard 0, OSD groups spread over the
-// rest).
+// rest) and returns its ID plus the engine it runs on. All of the domain's
+// state must live on that engine.
 func (s *Shards) AddDomainAt(name string, shard int) (DomainID, *Engine) {
 	if shard < 0 || shard >= len(s.engines) {
 		panic(fmt.Sprintf("sim: AddDomainAt shard %d out of range [0,%d)", shard, len(s.engines)))
 	}
 	if s.running {
-		panic("sim: AddDomain while running")
+		panic("sim: AddDomainAt while running")
 	}
 	id := DomainID(len(s.domains))
 	s.domains = append(s.domains, domainInfo{name: name, shard: int32(shard)})
@@ -130,9 +115,6 @@ func (s *Shards) AddDomainAt(name string, shard int) (DomainID, *Engine) {
 
 // Engine returns the shard engine domain d is pinned to.
 func (s *Shards) Engine(d DomainID) *Engine { return s.engines[s.domains[d].shard] }
-
-// Domains returns the number of registered domains.
-func (s *Shards) Domains() int { return len(s.domains) }
 
 // PostAt delivers fn to domain dst at absolute time at, as a cross-shard
 // event. It must be called from src's shard context (inside one of src's
@@ -155,12 +137,6 @@ func (s *Shards) PostAt(src, dst DomainID, at Time, fn func()) {
 	m := xmsg{at: at, src: src, seq: di.xseq, dstShard: s.domains[dst].shard, fn: fn}
 	di.xseq++
 	s.outbox[di.shard] = append(s.outbox[di.shard], m)
-}
-
-// Post delivers fn to domain dst after delay, which must be at least one
-// lookahead. See PostAt.
-func (s *Shards) Post(src, dst DomainID, delay Duration, fn func()) {
-	s.PostAt(src, dst, s.engines[s.domains[src].shard].now.Add(delay), fn)
 }
 
 // inject merges all buffered cross-shard messages in canonical order and

@@ -33,7 +33,7 @@ func newShardModel(nShards, nDomains int, seed uint64, msgsPerDomain int) *shard
 	sh := NewShards(nShards, testLookahead)
 	m := &shardModel{sh: sh}
 	for i := 0; i < nDomains; i++ {
-		id, eng := sh.AddDomain(fmt.Sprintf("dom%d", i))
+		id, eng := sh.AddDomainAt(fmt.Sprintf("dom%d", i), i%nShards)
 		d := &shardModelDomain{
 			m:    m,
 			id:   id,
@@ -71,7 +71,7 @@ func (d *shardModelDomain) tick() {
 	}
 	delay := testLookahead + Duration(d.rng.Intn(int(2*testLookahead)))
 	src := d.id
-	d.m.sh.Post(src, dst.id, delay, func() {
+	d.m.sh.PostAt(src, dst.id, d.eng.Now().Add(delay), func() {
 		dst.fold(uint64(dst.eng.Now())<<8 ^ uint64(src))
 		dst.tick()
 	})
@@ -168,7 +168,7 @@ func TestShardSoloMatchesPlainEngine(t *testing.T) {
 func TestShardStaleEventIDCancel(t *testing.T) {
 	sh := NewShards(2, testLookahead)
 	a, engA := sh.AddDomainAt("a", 0)
-	b, _ := sh.AddDomainAt("b", 1)
+	b, engB := sh.AddDomainAt("b", 1)
 
 	fired := 0
 	// Case 1 (stale): the timer fires at 2µs, long before the cancel bounces
@@ -177,8 +177,8 @@ func TestShardStaleEventIDCancel(t *testing.T) {
 	staleCancelled := true
 	engA.Schedule(0, func() {
 		staleID = engA.Schedule(2*Microsecond, func() { fired++ })
-		sh.Post(a, b, testLookahead, func() {
-			sh.Post(b, a, testLookahead, func() {
+		sh.PostAt(a, b, engA.Now().Add(testLookahead), func() {
+			sh.PostAt(b, a, engB.Now().Add(testLookahead), func() {
 				staleCancelled = engA.Cancel(staleID)
 			})
 		})
@@ -194,8 +194,8 @@ func TestShardStaleEventIDCancel(t *testing.T) {
 	liveCancelled := false
 	engA.Schedule(0, func() {
 		liveID := engA.Schedule(10*testLookahead, func() { fired += 100 })
-		sh.Post(a, b, testLookahead, func() {
-			sh.Post(b, a, testLookahead, func() {
+		sh.PostAt(a, b, engA.Now().Add(testLookahead), func() {
+			sh.PostAt(b, a, engB.Now().Add(testLookahead), func() {
 				liveCancelled = engA.Cancel(liveID)
 			})
 		})
@@ -221,10 +221,10 @@ func TestShardPostLookaheadPanics(t *testing.T) {
 	b, _ := sh.AddDomainAt("b", 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Post below the lookahead bound did not panic")
+			t.Fatal("PostAt below the lookahead bound did not panic")
 		}
 	}()
-	eng.Schedule(0, func() { sh.Post(a, b, testLookahead-1, func() {}) })
+	eng.Schedule(0, func() { sh.PostAt(a, b, eng.Now().Add(testLookahead-1), func() {}) })
 	sh.Run()
 }
 

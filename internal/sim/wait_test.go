@@ -84,6 +84,6 @@ func TestWaitDrainPanics(t *testing.T) {
 // TestWaitShardsPanics: a Shards engine cannot stop mid-window, so Wait
 // refuses it.
 func TestWaitShardsPanics(t *testing.T) {
-	_, e := NewShards(2, Microsecond).AddDomain("d")
+	_, e := NewShards(2, Microsecond).AddDomainAt("d", 0)
 	mustPanic(t, func() { e.Wait(func(wake func()) { wake() }) })
 }
