@@ -26,12 +26,12 @@ go build ./...
 
 # Race detector over every package, twice: at the host's default
 # GOMAXPROCS and at GOMAXPROCS=2, where the parallel experiment runner's
-# workers and the sharded engine's window workers really run at the same
-# time (the fault, cache, raft, tenant and trace sweeps fan hermetic cells
-# across workers; split-domain testbeds run host and OSD shards
-# concurrently; placement memos and interned names fill lazily). The
-# blanket runs cover every package's own tests, so no targeted race stage
-# can drift out of step with them. -count=1 defeats the test cache.
+# workers really run at the same time (the fault, cache, raft, tenant and
+# trace sweeps fan hermetic cells across workers; placement memos and
+# interned names fill lazily). A sharded engine runs its shards on the
+# caller's goroutine, so nothing else in the simulator runs concurrently.
+# The blanket runs cover every package's own tests, so no targeted race
+# stage can drift out of step with them. -count=1 defeats the test cache.
 echo "== go test -race =="
 go test -race -count=1 ./...
 echo "== go test -race (GOMAXPROCS=2) =="
@@ -79,11 +79,11 @@ if [ "${1:-}" != "-short" ]; then
     go test -run '^$' -bench . -benchtime=1x -benchmem ./...
 fi
 
-# One quick-scale report: every registry family run serially, at the
-# default parallelism and on 2-shard engines. It is the serial/parallel/
-# shards determinism gate (every family's three digests must match each
-# other and its golden pin) and the acceptance gate (every family's Check
-# must pass), so it runs under -short too. Outputs go to a scratch
+# One quick-scale report: every registry family run serially and at the
+# default parallelism. It is the serial/parallel determinism gate (every
+# family's two digests must match each other and its golden pin) and the
+# acceptance gate (every family's Check must pass), so it runs under -short
+# too. Outputs go to a scratch
 # directory: CI rewrites no tracked file.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	delibabench [-quick] [-parallel n] [-shards n] [-only fig3,fig6,tab2,...]
+//	delibabench [-quick] [-parallel n] [-only fig3,fig6,tab2,...]
 //	delibabench [-quick] [-only ...] -report report.json
 //	delibabench -quick -trace trace.json [-tracesample 8]
 //
@@ -17,26 +17,19 @@
 // sweep cells out to (default: GOMAXPROCS). Results are bit-identical at
 // any setting; only wall-clock changes.
 //
-// -shards sets the simulation engine's shard count: testbeds are built on a
-// sharded engine group whose per-domain event loops run in parallel under
-// conservative-lookahead synchronization. Results are bit-identical at any
-// setting (the determinism property the sharded engine guarantees). The
-// classic testbeds are one domain each, and the `scale` and `tenant` fleet
-// cells run on one plain engine, so the setting does not speed them up.
-//
-// -report runs each selected family three times — serially, at -parallel
-// workers, and on 2-shard engines — and writes one delibabench/report-v1
-// JSON file: the host (go version, CPUs, GOMAXPROCS, parallelism), and per
-// family the three digests and wall-clocks, the golden pin (at -quick
-// scale), the family's acceptance check, its tables, and its probe cell's
-// stage latencies and resilience counters. It exits non-zero if any
-// family's digests differ, miss their golden pin, or fail its check.
+// -report runs each selected family twice — serially and at -parallel
+// workers — and writes one delibabench/report-v1 JSON file: the host (go
+// version, CPUs, GOMAXPROCS, parallelism), and per family the two digests
+// and wall-clocks, the golden pin (at -quick scale), the family's
+// acceptance check, its tables, and its probe cell's stage latencies and
+// resilience counters. It exits non-zero if any family's digests differ,
+// miss their golden pin, or fail its check.
 //
 // -trace runs the per-I/O span-tracing sweep (healthy Fig. 3 cells sampled
 // every -tracesample'th op, fault cells traced exhaustively) and writes one
 // Chrome/Perfetto-loadable trace_event JSON file with per-cell tail
 // exemplars and critical-path attribution. The file is byte-identical at
-// any -parallel/-shards setting. Inspect it with `dfxtool trace`.
+// any -parallel setting. Inspect it with `dfxtool trace`.
 //
 // To profile one stack composition, use `deliba-fio -stack <spec> -profile`.
 package main
@@ -54,14 +47,12 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced-scale experiments")
 	only := flag.String("only", "", "comma-separated experiment family ids (default: all)")
 	par := flag.Int("parallel", 0, "experiment runner workers (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "simulation engine shards (results identical at any setting)")
 	reportPath := flag.String("report", "", "write the determinism, check and table report to this JSON path")
 	tracePath := flag.String("trace", "", "run the per-I/O trace sweep and write a Perfetto trace_event file to this path")
 	traceSample := flag.Int("tracesample", experiments.DefaultTraceSample, "trace every Nth op on healthy cells (fault cells always trace every op)")
 	flag.Parse()
 
 	experiments.SetParallelism(*par)
-	experiments.SetShards(*shards)
 	cfg := experiments.Full()
 	if *quick {
 		cfg = experiments.Quick()

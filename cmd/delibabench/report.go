@@ -41,7 +41,6 @@ type familyReport struct {
 type digestReport struct {
 	Serial   string `json:"serial"`
 	Parallel string `json:"parallel"`
-	Shards2  string `json:"shards2"`
 	Equal    bool   `json:"equal"`
 	// Golden is the family's pin; it applies at quick scale only.
 	Golden string `json:"golden,omitempty"`
@@ -52,15 +51,15 @@ type checkReport struct {
 	Message string `json:"message,omitempty"`
 }
 
-// leg is one of the three runs every family gets in the report.
+// leg is one of the two runs every family gets in the report.
 type leg struct {
-	name            string
-	workers, shards int
+	name    string
+	workers int
 }
 
-// writeReport runs each family serially, at the configured parallelism and
-// on 2-shard engines, writes the report to path, and fails if any family's
-// digests differ or miss their pin, or its check fails.
+// writeReport runs each family serially and at the configured parallelism,
+// writes the report to path, and fails if any family's digests differ or
+// miss their pin, or its check fails.
 func writeReport(path string, cfg experiments.Config, fams []experiments.Family) error {
 	quick := cfg == experiments.Quick()
 	rep := report{
@@ -76,7 +75,7 @@ func writeReport(path string, cfg experiments.Config, fams []experiments.Family)
 	if quick {
 		rep.Scale = "quick"
 	}
-	legs := []leg{{"serial", 1, 1}, {"parallel", rep.Host.Parallelism, 1}, {"shards2", 1, 2}}
+	legs := []leg{{"serial", 1}, {"parallel", rep.Host.Parallelism}}
 	var failures []error
 	for _, fam := range fams {
 		fr := familyReport{Name: fam.Name, WallMs: map[string]float64{}}
@@ -94,12 +93,11 @@ func writeReport(path string, cfg experiments.Config, fams []experiments.Family)
 			d := &digestReport{
 				Serial:   fmt.Sprintf("%016x", outs[0].Digest),
 				Parallel: fmt.Sprintf("%016x", outs[1].Digest),
-				Shards2:  fmt.Sprintf("%016x", outs[2].Digest),
-				Equal:    outs[0].Digest == outs[1].Digest && outs[0].Digest == outs[2].Digest,
+				Equal:    outs[0].Digest == outs[1].Digest,
 			}
 			if !d.Equal {
-				failures = append(failures, fmt.Errorf("%s: digests differ: serial %s, parallel %s, shards2 %s",
-					fam.Name, d.Serial, d.Parallel, d.Shards2))
+				failures = append(failures, fmt.Errorf("%s: digests differ: serial %s, parallel %s",
+					fam.Name, d.Serial, d.Parallel))
 			}
 			if quick {
 				d.Golden = fmt.Sprintf("%016x", fam.Golden)
@@ -123,8 +121,8 @@ func writeReport(path string, cfg experiments.Config, fams []experiments.Family)
 		if len(probe.Stages) > 0 {
 			fr.Probe = &probe
 		}
-		fmt.Printf("%-10s serial %9.1f ms  parallel %9.1f ms  shards2 %9.1f ms%s\n", fam.Name,
-			fr.WallMs["serial"], fr.WallMs["parallel"], fr.WallMs["shards2"], summary(fr))
+		fmt.Printf("%-10s serial %9.1f ms  parallel %9.1f ms%s\n", fam.Name,
+			fr.WallMs["serial"], fr.WallMs["parallel"], summary(fr))
 		rep.Families = append(rep.Families, fr)
 	}
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -138,14 +136,10 @@ func writeReport(path string, cfg experiments.Config, fams []experiments.Family)
 	return errors.Join(failures...)
 }
 
-// timedRun runs one family leg, restoring the runner settings afterwards.
+// timedRun runs one family leg, restoring the runner's worker count
+// afterwards.
 func timedRun(fam experiments.Family, cfg experiments.Config, l leg) (experiments.Outcome, time.Duration, error) {
-	prevWorkers := experiments.SetParallelism(l.workers)
-	prevShards := experiments.SetShards(l.shards)
-	defer func() {
-		experiments.SetParallelism(prevWorkers)
-		experiments.SetShards(prevShards)
-	}()
+	defer experiments.SetParallelism(experiments.SetParallelism(l.workers))
 	start := time.Now()
 	out, err := fam.Run(cfg)
 	return out, time.Since(start), err

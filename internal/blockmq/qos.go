@@ -9,7 +9,7 @@ import (
 // a hog tenant's backlog is shaped *before* it can monopolize hardware tags
 // and the card. Both schedulers are pure functions of (virtual time, arrival
 // order): no wall clock, no map-order iteration in any ordering decision, so
-// a (seed, workload) pair replays bit-identically under -parallel/-shards.
+// a (seed, workload) pair replays bit-identically under -parallel.
 
 // ThrottledScheduler extends Scheduler for elevators that can hold staged
 // requests until a future virtual instant (token refill, tag maturity).

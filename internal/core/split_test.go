@@ -139,6 +139,11 @@ func TestSplitDomainsShardSpread(t *testing.T) {
 // resilience layer all drive cluster state from the host domain.
 func TestSplitDomainsRejects(t *testing.T) {
 	cfg := DefaultTestbedConfig()
+	cfg.Shards = 2
+	if _, err := NewTestbed(cfg); err == nil || !strings.Contains(err.Error(), "needs SplitDomains") {
+		t.Errorf("Shards without SplitDomains: %v", err)
+	}
+	cfg.Shards = 0
 	cfg.SplitDomains = true
 	if _, err := NewTestbed(cfg); err == nil || !strings.Contains(err.Error(), "Shards >= 2") {
 		t.Errorf("SplitDomains without shards: %v", err)
@@ -175,11 +180,9 @@ func TestSplitDomainsRejects(t *testing.T) {
 // TestSplitDomainOpAllocs pins the steady state of warm DK-SW ops on the
 // split-domain testbed, where each op's request and reply legs cross
 // shards as fabric deliveries merged at window barriers: an idle Eng.Run
-// allocates nothing (AllocsPerRun measures at GOMAXPROCS 1, where the
-// barrier loop runs serially and starts no workers), and with the
-// caller's callback bound once, a batch of QD1 ops run by one Eng.Run
-// allocates no more than that — no delivery record, no barrier sort
-// closure.
+// allocates nothing, and with the caller's callback bound once, a batch of
+// QD1 ops run by one Eng.Run allocates no more than that — no delivery
+// record, no barrier sort closure.
 func TestSplitDomainOpAllocs(t *testing.T) {
 	tb, st := buildSpec(t, splitConfig(), "deliba-k-sw")
 	const batch = 100

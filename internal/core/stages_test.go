@@ -115,9 +115,9 @@ func splitStagesFingerprint(t *testing.T, seed uint64) ([]trace.Stage, string) {
 // TestSpanStagesSplitDomains pins the stage summary on a split-domain
 // testbed: host-domain stages and the OSD-node domains' osd-service spans
 // land in one summary, every histogram is sane, and the whole summary
-// replays bit-identically. Run under -race this also pins the cross-shard
-// record path: host and OSD shard workers feed their own sinks, which the
-// summary reads after the drain.
+// replays bit-identically. It also pins the cross-shard record path: the
+// host and OSD-node domains record into their own sinks, which the summary
+// reads after the drain.
 func TestSpanStagesSplitDomains(t *testing.T) {
 	stages, fp1 := splitStagesFingerprint(t, 7)
 	st := stageHists(stages)

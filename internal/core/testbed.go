@@ -48,11 +48,8 @@ type TestbedConfig struct {
 	// when a repl-raft spec is built.
 	Raft raft.Config
 
-	// Shards > 1 runs the testbed inside a sharded engine group: the whole
-	// classic testbed is one topology domain on the group's home shard, so
-	// event order — and therefore every digest — is byte-identical to the
-	// plain engine, and the remaining shards stay idle. 0 or 1 builds a
-	// plain engine.
+	// Shards is the shard count of a SplitDomains testbed. Without
+	// SplitDomains it must be 0 or 1: the testbed runs on one plain engine.
 	Shards int
 	// SplitDomains partitions the classic testbed itself over the shard
 	// group: the client host — rings, kernel layers and the LSVD cache
@@ -66,8 +63,8 @@ type TestbedConfig struct {
 	// single-domain testbed — the replication protocol becomes
 	// arrival-driven, including the inter-node replica legs — but the
 	// canonical (time, domain, sequence) merge makes every run replay
-	// bit-identically for any worker count AND any shard count >= 2: the
-	// domain list depends only on Nodes, never on where the domains land.
+	// bit-identically for any shard count >= 2: the domain list depends
+	// only on Nodes, never on where the domains land.
 	SplitDomains bool
 }
 
@@ -95,8 +92,8 @@ func DefaultTestbedConfig() TestbedConfig {
 // determinism).
 type Testbed struct {
 	Eng *sim.Engine
-	// Shards is the engine group when Cfg.Shards > 1 (nil otherwise); Eng is
-	// then the home-shard engine and Eng.Run delegates to the group.
+	// Shards is the engine group of a SplitDomains testbed (nil otherwise);
+	// Eng is then the host-domain engine and Eng.Run drives the group.
 	Shards  *sim.Shards
 	Cfg     TestbedConfig
 	CM      CostModel
@@ -191,8 +188,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 				fmt.Sprintf("osd-node%d", n), 1+n%(cfg.Shards-1))
 		}
 	case cfg.Shards > 1:
-		group = sim.NewShards(cfg.Shards, cfg.CM.Propagation)
-		_, eng = group.AddDomainAt("testbed", 0)
+		return nil, fmt.Errorf("core: Shards = %d needs SplitDomains (a testbed without domains runs on one engine)", cfg.Shards)
 	default:
 		eng = sim.NewEngine()
 	}

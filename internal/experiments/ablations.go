@@ -45,7 +45,7 @@ func (a *AblationResult) Table() *metrics.Table {
 // mechanism under ablation is visible rather than hidden by queueing).
 func runDKVariant(cfg Config, mutate func(*core.StackSpec)) (kiops float64, lat sim.Duration, err error) {
 	run := func(qd, jobs, ops int) (*fio.Result, error) {
-		tcfg := testbedConfig()
+		tcfg := core.DefaultTestbedConfig()
 		tcfg.Jitter = false
 		tb, err := core.NewTestbed(tcfg)
 		if err != nil {
@@ -205,7 +205,7 @@ const powerCycleTime = 90 * sim.Second
 // while the static region stays up, and contrasts with the full-reload
 // alternative.
 func DFX() (*DFXResult, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +227,6 @@ func DFX() (*DFXResult, error) {
 	}
 	// Live swap exercise: uniform → list → tree, as a cluster shrinks and
 	// grows.
-	// An event chain, not a sequential driver: the testbed may be sharded.
 	kernels := []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree}
 	var swap func(i int)
 	swap = func(i int) {

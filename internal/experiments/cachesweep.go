@@ -16,8 +16,8 @@ import (
 // each at several cache sizes against the direct path) and a deterministic
 // crash-recovery scenario that power-fails the cache mid-stream and audits
 // the replayed log for lost acknowledged writes. Both route through
-// RunCells, so the family is digest-stable under -parallel and -shards
-// like every other sweep in the package.
+// RunCells, so the family is digest-stable under -parallel like every
+// other sweep in the package.
 
 // cacheWorkload is one row of the hit-rate grid.
 type cacheWorkload struct {
@@ -160,7 +160,7 @@ func CacheSweep(cfg Config) (*CacheSweepResult, error) {
 // every tail miss displace hot windows; the reuse gate admits only windows
 // the ghost set has seen twice.
 func runCacheAdmitCell(cfg Config, base string, admit bool) (CacheAdmitPoint, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return CacheAdmitPoint{}, err
 	}
@@ -217,7 +217,7 @@ func cacheSpec(base string, mb int) string {
 }
 
 func runCacheCell(cfg Config, base string, wl cacheWorkload, mb int) (CachePoint, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return CachePoint{}, err
 	}
@@ -272,7 +272,7 @@ const (
 )
 
 func runCacheRecoveryCell(cfg Config, base string, seed uint64) (CacheRecoveryPoint, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return CacheRecoveryPoint{}, err
 	}

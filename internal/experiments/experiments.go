@@ -89,7 +89,7 @@ func buildNamed(tb *core.Testbed, name string, ec bool) (core.Stack, error) {
 
 // runPoint builds a fresh testbed+stack and runs one fio spec on it.
 func runPoint(cfg Config, name string, ec bool, wl Workload, bs, qd, ops int) (Point, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return Point{}, err
 	}
@@ -128,7 +128,7 @@ func runPoint(cfg Config, name string, ec bool, wl Workload, bs, qd, ops int) (P
 
 // runLatency measures QD1, single-job latency for one cell.
 func runLatency(cfg Config, name string, ec bool, wl Workload, bs int) (Point, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return Point{}, err
 	}

@@ -118,7 +118,7 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 // runFaultCell measures one cell: resilient testbed, armed injector, one
 // mixed random workload. I/O errors are folded into availability.
 func runFaultCell(cfg Config, name string, plan faultPlan) (FaultCell, error) {
-	tcfg := testbedConfig()
+	tcfg := core.DefaultTestbedConfig()
 	tcfg.Resilience = core.DefaultResilienceConfig()
 	tcfg.Resilience.Seed = cfg.Seed
 	tb, err := core.NewTestbed(tcfg)

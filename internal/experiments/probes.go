@@ -57,7 +57,7 @@ func FamilyProbe(cfg Config, name string) (FamilyProbeResult, error) {
 		return FamilyProbeResult{}, err
 	}
 	raft := sp.Replication == core.ReplRaft
-	tcfg := testbedConfig()
+	tcfg := core.DefaultTestbedConfig()
 	if raft {
 		tcfg = raftTestbedConfig(cfg)
 	} else if p.fault != "" {

@@ -104,7 +104,7 @@ var raftReplAxis = []core.ReplKind{core.ReplPrimary, core.ReplRaft}
 // so a stalled primary-copy write fails within the outage instead of
 // riding it out, which is exactly the availability loss being measured.
 func raftTestbedConfig(cfg Config) core.TestbedConfig {
-	tcfg := testbedConfig()
+	tcfg := core.DefaultTestbedConfig()
 	tcfg.Nodes = 3
 	tcfg.OSDsPerNode = 4
 	tcfg.ReplicaSize = 3

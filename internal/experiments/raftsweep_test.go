@@ -24,8 +24,8 @@ func raftSweepSerialRef(cfg Config) (*RaftSweepResult, error) {
 }
 
 // TestRaftSweepDigestInvariantAcrossParallelism proves the replication
-// head-to-head is bit-identical run serially, with 1 and 4 workers, and on
-// 8-shard testbeds — elections, redirects and stall windows included.
+// head-to-head is bit-identical run serially and with 1 and 4 workers —
+// elections, redirects and stall windows included.
 func TestRaftSweepDigestInvariantAcrossParallelism(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		cfg := determinismConfig(seed)
@@ -46,15 +46,6 @@ func TestRaftSweepDigestInvariantAcrossParallelism(t *testing.T) {
 				}
 			})
 		}
-		withShards(t, 8, func() {
-			got, err := RaftSweep(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := got.Digest(); d != want {
-				t.Errorf("seed %d, 8 shards: digest %#x != serial reference %#x", seed, d, want)
-			}
-		})
 	}
 }
 

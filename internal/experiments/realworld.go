@@ -58,7 +58,7 @@ func (r *RealWorldResult) Digest() uint64 {
 }
 
 func runTask(cfg Config, name string, spec fio.JobSpec) (sim.Duration, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return 0, err
 	}

@@ -8,8 +8,8 @@ import (
 
 // This file is the family registry: the one list of the evaluation's
 // experiment families. cmd/delibabench prints and reports from it, the
-// golden test pins its digests, and the shard, parallelism and probe tests
-// look families up in it, so adding a family is one entry here.
+// golden test pins its digests, and the parallelism and probe tests look
+// families up in it, so adding a family is one entry here.
 
 // Family is one experiment family: the unit delibabench prints (its -only
 // id), reports, and gates.
@@ -29,7 +29,7 @@ type Family struct {
 type Outcome struct {
 	Tables []*metrics.Table
 	// Digest folds the run's simulated observables into an FNV-1a hash. It
-	// is the oracle for byte-identical results across -parallel and -shards
+	// is the oracle for byte-identical results across -parallel settings
 	// and is valid only when Digested is set.
 	Digest   uint64
 	Digested bool

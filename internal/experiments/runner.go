@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // This file is the deterministic parallel experiment runner. Every sweep in
@@ -41,42 +39,6 @@ func SetParallelism(n int) int {
 	}
 	parallelism.Store(int32(n))
 	return prev
-}
-
-// shards holds the configured engine shard count; <= 1 means a plain
-// single-loop engine per cell.
-var shardCount atomic.Int32
-
-// Shards returns the engine shard count cells are built with.
-func Shards() int {
-	if n := shardCount.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
-
-// SetShards sets the engine shard count for subsequently built testbeds and
-// returns the previous setting. Classic testbeds are a single topology
-// domain, so results are byte-identical at any shard count; the fleet cells
-// of the scale and tenant families run on one plain engine regardless.
-func SetShards(n int) int {
-	prev := int(shardCount.Load())
-	if n < 1 {
-		n = 1
-	}
-	shardCount.Store(int32(n))
-	if prev < 1 {
-		prev = 1
-	}
-	return prev
-}
-
-// testbedConfig is DefaultTestbedConfig with the runner's shard setting
-// applied — the one constructor every sweep in the package goes through.
-func testbedConfig() core.TestbedConfig {
-	cfg := core.DefaultTestbedConfig()
-	cfg.Shards = Shards()
-	return cfg
 }
 
 // RunCells executes n independent experiment cells and returns their

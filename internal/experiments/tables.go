@@ -121,7 +121,7 @@ func rsEncodeOp() (func(int) error, error) {
 // modelHWExec simulates one end-to-end kernel invocation: H2C of a 4 kB
 // operand through QDMA, the kernel FSM, and the C2H result writeback.
 func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return 0, err
 	}
@@ -134,7 +134,6 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	// An event chain, not a sequential driver: the testbed may be sharded.
 	eng := tb.Eng
 	var end sim.Time
 	c2h := func() { // C2H result + completion
@@ -277,7 +276,7 @@ func (r *Table2Result) Tables() []*metrics.Table {
 
 // Table3 renders the resource-utilisation report from the FPGA model.
 func Table3() ([]*metrics.Table, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +333,7 @@ type PowerResult struct {
 // Power measures both design variants under load.
 func Power() (*PowerResult, error) {
 	buildAndMeasure := func(staticOnly bool) (float64, error) {
-		tb, err := core.NewTestbed(testbedConfig())
+		tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 		if err != nil {
 			return 0, err
 		}

@@ -156,7 +156,7 @@ func TenantSweep(cfg Config) (*TenantSweepResult, error) {
 // runTenantCell measures one (QoS, scenario) cell on the classic testbed
 // with the full DeLiBA-K hardware stack.
 func runTenantCell(cfg Config, qos core.QoSKind, scenario string) (TenantCell, error) {
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		return TenantCell{}, err
 	}
@@ -275,7 +275,7 @@ func (r *TenantSweepResult) Check(full bool) error {
 }
 
 // Digest folds both grids into an FNV-1a hash — the oracle for the
-// serial-vs-parallel and serial-vs-sharded reproducibility properties.
+// serial-vs-parallel reproducibility property.
 func (r *TenantSweepResult) Digest() uint64 {
 	h := fnv.New64a()
 	for _, c := range r.Cells {

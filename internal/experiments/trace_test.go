@@ -25,8 +25,8 @@ func encodeSweep(t *testing.T) []byte {
 }
 
 // TestTraceSweepDeterminism is the tentpole's replay invariant: the
-// encoded trace file must be byte-identical whether cells run serially,
-// fanned out over 4 workers, or on an 8-shard engine.
+// encoded trace file must be byte-identical whether cells run serially or
+// fanned out over 4 workers.
 func TestTraceSweepDeterminism(t *testing.T) {
 	serial := func() []byte {
 		prev := SetParallelism(1)
@@ -41,17 +41,6 @@ func TestTraceSweepDeterminism(t *testing.T) {
 	}()
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("trace file differs between serial and -parallel 4 runs (%d vs %d bytes)", len(serial), len(parallel))
-	}
-
-	sharded := func() []byte {
-		prevP := SetParallelism(1)
-		defer SetParallelism(prevP)
-		prevS := SetShards(8)
-		defer SetShards(prevS)
-		return encodeSweep(t)
-	}()
-	if !bytes.Equal(serial, sharded) {
-		t.Fatalf("trace file differs between 1-shard and 8-shard runs (%d vs %d bytes)", len(serial), len(sharded))
 	}
 }
 
@@ -170,7 +159,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 // tracing may not perturb the simulation by a single event.
 func perturbFingerprint(t *testing.T, spec string, traced bool) string {
 	t.Helper()
-	tb, err := core.NewTestbed(testbedConfig())
+	tb, err := core.NewTestbed(core.DefaultTestbedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

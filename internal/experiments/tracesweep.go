@@ -22,8 +22,8 @@ import (
 // retries, failovers and degraded reads always carry their cause chains.
 // Every trace ID derives from the cell salt and the op's seeded submit
 // sequence, never wall clock, so the sweep's encoded bytes are the
-// determinism oracle: serial, -parallel and -shards runs must produce the
-// identical file.
+// determinism oracle: serial and -parallel runs must produce the identical
+// file.
 
 // DefaultTraceSample is the every-Nth root-op sampling used for healthy
 // cells; fault cells always run with SampleEvery=1.
@@ -105,8 +105,8 @@ func traceCells(sample int) []traceCell {
 }
 
 // TraceSweep runs the traced grid through the parallel runner. Cells are
-// hermetic (fresh testbed, tracer and injector each), so worker count and
-// engine shard count cannot perturb the recorded spans.
+// hermetic (fresh testbed, tracer and injector each), so the worker count
+// cannot perturb the recorded spans.
 func TraceSweep(cfg Config, sample int) (*TraceSweepResult, error) {
 	cells := traceCells(sample)
 	out, err := RunCells(len(cells), func(i int) (*trace.Result, error) {
@@ -123,7 +123,7 @@ func TraceSweep(cfg Config, sample int) (*TraceSweepResult, error) {
 // its sink, optional armed injector, one fio run, then Finalize after the
 // run has drained.
 func runTraceCell(cfg Config, c traceCell) (*trace.Result, error) {
-	tcfg := testbedConfig()
+	tcfg := core.DefaultTestbedConfig()
 	if c.plan != nil {
 		tcfg.Resilience = core.DefaultResilienceConfig()
 		tcfg.Resilience.Seed = cfg.Seed
@@ -172,7 +172,7 @@ func (r *TraceSweepResult) Encode(w io.Writer) error {
 }
 
 // Digest hashes the encoded trace bytes — the oracle for byte-identical
-// traces across serial, -parallel and -shards runs.
+// traces across serial and -parallel runs.
 func (r *TraceSweepResult) Digest() uint64 {
 	h := fnv.New64a()
 	if err := r.Encode(h); err != nil {

@@ -382,7 +382,7 @@ func TestClusterConfigValidation(t *testing.T) {
 // erasure-coded write and read through the client. Their shard payloads
 // and the read's result are views of Zeros, so what remains is the shard
 // keys of the shards the op touches, six for the 4+2 write and four for
-// the read, at two allocations each (ShardKey's buffer and its string).
+// the read, at one string allocation each.
 func TestTimingECOpAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultClusterConfig()
@@ -418,7 +418,7 @@ func TestTimingECOpAllocs(t *testing.T) {
 		eng.Run()
 	}
 	op()
-	if allocs := testing.AllocsPerRun(50, op); allocs > 20 {
-		t.Fatalf("warm timing-mode EC write+read allocated %.1f/op, want <= 20 (the shard keys)", allocs)
+	if allocs := testing.AllocsPerRun(50, op); allocs > 10 {
+		t.Fatalf("warm timing-mode EC write+read allocated %.1f/op, want <= 10 (the shard keys)", allocs)
 	}
 }

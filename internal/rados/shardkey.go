@@ -7,8 +7,9 @@ import "strconv"
 // ("<obj>:<off>") append only the ".s<rank>" suffix. These builders replace
 // the fmt.Sprintf calls that used to sit on the shard fan-out paths: the
 // Append variants write into a caller-provided buffer and allocate nothing
-// when it has capacity, and the string variants cost exactly one string
-// allocation.
+// when it has capacity, and the string variants build the key in a stack
+// array and cost exactly one string allocation (a key longer than
+// shardKeyStack bytes grows onto the heap first).
 
 // AppendShardKey appends "<obj>:<off>.s<rank>" to buf and returns the
 // extended slice.
@@ -31,14 +32,20 @@ func appendRank(buf []byte, rank int) []byte {
 	return strconv.AppendInt(buf, int64(rank), 10)
 }
 
+// shardKeyStack is the key length ShardKey and StripeShard build without a
+// heap buffer.
+const shardKeyStack = 64
+
 // ShardKey returns the shard object name for rank of the EC stripe written
 // at (obj, off).
 func ShardKey(obj string, off, rank int) string {
-	return string(AppendShardKey(make([]byte, 0, len(obj)+20), obj, off, rank))
+	var buf [shardKeyStack]byte
+	return string(AppendShardKey(buf[:0], obj, off, rank))
 }
 
 // StripeShard returns the shard object name for rank of an existing stripe
 // key.
 func StripeShard(stripe string, rank int) string {
-	return string(AppendStripeShard(make([]byte, 0, len(stripe)+8), stripe, rank))
+	var buf [shardKeyStack]byte
+	return string(AppendStripeShard(buf[:0], stripe, rank))
 }

@@ -46,7 +46,7 @@ type ObjectStore interface {
 
 // zeroPool backs Zeros. It holds a whole 4 MiB object, RBD's default
 // object size, so backfilling one allocates nothing. Nothing writes it,
-// so parallel experiment cells and shard workers share it without a lock;
+// so parallel experiment cells share it without a lock;
 // as a package-level array it adds nothing to the GC heap, and a page of
 // it takes memory only once a reader touches it.
 var zeroPool [4 << 20]byte

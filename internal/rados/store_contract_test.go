@@ -77,7 +77,7 @@ func TestShardKeyBuilders(t *testing.T) {
 
 // TestZerosBeyondPoolRaceFree: a payload above the shared pool is a fresh
 // slice and the pool never changes, so writers on parallel experiment
-// cells and shard workers share no mutable state (checked under -race);
+// cells share no mutable state (checked under -race);
 // within the pool, Zeros allocates nothing.
 func TestZerosBeyondPoolRaceFree(t *testing.T) {
 	pool := len(zeroPool)

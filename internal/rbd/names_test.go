@@ -41,8 +41,7 @@ func TestObjectNameInternedAllocs(t *testing.T) {
 }
 
 // TestObjectNameConcurrentFill: one image named from several goroutines at
-// once (shard workers sharing a testbed image) fills its table without a
-// race and hands every caller the same name.
+// once fills its table without a race and hands every caller the same name.
 func TestObjectNameConcurrentFill(t *testing.T) {
 	_, _, _, pool := newStack(t)
 	im, _ := NewImage("vol", 64<<20, 1<<20, pool)

@@ -37,8 +37,8 @@ type Image struct {
 
 // nameTable is an image's lazily built object-name table. The table is
 // allocated on the first in-range lookup and each slot is filled on first
-// use; slots are atomic so one image can be mapped from several shard
-// workers at once (racing fills store equal strings, either may win).
+// use; slots are atomic so one image can be named from several goroutines
+// at once (racing fills store equal strings, either may win).
 type nameTable struct {
 	once  sync.Once
 	slots []atomic.Pointer[string]

@@ -11,8 +11,9 @@
 // as interleaved event chains, not OS parallelism.
 //
 // For a topology split into domains an Engine can instead be one shard of
-// a Shards group (see shard.go): each shard runs its own event loop on its own
-// worker, and cross-shard interactions travel as time-stamped messages under
+// a Shards group (see shard.go): each shard has its own event queue, the
+// group runs the shards window by window on the caller's goroutine, and
+// cross-shard interactions travel as time-stamped messages under
 // conservative-lookahead barrier synchronization.
 package sim
 
@@ -197,10 +198,9 @@ type Engine struct {
 	stopped  bool
 	executed uint64 // events dispatched (stats)
 
-	// group/shard link this engine to a Shards front end; nil for a plain
+	// group links this engine to a Shards front end; nil for a plain
 	// single-loop engine.
 	group *Shards
-	shard int
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -344,9 +344,8 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // (or at the deadline if it advanced past all events).
 //
 // On an engine that belongs to a Shards group, RunUntil drives the whole
-// group: every shard's loop runs (in parallel where cores allow) under the
-// group's barrier protocol, and RunUntil returns when all shards have
-// drained up to the deadline.
+// group: every shard's loop runs under the group's barrier protocol, and
+// RunUntil returns when all shards have drained up to the deadline.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if g := e.group; g != nil {
 		g.runUntil(deadline)

@@ -3,11 +3,9 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -26,29 +24,28 @@ type DomainID int32
 // synchronization: because every cross-domain message is delivered at least
 // one lookahead after it is sent (the minimum link latency of the modelled
 // network), all events inside the window [W, W+L) are causally independent
-// across shards and may run in parallel. At each window barrier the
-// accumulated cross-shard messages are merged in the canonical
+// across shards. The group runs each shard's window in turn, in shard order,
+// on the caller's goroutine. At each window barrier the accumulated
+// cross-shard messages are merged in the canonical
 // (time, source domain, source sequence) order and injected into their
 // destination shards.
 //
 // Determinism: a (seed, topology) pair replays bit-identically for any shard
-// count and any worker count. Within a shard, events run in strict
-// (time, seq) order as always; the canonical merge fixes the relative order
-// of cross-shard arrivals independently of which shard ran first, and window
-// boundaries are derived from the global event horizon, which is itself
-// invariant. The same enumeration-order discipline the experiment runner
-// uses (assemble in canonical order, never completion order) applies here at
-// every barrier.
+// count. Within a shard, events run in strict (time, seq) order as always;
+// the canonical merge fixes the relative order of cross-shard arrivals
+// independently of which shard posted first, and window boundaries are
+// derived from the global event horizon, which is itself invariant. The same
+// enumeration-order discipline the experiment runner uses (assemble in
+// canonical order, never completion order) applies here at every barrier. A
+// model that touched another domain's state directly, outside PostAt, would
+// see it at a point that depends on shard placement, so its digest would
+// change with the shard count.
 type Shards struct {
 	lookahead Duration
 	engines   []*Engine
 	domains   []domainInfo
-	outbox    [][]xmsg // per shard, owned by that shard's worker during a window
-	pending   []xmsg   // barrier merge scratch
+	outbox    []xmsg // cross-shard messages posted since the last barrier
 	running   bool
-	// faults[sh] is the panic recovered from shard sh's last window, if
-	// any; only the worker running shard sh writes its slot.
-	faults []*shardPanic
 	// Stats.
 	windows uint64
 	posted  uint64
@@ -84,14 +81,11 @@ func NewShards(n int, lookahead Duration) *Shards {
 	s := &Shards{
 		lookahead: lookahead,
 		engines:   make([]*Engine, n),
-		outbox:    make([][]xmsg, n),
 		busy:      make([]time.Duration, n),
-		faults:    make([]*shardPanic, n),
 	}
 	for i := range s.engines {
 		e := NewEngine()
 		e.group = s
-		e.shard = i
 		s.engines[i] = e
 	}
 	return s
@@ -118,10 +112,10 @@ func (s *Shards) Engine(d DomainID) *Engine { return s.engines[s.domains[d].shar
 
 // PostAt delivers fn to domain dst at absolute time at, as a cross-shard
 // event. It must be called from src's shard context (inside one of src's
-// events) or during single-threaded setup before Run. The arrival must
-// honour the conservative bound: at least one lookahead after the source
-// clock, or the window protocol could not have isolated the shards — a
-// violation panics rather than silently corrupting determinism.
+// events) or during setup before Run. The arrival must honour the
+// conservative bound: at least one lookahead after the source clock, or the
+// window protocol could not have isolated the shards — a violation panics
+// rather than silently corrupting determinism.
 //
 // Messages between domains that happen to share a shard take the same path:
 // delivery order at equal timestamps is fixed by the canonical
@@ -134,41 +128,28 @@ func (s *Shards) PostAt(src, dst DomainID, at Time, fn func()) {
 		panic(fmt.Sprintf("sim: PostAt %v violates lookahead %v (src %s now %v)",
 			at, s.lookahead, di.name, eng.now))
 	}
-	m := xmsg{at: at, src: src, seq: di.xseq, dstShard: s.domains[dst].shard, fn: fn}
+	s.outbox = append(s.outbox, xmsg{at: at, src: src, seq: di.xseq, dstShard: s.domains[dst].shard, fn: fn})
 	di.xseq++
-	s.outbox[di.shard] = append(s.outbox[di.shard], m)
 }
 
 // inject merges all buffered cross-shard messages in canonical order and
-// schedules them on their destination engines. Runs on the coordinator
-// goroutine at a barrier (or before the first window), so it may touch every
-// engine.
+// schedules them on their destination engines. It runs at a barrier (or
+// before the first window), when no shard is mid-window.
 func (s *Shards) inject() {
-	total := 0
-	for _, ob := range s.outbox {
-		total += len(ob)
-	}
-	if total == 0 {
+	if len(s.outbox) == 0 {
 		return
 	}
-	s.pending = s.pending[:0]
-	for i, ob := range s.outbox {
-		s.pending = append(s.pending, ob...)
-		for j := range ob {
-			ob[j].fn = nil
-		}
-		s.outbox[i] = ob[:0]
-	}
 	// (at, src, seq) is a total order: seq is per-domain monotonic, so no two
-	// messages compare equal and the sort is deterministic regardless of
-	// buffer concatenation order.
-	slices.SortFunc(s.pending, cmpXmsg)
-	s.posted += uint64(total)
-	for i := range s.pending {
-		m := &s.pending[i]
+	// messages compare equal and the sort is deterministic regardless of the
+	// order the shards posted in.
+	slices.SortFunc(s.outbox, cmpXmsg)
+	s.posted += uint64(len(s.outbox))
+	for i := range s.outbox {
+		m := &s.outbox[i]
 		s.engines[m.dstShard].At(m.at, m.fn)
 		m.fn = nil
 	}
+	s.outbox = s.outbox[:0]
 }
 
 // cmpXmsg is the canonical (at, src, seq) order of cross-shard messages.
@@ -202,15 +183,9 @@ func (s *Shards) Run() Time {
 //  1. finds the global horizon W — the earliest pending event across all
 //     shards (skipping empty stretches entirely, so an idle topology never
 //     spins through windows);
-//  2. runs every shard's events in [W, W+lookahead) — in parallel when the
-//     host has cores to spare;
+//  2. runs every shard's events in [W, W+lookahead), shard by shard;
 //  3. merges and injects the window's cross-shard messages (all of which
 //     arrive at ≥ W+lookahead by the conservative bound).
-//
-// A group whose whole topology is one domain can never generate a
-// cross-shard message, so the window clamp is skipped and the single active
-// shard runs straight to the deadline — classic single-loop behavior, same
-// event order, one barrier.
 func (s *Shards) runUntil(deadline Time) {
 	if s.running {
 		panic("sim: Shards run re-entrantly")
@@ -222,15 +197,6 @@ func (s *Shards) runUntil(deadline Time) {
 	}
 	s.inject() // setup-time posts
 
-	// Serial runs (one P, or one shard) use no workers, so a run on an
-	// idle or single-threaded group allocates nothing.
-	var pool *windowWorkers
-	if workers := min(runtime.GOMAXPROCS(0), len(s.engines)); workers > 1 {
-		pool = s.startWorkers(workers)
-		defer pool.stop()
-	}
-
-	solo := len(s.domains) <= 1
 	for {
 		horizon := MaxTime
 		found := false
@@ -244,32 +210,16 @@ func (s *Shards) runUntil(deadline Time) {
 			break
 		}
 		limit := deadline
-		if !solo {
-			wl := horizon + Time(s.lookahead) - 1
-			if wl >= horizon && wl < limit {
-				limit = wl
-			}
+		if wl := horizon + Time(s.lookahead) - 1; wl >= horizon && wl < limit {
+			limit = wl
 		}
-		if pool != nil {
-			pool.run(limit)
-		} else {
-			for sh := range s.engines {
-				s.faults[sh] = s.runShardWindow(sh, limit)
-			}
-		}
-		for _, f := range s.faults {
-			if f != nil {
-				panic(f.String())
-			}
+		stopped := false
+		for sh, e := range s.engines {
+			s.runShardWindow(sh, limit)
+			stopped = stopped || e.stopped
 		}
 		s.windows++
 		s.inject()
-		stopped := false
-		for _, e := range s.engines {
-			if e.stopped {
-				stopped = true
-			}
-		}
 		if stopped {
 			break
 		}
@@ -283,80 +233,21 @@ func (s *Shards) runUntil(deadline Time) {
 	}
 }
 
-// windowWorkers are one run's persistent window goroutines. Worker w owns
-// shards w, w+n, ... so shard→worker assignment is static and per-shard
-// state needs no further synchronization than the window barrier itself.
-// A panic inside a shard's window is recovered into s.faults[sh] (a slot
-// only that shard's worker writes) and re-raised by the coordinator after
-// the barrier, so it never kills the process from a bare goroutine.
-type windowWorkers struct {
-	wake []chan Time
-	wg   sync.WaitGroup
-}
-
-// startWorkers starts n window workers for one run of the barrier loop.
-func (s *Shards) startWorkers(n int) *windowWorkers {
-	p := &windowWorkers{wake: make([]chan Time, n)}
-	for w := range p.wake {
-		p.wake[w] = make(chan Time, 1)
-		go func(w int) {
-			for limit := range p.wake[w] {
-				for sh := w; sh < len(s.engines); sh += n {
-					s.faults[sh] = s.runShardWindow(sh, limit)
-				}
-				p.wg.Done()
-			}
-		}(w)
-	}
-	return p
-}
-
-// run executes one window on every worker and waits for the barrier.
-func (p *windowWorkers) run(limit Time) {
-	p.wg.Add(len(p.wake))
-	for _, c := range p.wake {
-		c <- limit
-	}
-	p.wg.Wait()
-}
-
-// stop ends the workers.
-func (p *windowWorkers) stop() {
-	for _, c := range p.wake {
-		close(c)
-	}
-}
-
-// shardPanic is a panic recovered from one shard's window, with the
-// context needed to find its source: the shard, the domains pinned to it,
-// the shard's virtual time and the panicking goroutine's stack.
-type shardPanic struct {
-	shard   int
-	domains string
-	at      Time
-	val     any
-	stack   []byte
-}
-
-func (f *shardPanic) String() string {
-	return fmt.Sprintf("sim: shard %d (domains %s) panicked at %v: %v\n\nshard stack:\n%s",
-		f.shard, f.domains, f.at, f.val, f.stack)
-}
-
 // runShardWindow runs shard sh's events up to limit and charges the wall
-// time to its busy counter. A panic is recovered and returned, so the
-// coordinator can re-raise it after the barrier with its context attached.
-func (s *Shards) runShardWindow(sh int, limit Time) (fault *shardPanic) {
+// time to its busy counter. A panic inside the window is re-raised with the
+// context needed to find its source: the shard, the domains pinned to it,
+// the shard's virtual time and the stack of the panicking event.
+func (s *Shards) runShardWindow(sh int, limit Time) {
 	e := s.engines[sh]
 	start := time.Now()
 	defer func() {
 		s.busy[sh] += time.Since(start)
 		if r := recover(); r != nil {
-			fault = &shardPanic{shard: sh, domains: s.domainNames(sh), at: e.now, val: r, stack: debug.Stack()}
+			panic(fmt.Sprintf("sim: shard %d (domains %s) panicked at %v: %v\n\nshard stack:\n%s",
+				sh, s.domainNames(sh), e.now, r, debug.Stack()))
 		}
 	}()
 	e.runWindow(limit)
-	return nil
 }
 
 // domainNames lists the domains pinned to shard sh, comma-separated.

@@ -114,7 +114,7 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 }
 
 // TestShardRunRepeatable: two identical sharded runs digest identically
-// (worker scheduling cannot leak into results).
+// (no host state, such as map order or wall time, leaks into results).
 func TestShardRunRepeatable(t *testing.T) {
 	a := newShardModel(4, 9, 7, 60)
 	a.sh.Run()
@@ -129,8 +129,8 @@ func TestShardRunRepeatable(t *testing.T) {
 }
 
 // TestShardSoloMatchesPlainEngine: a single-domain group runs the exact same
-// event sequence as a plain engine — the home-shard fast path behind the
-// classic testbeds.
+// event sequence as a plain engine: its windows only split the run, they
+// never reorder it.
 func TestShardSoloMatchesPlainEngine(t *testing.T) {
 	run := func(eng *Engine) (uint64, Time) {
 		rng := NewRNG(42)
@@ -156,8 +156,35 @@ func TestShardSoloMatchesPlainEngine(t *testing.T) {
 	if hPlain != hShard || tPlain != tShard {
 		t.Fatalf("solo group diverged: plain (%016x,%v) vs sharded (%016x,%v)", hPlain, tPlain, hShard, tShard)
 	}
-	if sh.Windows() != 1 {
-		t.Fatalf("solo group ran %d windows, want 1 (deadline fast path)", sh.Windows())
+}
+
+// TestShardRunGoroutineFree: a sharded run is a serial partition. At
+// GOMAXPROCS 2 a multi-shard, multi-domain model sees no goroutine beyond
+// those that existed before Run, and an idle Run allocates nothing.
+// ReadMemStats counts the allocations, because AllocsPerRun would pin
+// GOMAXPROCS to 1.
+func TestShardRunGoroutineFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := newShardModel(4, 9, 5, 20)
+	before := runtime.NumGoroutine()
+	during := -1
+	d := m.domains[len(m.domains)-1]
+	d.eng.Schedule(3*testLookahead, func() { during = runtime.NumGoroutine() })
+	m.sh.Run()
+	if m.sh.Windows() < 2 || m.sh.Posted() == 0 {
+		t.Fatalf("model exercised no windows/messages (windows=%d posted=%d)", m.sh.Windows(), m.sh.Posted())
+	}
+	if during != before {
+		t.Fatalf("%d goroutines inside a shard window, %d before Run", during, before)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 100; i++ {
+		m.sh.Run()
+	}
+	runtime.ReadMemStats(&ms1)
+	if n := ms1.Mallocs - ms0.Mallocs; n != 0 {
+		t.Fatalf("100 idle runs allocated %d objects, want 0", n)
 	}
 }
 
@@ -228,10 +255,8 @@ func TestShardPostLookaheadPanics(t *testing.T) {
 	sh.Run()
 }
 
-// TestShardPanicCarriesContext: a panic inside a shard's window — on a
-// window worker goroutine when the host has cores for more than one — is
-// re-raised on the coordinator after the barrier, naming the shard, its
-// domains and the virtual time, instead of killing the process.
+// TestShardPanicCarriesContext: a panic inside a shard's window is re-raised
+// naming the shard, its domains and the virtual time, at any GOMAXPROCS.
 func TestShardPanicCarriesContext(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {

@@ -2,11 +2,11 @@
 // simulated storage stacks.
 //
 // A Tracer is created per experiment cell; every simulation domain that
-// wants to record spans registers a Sink (one writer per domain, so shard
-// worker goroutines never share a span buffer). Sampled root operations
-// receive a trace ID derived from the cell salt and the op's submit
-// sequence number — never from wall clock — so the same (seed, cell)
-// produces bit-identical traces at any `-parallel` or `-shards` setting.
+// wants to record spans registers a Sink (one span buffer per domain, read
+// against that domain's engine clock). Sampled root operations receive a
+// trace ID derived from the cell salt and the op's submit sequence
+// number — never from wall clock — so the same (seed, cell) produces
+// bit-identical traces at any `-parallel` setting and any shard count.
 //
 // Tracing is zero-cost when off in the strong sense required by the golden
 // digests: it never schedules simulation events and never draws from any
@@ -98,9 +98,9 @@ type Span struct {
 // End returns the span's end time.
 func (s Span) End() sim.Time { return s.Start.Add(s.Dur) }
 
-// Tracer owns the per-cell trace state. Safe for sinks on different
-// domains to append concurrently (each sink is single-writer); Finalize
-// must be called after the simulation has fully drained.
+// Tracer owns the per-cell trace state. Each sink has one writer, its
+// domain's events; Finalize must be called after the simulation has fully
+// drained.
 type Tracer struct {
 	cfg   Config
 	mu    sync.Mutex
@@ -128,8 +128,8 @@ func (t *Tracer) Sink(eng *sim.Engine, domain string) *Sink {
 
 // Sink is a single-writer span buffer bound to one simulation domain.
 // All spans emitted through a sink read time from that domain's engine,
-// which is only ever advanced by the goroutine executing the domain's
-// events — the same goroutine that calls into the sink.
+// which only the domain's own events advance — the same events that call
+// into the sink.
 type Sink struct {
 	t      *Tracer
 	eng    *sim.Engine
