@@ -27,9 +27,9 @@ go build ./...
 # Race detector over every package, twice: at the host's default
 # GOMAXPROCS and at GOMAXPROCS=2, where the parallel experiment runner's
 # workers really run at the same time (the fault, cache, raft, tenant and
-# trace sweeps fan hermetic cells across workers; placement memos and
-# interned names fill lazily). A sharded engine runs its shards on the
-# caller's goroutine, so nothing else in the simulator runs concurrently.
+# trace sweeps fan hermetic cells across workers, so any state two cells
+# shared would race). A sharded engine runs its shards on the caller's
+# goroutine, so nothing else in the simulator runs concurrently.
 # The blanket runs cover every package's own tests, so no targeted race
 # stage can drift out of step with them. -count=1 defeats the test cache.
 echo "== go test -race =="

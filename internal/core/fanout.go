@@ -39,6 +39,8 @@ type Fanout struct {
 	up      []int // scratch: up members (or EC source ranks) of an acting set
 	opFree  []*fanOp
 	tgtFree []*fanTarget
+	keyBuf  []byte   // scratch: an EC stripe's shard keys, end to end
+	keys    []string // scratch: the shard keys, sliced from one string
 }
 
 // --- pooled op and target --------------------------------------------
@@ -62,14 +64,11 @@ type fanOp struct {
 // on reads. send fires on fabric arrival at the OSD's node, onResult when
 // the OSD completes, ack when the reply hops back to the client; the three
 // are bound to the target once, and targets are pooled on the Fanout, so
-// reissue costs no allocation. keyBuf holds an EC shard key between
-// issues; the string conversion at the store boundary is the EC paths'
-// one remaining per-shard allocation.
+// reissue costs no allocation.
 type fanTarget struct {
 	op     *fanOp
 	write  bool
 	key    string
-	keyBuf []byte
 	off, n int
 	osd    int
 	node   *netsim.Host
@@ -280,13 +279,13 @@ func (f *Fanout) WriteEC(pool *rados.Pool, obj string, off, n int, opts rados.Re
 	}
 	op := f.getOp(opts, upCount)
 	op.done = done
+	keys := f.shardKeys(obj, off, len(acting))
 	for rank, o := range acting {
 		if o == crush.ItemNone || !c.OSDs[o].Up() {
 			continue
 		}
 		t := f.getTarget()
-		t.keyBuf = rados.AppendShardKey(t.keyBuf[:0], obj, off, rank)
-		t.key = string(t.keyBuf)
+		t.key = keys[rank]
 		f.issue(op, t, o, true, 0, shardSize, "ec-shard-write")
 	}
 }
@@ -322,10 +321,34 @@ func (f *Fanout) ReadEC(pool *rados.Pool, obj string, off, n int, opts rados.Req
 	op := f.getOp(opts, len(srcs))
 	op.needDecode, op.ecDone = needDecode, done
 	shardSize := (n + pool.K - 1) / pool.K
+	keys := f.shardKeys(obj, off, len(acting))
 	for _, rank := range srcs {
 		t := f.getTarget()
-		t.keyBuf = rados.AppendShardKey(t.keyBuf[:0], obj, off, rank)
-		t.key = string(t.keyBuf)
+		t.key = keys[rank]
 		f.issue(op, t, acting[rank], false, 0, shardSize, "ec-shard-read")
 	}
+}
+
+// shardKeys returns the shard keys of ranks 0..width-1 of the EC stripe at
+// (obj, off). They are slices of one string, so an issue allocates once
+// for its keys however many shards it touches. The returned slice is
+// scratch that the next call overwrites; issue never calls back before
+// returning, so the caller's loop reads it whole.
+func (f *Fanout) shardKeys(obj string, off, width int) []string {
+	buf := f.keyBuf[:0]
+	ends := make([]int, 0, 16)
+	for rank := 0; rank < width; rank++ {
+		buf = rados.AppendShardKey(buf, obj, off, rank)
+		ends = append(ends, len(buf))
+	}
+	f.keyBuf = buf
+	all := string(buf)
+	keys := f.keys[:0]
+	start := 0
+	for _, end := range ends {
+		keys = append(keys, all[start:end])
+		start = end
+	}
+	f.keys = keys
+	return keys
 }

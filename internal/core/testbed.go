@@ -192,17 +192,9 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	default:
 		eng = sim.NewEngine()
 	}
-	// Topology hint: pre-size the event pool for the testbed's steady state
-	// (per-OSD queues plus in-flight fabric messages) so benchmark runs never
-	// grow the heap on the hot path.
 	clusterEng := eng
 	if osdEngs != nil {
 		clusterEng = osdEngs[0]
-		for _, oe := range osdEngs {
-			oe.Reserve(cfg.OSDsPerNode*64 + 2048)
-		}
-	} else {
-		clusterEng.Reserve(cfg.Nodes*cfg.OSDsPerNode*64 + 4096)
 	}
 	fabric := netsim.NewFabric(eng, cfg.CM.Propagation)
 	if cfg.SplitDomains {

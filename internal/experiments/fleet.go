@@ -200,7 +200,6 @@ func newFleetRun(s fleetSpec) (*fleetRun, error) {
 				return faults.Backoff(rc.BackoffBase, rc.BackoffCap, attempt, rng)
 			}}
 	}
-	eng.Reserve(r.res.clients*s.qd*8 + 1024)
 	for i := 0; i < r.res.clients; i++ {
 		cl, err := rados.NewClient(cluster, "client"+strconv.Itoa(i), cm.NICBitsPerSec, cm.HostStack)
 		if err != nil {

@@ -25,7 +25,7 @@ func TestReadHitZeroAllocs(t *testing.T) {
 			t.Errorf("hit read: %v", err)
 		}
 	}
-	// Warm the readOp pool and the engine event freelist.
+	// Warm the readOp pool and grow the engine's event queue.
 	for i := 0; i < 32; i++ {
 		c.Read(int64(i)*512, 4096, done)
 		eng.Run()

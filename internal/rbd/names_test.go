@@ -3,7 +3,6 @@ package rbd
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -38,26 +37,6 @@ func TestObjectNameInternedAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("interned ObjectName allocated %.1f/op, want 0", allocs)
 	}
-}
-
-// TestObjectNameConcurrentFill: one image named from several goroutines at
-// once fills its table without a race and hands every caller the same name.
-func TestObjectNameConcurrentFill(t *testing.T) {
-	_, _, _, pool := newStack(t)
-	im, _ := NewImage("vol", 64<<20, 1<<20, pool)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int64(0); i < im.Objects(); i++ {
-				if got, want := im.ObjectName(i), fmt.Sprintf("rbd_data.vol.%016x", i); got != want {
-					t.Errorf("ObjectName(%d) = %q, want %q", i, got, want)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestVisitExtentsRangeCheckFirst: an out-of-range request fails with

@@ -8,8 +8,6 @@ package rbd
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rados"
 	"repro/internal/sim"
@@ -30,18 +28,10 @@ type Image struct {
 	ObjectBytes int
 	Pool        *rados.Pool
 
-	// names interns backing-object names by stripe index, filled lazily
-	// on first use of each index (see ObjectName).
-	names nameTable
-}
-
-// nameTable is an image's lazily built object-name table. The table is
-// allocated on the first in-range lookup and each slot is filled on first
-// use; slots are atomic so one image can be named from several goroutines
-// at once (racing fills store equal strings, either may win).
-type nameTable struct {
-	once  sync.Once
-	slots []atomic.Pointer[string]
+	// names interns backing-object names by stripe index: allocated on
+	// the first in-range lookup, each slot filled on first use of its
+	// index (see ObjectName).
+	names []string
 }
 
 // maxInternedObjects bounds the name table: images striped over more
@@ -72,20 +62,19 @@ func (im *Image) Objects() int64 {
 // first call per index formats the name, later calls return it without
 // allocating.
 func (im *Image) ObjectName(i int64) string {
-	t := &im.names
-	t.once.Do(func() {
+	if im.names == nil {
 		if objs := im.Objects(); objs <= maxInternedObjects {
-			t.slots = make([]atomic.Pointer[string], objs)
+			im.names = make([]string, objs)
 		}
-	})
-	if i < 0 || i >= int64(len(t.slots)) {
+	}
+	if i < 0 || i >= int64(len(im.names)) {
 		return im.formatName(i)
 	}
-	if s := t.slots[i].Load(); s != nil {
-		return *s
+	if s := im.names[i]; s != "" {
+		return s
 	}
 	s := im.formatName(i)
-	t.slots[i].Store(&s)
+	im.names[i] = s
 	return s
 }
 

@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // BenchmarkScheduleRun measures raw event throughput: one Schedule plus one
-// dispatch per iteration, self-sustaining so the heap never empties. With the
-// event freelist this is allocation-free in steady state.
+// dispatch per iteration, self-sustaining so the heap never empties. Heap
+// slots are values reused in place, so this is allocation-free in steady
+// state.
 func BenchmarkScheduleRun(b *testing.B) {
 	eng := NewEngine()
 	n := b.N
@@ -15,6 +16,24 @@ func BenchmarkScheduleRun(b *testing.B) {
 		}
 	}
 	eng.Schedule(Microsecond, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
+// BenchmarkScheduleNow measures the same-instant lane: a Schedule(0) chain,
+// one schedule plus one dispatch per iteration with the clock standing
+// still, so no event passes through the heap.
+func BenchmarkScheduleNow(b *testing.B) {
+	eng := NewEngine()
+	n := b.N
+	var tick func()
+	tick = func() {
+		if n--; n > 0 {
+			eng.Schedule(0, tick)
+		}
+	}
+	eng.Schedule(0, tick)
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()
@@ -45,7 +64,8 @@ func BenchmarkSchedulePingPong(b *testing.B) {
 // usage: most armed events never fire).
 func BenchmarkScheduleCancel(b *testing.B) {
 	eng := NewEngine()
-	// Keep one event live so generation churn on the freelist is realistic.
+	// Keep one event live, so the queue is never empty and the cancel
+	// marks span every iteration.
 	eng.Schedule(Duration(b.N+1)*Microsecond, func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -55,14 +75,15 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// TestScheduleRunZeroAlloc pins the freelist: once warm, a schedule+dispatch
-// cycle must not allocate.
+// TestScheduleRunZeroAlloc: once the queue's arrays have grown, neither a
+// heap event nor a same-instant lane chain allocates per schedule+dispatch.
 func TestScheduleRunZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
-	// Warm the freelist past the measured depth.
+	// Grow the heap and the lane past the measured depth.
 	for i := 0; i < 64; i++ {
 		eng.Schedule(Duration(i)*Microsecond, fn)
+		eng.Schedule(0, fn)
 	}
 	eng.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -71,5 +92,20 @@ func TestScheduleRunZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+run allocated %.1f/op, want 0", allocs)
+	}
+	left := 0
+	var chain func()
+	chain = func() {
+		if left--; left > 0 {
+			eng.Schedule(0, chain)
+		}
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		left = 16
+		eng.Schedule(0, chain)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("lane chain allocated %.1f/op, want 0", allocs)
 	}
 }

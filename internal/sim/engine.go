@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -66,134 +67,105 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 func (t Time) String() string { return Duration(t).String() }
 
-// event is a scheduled callback. Fired and cancelled events return to the
-// engine's freelist, so steady-state scheduling allocates nothing.
-type event struct {
+// slot is one queued event: its time, its schedule sequence (the
+// tie-breaker between equal times) and its callback.
+type slot struct {
 	at  Time
-	seq uint64 // tie-breaker: schedule order
+	seq uint64
 	fn  func()
-	idx int    // heap index; -1 when popped/cancelled
-	gen uint64 // recycle generation; stale EventIDs fail the gen check
 }
 
-// EventID identifies a scheduled event so it can be cancelled. An ID taken
-// from an event that has since fired (and whose struct was recycled) is
-// detected by generation and cancels nothing.
-type EventID struct {
-	ev  *event
-	gen uint64
-}
-
-// eventHeap is an inlined 4-ary min-heap on (at, seq). It replaces the
-// container/heap interface implementation: no `any` boxing and no interface
-// dispatch on the engine's hottest loop, and the wider node halves the tree
-// depth (fewer cache lines touched per sift on deep heaps).
-type eventHeap []*event
-
-// heapArity is the heap fan-out. 4 keeps a node's children inside one cache
-// line of pointers while still shortening the sift paths vs binary.
-const heapArity = 4
-
-// lessEv is the engine's total event order: time, then schedule sequence.
-func lessEv(a, b *event) bool {
+// before is the engine's total event order: time, then schedule sequence.
+func (a *slot) before(b *slot) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// push adds ev and restores heap order.
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
+// EventID identifies a scheduled event so it can be cancelled. It is the
+// event's place (time, sequence) in the engine's total order, so an ID
+// whose event has fired or been cancelled cancels nothing. The zero
+// EventID names no event.
+type EventID struct {
+	at  Time
+	seq uint64
 }
 
-// up sifts the element at i toward the root, moving the hole rather than
-// swapping (one write per level instead of three).
-func (h *eventHeap) up(i int) {
+// eventHeap is a binary min-heap of slots held by value: a sift moves
+// slots within one array and dereferences nothing.
+type eventHeap []slot
+
+// push adds s and restores heap order, moving the hole rather than
+// swapping.
+func (h *eventHeap) push(s slot) {
+	*h = append(*h, s)
 	hp := *h
-	ev := hp[i]
+	i := len(hp) - 1
 	for i > 0 {
-		p := (i - 1) / heapArity
-		if !lessEv(ev, hp[p]) {
+		p := (i - 1) / 2
+		if !s.before(&hp[p]) {
 			break
 		}
 		hp[i] = hp[p]
-		hp[i].idx = i
 		i = p
 	}
-	hp[i] = ev
-	ev.idx = i
+	hp[i] = s
 }
 
-// down sifts the element at i toward the leaves.
-func (h *eventHeap) down(i int) {
+// pop removes and returns the minimum slot.
+func (h *eventHeap) pop() slot {
 	hp := *h
-	n := len(hp)
-	ev := hp[i]
-	for {
-		first := i*heapArity + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for j := first + 1; j < end; j++ {
-			if lessEv(hp[j], hp[best]) {
-				best = j
-			}
-		}
-		if !lessEv(hp[best], ev) {
-			break
-		}
-		hp[i] = hp[best]
-		hp[i].idx = i
-		i = best
-	}
-	hp[i] = ev
-	ev.idx = i
-}
-
-// removeAt removes and returns the element at heap index i.
-func (h *eventHeap) removeAt(i int) *event {
-	hp := *h
-	ev := hp[i]
+	top := hp[0]
 	n := len(hp) - 1
 	last := hp[n]
-	hp[n] = nil
+	hp[n] = slot{}
 	*h = hp[:n]
-	if i < n {
-		hp[i] = last
-		last.idx = i
-		if i > 0 && lessEv(last, hp[(i-1)/heapArity]) {
-			h.up(i)
-		} else {
-			h.down(i)
-		}
+	if n > 0 {
+		hp[:n].down(0, last)
 	}
-	ev.idx = -1
-	return ev
+	return top
 }
 
-// pop removes and returns the minimum element.
-func (h *eventHeap) pop() *event { return h.removeAt(0) }
-
-// defaultFreeCap bounds how many recycled event structs an engine retains.
-// A scheduling burst (a fan-out storm, a backfill wave) beyond the cap is
-// released to the GC instead of pinning memory for the rest of the run;
-// Reserve raises the cap for topologies that legitimately run that deep.
-const defaultFreeCap = 8192
+// down places s at index i and sifts it toward the leaves.
+func (h eventHeap) down(i int, s slot) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&s) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = s
+}
 
 // Engine is a discrete-event simulation kernel.
+//
+// Events due at the current instant wait in a FIFO lane; later ones wait in
+// the heap. Heap events due at time T were scheduled before the clock
+// reached T, so their sequence numbers are below every lane event's at T:
+// the loop runs the heap's events due now, then the lane, and only then
+// advances the clock. A cancel only marks the event's sequence number
+// dead; the loop skips dead events, and the queue is compacted once they
+// are the majority of it.
 //
 // The zero value is not usable; call NewEngine (or build a Shards group and
 // register domains, which yields one engine per shard).
 type Engine struct {
 	now      Time
-	seq      uint64
-	pq       eventHeap
-	free     []*event // recycled event structs (see At/recycle)
-	freeCap  int      // retention bound for free
+	seq      uint64 // last issued sequence number; 0 names no event
+	last     uint64 // sequence number of the last dispatched event
+	heap     eventHeap
+	lane     []slot // events due now, in schedule order, from lhead on
+	lhead    int
+	dead     []uint64 // cancel marks: bit i is sequence number deadBase+i
+	deadBase uint64   // no queued event's sequence number is below it
+	ndead    int      // cancelled events still queued
 	running  bool
 	stopped  bool
 	executed uint64 // events dispatched (stats)
@@ -204,44 +176,16 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{freeCap: defaultFreeCap}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of scheduled (uncancelled) events.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.lhead - e.ndead }
 
 // Executed reports the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
-
-// Reserve pre-sizes the event heap and freelist for roughly n concurrently
-// scheduled events — a topology hint, so large-cluster runs do not grow the
-// structures incrementally on the hot path — and raises the freelist
-// retention cap to match. Reserving less than the current footprint is a
-// no-op; Reserve never shrinks.
-func (e *Engine) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	if n > e.freeCap {
-		e.freeCap = n
-	}
-	if cap(e.pq) < n {
-		pq := make(eventHeap, len(e.pq), n)
-		copy(pq, e.pq)
-		e.pq = pq
-	}
-	if have := len(e.free) + len(e.pq); have < n {
-		// One slab allocation for the whole deficit instead of n singles.
-		slab := make([]event, n-have)
-		for i := range slab {
-			e.free = append(e.free, &slab[i])
-		}
-	}
-}
 
 // Schedule runs fn after d elapses. A negative d is treated as zero.
 // It returns an EventID usable with Cancel.
@@ -255,47 +199,74 @@ func (e *Engine) Schedule(d Duration, fn func()) EventID {
 // At runs fn at absolute time t. Times in the past execute "now" but never
 // before already-scheduled events at the current time.
 func (e *Engine) At(t Time, fn func()) EventID {
-	if t < e.now {
-		t = e.now
-	}
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn = t, e.seq, fn
-	} else {
-		ev = &event{at: t, seq: e.seq, fn: fn}
-	}
 	e.seq++
-	e.pq.push(ev)
-	return EventID{ev, ev.gen}
-}
-
-// recycle returns a popped/cancelled event to the freelist, unless the list
-// is already at its retention cap (then the struct is left to the GC so a
-// burst cannot pin memory for the rest of the run). The generation bump
-// invalidates any EventID still pointing at the struct.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	ev.gen++
-	if len(e.free) >= e.freeCap {
-		return
+	if t <= e.now {
+		e.lane = append(e.lane, slot{e.now, e.seq, fn})
+		return EventID{e.now, e.seq}
 	}
-	e.free = append(e.free, ev)
+	e.heap.push(slot{t, e.seq, fn})
+	return EventID{t, e.seq}
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op. It reports whether the event was
 // actually removed.
 func (e *Engine) Cancel(id EventID) bool {
-	ev := id.ev
-	if ev == nil || ev.gen != id.gen || ev.idx < 0 {
+	// Events run in (at, seq) order, so one at or before the last
+	// dispatched event has fired or been skipped; no queued event's seq
+	// is below deadBase.
+	if id.at < e.now || id.at == e.now && id.seq <= e.last ||
+		id.seq < e.deadBase || e.isDead(id.seq) {
 		return false
 	}
-	e.pq.removeAt(ev.idx)
-	e.recycle(ev)
+	w := int((id.seq - e.deadBase) / 64)
+	if n := len(e.dead); w >= n {
+		e.dead = slices.Grow(e.dead, w+1-n)[:w+1]
+		clear(e.dead[n:])
+	}
+	e.dead[w] |= 1 << ((id.seq - e.deadBase) % 64)
+	e.ndead++
+	if 2*e.ndead > len(e.heap)+len(e.lane)-e.lhead {
+		e.compact()
+	}
 	return true
+}
+
+// isDead reports whether the queued event with sequence number seq was
+// cancelled.
+func (e *Engine) isDead(seq uint64) bool {
+	i := seq - e.deadBase
+	return i/64 < uint64(len(e.dead)) && e.dead[i/64]&(1<<(i%64)) != 0
+}
+
+// compact drops the cancelled events from the queue, restores heap order
+// and raises deadBase to the oldest queued event, dropping the marks
+// below it once they are half of them.
+func (e *Engine) compact() {
+	low := e.seq + 1
+	// keep moves the live events of q[from:] to the front of q and
+	// clears the rest.
+	keep := func(q []slot, from int) []slot {
+		out := q[:0]
+		for _, s := range q[from:] {
+			if !e.isDead(s.seq) {
+				out = append(out, s)
+				low = min(low, s.seq)
+			}
+		}
+		clear(q[len(out):])
+		return out
+	}
+	e.heap = keep(e.heap, 0)
+	for i := len(e.heap)/2 - 1; i >= 0; i-- {
+		e.heap.down(i, e.heap[i])
+	}
+	e.lane, e.lhead = keep(e.lane, e.lhead), 0
+	e.ndead = 0
+	if k := int((low - e.deadBase) / 64); k > 0 && 2*k >= len(e.dead) {
+		e.dead = e.dead[:copy(e.dead, e.dead[min(k, len(e.dead)):])]
+		e.deadBase += uint64(k) * 64
+	}
 }
 
 // Stop makes Run return after the current event completes. On a sharded
@@ -328,7 +299,7 @@ func (e *Engine) Wait(register func(wake func())) {
 	})
 	looping = !woken
 	for !woken {
-		if len(e.pq) == 0 {
+		if e.Pending() == 0 {
 			panic(fmt.Sprintf("sim: Wait: event queue drained at %v before the wake", e.now))
 		}
 		e.RunUntil(MaxTime)
@@ -357,25 +328,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
-	for len(e.pq) > 0 && !e.stopped {
-		next := e.pq[0]
-		if next.at > deadline {
-			e.now = deadline
-			return e.now
-		}
-		e.pq.pop()
-		e.now = next.at
-		fn := next.fn
-		// Recycle before running fn: the callback may schedule new events
-		// that reuse the struct; fn is already saved and next is not touched
-		// again.
-		e.recycle(next)
-		e.executed++
-		if fn != nil {
-			fn()
-		}
+	for !e.stopped && e.step(deadline) {
 	}
-	if len(e.pq) == 0 && e.now < deadline && deadline != MaxTime {
+	if (!e.stopped || e.Pending() == 0) && e.now < deadline && deadline != MaxTime {
 		e.now = deadline
 	}
 	return e.now
@@ -393,26 +348,68 @@ func (e *Engine) runWindow(limit Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.pq) > 0 && !e.stopped {
-		next := e.pq[0]
-		if next.at > limit {
-			break
-		}
-		e.pq.pop()
-		e.now = next.at
-		fn := next.fn
-		e.recycle(next)
-		e.executed++
-		if fn != nil {
-			fn()
-		}
+	for !e.stopped && e.step(limit) {
 	}
 }
 
-// peek returns the time of the next scheduled event, if any.
-func (e *Engine) peek() (Time, bool) {
-	if len(e.pq) == 0 {
-		return 0, false
+// step dispatches the next live event due at or before limit and reports
+// whether there was one: the heap's events due now, then the lane, then
+// the heap's next instant.
+func (e *Engine) step(limit Time) bool {
+	for e.now <= limit {
+		var s slot
+		switch {
+		case len(e.heap) > 0 && e.heap[0].at == e.now:
+			s = e.heap.pop()
+		case e.lhead < len(e.lane):
+			s = e.popLane()
+		case len(e.heap) > 0 && e.heap[0].at <= limit:
+			s = e.heap.pop()
+		default:
+			return false
+		}
+		if e.ndead > 0 && e.isDead(s.seq) {
+			e.ndead--
+			continue
+		}
+		e.now, e.last = s.at, s.seq
+		e.executed++
+		if s.fn != nil {
+			s.fn()
+		}
+		return true
 	}
-	return e.pq[0].at, true
+	return false
+}
+
+// popLane removes and returns the lane's front event, resetting the lane
+// once it drains.
+func (e *Engine) popLane() slot {
+	s := e.lane[e.lhead]
+	e.lane[e.lhead].fn = nil
+	e.lhead++
+	if e.lhead == len(e.lane) {
+		e.lane, e.lhead = e.lane[:0], 0
+	}
+	return s
+}
+
+// peek returns the time of the next live event, if any, dropping the
+// cancelled events in front of it.
+func (e *Engine) peek() (Time, bool) {
+	for e.lhead < len(e.lane) {
+		if e.ndead == 0 || !e.isDead(e.lane[e.lhead].seq) {
+			return e.now, true
+		}
+		e.popLane()
+		e.ndead--
+	}
+	for len(e.heap) > 0 {
+		if e.ndead == 0 || !e.isDead(e.heap[0].seq) {
+			return e.heap[0].at, true
+		}
+		e.heap.pop()
+		e.ndead--
+	}
+	return 0, false
 }

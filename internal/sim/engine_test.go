@@ -236,3 +236,46 @@ func TestReentrantRunPanics(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestCancelChurnStaysBounded replays the resilience layer's deadline churn
+// (core/resilience.go): every op arms a 5 ms deadline timer and cancels it
+// when the op completes, long before the timer is due. Cancelled timers
+// wait in the queue until compaction, so it must stay within twice the
+// live events, and the cancel marks must not grow with the run: they stay
+// within 64 words while the run issues 200,000 sequence numbers.
+func TestCancelChurnStaysBounded(t *testing.T) {
+	eng := NewEngine()
+	rng := NewRNG(11)
+	const qd, ops = 16, 100000
+	started := 0
+	var issue func()
+	issue = func() {
+		if started == ops {
+			return
+		}
+		started++
+		timer := eng.Schedule(5*Millisecond, func() { t.Error("deadline fired") })
+		eng.Schedule(Duration(20+rng.Intn(180))*Microsecond, func() {
+			eng.Cancel(timer)
+			issue()
+		})
+	}
+	for i := 0; i < qd; i++ {
+		issue()
+	}
+	maxQueued := 0
+	for eng.Pending() > 0 {
+		eng.RunUntil(eng.Now() + Time(Microsecond))
+		queued := len(eng.heap) + len(eng.lane) - eng.lhead
+		maxQueued = max(maxQueued, queued)
+		if queued > 2*eng.Pending()+1 {
+			t.Fatalf("at %v: %d queued for %d live events", eng.Now(), queued, eng.Pending())
+		}
+		if len(eng.dead) > 64 {
+			t.Fatalf("at %v: cancel marks grew to %d words", eng.Now(), len(eng.dead))
+		}
+	}
+	if started != ops || maxQueued < qd || eng.seq != 2*ops {
+		t.Fatalf("started %d ops, issued %d seqs, queue peaked at %d", started, eng.seq, maxQueued)
+	}
+}

@@ -226,7 +226,7 @@ func (s *Shards) runUntil(deadline Time) {
 	}
 	if deadline != MaxTime {
 		for _, e := range s.engines {
-			if len(e.pq) == 0 && e.now < deadline {
+			if e.Pending() == 0 && e.now < deadline {
 				e.now = deadline
 			}
 		}

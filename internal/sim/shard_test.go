@@ -189,9 +189,9 @@ func TestShardRunGoroutineFree(t *testing.T) {
 }
 
 // TestShardStaleEventIDCancel: an EventID that crosses a shard boundary and
-// comes back after its event fired (and the struct was recycled) must cancel
-// nothing — the generation check holds across shards. A cancel message that
-// arrives in time must win.
+// comes back after its event fired must cancel nothing, even after later
+// events have been scheduled and dispatched around it. A cancel message
+// that arrives in time must win.
 func TestShardStaleEventIDCancel(t *testing.T) {
 	sh := NewShards(2, testLookahead)
 	a, engA := sh.AddDomainAt("a", 0)
@@ -199,7 +199,7 @@ func TestShardStaleEventIDCancel(t *testing.T) {
 
 	fired := 0
 	// Case 1 (stale): the timer fires at 2µs, long before the cancel bounces
-	// back from domain b (≥ 2 lookaheads). Churn recycles the struct.
+	// back from domain b (≥ 2 lookaheads).
 	var staleID EventID
 	staleCancelled := true
 	engA.Schedule(0, func() {
@@ -209,8 +209,8 @@ func TestShardStaleEventIDCancel(t *testing.T) {
 				staleCancelled = engA.Cancel(staleID)
 			})
 		})
-		// Churn: recycle pressure so the fired event's struct is reused
-		// before the cancel arrives.
+		// Churn: later events queued and dispatched before the cancel
+		// arrives.
 		for i := 0; i < 32; i++ {
 			engA.Schedule(3*Microsecond, func() {})
 		}
@@ -233,7 +233,7 @@ func TestShardStaleEventIDCancel(t *testing.T) {
 		t.Fatalf("fired = %d, want 1 (stale timer fires once, live timer cancelled)", fired)
 	}
 	if staleCancelled {
-		t.Fatal("stale EventID cancelled a recycled event across the shard boundary")
+		t.Fatal("stale EventID cancelled an event across the shard boundary")
 	}
 	if !liveCancelled {
 		t.Fatal("in-time cross-shard cancel failed")
@@ -280,56 +280,7 @@ func TestShardPanicCarriesContext(t *testing.T) {
 	}
 }
 
-// TestEngineReserve: a reserved engine schedules without growing, and the
-// hint raises the freelist retention cap.
-func TestEngineReserve(t *testing.T) {
-	eng := NewEngine()
-	eng.Reserve(1 << 15)
-	if cap(eng.pq) < 1<<15 {
-		t.Fatalf("pq cap %d after Reserve(32768)", cap(eng.pq))
-	}
-	if len(eng.free) != 1<<15 {
-		t.Fatalf("freelist %d after Reserve, want 32768", len(eng.free))
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 1000; i++ {
-			eng.Schedule(Duration(i), func() {})
-		}
-		eng.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("reserved engine allocated %.1f/run, want 0", allocs)
-	}
-}
-
-// TestFreelistCapBoundsRetention: after a burst far above the cap, the
-// freelist retains at most the cap, so the burst's memory is reclaimable.
-func TestFreelistCapBoundsRetention(t *testing.T) {
-	eng := NewEngine()
-	burst := defaultFreeCap * 4
-	for i := 0; i < burst; i++ {
-		eng.Schedule(Duration(i%97), func() {})
-	}
-	eng.Run()
-	if len(eng.free) > defaultFreeCap {
-		t.Fatalf("freelist retained %d events, cap %d", len(eng.free), defaultFreeCap)
-	}
-	// Reserve raises the cap.
-	eng2 := NewEngine()
-	eng2.Reserve(defaultFreeCap * 2)
-	for i := 0; i < defaultFreeCap*3; i++ {
-		eng2.Schedule(Duration(i%97), func() {})
-	}
-	eng2.Run()
-	if len(eng2.free) > defaultFreeCap*2 {
-		t.Fatalf("freelist retained %d events, raised cap %d", len(eng2.free), defaultFreeCap*2)
-	}
-	if len(eng2.free) <= defaultFreeCap {
-		t.Fatalf("raised cap not honoured: retained %d, want > %d", len(eng2.free), defaultFreeCap)
-	}
-}
-
-// TestHeapRandomOrder drives the 4-ary heap through a randomized
+// TestHeapRandomOrder drives the event heap through a randomized
 // schedule/cancel mix and checks events fire in strict (time, seq) order.
 func TestHeapRandomOrder(t *testing.T) {
 	eng := NewEngine()

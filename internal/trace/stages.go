@@ -19,11 +19,8 @@ type Stage struct {
 // boundary; a span still open when the run ended counts with zero
 // duration. Call it after the simulation has drained.
 func (t *Tracer) Stages() []Stage {
-	t.mu.Lock()
-	sinks := t.sinks
-	t.mu.Unlock()
 	hists := map[string]*metrics.Histogram{}
-	for _, s := range sinks {
+	for _, s := range t.sinks {
 		for i := range s.spans {
 			sp := &s.spans[i]
 			h := hists[sp.Name]

@@ -17,7 +17,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -103,7 +102,6 @@ func (s Span) End() sim.Time { return s.Start.Add(s.Dur) }
 // drained.
 type Tracer struct {
 	cfg   Config
-	mu    sync.Mutex
 	sinks []*Sink
 }
 
@@ -119,8 +117,6 @@ func (t *Tracer) Sink(eng *sim.Engine, domain string) *Sink {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	s := &Sink{t: t, eng: eng, domain: domain, idx: uint64(len(t.sinks))}
 	t.sinks = append(t.sinks, s)
 	return s
@@ -330,13 +326,9 @@ type Result struct {
 // other spans, and computes critical-path attributions. Must be called
 // once, after the simulation has drained.
 func (t *Tracer) Finalize(cell string) *Result {
-	t.mu.Lock()
-	sinks := t.sinks
-	t.mu.Unlock()
-
 	res := &Result{Cell: cell}
 	var all []Span
-	for _, s := range sinks {
+	for _, s := range t.sinks {
 		res.Ops += s.seq
 		all = append(all, s.spans...)
 	}
