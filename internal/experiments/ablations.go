@@ -226,29 +226,20 @@ func DFX() (*DFXResult, error) {
 		res.SwapTimes[rm] = d
 	}
 	// Live swap exercise: uniform → list → tree, as a cluster shrinks and
-	// grows.
-	kernels := []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree}
-	var swap func(i int)
-	swap = func(i int) {
-		if i == len(kernels) {
-			return
-		}
-		shell.LoadDynKernel(kernels[i], func(e error) {
-			if err = e; err != nil {
-				return
-			}
-			// The static Straw2 kernel keeps serving while swapping.
-			shell.Straw2.Select(1, 0, 2, func(_ []int, e error) {
-				if err = e; err == nil {
-					swap(i + 1)
-				}
-			})
+	// grows. The static Straw2 kernel keeps serving while swapping.
+	for _, k := range []fpga.KernelID{fpga.KUniform, fpga.KList, fpga.KTree} {
+		tb.Eng.Wait(func(wake func()) {
+			shell.LoadDynKernel(k, func(e error) { err = e; wake() })
 		})
-	}
-	tb.Eng.Schedule(0, func() { swap(0) })
-	tb.Eng.Run()
-	if err != nil {
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
+		tb.Eng.Wait(func(wake func()) {
+			shell.Straw2.Select(1, 0, 2, func(_ []int, e error) { err = e; wake() })
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	res.Reconfigs = shell.RP.Reconfigs()
 	res.FullReloadTime = sim.Duration(float64(fullBitstreamBytes)/fpga.MCAPBytesPerSec*1e9) + powerCycleTime

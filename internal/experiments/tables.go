@@ -135,15 +135,13 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 		return 0, err
 	}
 	eng := tb.Eng
-	var end sim.Time
-	c2h := func() { // C2H result + completion
-		eng.Schedule(2*sim.Microsecond, func() { end = eng.Now() })
-	}
 	// Host→card operand movement is part of the measured time on the real
-	// card; model it as a QDMA-class PCIe crossing.
-	eng.Schedule(3*sim.Microsecond, func() {
+	// card; model it as a QDMA-class PCIe crossing, and the C2H result plus
+	// completion as a second one after the kernel.
+	eng.Wait(func(wake func()) { eng.Schedule(3*sim.Microsecond, wake) })
+	eng.Wait(func(wake func()) {
 		if id == fpga.KRSEncoder {
-			shell.RS.Encode(4096, nil, func(error) { c2h() })
+			shell.RS.Encode(4096, nil, func(error) { wake() })
 			return
 		}
 		var acc *fpga.CrushAccel
@@ -156,13 +154,13 @@ func modelHWExec(id fpga.KernelID) (sim.Duration, error) {
 			acc, _ = shell.DynAccel(id)
 		}
 		if acc == nil {
-			c2h()
+			wake()
 			return
 		}
-		acc.Select(7, 0, 2, func([]int, error) { c2h() })
+		acc.Select(7, 0, 2, func([]int, error) { wake() })
 	})
-	eng.Run()
-	return sim.Duration(end), nil
+	eng.Wait(func(wake func()) { eng.Schedule(2*sim.Microsecond, wake) })
+	return sim.Duration(eng.Now()), nil
 }
 
 // Table1Table renders the rows.

@@ -109,3 +109,41 @@ func TestScheduleRunZeroAlloc(t *testing.T) {
 		t.Fatalf("lane chain allocated %.1f/op, want 0", allocs)
 	}
 }
+
+// BenchmarkShardsWindow measures the barrier loop of a two-shard group, one
+// op per window: each shard holds one domain, and every event posts one
+// message to the other domain one lookahead ahead, so each window runs one
+// event per shard and merges two messages. The queues and the outbox are
+// grown before the timer starts, so it is allocation-free.
+func BenchmarkShardsWindow(b *testing.B) {
+	sh := NewShards(2, Microsecond)
+	a, engA := sh.AddDomainAt("a", 0)
+	c, engC := sh.AddDomainAt("c", 1)
+	left := 0 // windows still to run, the current one included
+	var pingA, pingC func()
+	pingA = func() {
+		if left > 1 {
+			sh.PostAt(a, c, engA.Now().Add(Microsecond), pingC)
+		}
+	}
+	pingC = func() { // shard 1 runs last in each window
+		if left--; left > 0 {
+			sh.PostAt(c, a, engC.Now().Add(Microsecond), pingA)
+		}
+	}
+	start := func(n int) {
+		left = n
+		engA.Schedule(0, pingA)
+		engC.Schedule(0, pingC)
+	}
+	start(2 * busySampleEvery)
+	sh.Run()
+	start(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	w := sh.Windows()
+	sh.Run()
+	if got := sh.Windows() - w; got != uint64(b.N) {
+		b.Fatalf("%d windows for %d ops", got, b.N)
+	}
+}

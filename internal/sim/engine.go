@@ -341,15 +341,16 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // Shards barrier loop drives; unlike RunUntil it neither resets the stopped
 // flag (the group owns it) nor advances the clock to an idle limit (a shard's
 // clock must rest on real work so cross-shard arrivals are never "in the
-// past").
+// past"). It installs no deferred handler: the group's run clears the
+// running flag if an event panics.
 func (e *Engine) runWindow(limit Time) {
 	if e.running {
 		panic("sim: shard window entered re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
 	for !e.stopped && e.step(limit) {
 	}
+	e.running = false
 }
 
 // step dispatches the next live event due at or before limit and reports

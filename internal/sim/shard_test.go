@@ -256,27 +256,84 @@ func TestShardPostLookaheadPanics(t *testing.T) {
 }
 
 // TestShardPanicCarriesContext: a panic inside a shard's window is re-raised
-// naming the shard, its domains and the virtual time, at any GOMAXPROCS.
+// naming the shard, its domains and the virtual time, at any GOMAXPROCS and
+// on either shard. The recovered group is not left marked running: a second
+// Run completes the remaining events.
 func TestShardPanicCarriesContext(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			sh := NewShards(2, testLookahead)
-			_, eng := sh.AddDomainAt("a", 0)
-			_, other := sh.AddDomainAt("b", 1)
-			other.Schedule(Microsecond, func() {})
-			eng.Schedule(3*Microsecond, func() { panic("model fault") })
-			msg := func() (msg string) {
-				defer func() { msg = fmt.Sprint(recover()) }()
-				sh.Run()
-				return ""
-			}()
-			for _, want := range []string{"shard 0", "domains a", "at 3.000µs", "model fault"} {
-				if !strings.Contains(msg, want) {
-					t.Fatalf("panic %q does not mention %q", msg, want)
-				}
+			for _, bad := range []int{0, 1} {
+				t.Run(fmt.Sprintf("shard=%d", bad), func(t *testing.T) {
+					sh := NewShards(2, testLookahead)
+					_, engA := sh.AddDomainAt("a", 0)
+					_, engB := sh.AddDomainAt("b", 1)
+					engs := []*Engine{engA, engB}
+					ran := 0
+					engs[1-bad].Schedule(Microsecond, func() { ran++ })
+					engs[bad].Schedule(3*Microsecond, func() { panic("model fault") })
+					engs[bad].Schedule(4*Microsecond, func() { ran++ })
+					engs[1-bad].Schedule(2*testLookahead, func() { ran++ })
+					msg := func() (msg string) {
+						defer func() { msg = fmt.Sprint(recover()) }()
+						sh.Run()
+						return ""
+					}()
+					names := []string{"a", "b"}
+					// The stack is the panicking event's: it runs through
+					// the engine's dispatch.
+					for _, want := range []string{fmt.Sprintf("shard %d", bad), "domains " + names[bad],
+						"at 3.000µs", "model fault", "(*Engine).step"} {
+						if !strings.Contains(msg, want) {
+							t.Fatalf("panic %q does not mention %q", msg, want)
+						}
+					}
+					sh.Run()
+					if ran != 3 {
+						t.Fatalf("%d events ran around the panic, want 3", ran)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestShardStatsBusy: over a run long enough for several sampled windows,
+// in which both shards run events in every window, each shard reports a
+// positive (sampled) Busy and its exact dispatched event count.
+func TestShardStatsBusy(t *testing.T) {
+	sh := NewShards(2, testLookahead)
+	a, engA := sh.AddDomainAt("a", 0)
+	b, engB := sh.AddDomainAt("b", 1)
+	const rounds = 4 * busySampleEvery
+	var ran [2]uint64
+	var sink uint64
+	var ping func(src, dst DomainID, left int)
+	ping = func(src, dst DomainID, left int) {
+		ran[src]++
+		for i := range 256 { // some work for the sampled clock to see
+			sink = sink*31 + uint64(i)
+		}
+		if left > 0 {
+			sh.PostAt(src, dst, sh.Engine(src).Now().Add(testLookahead), func() { ping(dst, src, left-1) })
+		}
+	}
+	engA.Schedule(0, func() { ping(a, b, rounds) })
+	engB.Schedule(0, func() { ping(b, a, rounds) })
+	sh.Run()
+	if w := sh.Windows(); w < 2*busySampleEvery {
+		t.Fatalf("%d windows, want at least %d", w, 2*busySampleEvery)
+	}
+	for _, st := range sh.Stats() {
+		if st.Busy <= 0 {
+			t.Errorf("shard %d: Busy %v, want > 0", st.Shard, st.Busy)
+		}
+		if want := ran[st.Shard]; st.Events != want {
+			t.Errorf("shard %d: Events %d, want %d", st.Shard, st.Events, want)
+		}
+		if st.Domains != 1 {
+			t.Errorf("shard %d: Domains %d, want 1", st.Shard, st.Domains)
+		}
 	}
 }
 
