@@ -31,22 +31,10 @@ type cardBackend struct {
 	procCost sim.Duration
 	// trace records card-side spans for sampled ops (nil = off).
 	trace *trace.Sink
-	// pipeNextFree serializes the card's fixed per-I/O pipeline stage.
-	pipeNextFree sim.Time
+	// pipe serializes the card's fixed per-I/O pipeline stage.
+	pipe sim.Server
 	// free recycles the pipeline's cardOps (see cardpath.go).
 	free []*cardOp
-}
-
-// reservePipe books the card pipeline FSM for cost, returning the wait
-// until this I/O's slot completes.
-func (cb *cardBackend) reservePipe(cost sim.Duration) sim.Duration {
-	now := cb.eng.Now()
-	start := now
-	if cb.pipeNextFree > start {
-		start = cb.pipeNextFree
-	}
-	cb.pipeNextFree = start.Add(cost)
-	return cb.pipeNextFree.Sub(now)
 }
 
 // pcieTime is the legacy (pre-QDMA) host<->card transfer time for D1/D2.

@@ -284,7 +284,8 @@ func (cb *cardBackend) advance(o *cardOp) {
 			// the cluster's placement cache; the accelerator charge above
 			// is the hardware time for computing it.
 			o.stage = cbIssue
-			if d := o.penalty + cb.reservePipe(cb.procCost); d > 0 {
+			now := cb.eng.Now()
+			if d := o.penalty + cb.pipe.Book(now, cb.procCost).Sub(now); d > 0 {
 				cb.eng.Schedule(d, o.step)
 				return
 			}

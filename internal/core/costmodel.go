@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/fpga"
 	"repro/internal/legacyapi"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -107,7 +106,6 @@ func DefaultCostModel() CostModel {
 	d2 := d1
 	d2.ContextSwitches = 5
 	d2.Copies = 2
-	_ = fpga.KernelTable // Table I values feed the tab1 experiment directly
 	return CostModel{
 		DKIOUringSyscall: 1200 * sim.Nanosecond,
 		DKPerSQE:         250 * sim.Nanosecond,

@@ -76,7 +76,7 @@ func TestSixStageLifecycleCounters(t *testing.T) {
 		t.Errorf("stage 6: OSD services = %d, want 16", served)
 	}
 	card := tb.Fabric.Host("fpga-cmac")
-	if card == nil || card.NIC.TxMessages() == 0 {
+	if card == nil || card.NIC.Stats().TxMsgs == 0 {
 		t.Error("stage 6: card NIC never transmitted")
 	}
 }

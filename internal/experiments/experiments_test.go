@@ -347,26 +347,24 @@ func TestRecoveryCycle(t *testing.T) {
 }
 
 func TestMTUAblation(t *testing.T) {
-	rows, err := MTU()
-	if err != nil {
-		t.Fatal(err)
+	rows := MTU()
+	// The four rows REPORT.json holds: 180 cycles per segment at 260 MHz,
+	// so the jumbo gain saturates near the payload ratio 8960/1460 (~6.1x).
+	want := []MTURow{
+		{Bytes: 4096, SegsStd: 3, SegsJumbo: 1, PipeStd: 2076, PipeJumbo: 692},
+		{Bytes: 65536, SegsStd: 45, SegsJumbo: 8, PipeStd: 31153, PipeJumbo: 5538},
+		{Bytes: 131072, SegsStd: 90, SegsJumbo: 15, PipeStd: 62307, PipeJumbo: 10384},
+		{Bytes: 524288, SegsStd: 360, SegsJumbo: 59, PipeStd: 249230, PipeJumbo: 40846},
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
 	}
-	for _, r := range rows {
-		if r.SegsJumbo >= r.SegsStd {
-			t.Errorf("%d bytes: jumbo segments %d not below standard %d",
-				r.Bytes, r.SegsJumbo, r.SegsStd)
+	for i, r := range rows {
+		w := want[i]
+		w.JumboSpeedup = float64(w.PipeStd) / float64(w.PipeJumbo)
+		if r != w {
+			t.Errorf("row %d = %+v, want %+v", i, r, w)
 		}
-		if r.JumboSpeedup <= 1.0 {
-			t.Errorf("%d bytes: jumbo gain %.2f", r.Bytes, r.JumboSpeedup)
-		}
-	}
-	// The gain saturates near the MTU ratio (~6.1x) for large messages.
-	last := rows[len(rows)-1]
-	if last.JumboSpeedup < 5.0 || last.JumboSpeedup > 7.0 {
-		t.Errorf("large-message jumbo gain %.2f, want ~6x", last.JumboSpeedup)
 	}
 	if !strings.Contains(MTUTable(rows).String(), "jumbo") {
 		t.Fatal("table broken")

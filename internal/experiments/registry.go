@@ -132,8 +132,7 @@ var families = []Family{
 	{Name: "recovery", Golden: 0x57c3e961ae11dea2, probe: &familyProbe{spec: "deliba-k-hw", readPct: 70, fault: "loss-1%"},
 		Run: adapt(Recovery, func(r *RecoveryResult) Outcome { return pinned(r, r.Table()) })},
 	{Name: "mtu", Run: func(Config) (Outcome, error) {
-		rows, err := MTU()
-		return unpinned(MTUTable(rows)), err
+		return unpinned(MTUTable(MTU())), nil
 	}},
 	{Name: "faults", Golden: 0x3f53b6f4787217e9, probe: &familyProbe{spec: "deliba-k-sw", readPct: 70, fault: "partition"},
 		Run: adapt(FaultSweep, func(r *FaultSweepResult) Outcome { return pinned(r, r.Table()) })},

@@ -172,10 +172,9 @@ var KernelTable = map[KernelID]KernelSpec{
 type Accel struct {
 	Spec KernelSpec
 	eng  *sim.Engine
-	// nextFree serializes the FSM.
-	nextFree sim.Time
-	ops      uint64
-	busyTime sim.Duration
+	// fsm serializes the operations.
+	fsm sim.Server
+	ops uint64
 }
 
 // NewAccel instantiates a kernel.
@@ -191,18 +190,12 @@ func NewAccel(eng *sim.Engine, id KernelID) *Accel {
 func (a *Accel) Ops() uint64 { return a.ops }
 
 // BusyTime returns cumulative FSM-busy time.
-func (a *Accel) BusyTime() sim.Duration { return a.busyTime }
+func (a *Accel) BusyTime() sim.Duration { return a.fsm.Busy() }
 
 // run schedules one FSM occupancy of the given service time and calls
 // retire when it ends; retire counts the operation (see retired).
 func (a *Accel) run(service sim.Duration, retire func()) {
-	start := a.eng.Now()
-	if a.nextFree > start {
-		start = a.nextFree
-	}
-	a.nextFree = start.Add(service)
-	a.busyTime += service
-	a.eng.At(a.nextFree, retire)
+	a.eng.At(a.fsm.Book(a.eng.Now(), service), retire)
 }
 
 // retired counts one operation the FSM finished.

@@ -13,7 +13,6 @@ const CMACClockHz = 260e6
 
 // Packet length limits of the DeLiBA-K datapath (paper §IV-B).
 const (
-	MinPacketBytes    = 64
 	MaxPacketStandard = 1518
 	MaxPacketJumbo    = 9018
 )

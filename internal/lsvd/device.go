@@ -3,7 +3,7 @@ package lsvd
 import "repro/internal/sim"
 
 // Device models an NVMe-class local cache device as a pipelined FIFO:
-// transfers serialize on bandwidth (nextFree), and each op additionally
+// transfers serialize on bandwidth (bus), and each op additionally
 // pays a fixed per-op latency after its transfer slot. Completions fire
 // in issue order — the property the cache's newest-wins index insertion
 // relies on.
@@ -12,7 +12,7 @@ type Device struct {
 	readLat  sim.Duration
 	writeLat sim.Duration
 	perByte  float64 // nanoseconds per byte
-	nextFree sim.Time
+	bus      sim.Server
 
 	Reads, Writes         uint64
 	ReadBytes, WriteBytes uint64
@@ -35,12 +35,7 @@ func (d *Device) xfer(n int) sim.Duration {
 
 // access books an n-byte transfer and schedules fn at its completion.
 func (d *Device) access(n int, lat sim.Duration, fn func()) {
-	start := d.eng.Now()
-	if d.nextFree > start {
-		start = d.nextFree
-	}
-	d.nextFree = start.Add(d.xfer(n))
-	d.eng.At(d.nextFree.Add(lat), fn)
+	d.eng.At(d.bus.Book(d.eng.Now(), d.xfer(n)).Add(lat), fn)
 }
 
 // Read books an n-byte read ending with fn.

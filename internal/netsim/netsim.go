@@ -44,12 +44,11 @@ type NIC struct {
 	eng *sim.Engine
 	// bytesPerSec is the line rate.
 	bytesPerSec float64
-	// nextFree is when the transmit side of the wire becomes idle.
-	nextFree sim.Time
+	// wire is the transmit side of the link.
+	wire sim.Server
 	// Stats.
 	txBytes uint64
 	txMsgs  uint64
-	busy    sim.Duration
 	drops   uint64
 }
 
@@ -76,31 +75,15 @@ func (n *NIC) WireTime(bytes int) sim.Duration {
 // reserve books the wire for n bytes starting no earlier than at, returning
 // the moment the last byte leaves.
 func (n *NIC) reserve(at sim.Time, bytes int) sim.Time {
-	start := at
-	if n.nextFree > start {
-		start = n.nextFree
-	}
-	wire := n.WireTime(bytes)
-	n.nextFree = start.Add(wire)
 	n.txBytes += uint64(bytes)
 	n.txMsgs++
-	n.busy += wire
-	return n.nextFree
+	return n.wire.Book(at, n.WireTime(bytes))
 }
 
 // Stats returns a snapshot of the NIC's transmit counters.
 func (n *NIC) Stats() NICStats {
-	return NICStats{TxBytes: n.txBytes, TxMsgs: n.txMsgs, Busy: n.busy, Drops: n.drops}
+	return NICStats{TxBytes: n.txBytes, TxMsgs: n.txMsgs, Busy: n.wire.Busy(), Drops: n.drops}
 }
-
-// TxBytes returns total bytes transmitted.
-func (n *NIC) TxBytes() uint64 { return n.txBytes }
-
-// TxMessages returns total messages transmitted.
-func (n *NIC) TxMessages() uint64 { return n.txMsgs }
-
-// BusyTime returns cumulative wire-busy time.
-func (n *NIC) BusyTime() sim.Duration { return n.busy }
 
 // countDrop records one message lost after transmission.
 func (n *NIC) countDrop() { n.drops++ }
@@ -119,11 +102,10 @@ type Host struct {
 	// all of this host's state lives on the shard that domain is pinned to.
 	dom sim.DomainID
 
-	// workers are the stack processors' next-free times; multi-core hosts
-	// run several protocol workers (irq/softirq spreading), single-engine
-	// pipelines (an FPGA TCP core, a 1-thread daemon) have one.
-	workers   []sim.Time
-	stackBusy sim.Duration
+	// workers are the stack processors: multi-core hosts run several
+	// protocol workers (irq/softirq spreading), single-engine pipelines
+	// (an FPGA TCP core, a 1-thread daemon) have one.
+	workers sim.Server
 	// deliveries recycles cross-domain arrival records. A record is taken
 	// from the sender's list and returned to the receiver's when it
 	// arrives, so each list is only touched on its host's shard.
@@ -151,39 +133,16 @@ func (d *delivery) arrive() {
 	if len(dst.deliveries) < maxDeliveries {
 		dst.deliveries = append(dst.deliveries, d)
 	}
-	at := dst.reserveStack(dst.eng.Now(), dst.Stack.Cost(n))
+	at := dst.workers.Book(dst.eng.Now(), dst.Stack.Cost(n))
 	dst.eng.At(at, onArrive)
 }
 
-// SetStackWorkers sets the number of parallel protocol processors.
-func (h *Host) SetStackWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	h.workers = make([]sim.Time, n)
-}
-
-// reserveStack books the earliest-free stack processor starting no earlier
-// than at, returning when the processing finishes.
-func (h *Host) reserveStack(at sim.Time, cost sim.Duration) sim.Time {
-	best := 0
-	for i, w := range h.workers {
-		if w < h.workers[best] {
-			best = i
-		}
-		_ = w
-	}
-	start := at
-	if h.workers[best] > start {
-		start = h.workers[best]
-	}
-	h.workers[best] = start.Add(cost)
-	h.stackBusy += cost
-	return h.workers[best]
-}
+// SetStackWorkers sets the number of parallel protocol processors (one by
+// default). Setup-time only.
+func (h *Host) SetStackWorkers(n int) { h.workers.SetLanes(n) }
 
 // StackBusyTime returns cumulative protocol-processing time on this host.
-func (h *Host) StackBusyTime() sim.Duration { return h.stackBusy }
+func (h *Host) StackBusyTime() sim.Duration { return h.workers.Busy() }
 
 // Fabric is a set of hosts joined by a non-blocking switch with uniform
 // propagation delay (the paper's single-switch 10 GbE lab network).
@@ -218,7 +177,6 @@ func (f *Fabric) AddHost(name string, bitsPerSec float64, stack StackCost) (*Hos
 		return nil, fmt.Errorf("netsim: duplicate host %q", name)
 	}
 	h := &Host{Name: name, NIC: NewNIC(f.eng, bitsPerSec), Stack: stack, eng: f.eng, dom: f.defaultDom}
-	h.SetStackWorkers(1)
 	f.hosts[name] = h
 	return h, nil
 }
@@ -262,11 +220,11 @@ func (f *Fabric) Propagation() sim.Duration { return f.propagation }
 func (f *Fabric) Send(src, dst *Host, n int, onArrive func()) {
 	now := src.eng.Now()
 	if src == dst {
-		done := src.reserveStack(now, src.Stack.Cost(n)+dst.Stack.Cost(n))
+		done := src.workers.Book(now, src.Stack.Cost(n)+dst.Stack.Cost(n))
 		src.eng.At(done, onArrive)
 		return
 	}
-	txReady := src.reserveStack(now, src.Stack.Cost(n))
+	txReady := src.workers.Book(now, src.Stack.Cost(n))
 	depart := src.NIC.reserve(txReady, n)
 	if f.faultHook != nil && f.faultHook(src, dst, n) {
 		// Lost on the wire: the sender paid for the transmission but the
@@ -295,7 +253,7 @@ func (f *Fabric) Send(src, dst *Host, n int, onArrive func()) {
 		f.group.PostAt(src.dom, dst.dom, atNIC, d.fn)
 		return
 	}
-	arrive := dst.reserveStack(atNIC, dst.Stack.Cost(n))
+	arrive := dst.workers.Book(atNIC, dst.Stack.Cost(n))
 	dst.eng.At(arrive, onArrive)
 }
 

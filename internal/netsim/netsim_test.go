@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -63,11 +65,39 @@ func TestNICSerialization(t *testing.T) {
 			t.Fatalf("gap %d = %v, want >= %v", i, gap, wire)
 		}
 	}
-	if a.NIC.TxMessages() != 3 || a.NIC.TxBytes() != 3*n {
-		t.Fatalf("stats: msgs=%d bytes=%d", a.NIC.TxMessages(), a.NIC.TxBytes())
+	st := a.NIC.Stats()
+	if st.TxMsgs != 3 || st.TxBytes != 3*n {
+		t.Fatalf("stats: msgs=%d bytes=%d", st.TxMsgs, st.TxBytes)
 	}
-	if a.NIC.BusyTime() != 3*wire {
-		t.Fatalf("busy = %v, want %v", a.NIC.BusyTime(), 3*wire)
+	if st.Busy != 3*wire {
+		t.Fatalf("busy = %v, want %v", st.Busy, 3*wire)
+	}
+}
+
+// TestStackWorkersRunInParallel drives a 4-worker receiver (the OSD node
+// configuration) with 5 messages that reach its NIC at the same instant:
+// four are processed side by side, the fifth waits for the worker that
+// frees first.
+func TestStackWorkersRunInParallel(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 5*sim.Microsecond)
+	dst, _ := f.AddHost("osd", tenGbE, SoftwareStack)
+	dst.SetStackWorkers(4)
+	const n = 4096
+	var arrivals []sim.Time
+	for i := 0; i < 5; i++ {
+		src, _ := f.AddHost(fmt.Sprintf("client%d", i), tenGbE, StackCost{})
+		f.Send(src, dst, n, func() { arrivals = append(arrivals, eng.Now()) })
+	}
+	eng.Run()
+	cost := dst.Stack.Cost(n)
+	atNIC := sim.Time(0).Add(dst.NIC.WireTime(n) + f.Propagation())
+	want := []sim.Time{atNIC.Add(cost), atNIC.Add(cost), atNIC.Add(cost), atNIC.Add(cost), atNIC.Add(2 * cost)}
+	if !slices.Equal(arrivals, want) {
+		t.Fatalf("arrivals = %v, want %v", arrivals, want)
+	}
+	if got := dst.StackBusyTime(); got != 5*cost {
+		t.Fatalf("stack busy = %v, want %v", got, 5*cost)
 	}
 }
 

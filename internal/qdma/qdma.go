@@ -134,8 +134,8 @@ type Engine struct {
 	eng *sim.Engine
 	cfg Config
 
-	// datapath serializes streaming transfers (the 256-bit bus).
-	busNextFree sim.Time
+	// bus serializes streaming transfers (the 256-bit datapath).
+	bus sim.Server
 	// h2cInFlight enforces the 256-I/O H2C limit.
 	h2cInFlight int
 	// reorderUsed tracks H2C re-order buffer occupancy in bytes.
@@ -298,12 +298,8 @@ func (x *xfer) start() {
 	if e.pcieTime(x.n) > wire {
 		wire = e.pcieTime(x.n)
 	}
-	busStart := e.eng.Now().Add(fetch)
-	if e.busNextFree > busStart {
-		busStart = e.busNextFree
-	}
-	e.busNextFree = busStart.Add(wire)
-	e.eng.At(e.busNextFree.Add(e.Cycles(e.cfg.CompletionCycles)), x.completeFn)
+	done := e.bus.Book(e.eng.Now().Add(fetch), wire)
+	e.eng.At(done.Add(e.Cycles(e.cfg.CompletionCycles)), x.completeFn)
 }
 
 // complete posts the completion entry, recycles x and runs done.

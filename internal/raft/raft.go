@@ -170,7 +170,7 @@ func (s *System) Group(pg uint32) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{sys: s, pg: pg}
+	g := &Group{sys: s}
 	for _, osd := range acting {
 		if osd < 0 || osd >= len(s.Cluster.OSDs) {
 			continue
@@ -218,7 +218,6 @@ func (s *System) watchMember(m *member) {
 // Group is one PG's Raft group: an ordered member per acting-set OSD.
 type Group struct {
 	sys     *System
-	pg      uint32
 	members []*member
 	// lastElect is the span ID of the most recent leader-elect span, cause
 	// link for redirect- and no-leader-induced stalls.
@@ -229,9 +228,6 @@ type Group struct {
 	// scratch backs commit-quorum computation without per-call allocation.
 	scratch []uint64
 }
-
-// PG returns the group's placement group id.
-func (g *Group) PG() uint32 { return g.pg }
 
 // quorum returns the majority size.
 func (g *Group) quorum() int { return len(g.members)/2 + 1 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduleRun measures raw event throughput: one Schedule plus one
 // dispatch per iteration, self-sustaining so the heap never empties. Heap
@@ -147,3 +150,26 @@ func BenchmarkShardsWindow(b *testing.B) {
 		b.Fatalf("%d windows for %d ops", got, b.N)
 	}
 }
+
+// BenchmarkServerBook measures one FIFO booking on a single-lane station
+// (a wire, a bus, an FSM) and on a 4-lane one (an OSD node's protocol
+// workers). Offers arrive faster than the service time, so the lanes stay
+// backlogged and every call searches them. Booking is allocation-free.
+func BenchmarkServerBook(b *testing.B) {
+	for _, lanes := range []int{1, 4} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			var s Server
+			s.SetLanes(lanes)
+			var at Time
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bookSink = s.Book(at, 3)
+				at++
+			}
+		})
+	}
+}
+
+// bookSink keeps BenchmarkServerBook's calls from being optimised away.
+var bookSink Time
