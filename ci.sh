@@ -56,6 +56,9 @@ echo "== bench module (vet + test) =="
 #   - faults retry backoff: bounds (jitter in [base, cap]), nil-rng
 #     upper-edge dominance, and same-seed replay;
 #   - raft wire codec;
+#   - sim engine: the differential script against the sorted-slice
+#     reference, over (seed, delay scale), so events cross wheel buckets,
+#     sit at the wheel's edge and go past its horizon to the heap;
 #   - stack spec grammar: every string parses to a spec that validates
 #     and builds, or is rejected with an error (never a panic).
 echo "== trace encoder fuzz seeds =="
@@ -68,6 +71,8 @@ echo "== faults backoff fuzz seeds =="
 go test -run 'Fuzz' ./internal/faults/
 echo "== raft codec fuzz seeds =="
 go test -run 'Fuzz' ./internal/raft/
+echo "== sim engine fuzz seeds =="
+go test -run 'Fuzz' ./internal/sim/
 echo "== stack spec fuzz seeds =="
 go test -run 'Fuzz' ./internal/core/
 

@@ -4,9 +4,12 @@ import "repro/internal/sim"
 
 // Device models an NVMe-class local cache device as a pipelined FIFO:
 // transfers serialize on bandwidth (bus), and each op additionally
-// pays a fixed per-op latency after its transfer slot. Completions fire
-// in issue order — the property the cache's newest-wins index insertion
-// relies on.
+// pays a fixed per-op latency after its transfer slot. Writes complete
+// in issue order, the property the cache's newest-wins write-log index
+// insertion relies on: it inserts each record when its write is
+// durable. Reads and writes pay different latencies after the shared
+// transfer FIFO, so a read may complete before a write issued ahead of
+// it.
 type Device struct {
 	eng      *sim.Engine
 	readLat  sim.Duration

@@ -255,6 +255,25 @@ func TestMissCoalescingAcrossCrash(t *testing.T) {
 	}
 }
 
+// TestReadDuringWriteMisses: a read issued while a write to the same range
+// is still in flight does not observe it. The write log indexes a record
+// only once its device write is durable, so the read misses to the
+// backend, even though on the device a read can complete before a write
+// issued ahead of it.
+func TestReadDuringWriteMisses(t *testing.T) {
+	eng, c, be := newTestCache(t, nil)
+	acked := false
+	c.Write(0, 4096, func(error) { acked = true })
+	c.Read(0, 4096, func(error) {})
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d during the write, want 0/1", s.Hits, s.Misses)
+	}
+	eng.Run()
+	if !acked || be.missReads != 1 {
+		t.Fatalf("acked=%v missReads=%d, want true/1", acked, be.missReads)
+	}
+}
+
 func TestWriteShadowsReadCache(t *testing.T) {
 	eng, c, _ := newTestCache(t, nil)
 	c.Read(0, 4096, func(error) {})

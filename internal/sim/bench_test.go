@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkScheduleRun measures raw event throughput: one Schedule plus one
-// dispatch per iteration, self-sustaining so the heap never empties. Heap
-// slots are values reused in place, so this is allocation-free in steady
-// state.
+// dispatch per iteration, self-sustaining so the queue never empties. The
+// one pending event is held by value as the engine's first, so this is
+// allocation-free in steady state.
 func BenchmarkScheduleRun(b *testing.B) {
 	eng := NewEngine()
 	n := b.N
@@ -26,7 +26,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 
 // BenchmarkScheduleNow measures the same-instant lane: a Schedule(0) chain,
 // one schedule plus one dispatch per iteration with the clock standing
-// still, so no event passes through the heap.
+// still, so no event passes through the wheel or the heap.
 func BenchmarkScheduleNow(b *testing.B) {
 	eng := NewEngine()
 	n := b.N
@@ -42,8 +42,9 @@ func BenchmarkScheduleNow(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkSchedulePingPong keeps a deeper heap busy: 64 self-rescheduling
-// events with staggered periods, exercising sift-up/down paths.
+// BenchmarkSchedulePingPong keeps a deeper queue busy: 64 self-rescheduling
+// events with staggered periods of 1 to 7 µs, spread over 14 wheel
+// buckets.
 func BenchmarkSchedulePingPong(b *testing.B) {
 	eng := NewEngine()
 	const width = 64
@@ -78,8 +79,68 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
+// spreadDelays returns n delays drawn from dk-hw-rand's measured mix of
+// timed-event delays: 73% one of its seven most common delays (112 ns to
+// 16.9 µs), 10% anywhere from 104 ns to 65 µs, and 17% from 65 to 146 µs
+// (bookings behind busy stations). With farFrac > 0, that share of the
+// delays is instead 0.6 to 2 ms, past the wheel's 524 µs horizon, as the
+// cache tier's longest timers are.
+func spreadDelays(n int, farFrac float64, seed uint64) []Duration {
+	common := []Duration{400, 608, 900, 1318, 1500, 112, 16900}
+	rng := NewRNG(seed)
+	out := make([]Duration, n)
+	for i := range out {
+		switch u := rng.Float64(); {
+		case u < farFrac:
+			out[i] = Duration(600_000 + rng.Intn(1_400_000))
+		case u < farFrac+(1-farFrac)*0.73:
+			out[i] = common[rng.Intn(len(common))]
+		case u < farFrac+(1-farFrac)*0.83:
+			out[i] = Duration(104 + rng.Intn(65_000-104))
+		default:
+			out[i] = Duration(65_000 + rng.Intn(81_000))
+		}
+	}
+	return out
+}
+
+// BenchmarkScheduleSpread keeps 60 events pending, dk-hw-rand's mean queue
+// depth, each rescheduling itself with the next delay of spreadDelays: at
+// near, every delay is inside the wheel's horizon; at far10, 10% of them
+// are past it and wait in the heap.
+func BenchmarkScheduleSpread(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		far  float64
+	}{{"near", 0}, {"far10", 0.10}} {
+		b.Run(c.name, func(b *testing.B) {
+			eng := NewEngine()
+			delays := spreadDelays(4096, c.far, 5)
+			const depth = 60
+			n, next := b.N, 0
+			var tick func()
+			tick = func() {
+				if n--; n > 0 {
+					eng.Schedule(delays[next%len(delays)], tick)
+					next++
+				}
+			}
+			for i := 0; i < depth; i++ {
+				eng.Schedule(delays[i], tick)
+			}
+			next = depth
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run()
+		})
+	}
+}
+
 // TestScheduleRunZeroAlloc: once the queue's arrays have grown, neither a
-// heap event nor a same-instant lane chain allocates per schedule+dispatch.
+// timed event (in first, the wheel or the heap) nor a same-instant lane
+// chain allocates per schedule+dispatch. A warm engine keeps reaching
+// wheel buckets it has not used yet, so the warm-up first walks a chain of
+// events one bucket apart once around the wheel.
 func TestScheduleRunZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
@@ -87,10 +148,23 @@ func TestScheduleRunZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		eng.Schedule(Duration(i)*Microsecond, fn)
 		eng.Schedule(0, fn)
+		eng.Schedule(Duration(i)*Millisecond, fn)
 	}
 	eng.Run()
+	wrap := wheelBuckets + 1
+	var hop func()
+	hop = func() {
+		if wrap--; wrap > 0 {
+			eng.Schedule(1<<wheelShift, hop)
+		}
+	}
+	eng.Schedule(1<<wheelShift, hop)
+	eng.Run()
+	delays := spreadDelays(64, 0.10, 1)
 	allocs := testing.AllocsPerRun(1000, func() {
-		eng.Schedule(Microsecond, fn)
+		for _, d := range delays {
+			eng.Schedule(d, fn)
+		}
 		eng.Run()
 	})
 	if allocs != 0 {

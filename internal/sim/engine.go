@@ -10,6 +10,13 @@
 // in the modelled system (multiple CPU cores, queues, devices) is expressed
 // as interleaved event chains, not OS parallelism.
 //
+// The event queue holds events by value in three tiers: a FIFO lane for
+// events due at the current instant, a timing wheel of 512 ns buckets for
+// events due within 524 µs, where schedule and dispatch cost O(1), and a
+// binary heap for events due later. The earliest timed event waits apart,
+// ahead of the wheel and the heap. The loop merges them into the one
+// (time, sequence) order.
+//
 // For a topology split into domains an Engine can instead be one shard of
 // a Shards group (see shard.go): each shard has its own event queue, the
 // group runs the shards window by window on the caller's goroutine, and
@@ -20,6 +27,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -144,24 +152,62 @@ func (h eventHeap) down(i int, s slot) {
 	h[i] = s
 }
 
+// The wheel's geometry: 1024 buckets of 512 ns, a horizon of 524 µs. On
+// dk-hw-rand timed events are scheduled 104 ns to 146 µs ahead, most of
+// them 104 ns to 17 µs, and 17% more than 65 µs ahead (bookings behind
+// busy stations), so every one of them fits. A 128 ns × 512 wheel left
+// that 17% in the heap. The wheel costs 8 KB of bucket heads per engine.
+// The geometry is fixed, not a setting: it decides no event's order, only
+// where an event waits.
+const (
+	wheelShift   = 9 // a bucket spans 1<<wheelShift ns
+	wheelBuckets = 1024
+	wheelMask    = wheelBuckets - 1
+)
+
+// wheelNode is one wheel event, linked into its bucket's chain by index.
+type wheelNode struct {
+	slot
+	next int32 // the next node in the chain, or 0 at its end
+}
+
+// bucket is one wheel bucket: a chain of nodes sorted by (at, seq).
+type bucket struct{ head, tail int32 }
+
 // Engine is a discrete-event simulation kernel.
 //
-// Events due at the current instant wait in a FIFO lane; later ones wait in
-// the heap. Heap events due at time T were scheduled before the clock
-// reached T, so their sequence numbers are below every lane event's at T:
-// the loop runs the heap's events due now, then the lane, and only then
-// advances the clock. A cancel only marks the event's sequence number
-// dead; the loop skips dead events, and the queue is compacted once they
-// are the majority of it.
+// Events due at the current instant wait in a FIFO lane. The earliest
+// later event is held by value in first; the rest wait in a timing wheel
+// if they are due within its horizon and in a binary heap otherwise.
+// Timed events due at time T were scheduled before the clock reached T,
+// so their sequence numbers are below every lane event's at T: the loop
+// runs the timed events due now, then the lane, and only then advances
+// the clock. A cancel only marks the event's sequence number dead; the
+// loop skips dead events, and the queue is compacted once they are the
+// majority of it.
+//
+// The wheel admits an event due at t when its bucket number t>>wheelShift
+// is fewer than wheelBuckets ahead of the clock's, and chains it in bucket
+// (t>>wheelShift)&wheelMask. Every wheel event is due at or after the
+// clock, so the buckets ahead of the clock's never alias, and the first
+// occupied bucket from the clock's on holds the wheel's earliest events.
+// An occupancy bitmap finds it. Heap events stay in the heap as the clock
+// approaches them; refilling first takes the earlier of the wheel's first
+// event and the heap's top. Holding first by value keeps a queue one
+// timed event deep, as a QD1 request chain's is, out of the wheel.
 //
 // The zero value is not usable; call NewEngine (or build a Shards group and
 // register domains, which yields one engine per shard).
 type Engine struct {
 	now      Time
-	seq      uint64 // last issued sequence number; 0 names no event
-	last     uint64 // sequence number of the last dispatched event
-	heap     eventHeap
-	lane     []slot // events due now, in schedule order, from lhead on
+	seq      uint64      // last issued sequence number; 0 names no event
+	last     uint64      // sequence number of the last dispatched event
+	first    slot        // the earliest timed event; seq 0 when there is none
+	nodes    []wheelNode // node 0 is the chains' nil
+	free     int32       // free nodes, linked by next
+	wlen     int         // events in the wheel
+	heap     eventHeap   // timed events past the wheel's horizon
+	lane     []slot      // events due now, in schedule order, from lhead on
 	lhead    int
 	dead     []uint64 // cancel marks: bit i is sequence number deadBase+i
 	deadBase uint64   // no queued event's sequence number is below it
@@ -173,16 +219,29 @@ type Engine struct {
 	// group links this engine to a Shards front end; nil for a plain
 	// single-loop engine.
 	group *Shards
+
+	// The bucket heads come last, so the fields above share cache lines.
+	occ   [wheelBuckets / 64]uint64 // bit b: bucket b is not empty
+	wheel [wheelBuckets]bucket
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{nodes: make([]wheelNode, 1)} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of scheduled (uncancelled) events.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.lhead - e.ndead }
+func (e *Engine) Pending() int { return e.queued() - e.ndead }
+
+// queued counts the events in the queue, cancelled ones included.
+func (e *Engine) queued() int {
+	n := e.wlen + len(e.heap) + len(e.lane) - e.lhead
+	if e.first.seq != 0 {
+		n++
+	}
+	return n
+}
 
 // Executed reports the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -200,12 +259,105 @@ func (e *Engine) Schedule(d Duration, fn func()) EventID {
 // before already-scheduled events at the current time.
 func (e *Engine) At(t Time, fn func()) EventID {
 	e.seq++
-	if t <= e.now {
-		e.lane = append(e.lane, slot{e.now, e.seq, fn})
-		return EventID{e.now, e.seq}
+	s := slot{t, e.seq, fn}
+	switch {
+	case t <= e.now:
+		s.at = e.now
+		e.lane = append(e.lane, s)
+	case e.first.seq == 0:
+		e.first = s
+	case t < e.first.at:
+		e.enqueue(e.first)
+		e.first = s
+	default:
+		e.enqueue(s)
 	}
-	e.heap.push(slot{t, e.seq, fn})
-	return EventID{t, e.seq}
+	return EventID{s.at, s.seq}
+}
+
+// enqueue puts a timed event other than first in the wheel, or in the
+// heap if it is due past the wheel's horizon.
+func (e *Engine) enqueue(s slot) {
+	if uint64(s.at>>wheelShift-e.now>>wheelShift) >= wheelBuckets {
+		e.heap.push(s)
+		return
+	}
+	i := e.free
+	if i == 0 {
+		e.nodes = append(e.nodes, wheelNode{})
+		i = int32(len(e.nodes) - 1)
+	} else {
+		e.free = e.nodes[i].next
+	}
+	e.nodes[i] = wheelNode{slot: s}
+	e.wlen++
+	b := int(s.at>>wheelShift) & wheelMask
+	bk := &e.wheel[b]
+	switch {
+	case bk.tail == 0:
+		bk.head, bk.tail = i, i
+		e.occ[b/64] |= 1 << (b % 64)
+	case e.nodes[bk.tail].before(&s):
+		e.nodes[bk.tail].next = i
+		bk.tail = i
+	default:
+		// s sorts before the tail (a demoted first sorts before every
+		// node): link it after the last node before it.
+		p := &bk.head
+		for e.nodes[*p].before(&s) {
+			p = &e.nodes[*p].next
+		}
+		e.nodes[i].next = *p
+		*p = i
+	}
+}
+
+// firstBucket returns the first occupied bucket from bucket b on, in the
+// wheel's circular order. The wheel must not be empty.
+func (e *Engine) firstBucket(b int) int {
+	w := b / 64
+	m := e.occ[w] &^ (1<<(b%64) - 1)
+	for m == 0 {
+		w = (w + 1) % len(e.occ)
+		m = e.occ[w]
+	}
+	return w*64 + bits.TrailingZeros64(m)
+}
+
+// pull removes and returns the earliest event of the wheel and the heap,
+// or the zero slot if both are empty. Every wheel event is due at or after
+// from.
+func (e *Engine) pull(from Time) slot {
+	if e.wlen == 0 {
+		if len(e.heap) == 0 {
+			return slot{}
+		}
+		return e.heap.pop()
+	}
+	b := e.firstBucket(int(from>>wheelShift) & wheelMask)
+	bk := &e.wheel[b]
+	i := bk.head
+	n := &e.nodes[i]
+	if len(e.heap) > 0 && e.heap[0].before(&n.slot) {
+		return e.heap.pop()
+	}
+	s := n.slot
+	bk.head = n.next
+	n.fn, n.next, e.free = nil, e.free, i
+	e.wlen--
+	if bk.head == 0 {
+		bk.tail = 0
+		e.occ[b/64] &^= 1 << (b % 64)
+	}
+	return s
+}
+
+// popFirst removes and returns first, refilling it from the wheel and the
+// heap.
+func (e *Engine) popFirst() slot {
+	s := e.first
+	e.first = e.pull(s.at)
+	return s
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
@@ -226,7 +378,7 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	e.dead[w] |= 1 << ((id.seq - e.deadBase) % 64)
 	e.ndead++
-	if 2*e.ndead > len(e.heap)+len(e.lane)-e.lhead {
+	if 2*e.ndead > e.queued() {
 		e.compact()
 	}
 	return true
@@ -241,7 +393,8 @@ func (e *Engine) isDead(seq uint64) bool {
 
 // compact drops the cancelled events from the queue, restores heap order
 // and raises deadBase to the oldest queued event, dropping the marks
-// below it once they are half of them.
+// below it once they are half of them. It walks only the occupied
+// buckets.
 func (e *Engine) compact() {
 	low := e.seq + 1
 	// keep moves the live events of q[from:] to the front of q and
@@ -262,11 +415,55 @@ func (e *Engine) compact() {
 		e.heap.down(i, e.heap[i])
 	}
 	e.lane, e.lhead = keep(e.lane, e.lhead), 0
+	// The occupied buckets from the clock's on, until every wheel event
+	// has been seen.
+	for left, b := e.wlen, int(e.now>>wheelShift)&wheelMask; left > 0; b = (b + 1) & wheelMask {
+		b = e.firstBucket(b)
+		bk := &e.wheel[b]
+		i := bk.head
+		bk.head, bk.tail = 0, 0
+		p := &bk.head
+		for ; i != 0; left-- {
+			n := &e.nodes[i]
+			next := n.next
+			if e.isDead(n.seq) {
+				n.fn, n.next, e.free = nil, e.free, i
+				e.wlen--
+			} else {
+				*p = i
+				p = &n.next
+				bk.tail = i
+				low = min(low, n.seq)
+			}
+			i = next
+		}
+		*p = 0
+		if bk.tail == 0 {
+			e.occ[b/64] &^= 1 << (b % 64)
+		}
+	}
+	if e.first.seq != 0 && e.isDead(e.first.seq) {
+		e.first = e.pull(e.now)
+	}
+	if e.first.seq != 0 {
+		low = min(low, e.first.seq)
+	}
 	e.ndead = 0
 	if k := int((low - e.deadBase) / 64); k > 0 && 2*k >= len(e.dead) {
 		e.dead = e.dead[:copy(e.dead, e.dead[min(k, len(e.dead)):])]
 		e.deadBase += uint64(k) * 64
 	}
+}
+
+// idleTo moves the clock of an engine with no live event forward to t.
+// The cancelled events still queued are dropped first: one due before t
+// would sit in a wheel bucket behind the clock, where a later event
+// could alias it.
+func (e *Engine) idleTo(t Time) {
+	if e.ndead > 0 && e.Pending() == 0 {
+		e.compact()
+	}
+	e.now = t
 }
 
 // Stop makes Run return after the current event completes. On a sharded
@@ -331,7 +528,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	for !e.stopped && e.step(deadline) {
 	}
 	if (!e.stopped || e.Pending() == 0) && e.now < deadline && deadline != MaxTime {
-		e.now = deadline
+		e.idleTo(deadline)
 	}
 	return e.now
 }
@@ -354,18 +551,18 @@ func (e *Engine) runWindow(limit Time) {
 }
 
 // step dispatches the next live event due at or before limit and reports
-// whether there was one: the heap's events due now, then the lane, then
-// the heap's next instant.
+// whether there was one: the timed events due now, then the lane, then
+// the next timed instant.
 func (e *Engine) step(limit Time) bool {
 	for e.now <= limit {
 		var s slot
 		switch {
-		case len(e.heap) > 0 && e.heap[0].at == e.now:
-			s = e.heap.pop()
+		case e.first.seq != 0 && e.first.at == e.now:
+			s = e.popFirst()
 		case e.lhead < len(e.lane):
 			s = e.popLane()
-		case len(e.heap) > 0 && e.heap[0].at <= limit:
-			s = e.heap.pop()
+		case e.first.seq != 0 && e.first.at <= limit:
+			s = e.popFirst()
 		default:
 			return false
 		}
@@ -405,11 +602,11 @@ func (e *Engine) peek() (Time, bool) {
 		e.popLane()
 		e.ndead--
 	}
-	for len(e.heap) > 0 {
-		if e.ndead == 0 || !e.isDead(e.heap[0].seq) {
-			return e.heap[0].at, true
+	for e.first.seq != 0 {
+		if e.ndead == 0 || !e.isDead(e.first.seq) {
+			return e.first.at, true
 		}
-		e.heap.pop()
+		e.popFirst()
 		e.ndead--
 	}
 	return 0, false

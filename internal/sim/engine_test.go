@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -239,10 +240,13 @@ func TestReentrantRunPanics(t *testing.T) {
 
 // TestCancelChurnStaysBounded replays the resilience layer's deadline churn
 // (core/resilience.go): every op arms a 5 ms deadline timer and cancels it
-// when the op completes, long before the timer is due. Cancelled timers
-// wait in the queue until compaction, so it must stay within twice the
-// live events, and the cancel marks must not grow with the run: they stay
-// within 64 words while the run issues 200,000 sequence numbers.
+// when the op completes, long before the timer is due. The timers wait in
+// the heap (5 ms is past the wheel's horizon) and the completions in the
+// wheel. Cancelled timers wait in the queue until compaction, so it must
+// stay within twice the live events, and neither the cancel marks nor the
+// wheel's node pool may grow with the run: the marks stay within 64 words
+// while the run issues 200,000 sequence numbers, and the pool within the
+// queue depth.
 func TestCancelChurnStaysBounded(t *testing.T) {
 	eng := NewEngine()
 	rng := NewRNG(11)
@@ -263,19 +267,55 @@ func TestCancelChurnStaysBounded(t *testing.T) {
 	for i := 0; i < qd; i++ {
 		issue()
 	}
-	maxQueued := 0
+	maxQueued, maxWheel, maxHeap := 0, 0, 0
 	for eng.Pending() > 0 {
 		eng.RunUntil(eng.Now() + Time(Microsecond))
-		queued := len(eng.heap) + len(eng.lane) - eng.lhead
+		queued := eng.queued()
 		maxQueued = max(maxQueued, queued)
+		maxWheel = max(maxWheel, eng.wlen)
+		maxHeap = max(maxHeap, len(eng.heap))
 		if queued > 2*eng.Pending()+1 {
 			t.Fatalf("at %v: %d queued for %d live events", eng.Now(), queued, eng.Pending())
 		}
 		if len(eng.dead) > 64 {
 			t.Fatalf("at %v: cancel marks grew to %d words", eng.Now(), len(eng.dead))
 		}
+		if len(eng.nodes) > 2*qd+1 {
+			t.Fatalf("at %v: wheel node pool grew to %d", eng.Now(), len(eng.nodes))
+		}
 	}
 	if started != ops || maxQueued < qd || eng.seq != 2*ops {
 		t.Fatalf("started %d ops, issued %d seqs, queue peaked at %d", started, eng.seq, maxQueued)
+	}
+	if maxWheel < qd/2 || maxHeap < qd/2 {
+		t.Fatalf("wheel peaked at %d events, heap at %d; want both at least %d", maxWheel, maxHeap, qd/2)
+	}
+}
+
+// TestIdleClockDropsCancelledEvents: a Stop can leave only cancelled
+// events queued, and RunUntil then moves the idle clock past them. They
+// must not stay behind the clock in the wheel, where the bucket of the
+// earliest of them also holds events a full horizon later: the events
+// scheduled afterwards still run in time order.
+func TestIdleClockDropsCancelledEvents(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	rec := func() { got = append(got, e.Now()) }
+	e.Schedule(5, rec)
+	e.Schedule(6, func() { rec(); e.Stop() })
+	e.Cancel(e.Schedule(100, rec)) // the minority when cancelled
+	e.RunUntil(1000)
+	if e.Now() != 1000 || e.Pending() != 0 {
+		t.Fatalf("after the stop: now %v, %d pending; want 1µs, 0", e.Now(), e.Pending())
+	}
+	// The first bucket past the wheel's reach from bucket 0, which the
+	// cancelled event at 100 occupied, and one in between.
+	far := Time(wheelBuckets << wheelShift)
+	e.At(far, rec)
+	e.At(500<<wheelShift, rec)
+	e.Run()
+	want := []Time{5, 6, 500 << wheelShift, far}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired at %v, want %v", got, want)
 	}
 }

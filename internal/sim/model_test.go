@@ -96,8 +96,9 @@ type queue interface {
 }
 
 type engineQueue struct {
-	e   *Engine
-	ids []EventID
+	e     *Engine
+	ids   []EventID
+	reach reachStats
 }
 
 func (q *engineQueue) now() Time        { return q.e.Now() }
@@ -110,13 +111,33 @@ func (q *engineQueue) wait(r func(func())) {
 }
 func (q *engineQueue) at(t Time, fn func()) int {
 	q.ids = append(q.ids, q.e.At(t, fn))
+	q.reach.maxWheel = max(q.reach.maxWheel, q.e.wlen)
+	q.reach.maxHeap = max(q.reach.maxHeap, len(q.e.heap))
 	return len(q.ids) - 1
 }
 func (q *engineQueue) cancel(h int) bool {
 	if h < 0 {
 		return q.e.Cancel(EventID{})
 	}
-	return q.e.Cancel(q.ids[h])
+	id := q.ids[h]
+	e := q.e
+	first := e.first.seq == id.seq
+	inHeap := slices.ContainsFunc(e.heap, func(s slot) bool { return s.seq == id.seq })
+	inLane := slices.ContainsFunc(e.lane[e.lhead:], func(s slot) bool { return s.seq == id.seq })
+	if !e.Cancel(id) {
+		return false
+	}
+	switch {
+	case first:
+		q.reach.cancelFirst++
+	case inHeap:
+		q.reach.cancelHeap++
+	case inLane:
+		q.reach.cancelLane++
+	default:
+		q.reach.cancelWheel++
+	}
+	return true
 }
 
 type refQueue struct {
@@ -153,10 +174,40 @@ type script struct {
 	lastCancel int
 	nowake     map[int]bool // wake events, which random cancels must spare
 	maxSched   int
+	scale      int  // the longest delay of the across-buckets draws
+	far        Time // the due time of the last draw past the horizon
 }
 
+// wheelHorizon is how far ahead of the clock's bucket the wheel admits
+// events.
+const wheelHorizon = wheelBuckets << wheelShift
+
 func newScript(q queue, seed uint64) *script {
-	return &script{q: q, rng: NewRNG(seed), nowake: map[int]bool{}, maxSched: 4000}
+	return &script{q: q, rng: NewRNG(seed), nowake: map[int]bool{}, maxSched: 4000, scale: 4 * wheelHorizon}
+}
+
+// later draws a timed event's due time: usually 1 to short ns ahead, most
+// often inside the clock's bucket, else up to scale ahead (across
+// buckets), the due time of the last draw past the horizon (a tie between
+// a heap event and a later wheel event), in a bucket 1023, 1024 or 1025
+// ahead of the clock's (the last the wheel admits and the first two it
+// does not), or past the wheel's horizon.
+func (s *script) later(short int) Time {
+	now := s.q.now()
+	switch k := s.rng.Intn(20); {
+	case k < 12:
+		return now.Add(Duration(1 + s.rng.Intn(short)))
+	case k < 15:
+		return now.Add(Duration(1 + s.rng.Intn(s.scale)))
+	case k < 16 && s.far > now:
+		return s.far
+	case k < 18:
+		b := now>>wheelShift + Time(wheelBuckets-1+s.rng.Intn(3))
+		return b<<wheelShift + Time(s.rng.Intn(1<<wheelShift))
+	default:
+		s.far = now.Add(Duration(wheelHorizon + s.rng.Intn(3*wheelHorizon)))
+		return s.far
+	}
 }
 
 func (s *script) schedule(t Time) int {
@@ -175,7 +226,7 @@ func (s *script) fire(h int) {
 	case k < 4:
 		s.schedule(s.q.now())
 	case k < 8:
-		s.schedule(s.q.now().Add(Duration(1 + s.rng.Intn(40))))
+		s.schedule(s.later(40))
 	case k < 10:
 		s.schedule(s.q.now().Add(-Duration(s.rng.Intn(5))))
 	case k < 12:
@@ -224,7 +275,7 @@ func (s *script) step() {
 	case k < 3:
 		s.schedule(now)
 	case k < 7:
-		s.schedule(now.Add(Duration(1 + s.rng.Intn(60))))
+		s.schedule(s.later(60))
 	case k < 8:
 		s.schedule(now.Add(-Duration(1 + s.rng.Intn(10))))
 	case k < 10:
@@ -232,7 +283,7 @@ func (s *script) step() {
 	case k < 11:
 		s.cancelBurst()
 	case k < 14:
-		s.q.runUntil(now.Add(Duration(s.rng.Intn(50))))
+		s.q.runUntil(s.deadline(50))
 	case k < 15:
 		s.q.stop()
 	default:
@@ -254,6 +305,20 @@ func (s *script) step() {
 	}
 }
 
+// deadline draws a RunUntil deadline: usually under short ns ahead, else
+// up to scale ahead, or more than one wheel horizon ahead.
+func (s *script) deadline(short int) Time {
+	now := s.q.now()
+	switch k := s.rng.Intn(8); {
+	case k < 6:
+		return now.Add(Duration(s.rng.Intn(short)))
+	case k < 7:
+		return now.Add(Duration(s.rng.Intn(s.scale)))
+	default:
+		return now.Add(Duration(wheelHorizon + s.rng.Intn(2*wheelHorizon)))
+	}
+}
+
 func (s *script) state() string {
 	return fmt.Sprintf("now %d pending %d executed %d", s.q.now(), s.q.pending(), s.q.executed())
 }
@@ -263,20 +328,80 @@ func (s *script) state() string {
 // cancelled and zero IDs), past-time At calls, RunUntil deadlines, Stops
 // and Waits. What fires, in which order and at which time, what each
 // cancel returns, and Now, Pending and Executed must agree after every
-// step.
+// step. The delays and deadlines reach every part of the queue: the
+// clock's own bucket, later buckets, the wheel's last bucket and the two
+// past it, the heap, wheel events tied with heap events, and clock moves
+// of more than one horizon; the test checks that live events were
+// cancelled in each of first, the lane, the wheel and the heap.
 func TestEngineMatchesReference(t *testing.T) {
+	var total reachStats
 	for seed := uint64(1); seed <= 40; seed++ {
-		eng := newScript(&engineQueue{e: NewEngine()}, seed)
-		ref := newScript(&refQueue{}, seed)
-		for i := 0; i < 600; i++ {
-			eng.step()
-			ref.step()
-			compareScripts(t, seed, i, eng, ref)
-		}
-		eng.q.runUntil(MaxTime)
-		ref.q.runUntil(MaxTime)
-		compareScripts(t, seed, -1, eng, ref)
+		r := matchReference(t, seed, 4*wheelHorizon, 600)
+		total.add(r)
 	}
+	total.check(t)
+}
+
+// FuzzEngineMatchesReference runs the differential script of
+// TestEngineMatchesReference for a seed and a delay scale, the longest of
+// its across-buckets delays and clock moves.
+func FuzzEngineMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint32(40))
+	f.Add(uint64(2), uint32(1<<wheelShift))
+	f.Add(uint64(3), uint32(20<<wheelShift))
+	f.Add(uint64(4), uint32(wheelHorizon-1))
+	f.Add(uint64(5), uint32(wheelHorizon+1<<wheelShift))
+	f.Add(uint64(6), uint32(8*wheelHorizon))
+	f.Fuzz(func(t *testing.T, seed uint64, scale uint32) {
+		matchReference(t, seed, 1+int(scale%(16*wheelHorizon)), 300)
+	})
+}
+
+// reachStats counts what a differential script made the engine do: live
+// cancels of first, lane, wheel and heap events, and the deepest wheel and
+// heap.
+type reachStats struct {
+	cancelFirst, cancelLane, cancelWheel, cancelHeap int
+	maxWheel, maxHeap                                int
+}
+
+func (r *reachStats) add(o reachStats) {
+	r.cancelFirst += o.cancelFirst
+	r.cancelLane += o.cancelLane
+	r.cancelWheel += o.cancelWheel
+	r.cancelHeap += o.cancelHeap
+	r.maxWheel = max(r.maxWheel, o.maxWheel)
+	r.maxHeap = max(r.maxHeap, o.maxHeap)
+}
+
+// check fails t unless every kind of live cancel happened and both the
+// wheel and the heap held more than one event.
+func (r *reachStats) check(t *testing.T) {
+	t.Helper()
+	if r.cancelFirst == 0 || r.cancelLane == 0 || r.cancelWheel == 0 || r.cancelHeap == 0 ||
+		r.maxWheel < 2 || r.maxHeap < 2 {
+		t.Fatalf("the script did not reach every part of the queue: %+v", *r)
+	}
+}
+
+// matchReference runs steps script steps and a final drain on the engine
+// and the reference with one seed and delay scale, comparing them after
+// each, and returns what the engine side reached.
+func matchReference(t *testing.T, seed uint64, scale, steps int) reachStats {
+	t.Helper()
+	eq := &engineQueue{e: NewEngine()}
+	eng := newScript(eq, seed)
+	ref := newScript(&refQueue{}, seed)
+	eng.scale, ref.scale = scale, scale
+	for i := 0; i < steps; i++ {
+		eng.step()
+		ref.step()
+		compareScripts(t, seed, i, eng, ref)
+	}
+	eng.q.runUntil(MaxTime)
+	ref.q.runUntil(MaxTime)
+	compareScripts(t, seed, -1, eng, ref)
+	return eq.reach
 }
 
 func compareScripts(t *testing.T, seed uint64, step int, eng, ref *script) {
@@ -447,8 +572,10 @@ func (r *refShards) horizon() (Time, bool) { return r.g.horizon() }
 // earlier than the earliest live event.
 func TestShardsMatchReference(t *testing.T) {
 	const la = 20
+	var total reachStats
 	for seed := uint64(1); seed <= 30; seed++ {
-		eng := newGroupScript(newShardsGroup(2, la), seed)
+		sg := newShardsGroup(2, la)
+		eng := newGroupScript(sg, seed)
 		ref := newGroupScript(newRefShards(2, la), seed)
 		for i := 0; i < 400; i++ {
 			eng.step()
@@ -458,7 +585,11 @@ func TestShardsMatchReference(t *testing.T) {
 		eng.g.runUntil(MaxTime)
 		ref.g.runUntil(MaxTime)
 		compareGroups(t, seed, -1, eng, ref)
+		for _, q := range sg.qs {
+			total.add(q.reach)
+		}
 	}
+	total.check(t)
 }
 
 // groupScript is one side of the sharded differential run: a script per
@@ -501,8 +632,10 @@ func (gs *groupScript) step() {
 	i := gs.rng.Intn(2)
 	s := gs.sc[i]
 	switch k := gs.rng.Intn(10); {
-	case k < 3:
+	case k < 2:
 		s.schedule(s.q.now().Add(Duration(s.rng.Intn(60))))
+	case k < 3:
+		s.schedule(s.later(60))
 	case k < 4:
 		s.cancelRandom()
 	case k < 5:
@@ -512,7 +645,11 @@ func (gs *groupScript) step() {
 	case k < 8:
 		s.q.stop()
 	default:
-		gs.end += Time(gs.rng.Intn(80))
+		if gs.rng.Intn(8) == 0 {
+			gs.end += Time(wheelHorizon + gs.rng.Intn(2*wheelHorizon))
+		} else {
+			gs.end += Time(gs.rng.Intn(80))
+		}
 		gs.g.runUntil(gs.end)
 	}
 }

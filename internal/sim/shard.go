@@ -266,7 +266,7 @@ func (s *Shards) runUntil(deadline Time) {
 	if deadline != MaxTime {
 		for _, e := range s.engines {
 			if e.Pending() == 0 && e.now < deadline {
-				e.now = deadline
+				e.idleTo(deadline)
 			}
 		}
 	}

@@ -337,8 +337,10 @@ func TestShardStatsBusy(t *testing.T) {
 	}
 }
 
-// TestHeapRandomOrder drives the event heap through a randomized
+// TestHeapRandomOrder drives the timed queue through a randomized
 // schedule/cancel mix and checks events fire in strict (time, seq) order.
+// The times span twice the wheel's horizon, so about half the events wait
+// in the wheel and half in the heap, and the two are merged as they fire.
 func TestHeapRandomOrder(t *testing.T) {
 	eng := NewEngine()
 	rng := NewRNG(99)
@@ -350,7 +352,7 @@ func TestHeapRandomOrder(t *testing.T) {
 	var ids []EventID
 	n := 0
 	for i := 0; i < 5000; i++ {
-		at := Time(rng.Intn(1000))
+		at := Time(rng.Intn(2 * wheelBuckets << wheelShift))
 		seq := n
 		n++
 		id := eng.At(at, func() { fired = append(fired, stamp{eng.Now(), seq}) })
@@ -358,6 +360,9 @@ func TestHeapRandomOrder(t *testing.T) {
 		if rng.Intn(4) == 0 && len(ids) > 1 {
 			eng.Cancel(ids[rng.Intn(len(ids))])
 		}
+	}
+	if eng.wlen < 1000 || len(eng.heap) < 1000 {
+		t.Fatalf("%d events in the wheel and %d in the heap, want at least 1000 each", eng.wlen, len(eng.heap))
 	}
 	eng.Run()
 	for i := 1; i < len(fired); i++ {
