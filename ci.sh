@@ -55,7 +55,6 @@ echo "== bench module (vet + test) =="
 #     misalignment;
 #   - faults retry backoff: bounds (jitter in [base, cap]), nil-rng
 #     upper-edge dominance, and same-seed replay;
-#   - raft wire codec;
 #   - sim engine: the differential script against the sorted-slice
 #     reference, over (seed, delay scale), so events cross wheel buckets,
 #     sit at the wheel's edge and go past its horizon to the heap;
@@ -69,8 +68,6 @@ echo "== gf256 fuzz seeds =="
 go test -run 'Fuzz' ./internal/gf256/
 echo "== faults backoff fuzz seeds =="
 go test -run 'Fuzz' ./internal/faults/
-echo "== raft codec fuzz seeds =="
-go test -run 'Fuzz' ./internal/raft/
 echo "== sim engine fuzz seeds =="
 go test -run 'Fuzz' ./internal/sim/
 echo "== stack spec fuzz seeds =="

@@ -21,8 +21,6 @@ const (
 	OpRead OpType = iota
 	// OpWrite transfers host-to-device.
 	OpWrite
-	// OpFlush orders prior writes.
-	OpFlush
 )
 
 func (o OpType) String() string {
@@ -32,7 +30,7 @@ func (o OpType) String() string {
 	case OpWrite:
 		return "write"
 	default:
-		return "flush"
+		return fmt.Sprintf("op(%d)", int(o))
 	}
 }
 

@@ -11,10 +11,7 @@
 // differs.
 package fpga
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Resources is an FPGA resource vector.
 type Resources struct {
@@ -189,6 +186,3 @@ func (d *Device) PlacedIn(name string) int {
 	}
 	return -1
 }
-
-// ErrNotProgrammed is returned when using a device before configuration.
-var ErrNotProgrammed = errors.New("fpga: device not programmed")

@@ -22,7 +22,7 @@ func BenchmarkSubmitCompleteBatch32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 32; j++ {
 			sqe := r.GetSQE()
-			sqe.Op = OpNop
+			sqe.Op = OpRead
 			sqe.UserData = uint64(j)
 		}
 		submit(eng, r)
@@ -46,7 +46,7 @@ func BenchmarkSQPollPickup(b *testing.B) {
 			eng.Run()
 			sqe = r.GetSQE()
 		}
-		sqe.Op = OpNop
+		sqe.Op = OpRead
 		if i%64 == 63 {
 			eng.Run()
 		}

@@ -8,6 +8,12 @@
 // from — one syscall per batch instead of per I/O, no intermediate copies
 // with registered buffers, lock-free single-producer rings — while charging
 // explicit virtual-time costs for the syscalls, copies, and poll latency.
+//
+// Only what a stack submits is modelled: read and write SQEs, each
+// dispatched on its own. Linked SQEs (IOSQE_IO_LINK), drain barriers
+// (IOSQE_IO_DRAIN), the IORING_REGISTER_BUFFERS table and fsync/nop SQEs
+// are not; a non-negative BufIndex alone marks a buffer registered. Each
+// is left for a change that adds a stack using it.
 package iouring
 
 import (
@@ -18,59 +24,34 @@ import (
 	"repro/internal/trace"
 )
 
-// Op is an SQE opcode. Only the block-I/O subset DeLiBA-K uses is modelled.
+// Op is an SQE opcode. Only the two ops the targets serve are modelled.
 type Op uint8
 
 const (
-	// OpNop completes immediately in the kernel.
-	OpNop Op = iota
 	// OpRead reads Len bytes at Off.
-	OpRead
+	OpRead Op = iota
 	// OpWrite writes Len bytes at Off.
 	OpWrite
-	// OpFsync flushes the target device.
-	OpFsync
 )
 
 func (o Op) String() string {
 	switch o {
-	case OpNop:
-		return "nop"
 	case OpRead:
 		return "read"
 	case OpWrite:
 		return "write"
-	case OpFsync:
-		return "fsync"
 	default:
 		return fmt.Sprintf("op(%d)", int(o))
 	}
 }
 
-// SQE flags (the IOSQE_* subset the model supports).
-const (
-	// FlagIOLink chains this SQE to the next one: the next starts only
-	// after this completes, and a failure cancels the rest of the chain
-	// (IOSQE_IO_LINK).
-	FlagIOLink uint8 = 1 << 0
-	// FlagIODrain delays this SQE until every previously submitted
-	// operation has completed (IOSQE_IO_DRAIN).
-	FlagIODrain uint8 = 1 << 1
-)
-
-// ECanceled is the CQE result for a chain-cancelled operation (-ECANCELED).
-const ECanceled int32 = -125
-
 // SQE is a submission queue entry.
 type SQE struct {
 	Op  Op
-	FD  int32
 	Off int64
 	Len uint32
 	// BufIndex selects a registered buffer (-1 = unregistered, pays copy).
 	BufIndex int32
-	// Flags holds IOSQE_* submission flags (FlagIOLink, FlagIODrain).
-	Flags uint8
 	// RWFlags carries per-op hints (blockmq.FlagRandom etc.), like the
 	// real SQE's rw_flags field.
 	RWFlags  uint32
@@ -127,7 +108,6 @@ type Target interface {
 // Request is the kernel-side view of an SQE in flight.
 type Request struct {
 	Op  Op
-	FD  int32
 	Off int64
 	Len uint32
 	// RWFlags carries the SQE's per-op hints.
@@ -202,11 +182,8 @@ func nextPow2(v uint32) uint32 {
 	return v + 1
 }
 
-// Errors.
-var (
-	ErrSQFull     = errors.New("iouring: submission queue full")
-	ErrRingClosed = errors.New("iouring: ring closed")
-)
+// ErrRingClosed is Enter's error on a closed ring.
+var ErrRingClosed = errors.New("iouring: ring closed")
 
 // Ring is one io_uring instance.
 type Ring struct {
@@ -239,14 +216,6 @@ type Ring struct {
 	// poll is the SQPOLL pickup, bound on first use.
 	poll   func()
 	closed bool
-	// chain holds a link chain the SQPOLL poller caught mid-publication:
-	// its last gathered SQE still has FlagIOLink set, so the chain's tail
-	// had not been written to the SQ when the drain ran. The next drain
-	// resumes gathering; an explicit submit boundary or Close truncates
-	// instead (see drainSQ).
-	chain []SQE
-	// bufTable holds registered fixed-buffer sizes (nil = none).
-	bufTable []int
 
 	// inflightFree recycles dispatched-SQE state (see inflight).
 	inflightFree []*inflight
@@ -313,53 +282,6 @@ func (r *Ring) GetSQE() *SQE {
 	return sqe
 }
 
-// RegisterBuffers registers a fixed-buffer table
-// (io_uring_register(IORING_REGISTER_BUFFERS)): SQEs whose BufIndex points
-// into the table skip the per-I/O user<->kernel copy and pin cost. sizes
-// lists each buffer's length.
-func (r *Ring) RegisterBuffers(sizes []int) error {
-	if r.closed {
-		return ErrRingClosed
-	}
-	if len(r.bufTable) != 0 {
-		return errors.New("iouring: buffers already registered")
-	}
-	if len(sizes) == 0 {
-		return errors.New("iouring: empty buffer table")
-	}
-	for i, n := range sizes {
-		if n <= 0 {
-			return fmt.Errorf("iouring: bad buffer %d size %d", i, n)
-		}
-	}
-	r.bufTable = append([]int(nil), sizes...)
-	return nil
-}
-
-// UnregisterBuffers drops the fixed-buffer table.
-func (r *Ring) UnregisterBuffers() {
-	r.bufTable = nil
-}
-
-// RegisteredBuffers returns the table size.
-func (r *Ring) RegisteredBuffers() int { return len(r.bufTable) }
-
-// validateBufIndex checks an SQE's fixed-buffer reference against the
-// table; rings without a table treat any non-negative index as registered
-// (the permissive pre-table behaviour kept for the framework stacks).
-func (r *Ring) validateBufIndex(sqe SQE) int32 {
-	if sqe.BufIndex < 0 || len(r.bufTable) == 0 {
-		return 0
-	}
-	if int(sqe.BufIndex) >= len(r.bufTable) {
-		return ResEFAULT
-	}
-	if int(sqe.Len) > r.bufTable[sqe.BufIndex] {
-		return ResEFAULT
-	}
-	return 0
-}
-
 // SetReaper makes fn the ring's completion reaper: each posted CQE arms
 // one drain event (unless one is already pending or running), which reaps
 // every ready CQE and hands it to fn. The drain runs one Schedule(0) after
@@ -395,16 +317,8 @@ func (r *Ring) drainCQ() {
 }
 
 // Close stops the ring; pending completions still drain but new
-// submissions fail. A link chain parked by the SQPOLL poller (its tail
-// never published) dispatches truncated.
-func (r *Ring) Close() {
-	r.closed = true
-	if r.chain != nil {
-		chain := r.chain
-		r.chain = nil
-		r.dispatchChain(chain)
-	}
-}
+// submissions fail.
+func (r *Ring) Close() { r.closed = true }
 
 // Enter pushes all queued SQEs to the kernel (io_uring_enter with
 // to_submit = pending) and calls then, if non-nil, once they have drained,
@@ -433,7 +347,7 @@ func (r *Ring) Enter(then func()) (int, error) {
 func (r *Ring) enter(n int, then func()) {
 	r.enters++
 	r.eng.Schedule(r.params.SyscallCost+sim.Duration(n)*r.params.PerSQECost, func() {
-		r.drainSQ(n, true)
+		r.drainSQ(n)
 		if then != nil {
 			then()
 		}
@@ -458,7 +372,7 @@ func (r *Ring) pollSQ() {
 	if n := r.SQPending(); n > 0 {
 		// The SQPOLL thread spends per-SQE kernel time but the app
 		// thread is not blocked — that is the point of the mode.
-		r.drainSQ(n, false)
+		r.drainSQ(n)
 	}
 }
 
@@ -466,95 +380,19 @@ func (r *Ring) pollSQ() {
 // enters (several submitter threads, or an enter racing the SQPOLL thread)
 // may have consumed entries between observing the count and draining, so
 // the loop re-checks emptiness — as the kernel's consumer side does.
-//
-// Link chains are gathered whole: consecutive SQEs joined by FlagIOLink
-// execute sequentially, and a failure cancels the chain's remainder. A
-// chain may straddle drains, because this model's GetSQE publishes entries
-// one at a time (unlike a real app's single atomic tail update), so the
-// SQPOLL poller can observe a chain whose tail is not yet written. The
-// open chain is then parked in r.chain and the next drain resumes
-// gathering it. At a submit boundary (an explicit io_uring_enter, or
-// Close) an open chain instead dispatches truncated: a dangling
-// FlagIOLink on the final submitted SQE has nothing to link to, which is
-// exactly how Linux treats a chain cut by the to_submit window.
-func (r *Ring) drainSQ(n int, submitBoundary bool) {
-	consumed := 0
-	for r.sqTail != r.sqHead && (consumed < n || (r.chain != nil && !submitBoundary)) {
+func (r *Ring) drainSQ(n int) {
+	for consumed := 0; consumed < n && r.sqTail != r.sqHead; consumed++ {
 		sqe := r.sqEntries[r.sqHead&r.sqMask]
 		r.sqHead++
 		r.submitted++
-		consumed++
-		if r.chain != nil {
-			r.chain = append(r.chain, sqe)
-			if sqe.Flags&FlagIOLink == 0 {
-				chain := r.chain
-				r.chain = nil
-				r.dispatchChain(chain)
-			}
-			continue
-		}
-		if sqe.Flags&FlagIODrain != 0 && r.inFlight > 0 {
-			// Drain barrier: park until in-flight ops finish.
-			r.parkDrain(sqe)
-			continue
-		}
-		if sqe.Flags&FlagIOLink != 0 {
-			r.chain = []SQE{sqe}
-			continue
-		}
 		r.dispatch(sqe)
 	}
-	if r.chain != nil && submitBoundary {
-		chain := r.chain
-		r.chain = nil
-		r.dispatchChain(chain)
-	}
 }
 
-// parkDrain holds a drain-flagged SQE until the ring quiesces.
-func (r *Ring) parkDrain(sqe SQE) {
-	if r.inFlight == 0 {
-		r.dispatch(sqe)
-		return
-	}
-	r.eng.Schedule(r.params.SQPollLatency, func() { r.parkDrain(sqe) })
-}
-
-// dispatchChain executes linked SQEs sequentially; a failed link posts
-// -ECANCELED for each remaining one.
-func (r *Ring) dispatchChain(chain []SQE) {
-	if len(chain) == 0 {
-		return
-	}
-	head, rest := chain[0], chain[1:]
-	r.dispatchCB(head, func(res int32) {
-		if res < 0 {
-			for _, c := range rest {
-				r.postCQE(CQE{UserData: c.UserData, Res: ECanceled})
-			}
-			return
-		}
-		r.dispatchChain(rest)
-	})
-}
-
-func (r *Ring) dispatch(sqe SQE) { r.dispatchCB(sqe, nil) }
-
-// dispatchCB dispatches one SQE; after posts its CQE, then runs (for link
-// chains).
-func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
-	if res := r.validateBufIndex(sqe); res < 0 {
-		r.eng.Schedule(0, func() {
-			r.postCQE(CQE{UserData: sqe.UserData, Res: res})
-			if after != nil {
-				after(res)
-			}
-		})
-		return
-	}
+// dispatch hands one SQE to the target.
+func (r *Ring) dispatch(sqe SQE) {
 	req := Request{
 		Op:         sqe.Op,
-		FD:         sqe.FD,
 		Off:        sqe.Off,
 		Len:        sqe.Len,
 		RWFlags:    sqe.RWFlags,
@@ -563,8 +401,8 @@ func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
 		Tenant:     sqe.Tenant,
 		Trace:      sqe.Trace,
 	}
-	// Unregistered buffers pay a user->kernel copy on writes now and a
-	// kernel->user copy when the completion is reaped.
+	// Unregistered buffers pay a user->kernel copy on writes; the
+	// kernel->user copy of an unregistered read is not charged.
 	var submitDelay sim.Duration
 	if !req.Registered && req.Op == OpWrite {
 		submitDelay = sim.Duration(int64(r.params.CopyPerKiB) * int64(req.Len) / 1024)
@@ -574,7 +412,7 @@ func (r *Ring) dispatchCB(sqe SQE, after func(res int32)) {
 		r.maxInFlight = r.inFlight
 	}
 	f := r.getInflight()
-	f.req, f.userData, f.after = req, sqe.UserData, after
+	f.req, f.userData = req, sqe.UserData
 	if submitDelay > 0 {
 		r.eng.Schedule(submitDelay, f.deliver)
 	} else {
@@ -589,7 +427,6 @@ type inflight struct {
 	r        *Ring
 	req      Request
 	userData uint64
-	after    func(res int32)
 	deliver  func()
 	complete func(res int32)
 }
@@ -609,17 +446,13 @@ func (r *Ring) getInflight() *inflight {
 
 func (f *inflight) submit() { f.r.target.Submit(f.req, f.complete) }
 
-// completed posts the CQE, recycles f, then runs the link-chain
-// continuation.
+// completed recycles f and posts the CQE.
 func (f *inflight) completed(res int32) {
-	r, ud, after := f.r, f.userData, f.after
-	f.req, f.after = Request{}, nil
+	r, ud := f.r, f.userData
+	f.req = Request{}
 	r.inflightFree = append(r.inflightFree, f)
 	r.inFlight--
 	r.postCQE(CQE{UserData: ud, Res: res})
-	if after != nil {
-		after(res)
-	}
 }
 
 // postCQE appends a completion and arms the reaper.

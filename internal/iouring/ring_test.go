@@ -128,7 +128,7 @@ func TestBatchingAmortizesSyscalls(t *testing.T) {
 		for i := 0; i < 32; i += batch {
 			for j := 0; j < batch; j++ {
 				sqe := r.GetSQE()
-				sqe.Op = OpNop
+				sqe.Op = OpRead
 				sqe.UserData = uint64(i + j)
 			}
 			if _, err := submit(eng, r); err != nil {
@@ -191,7 +191,7 @@ func TestSQPollPickupLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	r, st := newRingT(t, eng, Params{Entries: 8, Mode: SQPollMode}, 0)
 	sqe := r.GetSQE()
-	sqe.Op = OpNop
+	sqe.Op = OpRead
 	eng.Run()
 	if len(st.reqs) != 1 {
 		t.Fatal("poller never picked up SQE")
@@ -259,7 +259,7 @@ func TestCQOverflowCounted(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4; i++ {
 			if sqe := r.GetSQE(); sqe != nil {
-				sqe.Op = OpNop
+				sqe.Op = OpRead
 			}
 		}
 		submit(eng, r)
@@ -322,7 +322,7 @@ func TestRingConservationProperty(t *testing.T) {
 				if sqe == nil {
 					break
 				}
-				sqe.Op = OpNop
+				sqe.Op = OpRead
 				sqe.UserData = id
 				id++
 			}
@@ -357,7 +357,7 @@ func TestConcurrentEntersNoDoubleDrain(t *testing.T) {
 	r, st := newRingT(t, eng, Params{Entries: 16}, 5*sim.Microsecond)
 	for i := 0; i < 8; i++ {
 		sqe := r.GetSQE()
-		sqe.Op = OpNop
+		sqe.Op = OpRead
 		sqe.UserData = uint64(i)
 	}
 	for i := 0; i < 8; i++ {
@@ -386,12 +386,90 @@ func TestMaxInFlightTracked(t *testing.T) {
 	r, _ := newRingT(t, eng, Params{Entries: 16}, 50*sim.Microsecond)
 	for i := 0; i < 8; i++ {
 		sqe := r.GetSQE()
-		sqe.Op = OpNop
+		sqe.Op = OpRead
 	}
 	submit(eng, r)
 	eng.Run()
 	_, _, _, _, maxIF := r.Stats()
 	if maxIF != 8 {
 		t.Fatalf("maxInFlight = %d, want 8", maxIF)
+	}
+}
+
+// boundTarget completes each request after a fixed latency through one
+// bound callback and a reused FIFO, so it allocates nothing per request
+// and an allocation count over a round trip is the ring's own.
+type boundTarget struct {
+	eng     *sim.Engine
+	latency sim.Duration
+	queue   []func(res int32)
+	lens    []int32
+	head    int
+	fire    func()
+}
+
+func newBoundTarget(eng *sim.Engine, latency sim.Duration) *boundTarget {
+	bt := &boundTarget{eng: eng, latency: latency}
+	bt.fire = bt.completeOldest
+	return bt
+}
+
+func (bt *boundTarget) Submit(req Request, complete func(res int32)) {
+	bt.queue = append(bt.queue, complete)
+	bt.lens = append(bt.lens, int32(req.Len))
+	bt.eng.Schedule(bt.latency, bt.fire)
+}
+
+func (bt *boundTarget) completeOldest() {
+	complete, res := bt.queue[bt.head], bt.lens[bt.head]
+	bt.queue[bt.head] = nil
+	if bt.head++; bt.head == len(bt.queue) {
+		bt.queue, bt.lens, bt.head = bt.queue[:0], bt.lens[:0], 0
+	}
+	complete(res)
+}
+
+// TestRingRoundTripAllocs pins the ring's own allocations over a
+// submit-complete-reap round trip: an SQPOLL ring allocates nothing per
+// SQE, and an interrupt-mode ring at most its enter syscall's completion
+// event closure per Enter.
+func TestRingRoundTripAllocs(t *testing.T) {
+	const batch = 16
+	for _, tc := range []struct {
+		mode     Mode
+		perEnter float64
+	}{{SQPollMode, 0}, {InterruptMode, 1}} {
+		eng := sim.NewEngine()
+		r, err := Setup(eng, Params{Entries: 2 * batch, Mode: tc.mode}, newBoundTarget(eng, 2*sim.Microsecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reaped := 0
+		r.SetReaper(func(cqe CQE) {
+			if cqe.Res == 4096 {
+				reaped++
+			}
+		})
+		round := func() {
+			for i := 0; i < batch; i++ {
+				sqe := r.GetSQE()
+				sqe.Op = OpWrite
+				sqe.Len = 4096
+				sqe.BufIndex = int32(i)
+				sqe.UserData = uint64(i)
+			}
+			if _, err := r.Enter(nil); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+		}
+		const runs = 100
+		if allocs := testing.AllocsPerRun(runs, round); allocs > tc.perEnter {
+			t.Errorf("%v: %.1f allocs per %d-SQE round trip, want <= %v", tc.mode, allocs, batch, tc.perEnter)
+		}
+		// AllocsPerRun runs round once more as its warm-up.
+		if reaped != (runs+1)*batch {
+			t.Errorf("%v: reaped %d completions, want %d", tc.mode, reaped, (runs+1)*batch)
+		}
 	}
 }

@@ -260,107 +260,3 @@ func stripeBase(stripe string) string {
 	}
 	return stripe
 }
-
-// Repair overwrites the bad copies found by a scrub with the majority /
-// reconstructed content, one inconsistency after another, charging
-// ReadCost per copy written, and calls done with how many copies were
-// fixed.
-func (s *Scrubber) Repair(pool *Pool, rep ScrubReport, done func(int, error)) {
-	repair := s.repairReplicated
-	if pool.Kind == ECPool {
-		repair = s.repairEC
-	}
-	fixed := 0
-	inTurn(len(rep.Inconsistencies), func(i int, next func(error)) {
-		repair(pool, rep.Inconsistencies[i], func(n int, err error) {
-			if err == nil {
-				fixed += n
-			}
-			next(err)
-		})
-	}, func(err error) { done(fixed, err) })
-}
-
-func (s *Scrubber) repairReplicated(pool *Pool, inc Inconsistency, done func(int, error)) {
-	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, inc.Object))
-	if err != nil {
-		done(0, err)
-		return
-	}
-	bad := map[int]bool{}
-	for _, o := range inc.BadOSDs {
-		bad[o] = true
-	}
-	// Find a good copy.
-	var good []byte
-	for _, o := range acting {
-		if o < 0 || bad[o] || !s.c.OSDs[o].Up() {
-			continue
-		}
-		ms := s.c.OSDs[o].Store.(*MemStore)
-		good, _ = ms.Read(inc.Object, 0, ms.Size(inc.Object))
-		break
-	}
-	if good == nil {
-		done(0, fmt.Errorf("rados: no good copy of %s to repair from", inc.Object))
-		return
-	}
-	targets := make([]int, 0, len(bad))
-	for o := range bad {
-		targets = append(targets, o)
-	}
-	sort.Ints(targets)
-	fixed := 0
-	s.pace(len(targets), func(i int) error {
-		if err := s.c.OSDs[targets[i]].Store.Write(inc.Object, 0, good); err != nil {
-			return err
-		}
-		fixed++
-		return nil
-	}, func(err error) { done(fixed, err) })
-}
-
-func (s *Scrubber) repairEC(pool *Pool, inc Inconsistency, done func(int, error)) {
-	acting, err := s.c.ActingSet(pool, s.c.PGOf(pool, stripeBase(inc.Object)))
-	if err != nil {
-		done(0, err)
-		return
-	}
-	bad := map[int]bool{}
-	for _, o := range inc.BadOSDs {
-		bad[o] = true
-	}
-	shards := make([][]byte, pool.K+pool.M)
-	for rank, o := range acting {
-		if rank >= len(shards) || o < 0 || bad[o] || !s.c.OSDs[o].Up() {
-			continue
-		}
-		ms := s.c.OSDs[o].Store.(*MemStore)
-		key := StripeShard(inc.Object, rank)
-		if ms.Size(key) == 0 {
-			continue
-		}
-		d, _ := ms.Read(key, 0, ms.Size(key))
-		shards[rank] = d
-	}
-	if err := pool.Code.Reconstruct(shards); err != nil {
-		done(0, err)
-		return
-	}
-	var ranks []int
-	for rank, o := range acting {
-		if rank < len(shards) && o >= 0 && bad[o] {
-			ranks = append(ranks, rank)
-		}
-	}
-	fixed := 0
-	s.pace(len(ranks), func(i int) error {
-		rank := ranks[i]
-		key := StripeShard(inc.Object, rank)
-		if err := s.c.OSDs[acting[rank]].Store.Write(key, 0, shards[rank]); err != nil {
-			return err
-		}
-		fixed++
-		return nil
-	}, func(err error) { done(fixed, err) })
-}

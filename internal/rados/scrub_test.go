@@ -1,13 +1,12 @@
 package rados
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// scrubPool, repair and backfill wait on the callback APIs from a test.
+// scrubPool and backfill wait on the callback APIs from a test.
 func scrubPool(eng *sim.Engine, sc *Scrubber, pool *Pool) (rep ScrubReport, err error) {
 	eng.Wait(func(wake func()) {
 		sc.ScrubPool(pool, func(r ScrubReport, e error) {
@@ -16,16 +15,6 @@ func scrubPool(eng *sim.Engine, sc *Scrubber, pool *Pool) (rep ScrubReport, err 
 		})
 	})
 	return rep, err
-}
-
-func repair(eng *sim.Engine, sc *Scrubber, pool *Pool, rep ScrubReport) (fixed int, err error) {
-	eng.Wait(func(wake func()) {
-		sc.Repair(pool, rep, func(n int, e error) {
-			fixed, err = n, e
-			wake()
-		})
-	})
-	return fixed, err
 }
 
 func backfill(eng *sim.Engine, bf *Backfiller, pool *Pool, before, after []uint32) (rep BackfillReport, err error) {
@@ -56,30 +45,21 @@ func TestScrubCleanPool(t *testing.T) {
 	}
 }
 
-func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
+func TestScrubDetectsBitrot(t *testing.T) {
 	eng, c, cl := newTestCluster(t)
 	pool, _ := c.CreateReplicatedPool("p", 3, 64)
 	payload := []byte("important data that must survive")
-	var report ScrubReport
-	var fixed int
-	var badOSD int
 	if err := writeObj(eng, cl, pool, "victim", 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt one replica directly in its store (silent bitrot).
 	acting, _ := c.ActingSet(pool, c.PGOf(pool, "victim"))
-	badOSD = acting[1]
+	badOSD := acting[1]
 	c.OSDs[badOSD].Store.Write("victim", 4, []byte{0xde, 0xad})
 
-	sc := NewScrubber(c)
-	var err error
-	report, err = scrubPool(eng, sc, pool)
+	report, err := scrubPool(eng, NewScrubber(c), pool)
 	if err != nil {
 		t.Fatal(err)
-	}
-	fixed, err = repair(eng, sc, pool, report)
-	if err != nil {
-		t.Error(err)
 	}
 	eng.Run()
 	if report.Clean() {
@@ -92,21 +72,6 @@ func TestScrubDetectsAndRepairsBitrot(t *testing.T) {
 	if len(inc.BadOSDs) != 1 || inc.BadOSDs[0] != badOSD {
 		t.Fatalf("blamed %v, want [%d]", inc.BadOSDs, badOSD)
 	}
-	if fixed != 1 {
-		t.Fatalf("fixed = %d", fixed)
-	}
-	// Post-repair scrub is clean and the copy matches.
-	rep2, err := scrubPool(eng, NewScrubber(c), pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Clean() {
-		t.Fatal("pool still inconsistent after repair")
-	}
-	got, _ := c.OSDs[badOSD].Store.Read("victim", 0, len(payload))
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("repaired copy = %q", got)
-	}
 }
 
 func TestScrubECParityDamage(t *testing.T) {
@@ -116,8 +81,6 @@ func TestScrubECParityDamage(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 17)
 	}
-	var report ScrubReport
-	var fixed int
 	if err := writeObj(eng, cl, pool, "stripe", 0, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -125,30 +88,20 @@ func TestScrubECParityDamage(t *testing.T) {
 	acting, _ := c.ActingSet(pool, c.PGOf(pool, "stripe"))
 	c.OSDs[acting[2]].Store.Write("stripe:0.s2", 10, []byte{0xff, 0xff, 0xff})
 
-	sc := NewScrubber(c)
-	var err error
-	report, err = scrubPool(eng, sc, pool)
+	report, err := scrubPool(eng, NewScrubber(c), pool)
 	if err != nil {
 		t.Fatal(err)
-	}
-	fixed, err = repair(eng, sc, pool, report)
-	if err != nil {
-		t.Error(err)
 	}
 	eng.Run()
 	if report.Clean() {
 		t.Fatal("EC scrub missed shard damage")
 	}
-	if fixed == 0 {
-		t.Fatal("repair fixed nothing")
+	if len(report.Inconsistencies) != 1 {
+		t.Fatalf("inconsistencies: %v", report.Inconsistencies)
 	}
-	// The stripe must read back intact.
-	got, err := readObj(eng, cl, pool, "stripe", 0, len(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("stripe wrong after EC repair")
+	inc := report.Inconsistencies[0]
+	if len(inc.BadOSDs) != 1 || inc.BadOSDs[0] != acting[2] {
+		t.Fatalf("blamed %v, want [%d]", inc.BadOSDs, acting[2])
 	}
 }
 

@@ -2,9 +2,14 @@
 // the from-scratch kernel driver that sits under the DMQ block layer and
 // drives the FPGA card through QDMA. Each hardware queue context of the
 // block layer binds 1:1 to a QDMA queue set, preserving the per-core
-// alignment from io_uring instance down to the card. SR-IOV functions give
-// tenants (bare-metal or VM) isolated driver instances with their own queue
-// quotas — the multi-tenancy support the earlier DeLiBA versions lacked.
+// alignment from io_uring instance down to the card. The driver attaches
+// through the physical function; SR-IOV virtual functions beside it carry
+// tenant-attributed traffic on their own queue sets — the multi-tenancy
+// support the earlier DeLiBA versions lacked.
+//
+// Every command crosses QDMA. The paper's CMAC-only register path (the
+// network-monitoring use case that bypasses QDMA) is not modelled; it is
+// left for a change that adds a stack using it.
 package uifd
 
 import (
@@ -40,19 +45,8 @@ type CardBackend interface {
 	Process(req CardRequest, done func(err error))
 }
 
-// TenantKind selects PF (bare metal) or VF (VM passthrough) attachment.
-type TenantKind int
-
-const (
-	// BareMetal attaches via the physical function.
-	BareMetal TenantKind = iota
-	// VirtualMachine attaches via an SR-IOV virtual function (the thin
-	// hypervisor model: the adapter exposes a VF to the VM).
-	VirtualMachine
-)
-
-// Driver is one tenant's UIFD instance: a blockmq.Driver whose hardware
-// contexts map to dedicated QDMA queue sets.
+// Driver is one UIFD instance: a blockmq.Driver whose hardware contexts
+// map to dedicated QDMA queue sets.
 type Driver struct {
 	eng     *sim.Engine
 	qdma    *qdma.Engine
@@ -64,13 +58,6 @@ type Driver struct {
 	// onto the VF pool, spreading their queue pairs across functions.
 	vfs      []*qdma.Function
 	vfQueues [][]*qdma.QueueSet
-	tenant   int
-	// CMACOnly bypasses QDMA for tiny command-only traffic (the paper's
-	// network-monitoring use case where the system relies solely on the
-	// CMAC interface).
-	CMACOnly bool
-	// cmacCost is the register-path cost per CMAC-only operation.
-	cmacCost sim.Duration
 
 	// free recycles completed commands (see cmd).
 	free []*cmd
@@ -79,13 +66,10 @@ type Driver struct {
 	reads, writes uint64
 }
 
-// Config sizes a tenant driver.
+// Config sizes a driver.
 type Config struct {
-	Tenant   int
-	Kind     TenantKind
 	HWQueues int
 	Queue    qdma.QueueKind
-	CMACOnly bool
 	// VFs provisions that many SR-IOV virtual functions beside the PF, each
 	// with its own HWQueues queue sets. Requests carrying a tenant identity
 	// hash onto the VFs (thousands of tenants share the VF pool); tenant 0
@@ -93,7 +77,8 @@ type Config struct {
 	VFs int
 }
 
-// NewDriver allocates a tenant function and its queue sets.
+// NewDriver allocates the physical function, its queue sets and the VF
+// pool.
 func NewDriver(eng *sim.Engine, qe *qdma.Engine, backend CardBackend, cfg Config) (*Driver, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("uifd: nil backend")
@@ -101,19 +86,12 @@ func NewDriver(eng *sim.Engine, qe *qdma.Engine, backend CardBackend, cfg Config
 	if cfg.HWQueues <= 0 {
 		return nil, fmt.Errorf("uifd: bad queue count %d", cfg.HWQueues)
 	}
-	fk := qdma.PF
-	if cfg.Kind == VirtualMachine {
-		fk = qdma.VF
-	}
-	fn := qe.AddFunction(fk, cfg.HWQueues)
+	fn := qe.AddFunction(qdma.PF, cfg.HWQueues)
 	d := &Driver{
-		eng:      eng,
-		qdma:     qe,
-		backend:  backend,
-		fn:       fn,
-		tenant:   cfg.Tenant,
-		CMACOnly: cfg.CMACOnly,
-		cmacCost: 2 * sim.Microsecond,
+		eng:     eng,
+		qdma:    qe,
+		backend: backend,
+		fn:      fn,
 	}
 	for i := 0; i < cfg.HWQueues; i++ {
 		qs, err := qe.AllocQueueSet(cfg.Queue, fn)
@@ -157,7 +135,7 @@ func (d *Driver) queueFor(hctx, tenant int) *qdma.QueueSet {
 	return d.queues[hctx%len(d.queues)]
 }
 
-// Function returns the SR-IOV function backing this driver.
+// Function returns the physical function the driver attaches through.
 func (d *Driver) Function() *qdma.Function { return d.fn }
 
 // QueueSets returns the driver's queue sets (testing/inspection).
@@ -173,7 +151,7 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 		return false
 	}
 	qs := d.queueFor(hctx, req.Tenant)
-	tenant := d.tenant
+	tenant := 0
 	if req.Tenant > 0 {
 		tenant = req.Tenant
 	}
@@ -187,11 +165,6 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 		HCtx:   hctx,
 		Tenant: tenant,
 		Trace:  req.Trace,
-	}
-	if d.CMACOnly {
-		// Register path: fixed cost, no DMA.
-		d.eng.Schedule(d.cmacCost, c.processFn)
-		return true
 	}
 	// H2C: writes carry the payload; reads carry only the command
 	// descriptor.
@@ -251,10 +224,6 @@ func (c *cmd) respond() {
 	c2hLen := CompletionBytes
 	if req.Op == blockmq.OpRead {
 		c2hLen = req.Len
-	}
-	if d.CMACOnly {
-		d.eng.Schedule(d.cmacCost, c.finishFn)
-		return
 	}
 	desc := qdma.Descriptor{Dst: uint64(req.Off), Len: uint32(c2hLen)}
 	if err := c.qs.Transfer(qdma.C2H, c2hLen, desc, c.finishFn); err != nil {

@@ -141,59 +141,74 @@ func TestDriverValidation(t *testing.T) {
 	}
 }
 
+// TestTenancyIsolation drives the driver as production stacks build it,
+// with a VF pool beside the PF: tenant 0 rides the PF queue sets, tenants
+// above 0 hash onto the VF queue sets (spreading over the pool), and every
+// CardRequest carries the tenant that submitted it.
 func TestTenancyIsolation(t *testing.T) {
+	const hwQueues, tenants = 2, 16
 	eng := sim.NewEngine()
 	qe := qdma.New(eng, qdma.DefaultConfig())
 	be := &fakeBackend{eng: eng, delay: sim.Microsecond}
-	pf, err := NewDriver(eng, qe, be, Config{Tenant: 0, Kind: BareMetal, HWQueues: 2, Queue: qdma.ReplicationQueue})
+	drv, err := NewDriver(eng, qe, be, Config{HWQueues: hwQueues, Queue: qdma.ReplicationQueue, VFs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vf, err := NewDriver(eng, qe, be, Config{Tenant: 1, Kind: VirtualMachine, HWQueues: 2, Queue: qdma.ErasureQueue})
+	if drv.Function().Kind != qdma.PF {
+		t.Fatalf("driver attached through %v, want the PF", drv.Function().Kind)
+	}
+	if len(drv.VFs()) != 2 {
+		t.Fatalf("VFs = %d, want 2", len(drv.VFs()))
+	}
+	for _, vf := range drv.VFs() {
+		if vf.Kind != qdma.VF {
+			t.Fatalf("pool function kind %v, want VF", vf.Kind)
+		}
+	}
+	mq, err := blockmq.New(eng, blockmq.Config{CPUs: hwQueues, HWQueues: hwQueues, TagsPerHW: 64, Bypass: true}, drv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.Function().Kind != qdma.PF || vf.Function().Kind != qdma.VF {
-		t.Fatal("function kinds wrong")
-	}
-	// Each tenant's requests carry its tenant id.
-	mqPF, _ := blockmq.New(eng, blockmq.Config{CPUs: 2, HWQueues: 2, TagsPerHW: 4, Bypass: true}, pf)
-	mqVF, _ := blockmq.New(eng, blockmq.Config{CPUs: 2, HWQueues: 2, TagsPerHW: 4, Bypass: true}, vf)
+	// Each request's offset names its tenant, so the backend's view can be
+	// checked request by request.
 	eng.Schedule(0, func() {
-		submit(mqPF, blockmq.OpWrite, 0, 512, 0, nil)
-		submit(mqVF, blockmq.OpWrite, 0, 512, 0, nil)
+		for tenant := 0; tenant <= tenants; tenant++ {
+			mq.SubmitAsyncTenant(blockmq.OpWrite, int64(tenant)*4096, 512, 0, tenant%hwQueues, tenant, trace.Ref{}, nil)
+		}
 	})
 	eng.Run()
-	tenants := map[int]bool{}
+	if len(be.seen) != tenants+1 {
+		t.Fatalf("backend saw %d requests, want %d", len(be.seen), tenants+1)
+	}
 	for _, r := range be.seen {
-		tenants[r.Tenant] = true
+		if want := int(r.Off / 4096); r.Tenant != want {
+			t.Fatalf("request at %d carries tenant %d, want %d", r.Off, r.Tenant, want)
+		}
 	}
-	if !tenants[0] || !tenants[1] {
-		t.Fatalf("tenant ids seen: %v", tenants)
+	// Tenant 0's one write is one H2C and one C2H on the PF set of its
+	// hctx; no tenant above 0 touches a PF set.
+	for i, qs := range drv.QueueSets() {
+		want := 0
+		if i == 0 {
+			want = 2
+		}
+		if qs.Completions() != want {
+			t.Fatalf("PF queue set %d completions = %d, want %d", i, qs.Completions(), want)
+		}
 	}
-}
-
-func TestCMACOnlyPath(t *testing.T) {
-	eng := sim.NewEngine()
-	qe := qdma.New(eng, qdma.DefaultConfig())
-	be := &fakeBackend{eng: eng, delay: sim.Microsecond}
-	drv, err := NewDriver(eng, qe, be, Config{HWQueues: 1, CMACOnly: true})
-	if err != nil {
-		t.Fatal(err)
+	total := 0
+	for v, sets := range drv.vfQueues {
+		vfTotal := 0
+		for _, qs := range sets {
+			vfTotal += qs.Completions()
+		}
+		if vfTotal == 0 {
+			t.Errorf("VF %d carried no tenant traffic", v)
+		}
+		total += vfTotal
 	}
-	mq, _ := blockmq.New(eng, blockmq.Config{CPUs: 1, HWQueues: 1, TagsPerHW: 4, Bypass: true}, drv)
-	var done bool
-	eng.Schedule(0, func() {
-		submit(mq, blockmq.OpWrite, 0, 64, 0, func(err error) { done = err == nil })
-	})
-	eng.Run()
-	if !done {
-		t.Fatal("CMAC-only op did not complete")
-	}
-	// No QDMA transfers should have occurred.
-	tr, _, _ := qe.Stats()
-	if tr != 0 {
-		t.Fatalf("CMAC-only path used QDMA %d times", tr)
+	if total != 2*tenants {
+		t.Fatalf("VF queue sets completions = %d, want %d", total, 2*tenants)
 	}
 }
 
