@@ -122,6 +122,13 @@ fi
 echo "== CLI smoke (dfxtool -exercise) =="
 go run ./cmd/dfxtool -exercise > "$tmp/dfx.out"
 tail -n 1 "$tmp/dfx.out"
+# crushtool: the text form of the default map (the encoder's only caller)
+# and one OSD failure's placement movement on a straw2 map.
+echo "== CLI smoke (crushtool -decompile, -fail) =="
+go run ./cmd/crushtool -decompile > "$tmp/crush.out"
+head -n 1 "$tmp/crush.out"
+go run ./cmd/crushtool -alg straw2 -fail 5 > "$tmp/crush.out"
+tail -n 1 "$tmp/crush.out"
 
 # Examples smoke: the examples have no tests, so run each one; an example
 # that stops building or exits non-zero fails CI. Runs under -short too.

@@ -303,11 +303,3 @@ func (mq *MQ) armThrottle(hctx int) {
 		mq.runHW(hctx)
 	})
 }
-
-// Kick restarts dispatch on all hardware contexts (used by drivers whose
-// busy condition cleared).
-func (mq *MQ) Kick() {
-	for h := 0; h < mq.cfg.HWQueues; h++ {
-		mq.eng.Schedule(0, mq.kick[h])
-	}
-}

@@ -110,10 +110,8 @@ func TestDeviceBusyRequeue(t *testing.T) {
 			submit(mq, OpRead, 0, 512, 0, func(error) { done++ })
 		}
 	})
-	// Device completions must re-kick the queue.
-	for i := 1; i <= 20; i++ {
-		eng.Schedule(sim.Duration(i)*20*sim.Microsecond, mq.Kick)
-	}
+	// Each device completion's EndIO re-kicks the queue, so the requeued
+	// requests issue without any outside kick.
 	eng.Run()
 	if done != 3 {
 		t.Fatalf("done = %d", done)
@@ -167,7 +165,7 @@ func TestBypassRejectsScheduler(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := newFakeDevice(eng, 0, 0)
 	_, err := New(eng, Config{CPUs: 1, HWQueues: 1, TagsPerHW: 1,
-		Bypass: true, Scheduler: NewNoneScheduler(0)}, dev)
+		Bypass: true, Scheduler: NewDeadlineScheduler(eng, 0, 0)}, dev)
 	if err == nil {
 		t.Fatal("bypass+scheduler accepted")
 	}
@@ -252,23 +250,6 @@ func TestDeadlineWriteDeadline(t *testing.T) {
 	eng.Run()
 	if got != w {
 		t.Fatal("expired write not preferred over read")
-	}
-}
-
-func TestNoneSchedulerFIFO(t *testing.T) {
-	s := NewNoneScheduler(0)
-	a := &Request{Off: 100}
-	b := &Request{Off: 0}
-	s.Insert(0, a)
-	s.Insert(0, b)
-	if s.Pending(0) != 2 {
-		t.Fatal("pending wrong")
-	}
-	if s.Next(0) != a || s.Next(0) != b {
-		t.Fatal("not FIFO")
-	}
-	if s.Name() != "none" {
-		t.Fatal("name wrong")
 	}
 }
 

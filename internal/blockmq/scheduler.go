@@ -9,7 +9,7 @@ import (
 // Scheduler orders and merges requests between the software queues and the
 // hardware contexts.
 type Scheduler interface {
-	// Name identifies the scheduler ("none", "mq-deadline").
+	// Name identifies the scheduler ("mq-deadline", "qos-dmclock", ...).
 	Name() string
 	// Insert stages a request for hardware context hctx. It may merge req
 	// into an already-staged request, in which case it reports merged=true
@@ -23,44 +23,6 @@ type Scheduler interface {
 	// scheduler.
 	Cost() sim.Duration
 }
-
-// NoneScheduler is the "none" elevator: FIFO staging, no sorting, no
-// merging beyond what the caller does.
-type NoneScheduler struct {
-	fifo map[int][]*Request
-	cost sim.Duration
-}
-
-// NewNoneScheduler returns a FIFO scheduler with the given per-request cost.
-func NewNoneScheduler(cost sim.Duration) *NoneScheduler {
-	return &NoneScheduler{fifo: make(map[int][]*Request), cost: cost}
-}
-
-// Name implements Scheduler.
-func (s *NoneScheduler) Name() string { return "none" }
-
-// Insert implements Scheduler.
-func (s *NoneScheduler) Insert(hctx int, req *Request) bool {
-	s.fifo[hctx] = append(s.fifo[hctx], req)
-	return false
-}
-
-// Next implements Scheduler.
-func (s *NoneScheduler) Next(hctx int) *Request {
-	q := s.fifo[hctx]
-	if len(q) == 0 {
-		return nil
-	}
-	req := q[0]
-	s.fifo[hctx] = q[1:]
-	return req
-}
-
-// Pending implements Scheduler.
-func (s *NoneScheduler) Pending(hctx int) int { return len(s.fifo[hctx]) }
-
-// Cost implements Scheduler.
-func (s *NoneScheduler) Cost() sim.Duration { return s.cost }
 
 // DeadlineScheduler approximates mq-deadline: requests are kept sorted by
 // offset per direction, contiguous requests merge, and reads are preferred

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/fpga"
 	"repro/internal/rados"
 	"repro/internal/sim"
 )
@@ -82,8 +81,7 @@ func TestSixStageLifecycleCounters(t *testing.T) {
 }
 
 // TestDKHWAvailabilityThroughFailure runs DK-HW load while an OSD dies; the
-// monitor ejects it, placements remap, the reconfiguration policy swaps the
-// RM — and not a single I/O fails.
+// monitor ejects it, placements remap — and not a single I/O fails.
 func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	cfg := DefaultTestbedConfig()
 	tb, err := NewTestbed(cfg)
@@ -97,8 +95,6 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dk := stack.(*pipelineStack)
-	pol := NewReconfigPolicy(tb.Eng, dk.Shell(), mon)
 	mon.Start()
 
 	const ops = 150
@@ -123,15 +119,6 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	if mon.Reweights()[9] != 0 {
 		t.Fatal("monitor never ejected osd.9")
 	}
-	// The policy re-evaluated on the map change; with 31 devices it stays
-	// on tree, so just require a live RM consistent with its decision.
-	rm := dk.Shell().RP.Active()
-	if rm == nil {
-		t.Fatal("no live RM after map change")
-	}
-	if rm.Kernel != pol.Current {
-		t.Fatalf("live RM %v != policy decision %v", rm.Kernel, pol.Current)
-	}
 	// And the dead OSD no longer receives traffic once ejected: write more
 	// and check its counter stays put.
 	before := tb.Cluster.OSDs[9].Served()
@@ -147,5 +134,4 @@ func TestDKHWAvailabilityThroughFailure(t *testing.T) {
 	if got := tb.Cluster.OSDs[9].Served(); got != before {
 		t.Fatalf("ejected OSD served %d new requests", got-before)
 	}
-	_ = fpga.KTree
 }

@@ -69,19 +69,6 @@ type Bucket struct {
 	permX uint32
 	permN uint32
 	perm  []uint32
-
-	// onChange is installed by Map.AddBucket and fires on membership or
-	// weight edits so the map can advance its placement generation. The
-	// uniform perm cache above is selection-internal state and does not
-	// count as a change.
-	onChange func()
-}
-
-// noteChange reports a structural edit to the owning map, if attached.
-func (b *Bucket) noteChange() {
-	if b.onChange != nil {
-		b.onChange()
-	}
 }
 
 // NewBucket creates a bucket with the given items and fixed-point weights.
@@ -100,7 +87,7 @@ func NewBucket(id, typ int, alg Alg, items []int, weights []uint32) (*Bucket, er
 		Items:   append([]int(nil), items...),
 		weights: append([]uint32(nil), weights...),
 	}
-	if err := b.rebuild(); err != nil {
+	if err := b.derive(); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -115,19 +102,11 @@ func (b *Bucket) Weight() uint32 { return b.weight }
 // ItemWeight returns the fixed-point weight of the i-th item.
 func (b *Bucket) ItemWeight(i int) uint32 { return b.weights[i] }
 
-// rebuild recomputes alg-specific derived state after membership or weight
-// changes.
-func (b *Bucket) rebuild() error {
-	b.weight = 0
+// derive computes the alg-specific state derived from items and weights.
+func (b *Bucket) derive() error {
 	for _, w := range b.weights {
 		b.weight += w
 	}
-	b.permN = 0
-	b.permX = 0
-	b.perm = nil
-	b.sumWeights = nil
-	b.nodeWeights = nil
-	b.straws = nil
 	switch b.Alg {
 	case UniformAlg:
 		for _, w := range b.weights {
@@ -153,40 +132,6 @@ func (b *Bucket) rebuild() error {
 		return fmt.Errorf("crush: unknown alg %v", b.Alg)
 	}
 	return nil
-}
-
-// AddItem appends an item and rebuilds derived state.
-func (b *Bucket) AddItem(item int, weight uint32) error {
-	b.Items = append(b.Items, item)
-	b.weights = append(b.weights, weight)
-	b.noteChange()
-	return b.rebuild()
-}
-
-// RemoveItem removes an item and rebuilds derived state. It reports whether
-// the item was present.
-func (b *Bucket) RemoveItem(item int) (bool, error) {
-	for i, it := range b.Items {
-		if it == item {
-			b.Items = append(b.Items[:i], b.Items[i+1:]...)
-			b.weights = append(b.weights[:i], b.weights[i+1:]...)
-			b.noteChange()
-			return true, b.rebuild()
-		}
-	}
-	return false, nil
-}
-
-// AdjustItemWeight changes an item's weight and rebuilds derived state.
-func (b *Bucket) AdjustItemWeight(item int, weight uint32) (bool, error) {
-	for i, it := range b.Items {
-		if it == item {
-			b.weights[i] = weight
-			b.noteChange()
-			return true, b.rebuild()
-		}
-	}
-	return false, nil
 }
 
 // Choose selects an item for input x and replica rank r. The bucket must be

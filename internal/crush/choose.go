@@ -28,7 +28,7 @@ func (m *Map) isOut(item int, x uint32, reweight []uint32) bool {
 // When recurseToLeaf is set it additionally descends each chosen bucket to a
 // single device, returned in the second slice.
 func (m *Map) chooseFirstN(in *Bucket, x uint32, numRep, itemType int,
-	recurseToLeaf bool, tries int, reweight []uint32, parentR int) (out, leaves []int) {
+	recurseToLeaf bool, reweight []uint32, parentR int) (out, leaves []int) {
 
 	for rep := 0; rep < numRep; rep++ {
 		ftotal := 0
@@ -37,12 +37,11 @@ func (m *Map) chooseFirstN(in *Bucket, x uint32, numRep, itemType int,
 	retryDescent:
 		for {
 			cur := in
-			flocal := 0
 		retryBucket:
 			for {
 				if cur == nil || cur.Size() == 0 {
 					ftotal++
-					if ftotal < tries {
+					if ftotal < chooseTotalTries {
 						continue retryDescent
 					}
 					skip = true
@@ -71,7 +70,7 @@ func (m *Map) chooseFirstN(in *Bucket, x uint32, numRep, itemType int,
 				}
 				if curType != itemType {
 					ftotal++
-					if ftotal < tries {
+					if ftotal < chooseTotalTries {
 						continue retryDescent
 					}
 					skip = true
@@ -88,12 +87,8 @@ func (m *Map) chooseFirstN(in *Bucket, x uint32, numRep, itemType int,
 
 				reject := false
 				if !collide && recurseToLeaf && item < 0 {
-					subR := 0
-					if m.Tunables.ChooseleafVaryR {
-						subR = r
-					}
 					sub, _ := m.chooseFirstN(m.buckets[item], x, 1, 0,
-						false, tries, reweight, subR)
+						false, reweight, r)
 					if len(sub) == 0 {
 						reject = true
 					} else {
@@ -116,11 +111,7 @@ func (m *Map) chooseFirstN(in *Bucket, x uint32, numRep, itemType int,
 
 				if reject || collide {
 					ftotal++
-					flocal++
-					if collide && flocal <= m.Tunables.ChooseLocalTries {
-						continue retryBucket
-					}
-					if ftotal < tries {
+					if ftotal < chooseTotalTries {
 						continue retryDescent
 					}
 					skip = true
@@ -145,7 +136,7 @@ func (m *Map) chooseFirstN(in *Bucket, x uint32, numRep, itemType int,
 // that a failure at rank i never shifts the shards at other ranks. Unfilled
 // ranks come back as ItemNone.
 func (m *Map) chooseIndep(in *Bucket, x uint32, numRep, itemType int,
-	recurseToLeaf bool, tries int, reweight []uint32, parentR int) (out, leaves []int) {
+	recurseToLeaf bool, reweight []uint32, parentR int) (out, leaves []int) {
 
 	out = make([]int, numRep)
 	leaves = make([]int, numRep)
@@ -155,7 +146,7 @@ func (m *Map) chooseIndep(in *Bucket, x uint32, numRep, itemType int,
 	}
 	left := numRep
 
-	for ftotal := 0; left > 0 && ftotal < tries; ftotal++ {
+	for ftotal := 0; left > 0 && ftotal < chooseTotalTries; ftotal++ {
 		for rep := 0; rep < numRep; rep++ {
 			if out[rep] != itemUndef {
 				continue
@@ -205,7 +196,7 @@ func (m *Map) chooseIndep(in *Bucket, x uint32, numRep, itemType int,
 				leafItem := item
 				if recurseToLeaf && item < 0 {
 					sub, _ := m.chooseIndep(m.buckets[item], x, 1, 0,
-						false, tries, reweight, r)
+						false, reweight, r)
 					if sub[0] == ItemNone {
 						break
 					}
@@ -254,10 +245,6 @@ func (m *Map) Select(rule *Rule, x uint32, numRep int, reweight []uint32) ([]int
 	if numRep <= 0 {
 		return nil, fmt.Errorf("crush: numRep %d", numRep)
 	}
-	tries := m.Tunables.ChooseTotalTries
-	if tries <= 0 {
-		tries = 50
-	}
 	var working []int
 	var result []int
 	for _, step := range rule.Steps {
@@ -294,9 +281,9 @@ func (m *Map) Select(rule *Rule, x uint32, numRep int, reweight []uint32) ([]int
 				indep := step.Op == OpChooseIndep || step.Op == OpChooseleafIndep
 				var out, leaves []int
 				if indep {
-					out, leaves = m.chooseIndep(b, x, n, step.Arg2, leaf, tries, reweight, 0)
+					out, leaves = m.chooseIndep(b, x, n, step.Arg2, leaf, reweight, 0)
 				} else {
-					out, leaves = m.chooseFirstN(b, x, n, step.Arg2, leaf, tries, reweight, 0)
+					out, leaves = m.chooseFirstN(b, x, n, step.Arg2, leaf, reweight, 0)
 				}
 				if leaf {
 					next = append(next, leaves...)

@@ -13,49 +13,19 @@ const (
 	itemUndef = -0x7ffffffe
 )
 
-// Tunables mirror the Ceph CRUSH tunables that shape retry behaviour.
-// Defaults follow the modern ("jewel"-era and later) profile.
-type Tunables struct {
-	// ChooseTotalTries bounds the number of full descent retries per
-	// replica.
-	ChooseTotalTries int
-	// ChooseLocalTries allows retrying within the same bucket on
-	// collision before a full descent retry (legacy; 0 in modern
-	// profiles).
-	ChooseLocalTries int
-	// ChooseleafVaryR makes the recursive leaf descent vary its r by the
-	// parent's attempt number, improving behaviour with failed devices.
-	ChooseleafVaryR bool
-	// ChooseleafStable avoids unnecessary remapping of later replicas
-	// when earlier ranks change.
-	ChooseleafStable bool
-}
-
-// DefaultTunables returns the modern default profile.
-func DefaultTunables() Tunables {
-	return Tunables{
-		ChooseTotalTries: 50,
-		ChooseLocalTries: 0,
-		ChooseleafVaryR:  true,
-		ChooseleafStable: true,
-	}
-}
-
-// LegacyTunables returns the ancient (argonaut-era) profile.
-func LegacyTunables() Tunables {
-	return Tunables{
-		ChooseTotalTries: 19,
-		ChooseLocalTries: 2,
-		ChooseleafVaryR:  false,
-		ChooseleafStable: false,
-	}
-}
+// chooseTotalTries bounds the number of full descent retries per replica
+// (Ceph's choose_total_tries). The retry rules are those of the modern
+// tunables profile: no local retries in the same bucket on collision, and
+// the recursive leaf descent varies its r by the parent's attempt
+// (chooseleaf_vary_r).
+const chooseTotalTries = 50
 
 // Map is a CRUSH cluster map: a forest of weighted buckets over devices,
-// plus named placement rules and type names.
+// plus named placement rules and type names. A map is fixed once built:
+// AddBucket and AddRule assemble it, and nothing edits it after its first
+// Select, so equal inputs always select equal placements. Placement moves
+// only through the reweight table a caller passes to Select.
 type Map struct {
-	Tunables Tunables
-
 	buckets map[int]*Bucket // by negative id
 	maxDev  int             // one past the largest device id seen
 	rules   map[string]*Rule
@@ -63,22 +33,15 @@ type Map struct {
 	names   map[int]string // bucket id -> name
 
 	nextBucketID int // most negative assigned so far
-
-	// gen counts structural edits to the map: buckets or rules added, and
-	// item membership/weight changes inside any attached bucket. Placement
-	// caches key their validity off Generation (Ceph's osdmap-epoch
-	// analogue for the CRUSH-topology half of the map).
-	gen uint64
 }
 
-// NewMap returns an empty map with default tunables.
+// NewMap returns an empty map.
 func NewMap() *Map {
 	return &Map{
-		Tunables: DefaultTunables(),
-		buckets:  make(map[int]*Bucket),
-		rules:    make(map[string]*Rule),
-		types:    map[int]string{0: "osd"},
-		names:    make(map[int]string),
+		buckets: make(map[int]*Bucket),
+		rules:   make(map[string]*Rule),
+		types:   map[int]string{0: "osd"},
+		names:   make(map[int]string),
 	}
 }
 
@@ -106,7 +69,6 @@ func (m *Map) AddBucket(b *Bucket) error {
 		return fmt.Errorf("crush: duplicate bucket id %d", b.ID)
 	}
 	m.buckets[b.ID] = b
-	b.onChange = m.noteChange
 	if b.ID < m.nextBucketID {
 		m.nextBucketID = b.ID
 	}
@@ -115,18 +77,8 @@ func (m *Map) AddBucket(b *Bucket) error {
 			m.maxDev = it + 1
 		}
 	}
-	m.gen++
 	return nil
 }
-
-// Generation returns a counter that advances on every structural change to
-// the map: AddBucket, AddRule, and AddItem/RemoveItem/AdjustItemWeight on
-// any bucket attached to the map. Equal generations guarantee Select
-// returns the same answer for the same inputs, so callers may cache
-// placements keyed on it.
-func (m *Map) Generation() uint64 { return m.gen }
-
-func (m *Map) noteChange() { m.gen++ }
 
 // NewBucketID returns the next unused negative bucket id.
 func (m *Map) NewBucketID() int {
@@ -146,16 +98,6 @@ func (m *Map) BucketName(id int) string {
 		return n
 	}
 	return fmt.Sprintf("bucket%d", -id)
-}
-
-// BucketByName resolves a named bucket (0, false if unknown).
-func (m *Map) BucketByName(name string) (int, bool) {
-	for id, n := range m.names {
-		if n == name {
-			return id, true
-		}
-	}
-	return 0, false
 }
 
 // Rules returns the rule names, sorted.
@@ -191,14 +133,6 @@ func (m *Map) Buckets() []int {
 // MaxDevices returns one past the largest device id referenced by any
 // bucket.
 func (m *Map) MaxDevices() int { return m.maxDev }
-
-// NoteDevice records that device ids up to id exist even if not yet in a
-// bucket.
-func (m *Map) NoteDevice(id int) {
-	if id >= m.maxDev {
-		m.maxDev = id + 1
-	}
-}
 
 // TotalWeight sums the weights of the root buckets (buckets that are not an
 // item of any other bucket).
@@ -274,7 +208,6 @@ type Rule struct {
 // AddRule registers a rule by name, replacing any previous definition.
 func (m *Map) AddRule(r *Rule) {
 	m.rules[r.Name] = r
-	m.gen++
 }
 
 // Rule returns the named rule, or nil.

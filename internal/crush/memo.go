@@ -2,11 +2,10 @@ package crush
 
 // Memo is a lazily filled memo of one Map's placements of pool PGs. The
 // CRUSH input of PG pg in pool is Hash2(pg, pool) (Ceph's pps), computed
-// only when the memo misses. Entries stay valid while the map's Generation
-// and the caller's reweight version are unchanged. The first Select that
-// sees the generation move flushes the memo in place; one that sees a new
-// reweight version drops only the entries the edit can have changed (see
-// reweighted). Nothing is computed or allocated until the first Select,
+// only when the memo misses. The map is fixed once built, so entries stay
+// valid while the caller's reweight version is unchanged; the first Select
+// that sees a new version drops only the entries the edit can have changed
+// (see reweighted). Nothing is computed or allocated until the first Select,
 // and each pool's table grows only to the largest PG looked up.
 //
 // Answers are shared between callers: treat them as read-only. A Memo is
@@ -15,7 +14,6 @@ package crush
 // split-domain client).
 type Memo struct {
 	m   *Map
-	gen uint64
 	ver uint64
 	// rw is a copy of the reweight table the entries were selected under.
 	rw   []uint32
@@ -44,9 +42,7 @@ func NewMemo(m *Map) *Memo { return &Memo{m: m} }
 // versions the reweight table: callers pass a new ver whenever the table's
 // contents change. Errors are not memoised.
 func (mm *Memo) Select(rule *Rule, pool, pg uint32, numRep int, reweight []uint32, ver uint64) ([]int, error) {
-	if g := mm.m.gen; g != mm.gen {
-		mm.reset(g, ver, reweight)
-	} else if ver != mm.ver {
+	if ver != mm.ver {
 		mm.reweighted(ver, reweight)
 	}
 	if int(pool) < len(mm.sets) && int(pg) < len(mm.sets[pool]) {
@@ -73,11 +69,11 @@ func (mm *Memo) Select(rule *Rule, pool, pg uint32, numRep int, reweight []uint3
 }
 
 // reset empties the memo in place and records the inputs it now reflects.
-func (mm *Memo) reset(gen, ver uint64, reweight []uint32) {
+func (mm *Memo) reset(ver uint64, reweight []uint32) {
 	for _, pgs := range mm.sets {
 		clear(pgs)
 	}
-	mm.gen, mm.ver = gen, ver
+	mm.ver = ver
 	mm.keep(reweight)
 }
 
@@ -100,14 +96,14 @@ func (mm *Memo) keep(reweight []uint32) {
 // device are dropped; any other edit flushes the memo.
 func (mm *Memo) reweighted(ver uint64, reweight []uint32) {
 	if mm.rw == nil || len(reweight) != len(mm.rw) {
-		mm.reset(mm.gen, ver, reweight)
+		mm.reset(ver, reweight)
 		return
 	}
 	var lowered []bool
 	for i, w := range reweight {
 		switch old := mm.rw[i]; {
 		case w > old:
-			mm.reset(mm.gen, ver, reweight)
+			mm.reset(ver, reweight)
 			return
 		case w < old:
 			if lowered == nil {

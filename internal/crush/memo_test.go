@@ -17,56 +17,6 @@ func equalSets(a, b []int) bool {
 	return true
 }
 
-// TestMemoFollowsWeightEdit: an AdjustItemWeight between two selects
-// changes some placements, and the memo's answers follow the edit.
-func TestMemoFollowsWeightEdit(t *testing.T) {
-	m, _, err := BuildCluster(ClusterSpec{Hosts: 4, OSDsPerHost: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rule := m.Rule("replicated_rule")
-	memo := NewMemo(m)
-	const pool, pgs = 1, 128
-	before := make([][]int, pgs)
-	for pg := uint32(0); pg < pgs; pg++ {
-		set, err := memo.Select(rule, pool, pg, 3, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[pg] = append([]int(nil), set...)
-	}
-	hostID, ok := m.BucketByName("host0")
-	if !ok {
-		t.Fatal("host0 missing")
-	}
-	if _, err := m.Bucket(hostID).AdjustItemWeight(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
-	for pg := uint32(0); pg < pgs; pg++ {
-		got, err := memo.Select(rule, pool, pg, 3, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := m.Select(rule, Hash2(pg, pool), 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalSets(got, want) {
-			t.Fatalf("pg %d after edit: memo %v, fresh %v", pg, got, want)
-		}
-		if !equalSets(got, before[pg]) {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("draining osd.0 moved no PG")
-	}
-	if memo.Misses != 2*pgs || memo.Hits != 0 {
-		t.Fatalf("hits %d misses %d, want 0/%d", memo.Hits, memo.Misses, 2*pgs)
-	}
-}
-
 // TestMemoFollowsReweightVersion: a new reweight version flushes the memo,
 // so an OSD marked out disappears from every answer.
 func TestMemoFollowsReweightVersion(t *testing.T) {

@@ -5,24 +5,23 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// Text (de)serialization of CRUSH maps, in the spirit of `crushtool
-// --decompile`: types, devices, buckets with named items and decimal
-// weights, tunables, and rules. Encode followed by Decode reproduces an
-// equivalent map (same placements for every input).
+// The text form of a CRUSH map, in the spirit of `crushtool --decompile`:
+// tunables, devices, types, buckets with named items and decimal weights,
+// and rules. It is output only: a map is built in code (BuildCluster,
+// FlatCluster), and nothing parses the text back.
 
 // EncodeText writes the map in the text format.
 func (m *Map) EncodeText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 
 	fmt.Fprintf(bw, "# begin crush map\n")
-	fmt.Fprintf(bw, "tunable choose_total_tries %d\n", m.Tunables.ChooseTotalTries)
-	fmt.Fprintf(bw, "tunable choose_local_tries %d\n", m.Tunables.ChooseLocalTries)
-	fmt.Fprintf(bw, "tunable chooseleaf_vary_r %d\n", boolInt(m.Tunables.ChooseleafVaryR))
-	fmt.Fprintf(bw, "tunable chooseleaf_stable %d\n", boolInt(m.Tunables.ChooseleafStable))
+	fmt.Fprintf(bw, "tunable choose_total_tries %d\n", chooseTotalTries)
+	fmt.Fprintf(bw, "tunable choose_local_tries 0\n")
+	fmt.Fprintf(bw, "tunable chooseleaf_vary_r 1\n")
+	fmt.Fprintf(bw, "tunable chooseleaf_stable 1\n")
 
 	fmt.Fprintf(bw, "\n# devices\n")
 	for d := 0; d < m.maxDev; d++ {
@@ -35,7 +34,7 @@ func (m *Map) EncodeText(w io.Writer) error {
 	}
 
 	fmt.Fprintf(bw, "\n# buckets\n")
-	// Children before parents so Decode can resolve names.
+	// Children before parents, as crushtool prints them.
 	for _, id := range m.bucketsBottomUp() {
 		b := m.buckets[id]
 		fmt.Fprintf(bw, "%s %s {\n", m.TypeName(b.Type), m.BucketName(id))
@@ -114,250 +113,4 @@ func (m *Map) bucketsBottomUp() []int {
 		visit(id)
 	}
 	return order
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-var algNames = map[string]Alg{
-	"uniform": UniformAlg,
-	"list":    ListAlg,
-	"tree":    TreeAlg,
-	"straw":   StrawAlg,
-	"straw2":  Straw2Alg,
-}
-
-// DecodeText parses a map in the text format.
-func DecodeText(r io.Reader) (*Map, error) {
-	m := NewMap()
-	typeByName := map[string]int{"osd": 0}
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	var lines []string
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		lines = append(lines, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-
-	i := 0
-	syntax := func(f string, args ...any) error {
-		return fmt.Errorf("crush: text parse: %s (near %q)", fmt.Sprintf(f, args...), lines[min(i, len(lines)-1)])
-	}
-	for i < len(lines) {
-		fields := strings.Fields(lines[i])
-		switch fields[0] {
-		case "tunable":
-			if len(fields) != 3 {
-				return nil, syntax("bad tunable")
-			}
-			v, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, syntax("bad tunable value")
-			}
-			switch fields[1] {
-			case "choose_total_tries":
-				m.Tunables.ChooseTotalTries = v
-			case "choose_local_tries":
-				m.Tunables.ChooseLocalTries = v
-			case "chooseleaf_vary_r":
-				m.Tunables.ChooseleafVaryR = v != 0
-			case "chooseleaf_stable":
-				m.Tunables.ChooseleafStable = v != 0
-			}
-			i++
-		case "device":
-			if len(fields) < 2 {
-				return nil, syntax("bad device")
-			}
-			d, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, syntax("bad device id")
-			}
-			m.NoteDevice(d)
-			i++
-		case "type":
-			if len(fields) != 3 {
-				return nil, syntax("bad type")
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, syntax("bad type id")
-			}
-			m.DefineType(id, fields[2])
-			typeByName[fields[2]] = id
-			i++
-		case "rule":
-			if len(fields) != 3 || fields[2] != "{" {
-				return nil, syntax("bad rule header")
-			}
-			name := fields[1]
-			i++
-			rule := &Rule{Name: name}
-			for i < len(lines) && lines[i] != "}" {
-				sf := strings.Fields(lines[i])
-				if sf[0] != "step" {
-					return nil, syntax("expected step")
-				}
-				st, err := parseStep(m, typeByName, sf[1:])
-				if err != nil {
-					return nil, err
-				}
-				rule.Steps = append(rule.Steps, st)
-				i++
-			}
-			if i >= len(lines) {
-				return nil, syntax("unterminated rule")
-			}
-			i++ // consume "}"
-			m.AddRule(rule)
-		default:
-			// A bucket block: "<typename> <name> {".
-			if len(fields) != 3 || fields[2] != "{" {
-				return nil, syntax("unknown statement")
-			}
-			typeID, ok := typeByName[fields[0]]
-			if !ok {
-				return nil, syntax("unknown bucket type %q", fields[0])
-			}
-			name := fields[1]
-			i++
-			var id int
-			alg := Straw2Alg
-			var items []int
-			var weights []uint32
-			for i < len(lines) && lines[i] != "}" {
-				bf := strings.Fields(lines[i])
-				switch bf[0] {
-				case "id":
-					v, err := strconv.Atoi(bf[1])
-					if err != nil {
-						return nil, syntax("bad bucket id")
-					}
-					id = v
-				case "alg":
-					a, ok := algNames[bf[1]]
-					if !ok {
-						return nil, syntax("unknown alg %q", bf[1])
-					}
-					alg = a
-				case "item":
-					if len(bf) != 4 || bf[2] != "weight" {
-						return nil, syntax("bad item line")
-					}
-					var item int
-					if strings.HasPrefix(bf[1], "osd.") {
-						v, err := strconv.Atoi(strings.TrimPrefix(bf[1], "osd."))
-						if err != nil {
-							return nil, syntax("bad osd item")
-						}
-						item = v
-					} else {
-						cid, ok := m.BucketByName(bf[1])
-						if !ok {
-							return nil, syntax("unknown item %q", bf[1])
-						}
-						item = cid
-					}
-					wf, err := strconv.ParseFloat(bf[3], 64)
-					if err != nil {
-						return nil, syntax("bad weight")
-					}
-					items = append(items, item)
-					weights = append(weights, uint32(wf*float64(WeightOne)+0.5))
-				default:
-					return nil, syntax("unknown bucket field %q", bf[0])
-				}
-				i++
-			}
-			if i >= len(lines) {
-				return nil, syntax("unterminated bucket")
-			}
-			i++ // consume "}"
-			b, err := NewBucket(id, typeID, alg, items, weights)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.AddBucket(b); err != nil {
-				return nil, err
-			}
-			m.SetBucketName(id, name)
-		}
-	}
-	return m, nil
-}
-
-// DecodeTextString parses a map from a string.
-func DecodeTextString(s string) (*Map, error) {
-	return DecodeText(strings.NewReader(s))
-}
-
-func parseStep(m *Map, typeByName map[string]int, f []string) (Step, error) {
-	bad := func(msg string) (Step, error) {
-		return Step{}, fmt.Errorf("crush: text parse: %s in step %q", msg, strings.Join(f, " "))
-	}
-	if len(f) == 0 {
-		return bad("empty")
-	}
-	switch f[0] {
-	case "emit":
-		return Step{Op: OpEmit}, nil
-	case "take":
-		if len(f) != 2 {
-			return bad("take needs a bucket")
-		}
-		id, ok := m.BucketByName(f[1])
-		if !ok {
-			return bad("unknown bucket")
-		}
-		return Step{Op: OpTake, Arg1: id}, nil
-	case "choose", "chooseleaf":
-		// choose firstn N type T
-		if len(f) != 5 || f[3] != "type" {
-			return bad("malformed choose")
-		}
-		n, err := strconv.Atoi(f[2])
-		if err != nil {
-			return bad("bad count")
-		}
-		typ, ok := typeByName[f[4]]
-		if !ok {
-			return bad("unknown type")
-		}
-		var op StepOp
-		switch {
-		case f[0] == "choose" && f[1] == "firstn":
-			op = OpChooseFirstN
-		case f[0] == "choose" && f[1] == "indep":
-			op = OpChooseIndep
-		case f[0] == "chooseleaf" && f[1] == "firstn":
-			op = OpChooseleafFirstN
-		case f[0] == "chooseleaf" && f[1] == "indep":
-			op = OpChooseleafIndep
-		default:
-			return bad("unknown choose mode")
-		}
-		return Step{Op: op, Arg1: n, Arg2: typ}, nil
-	default:
-		return bad("unknown op")
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

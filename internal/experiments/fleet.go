@@ -293,7 +293,7 @@ func (r *fleetRun) fail(osd int) {
 
 // markedOut starts the backfill at the first map change after the crash:
 // the mark-out epoch.
-func (r *fleetRun) markedOut(uint64) {
+func (r *fleetRun) markedOut() {
 	if !r.recovering {
 		r.recovering = true
 		rados.NewBackfiller(r.cluster).BackfillPool(r.pool, r.before, r.mon.Reweights(), r.backfilled)

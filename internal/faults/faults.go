@@ -51,12 +51,6 @@ const (
 	// DetectOSD is the deferred detection of a silent failure: the OSD is
 	// finally marked down, so further requests fail fast.
 	DetectOSD
-	// SlowTenant degrades one tenant's requests cluster-wide (factor×) —
-	// the tenant's volume landed on throttled media — leaving every other
-	// tenant's service timing untouched. Target is the tenant id.
-	SlowTenant
-	// HealTenant restores the tenant's healthy service timing.
-	HealTenant
 )
 
 func (k EventKind) String() string {
@@ -85,10 +79,6 @@ func (k EventKind) String() string {
 		return "crash-silent"
 	case DetectOSD:
 		return "detect"
-	case SlowTenant:
-		return "slow-tenant"
-	case HealTenant:
-		return "heal-tenant"
 	}
 	return "?"
 }
@@ -105,11 +95,8 @@ type Event struct {
 
 // String renders the event for schedules and test diffs.
 func (e Event) String() string {
-	switch e.Kind {
-	case SlowOSD:
+	if e.Kind == SlowOSD {
 		return fmt.Sprintf("%v %s osd.%d x%g", e.At, e.Kind, e.Target, e.Factor)
-	case SlowTenant:
-		return fmt.Sprintf("%v %s tenant.%d x%g", e.At, e.Kind, e.Target, e.Factor)
 	}
 	return fmt.Sprintf("%v %s %d", e.At, e.Kind, e.Target)
 }
@@ -121,8 +108,6 @@ type Stats struct {
 	Slowdowns  uint64
 	Flaps      uint64
 	Partitions uint64
-	// TenantSlowdowns counts tenant-scoped degradation windows opened.
-	TenantSlowdowns uint64
 	// CacheCrashes/CacheRecoveries count write-back cache power-fail and
 	// log-replay transitions.
 	CacheCrashes    uint64
@@ -294,29 +279,6 @@ func (in *Injector) ScheduleSlow(at sim.Duration, osd int, factor float64, dur s
 	}
 }
 
-// ScheduleTenantSlow degrades requests owned by tenant cluster-wide by
-// factor from at for dur (dur 0 = permanently). Every OSD applies the
-// multiplier to that tenant's ops only, so the fault is invisible to the
-// rest of the population — the scenario a per-tenant QoS scheduler must
-// not spread.
-func (in *Injector) ScheduleTenantSlow(at sim.Duration, tenant int, factor float64, dur sim.Duration) {
-	in.record(Event{At: at, Kind: SlowTenant, Target: tenant, Factor: factor})
-	in.eng.Schedule(at, func() {
-		in.stats.TenantSlowdowns++
-		for _, o := range in.cluster.OSDs {
-			o.SetTenantSlow(tenant, factor)
-		}
-	})
-	if dur > 0 {
-		in.record(Event{At: at + dur, Kind: HealTenant, Target: tenant})
-		in.eng.Schedule(at+dur, func() {
-			for _, o := range in.cluster.OSDs {
-				o.SetTenantSlow(0, 1)
-			}
-		})
-	}
-}
-
 // ScheduleFlap takes node's link down from at for dur: every message to or
 // from that host drops while the flap lasts.
 func (in *Injector) ScheduleFlap(at sim.Duration, node int, dur sim.Duration) {
@@ -413,22 +375,12 @@ type Scenario struct {
 	FlappyFor   sim.Duration
 	FlappyGap   sim.Duration
 	FlappyCount int
-
-	// TenantSlowAt degrades TenantSlowTenant's requests cluster-wide by
-	// TenantSlowFactor from this offset for TenantSlowFor; zero disables.
-	// The tenant-scoped analogue of SlowMTBF: one tenant's volume lands on
-	// throttled media while every other tenant stays healthy.
-	TenantSlowAt     sim.Duration
-	TenantSlowFor    sim.Duration
-	TenantSlowFactor float64
-	TenantSlowTenant int
 }
 
 // Active reports whether the scenario injects any fault at all.
 func (sc Scenario) Active() bool {
 	return sc.CrashMTBF > 0 || sc.SlowMTBF > 0 || sc.LossRate > 0 ||
-		sc.FlapMTBF > 0 || sc.PartitionAt > 0 || sc.FlappyAt > 0 ||
-		sc.TenantSlowAt > 0
+		sc.FlapMTBF > 0 || sc.PartitionAt > 0 || sc.FlappyAt > 0
 }
 
 // fnv64 hashes the scenario name into the seed so equal seeds with
@@ -474,9 +426,6 @@ func Install(eng *sim.Engine, cluster *rados.Cluster, seed uint64, sc Scenario) 
 	if sc.FlappyAt > 0 && sc.FlappyCount > 0 && nNode > 0 {
 		rng := sim.NewRNG(seed ^ fnv64(sc.Name+"/flappy"))
 		in.ScheduleFlappyLink(sc.FlappyAt, rng.Intn(nNode), sc.FlappyFor, sc.FlappyGap, sc.FlappyCount)
-	}
-	if sc.TenantSlowAt > 0 && sc.TenantSlowFactor > 1 && sc.TenantSlowTenant > 0 {
-		in.ScheduleTenantSlow(sc.TenantSlowAt, sc.TenantSlowTenant, sc.TenantSlowFactor, sc.TenantSlowFor)
 	}
 	if sc.LossRate > 0 {
 		in.SetLossRate(sc.LossRate)

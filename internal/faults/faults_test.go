@@ -259,56 +259,6 @@ func TestSlowEpisodeRestoresHealthyTiming(t *testing.T) {
 	}
 }
 
-// TestTenantSlowScopesToOneTenant drives two tenants through the same OSD
-// across a tenant-scoped degradation window: the target tenant's ops slow
-// by the factor while the bystander's timing is untouched, and healing
-// restores the target.
-func TestTenantSlowScopesToOneTenant(t *testing.T) {
-	eng, cl, _ := testCluster(t)
-	in := Install(eng, cl, 3, Scenario{
-		Name:             "tenant-slow",
-		Horizon:          20 * sim.Millisecond,
-		TenantSlowAt:     sim.Millisecond,
-		TenantSlowFor:    10 * sim.Millisecond,
-		TenantSlowFactor: 16,
-		TenantSlowTenant: 1,
-	})
-	if len(in.Events()) != 2 {
-		t.Fatalf("schedule = %v, want slow-tenant + heal-tenant", in.Events())
-	}
-
-	osd := cl.OSDs[0]
-	lat := map[string]sim.Duration{}
-	measure := func(label string, tenant int, at sim.Duration) {
-		eng.Schedule(at, func() {
-			start := eng.Now()
-			osd.SubmitOpts(rados.ReqOpts{Tenant: tenant}, rados.OpWrite,
-				"obj-"+label, 0, make([]byte, 4096), 0, func(res rados.Result) {
-					if res.Err != nil {
-						t.Errorf("%s: %v", label, res.Err)
-					}
-					lat[label] = eng.Now().Sub(start)
-				})
-		})
-	}
-	measure("victim-during", 1, 2*sim.Millisecond)
-	measure("bystander-during", 2, 2*sim.Millisecond)
-	measure("victim-after", 1, 15*sim.Millisecond)
-	eng.Run()
-
-	if in.Stats().TenantSlowdowns != 1 {
-		t.Fatalf("tenant slowdowns = %d, want 1", in.Stats().TenantSlowdowns)
-	}
-	if lat["victim-during"] < 8*lat["bystander-during"] {
-		t.Errorf("victim %v not degraded vs bystander %v (want ~16x)",
-			lat["victim-during"], lat["bystander-during"])
-	}
-	if lat["victim-after"] > 2*lat["bystander-during"] {
-		t.Errorf("victim not healed: %v after window vs bystander %v",
-			lat["victim-after"], lat["bystander-during"])
-	}
-}
-
 func ExampleBackoff() {
 	rng := sim.NewRNG(1)
 	for attempt := 0; attempt < 4; attempt++ {

@@ -1,7 +1,6 @@
 package fpga
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -403,70 +402,5 @@ func TestConfigurationAnalysis(t *testing.T) {
 	// Rows sorted by name.
 	if rows[0].RM > rows[1].RM || rows[1].RM > rows[2].RM {
 		t.Fatal("rows not sorted")
-	}
-}
-
-func TestAcceleratorForAlg(t *testing.T) {
-	eng, s := newShellT(t, false)
-	if a, err := s.AcceleratorFor(crush.StrawAlg); err != nil || a != s.Straw {
-		t.Fatal("straw lookup wrong")
-	}
-	if a, err := s.AcceleratorFor(crush.Straw2Alg); err != nil || a != s.Straw2 {
-		t.Fatal("straw2 lookup wrong")
-	}
-	if _, err := s.AcceleratorFor(crush.ListAlg); err == nil {
-		t.Fatal("list available before DFX load")
-	}
-	loadKernel(eng, s, KList)
-	eng.Run()
-	if _, err := s.AcceleratorFor(crush.ListAlg); err != nil {
-		t.Fatalf("list after load: %v", err)
-	}
-}
-
-// TestCrushAccelMemoFollowsMapEdit: the kernel memoises its answers, and an
-// AdjustItemWeight between two selects reaches them — after the edit every
-// answer equals a fresh descent, and some have moved.
-func TestCrushAccelMemoFollowsMapEdit(t *testing.T) {
-	eng := sim.NewEngine()
-	m, _, _ := crush.BuildCluster(crush.ClusterSpec{Hosts: 4, OSDsPerHost: 4})
-	rule := m.Rule("replicated_rule")
-	acc := NewCrushAccel(eng, KStraw2, m, rule)
-	const pool, pgs = 1, 64
-	selectAll := func() [][]int {
-		out := make([][]int, pgs)
-		for pg := uint32(0); pg < pgs; pg++ {
-			pg := pg
-			acc.Select(pg, pool, 3, func(osds []int, err error) {
-				if err != nil {
-					t.Error(err)
-				}
-				out[pg] = append([]int(nil), osds...)
-			})
-		}
-		eng.Run()
-		return out
-	}
-	before := selectAll()
-	hostID, _ := m.BucketByName("host1")
-	if _, err := m.Bucket(hostID).AdjustItemWeight(4, 0); err != nil {
-		t.Fatal(err)
-	}
-	after := selectAll()
-	moved := 0
-	for pg := uint32(0); pg < pgs; pg++ {
-		want, err := m.Select(rule, crush.Hash2(pg, pool), 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(after[pg]) != fmt.Sprint(want) {
-			t.Fatalf("pg %d after edit: kernel %v, fresh %v", pg, after[pg], want)
-		}
-		if fmt.Sprint(after[pg]) != fmt.Sprint(before[pg]) {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("draining osd.4 moved no PG")
 	}
 }

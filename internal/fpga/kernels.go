@@ -45,24 +45,6 @@ func (k KernelID) String() string {
 	}
 }
 
-// BucketAlg maps a CRUSH bucket algorithm to its accelerator kernel.
-func BucketAlg(a crush.Alg) (KernelID, bool) {
-	switch a {
-	case crush.StrawAlg:
-		return KStraw, true
-	case crush.Straw2Alg:
-		return KStraw2, true
-	case crush.ListAlg:
-		return KList, true
-	case crush.TreeAlg:
-		return KTree, true
-	case crush.UniformAlg:
-		return KUniform, true
-	default:
-		return 0, false
-	}
-}
-
 // AccelClockHz is the replication/EC accelerator clock (paper §IV-B).
 const AccelClockHz = 235e6
 
@@ -214,8 +196,8 @@ func streamCycles(n int) int {
 // The kernel's service time depends only on the replica count, so the
 // simulator need not redo the straw2 descent for every I/O: answers come
 // from a placement memo owned by the kernel (and so by the card's shard),
-// filled on first use of each PG and flushed when the map's Generation
-// moves.
+// filled on first use of each PG. The map is fixed once built and the
+// kernel sees no reweight table, so an entry never goes stale.
 type CrushAccel struct {
 	*Accel
 	Map  *crush.Map

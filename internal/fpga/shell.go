@@ -199,20 +199,3 @@ func (s *Shell) LoadDynKernel(id KernelID, done func(err error)) {
 	}
 	s.RP.Reconfigure(id.String(), done)
 }
-
-// AcceleratorFor returns the placement accelerator matching a bucket
-// algorithm, using the static Straw/Straw2 kernels or the RP's live module.
-func (s *Shell) AcceleratorFor(alg crush.Alg) (*CrushAccel, error) {
-	id, ok := BucketAlg(alg)
-	if !ok {
-		return nil, fmt.Errorf("fpga: no kernel for alg %v", alg)
-	}
-	switch id {
-	case KStraw:
-		return s.Straw, nil
-	case KStraw2:
-		return s.Straw2, nil
-	default:
-		return s.DynAccel(id)
-	}
-}

@@ -217,8 +217,10 @@ type Ring struct {
 	poll   func()
 	closed bool
 
-	// inflightFree recycles dispatched-SQE state (see inflight).
+	// inflightFree recycles dispatched-SQE state (see inflight), and
+	// enterFree the interrupt-mode enters in flight (see enterOp).
 	inflightFree []*inflight
+	enterFree    []*enterOp
 
 	// Stats.
 	enters      uint64
@@ -346,12 +348,37 @@ func (r *Ring) Enter(then func()) (int, error) {
 // event, then n SQEs drain and then (if non-nil) runs.
 func (r *Ring) enter(n int, then func()) {
 	r.enters++
-	r.eng.Schedule(r.params.SyscallCost+sim.Duration(n)*r.params.PerSQECost, func() {
-		r.drainSQ(n)
-		if then != nil {
-			then()
-		}
-	})
+	var e *enterOp
+	if k := len(r.enterFree); k > 0 {
+		e = r.enterFree[k-1]
+		r.enterFree = r.enterFree[:k-1]
+	} else {
+		e = &enterOp{r: r}
+		e.fire = e.done
+	}
+	e.n, e.then = n, then
+	r.eng.Schedule(r.params.SyscallCost+sim.Duration(n)*r.params.PerSQECost, e.fire)
+}
+
+// enterOp is one io_uring_enter in flight, pooled on its ring with its
+// completion event bound once.
+type enterOp struct {
+	r    *Ring
+	n    int
+	then func()
+	fire func()
+}
+
+// done is the enter's completion event: it returns the op to the pool
+// (the drain may enter again), then drains n SQEs and runs then.
+func (e *enterOp) done() {
+	r, n, then := e.r, e.n, e.then
+	e.then = nil
+	r.enterFree = append(r.enterFree, e)
+	r.drainSQ(n)
+	if then != nil {
+		then()
+	}
 }
 
 // armPoller schedules an SQPOLL pickup if one is not already pending.

@@ -430,17 +430,13 @@ func (bt *boundTarget) completeOldest() {
 }
 
 // TestRingRoundTripAllocs pins the ring's own allocations over a
-// submit-complete-reap round trip: an SQPOLL ring allocates nothing per
-// SQE, and an interrupt-mode ring at most its enter syscall's completion
-// event closure per Enter.
+// submit-complete-reap round trip: neither an SQPOLL ring nor an
+// interrupt-mode ring (whose enters are pooled) allocates once warm.
 func TestRingRoundTripAllocs(t *testing.T) {
 	const batch = 16
-	for _, tc := range []struct {
-		mode     Mode
-		perEnter float64
-	}{{SQPollMode, 0}, {InterruptMode, 1}} {
+	for _, mode := range []Mode{SQPollMode, InterruptMode} {
 		eng := sim.NewEngine()
-		r, err := Setup(eng, Params{Entries: 2 * batch, Mode: tc.mode}, newBoundTarget(eng, 2*sim.Microsecond))
+		r, err := Setup(eng, Params{Entries: 2 * batch, Mode: mode}, newBoundTarget(eng, 2*sim.Microsecond))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,12 +460,12 @@ func TestRingRoundTripAllocs(t *testing.T) {
 			eng.Run()
 		}
 		const runs = 100
-		if allocs := testing.AllocsPerRun(runs, round); allocs > tc.perEnter {
-			t.Errorf("%v: %.1f allocs per %d-SQE round trip, want <= %v", tc.mode, allocs, batch, tc.perEnter)
+		if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+			t.Errorf("%v: %.1f allocs per %d-SQE round trip, want 0", mode, allocs, batch)
 		}
 		// AllocsPerRun runs round once more as its warm-up.
 		if reaped != (runs+1)*batch {
-			t.Errorf("%v: reaped %d completions, want %d", tc.mode, reaped, (runs+1)*batch)
+			t.Errorf("%v: reaped %d completions, want %d", mode, reaped, (runs+1)*batch)
 		}
 	}
 }

@@ -67,16 +67,14 @@ type Cluster struct {
 	// monitor, when attached, owns the in/out weights ActingSet consults.
 	monitor *Monitor
 
-	// Placement cache: ActingSet is a pure function of (CRUSH topology,
-	// reweight table, pool, pg), so results are memoized per (pool, pg)
-	// until either input changes. The monitor invalidates on every weight
-	// edit (InvalidatePlacement); topology edits are caught lazily by
-	// comparing the CRUSH map's Generation. epoch counts invalidations —
-	// the cluster-local analogue of Ceph's osdmap epoch — and versions the
-	// reweight table for the memo.
-	place    *crush.Memo
-	cacheGen uint64 // crush Map generation the epoch last caught up with
-	epoch    uint64
+	// Placement cache: the CRUSH map is fixed once built, so ActingSet is
+	// a pure function of (reweight table, pool, pg), and results are
+	// memoized per (pool, pg) until the table changes. The monitor
+	// invalidates on every in/out edit (InvalidatePlacement). epoch counts
+	// invalidations — the cluster's one analogue of Ceph's osdmap epoch —
+	// and versions the reweight table for the memo.
+	place *crush.Memo
+	epoch uint64
 }
 
 // NewCluster builds the cluster and its fabric hosts. The fabric must
@@ -113,14 +111,13 @@ func NewCluster(eng *sim.Engine, fabric *netsim.Fabric, cfg ClusterConfig) (*Clu
 	}})
 
 	c := &Cluster{
-		Eng:      eng,
-		Cfg:      cfg,
-		Map:      m,
-		Root:     root,
-		Fabric:   fabric,
-		pools:    make(map[string]*Pool),
-		place:    crush.NewMemo(m),
-		cacheGen: m.Generation(),
+		Eng:    eng,
+		Cfg:    cfg,
+		Map:    m,
+		Root:   root,
+		Fabric: fabric,
+		pools:  make(map[string]*Pool),
+		place:  crush.NewMemo(m),
 	}
 	total := cfg.Nodes * cfg.OSDsPerNode
 	for n := 0; n < cfg.Nodes; n++ {
@@ -265,12 +262,10 @@ func (c *Cluster) PGOf(pool *Pool, obj string) uint32 {
 // temp-PG remapping; callers handle down members (degraded ops).
 //
 // The result is served from the placement cache on repeat calls and is
-// shared between all callers: treat it as READ-ONLY. The cache flushes
-// whenever the monitor edits a weight or the CRUSH map's topology changes
-// (see InvalidatePlacement); the hit path performs no CRUSH descent and no
-// allocation.
+// shared between all callers: treat it as READ-ONLY. The cache follows
+// every monitor in/out edit (see InvalidatePlacement); the hit path
+// performs no CRUSH descent and no allocation.
 func (c *Cluster) ActingSet(pool *Pool, pg uint32) ([]int, error) {
-	c.syncPlacement()
 	return c.actingIn(c.place, pool, pg)
 }
 
@@ -284,32 +279,15 @@ func (c *Cluster) actingIn(m *crush.Memo, pool *Pool, pg uint32) ([]int, error) 
 	return m.Select(pool.rule, uint32(pool.ID), pg, pool.Width(), rw, c.epoch)
 }
 
-// syncPlacement catches CRUSH topology edits made directly on c.Map (bucket
-// membership, weights, rules) by comparing generations, advancing the
-// epoch when one happened.
-func (c *Cluster) syncPlacement() {
-	if g := c.Map.Generation(); g != c.cacheGen {
-		c.epoch++
-		c.cacheGen = g
-	}
-}
-
 // InvalidatePlacement advances the map epoch, so the placement cache
-// flushes on its next lookup. The monitor calls it on every
-// in/out/reweight edit; callers that mutate placement inputs outside the
-// Cluster/Monitor API may call it directly.
-func (c *Cluster) InvalidatePlacement() {
-	c.epoch++
-	c.cacheGen = c.Map.Generation()
-}
+// re-selects what the reweight table's change can have moved on its next
+// lookup. The monitor calls it on attach and on every in/out edit.
+func (c *Cluster) InvalidatePlacement() { c.epoch++ }
 
 // MapEpoch returns a counter that advances every time cached placements
-// become stale — on monitor weight edits and CRUSH topology changes. Equal
-// epochs guarantee ActingSet answers have not changed in between.
-func (c *Cluster) MapEpoch() uint64 {
-	c.syncPlacement()
-	return c.epoch
-}
+// can become stale — on every monitor in/out edit. Equal epochs guarantee
+// ActingSet answers have not changed in between.
+func (c *Cluster) MapEpoch() uint64 { return c.epoch }
 
 // Monitor returns the attached monitor, or nil.
 func (c *Cluster) Monitor() *Monitor { return c.monitor }

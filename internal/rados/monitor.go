@@ -7,15 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Monitor is the cluster-map authority: it owns the osdmap epoch and the
-// per-device in/out weights, detects failed OSDs through heartbeats, and
-// notifies subscribers of map changes — a single-node distillation of the
-// Ceph monitor quorum, enough to model the map-change dynamics DeLiBA-K's
-// DFX reconfiguration reacts to (cluster shrink/grow, paper §IV-C).
+// Monitor is the cluster-map authority: it owns the per-device in/out
+// weights, detects failed OSDs through heartbeats, and notifies subscribers
+// of map changes — a single-node distillation of the Ceph monitor quorum,
+// enough to model cluster shrink and regrowth (paper §IV-C). The CRUSH map
+// itself is fixed once built, so the in/out table is the only placement
+// input that changes; every edit advances the cluster's map epoch
+// (Cluster.MapEpoch).
 type Monitor struct {
 	c *Cluster
 
-	epoch    uint64
 	reweight []uint32
 	// outSince records when a down OSD was first seen down.
 	downSince map[int]sim.Time
@@ -25,7 +26,7 @@ type Monitor struct {
 	// Grace is how long an OSD may be down before being marked out.
 	Grace sim.Duration
 
-	subs    []func(epoch uint64)
+	subs    []func()
 	started bool
 	next    sim.EventID // the pending heartbeat
 
@@ -42,7 +43,6 @@ func NewMonitor(c *Cluster) *Monitor {
 	}
 	m := &Monitor{
 		c:              c,
-		epoch:          1,
 		reweight:       rw,
 		downSince:      make(map[int]sim.Time),
 		HeartbeatEvery: 2 * sim.Second,
@@ -55,28 +55,22 @@ func NewMonitor(c *Cluster) *Monitor {
 	return m
 }
 
-// Epoch returns the current osdmap epoch.
-func (m *Monitor) Epoch() uint64 { return m.epoch }
-
 // Reweights returns a copy of the current in/out table.
 func (m *Monitor) Reweights() []uint32 {
 	return append([]uint32(nil), m.reweight...)
 }
 
-// Subscribe registers a map-change callback (invoked as an event with the
-// new epoch). Ceph clients and the DeLiBA-K UIFD subscribe this way to
-// refresh placements and, on cluster resize, trigger RM reconfiguration.
-func (m *Monitor) Subscribe(fn func(epoch uint64)) { m.subs = append(m.subs, fn) }
+// Subscribe registers a map-change callback, invoked as an event after
+// every in/out edit (Cluster.MapEpoch reads the current epoch). The fleet
+// runs' recovery subscribes this way to start backfill at the mark-out.
+func (m *Monitor) Subscribe(fn func()) { m.subs = append(m.subs, fn) }
 
 func (m *Monitor) bump() {
-	m.epoch++
 	// Weight tables are placement inputs; every edit stales the cluster's
 	// cached acting sets.
 	m.c.InvalidatePlacement()
 	for _, fn := range m.subs {
-		fn := fn
-		e := m.epoch
-		m.c.Eng.Schedule(0, func() { fn(e) })
+		m.c.Eng.Schedule(0, fn)
 	}
 }
 
@@ -104,22 +98,6 @@ func (m *Monitor) MarkIn(osd int) error {
 	}
 	m.reweight[osd] = crush.WeightOne
 	m.MarkedIn++
-	m.bump()
-	return nil
-}
-
-// Reweight sets an intermediate weight (the reweight-by-utilization dial).
-func (m *Monitor) Reweight(osd int, w uint32) error {
-	if osd < 0 || osd >= len(m.reweight) {
-		return fmt.Errorf("rados: no osd.%d", osd)
-	}
-	if w > crush.WeightOne {
-		w = crush.WeightOne
-	}
-	if m.reweight[osd] == w {
-		return nil
-	}
-	m.reweight[osd] = w
 	m.bump()
 	return nil
 }
@@ -185,16 +163,6 @@ type RebalanceReport struct {
 	MovedFrac float64
 	// ShardMoves counts individual replica/shard relocations.
 	ShardMoves int
-}
-
-// EstimateBackfill returns the time to move the data at the given per-PG
-// size and aggregate backfill bandwidth.
-func (r RebalanceReport) EstimateBackfill(bytesPerPG int64, aggregateBps float64) sim.Duration {
-	if aggregateBps <= 0 {
-		return 0
-	}
-	bytes := float64(r.ShardMoves) * float64(bytesPerPG)
-	return sim.Duration(bytes / aggregateBps * 1e9)
 }
 
 // PlanRebalance computes the PG movement between two reweight tables for a

@@ -23,23 +23,25 @@ func newMonCluster(t *testing.T) (*sim.Engine, *Cluster, *Monitor) {
 
 func TestMonitorEpochsAndSubscriptions(t *testing.T) {
 	eng, c, m := newMonCluster(t)
-	if m.Epoch() != 1 || c.Monitor() != m {
+	if c.MapEpoch() != 1 || c.Monitor() != m {
 		t.Fatal("initial state wrong")
 	}
 	var epochs []uint64
-	m.Subscribe(func(e uint64) { epochs = append(epochs, e) })
+	m.Subscribe(func() { epochs = append(epochs, c.MapEpoch()) })
 	if err := m.MarkOut(3); err != nil {
 		t.Fatal(err)
 	}
+	eng.Run()
 	if err := m.MarkOut(3); err != nil { // idempotent, no bump
 		t.Fatal(err)
 	}
+	eng.Run()
 	if err := m.MarkIn(3); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if m.Epoch() != 3 {
-		t.Fatalf("epoch = %d, want 3", m.Epoch())
+	if c.MapEpoch() != 3 {
+		t.Fatalf("epoch = %d, want 3", c.MapEpoch())
 	}
 	if len(epochs) != 2 || epochs[0] != 2 || epochs[1] != 3 {
 		t.Fatalf("notifications = %v", epochs)
@@ -153,26 +155,6 @@ func TestMonitorStopCancelsHeartbeat(t *testing.T) {
 	}
 }
 
-func TestReweightPartial(t *testing.T) {
-	eng, c, m := newMonCluster(t)
-	_ = c
-	if err := m.Reweight(2, crush.WeightOne/2); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if m.Reweights()[2] != crush.WeightOne/2 {
-		t.Fatal("partial reweight lost")
-	}
-	// Clamp above 1.0.
-	m.Reweight(2, crush.WeightOne*2)
-	if m.Reweights()[2] != crush.WeightOne {
-		t.Fatal("overweight not clamped")
-	}
-	if err := m.Reweight(-1, 0); err == nil {
-		t.Fatal("bad osd accepted")
-	}
-}
-
 func TestPlanRebalanceSingleFailure(t *testing.T) {
 	_, c, m := newMonCluster(t)
 	pool, _ := c.CreateReplicatedPool("p", 2, 256)
@@ -193,14 +175,6 @@ func TestPlanRebalanceSingleFailure(t *testing.T) {
 	}
 	if rep.ShardMoves < rep.MovedPGs {
 		t.Fatalf("shard moves %d < moved PGs %d", rep.ShardMoves, rep.MovedPGs)
-	}
-	// Backfill estimate: moves × 32 MiB at 1 GB/s.
-	d := rep.EstimateBackfill(32<<20, 1e9)
-	if d <= 0 {
-		t.Fatal("no backfill estimate")
-	}
-	if rep.EstimateBackfill(32<<20, 0) != 0 {
-		t.Fatal("zero bandwidth should yield zero estimate")
 	}
 }
 

@@ -92,10 +92,6 @@ type OSD struct {
 	// slow multiplies mean service time while > 1 (fault injection models
 	// a degrading drive this way); 0 or 1 means healthy.
 	slow float64
-	// slowTenant/slowTenantF scope a second multiplier to one tenant's
-	// requests only (tenant-scoped fault injection); 0/1 means disarmed.
-	slowTenant  int
-	slowTenantF float64
 	// pending tracks accepted-but-uncompleted requests so a crash can fail
 	// them immediately (see SetUp / Drain).
 	pending []*pendingOp
@@ -245,17 +241,6 @@ func (o *OSD) SlowFactor() float64 {
 	return o.slow
 }
 
-// SetTenantSlow degrades service for requests owned by one tenant only —
-// e.g. a tenant whose volume landed on throttled media — leaving every
-// other tenant's timing untouched. factor <= 1 (or tenant 0) disarms.
-func (o *OSD) SetTenantSlow(tenant int, factor float64) {
-	if factor < 1 || tenant == 0 {
-		o.slowTenant, o.slowTenantF = 0, 1
-		return
-	}
-	o.slowTenant, o.slowTenantF = tenant, factor
-}
-
 // Served returns the number of completed requests.
 func (o *OSD) Served() uint64 { return o.served }
 
@@ -300,9 +285,8 @@ type ReqOpts struct {
 	// adding the profile's locality penalty.
 	Random bool
 	// Tenant is the owning tenant carried with the request end to end
-	// (0 = untenanted). Healthy OSDs ignore it (it exists so per-tenant
-	// accounting survives the full fan-out); tenant-scoped fault injection
-	// keys on it (SetTenantSlow).
+	// (0 = untenanted). OSDs ignore it; it exists so per-tenant accounting
+	// survives the full fan-out.
 	Tenant int
 	// Trace is the per-I/O trace context (zero = unsampled).
 	Trace trace.Ref
@@ -370,9 +354,6 @@ func (pd *pendingOp) advance() {
 			size = len(pd.data)
 		}
 		st := o.serviceTime(pd.op, size, pd.opts.Random)
-		if o.slowTenantF > 1 && pd.opts.Tenant == o.slowTenant {
-			st = sim.Duration(float64(st) * o.slowTenantF)
-		}
 		pd.stage = stageRelease
 		o.eng.Schedule(st, pd.step)
 	case stageRelease:

@@ -149,10 +149,11 @@ func TestSplitWriteKeepsMemoIntact(t *testing.T) {
 	}
 }
 
-// TestSplitMemoFollowsCrushEdit: the split client's memo flushes when the
-// CRUSH map changes under it, so its answers always equal ActingSet's.
-func TestSplitMemoFollowsCrushEdit(t *testing.T) {
+// TestSplitMemoFollowsMarkOut: the split client's memo follows the
+// monitor's in/out edits, so its answers always equal ActingSet's.
+func TestSplitMemoFollowsMarkOut(t *testing.T) {
 	_, c, cl := newSplitCluster(t, 8)
+	mon := NewMonitor(c)
 	pool, err := c.CreateReplicatedPool("rbd", 3, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -181,8 +182,7 @@ func TestSplitMemoFollowsCrushEdit(t *testing.T) {
 		return snap
 	}
 	before := check()
-	host := c.Map.Bucket(mustBucket(t, c, "host0"))
-	if _, err := host.AdjustItemWeight(0, 0); err != nil {
+	if err := mon.MarkOut(0); err != nil {
 		t.Fatal(err)
 	}
 	after := check()
@@ -193,15 +193,6 @@ func TestSplitMemoFollowsCrushEdit(t *testing.T) {
 		}
 	}
 	if moved == 0 {
-		t.Fatal("draining osd.0 moved no PG: the edit did not reach the memo")
+		t.Fatal("marking osd.0 out moved no PG: the edit did not reach the memo")
 	}
-}
-
-func mustBucket(t *testing.T, c *Cluster, name string) int {
-	t.Helper()
-	id, ok := c.Map.BucketByName(name)
-	if !ok {
-		t.Fatalf("bucket %s missing", name)
-	}
-	return id
 }

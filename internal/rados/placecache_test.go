@@ -1,6 +1,7 @@
 package rados
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/crush"
@@ -126,14 +127,14 @@ func TestPlacementCacheInvalidatedByMonitor(t *testing.T) {
 		t.Fatalf("post-invalidation mismatch: %v vs %v", act, want)
 	}
 
-	// Reweight must flush too.
+	// MarkIn must flush too: osd.0 comes back, and the victim PG with it.
 	e1 := c.MapEpoch()
-	if err := m.Reweight(5, crush.WeightOne/2); err != nil {
+	if err := m.MarkIn(0); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	if c.MapEpoch() == e1 {
-		t.Fatal("Reweight did not advance the map epoch")
+		t.Fatal("MarkIn did not advance the map epoch")
 	}
 	for pg := uint32(0); pg < pool.PGs; pg++ {
 		got, err := c.ActingSet(pool, pg)
@@ -141,57 +142,64 @@ func TestPlacementCacheInvalidatedByMonitor(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := freshSelect(t, c, pool, pg); !equalInts(got, want) {
-			t.Fatalf("pg %d after reweight: cached %v, fresh %v", pg, got, want)
+			t.Fatalf("pg %d after mark-in: cached %v, fresh %v", pg, got, want)
 		}
+	}
+	if act, _ := c.ActingSet(pool, victim); !slices.Contains(act, 0) {
+		t.Fatalf("pg %d does not return to osd.0 after mark-in: %v", victim, act)
 	}
 }
 
-func TestPlacementCacheInvalidatedByCrushEdit(t *testing.T) {
-	eng := sim.NewEngine()
-	fabric := netsim.NewFabric(eng, sim.Microsecond)
-	c, err := NewCluster(eng, fabric, DefaultClusterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPlacementCacheReselectsAfterMarkOutAndIn: marking an OSD out only
+// lowers a weight, so the cache re-selects just the PGs that held it;
+// marking it back in raises one, so every PG is selected afresh.
+func TestPlacementCacheReselectsAfterMarkOutAndIn(t *testing.T) {
+	eng, c, m := newMonCluster(t)
 	pool, err := c.CreateReplicatedPool("rbd", 3, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
+	holding := uint64(0)
 	for pg := uint32(0); pg < pool.PGs; pg++ {
-		if _, err := c.ActingSet(pool, pg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e0 := c.MapEpoch()
-
-	// Edit a CRUSH bucket directly (no monitor involved): halve osd.0's
-	// weight inside its host. The generation bump must be caught lazily.
-	hostID, ok := c.Map.BucketByName("host0")
-	if !ok {
-		t.Fatal("host0 bucket missing")
-	}
-	host := c.Map.Bucket(hostID)
-	if _, err := host.AdjustItemWeight(0, host.ItemWeight(0)/2); err != nil {
-		t.Fatal(err)
-	}
-	if c.MapEpoch() == e0 {
-		t.Fatal("CRUSH bucket edit did not advance the map epoch")
-	}
-	misses := c.place.Misses
-	for pg := uint32(0); pg < pool.PGs; pg++ {
-		got, err := c.ActingSet(pool, pg)
+		act, err := c.ActingSet(pool, pg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := freshSelect(t, c, pool, pg); !equalInts(got, want) {
-			t.Fatalf("pg %d after bucket edit: cached %v, fresh %v", pg, got, want)
+		if slices.Contains(act, 0) {
+			holding++
 		}
 	}
-	if c.place.Misses != misses+uint64(pool.PGs) {
-		t.Fatalf("cache not flushed: %d misses after edit, want %d",
-			c.place.Misses-misses, pool.PGs)
+	if holding == 0 {
+		t.Fatal("no PG maps to osd.0")
 	}
-	_ = eng
+	selectAll := func(step string) (misses uint64) {
+		t.Helper()
+		before := c.place.Misses
+		for pg := uint32(0); pg < pool.PGs; pg++ {
+			got, err := c.ActingSet(pool, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := freshSelect(t, c, pool, pg); !equalInts(got, want) {
+				t.Fatalf("pg %d after %s: cached %v, fresh %v", pg, step, got, want)
+			}
+		}
+		return c.place.Misses - before
+	}
+	if err := m.MarkOut(0); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if got := selectAll("mark-out"); got != holding {
+		t.Fatalf("mark-out re-selected %d PGs, want the %d that held osd.0", got, holding)
+	}
+	if err := m.MarkIn(0); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if got := selectAll("mark-in"); got != uint64(pool.PGs) {
+		t.Fatalf("mark-in re-selected %d PGs, want all %d", got, pool.PGs)
+	}
 }
 
 func TestActingSetCacheHitAllocs(t *testing.T) {
