@@ -49,8 +49,10 @@ echo "== bench module (vet + test) =="
 #   - trace encoder: arbitrary span names, IDs and (possibly negative)
 #     times encode to valid JSON that round-trips decode/re-encode
 #     idempotently;
-#   - lsvd extent index: random overlapping insert/lookup sequences
-#     cross-checked against a flat shadow map;
+#   - lsvd extent index: FuzzExtentIndex runs random overlapping inserts
+#     (some from a carried cursor hint), removals, sequence-matched and
+#     segment drops against a per-byte shadow map; FuzzCoveredUnion checks
+#     CoveredUnion and VisitGaps over two indexes against two shadows;
 #   - gf256 fused kernel: length 0, sub-block, non-multiple-of-32 tails,
 #     misalignment;
 #   - faults retry backoff: bounds (jitter in [base, cap]), nil-rng

@@ -34,6 +34,7 @@ type cardOp struct {
 	free  *[]*cardOp
 	eng   *sim.Engine
 	stage uint8
+	pg    uint32 // ext's placement group
 
 	op      OpType
 	pattern Pattern
@@ -262,12 +263,12 @@ func (cb *cardBackend) startExtent(o *cardOp) {
 		o.hp = cb.trace.Begin(o.tr, "card-pipeline")
 		o.tr = o.hp.Ref()
 	}
-	pg := cb.fan.Cluster.PGOf(cb.pool, o.ext.Object)
+	o.pg = cb.fan.Cluster.PGOf(cb.pool, o.ext.Object)
 	if cb.trace != nil && o.tr.Sampled() {
 		o.hs = cb.trace.Begin(o.tr, "crush-select")
 	}
 	o.stage = cbSelected
-	cb.place.Select(cb.pool, pg, o.selDone)
+	cb.place.Select(cb.pool, o.pg, o.selDone)
 }
 
 func (cb *cardBackend) advance(o *cardOp) {
@@ -303,13 +304,13 @@ func (cb *cardBackend) advance(o *cardOp) {
 				cb.place.shell.RS.Encode(e.Len, nil, o.errDone)
 			case o.op == Write:
 				o.stage = cbFanned
-				cb.fan.WriteReplicatedR(cb.pool, e.Object, e.Off, e.Len, opts, o.errDone)
+				cb.fan.WriteReplicatedR(cb.pool, o.pg, e.Object, e.Off, e.Len, opts, o.errDone)
 			case cb.pool.Kind == rados.ECPool:
 				o.stage = cbECRead
 				cb.fan.ReadECR(cb.pool, e.Object, e.Off, e.Len, opts, o.ecDone)
 			default:
 				o.stage = cbFanned
-				cb.fan.ReadReplicatedR(cb.pool, e.Object, e.Off, e.Len, opts, o.errDone)
+				cb.fan.ReadReplicatedR(cb.pool, o.pg, e.Object, e.Off, e.Len, opts, o.errDone)
 			}
 			return
 		case cbEncoded:

@@ -182,16 +182,16 @@ func (f *Fanout) upSet(acting []int) []int {
 // --- replicated --------------------------------------------------------
 
 // WriteReplicated sends n bytes to every up member of the object's acting
-// set in parallel and completes when all acks return. With repl-raft
-// selected the write is instead routed to the object's Raft group and
-// completes when the entry commits on a majority.
-func (f *Fanout) WriteReplicated(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
+// set in parallel and completes when all acks return. pg is
+// Cluster.PGOf(pool, obj), which the caller already has from placement.
+// With repl-raft selected the write is instead routed to the object's
+// Raft group and completes when the entry commits on a majority.
+func (f *Fanout) WriteReplicated(pool *rados.Pool, pg uint32, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
 	if f.Raft != nil && pool == f.Raft.Sys.Pool {
 		f.Raft.Write(obj, off, n, opts, done)
 		return
 	}
-	c := f.Cluster
-	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
+	acting, err := f.Cluster.ActingSet(pool, pg)
 	if err != nil {
 		done(err)
 		return
@@ -210,24 +210,24 @@ func (f *Fanout) WriteReplicated(pool *rados.Pool, obj string, off, n int, opts 
 	}
 }
 
-// ReadReplicated fetches n bytes from the acting primary — or, with
-// repl-raft selected, from the group leader under its lease.
-func (f *Fanout) ReadReplicated(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
-	f.readReplicatedShift(pool, obj, off, n, opts, 0, done)
+// ReadReplicated fetches n bytes from the acting primary of the object's
+// placement group pg — or, with repl-raft selected, from the group leader
+// under its lease.
+func (f *Fanout) ReadReplicated(pool *rados.Pool, pg uint32, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
+	f.readReplicatedShift(pool, pg, obj, off, n, opts, 0, done)
 }
 
 // readReplicatedShift is ReadReplicated reading from the (shift mod up)-th
 // up member of the acting set instead of the primary, the failover path for
 // retry attempt `shift`.
-func (f *Fanout) readReplicatedShift(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, shift int, done func(error)) {
+func (f *Fanout) readReplicatedShift(pool *rados.Pool, pg uint32, obj string, off, n int, opts rados.ReqOpts, shift int, done func(error)) {
 	if f.Raft != nil && pool == f.Raft.Sys.Pool {
 		// repl-raft: the router rotates targets itself when the leader hint
 		// goes stale; replica-shift failover belongs to primary-copy.
 		f.Raft.Read(obj, off, n, opts, done)
 		return
 	}
-	c := f.Cluster
-	acting, err := c.ActingSet(pool, c.PGOf(pool, obj))
+	acting, err := f.Cluster.ActingSet(pool, pg)
 	if err != nil {
 		done(err)
 		return

@@ -31,6 +31,7 @@ func newFanoutHarness(tb testing.TB) (*Testbed, *Fanout) {
 func TestFanoutIssueZeroAlloc(t *testing.T) {
 	tb, f := newFanoutHarness(t)
 	pool := tb.ReplPool
+	pg := tb.Cluster.PGOf(pool, "obj")
 	completed := 0
 	done := func(err error) {
 		if err != nil {
@@ -40,8 +41,8 @@ func TestFanoutIssueZeroAlloc(t *testing.T) {
 	}
 	const warm = 400
 	for i := 0; i < warm; i++ {
-		f.WriteReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
-		f.ReadReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.WriteReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.ReadReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
 	}
 	tb.Eng.Run()
 	if completed != 2*warm {
@@ -49,7 +50,7 @@ func TestFanoutIssueZeroAlloc(t *testing.T) {
 	}
 
 	writeAllocs := testing.AllocsPerRun(100, func() {
-		f.WriteReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.WriteReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
 	})
 	tb.Eng.Run()
 	if writeAllocs != 0 {
@@ -57,7 +58,7 @@ func TestFanoutIssueZeroAlloc(t *testing.T) {
 	}
 
 	readAllocs := testing.AllocsPerRun(100, func() {
-		f.ReadReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.ReadReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
 	})
 	tb.Eng.Run()
 	if readAllocs != 0 {
@@ -69,13 +70,13 @@ func TestFanoutIssueZeroAlloc(t *testing.T) {
 	// pops structs they last used and must still allocate nothing.
 	ecDone := func(_ bool, err error) { done(err) }
 	for i := 0; i < warm; i++ {
-		f.ReadReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.ReadReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
 		f.WriteEC(tb.ECPool, "obj", 0, 64<<10, rados.ReqOpts{}, done)
 		f.ReadEC(tb.ECPool, "obj", 0, 64<<10, rados.ReqOpts{}, ecDone)
 	}
 	tb.Eng.Run()
 	mixedAllocs := testing.AllocsPerRun(100, func() {
-		f.WriteReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.WriteReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
 	})
 	tb.Eng.Run()
 	if mixedAllocs != 0 {
@@ -132,17 +133,18 @@ func TestFanoutECIssueAllocBound(t *testing.T) {
 func BenchmarkFanoutWriteReplicated(b *testing.B) {
 	tb, f := newFanoutHarness(b)
 	pool := tb.ReplPool
+	pg := tb.Cluster.PGOf(pool, "obj")
 	done := func(err error) {
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	f.WriteReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+	f.WriteReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
 	tb.Eng.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.WriteReplicated(pool, "obj", 0, 4096, rados.ReqOpts{}, done)
+		f.WriteReplicated(pool, pg, "obj", 0, 4096, rados.ReqOpts{}, done)
 		tb.Eng.Run()
 	}
 }

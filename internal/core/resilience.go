@@ -165,29 +165,29 @@ func (r *Resilience) retry(isWrite bool, tr trace.Ref, issue func(attempt int, a
 // the source replica per attempt, and EC reads count reconstruction.
 
 // WriteReplicatedR is WriteReplicated with deadline + retry.
-func (f *Fanout) WriteReplicatedR(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
+func (f *Fanout) WriteReplicatedR(pool *rados.Pool, pg uint32, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
 	if f.Res == nil {
-		f.WriteReplicated(pool, obj, off, n, opts, done)
+		f.WriteReplicated(pool, pg, obj, off, n, opts, done)
 		return
 	}
 	f.Res.retry(true, opts.Trace, func(_ int, atr trace.Ref, cb func(error)) {
 		aopts := opts
 		aopts.Trace = atr
-		f.WriteReplicated(pool, obj, off, n, aopts, cb)
+		f.WriteReplicated(pool, pg, obj, off, n, aopts, cb)
 	}, done)
 }
 
 // ReadReplicatedR is ReadReplicated with deadline + retry + replica
 // failover.
-func (f *Fanout) ReadReplicatedR(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
+func (f *Fanout) ReadReplicatedR(pool *rados.Pool, pg uint32, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
 	if f.Res == nil {
-		f.ReadReplicated(pool, obj, off, n, opts, done)
+		f.ReadReplicated(pool, pg, obj, off, n, opts, done)
 		return
 	}
 	f.Res.retry(false, opts.Trace, func(attempt int, atr trace.Ref, cb func(error)) {
 		aopts := opts
 		aopts.Trace = atr
-		f.readReplicatedShift(pool, obj, off, n, aopts, attempt, cb)
+		f.readReplicatedShift(pool, pg, obj, off, n, aopts, attempt, cb)
 	}, done)
 }
 

@@ -64,7 +64,7 @@ func TestReadFailoverAfterDeadline(t *testing.T) {
 	var doneAt sim.Time
 	completed := false
 	tbd.Eng.Schedule(0, func() {
-		f.ReadReplicatedR(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(err error) {
+		f.ReadReplicatedR(tbd.ReplPool, tbd.Cluster.PGOf(tbd.ReplPool, obj), obj, 0, 4096, rados.ReqOpts{}, func(err error) {
 			gotErr, doneAt, completed = err, tbd.Eng.Now(), true
 		})
 	})
@@ -95,7 +95,7 @@ func TestWriteRetriesAfterCrash(t *testing.T) {
 	var gotErr error
 	completed := false
 	tbd.Eng.Schedule(0, func() {
-		f.WriteReplicatedR(tbd.ReplPool, obj, 0, 4096, rados.ReqOpts{}, func(err error) {
+		f.WriteReplicatedR(tbd.ReplPool, tbd.Cluster.PGOf(tbd.ReplPool, obj), obj, 0, 4096, rados.ReqOpts{}, func(err error) {
 			gotErr, completed = err, true
 		})
 	})
@@ -128,7 +128,7 @@ func TestDeadlineExhaustsRetries(t *testing.T) {
 	var gotErr error
 	completed := false
 	tbd.Eng.Schedule(0, func() {
-		f.ReadReplicatedR(tbd.ReplPool, "obj", 0, 4096, rados.ReqOpts{}, func(err error) {
+		f.ReadReplicatedR(tbd.ReplPool, tbd.Cluster.PGOf(tbd.ReplPool, "obj"), "obj", 0, 4096, rados.ReqOpts{}, func(err error) {
 			gotErr, completed = err, true
 		})
 	})

@@ -34,6 +34,7 @@ type ioOp struct {
 	free  *[]*ioOp
 	eng   *sim.Engine
 	stage uint8
+	pg    uint32 // ext's placement group, once placed
 
 	op      OpType
 	pattern Pattern
@@ -392,7 +393,8 @@ func (dp *d1Path) advance(o *ioOp) {
 			return
 		case nbdPath + 3:
 			o.stage = nbdPath + 4
-			dp.place.Select(dp.pool, dp.tb.Cluster.PGOf(dp.pool, o.ext.Object), o.selDone)
+			o.pg = dp.tb.Cluster.PGOf(dp.pool, o.ext.Object)
+			dp.place.Select(dp.pool, o.pg, o.selDone)
 			if o.park() {
 				return
 			}
@@ -421,9 +423,9 @@ func (dp *d1Path) advance(o *ioOp) {
 			o.stage = nbdPath + 8
 			opts := rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}
 			if o.op == Write {
-				dp.fan.WriteReplicatedR(dp.pool, o.ext.Object, o.ext.Off, o.ext.Len, opts, o.hopDone)
+				dp.fan.WriteReplicatedR(dp.pool, o.pg, o.ext.Object, o.ext.Off, o.ext.Len, opts, o.hopDone)
 			} else {
-				dp.fan.ReadReplicatedR(dp.pool, o.ext.Object, o.ext.Off, o.ext.Len, opts, o.hopDone)
+				dp.fan.ReadReplicatedR(dp.pool, o.pg, o.ext.Object, o.ext.Off, o.ext.Len, opts, o.hopDone)
 			}
 			if o.park() {
 				return

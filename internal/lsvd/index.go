@@ -26,7 +26,7 @@ type Extent struct {
 const (
 	// leafCap is the most extents a leaf holds between operations; a
 	// splice that grows a leaf past it splits the leaf in two.
-	leafCap = 128
+	leafCap = 32
 	// leafMin is the fill below which a leaf (unless it is the only one)
 	// is joined with a neighbour, so the leaf count stays O(n/leafCap).
 	leafMin = leafCap / 4
@@ -89,29 +89,55 @@ func (ix *Index) freeLeaf(l []Extent) { ix.spare = append(ix.spare, l[:0]) }
 // search returns the cursor (leaf k, slot i) of the first extent with
 // End > off, or (len(ix.leaves), 0) if there is none.
 func (ix *Index) search(off int64) (k, i int) {
-	lo, hi := 0, len(ix.keys)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ix.keys[m] > off {
-			hi = m
-		} else {
-			lo = m + 1
-		}
+	keys := ix.keys
+	if len(keys) == 0 || keys[len(keys)-1] <= off {
+		return len(keys), 0
 	}
-	if lo == len(ix.keys) {
-		return lo, 0
+	// Both lower bounds, over keys and then inside leaf k, are branch-free
+	// four-way searches. The answer lies in keys[k : k+n]. A step loads the
+	// last end of each of the first three quarters, three independent loads
+	// so that a step waits on memory once, and skips one quarter for each
+	// end at or below off, counted from the sign bit of off-end (offsets
+	// are non-negative, so it cannot overflow). The last quarter keeps the
+	// remainder; binary steps finish the last three candidates.
+	n := len(keys)
+	for ; n > 3; n -= 3 * (n >> 2) {
+		q := n >> 2
+		k += q&^int((off-keys[k+q-1])>>63) + q&^int((off-keys[k+2*q-1])>>63) + q&^int((off-keys[k+3*q-1])>>63)
 	}
-	l := ix.leaves[lo]
-	a, b := 0, len(l)-1 // l[len(l)-1].End = keys[lo] > off
-	for a < b {
-		m := int(uint(a+b) >> 1)
-		if l[m].End > off {
-			b = m
-		} else {
-			a = m + 1
-		}
+	for ; n > 1; n -= n >> 1 {
+		h := n >> 1
+		k += h &^ int((off-keys[k+h-1])>>63)
 	}
-	return lo, a
+	l := ix.leaves[k] // l[len(l)-1].End = keys[k] > off
+	n = len(l)
+	for ; n > 3; n -= 3 * (n >> 2) {
+		q := n >> 2
+		i += q&^int((off-l[i+q-1].End)>>63) + q&^int((off-l[i+2*q-1].End)>>63) + q&^int((off-l[i+3*q-1].End)>>63)
+	}
+	for ; n > 1; n -= n >> 1 {
+		h := n >> 1
+		i += h &^ int((off-l[i+h-1].End)>>63)
+	}
+	return k, i
+}
+
+// isCursor reports whether (k, i) is the cursor search(off) returns.
+func (ix *Index) isCursor(k, i int, off int64) bool {
+	if k < 0 || k > len(ix.leaves) {
+		return false
+	}
+	if k == len(ix.leaves) {
+		return i == 0 && (k == 0 || ix.keys[k-1] <= off)
+	}
+	l := ix.leaves[k]
+	if i < 0 || i >= len(l) || l[i].End <= off {
+		return false
+	}
+	if i > 0 {
+		return l[i-1].End <= off
+	}
+	return k == 0 || ix.keys[k-1] <= off
 }
 
 // next advances cursor (k, i) by one extent in index order.
@@ -176,16 +202,27 @@ func (ix *Index) overlap(k, i int, off, end int64) (c cut) {
 // Insert maps e's range, trimming or splitting anything it overlaps,
 // and returns the number of previously-mapped bytes it replaced.
 func (ix *Index) Insert(e Extent) int64 {
+	n, _, _ := ix.insertAt(e, -1, 0)
+	return n
+}
+
+// insertAt is Insert given a guess (k, i) at search(e.Off)'s cursor; a
+// wrong guess costs one search. It also returns a guess at the cursor
+// just past e, which is exact for a next insert above e when nothing
+// lies between them and no leaf join moved e.
+func (ix *Index) insertAt(e Extent, k, i int) (replaced int64, nk, ni int) {
 	if e.End <= e.Off {
-		return 0
+		return 0, k, i
 	}
 	if len(ix.leaves) == 0 {
 		ix.leaves = append(ix.leaves, append(ix.newLeaf(), e))
 		ix.keys = append(ix.keys, e.End)
 		ix.n = 1
-		return 0
+		return 0, 1, 0
 	}
-	k, i := ix.search(e.Off)
+	if !ix.isCursor(k, i, e.Off) {
+		k, i = ix.search(e.Off)
+	}
 	c := ix.overlap(k, i, e.Off, e.End)
 	if k == len(ix.leaves) { // e lies past every extent: append to the last leaf
 		k, i = c.k, c.i
@@ -195,12 +232,21 @@ func (ix *Index) Insert(e Extent) int64 {
 	if c.hasLeft {
 		r = append(r, c.left)
 	}
+	p := i + len(r) // e's slot in leaf k
 	r = append(r, e)
 	if c.hasRight {
 		r = append(r, c.right)
 	}
 	ix.splice(k, i, c.k, c.i, r)
-	return c.bytes
+	// If settle split leaf k, e may now be in the second half, leaf k+1.
+	if k < len(ix.leaves) && p >= len(ix.leaves[k]) {
+		p -= len(ix.leaves[k])
+		k++
+	}
+	if p++; k < len(ix.leaves) && p == len(ix.leaves[k]) {
+		k, p = k+1, 0
+	}
+	return c.bytes, k, p
 }
 
 // RemoveRange unmaps [off, end), splitting boundary extents, and
@@ -377,6 +423,9 @@ func (ix *Index) DropRangeSeq(off, end int64, seq uint64) int64 {
 		// is also search(lo)'s cursor.
 		lo, hi := max(ix.leaves[k][i].Off, off), min(ix.leaves[k][i].End, end)
 		removed += ix.remove(k, i, lo, hi)
+		if hi >= end {
+			return removed
+		}
 		off = hi
 	}
 }
@@ -472,18 +521,14 @@ func (ix *Index) Covered(off, end int64) bool {
 }
 
 // CoveredUnion reports whether [off, end) is fully covered by the
-// union of indexes a and b. Allocation-free: a greedy two-cursor walk
-// that repeatedly extends the covered frontier with whichever index
-// reaches further from the current position.
+// union of indexes a and b. Allocation-free: a greedy walk that extends
+// the covered frontier with whichever index reaches further from the
+// current position, searching b only where a stops short of end.
 func CoveredUnion(a, b *Index, off, end int64) bool {
-	if end <= off {
-		return true
-	}
-	pos := off
-	for pos < end {
-		next := extendFrom(a, pos)
-		if nb := extendFrom(b, pos); nb > next {
-			next = nb
+	for pos := off; pos < end; {
+		next := extendFrom(a, pos, end)
+		if next < end {
+			next = max(next, extendFrom(b, pos, end))
 		}
 		if next <= pos {
 			return false
@@ -493,24 +538,21 @@ func CoveredUnion(a, b *Index, off, end int64) bool {
 	return true
 }
 
-// extendFrom returns the furthest contiguous coverage end reachable in
-// ix starting exactly at pos, or pos if ix does not map pos.
-func extendFrom(ix *Index, pos int64) int64 {
+// extendFrom returns how far contiguous coverage in ix reaches from pos,
+// looking no further once it reaches end, or pos if ix does not map pos.
+func extendFrom(ix *Index, pos, end int64) int64 {
 	k, i := ix.search(pos)
 	if k == len(ix.leaves) || ix.leaves[k][i].Off > pos {
 		return pos
 	}
-	end := ix.leaves[k][i].End
-	for k, i = ix.next(k, i); k < len(ix.leaves); k, i = ix.next(k, i) {
-		e := &ix.leaves[k][i]
-		if e.Off > end {
+	reach := ix.leaves[k][i].End
+	for reach < end {
+		if k, i = ix.next(k, i); k == len(ix.leaves) || ix.leaves[k][i].Off > reach {
 			break
 		}
-		if e.End > end {
-			end = e.End
-		}
+		reach = ix.leaves[k][i].End
 	}
-	return end
+	return reach
 }
 
 // VisitGaps calls fn for each maximal sub-range of [off, end) that is

@@ -2,6 +2,7 @@ package lsvd
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -191,24 +192,29 @@ func (s *shadow) check(t *testing.T, ix *Index) {
 	}
 }
 
-// FuzzExtentIndex drives the index with random overlapping inserts,
-// range removals and segment drops, mirroring every mutation into a
-// naive per-byte shadow map, then checks the two agree byte-for-byte —
-// including the log-position arithmetic across splits.
+// FuzzExtentIndex drives the index with random overlapping inserts (half
+// of them through insertAt with the cursor the previous one returned),
+// range removals, sequence-matched drops and segment drops, mirroring
+// every mutation into a naive per-byte shadow map, then checks the two
+// agree byte-for-byte — including the log-position arithmetic across
+// splits.
 func FuzzExtentIndex(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 1, 0, 8, 4, 2, 5, 2, 8, 0})
 	f.Add([]byte{1, 10, 3, 1, 1, 12, 3, 2, 1, 8, 9, 3, 6, 0, 0, 1})
 	f.Add([]byte{2, 100, 50, 1, 2, 120, 10, 2, 5, 110, 30, 0, 2, 90, 80, 4})
 	f.Add([]byte{3, 200, 1, 1, 3, 200, 1, 2, 3, 199, 3, 3, 6, 0, 0, 2})
+	f.Add([]byte{0, 10, 40, 1, 2, 12, 2, 2, 4, 20, 1, 3, 8, 8, 50, 2, 8, 8, 50, 0})
+	f.Add([]byte{3, 1, 3, 0, 4, 2, 3, 0, 5, 3, 3, 0, 3, 4, 3, 0, 8, 0, 63, 3, 8, 0, 63, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const domain = int64(1) << 12
 		var ix Index
 		sh := newShadow(domain)
 		var seq uint64
-		for i := 0; i+4 <= len(data); i += 4 {
-			op := data[i] % 8
-			off := int64(data[i+1]) * 16
-			ln := int64(data[i+2])%64*8 + 1
+		k, i := -1, 0
+		for j := 0; j+4 <= len(data); j += 4 {
+			op := data[j] % 9
+			off := int64(data[j+1]) * 16
+			ln := int64(data[j+2])%64*8 + 1
 			if off >= domain {
 				off = domain - 1
 			}
@@ -218,20 +224,104 @@ func FuzzExtentIndex(f *testing.F) {
 			switch {
 			case op < 6: // insert
 				seq++
-				e := Extent{Off: off, End: off + ln, Seg: int(data[i+3] % 8), SegOff: int64(data[i+3]) * 32, Seq: seq}
-				ix.Insert(e)
+				e := Extent{Off: off, End: off + ln, Seg: int(data[j+3] % 8), SegOff: int64(data[j+3]) * 32, Seq: seq}
+				want := sh.mapped(e.Off, e.End)
+				got := int64(0)
+				if op < 3 {
+					got = ix.Insert(e)
+				} else {
+					got, k, i = ix.insertAt(e, k, i)
+				}
+				if got != want {
+					t.Fatalf("insert %+v replaced %d bytes, shadow %d", e, got, want)
+				}
 				sh.insert(e)
 			case op == 6:
 				ix.RemoveRange(off, off+ln)
 				sh.remove(off, off+ln)
-			default:
-				seg := int(data[i+3] % 8)
+			case op == 7:
+				seg := int(data[j+3] % 8)
 				ix.DropSeg(seg)
 				sh.dropSeg(seg)
+			default: // drop the bytes one of the last four inserts still owns
+				s := seq - min(seq, uint64(data[j+3]%4))
+				if got, want := ix.DropRangeSeq(off, off+ln, s), sh.dropRangeSeq(off, off+ln, s); got != want {
+					t.Fatalf("DropRangeSeq(%d,%d,%d) = %d, shadow %d", off, off+ln, s, got, want)
+				}
 			}
 			checkIndexInvariant(t, &ix)
 		}
 		sh.check(t, &ix)
+	})
+}
+
+// FuzzCoveredUnion builds two indexes, like a cache's write log and read
+// cache, from random inserts and removals mirrored into two per-byte
+// shadows, then checks CoveredUnion over ranges at and around every
+// extent boundary and each index's VisitGaps over the same ranges.
+func FuzzCoveredUnion(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 1, 8, 4, 2, 12, 4})
+	f.Add([]byte{0, 0, 8, 1, 8, 8, 0, 16, 8, 1, 24, 8, 2, 10, 3, 3, 20, 2})
+	f.Add([]byte{1, 4, 60, 0, 10, 2, 0, 20, 2, 0, 30, 2, 3, 30, 1, 2, 50, 1})
+	f.Add([]byte{0, 1, 1, 1, 2, 1, 0, 3, 1, 1, 4, 1, 0, 5, 1, 1, 6, 1, 0, 7, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const domain = int64(1) << 10
+		var ix [2]Index
+		sh := [2]*shadow{newShadow(domain), newShadow(domain)}
+		var seq uint64
+		for j := 0; j+3 <= len(data); j += 3 {
+			w := data[j] & 1 // which index
+			off := int64(data[j+1]) * 4 % domain
+			end := min(off+int64(data[j+2])%64+1, domain)
+			if data[j]&2 == 0 {
+				seq++
+				e := Extent{Off: off, End: end, Seq: seq}
+				ix[w].Insert(e)
+				sh[w].insert(e)
+			} else {
+				ix[w].RemoveRange(off, end)
+				sh[w].remove(off, end)
+			}
+		}
+		// Probe ranges that start and end at and around every boundary.
+		var cuts []int64
+		for w := range ix {
+			for _, l := range ix[w].leaves {
+				for _, e := range l {
+					cuts = append(cuts, e.Off-1, e.Off, e.Off+1, e.End-1, e.End, e.End+1)
+				}
+			}
+		}
+		cuts = append(cuts, 0, domain)
+		for _, a := range cuts {
+			for _, b := range cuts {
+				if a < 0 || b > domain || a > b {
+					continue
+				}
+				want := true
+				for x := a; x < b && want; x++ {
+					want = sh[0].seq[x] != 0 || sh[1].seq[x] != 0
+				}
+				if got := CoveredUnion(&ix[0], &ix[1], a, b); got != want {
+					t.Fatalf("CoveredUnion(%d,%d) = %v, shadows %v", a, b, got, want)
+				}
+				for w := range ix {
+					pos := a
+					ix[w].VisitGaps(a, b, func(o, e int64) {
+						if o < pos || o == pos && o != a || e <= o || e > b || sh[w].mapped(o, e) != 0 {
+							t.Fatalf("index %d: VisitGaps(%d,%d) passed [%d,%d) after %d", w, a, b, o, e, pos)
+						}
+						if o > pos && sh[w].mapped(pos, o) != o-pos {
+							t.Fatalf("index %d: VisitGaps(%d,%d) skipped a gap in [%d,%d)", w, a, b, pos, o)
+						}
+						pos = e
+					})
+					if sh[w].mapped(pos, b) != b-pos {
+						t.Fatalf("index %d: VisitGaps(%d,%d) skipped a gap in [%d,%d)", w, a, b, pos, b)
+					}
+				}
+			}
+		}
 	})
 }
 
@@ -492,5 +582,277 @@ func TestVisitGaps(t *testing.T) {
 		if gaps[i] != want[i] {
 			t.Fatalf("gap %d = %v, want %v", i, gaps[i], want[i])
 		}
+	}
+}
+
+// boundaryIndex lays out nLeaves leaves of per extents each directly, as
+// they stand between a splice and its settle, so a leaf may hold up to
+// leafCap+leafSlack extents. Extents are 1–4 bytes long; every third one
+// abuts the next and the others leave a gap of 1–5 bytes.
+func boundaryIndex(nLeaves, per int) *Index {
+	ix := new(Index)
+	pos := int64(5)
+	for k := 0; k < nLeaves; k++ {
+		l := ix.newLeaf()
+		for j := 0; j < per; j++ {
+			n := len(l) + k*per
+			e := Extent{Off: pos, End: pos + 1 + int64(n%4), Seq: uint64(n + 1)}
+			l = append(l, e)
+			pos = e.End
+			if n%3 != 0 {
+				pos += 1 + int64(n%5)
+			}
+		}
+		ix.leaves = append(ix.leaves, l)
+		ix.keys = append(ix.keys, l[len(l)-1].End)
+		ix.n += len(l)
+	}
+	return ix
+}
+
+// TestSearchBoundaries checks the branch-free search against a linear
+// scan at and around every extent boundary — below the first extent, on
+// each Off and End, inside the last extent and past it — on leaves of 1,
+// leafMin, leafCap and leafCap+leafSlack extents. It also checks that
+// isCursor accepts search's cursor and rejects every other one.
+func TestSearchBoundaries(t *testing.T) {
+	for _, per := range []int{1, leafMin, leafCap, leafCap + leafSlack} {
+		for _, nLeaves := range []int{1, 2, 3, 7, 40} {
+			ix := boundaryIndex(nLeaves, per)
+			// cursors lists every (k, i) in order, then the end cursor.
+			var cursors [][2]int
+			for k, l := range ix.leaves {
+				for i := range l {
+					cursors = append(cursors, [2]int{k, i})
+				}
+			}
+			cursors = append(cursors, [2]int{len(ix.leaves), 0})
+			linear := func(off int64) [2]int {
+				for _, c := range cursors[:len(cursors)-1] {
+					if ix.leaves[c[0]][c[1]].End > off {
+						return c
+					}
+				}
+				return cursors[len(cursors)-1]
+			}
+			probes := []int64{0, 1, 1 << 40}
+			for _, l := range ix.leaves {
+				for _, e := range l {
+					for d := int64(-1); d <= 1; d++ {
+						probes = append(probes, e.Off+d, e.End+d)
+					}
+				}
+			}
+			for _, off := range probes {
+				k, i := ix.search(off)
+				if want := linear(off); [2]int{k, i} != want {
+					t.Fatalf("%d leaves of %d: search(%d) = %d.%d, linear scan %d.%d", nLeaves, per, off, k, i, want[0], want[1])
+				}
+				for _, c := range cursors {
+					if got := ix.isCursor(c[0], c[1], off); got != (c == [2]int{k, i}) {
+						t.Fatalf("%d leaves of %d: isCursor(%d.%d, %d) = %v, search gives %d.%d", nLeaves, per, c[0], c[1], off, got, k, i)
+					}
+				}
+			}
+			for _, c := range [][2]int{{-1, 0}, {0, -1}, {0, per}, {len(ix.leaves), 1}, {len(ix.leaves) + 1, 0}} {
+				if ix.isCursor(c[0], c[1], 0) || ix.isCursor(c[0], c[1], 1<<40) {
+					t.Fatalf("%d leaves of %d: isCursor accepts out-of-range %d.%d", nLeaves, per, c[0], c[1])
+				}
+			}
+		}
+	}
+}
+
+// TestDropRangeSeqSplitFill evicts a fill that later writes cut into
+// several pieces of the fill's sequence, with and without a write over
+// its tail, next to a same-sequence extent just past the range that the
+// eviction must leave alone.
+func TestDropRangeSeqSplitFill(t *testing.T) {
+	const off, end = 4096, 4096 + 64<<10
+	for _, tail := range []bool{false, true} {
+		var ix Index
+		sh := newShadow(end + 8192)
+		insert := func(e Extent) {
+			ix.Insert(e)
+			sh.insert(e)
+		}
+		insert(Extent{Off: off, End: end, Seq: 1})
+		insert(Extent{Off: end, End: end + 4096, Seq: 1})
+		writes := [][2]int64{{8192, 12288}, {20480, 24576}, {40000, 40100}}
+		if tail {
+			writes = append(writes, [2]int64{end - 4096, end + 100})
+		}
+		for j, w := range writes {
+			insert(Extent{Off: w[0], End: w[1], Seq: uint64(2 + j)})
+		}
+		want := sh.dropRangeSeq(off, end, 1)
+		if got := ix.DropRangeSeq(off, end, 1); got != want {
+			t.Fatalf("tail=%v: DropRangeSeq removed %d bytes, shadow %d", tail, got, want)
+		}
+		checkIndexInvariant(t, &ix)
+		sh.check(t, &ix)
+		ix.VisitRange(off, end, func(e Extent) bool {
+			if e.Seq == 1 {
+				t.Fatalf("tail=%v: seq-1 piece %+v survived the eviction", tail, e)
+			}
+			return true
+		})
+		if e, ok := ix.At(end + 200); !ok || e.Seq != 1 {
+			t.Fatalf("tail=%v: the seq-1 extent past the range is gone", tail)
+		}
+	}
+}
+
+// sameLayout fails unless a and b hold the same extents in the same
+// leaves.
+func sameLayout(t *testing.T, a, b *Index) {
+	t.Helper()
+	if len(a.leaves) != len(b.leaves) || a.n != b.n {
+		t.Fatalf("%d extents in %d leaves vs %d in %d", a.n, len(a.leaves), b.n, len(b.leaves))
+	}
+	for k := range a.leaves {
+		if !slices.Equal(a.leaves[k], b.leaves[k]) || a.keys[k] != b.keys[k] {
+			t.Fatalf("leaf %d differs", k)
+		}
+	}
+}
+
+// TestInsertAtHint checks that insertAt matches Insert — replaced bytes
+// and leaf layout — whatever its hint: the cursor the previous insert
+// returned, one that removals or a leaf join made stale, or an arbitrary
+// one. Runs of ascending inserts into an unmapped stretch, like a fill's
+// gaps, must find the returned cursor exact every time, across leaf
+// splits.
+func TestInsertAtHint(t *testing.T) {
+	const domain = 1 << 26
+	rng := rand.New(rand.NewPCG(40, 2))
+	var a, b Index
+	var seq uint64
+	k, i := -1, 0
+	exact, runs := 0, 0
+	for op := 0; op < 4000; op++ {
+		switch r := rng.IntN(10); {
+		case r < 6: // a run of ascending gaps with the cursor carried
+			var run []Extent
+			pos := rng.Int64N(domain) &^ 4095
+			for g := 0; g < 1+rng.IntN(16); g++ {
+				run = append(run, Extent{Off: pos, End: pos + 1 + rng.Int64N(4096), Seq: seq + 1})
+				seq++
+				pos = run[g].End + rng.Int64N(2)*rng.Int64N(512)
+			}
+			fresh := !a.Covered(run[0].Off, run[0].Off+1) && a.NextStart(run[0].Off) >= pos
+			for g, e := range run {
+				if g > 0 && fresh {
+					runs++
+					if b.isCursor(k, i, e.Off) {
+						exact++
+					}
+				}
+				want := a.Insert(e)
+				var got int64
+				if got, k, i = b.insertAt(e, k, i); got != want {
+					t.Fatalf("op %d: insertAt(%+v) replaced %d, Insert %d", op, e, got, want)
+				}
+			}
+		case r < 8: // removals leave the carried cursor stale
+			off := rng.Int64N(domain)
+			end := off + 1 + rng.Int64N(1<<15)
+			if x, y := a.RemoveRange(off, end), b.RemoveRange(off, end); x != y {
+				t.Fatalf("op %d: RemoveRange(%d,%d) = %d vs %d", op, off, end, x, y)
+			}
+		default: // an arbitrary hint
+			k, i = rng.IntN(len(b.leaves)+3)-1, rng.IntN(leafCap+leafSlack+2)-1
+			off := rng.Int64N(domain)
+			e := Extent{Off: off, End: off + 1 + rng.Int64N(1<<14), Seq: seq + 1}
+			seq++
+			want := a.Insert(e)
+			var got int64
+			if got, k, i = b.insertAt(e, k, i); got != want {
+				t.Fatalf("op %d: insertAt(%+v) with hint replaced %d, Insert %d", op, e, got, want)
+			}
+		}
+		sameLayout(t, &a, &b)
+	}
+	checkIndexInvariant(t, &b)
+	t.Logf("%d extents in %d leaves; %d of %d carried cursors exact", b.Len(), len(b.leaves), exact, runs)
+	if runs < 1000 || exact != runs {
+		t.Fatalf("%d of %d carried cursors into unmapped stretches were exact, want all (and at least 1000)", exact, runs)
+	}
+}
+
+// cacheIndexes builds a pair of indexes shaped like dk-cache-zipf's cache
+// at steady state: a write log of 4 KiB blocks scattered over 1 GiB, and
+// a read cache of 64 KiB read-around windows holding the gaps the log
+// leaves in them. It also returns 4 KiB-aligned read offsets, a third at
+// log blocks, a third inside filled windows and a third anywhere.
+func cacheIndexes() (log, read *Index, offs []int64) {
+	const (
+		blocks  = 1 << 18 // 4 KiB blocks in 1 GiB
+		logged  = 7168
+		windows = 256 // 16 MiB of read cache
+	)
+	rng := rand.New(rand.NewPCG(3, 4))
+	log, read = new(Index), new(Index)
+	var seq uint64
+	var blockOffs []int64
+	for j := 0; j < logged; j++ {
+		off := rng.Int64N(blocks) << 12
+		blockOffs = append(blockOffs, off)
+		seq++
+		log.Insert(Extent{Off: off, End: off + 4096, Seg: j % 16, SegOff: off, Seq: seq})
+	}
+	var base []int64
+	for j := 0; j < windows; j++ {
+		ra0 := rng.Int64N(blocks>>4) << 16
+		base = append(base, ra0)
+		log.VisitGaps(ra0, ra0+64<<10, func(o, e int64) {
+			seq++
+			read.Insert(Extent{Off: o, End: e, Seq: seq})
+		})
+	}
+	for j := 0; j < 4096; j++ {
+		var off int64
+		switch j % 3 {
+		case 0:
+			off = blockOffs[rng.IntN(logged)]
+		case 1:
+			off = base[rng.IntN(windows)] + rng.Int64N(16)<<12
+		default:
+			off = rng.Int64N(blocks) << 12
+		}
+		offs = append(offs, off)
+	}
+	return log, read, offs
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink int
+
+// BenchmarkIndexSearch measures one lookup of a 4 KiB read's offset in
+// the write log of cacheIndexes.
+func BenchmarkIndexSearch(b *testing.B) {
+	log, _, offs := cacheIndexes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, j := log.search(offs[i&4095])
+		benchSink += k + j
+	}
+}
+
+// BenchmarkCoveredUnion measures the hit test of a 4 KiB read against the
+// write log and read cache of cacheIndexes.
+func BenchmarkCoveredUnion(b *testing.B) {
+	log, read, offs := cacheIndexes()
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := offs[i&4095]
+		if CoveredUnion(log, read, off, off+4096) {
+			hits++
+		}
+	}
+	benchSink += hits
+	if b.N >= 4096 && hits < b.N/2 {
+		b.Fatalf("%d of %d reads hit; the offsets should hit about two thirds of the time", hits, b.N)
 	}
 }

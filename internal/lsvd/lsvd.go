@@ -661,13 +661,17 @@ func (c *Cache) readDone(op *readOp) {
 }
 
 // fill caches the clean bytes of a fetched window: sub-ranges the
-// write log already maps stay owned by the log (they are newer).
+// write log already maps stay owned by the log (they are newer). The
+// gaps ascend, so each insert starts from the cursor the previous one
+// left.
 func (c *Cache) fill(ra0, ra1 int64) {
 	c.stats.Fills++
 	var filled int64
+	k, i := -1, 0
 	c.writeIdx.VisitGaps(ra0, ra1, func(o, e int64) {
 		c.seq++
-		rep := c.readIdx.Insert(Extent{Off: o, End: e, Seq: c.seq})
+		var rep int64
+		rep, k, i = c.readIdx.insertAt(Extent{Off: o, End: e, Seq: c.seq}, k, i)
 		c.readUsed += (e - o) - rep
 		c.fillQ.push(fillEnt{off: o, end: e, seq: c.seq})
 		filled += e - o
