@@ -24,6 +24,13 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# The gf256 kernels have a portable build (!amd64 || purego) that the
+# host build never compiles: vet it for arm64 and run the GF(256) and
+# Reed-Solomon tests on it.
+echo "== portable gf256 (GOARCH=arm64 vet, -tags purego test) =="
+GOARCH=arm64 go vet ./...
+go test -count=1 -tags purego ./internal/gf256 ./internal/erasure
+
 # Race detector over every package, twice: at the host's default
 # GOMAXPROCS and at GOMAXPROCS=2, where the parallel experiment runner's
 # workers really run at the same time (the fault, cache, raft, tenant and

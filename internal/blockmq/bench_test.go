@@ -15,9 +15,11 @@ func BenchmarkSubmitBypass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	io := &IO{Op: OpWrite, Len: 4096}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mq.SubmitAsyncTenant(OpWrite, int64(i)*4096, 4096, 0, i%3, 0, trace.Ref{}, nil)
+		io.Off = int64(i) * 4096
+		mq.Submit(io, i%3, trace.Ref{}, nil)
 		if i%64 == 63 {
 			eng.Run()
 		}
@@ -34,9 +36,11 @@ func BenchmarkSubmitDeadline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	io := &IO{Op: OpWrite, Len: 4096}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mq.SubmitAsyncTenant(OpWrite, int64(i)*4096, 4096, 0, i%3, 0, trace.Ref{}, nil)
+		io.Off = int64(i) * 4096
+		mq.Submit(io, i%3, trace.Ref{}, nil)
 		if i%64 == 63 {
 			eng.Run()
 		}

@@ -31,8 +31,6 @@ type Config struct {
 	// InsertCost is the block-layer CPU charge per request (plug, tag,
 	// accounting).
 	InsertCost sim.Duration
-	// DispatchCost is charged when a request moves to the driver.
-	DispatchCost sim.Duration
 }
 
 // Stats counts MQ-layer events.
@@ -113,22 +111,35 @@ func (mq *MQ) Stats() Stats { return mq.stats }
 // TagsAvailable reports free tags on a hardware context.
 func (mq *MQ) TagsAvailable(hctx int) int { return mq.tags[hctx].available() }
 
-// SubmitAsyncTenant sends a request into the block layer from event
-// context (e.g. an io_uring SQPOLL drain): the layer's CPU cost is applied
-// as scheduling delay, then the request is queued or directly issued, and
-// done fires at completion. Requests are pooled: the returned pointer is
-// the caller's to inspect only until the request completes or is merged
-// into another. flags carries request hints. tenant owns the I/O: the
-// identity rides the request into the scheduler (per-tenant QoS
-// accounting) and the driver (SR-IOV function / queue-set selection);
-// tenant 0 is the untenanted default. tr is the per-I/O trace context, a
-// parameter rather than a field the caller sets afterwards because the
-// bypass fast path can reach the driver synchronously inside this call —
-// the request must already carry it when place() runs.
-func (mq *MQ) SubmitAsyncTenant(op OpType, off int64, length int, flags uint32, cpu, tenant int, tr trace.Ref, done func(err error)) *Request {
-	req := mq.newRequest(op, off, length, flags, cpu, done)
-	req.Tenant = tenant
-	req.Trace = tr
+// Submit sends a block request for io into the layer from event context
+// (e.g. an io_uring SQPOLL drain): the layer's CPU cost is applied as
+// scheduling delay, then the request is queued or directly issued, and done
+// fires at completion. The request takes its op and range from io and
+// points at it, so schedulers and the driver read the I/O's tenant there.
+// cpu is the submitting kernel core, which picks the hardware context. tr
+// is the parent of the request's blk-mq span (the layer above's own span,
+// or io.Trace), passed here because the bypass fast path can reach the
+// driver synchronously inside this call. Requests are pooled: the returned
+// pointer is the caller's to inspect only until the request completes or
+// is merged into another.
+func (mq *MQ) Submit(io *IO, cpu int, tr trace.Ref, done func(err error)) *Request {
+	var req *Request
+	if k := len(mq.free); k > 0 {
+		req = mq.free[k-1]
+		mq.free[k-1] = nil
+		mq.free = mq.free[:k-1]
+	} else {
+		req = &Request{home: mq}
+		req.fireFn = req.fire
+		req.placeFn = func() { mq.place(req) }
+	}
+	req.Op, req.Off, req.Len, req.CPU, req.IO, req.Tag = io.Op, io.Off, io.Len, cpu, io, -1
+	req.mq, req.submitted, req.Trace = mq, mq.eng.Now(), tr
+	if done != nil {
+		req.callbacks = append(req.callbacks, done)
+	}
+	req.hctx = mq.HCtxFor(cpu)
+	mq.stats.Submitted++
 	if mq.trace != nil && tr.Sampled() {
 		// Open the blk-mq span now and re-parent the carried context under
 		// it, so driver/card spans nest inside the block layer's.
@@ -140,30 +151,6 @@ func (mq *MQ) SubmitAsyncTenant(op OpType, off int64, length int, flags uint32, 
 	} else {
 		mq.place(req)
 	}
-	return req
-}
-
-// newRequest takes a request from the pool (or builds one, binding its
-// events once) and fills it.
-func (mq *MQ) newRequest(op OpType, off int64, length int, flags uint32, cpu int, done func(err error)) *Request {
-	var req *Request
-	if k := len(mq.free); k > 0 {
-		req = mq.free[k-1]
-		mq.free[k-1] = nil
-		mq.free = mq.free[:k-1]
-	} else {
-		req = &Request{home: mq}
-		req.fireFn = req.fire
-		req.placeFn = func() { mq.place(req) }
-		req.issueFn = func() { mq.tryIssue(req) }
-	}
-	req.Op, req.Off, req.Len, req.Flags, req.CPU, req.Tag = op, off, length, flags, cpu, -1
-	req.mq, req.submitted = mq, mq.eng.Now()
-	if done != nil {
-		req.callbacks = append(req.callbacks, done)
-	}
-	req.hctx = mq.HCtxFor(cpu)
-	mq.stats.Submitted++
 	return req
 }
 
@@ -238,22 +225,10 @@ func (mq *MQ) runHW(hctx int) {
 			return
 		}
 		req.Tag = tag
-		if mq.cfg.DispatchCost > 0 {
-			// Model the issue-path CPU time, then hand to the driver.
-			mq.eng.Schedule(mq.cfg.DispatchCost, req.issueFn)
-			continue
-		}
 		if !mq.issue(req) {
 			mq.requeue(req)
 			return
 		}
-	}
-}
-
-// tryIssue is the deferred-dispatch entry: issue or requeue.
-func (mq *MQ) tryIssue(req *Request) {
-	if !mq.issue(req) {
-		mq.requeue(req)
 	}
 }
 

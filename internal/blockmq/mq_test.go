@@ -38,9 +38,9 @@ func (d *fakeDevice) QueueRq(hctx int, req *Request) bool {
 	return true
 }
 
-// submit is an untenanted, untraced SubmitAsyncTenant.
+// submit is an untenanted, untraced Submit of a fresh record.
 func submit(mq *MQ, op OpType, off int64, n, cpu int, done func(error)) *Request {
-	return mq.SubmitAsyncTenant(op, off, n, 0, cpu, 0, trace.Ref{}, done)
+	return mq.Submit(&IO{Op: op, Off: off, Len: n}, cpu, trace.Ref{}, done)
 }
 
 func newMQT(t *testing.T, eng *sim.Engine, cfg Config, dev *fakeDevice) *MQ {

@@ -90,7 +90,7 @@ func TestRequestPoolLifetime(t *testing.T) {
 							slot = perBurst - 1 - k
 						}
 						off := int64(b*perBurst+slot) * 4096
-						req := mq.SubmitAsyncTenant(op, off, 4096, 0, k%2, 1+k%3, trace.Ref{}, func(err error) {
+						req := mq.Submit(&IO{Op: op, Off: off, Len: 4096, Tenant: 1 + k%3}, k%2, trace.Ref{}, func(err error) {
 							if err != nil {
 								t.Errorf("submission %d: %v", i, err)
 							}

@@ -164,7 +164,7 @@ func (s *TokenBucketScheduler) Next(hctx int) *Request {
 	q := s.fifo[hctx]
 	now := s.eng.Now()
 	for i, req := range q {
-		b := s.bucket(req.Tenant)
+		b := s.bucket(req.IO.Tenant)
 		s.refill(b, now)
 		if need := s.need(req); b.tokens >= need {
 			b.tokens -= need
@@ -190,7 +190,7 @@ func (s *TokenBucketScheduler) ReadyAt(hctx int) (sim.Time, bool) {
 	now := s.eng.Now()
 	var best sim.Time
 	for _, req := range q {
-		b := s.bucket(req.Tenant)
+		b := s.bucket(req.IO.Tenant)
 		s.refill(b, now)
 		deficit := s.need(req) - b.tokens
 		if deficit <= 0 {
@@ -312,10 +312,10 @@ func tag(now, prev sim.Time, gap sim.Duration) sim.Time {
 
 // Insert implements Scheduler: stamp the request's mClock tags and stage it.
 func (s *DMClockScheduler) Insert(hctx int, req *Request) bool {
-	tn := s.tenants[req.Tenant]
+	tn := s.tenants[req.IO.Tenant]
 	if tn == nil {
 		tn = &dmTenant{}
-		s.tenants[req.Tenant] = tn
+		s.tenants[req.IO.Tenant] = tn
 	}
 	now := s.eng.Now()
 	e := dmEntry{req: req, seq: s.seq}

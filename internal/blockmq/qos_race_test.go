@@ -54,18 +54,18 @@ func qosRunDigest(t *testing.T, kind string, seed uint64) uint64 {
 		at := sim.Duration(rng.Intn(400)) * sim.Microsecond
 		eng.Schedule(at, func() {
 			start := eng.Now()
-			mq.SubmitAsyncTenant(OpWrite, int64(i)*4096, size, 0, i%2, tenant,
-				trace.Ref{}, func(err error) {
-					if err != nil {
-						t.Errorf("op %d: %v", i, err)
-					}
-					fmt.Fprintf(h, "c|%d|%d|%d\n", i, int64(start), int64(eng.Now()))
-				})
+			io := &IO{Op: OpWrite, Off: int64(i) * 4096, Len: size, Tenant: tenant}
+			mq.Submit(io, i%2, trace.Ref{}, func(err error) {
+				if err != nil {
+					t.Errorf("op %d: %v", i, err)
+				}
+				fmt.Fprintf(h, "c|%d|%d|%d\n", i, int64(start), int64(eng.Now()))
+			})
 		})
 	}
 	eng.Run()
 	for _, req := range dev.seen {
-		fmt.Fprintf(h, "d|%d|%d|%d\n", req.Tenant, req.Off, req.Len)
+		fmt.Fprintf(h, "d|%d|%d|%d\n", req.IO.Tenant, req.Off, req.Len)
 	}
 	st := reporter.QoS()
 	fmt.Fprintf(h, "s|%d|%d|%d|%d\n", st.Dispatched, st.Throttled, st.ResPhase, st.WeightPhase)

@@ -34,33 +34,91 @@ func (o OpType) String() string {
 	}
 }
 
-// Request flags (a small subset of the kernel's REQ_* hints).
+// Pattern is the access pattern of an I/O, carried to the drive model.
+type Pattern int
+
 const (
-	// FlagRandom hints that the request belongs to a random access
-	// pattern (inverse of REQ_RAHEAD-style sequential hints).
-	FlagRandom uint32 = 1 << 0
+	// Sequential marks sequential access.
+	Sequential Pattern = iota
+	// Random marks random access.
+	Random
 )
 
-// Request is a block I/O request in flight through the MQ layer.
+func (p Pattern) String() string {
+	if p == Sequential {
+		return "seq"
+	}
+	return "rand"
+}
+
+// IO is one block I/O from submission to completion, the model's bio: the
+// stack fills it once at submit, and every layer below reads it (a ring
+// slot's user data, a blk-mq request's IO, a data path op) rather than
+// keeping its own copy. Layers that open spans keep their child trace refs
+// in their own ops; the record holds only the root.
+type IO struct {
+	Op      OpType
+	Pattern Pattern
+	Off     int64
+	Len     int
+	// CPU is the core the I/O was submitted from.
+	CPU int
+	// Tenant owns the I/O (0 = untenanted): QoS schedulers account it and
+	// UIFD maps it onto an SR-IOV function's queue sets.
+	Tenant int
+	// Trace is the I/O's root trace context (zero when unsampled), and
+	// Span its root span, which Complete ends.
+	Trace trace.Ref
+	Span  trace.H
+	// Done receives the I/O's result.
+	Done func(err error)
+
+	pool *IOPool
+}
+
+// IOPool recycles I/O records; the zero value is ready to use.
+type IOPool struct{ free []*IO }
+
+// Get returns a zeroed record that Complete gives back to p.
+func (p *IOPool) Get() *IO {
+	if k := len(p.free); k > 0 {
+		io := p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+		return io
+	}
+	return &IO{pool: p}
+}
+
+// Complete ends the I/O: it closes the root span, returns the record to
+// its pool (Done may submit the next I/O on it) and reports err to Done.
+func (io *IO) Complete(err error) {
+	done := io.Done
+	io.Span.End()
+	if p := io.pool; p != nil {
+		*io = IO{pool: p}
+		p.free = append(p.free, io)
+	}
+	done(err)
+}
+
+// Request is a block I/O request in flight through the MQ layer. It keeps
+// its own op and range, which a merge changes, and points at the record
+// of the I/O it was submitted for (a merged request's other records stay
+// with their own callbacks).
 type Request struct {
 	Op  OpType
 	Off int64
 	Len int
-	// Flags carries access-pattern hints to the driver.
-	Flags uint32
 	// CPU is the submitting core; it selects the software queue and, via
 	// the queue map, the hardware context.
 	CPU int
-	// Tenant identifies the owning tenant (0 = untenanted). QoS schedulers
-	// account tokens and tags per tenant, and tenant-aware drivers use it
-	// to select SR-IOV functions and queue sets.
-	Tenant int
+	// IO is the record of the I/O this request was submitted for.
+	IO *IO
 	// Tag is the hardware tag, assigned at dispatch (-1 before).
 	Tag int
-	// Trace is the per-I/O trace context handed to the driver (re-parented
-	// under the blk-mq span when sampled). It must be set at submit time
-	// (via SubmitAsyncTenant) because the bypass fast path can issue to
-	// the driver synchronously, before the caller sees the request.
+	// Trace is the trace context handed to the driver: the blk-mq span
+	// when sampled, under the parent passed to Submit.
 	Trace trace.Ref
 
 	// mq is the owning MQ while the request is live, nil once it has
@@ -78,7 +136,7 @@ type Request struct {
 	err   error
 	fired int
 	// Events bound once per pooled request.
-	fireFn, placeFn, issueFn func()
+	fireFn, placeFn func()
 }
 
 // Bytes returns the request payload size.
@@ -139,8 +197,7 @@ func (r *Request) fire() {
 // recycle returns an ended (or merged-away) request to the pool.
 func (mq *MQ) recycle(r *Request) {
 	clear(r.callbacks)
-	*r = Request{home: r.home, callbacks: r.callbacks[:0],
-		fireFn: r.fireFn, placeFn: r.placeFn, issueFn: r.issueFn}
+	*r = Request{home: r.home, callbacks: r.callbacks[:0], fireFn: r.fireFn, placeFn: r.placeFn}
 	mq.free = append(mq.free, r)
 }
 

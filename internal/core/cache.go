@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/blockmq"
-	"repro/internal/iouring"
 	"repro/internal/lsvd"
 	"repro/internal/rados"
 	"repro/internal/rbd"
@@ -35,9 +34,9 @@ const (
 	cacheDone               // the cache completed the request
 )
 
-func (t *cacheTarget) Submit(req iouring.Request, complete func(res int32)) {
+func (t *cacheTarget) submit(io *blockmq.IO, _ int, complete func(res int32)) {
 	o := newCardOp(&t.free, t.eng, t)
-	o.fromRing(req, complete)
+	o.io, o.tr, o.complete = io, io.Trace, complete
 	if t.trace != nil && o.tr.Sampled() {
 		// Kernel span covers map cost + cache residency; the cache span
 		// and any miss-fill descent nest under it.
@@ -57,10 +56,10 @@ func (t *cacheTarget) advance(o *cardOp) {
 			ctr = o.hs.Ref()
 		}
 		o.stage = cacheDone
-		if o.op == Write {
-			t.cache.WriteTraced(o.off, o.n, ctr, o.errDone)
+		if o.io.Op == Write {
+			t.cache.WriteTraced(o.io.Off, o.io.Len, ctr, o.errDone)
 		} else {
-			t.cache.ReadTraced(o.off, o.n, ctr, o.errDone)
+			t.cache.ReadTraced(o.io.Off, o.io.Len, ctr, o.errDone)
 		}
 	case cacheDone:
 		o.hs.End()
@@ -70,13 +69,13 @@ func (t *cacheTarget) advance(o *cardOp) {
 }
 
 // cacheBackend adapts the stack's data path to lsvd.Backend: read-around
-// miss fills ride the bare inner ring target (the card pipeline or the
-// software client, whichever the spec composed), while flush write-back
-// goes through its own rados client so background draining shares the
-// host NIC and the cluster's retry policy without occupying the
-// foreground rings.
+// miss fills, each an I/O record of its own entering on core 0, ride the
+// bare inner ring target (the card pipeline or the software client,
+// whichever the spec composed), while flush write-back goes through its
+// own rados client so background draining shares the host NIC and the
+// cluster's retry policy without occupying the foreground rings.
 type cacheBackend struct {
-	inner  iouring.Target
+	inner  ioTarget
 	client *rados.Client
 	image  *rbd.Image
 	pool   *rados.Pool
@@ -89,10 +88,12 @@ type cacheBackend struct {
 	flushed   func(error)
 }
 
-// missFill adapts one miss fill's ring completion to the cache's callback;
-// fills are pooled with the adapter bound once.
+// missFill is one miss fill in flight: its record, and the adapter of its
+// completion to the cache's callback. Fills are pooled with the adapter
+// bound once.
 type missFill struct {
 	b        *cacheBackend
+	io       blockmq.IO
 	done     func(error)
 	complete func(res int32)
 }
@@ -111,13 +112,6 @@ func (b *cacheBackend) ReadMiss(off int64, n int, done func(error)) {
 // ReadMissTraced implements lsvd.TracedBackend: sampled miss fills carry
 // the caller's trace context down the inner data path.
 func (b *cacheBackend) ReadMissTraced(off int64, n int, tr trace.Ref, done func(error)) {
-	req := iouring.Request{
-		Op:      iouring.OpRead,
-		Off:     off,
-		Len:     uint32(n),
-		RWFlags: blockmq.FlagRandom,
-		Trace:   tr,
-	}
 	var f *missFill
 	if k := len(b.fills); k > 0 {
 		f = b.fills[k-1]
@@ -127,8 +121,9 @@ func (b *cacheBackend) ReadMissTraced(off int64, n int, tr trace.Ref, done func(
 		f = &missFill{b: b}
 		f.complete = f.completed
 	}
+	f.io = blockmq.IO{Op: Read, Pattern: Rand, Off: off, Len: n, Trace: tr}
 	f.done = done
-	b.inner.Submit(req, f.complete)
+	b.inner.submit(&f.io, 0, f.complete)
 }
 
 // FlushExtent implements lsvd.Backend: [off, off+n) is written back
@@ -175,7 +170,7 @@ func (b *cacheBackend) flushEnd(err error) {
 // buildCacheTarget wires the cache tier over a bare inner target: the
 // flush client, the cache geometry resolved from the spec, and the
 // wrapping ring target.
-func (tb *Testbed) buildCacheTarget(s *pipelineStack, inner iouring.Target) (*cacheTarget, error) {
+func (tb *Testbed) buildCacheTarget(s *pipelineStack, inner ioTarget) (*cacheTarget, error) {
 	flush, err := newSWClient(tb, "cache-flush")
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"repro/internal/rbd"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/uifd"
 )
 
 // This file is the card data path below the io_uring rings: the DMQ ring
@@ -36,15 +35,14 @@ type cardOp struct {
 	stage uint8
 	pg    uint32 // ext's placement group
 
-	op      OpType
-	pattern Pattern
-	off     int64
-	n       int
-	flags   uint32
-	cpu     int
-	tenant  int
-	tr      trace.Ref
-	ext     rbd.Extent
+	// io is the I/O's record. cpu is the kernel core a ring target runs it
+	// on (the ring's), which picks its blk-mq hardware context.
+	io  *blockmq.IO
+	cpu int
+	// tr is the trace context this op's spans nest under: the record's
+	// root, or the kernel or card-pipeline span the op opened.
+	tr  trace.Ref
+	ext rbd.Extent
 	// Exactly one of done (card backend) and complete (ring target) is
 	// set, unless parent is: then the extent reports to it.
 	done     func(error)
@@ -114,23 +112,10 @@ func (o *cardOp) recycle() {
 	*o.free = append(*o.free, o)
 }
 
-// fromRing fills the op from a ring request.
-func (o *cardOp) fromRing(req iouring.Request, complete func(int32)) {
-	o.op, o.pattern = Read, Seq
-	if req.Op == iouring.OpWrite {
-		o.op = Write
-	}
-	if req.RWFlags&blockmq.FlagRandom != 0 {
-		o.pattern = Rand
-	}
-	o.off, o.n, o.flags, o.cpu, o.tenant = req.Off, int(req.Len), req.RWFlags, req.CPU, req.Tenant
-	o.tr, o.complete = req.Trace, complete
-}
-
 // respond recycles a ring target's op, then posts its result (recycling
 // first: the completion may submit the next request).
 func (o *cardOp) respond() {
-	complete, n, err := o.complete, o.n, o.err
+	complete, n, err := o.complete, o.io.Len, o.err
 	o.recycle()
 	if err != nil {
 		complete(iouring.ResEIO)
@@ -163,11 +148,11 @@ const (
 	dmqDone                // blk-mq completed the request
 )
 
-func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
+func (t *dmqTarget) submit(io *blockmq.IO, cpu int, complete func(res int32)) {
 	o := newCardOp(&t.free, t.eng, t)
-	o.fromRing(req, complete)
+	o.io, o.cpu, o.tr, o.complete = io, cpu, io.Trace, complete
 	delay := sim.Duration(0)
-	if o.op == Write {
+	if io.Op == Write {
 		delay = t.writeExtra
 	}
 	if !t.bare {
@@ -186,12 +171,8 @@ func (t *dmqTarget) Submit(req iouring.Request, complete func(res int32)) {
 func (t *dmqTarget) advance(o *cardOp) {
 	switch o.stage {
 	case dmqSubmit:
-		op := blockmq.OpRead
-		if o.op == Write {
-			op = blockmq.OpWrite
-		}
 		o.stage = dmqDone
-		t.mq.SubmitAsyncTenant(op, o.off, o.n, o.flags, o.cpu, o.tenant, o.tr, o.errDone)
+		t.mq.Submit(o.io, o.cpu, o.tr, o.errDone)
 	case dmqDone:
 		o.hk.End()
 		o.respond()
@@ -211,24 +192,18 @@ const (
 	cbFanned                // replicated fan-out done
 )
 
-// Process implements uifd.CardBackend (the DeLiBA-K entry point).
-func (cb *cardBackend) Process(req uifd.CardRequest, done func(err error)) {
-	op := Read
-	if req.Op == blockmq.OpWrite {
-		op = Write
-	}
-	pattern := Seq
-	if req.Flags&blockmq.FlagRandom != 0 {
-		pattern = Rand
-	}
-	cb.process(op, pattern, req.Off, req.Len, req.Tenant, req.Trace, done)
+// Process implements uifd.CardBackend (the DeLiBA-K entry point): the
+// card runs the blk-mq request's range, under its blk-mq span.
+func (cb *cardBackend) Process(req *blockmq.Request, done func(err error)) {
+	cb.process(req.IO, req.Off, req.Len, req.Trace, done)
 }
 
-// process runs the card pipeline for one block I/O, one cardOp per
-// backing-object extent, all started before process returns. It is also
-// called directly by the DeLiBA-2 stack, which reaches the card via its
-// legacy DMA path instead of UIFD/QDMA.
-func (cb *cardBackend) process(op OpType, pattern Pattern, off int64, n, tenant int, tr trace.Ref, done func(error)) {
+// process runs the card pipeline for [off, off+n) of io, one cardOp per
+// backing-object extent, all started before process returns; tr is the
+// parent of their spans. It is also called directly by the DeLiBA-2
+// stack, which reaches the card via its legacy DMA path instead of
+// UIFD/QDMA.
+func (cb *cardBackend) process(io *blockmq.IO, off int64, n int, tr trace.Ref, done func(error)) {
 	if err := cb.image.CheckRange(off, n); err != nil {
 		cb.eng.Schedule(0, func() { done(err) })
 		return
@@ -242,7 +217,7 @@ func (cb *cardBackend) process(op OpType, pattern Pattern, off int64, n, tenant 
 	}
 	for n > 0 {
 		o := newCardOp(&cb.free, cb.eng, cb)
-		o.op, o.pattern, o.tenant, o.tr, o.parent = op, pattern, tenant, tr, parent
+		o.io, o.tr, o.parent = io, tr, parent
 		if parent == nil {
 			o.done = done
 		}
@@ -292,9 +267,9 @@ func (cb *cardBackend) advance(o *cardOp) {
 			}
 		case cbIssue:
 			e := o.ext
-			opts := rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}
+			opts := rados.ReqOpts{Random: o.io.Pattern == Rand, Trace: o.tr}
 			switch {
-			case o.op == Write && cb.pool.Kind == rados.ECPool:
+			case o.io.Op == Write && cb.pool.Kind == rados.ECPool:
 				// Stage ④ continued: RS encode on the card, then shard
 				// fan-out over the card NIC (stage ⑥).
 				if cb.trace != nil && o.tr.Sampled() {
@@ -302,7 +277,7 @@ func (cb *cardBackend) advance(o *cardOp) {
 				}
 				o.stage = cbEncoded
 				cb.place.shell.RS.Encode(e.Len, nil, o.errDone)
-			case o.op == Write:
+			case o.io.Op == Write:
 				o.stage = cbFanned
 				cb.fan.WriteReplicatedR(cb.pool, o.pg, e.Object, e.Off, e.Len, opts, o.errDone)
 			case cb.pool.Kind == rados.ECPool:
@@ -328,7 +303,7 @@ func (cb *cardBackend) advance(o *cardOp) {
 			o.stage = cbFanned
 			e := o.ext
 			cb.fan.WriteECR(cb.pool, e.Object, e.Off, e.Len,
-				rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}, o.errDone)
+				rados.ReqOpts{Random: o.io.Pattern == Rand, Trace: o.tr}, o.errDone)
 			return
 		case cbECRead:
 			if o.err != nil || !o.needDecode {

@@ -9,39 +9,28 @@
 // generator and the experiment harnesses drive them interchangeably.
 package core
 
-// OpType is a block I/O direction.
-type OpType int
+import "repro/internal/blockmq"
+
+// OpType is a block I/O direction; the per-I/O record (blockmq.IO) carries
+// it to every layer.
+type OpType = blockmq.OpType
 
 const (
 	// Read transfers device-to-host.
-	Read OpType = iota
+	Read = blockmq.OpRead
 	// Write transfers host-to-device.
-	Write
+	Write = blockmq.OpWrite
 )
 
-func (o OpType) String() string {
-	if o == Read {
-		return "read"
-	}
-	return "write"
-}
-
 // Pattern is the access pattern hint carried to the drive model.
-type Pattern int
+type Pattern = blockmq.Pattern
 
 const (
 	// Seq marks sequential access.
-	Seq Pattern = iota
+	Seq = blockmq.Sequential
 	// Rand marks random access.
-	Rand
+	Rand = blockmq.Random
 )
-
-func (p Pattern) String() string {
-	if p == Seq {
-		return "seq"
-	}
-	return "rand"
-}
 
 // Stack is one framework generation's full I/O path over the virtual disk:
 // Submit starts a block I/O at a byte offset of the image and calls done
@@ -53,8 +42,8 @@ type Stack interface {
 	// Submit starts one block I/O from worker CPU cpu.
 	Submit(op OpType, pattern Pattern, off int64, n int, cpu int, done func(error))
 	// SubmitTenant is Submit for an I/O owned by a tenant: the identity
-	// rides the op through every layer (QoS scheduling, SR-IOV queue
-	// mapping, fan-out, per-tenant trace exemplars). Tenant 0 is the
+	// rides the I/O's record through every layer (QoS scheduling, SR-IOV
+	// queue mapping, per-tenant trace exemplars). Tenant 0 is the
 	// untenanted default and leaves the event sequence identical to
 	// Submit.
 	SubmitTenant(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, done func(error))

@@ -12,7 +12,6 @@ import (
 	"repro/internal/raft"
 	"repro/internal/rbd"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/uifd"
 )
 
@@ -30,11 +29,10 @@ import (
 // tie-breaking is creation-order sensitive.
 
 // HostAPI is how block I/O enters the stack: DeLiBA-K's io_uring ring set
-// or the DeLiBA-1/2 NBD daemon loop. tr is the per-I/O trace context
-// (zero = unsampled) rooted by the stack before submission; tenant is the
-// owning tenant (0 = untenanted) that rides the I/O down every layer.
+// or the DeLiBA-1/2 NBD daemon loop. It runs io, the record the stack
+// filled (op, range, tenant, root trace), and calls io.Complete once.
 type HostAPI interface {
-	Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error))
+	Submit(io *blockmq.IO)
 	Close()
 }
 
@@ -119,6 +117,8 @@ type pipelineStack struct {
 	client *rados.Client
 	// cache is the LSVD write-back tier (cache-lsvd).
 	cache *lsvd.Cache
+	// ios recycles the stack's per-I/O records.
+	ios blockmq.IOPool
 }
 
 func (s *pipelineStack) Name() string { return s.spec.Name }
@@ -128,26 +128,21 @@ func (s *pipelineStack) Submit(op OpType, pattern Pattern, off int64, n int, cpu
 }
 
 func (s *pipelineStack) SubmitTenant(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, done func(error)) {
+	io := s.ios.Get()
+	io.Op, io.Pattern, io.Off, io.Len, io.CPU, io.Tenant, io.Done = op, pattern, off, n, cpu, tenant, done
 	// Root the per-I/O trace here: every op (sampled or not) advances the
 	// deterministic submit sequence the sampling policy keys on.
-	var tr trace.Ref
 	if sink := s.tb.traceHost; sink != nil {
 		name := "io-read"
 		if op == Write {
 			name = "io-write"
 		}
-		h := sink.Root(name)
-		if h.On() {
+		if h := sink.Root(name); h.On() {
 			h.SetTenant(tenant)
-			tr = h.Ref()
-			inner := done
-			done = func(err error) {
-				h.End()
-				inner(err)
-			}
+			io.Span, io.Trace = h, h.Ref()
 		}
 	}
-	s.host.Submit(op, pattern, off, n, cpu, tenant, tr, done)
+	s.host.Submit(io)
 }
 
 func (s *pipelineStack) ImageBytes() int64 { return s.image.Size }
@@ -326,7 +321,7 @@ const (
 // target's map cost), optionally behind the LSVD cache tier.
 func (tb *Testbed) buildURing(s *pipelineStack) error {
 	bare := s.spec.Cache == CacheLSVD
-	var target iouring.Target
+	var target ioTarget
 	if s.spec.Transport == TransportQDMA {
 		if err := tb.buildQDMA(s); err != nil {
 			return err

@@ -43,31 +43,43 @@ func errIO(res int32) error {
 }
 
 // ringSet is the io_uring host API: the io_uring instances, each with a
-// completion slot table and a reaper. Compositions differ only in the
-// ring Target.
+// slot table of the I/O records in flight and a reaper. Compositions
+// differ only in the ring target.
 //
-// A ring's reaper is its CQE-drain event (iouring.Ring.SetReaper), not a
-// process: a CQE's user data indexes the ring's slot table, and the drain
-// hands the slot's callback the result. Slots are recycled through a
-// per-ring free list, so steady-state submission allocates nothing.
+// An SQE's user data names its record: it indexes the ring's slot table,
+// through which the target resolves the record on dispatch and the
+// reaper, the ring's CQE-drain event (iouring.Ring.SetReaper), completes
+// it. Slots are recycled through a per-ring free list, so steady-state
+// submission allocates nothing.
 type ringSet struct {
 	eng   *sim.Engine
 	rng   *sim.RNG
 	rings []*iouring.Ring
-	// slots[i][ud] is the callback of ring i's SQE with user data ud (nil
+	// slots[i][ud] is the record of ring i's SQE with user data ud (nil
 	// when the slot is free); free[i] lists ring i's free slots.
-	slots [][]func(error)
+	slots [][]*blockmq.IO
 	free  [][]uint64
+	// target runs each dispatched SQE's record.
+	target ioTarget
 	// enter is each ring's Enter, bound once (nil in SQPOLL mode).
 	enter []func()
+	// retries recycles SQ-full retries (see sqRetry).
+	retries []*sqRetry
 	// trace records SQ-full backoff spans for sampled ops (nil = off).
 	trace *trace.Sink
 }
 
-func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, error) {
+// ioTarget is what a ring dispatches into (the DMQ, the software client,
+// the cache tier): it runs io on kernel core cpu, the ring's, and posts
+// the result through complete.
+type ioTarget interface {
+	submit(io *blockmq.IO, cpu int, complete func(res int32))
+}
+
+func newRingSet(tb *Testbed, spec StackSpec, target ioTarget) (*ringSet, error) {
 	n := spec.ringInstances()
-	rs := &ringSet{eng: tb.Eng, rng: sim.NewRNG(sqRetrySeed), trace: tb.traceHost,
-		slots: make([][]func(error), n), free: make([][]uint64, n), enter: make([]func(), n)}
+	rs := &ringSet{eng: tb.Eng, rng: sim.NewRNG(sqRetrySeed), trace: tb.traceHost, target: target,
+		slots: make([][]*blockmq.IO, n), free: make([][]uint64, n), enter: make([]func(), n)}
 	mode := iouring.SQPollMode
 	if spec.RingInterrupt {
 		mode = iouring.InterruptMode
@@ -80,7 +92,7 @@ func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, e
 			SyscallCost:   tb.CM.DKIOUringSyscall,
 			PerSQECost:    tb.CM.DKPerSQE,
 			SQPollLatency: tb.CM.DKSQPollLatency,
-		}, target)
+		}, ringTarget{rs})
 		if err != nil {
 			return nil, err
 		}
@@ -94,72 +106,95 @@ func newRingSet(tb *Testbed, spec StackSpec, target iouring.Target) (*ringSet, e
 	return rs, nil
 }
 
-// reaped frees the CQE's slot and runs its callback.
-func (rs *ringSet) reaped(idx int, cqe iouring.CQE) {
-	cb := rs.slots[idx][cqe.UserData]
-	rs.slots[idx][cqe.UserData] = nil
-	rs.free[idx] = append(rs.free[idx], cqe.UserData)
-	if cb != nil {
-		cb(errIO(cqe.Res))
-	}
+// ringTarget is the ring set's iouring.Target: ring i runs on core i, so
+// a dispatched request's CPU and user data name its record.
+type ringTarget struct{ rs *ringSet }
+
+func (t ringTarget) Submit(req iouring.Request, complete func(res int32)) {
+	t.rs.target.submit(t.rs.slots[req.CPU][req.UserData], req.CPU, complete)
 }
 
-// slot stores done in a free slot of ring idx and returns its user data.
-func (rs *ringSet) slot(idx int, done func(error)) uint64 {
+// reaped frees the CQE's slot and completes its record.
+func (rs *ringSet) reaped(idx int, cqe iouring.CQE) {
+	io := rs.slots[idx][cqe.UserData]
+	rs.slots[idx][cqe.UserData] = nil
+	rs.free[idx] = append(rs.free[idx], cqe.UserData)
+	io.Complete(errIO(cqe.Res))
+}
+
+// slot stores io in a free slot of ring idx and returns its user data.
+func (rs *ringSet) slot(idx int, io *blockmq.IO) uint64 {
 	if k := len(rs.free[idx]); k > 0 {
 		ud := rs.free[idx][k-1]
 		rs.free[idx] = rs.free[idx][:k-1]
-		rs.slots[idx][ud] = done
+		rs.slots[idx][ud] = io
 		return ud
 	}
-	rs.slots[idx] = append(rs.slots[idx], done)
+	rs.slots[idx] = append(rs.slots[idx], io)
 	return uint64(len(rs.slots[idx]) - 1)
 }
 
-// Submit queues one SQE on the cpu's ring; if the SQ is momentarily full
-// it retries after a seeded-jitter backoff.
-func (rs *ringSet) Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error)) {
-	rs.submitBackoff(op, pattern, off, n, cpu, tenant, tr, -1, done)
-}
+// Submit queues one SQE for io on its CPU's ring; if the SQ is momentarily
+// full it retries after a seeded-jitter backoff.
+func (rs *ringSet) Submit(io *blockmq.IO) { rs.queue(io, -1) }
 
-// submitBackoff is submit carrying the first SQ-full observation time
-// (-1 = none yet), so a successful queue after backing off can record
-// one "sq-backoff" span covering the whole retry run.
-func (rs *ringSet) submitBackoff(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, backoffStart sim.Time, done func(error)) {
-	idx := cpu % len(rs.rings)
+// queue is Submit carrying the first SQ-full observation time (-1 = none
+// yet), so a successful queue after backing off can record one
+// "sq-backoff" span covering the whole retry run.
+func (rs *ringSet) queue(io *blockmq.IO, backoffStart sim.Time) {
+	idx := io.CPU % len(rs.rings)
 	sqe := rs.rings[idx].GetSQE()
 	if sqe == nil {
 		if backoffStart < 0 {
 			backoffStart = rs.eng.Now()
 		}
 		delay := sqRetryBase + sim.Duration(rs.rng.Int63n(int64(sqRetrySpread)))
-		rs.eng.Schedule(delay, func() {
-			rs.submitBackoff(op, pattern, off, n, cpu, tenant, tr, backoffStart, done)
-		})
+		r := rs.getRetry()
+		r.io, r.start = io, backoffStart
+		rs.eng.Schedule(delay, r.fire)
 		return
 	}
-	if backoffStart >= 0 && rs.trace != nil && tr.Sampled() {
+	if backoffStart >= 0 && rs.trace != nil && io.Trace.Sampled() {
 		now := rs.eng.Now()
-		rs.trace.Emit(tr, "sq-backoff", backoffStart, now.Sub(backoffStart), 0, "", 0)
+		rs.trace.Emit(io.Trace, "sq-backoff", backoffStart, now.Sub(backoffStart), 0, "", 0)
 	}
-	sqe.Trace = tr
-	sqe.Tenant = tenant
 	sqe.Op = iouring.OpRead
-	if op == Write {
+	if io.Op == Write {
 		sqe.Op = iouring.OpWrite
 	}
-	sqe.Off = off
-	sqe.Len = uint32(n)
-	sqe.BufIndex = 0 // registered buffers: the zero-copy configuration
-	if pattern == Rand {
-		sqe.RWFlags = blockmq.FlagRandom
-	}
-	sqe.UserData = rs.slot(idx, done)
+	sqe.Off, sqe.Len, sqe.UserData = io.Off, uint32(io.Len), rs.slot(idx, io)
 	if enter := rs.enter[idx]; enter != nil {
 		// Without the kernel poller the application must enter, one
 		// event after queueing the SQE.
 		rs.eng.Schedule(0, enter)
 	}
+}
+
+// sqRetry is one SQ-full resubmission in flight, pooled on the ring set
+// with its event bound once.
+type sqRetry struct {
+	rs    *ringSet
+	io    *blockmq.IO
+	start sim.Time
+	fire  func()
+}
+
+func (rs *ringSet) getRetry() *sqRetry {
+	if k := len(rs.retries); k > 0 {
+		r := rs.retries[k-1]
+		rs.retries = rs.retries[:k-1]
+		return r
+	}
+	r := &sqRetry{rs: rs}
+	r.fire = r.retry
+	return r
+}
+
+func (r *sqRetry) retry() {
+	rs, io, start := r.rs, r.io, r.start
+	r.io = nil
+	rs.retries = append(rs.retries, r)
+	rs.queue(io, start)
 }
 
 func (rs *ringSet) Close() {

@@ -36,14 +36,9 @@ type ioOp struct {
 	stage uint8
 	pg    uint32 // ext's placement group, once placed
 
-	op      OpType
-	pattern Pattern
-	off     int64
-	n       int
-	tenant  int
-	tr      trace.Ref
-	// Exactly one of done (NBD daemon) and complete (ring target) is set.
-	done     func(error)
+	// io is the I/O's record. A ring target posts its result through
+	// complete; without one (the NBD daemon) the op completes io.
+	io       *blockmq.IO
 	complete func(res int32)
 
 	// parked: the chain waits for a callback; ready: the callback already
@@ -94,17 +89,17 @@ func (o *ioOp) advance() { o.chain.advance(o) }
 // finish recycles the op, then reports err to the caller (recycling first:
 // the caller may issue its next request from the callback).
 func (o *ioOp) finish(err error) {
-	done, complete, n := o.done, o.complete, o.n
+	io, complete := o.io, o.complete
 	*o = ioOp{chain: o.chain, free: o.free, eng: o.eng, step: o.step, hopDone: o.hopDone,
 		callDone: o.callDone, readDone: o.readDone, selDone: o.selDone}
 	*o.free = append(*o.free, o)
-	if done != nil {
-		done(err)
+	if complete == nil {
+		io.Complete(err)
 		return
 	}
 	switch {
 	case err == nil:
-		complete(int32(n))
+		complete(int32(io.Len))
 	case errors.Is(err, rbd.ErrOutOfRange):
 		complete(iouring.ResEINVAL)
 	default:
@@ -162,11 +157,11 @@ func (o *ioOp) readCalled(_ []byte, err error) { o.called(err) }
 // startExtents checks the request's range and starts its extent walk; an
 // out-of-range request finishes here, before any extent is visited.
 func (o *ioOp) startExtents(im *rbd.Image) bool {
-	if err := im.CheckRange(o.off, o.n); err != nil {
+	if err := im.CheckRange(o.io.Off, o.io.Len); err != nil {
 		o.finish(err)
 		return false
 	}
-	o.cur, o.left, o.firstErr = o.off, o.n, nil
+	o.cur, o.left, o.firstErr = o.io.Off, o.io.Len, nil
 	return true
 }
 
@@ -191,9 +186,9 @@ func (o *ioOp) noteErr() {
 
 // callClient issues the current extent through the software client.
 func (o *ioOp) callClient(cl *rados.Client, pool *rados.Pool) {
-	opts := rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}
+	opts := rados.ReqOpts{Random: o.io.Pattern == Rand, Trace: o.io.Trace}
 	e := o.ext
-	if o.op == Write {
+	if o.io.Op == Write {
 		cl.WriteAsync(pool, e.Object, e.Off, rados.Zeros(e.Len), opts, o.callDone)
 	} else {
 		cl.ReadAsync(pool, e.Object, e.Off, e.Len, opts, o.readDone)
@@ -208,7 +203,7 @@ func (o *ioOp) callClient(cl *rados.Client, pool *rados.Pool) {
 type nbdDatapath interface {
 	// hostCPU is extra daemon CPU charged with the NBD path cost in one
 	// fused daemon hold (splitting it would change contention).
-	hostCPU(op OpType, n int) sim.Duration
+	hostCPU(op OpType) sim.Duration
 	// advance runs the datapath's stages, from nbdPath on, and finishes
 	// the op.
 	advance(o *ioOp)
@@ -233,9 +228,9 @@ const (
 	nbdPath
 )
 
-func (h *nbdHost) Submit(op OpType, pattern Pattern, off int64, n int, cpu, tenant int, tr trace.Ref, done func(error)) {
+func (h *nbdHost) Submit(io *blockmq.IO) {
 	o := newIOOp(&h.free, h.tb.Eng, h)
-	o.op, o.pattern, o.off, o.n, o.tenant, o.tr, o.done = op, pattern, off, n, tenant, tr, done
+	o.io = io
 	h.tb.Eng.Schedule(0, o.step)
 }
 
@@ -249,7 +244,7 @@ func (h *nbdHost) advance(o *ioOp) {
 		o.stage = nbdCPU
 		h.daemon.AcquireThen(1, o.step)
 	case nbdCPU:
-		o.sleep(h.profile.PathCost(o.n)+h.path.hostCPU(o.op, o.n), nbdRelease)
+		o.sleep(h.profile.PathCost(o.io.Len)+h.path.hostCPU(o.io.Op), nbdRelease)
 	case nbdRelease:
 		h.daemon.Release(1)
 		o.sleep(h.tb.CM.NBDSocketRTT, nbdPath)
@@ -265,28 +260,28 @@ type legacyCardPath struct {
 	backend *cardBackend
 }
 
-func (dp *legacyCardPath) hostCPU(OpType, int) sim.Duration { return 0 }
+func (dp *legacyCardPath) hostCPU(OpType) sim.Duration { return 0 }
 
 func (dp *legacyCardPath) advance(o *ioOp) {
 	for {
 		switch o.stage {
 		case nbdPath:
 			h2c := rados.HdrBytes
-			if o.op == Write {
-				h2c = o.n
+			if o.io.Op == Write {
+				h2c = o.io.Len
 			}
 			o.sleep(dp.cm.LegacyDMACost+pcieTime(h2c), nbdPath+1)
 			return
 		case nbdPath + 1:
 			o.stage = nbdPath + 2
-			dp.backend.process(o.op, o.pattern, o.off, o.n, o.tenant, o.tr, o.hopDone)
+			dp.backend.process(o.io, o.io.Off, o.io.Len, o.io.Trace, o.hopDone)
 			if o.park() {
 				return
 			}
 		case nbdPath + 2:
 			c2h := rados.HdrBytes
-			if o.op == Read {
-				c2h = o.n
+			if o.io.Op == Read {
+				c2h = o.io.Len
 			}
 			o.sleep(dp.cm.LegacyDMACost+pcieTime(c2h), nbdPath+3)
 			return
@@ -306,7 +301,7 @@ type clientPath struct {
 	pool   *rados.Pool
 }
 
-func (dp *clientPath) hostCPU(op OpType, _ int) sim.Duration {
+func (dp *clientPath) hostCPU(op OpType) sim.Duration {
 	if op == Read {
 		return dp.cm.D2SWLibraryRead
 	}
@@ -353,7 +348,7 @@ type d1Path struct {
 	daemon *sim.Resource
 }
 
-func (dp *d1Path) hostCPU(OpType, int) sim.Duration { return 0 }
+func (dp *d1Path) hostCPU(OpType) sim.Duration { return 0 }
 
 // fanCPU is the daemon time of the host-side fan-out over the kernel
 // TCP/IP stack: one sendmsg per replica and one recvmsg per ack, each a
@@ -416,13 +411,13 @@ func (dp *d1Path) advance(o *ioOp) {
 			dp.daemon.AcquireThen(1, o.step)
 			return
 		case nbdPath + 6:
-			o.sleep(dp.fanCPU(o.op), nbdPath+7)
+			o.sleep(dp.fanCPU(o.io.Op), nbdPath+7)
 			return
 		case nbdPath + 7:
 			dp.daemon.Release(1)
 			o.stage = nbdPath + 8
-			opts := rados.ReqOpts{Random: o.pattern == Rand, Tenant: o.tenant, Trace: o.tr}
-			if o.op == Write {
+			opts := rados.ReqOpts{Random: o.io.Pattern == Rand, Trace: o.io.Trace}
+			if o.io.Op == Write {
 				dp.fan.WriteReplicatedR(dp.pool, o.pg, o.ext.Object, o.ext.Off, o.ext.Len, opts, o.hopDone)
 			} else {
 				dp.fan.ReadReplicatedR(dp.pool, o.pg, o.ext.Object, o.ext.Off, o.ext.Len, opts, o.hopDone)
@@ -462,16 +457,9 @@ const (
 	dkswDone                 // an extent's client call returned
 )
 
-func (t *radosTarget) Submit(req iouring.Request, complete func(res int32)) {
+func (t *radosTarget) submit(io *blockmq.IO, _ int, complete func(res int32)) {
 	o := newIOOp(&t.free, t.tb.Eng, t)
-	o.op, o.pattern = Read, Seq
-	if req.Op == iouring.OpWrite {
-		o.op = Write
-	}
-	if req.RWFlags&blockmq.FlagRandom != 0 {
-		o.pattern = Rand
-	}
-	o.off, o.n, o.tenant, o.tr, o.complete = req.Off, int(req.Len), req.Tenant, req.Trace, complete
+	o.io, o.complete = io, complete
 	t.tb.Eng.Schedule(0, o.step)
 }
 
@@ -485,8 +473,8 @@ func (t *radosTarget) advance(o *ioOp) {
 			}
 			// The kernel RBD residency is just the map cost here; the
 			// client round trips are siblings, not children, of it.
-			if t.trace != nil && o.tr.Sampled() {
-				o.hk = t.trace.Begin(o.tr, "kernel")
+			if t.trace != nil && o.io.Trace.Sampled() {
+				o.hk = t.trace.Begin(o.io.Trace, "kernel")
 			}
 			o.sleep(t.mapCost, dkswMapped)
 			return

@@ -247,7 +247,7 @@ func (sl *fleetSlot) next() {
 		sl.tenant = 1 + int(r.zipf.Next(c.rng))
 	}
 	sl.start = r.eng.Now()
-	opts := rados.ReqOpts{Random: true, Tenant: sl.tenant}
+	opts := rados.ReqOpts{Random: true}
 	if read {
 		c.cl.ReadAsync(r.pool, name, off, fleetBlockBytes, opts, sl.onRead)
 	} else {

@@ -1,19 +1,21 @@
 // Package iouring models the Linux io_uring asynchronous I/O interface:
 // submission/completion ring buffers shared between application and kernel,
-// batched submission with a single enter call, and the three operating modes
-// (interrupt-driven, application-polled, kernel-polled SQPOLL). DeLiBA-K
-// uses kernel-polled mode with multiple rings pinned to CPU cores.
+// batched submission with a single enter call, and the two operating modes
+// the stacks use (interrupt-driven and kernel-polled SQPOLL). DeLiBA-K uses
+// kernel-polled mode with multiple rings pinned to CPU cores.
 //
 // The model preserves the protocol properties the paper's speedups come
-// from — one syscall per batch instead of per I/O, no intermediate copies
-// with registered buffers, lock-free single-producer rings — while charging
-// explicit virtual-time costs for the syscalls, copies, and poll latency.
+// from — one syscall per batch instead of per I/O, lock-free
+// single-producer rings — while charging explicit virtual-time costs for
+// the syscalls and poll latency.
 //
-// Only what a stack submits is modelled: read and write SQEs, each
-// dispatched on its own. Linked SQEs (IOSQE_IO_LINK), drain barriers
-// (IOSQE_IO_DRAIN), the IORING_REGISTER_BUFFERS table and fsync/nop SQEs
-// are not; a non-negative BufIndex alone marks a buffer registered. Each
-// is left for a change that adds a stack using it.
+// Only what a stack submits is modelled: read and write SQEs on registered
+// buffers (no copy is charged), each dispatched on its own, whose user
+// data names the caller's own record of the I/O. Application-polled rings
+// (IORING_SETUP_IOPOLL), unregistered-buffer copies, linked SQEs
+// (IOSQE_IO_LINK), drain barriers (IOSQE_IO_DRAIN), the
+// IORING_REGISTER_BUFFERS table and fsync/nop SQEs are not. Each is left
+// for a change that adds a stack using it.
 package iouring
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Op is an SQE opcode. Only the two ops the targets serve are modelled.
@@ -50,19 +51,9 @@ type SQE struct {
 	Op  Op
 	Off int64
 	Len uint32
-	// BufIndex selects a registered buffer (-1 = unregistered, pays copy).
-	BufIndex int32
-	// RWFlags carries per-op hints (blockmq.FlagRandom etc.), like the
-	// real SQE's rw_flags field.
-	RWFlags  uint32
+	// UserData is the caller's handle on its own record of the I/O,
+	// returned in the CQE.
 	UserData uint64
-	// Tenant identifies the owning tenant (0 = untenanted); it rides the
-	// SQE into the kernel so QoS schedulers and SR-IOV queue mapping can
-	// account the I/O to its owner.
-	Tenant int
-	// Trace is the per-I/O trace context riding on this SQE (zero when
-	// the op is unsampled or tracing is off).
-	Trace trace.Ref
 }
 
 // CQE is a completion queue entry.
@@ -78,8 +69,6 @@ type Mode int
 const (
 	// InterruptMode completes via "interrupts": waiting costs a wakeup.
 	InterruptMode Mode = iota
-	// PolledMode has the application busy-poll the CQ (IORING_SETUP_IOPOLL).
-	PolledMode
 	// SQPollMode runs a kernel-side poller that drains the SQ without any
 	// enter syscalls (IORING_SETUP_SQPOLL); DeLiBA-K's configuration.
 	SQPollMode
@@ -89,8 +78,6 @@ func (m Mode) String() string {
 	switch m {
 	case InterruptMode:
 		return "interrupt"
-	case PolledMode:
-		return "polled"
 	case SQPollMode:
 		return "sqpoll"
 	default:
@@ -107,19 +94,12 @@ type Target interface {
 
 // Request is the kernel-side view of an SQE in flight.
 type Request struct {
-	Op  Op
-	Off int64
-	Len uint32
-	// RWFlags carries the SQE's per-op hints.
-	RWFlags uint32
-	// Registered reports whether the data buffer was registered (zero-copy).
-	Registered bool
+	Op       Op
+	Off      int64
+	Len      uint32
+	UserData uint64
 	// CPU is the core this request was submitted from (set from the ring).
 	CPU int
-	// Tenant is the owning tenant copied from the SQE (0 = untenanted).
-	Tenant int
-	// Trace is the per-I/O trace context copied from the SQE.
-	Trace trace.Ref
 }
 
 // Params configures a ring.
@@ -134,7 +114,6 @@ type Params struct {
 	// Costs; zero values take the defaults below.
 	SyscallCost   sim.Duration // one io_uring_enter
 	PerSQECost    sim.Duration // kernel per-SQE handling
-	CopyPerKiB    sim.Duration // user<->kernel copy for unregistered buffers
 	SQPollLatency sim.Duration // SQPOLL pickup delay after an SQE is queued
 	WakeupCost    sim.Duration // interrupt-mode completion wakeup
 }
@@ -143,7 +122,6 @@ type Params struct {
 const (
 	DefaultSyscallCost   = 1200 * sim.Nanosecond
 	DefaultPerSQECost    = 250 * sim.Nanosecond
-	DefaultCopyPerKiB    = 60 * sim.Nanosecond
 	DefaultSQPollLatency = 400 * sim.Nanosecond
 	DefaultWakeupCost    = 1500 * sim.Nanosecond
 )
@@ -157,9 +135,6 @@ func (p *Params) fillDefaults() {
 	}
 	if p.PerSQECost == 0 {
 		p.PerSQECost = DefaultPerSQECost
-	}
-	if p.CopyPerKiB == 0 {
-		p.CopyPerKiB = DefaultCopyPerKiB
 	}
 	if p.SQPollLatency == 0 {
 		p.SQPollLatency = DefaultSQPollLatency
@@ -276,7 +251,7 @@ func (r *Ring) GetSQE() *SQE {
 		return nil
 	}
 	sqe := &r.sqEntries[r.sqTail&r.sqMask]
-	*sqe = SQE{BufIndex: -1}
+	*sqe = SQE{}
 	r.sqTail++
 	if r.params.Mode == SQPollMode {
 		r.armPoller()
@@ -418,43 +393,21 @@ func (r *Ring) drainSQ(n int) {
 
 // dispatch hands one SQE to the target.
 func (r *Ring) dispatch(sqe SQE) {
-	req := Request{
-		Op:         sqe.Op,
-		Off:        sqe.Off,
-		Len:        sqe.Len,
-		RWFlags:    sqe.RWFlags,
-		Registered: sqe.BufIndex >= 0,
-		CPU:        r.params.CPU,
-		Tenant:     sqe.Tenant,
-		Trace:      sqe.Trace,
-	}
-	// Unregistered buffers pay a user->kernel copy on writes; the
-	// kernel->user copy of an unregistered read is not charged.
-	var submitDelay sim.Duration
-	if !req.Registered && req.Op == OpWrite {
-		submitDelay = sim.Duration(int64(r.params.CopyPerKiB) * int64(req.Len) / 1024)
-	}
 	r.inFlight++
 	if r.inFlight > r.maxInFlight {
 		r.maxInFlight = r.inFlight
 	}
 	f := r.getInflight()
-	f.req, f.userData = req, sqe.UserData
-	if submitDelay > 0 {
-		r.eng.Schedule(submitDelay, f.deliver)
-	} else {
-		f.deliver()
-	}
+	f.userData = sqe.UserData
+	r.target.Submit(Request{Op: sqe.Op, Off: sqe.Off, Len: sqe.Len, UserData: sqe.UserData, CPU: r.params.CPU}, f.complete)
 }
 
 // inflight is one dispatched SQE awaiting its target's completion. The
-// structs are recycled through the ring's freelist; their callbacks are
+// structs are recycled through the ring's freelist; their completion is
 // bound once, so steady-state dispatch allocates nothing.
 type inflight struct {
 	r        *Ring
-	req      Request
 	userData uint64
-	deliver  func()
 	complete func(res int32)
 }
 
@@ -466,17 +419,13 @@ func (r *Ring) getInflight() *inflight {
 		return f
 	}
 	f := &inflight{r: r}
-	f.deliver = f.submit
 	f.complete = f.completed
 	return f
 }
 
-func (f *inflight) submit() { f.r.target.Submit(f.req, f.complete) }
-
 // completed recycles f and posts the CQE.
 func (f *inflight) completed(res int32) {
 	r, ud := f.r, f.userData
-	f.req = Request{}
 	r.inflightFree = append(r.inflightFree, f)
 	r.inFlight--
 	r.postCQE(CQE{UserData: ud, Res: res})

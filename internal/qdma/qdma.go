@@ -82,18 +82,6 @@ type Function struct {
 	owned    int
 }
 
-// Descriptor is the 128-byte DMA descriptor: the five fields named by the
-// paper (source, destination, length, control, next-descriptor pointer).
-// Descriptors describe the transfer; payloads flow through the streaming
-// engines.
-type Descriptor struct {
-	Src     uint64
-	Dst     uint64
-	Len     uint32
-	Control uint16
-	NDP     uint32
-}
-
 // Config parameterises the engine timing.
 type Config struct {
 	// ClockHz is the datapath clock (DeLiBA-K: ~250 MHz user clock).
@@ -236,7 +224,7 @@ func (e *Engine) Stats() (transfers, bytes, stalls uint64) {
 // PCIe + datapath streaming (H2C/C2H) → completion (CE). H2C transfers
 // respect the concurrency and re-order buffer limits; excess transfers
 // stall until capacity frees.
-func (qs *QueueSet) Transfer(dir Direction, n int, desc Descriptor, done func()) error {
+func (qs *QueueSet) Transfer(dir Direction, n int, done func()) error {
 	e := qs.engine
 	if n < 0 {
 		return fmt.Errorf("qdma: negative transfer size %d", n)

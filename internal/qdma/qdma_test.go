@@ -65,7 +65,7 @@ func TestTransferLatency(t *testing.T) {
 	eng, q := newEngineT(t)
 	qs, _ := q.AllocQueueSet(ReplicationQueue, nil)
 	var at sim.Time
-	err := qs.Transfer(H2C, 4096, Descriptor{Len: 4096}, func() { at = eng.Now() })
+	err := qs.Transfer(H2C, 4096, func() { at = eng.Now() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDatapathSerialization(t *testing.T) {
 	qs, _ := q.AllocQueueSet(ReplicationQueue, nil)
 	var finishes []sim.Time
 	for i := 0; i < 4; i++ {
-		if err := qs.Transfer(C2H, 32*1024, Descriptor{}, func() {
+		if err := qs.Transfer(C2H, 32*1024, func() {
 			finishes = append(finishes, eng.Now())
 		}); err != nil {
 			t.Fatal(err)
@@ -111,11 +111,11 @@ func TestRingDepthLimit(t *testing.T) {
 	qs, _ := q.AllocQueueSet(ErasureQueue, nil)
 	depth := DefaultConfig().RingDepth
 	for i := 0; i < depth; i++ {
-		if err := qs.Transfer(H2C, 64, Descriptor{}, func() {}); err != nil {
+		if err := qs.Transfer(H2C, 64, func() {}); err != nil {
 			t.Fatalf("post %d: %v", i, err)
 		}
 	}
-	if err := qs.Transfer(H2C, 64, Descriptor{}, func() {}); err != ErrRingFull {
+	if err := qs.Transfer(H2C, 64, func() {}); err != ErrRingFull {
 		t.Fatalf("overfull ring err = %v", err)
 	}
 	if qs.Pending(H2C) != depth || qs.Pending(C2H) != 0 {
@@ -132,7 +132,7 @@ func TestH2CConcurrencyStalls(t *testing.T) {
 	// 300 concurrent 64-byte H2C transfers exceed the 256-I/O limit.
 	done := 0
 	for i := 0; i < 300; i++ {
-		if err := qs.Transfer(H2C, 64, Descriptor{}, func() { done++ }); err != nil {
+		if err := qs.Transfer(H2C, 64, func() { done++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestReorderBufferLimitsLargeTransfers(t *testing.T) {
 	// 9 concurrent 4 KiB-footprint transfers exceed the 32 KiB buffer.
 	done := 0
 	for i := 0; i < 9; i++ {
-		if err := qs.Transfer(H2C, 128*1024, Descriptor{}, func() { done++ }); err != nil {
+		if err := qs.Transfer(H2C, 128*1024, func() { done++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestTransferWait(t *testing.T) {
 	var end sim.Time
 	var err error
 	eng.Wait(func(wake func()) {
-		err = qs.Transfer(C2H, 1024, Descriptor{}, wake)
+		err = qs.Transfer(C2H, 1024, wake)
 		if err != nil {
 			wake()
 		}
@@ -196,7 +196,7 @@ func TestTransferWait(t *testing.T) {
 func TestNegativeSizeRejected(t *testing.T) {
 	_, q := newEngineT(t)
 	qs, _ := q.AllocQueueSet(ReplicationQueue, nil)
-	if err := qs.Transfer(H2C, -1, Descriptor{}, func() {}); err == nil {
+	if err := qs.Transfer(H2C, -1, func() {}); err == nil {
 		t.Fatal("negative size accepted")
 	}
 }

@@ -284,10 +284,6 @@ type ReqOpts struct {
 	// Random marks the request as part of a random access pattern,
 	// adding the profile's locality penalty.
 	Random bool
-	// Tenant is the owning tenant carried with the request end to end
-	// (0 = untenanted). OSDs ignore it; it exists so per-tenant accounting
-	// survives the full fan-out.
-	Tenant int
 	// Trace is the per-I/O trace context (zero = unsampled).
 	Trace trace.Ref
 }

@@ -18,31 +18,18 @@ import (
 	"repro/internal/blockmq"
 	"repro/internal/qdma"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // CompletionBytes is the C2H writeback size for a write acknowledgement.
 const CompletionBytes = 64
 
-// CardRequest is the on-card view of a block request after its command (and
-// payload, for writes) has crossed PCIe.
-type CardRequest struct {
-	Op     blockmq.OpType
-	Off    int64
-	Len    int
-	Flags  uint32
-	HCtx   int
-	Tenant int
-	// Trace is the per-I/O trace context carried across PCIe with the
-	// command descriptor.
-	Trace trace.Ref
-}
-
 // CardBackend is the FPGA-side processing pipeline: placement accelerators,
 // replication/EC fan-out over the RTL TCP/IP stack, and the storage cluster
-// behind it. Process must call done exactly once.
+// behind it. Process runs a block request once its command (and payload,
+// for writes) has crossed PCIe, reading the I/O's attributes from the
+// request and its record, and must call done exactly once.
 type CardBackend interface {
-	Process(req CardRequest, done func(err error))
+	Process(req *blockmq.Request, done func(err error))
 }
 
 // Driver is one UIFD instance: a blockmq.Driver whose hardware contexts
@@ -121,11 +108,11 @@ func NewDriver(eng *sim.Engine, qe *qdma.Engine, backend CardBackend, cfg Config
 // VFs returns the provisioned virtual functions (empty when Config.VFs == 0).
 func (d *Driver) VFs() []*qdma.Function { return d.vfs }
 
-// queueFor selects the QDMA queue set for a request: tenant-attributed
-// traffic hashes onto the VF pool (function first, then the queue pair
-// aligned with the hardware context); everything else rides the PF set
-// aligned with its hctx.
-func (d *Driver) queueFor(hctx, tenant int) *qdma.QueueSet {
+// QueueSetFor selects the QDMA queue set for a request of tenant on
+// hardware context hctx: tenant-attributed traffic hashes onto the VF pool
+// (function first, then the queue pair aligned with the hardware context);
+// everything else rides the PF set aligned with its hctx.
+func (d *Driver) QueueSetFor(hctx, tenant int) *qdma.QueueSet {
 	if tenant > 0 && len(d.vfQueues) > 0 {
 		h := uint64(tenant) * 0x9e3779b97f4a7c15
 		h ^= h >> 32
@@ -150,30 +137,16 @@ func (d *Driver) QueueRq(hctx int, req *blockmq.Request) bool {
 	if hctx < 0 || hctx >= len(d.queues) {
 		return false
 	}
-	qs := d.queueFor(hctx, req.Tenant)
-	tenant := 0
-	if req.Tenant > 0 {
-		tenant = req.Tenant
-	}
+	qs := d.QueueSetFor(hctx, req.IO.Tenant)
 	c := d.getCmd()
 	c.qs, c.req = qs, req
-	c.creq = CardRequest{
-		Op:     req.Op,
-		Off:    req.Off,
-		Len:    req.Len,
-		Flags:  req.Flags,
-		HCtx:   hctx,
-		Tenant: tenant,
-		Trace:  req.Trace,
-	}
 	// H2C: writes carry the payload; reads carry only the command
 	// descriptor.
 	h2cLen := qdma.DescriptorBytes
 	if req.Op == blockmq.OpWrite {
 		h2cLen = req.Len
 	}
-	desc := qdma.Descriptor{Src: uint64(req.Off), Len: uint32(req.Len)}
-	if err := qs.Transfer(qdma.H2C, h2cLen, desc, c.processFn); err != nil {
+	if err := qs.Transfer(qdma.H2C, h2cLen, c.processFn); err != nil {
 		d.putCmd(c)
 		return false // ring full: MQ layer will retry after a completion
 	}
@@ -187,7 +160,6 @@ type cmd struct {
 	d    *Driver
 	qs   *qdma.QueueSet
 	req  *blockmq.Request
-	creq CardRequest
 	perr error
 
 	processFn, finishFn, respondFn func()
@@ -202,7 +174,7 @@ func (d *Driver) getCmd() *cmd {
 		return c
 	}
 	c := &cmd{d: d}
-	c.processFn = func() { c.d.backend.Process(c.creq, c.processed) }
+	c.processFn = func() { c.d.backend.Process(c.req, c.processed) }
 	c.processed = func(err error) {
 		c.perr = err
 		c.respond()
@@ -213,7 +185,7 @@ func (d *Driver) getCmd() *cmd {
 }
 
 func (d *Driver) putCmd(c *cmd) {
-	c.qs, c.req, c.creq, c.perr = nil, nil, CardRequest{}, nil
+	c.qs, c.req, c.perr = nil, nil, nil
 	d.free = append(d.free, c)
 }
 
@@ -225,8 +197,7 @@ func (c *cmd) respond() {
 	if req.Op == blockmq.OpRead {
 		c2hLen = req.Len
 	}
-	desc := qdma.Descriptor{Dst: uint64(req.Off), Len: uint32(c2hLen)}
-	if err := c.qs.Transfer(qdma.C2H, c2hLen, desc, c.finishFn); err != nil {
+	if err := c.qs.Transfer(qdma.C2H, c2hLen, c.finishFn); err != nil {
 		// The C2H ring being full delays the response; retry at descriptor
 		// granularity rather than dropping the I/O.
 		d.eng.Schedule(d.qdma.Cycles(64), c.respondFn)

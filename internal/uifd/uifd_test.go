@@ -14,18 +14,18 @@ import (
 type fakeBackend struct {
 	eng   *sim.Engine
 	delay sim.Duration
-	seen  []CardRequest
+	seen  []blockmq.Request
 	err   error
 }
 
-func (b *fakeBackend) Process(req CardRequest, done func(err error)) {
-	b.seen = append(b.seen, req)
+func (b *fakeBackend) Process(req *blockmq.Request, done func(err error)) {
+	b.seen = append(b.seen, *req)
 	b.eng.Schedule(b.delay, func() { done(b.err) })
 }
 
-// submit is an untenanted, untraced SubmitAsyncTenant.
+// submit is an untenanted, untraced Submit of a fresh record.
 func submit(mq *blockmq.MQ, op blockmq.OpType, off int64, n, cpu int, done func(error)) {
-	mq.SubmitAsyncTenant(op, off, n, 0, cpu, 0, trace.Ref{}, done)
+	mq.Submit(&blockmq.IO{Op: op, Off: off, Len: n}, cpu, trace.Ref{}, done)
 }
 
 func newStackT(t *testing.T, hwQueues int) (*sim.Engine, *blockmq.MQ, *Driver, *fakeBackend) {
@@ -143,8 +143,8 @@ func TestDriverValidation(t *testing.T) {
 
 // TestTenancyIsolation drives the driver as production stacks build it,
 // with a VF pool beside the PF: tenant 0 rides the PF queue sets, tenants
-// above 0 hash onto the VF queue sets (spreading over the pool), and every
-// CardRequest carries the tenant that submitted it.
+// above 0 hash onto the VF queue sets (spreading over the pool), and the
+// card reads each request's tenant from the record it was submitted for.
 func TestTenancyIsolation(t *testing.T) {
 	const hwQueues, tenants = 2, 16
 	eng := sim.NewEngine()
@@ -173,7 +173,8 @@ func TestTenancyIsolation(t *testing.T) {
 	// checked request by request.
 	eng.Schedule(0, func() {
 		for tenant := 0; tenant <= tenants; tenant++ {
-			mq.SubmitAsyncTenant(blockmq.OpWrite, int64(tenant)*4096, 512, 0, tenant%hwQueues, tenant, trace.Ref{}, nil)
+			io := &blockmq.IO{Op: blockmq.OpWrite, Off: int64(tenant) * 4096, Len: 512, Tenant: tenant}
+			mq.Submit(io, tenant%hwQueues, trace.Ref{}, nil)
 		}
 	})
 	eng.Run()
@@ -181,8 +182,8 @@ func TestTenancyIsolation(t *testing.T) {
 		t.Fatalf("backend saw %d requests, want %d", len(be.seen), tenants+1)
 	}
 	for _, r := range be.seen {
-		if want := int(r.Off / 4096); r.Tenant != want {
-			t.Fatalf("request at %d carries tenant %d, want %d", r.Off, r.Tenant, want)
+		if want := int(r.Off / 4096); r.IO.Tenant != want {
+			t.Fatalf("request at %d carries tenant %d, want %d", r.Off, r.IO.Tenant, want)
 		}
 	}
 	// Tenant 0's one write is one H2C and one C2H on the PF set of its
@@ -223,8 +224,8 @@ func TestRingFullReportsBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive the driver directly (no MQ) to observe the busy signal.
-	req1 := &blockmq.Request{Op: blockmq.OpWrite, Len: 64}
-	req2 := &blockmq.Request{Op: blockmq.OpWrite, Len: 64}
+	req1 := &blockmq.Request{Op: blockmq.OpWrite, Len: 64, IO: &blockmq.IO{}}
+	req2 := &blockmq.Request{Op: blockmq.OpWrite, Len: 64, IO: &blockmq.IO{}}
 	if !drv.QueueRq(0, req1) {
 		t.Fatal("first request rejected")
 	}
