@@ -62,7 +62,7 @@ echo "== bench module (vet + test) =="
 #     CoveredUnion and VisitGaps over two indexes against two shadows;
 #   - gf256 fused kernel: length 0, sub-block, non-multiple-of-32 tails,
 #     misalignment;
-#   - faults retry backoff: bounds (jitter in [base, cap]), nil-rng
+#   - rados retry backoff: bounds (jitter in [base, cap]), nil-rng
 #     upper-edge dominance, and same-seed replay;
 #   - sim engine: the differential script against the sorted-slice
 #     reference, over (seed, delay scale), so events cross wheel buckets,
@@ -75,8 +75,8 @@ echo "== lsvd extent-index fuzz seeds =="
 go test -run 'Fuzz' ./internal/lsvd/
 echo "== gf256 fuzz seeds =="
 go test -run 'Fuzz' ./internal/gf256/
-echo "== faults backoff fuzz seeds =="
-go test -run 'Fuzz' ./internal/faults/
+echo "== rados backoff fuzz seeds =="
+go test -run 'Fuzz' ./internal/rados/
 echo "== sim engine fuzz seeds =="
 go test -run 'Fuzz' ./internal/sim/
 echo "== stack spec fuzz seeds =="

@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	code, err := erasure.New(4, 2, erasure.VandermondeRS)
+	code, err := erasure.New(4, 2)
 	if err != nil {
 		fatal(err)
 	}

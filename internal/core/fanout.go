@@ -25,9 +25,9 @@ import (
 type Fanout struct {
 	Cluster *rados.Cluster
 	From    *netsim.Host
-	// Res, when non-nil, arms the resilient entry points (the *R methods in
-	// resilience.go): deadlines, retries and read failover.
-	Res *Resilience
+	// Res, when non-nil, runs the resilient entry points (the *R methods
+	// in resilience.go) under its deadlines, retries and read failover.
+	Res *rados.RetryPolicy
 	// Trace, when non-nil, records a per-target span (issue → ack) for
 	// sampled ops, so the critical path can name the slowest replica/shard.
 	Trace *trace.Sink
@@ -36,11 +36,12 @@ type Fanout struct {
 	// other pools and EC stripes keep the paths below.
 	Raft *raft.Router
 
-	up      []int // scratch: up members (or EC source ranks) of an acting set
-	opFree  []*fanOp
-	tgtFree []*fanTarget
-	keyBuf  []byte   // scratch: an EC stripe's shard keys, end to end
-	keys    []string // scratch: the shard keys, sliced from one string
+	up        []int // scratch: up members (or EC source ranks) of an acting set
+	opFree    []*fanOp
+	tgtFree   []*fanTarget
+	retryFree []*fanRetry
+	keyBuf    []byte   // scratch: an EC stripe's shard keys, end to end
+	keys      []string // scratch: the shard keys, sliced from one string
 }
 
 // --- pooled op and target --------------------------------------------

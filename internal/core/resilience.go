@@ -1,8 +1,6 @@
 package core
 
 import (
-	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/rados"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -12,215 +10,128 @@ import (
 // stacks: per-attempt deadlines, bounded retries with seeded full-jitter
 // backoff, read failover to replica OSDs, and degraded EC reads. The zero
 // value (Enabled false) is the pre-fault-injection configuration — no
-// policy objects are built and every hot path is bit-identical to a build
-// without this file.
+// policy is built and every op is issued exactly once.
 type ResilienceConfig struct {
 	Enabled bool
-	// Deadline bounds each attempt (lost messages surface as timeouts);
-	// 0 waits forever.
-	Deadline sim.Duration
-	// MaxRetries is the number of re-issues after the first attempt.
-	MaxRetries int
-	// BackoffBase/BackoffCap bound the retry delay window (see
-	// faults.Backoff).
-	BackoffBase sim.Duration
-	BackoffCap  sim.Duration
-	// Seed drives the backoff jitter stream.
-	Seed uint64
+	rados.RetryConfig
 }
 
 // DefaultResilienceConfig returns production-shaped resilience: deadlines
 // well above the healthy p999, a handful of retries, and a backoff window
 // wide enough to ride out transient fabric faults.
 func DefaultResilienceConfig() ResilienceConfig {
-	return ResilienceConfig{
-		Enabled:     true,
+	return ResilienceConfig{Enabled: true, RetryConfig: rados.RetryConfig{
 		Deadline:    5 * sim.Millisecond,
 		MaxRetries:  4,
 		BackoffBase: 50 * sim.Microsecond,
 		BackoffCap:  2 * sim.Millisecond,
-	}
-}
-
-// Resilience is the per-testbed runtime state: the policy, one seeded
-// jitter stream shared by every stack on the testbed (draws happen in
-// deterministic engine order), and the counters experiments report.
-type Resilience struct {
-	Cfg      ResilienceConfig
-	Counters metrics.Resilience
-
-	eng *sim.Engine
-	rng *sim.RNG
-	// trace records per-attempt spans for sampled ops (nil = off).
-	trace *trace.Sink
-}
-
-func newResilience(eng *sim.Engine, cfg ResilienceConfig) *Resilience {
-	return &Resilience{Cfg: cfg, eng: eng, rng: sim.NewRNG(cfg.Seed ^ 0xBAC0FF)}
-}
-
-// backoff draws the delay before retry attempt (0-based).
-func (r *Resilience) backoff(attempt int) sim.Duration {
-	return faults.Backoff(r.Cfg.BackoffBase, r.Cfg.BackoffCap, attempt, r.rng)
-}
-
-// retryPolicy adapts the testbed policy for the software rados client,
-// sharing the counters and the jitter stream.
-func (r *Resilience) retryPolicy() *rados.RetryPolicy {
-	return &rados.RetryPolicy{
-		Deadline:   r.Cfg.Deadline,
-		MaxRetries: r.Cfg.MaxRetries,
-		Backoff:    r.backoff,
-		Counters:   &r.Counters,
-	}
-}
-
-// retry drives issue through attempts: each gets a deadline timer
-// (cancelled via Engine.Cancel when the attempt settles first), failures
-// re-issue after a jittered backoff until MaxRetries is spent. A completion
-// from an abandoned attempt is dropped — `settled` is per-attempt, so late
-// results from a timed-out issue never double-complete done.
-//
-// For sampled ops each attempt gets a "fanout-attempt" span; the span's
-// ref is re-parented into the issue (atr) so the fan-out target spans nest
-// under the attempt the critical path descends into, and retries cause-link
-// back to the attempt they replace.
-func (r *Resilience) retry(isWrite bool, tr trace.Ref, issue func(attempt int, atr trace.Ref, done func(error)), done func(error)) {
-	attempt := 0
-	start := r.eng.Now()
-	inner := done
-	// Write outcomes feed the counters' unavailability-window tracking: a
-	// write that exhausts its budget opens a stall window backdated to the
-	// op's start; the next committed write closes it.
-	done = func(err error) {
-		if isWrite {
-			if err == nil {
-				r.Counters.WriteOK(r.eng.Now())
-			} else {
-				r.Counters.WriteFailed(start)
-			}
-		}
-		inner(err)
-	}
-	var prevAttempt uint64
-	var try func()
-	fail := func(err error) {
-		if attempt >= r.Cfg.MaxRetries {
-			done(err)
-			return
-		}
-		attempt++
-		r.Counters.Retries++
-		r.eng.Schedule(r.backoff(attempt-1), try)
-	}
-	try = func() {
-		settled := false
-		atr := tr
-		var h trace.H
-		if r.trace != nil && tr.Sampled() {
-			h = r.trace.Begin(tr, "fanout-attempt")
-			if attempt > 0 {
-				h.Link(trace.KindRetry, prevAttempt)
-			}
-			prevAttempt = h.ID()
-			atr = h.Ref()
-		}
-		var timer sim.EventID
-		armed := r.Cfg.Deadline > 0
-		if armed {
-			timer = r.eng.Schedule(r.Cfg.Deadline, func() {
-				if settled {
-					return
-				}
-				settled = true
-				h.End()
-				r.Counters.DeadlineExceeded++
-				fail(rados.ErrDeadline)
-			})
-		}
-		issue(attempt, atr, func(err error) {
-			if settled {
-				return
-			}
-			settled = true
-			h.End()
-			if armed {
-				r.eng.Cancel(timer)
-			}
-			if err == nil {
-				done(nil)
-				return
-			}
-			fail(err)
-		})
-	}
-	try()
+	}}
 }
 
 // --- resilient Fanout entry points ---------------------------------------
 //
-// The R variants fall through to the plain methods when no resilience is
-// configured (one nil check — the fan-out hot path is untouched when off).
-// When on, writes retry in place, replicated reads fail over by rotating
-// the source replica per attempt, and EC reads count reconstruction.
+// The R variants are the plain methods when the Fanout has no policy. With
+// one, each op runs under it: writes retry in place, replicated reads fail
+// over by rotating the source replica per attempt, and EC reads report
+// whether an attempt gathered parity shards. Each attempt gets a
+// "fanout-attempt" span whose ref parents the attempt's target spans, so
+// they nest under the attempt the critical path descends into.
+
+// fanKind selects the Fanout call a retried op issues.
+type fanKind uint8
+
+const (
+	fanWriteRepl fanKind = iota
+	fanReadRepl
+	fanWriteEC
+	fanReadEC
+)
+
+// fanRetry is one fan-out op under the retry policy: the arguments every
+// attempt re-issues and where its result goes. Pooled on the Fanout.
+type fanRetry struct {
+	f      *Fanout
+	kind   fanKind
+	pool   *rados.Pool
+	pg     uint32
+	obj    string
+	off, n int
+	opts   rados.ReqOpts
+	done   func(error)
+	ecDone func(needDecode bool, err error)
+}
 
 // WriteReplicatedR is WriteReplicated with deadline + retry.
 func (f *Fanout) WriteReplicatedR(pool *rados.Pool, pg uint32, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
-	if f.Res == nil {
-		f.WriteReplicated(pool, pg, obj, off, n, opts, done)
-		return
-	}
-	f.Res.retry(true, opts.Trace, func(_ int, atr trace.Ref, cb func(error)) {
-		aopts := opts
-		aopts.Trace = atr
-		f.WriteReplicated(pool, pg, obj, off, n, aopts, cb)
-	}, done)
+	f.retry(fanRetry{kind: fanWriteRepl, pool: pool, pg: pg, obj: obj, off: off, n: n, opts: opts, done: done})
 }
 
 // ReadReplicatedR is ReadReplicated with deadline + retry + replica
 // failover.
 func (f *Fanout) ReadReplicatedR(pool *rados.Pool, pg uint32, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
-	if f.Res == nil {
-		f.ReadReplicated(pool, pg, obj, off, n, opts, done)
-		return
-	}
-	f.Res.retry(false, opts.Trace, func(attempt int, atr trace.Ref, cb func(error)) {
-		aopts := opts
-		aopts.Trace = atr
-		f.readReplicatedShift(pool, pg, obj, off, n, aopts, attempt, cb)
-	}, done)
+	f.retry(fanRetry{kind: fanReadRepl, pool: pool, pg: pg, obj: obj, off: off, n: n, opts: opts, done: done})
 }
 
 // WriteECR is WriteEC with deadline + retry.
 func (f *Fanout) WriteECR(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, done func(error)) {
-	if f.Res == nil {
-		f.WriteEC(pool, obj, off, n, opts, done)
-		return
-	}
-	f.Res.retry(true, opts.Trace, func(_ int, atr trace.Ref, cb func(error)) {
-		aopts := opts
-		aopts.Trace = atr
-		f.WriteEC(pool, obj, off, n, aopts, cb)
-	}, done)
+	f.retry(fanRetry{kind: fanWriteEC, pool: pool, obj: obj, off: off, n: n, opts: opts, done: done})
 }
 
 // ReadECR is ReadEC with deadline + retry; degraded gathers (parity shards
 // standing in for unreachable data shards) are counted per attempt.
 func (f *Fanout) ReadECR(pool *rados.Pool, obj string, off, n int, opts rados.ReqOpts, done func(needDecode bool, err error)) {
+	f.retry(fanRetry{kind: fanReadEC, pool: pool, obj: obj, off: off, n: n, opts: opts, ecDone: done})
+}
+
+// retry runs op under the Fanout's policy, or issues it once without one.
+func (f *Fanout) retry(op fanRetry) {
+	op.f = f
 	if f.Res == nil {
-		f.ReadEC(pool, obj, off, n, opts, done)
+		op.issue(0, op.opts.Trace, op.done, op.ecDone)
 		return
 	}
-	degraded := false
-	f.Res.retry(false, opts.Trace, func(_ int, atr trace.Ref, cb func(error)) {
-		aopts := opts
-		aopts.Trace = atr
-		f.ReadEC(pool, obj, off, n, aopts, func(needDecode bool, err error) {
-			if needDecode {
-				degraded = true
-				f.Res.Counters.DegradedReads++
-			}
-			cb(err)
-		})
-	}, func(err error) { done(degraded, err) })
+	var r *fanRetry
+	if k := len(f.retryFree); k > 0 {
+		r = f.retryFree[k-1]
+		f.retryFree[k-1] = nil
+		f.retryFree = f.retryFree[:k-1]
+	} else {
+		r = new(fanRetry)
+	}
+	*r = op
+	f.Res.Run(r, op.kind == fanWriteRepl || op.kind == fanWriteEC, f.Trace, "fanout-attempt", op.opts.Trace)
+}
+
+// issue makes the op's Fanout call for attempt try under trace parent tr.
+func (r *fanRetry) issue(try int, tr trace.Ref, done func(error), ecDone func(bool, error)) {
+	f, opts := r.f, r.opts
+	opts.Trace = tr
+	switch r.kind {
+	case fanWriteRepl:
+		f.WriteReplicated(r.pool, r.pg, r.obj, r.off, r.n, opts, done)
+	case fanReadRepl:
+		f.readReplicatedShift(r.pool, r.pg, r.obj, r.off, r.n, opts, try, done)
+	case fanWriteEC:
+		f.WriteEC(r.pool, r.obj, r.off, r.n, opts, done)
+	default:
+		f.ReadEC(r.pool, r.obj, r.off, r.n, opts, ecDone)
+	}
+}
+
+// Issue is the policy's attempt.
+func (r *fanRetry) Issue(a *rados.Attempt, try int, tr trace.Ref) {
+	r.issue(try, tr, a.Done, a.DoneEC)
+}
+
+// Finish recycles the op, then reports its result (in that order: the
+// caller may issue an op that reuses the struct).
+func (r *fanRetry) Finish(needDecode bool, err error) {
+	f, done, ecDone := r.f, r.done, r.ecDone
+	*r = fanRetry{}
+	f.retryFree = append(f.retryFree, r)
+	if ecDone != nil {
+		ecDone(needDecode, err)
+		return
+	}
+	done(err)
 }

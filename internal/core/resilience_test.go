@@ -79,7 +79,7 @@ func TestReadFailoverAfterDeadline(t *testing.T) {
 	if res.DeadlineExceeded != 1 || res.Retries != 1 || res.Failovers != 1 {
 		t.Errorf("counters = %+v, want 1 deadline, 1 retry, 1 failover", res)
 	}
-	if min := sim.Time(0).Add(tbd.Res.Cfg.Deadline); doneAt < min {
+	if min := sim.Time(0).Add(tbd.Cfg.Resilience.Deadline); doneAt < min {
 		t.Errorf("completed at %v, before the first deadline %v could have fired", doneAt, min)
 	}
 }
@@ -139,7 +139,7 @@ func TestDeadlineExhaustsRetries(t *testing.T) {
 	if !errors.Is(gotErr, rados.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", gotErr)
 	}
-	cfg := tbd.Res.Cfg
+	cfg := tbd.Cfg.Resilience
 	res := tbd.Res.Counters
 	if want := uint64(cfg.MaxRetries + 1); res.DeadlineExceeded != want {
 		t.Errorf("DeadlineExceeded = %d, want %d (every attempt)", res.DeadlineExceeded, want)
@@ -212,7 +212,7 @@ func newSWClientHarness(t *testing.T) (*Testbed, *rados.Client) {
 		t.Fatal(err)
 	}
 	cl.Functional = false
-	cl.Retry = tbd.Res.retryPolicy()
+	cl.Retry = tbd.Res
 	return tbd, cl
 }
 
@@ -273,4 +273,57 @@ func TestClientReadDeadlineFailsOver(t *testing.T) {
 		t.Errorf("counters = %+v, want 1 deadline, 1 retry, 1 failover", res)
 	}
 	assertDrained(t, tbd)
+}
+
+// warmOpAllocs returns the heap allocations of a warm QD1 op on spec: a
+// mix of 4 KiB reads and writes (every third op a write) cycling over a
+// few objects, with the caller's callback bound once.
+func warmOpAllocs(t *testing.T, cfg TestbedConfig, spec string) float64 {
+	t.Helper()
+	tb, st := buildSpec(t, cfg, spec)
+	var failed error
+	done := func(err error) {
+		if err != nil {
+			failed = err
+		}
+	}
+	i := 0
+	op := func() {
+		kind := Read
+		if i%3 == 0 {
+			kind = Write
+		}
+		off := int64(i%16) * (4 << 20)
+		i++
+		st.Submit(kind, Rand, off, 4096, i%DKInstances, done)
+		tb.Eng.Run()
+	}
+	for k := 0; k < 100; k++ {
+		op()
+	}
+	allocs := testing.AllocsPerRun(1000, op)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	return allocs
+}
+
+// TestResilientOpAllocs pins a warm op under the default retry policy at
+// the allocations of the same op without one: the policy's runs and
+// attempts and the fan-out's retried ops are pooled and their callbacks
+// bound once, so arming resilience costs no allocation per op.
+func TestResilientOpAllocs(t *testing.T) {
+	for _, spec := range []string{"deliba-k-hw", "deliba-1-hw", "deliba-k-hw+ec", "deliba-k-sw"} {
+		t.Run(spec, func(t *testing.T) {
+			plain := warmOpAllocs(t, DefaultTestbedConfig(), spec)
+			cfg := DefaultTestbedConfig()
+			cfg.Resilience = DefaultResilienceConfig()
+			cfg.Resilience.Seed = 1
+			resilient := warmOpAllocs(t, cfg, spec)
+			t.Logf("%.3f allocs/op without resilience, %.3f with", plain, resilient)
+			if resilient > plain+0.05 {
+				t.Errorf("warm resilient op allocated %.3f/op, want <= %.3f (%.3f without resilience + 0.05)", resilient, plain+0.05, plain)
+			}
+		})
+	}
 }

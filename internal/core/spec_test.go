@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/iouring"
 	"repro/internal/sim"
 )
 
@@ -320,6 +321,45 @@ func TestSQFullBackoffDeterministic(t *testing.T) {
 		if again := run(); again != first {
 			t.Fatalf("run %d finished at %v, first at %v — backoff jitter not deterministic", i+2, again, first)
 		}
+	}
+}
+
+// TestCQOverflowCompletesEveryOp floods one two-entry ring behind the lsvd
+// cache, whose hits complete fast enough to overrun the four-slot CQ: every
+// op must still complete, with the overflowed CQEs reaped from the ring's
+// backlog rather than dropped, and the ring must drain.
+func TestCQOverflowCompletesEveryOp(t *testing.T) {
+	cfg := DefaultTestbedConfig()
+	cfg.Jitter = false
+	tb, stack := buildSpec(t, cfg, "deliba-k-hw+cache-lsvd+instances=1+entries=2")
+	const ops = 64
+	done := 0
+	tb.Eng.Schedule(0, func() {
+		for i := 0; i < ops; i++ {
+			op := Write
+			if i%2 == 1 {
+				op = Read
+			}
+			stack.Submit(op, Rand, int64(i%8)*4096, 4096, 0, func(err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				done++
+			})
+		}
+	})
+	tb.Eng.Run()
+	stack.Close()
+	if done != ops {
+		t.Errorf("completed %d/%d ops", done, ops)
+	}
+	ring := stack.(interface{ Rings() []*iouring.Ring }).Rings()[0]
+	_, submitted, completed, overflow, _ := ring.Stats()
+	if overflow == 0 {
+		t.Error("no CQ overflow: the test no longer exercises the backlog")
+	}
+	if _, ok := ring.PeekCQE(); ok || submitted != ops || completed != ops {
+		t.Errorf("ring submitted %d and reaped %d (CQ empty: %t), want %d, %d and empty", submitted, completed, !ok, ops, ops)
 	}
 }
 

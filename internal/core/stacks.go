@@ -227,9 +227,7 @@ func newSWClient(tb *Testbed, name string) (*rados.Client, error) {
 	client.ECEncodeCost = tb.CM.SWECEncode
 	client.ECDecodeCost = tb.CM.SWECDecode
 	client.Functional = tb.Cfg.Functional
-	if tb.Res != nil {
-		client.Retry = tb.Res.retryPolicy()
-	}
+	client.Retry = tb.Res
 	if tb.Tracer != nil {
 		client.TraceSink = tb.traceHost
 	}

@@ -102,10 +102,10 @@ type Testbed struct {
 	// ReplPool/ECPool and their images.
 	ReplPool, ECPool   *rados.Pool
 	ReplImage, ECImage *rbd.Image
-	// Res, when non-nil (Cfg.Resilience.Enabled), is the resilience state
-	// shared by every stack built on this testbed: one policy, one jitter
-	// stream, one set of counters.
-	Res *Resilience
+	// Res, when non-nil (Cfg.Resilience.Enabled), is the retry policy
+	// shared by every stack built on this testbed: one jitter stream, one
+	// set of counters.
+	Res *rados.RetryPolicy
 	// RaftSys is the per-PG multi-Raft backend over the replicated pool,
 	// created by the first repl-raft BuildStack and shared afterwards; nil
 	// on repl-primary testbeds.
@@ -150,9 +150,6 @@ func (tb *Testbed) EnableTracing(t *trace.Tracer) {
 		for _, o := range tb.Cluster.OSDs {
 			o.SetTraceSink(tb.traceHost)
 		}
-	}
-	if tb.Res != nil {
-		tb.Res.trace = tb.traceHost
 	}
 }
 
@@ -255,7 +252,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		osdEngs:   osdEngs,
 	}
 	if cfg.Resilience.Enabled {
-		tb.Res = newResilience(eng, cfg.Resilience)
+		tb.Res = rados.NewRetryPolicy(eng, cfg.Resilience.RetryConfig)
 	}
 	return tb, nil
 }

@@ -10,7 +10,7 @@ import (
 
 func newAllocHarness(t testing.TB, k, m, shardSize int) (*Code, [][]byte) {
 	t.Helper()
-	code, err := New(k, m, VandermondeRS)
+	code, err := New(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}

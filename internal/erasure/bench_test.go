@@ -6,7 +6,7 @@ import "testing"
 // evaluation's block sizes.
 
 func benchEncode(b *testing.B, k, m, size int) {
-	code, err := New(k, m, VandermondeRS)
+	code, err := New(k, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func BenchmarkEncode4p2x128k(b *testing.B) { benchEncode(b, 4, 2, 131072) }
 func BenchmarkEncode8p4x128k(b *testing.B) { benchEncode(b, 8, 4, 131072) }
 
 func BenchmarkReconstructTwoLost(b *testing.B) {
-	code, err := New(4, 2, VandermondeRS)
+	code, err := New(4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,29 +15,6 @@ import (
 	"repro/internal/gf256"
 )
 
-// Construction selects how the generator matrix is built.
-type Construction int
-
-const (
-	// VandermondeRS uses a systematised Vandermonde matrix (the classic
-	// jerasure construction used by Ceph's default erasure plugin).
-	VandermondeRS Construction = iota
-	// CauchyRS uses a Cauchy matrix under an identity block (Ceph's
-	// "cauchy_good" family).
-	CauchyRS
-)
-
-func (c Construction) String() string {
-	switch c {
-	case VandermondeRS:
-		return "vandermonde"
-	case CauchyRS:
-		return "cauchy"
-	default:
-		return fmt.Sprintf("Construction(%d)", int(c))
-	}
-}
-
 // Errors returned by the codec.
 var (
 	ErrShardCount = errors.New("erasure: wrong number of shards")
@@ -68,45 +45,26 @@ type Code struct {
 	gather           [][]byte
 }
 
-// New returns a code with k data and m parity shards. k+m must be ≤ 256
-// (Vandermonde) or k+m ≤ 128 (Cauchy, to keep index space disjoint).
-func New(k, m int, c Construction) (*Code, error) {
+// New returns a code with k data and m parity shards; k+m must be ≤ 256.
+// The generator is a systematised Vandermonde matrix (the classic jerasure
+// construction used by Ceph's default erasure plugin).
+func New(k, m int) (*Code, error) {
 	if k <= 0 || m < 0 {
 		return nil, fmt.Errorf("erasure: invalid k=%d m=%d", k, m)
 	}
 	if k+m > 256 {
 		return nil, fmt.Errorf("erasure: k+m=%d exceeds field size", k+m)
 	}
-	var gen *gf256.Matrix
-	switch c {
-	case VandermondeRS:
-		// Systematise: V is (k+m)×k with distinct evaluation points; every
-		// k×k submatrix of a Vandermonde with distinct points is
-		// invertible. Multiply on the right by the inverse of the top k×k
-		// block so the top becomes I while preserving the MDS property.
-		v := gf256.Vandermonde(k+m, k)
-		top := v.SubMatrix(rangeInts(0, k))
-		topInv, err := top.Invert()
-		if err != nil {
-			return nil, fmt.Errorf("erasure: systematising Vandermonde: %w", err)
-		}
-		gen = v.Mul(topInv)
-	case CauchyRS:
-		if 2*(k+m) > 256 {
-			return nil, fmt.Errorf("erasure: cauchy k+m=%d too large", k+m)
-		}
-		gen = gf256.NewMatrix(k+m, k)
-		for i := 0; i < k; i++ {
-			gen.Set(i, i, 1)
-		}
-		cau := gf256.Cauchy(m, k)
-		for r := 0; r < m; r++ {
-			copy(gen.Row(k+r), cau.Row(r))
-		}
-	default:
-		return nil, fmt.Errorf("erasure: unknown construction %v", c)
+	// Systematise: V is (k+m)×k with distinct evaluation points; every
+	// k×k submatrix of a Vandermonde with distinct points is invertible.
+	// Multiply on the right by the inverse of the top k×k block so the top
+	// becomes I while preserving the MDS property.
+	v := gf256.Vandermonde(k+m, k)
+	topInv, err := v.SubMatrix(rangeInts(0, k)).Invert()
+	if err != nil {
+		return nil, fmt.Errorf("erasure: systematising Vandermonde: %w", err)
 	}
-	return &Code{k: k, m: m, gen: gen, decCache: make(map[string]*gf256.Matrix)}, nil
+	return &Code{k: k, m: m, gen: v.Mul(topInv), decCache: make(map[string]*gf256.Matrix)}, nil
 }
 
 // GeneratorRow returns a copy of row i of the generator matrix.

@@ -17,9 +17,9 @@ func fillRandom(shards [][]byte, seed uint64) {
 	}
 }
 
-func newTestCode(t *testing.T, k, m int, c Construction) *Code {
+func newTestCode(t *testing.T, k, m int) *Code {
 	t.Helper()
-	code, err := New(k, m, c)
+	code, err := New(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,57 +27,53 @@ func newTestCode(t *testing.T, k, m int, c Construction) *Code {
 }
 
 func TestEncodeVerify(t *testing.T) {
-	for _, cons := range []Construction{VandermondeRS, CauchyRS} {
-		code := newTestCode(t, 4, 2, cons)
-		shards := make([][]byte, 6)
-		for i := range shards {
-			shards[i] = make([]byte, 128)
-		}
-		fillRandom(shards[:4], 1)
-		if err := code.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		ok, err := code.Verify(shards)
-		if err != nil || !ok {
-			t.Fatalf("%v: Verify = %v, %v", cons, ok, err)
-		}
-		// Corrupt one byte; verify must fail.
-		shards[2][17] ^= 0xff
-		ok, _ = code.Verify(shards)
-		if ok {
-			t.Fatalf("%v: Verify passed on corrupted data", cons)
-		}
+	code := newTestCode(t, 4, 2)
+	shards := make([][]byte, 6)
+	for i := range shards {
+		shards[i] = make([]byte, 128)
+	}
+	fillRandom(shards[:4], 1)
+	if err := code.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := code.Verify(shards)
+	if err != nil || !ok {
+		t.Fatalf("Verify = %v, %v", ok, err)
+	}
+	// Corrupt one byte; verify must fail.
+	shards[2][17] ^= 0xff
+	ok, _ = code.Verify(shards)
+	if ok {
+		t.Fatal("Verify passed on corrupted data")
 	}
 }
 
 func TestReconstructAllLossPatterns(t *testing.T) {
 	const k, m = 4, 2
-	for _, cons := range []Construction{VandermondeRS, CauchyRS} {
-		code := newTestCode(t, k, m, cons)
-		orig := make([][]byte, k+m)
-		for i := range orig {
-			orig[i] = make([]byte, 64)
-		}
-		fillRandom(orig[:k], 7)
-		if err := code.Encode(orig); err != nil {
-			t.Fatal(err)
-		}
-		// Every pattern of up to m losses.
-		for a := 0; a < k+m; a++ {
-			for b := a; b < k+m; b++ {
-				work := make([][]byte, k+m)
-				for i := range work {
-					work[i] = append([]byte(nil), orig[i]...)
-				}
-				work[a] = nil
-				work[b] = nil // a==b means single loss
-				if err := code.Reconstruct(work); err != nil {
-					t.Fatalf("%v: reconstruct loss {%d,%d}: %v", cons, a, b, err)
-				}
-				for i := range work {
-					if !bytes.Equal(work[i], orig[i]) {
-						t.Fatalf("%v: shard %d wrong after loss {%d,%d}", cons, i, a, b)
-					}
+	code := newTestCode(t, k, m)
+	orig := make([][]byte, k+m)
+	for i := range orig {
+		orig[i] = make([]byte, 64)
+	}
+	fillRandom(orig[:k], 7)
+	if err := code.Encode(orig); err != nil {
+		t.Fatal(err)
+	}
+	// Every pattern of up to m losses.
+	for a := 0; a < k+m; a++ {
+		for b := a; b < k+m; b++ {
+			work := make([][]byte, k+m)
+			for i := range work {
+				work[i] = append([]byte(nil), orig[i]...)
+			}
+			work[a] = nil
+			work[b] = nil // a==b means single loss
+			if err := code.Reconstruct(work); err != nil {
+				t.Fatalf("reconstruct loss {%d,%d}: %v", a, b, err)
+			}
+			for i := range work {
+				if !bytes.Equal(work[i], orig[i]) {
+					t.Fatalf("shard %d wrong after loss {%d,%d}", i, a, b)
 				}
 			}
 		}
@@ -85,7 +81,7 @@ func TestReconstructAllLossPatterns(t *testing.T) {
 }
 
 func TestReconstructTooManyLosses(t *testing.T) {
-	code := newTestCode(t, 4, 2, VandermondeRS)
+	code := newTestCode(t, 4, 2)
 	shards := make([][]byte, 6)
 	for i := range shards {
 		shards[i] = make([]byte, 16)
@@ -99,7 +95,7 @@ func TestReconstructTooManyLosses(t *testing.T) {
 }
 
 func TestReconstructNoLoss(t *testing.T) {
-	code := newTestCode(t, 3, 2, VandermondeRS)
+	code := newTestCode(t, 3, 2)
 	shards := make([][]byte, 5)
 	for i := range shards {
 		shards[i] = make([]byte, 8)
@@ -121,7 +117,7 @@ func TestReconstructNoLoss(t *testing.T) {
 }
 
 func TestSplitJoinRoundTrip(t *testing.T) {
-	code := newTestCode(t, 4, 2, VandermondeRS)
+	code := newTestCode(t, 4, 2)
 	f := func(data []byte) bool {
 		if len(data) == 0 {
 			return true
@@ -150,52 +146,47 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 func TestEncodeDecodePropertyAcrossGeometries(t *testing.T) {
 	type geom struct{ k, m int }
 	for _, g := range []geom{{2, 1}, {3, 2}, {4, 2}, {6, 3}, {8, 4}, {10, 4}} {
-		for _, cons := range []Construction{VandermondeRS, CauchyRS} {
-			code, err := New(g.k, g.m, cons)
-			if err != nil {
-				t.Fatalf("k=%d m=%d %v: %v", g.k, g.m, cons, err)
-			}
-			shards := make([][]byte, g.k+g.m)
-			for i := range shards {
-				shards[i] = make([]byte, 32)
-			}
-			fillRandom(shards[:g.k], uint64(g.k*100+g.m))
-			orig := make([][]byte, len(shards))
-			if err := code.Encode(shards); err != nil {
-				t.Fatal(err)
-			}
-			for i := range shards {
-				orig[i] = append([]byte(nil), shards[i]...)
-			}
-			// Drop the last m shards (mix of data+parity when m>k? no: k..k+m).
-			rng := sim.NewRNG(uint64(g.k + g.m))
-			perm := rng.Perm(g.k + g.m)
-			for _, idx := range perm[:g.m] {
-				shards[idx] = nil
-			}
-			if err := code.Reconstruct(shards); err != nil {
-				t.Fatal(err)
-			}
-			for i := range shards {
-				if !bytes.Equal(shards[i], orig[i]) {
-					t.Fatalf("k=%d m=%d %v: shard %d mismatch", g.k, g.m, cons, i)
-				}
+		code, err := New(g.k, g.m)
+		if err != nil {
+			t.Fatalf("k=%d m=%d: %v", g.k, g.m, err)
+		}
+		shards := make([][]byte, g.k+g.m)
+		for i := range shards {
+			shards[i] = make([]byte, 32)
+		}
+		fillRandom(shards[:g.k], uint64(g.k*100+g.m))
+		orig := make([][]byte, len(shards))
+		if err := code.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		for i := range shards {
+			orig[i] = append([]byte(nil), shards[i]...)
+		}
+		// Drop the last m shards (mix of data+parity when m>k? no: k..k+m).
+		rng := sim.NewRNG(uint64(g.k + g.m))
+		perm := rng.Perm(g.k + g.m)
+		for _, idx := range perm[:g.m] {
+			shards[idx] = nil
+		}
+		if err := code.Reconstruct(shards); err != nil {
+			t.Fatal(err)
+		}
+		for i := range shards {
+			if !bytes.Equal(shards[i], orig[i]) {
+				t.Fatalf("k=%d m=%d: shard %d mismatch", g.k, g.m, i)
 			}
 		}
 	}
 }
 
 func TestErrorCases(t *testing.T) {
-	if _, err := New(0, 2, VandermondeRS); err == nil {
+	if _, err := New(0, 2); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := New(200, 100, VandermondeRS); err == nil {
+	if _, err := New(200, 100); err == nil {
 		t.Fatal("k+m>256 accepted")
 	}
-	if _, err := New(100, 60, CauchyRS); err == nil {
-		t.Fatal("cauchy overflow accepted")
-	}
-	code := newTestCode(t, 2, 1, VandermondeRS)
+	code := newTestCode(t, 2, 1)
 	if err := code.Encode(make([][]byte, 2)); err != ErrShardCount {
 		t.Fatalf("err = %v, want ErrShardCount", err)
 	}
@@ -209,25 +200,23 @@ func TestErrorCases(t *testing.T) {
 }
 
 func TestGeneratorSystematic(t *testing.T) {
-	for _, cons := range []Construction{VandermondeRS, CauchyRS} {
-		code := newTestCode(t, 5, 3, cons)
-		for i := 0; i < 5; i++ {
-			row := code.GeneratorRow(i)
-			for j, v := range row {
-				want := byte(0)
-				if i == j {
-					want = 1
-				}
-				if v != want {
-					t.Fatalf("%v: generator top block not identity at (%d,%d)=%d", cons, i, j, v)
-				}
+	code := newTestCode(t, 5, 3)
+	for i := 0; i < 5; i++ {
+		row := code.GeneratorRow(i)
+		for j, v := range row {
+			want := byte(0)
+			if i == j {
+				want = 1
+			}
+			if v != want {
+				t.Fatalf("generator top block not identity at (%d,%d)=%d", i, j, v)
 			}
 		}
 	}
 }
 
 func TestJoinErrors(t *testing.T) {
-	code := newTestCode(t, 2, 1, VandermondeRS)
+	code := newTestCode(t, 2, 1)
 	if _, err := code.Join([][]byte{{1}}, 1); err == nil {
 		t.Fatal("short shard list accepted")
 	}
@@ -240,7 +229,7 @@ func TestJoinErrors(t *testing.T) {
 }
 
 func TestSplitPadding(t *testing.T) {
-	code := newTestCode(t, 4, 2, VandermondeRS)
+	code := newTestCode(t, 4, 2)
 	data := []byte{1, 2, 3, 4, 5} // not divisible by 4
 	shards := code.Split(data)
 	if len(shards) != 6 {
@@ -259,7 +248,7 @@ func TestSplitPadding(t *testing.T) {
 }
 
 func TestDecodeMatrixCache(t *testing.T) {
-	code := newTestCode(t, 4, 2, VandermondeRS)
+	code := newTestCode(t, 4, 2)
 	shards := make([][]byte, 6)
 	for i := range shards {
 		shards[i] = make([]byte, 64)

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/rados"
@@ -98,8 +97,8 @@ type fleetRun struct {
 	names   []string // volume object names, interned once
 	zipf    *sim.Zipf
 	res     fleetResult
-	retry   metrics.Resilience
-	running int // client slots still issuing or in flight
+	retry   *rados.RetryPolicy // the clients' one policy on a failure run (nil otherwise)
+	running int                // client slots still issuing or in flight
 
 	// Failure run: the crash instant, the reweights and every PG's acting
 	// set at that instant, and the recovery's progress.
@@ -143,7 +142,10 @@ func runFleet(s fleetSpec) (fleetResult, error) {
 	case r.eng.Pending() != 0:
 		return fleetResult{}, fmt.Errorf("experiments: fleet run at %d OSDs left %d events pending", s.osds, r.eng.Pending())
 	}
-	r.res.events, r.res.retries = r.eng.Executed(), r.retry.Retries
+	r.res.events = r.eng.Executed()
+	if r.retry != nil {
+		r.res.retries = r.retry.Counters.Retries
+	}
 	return r.res, nil
 }
 
@@ -191,21 +193,19 @@ func newFleetRun(s fleetSpec) (*fleetRun, error) {
 		r.res.tenants = metrics.NewTenantSet()
 		r.zipf = sim.NewZipf(int64(s.tenants), s.theta)
 	}
-	var retry *rados.RetryPolicy
 	if s.failAt > 0 {
-		rc := core.DefaultResilienceConfig()
-		rng := sim.NewRNG(s.seed ^ 0xBAC0FF)
-		retry = &rados.RetryPolicy{MaxRetries: rc.MaxRetries, Counters: &r.retry,
-			Backoff: func(attempt int) sim.Duration {
-				return faults.Backoff(rc.BackoffBase, rc.BackoffCap, attempt, rng)
-			}}
+		// The default policy without deadlines: a crash fails the ops it
+		// catches, so nothing waits on a lost message.
+		rc := core.DefaultResilienceConfig().RetryConfig
+		rc.Deadline, rc.Seed = 0, s.seed
+		r.retry = rados.NewRetryPolicy(eng, rc)
 	}
 	for i := 0; i < r.res.clients; i++ {
 		cl, err := rados.NewClient(cluster, "client"+strconv.Itoa(i), cm.NICBitsPerSec, cm.HostStack)
 		if err != nil {
 			return nil, err
 		}
-		cl.PlacementCost, cl.Functional, cl.Retry = cm.SWPlacement, false, retry
+		cl.PlacementCost, cl.Functional, cl.Retry = cm.SWPlacement, false, r.retry
 		c := &fleetClient{cl: cl, rng: sim.NewRNG(s.seed ^ uint64(i+1)*0xbf58476d1ce4e5b9)}
 		slots := make([]fleetSlot, s.qd)
 		for k := range slots {

@@ -106,7 +106,7 @@ func crushSelectOp(alg crush.Alg) (func(i int) error, error) {
 // rsEncodeOp returns one 4 kB stripe encode with the testbed geometry, for
 // minTimePerOp.
 func rsEncodeOp() (func(int) error, error) {
-	code, err := erasure.New(4, 2, erasure.VandermondeRS)
+	code, err := erasure.New(4, 2)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,7 @@
 // repo's bit-identical-digest discipline.
 //
 // The package sits between the substrate and the client: it imports sim,
-// rados and netsim but not core, so the client resilience layer (which
-// imports faults for Backoff) never cycles.
+// rados and netsim but not core.
 package faults
 
 import (

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/lsvd"
@@ -10,77 +9,6 @@ import (
 	"repro/internal/rados"
 	"repro/internal/sim"
 )
-
-func TestBackoffWithinBounds(t *testing.T) {
-	base := 50 * sim.Microsecond
-	cap := 2 * sim.Millisecond
-	rng := sim.NewRNG(7)
-	for attempt := 0; attempt < 40; attempt++ {
-		for i := 0; i < 200; i++ {
-			d := Backoff(base, cap, attempt, rng)
-			if d < base || d > cap {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, base, cap)
-			}
-		}
-	}
-}
-
-func TestBackoffReproduciblePerSeed(t *testing.T) {
-	base := 10 * sim.Microsecond
-	cap := sim.Millisecond
-	for _, seed := range []uint64{1, 7, 42} {
-		a, b := sim.NewRNG(seed), sim.NewRNG(seed)
-		for attempt := 0; attempt < 16; attempt++ {
-			da, db := Backoff(base, cap, attempt, a), Backoff(base, cap, attempt, b)
-			if da != db {
-				t.Fatalf("seed %d attempt %d: %v != %v", seed, attempt, da, db)
-			}
-		}
-	}
-}
-
-func TestBackoffNilRNGIsUpperEdge(t *testing.T) {
-	base := 10 * sim.Microsecond
-	cap := 80 * sim.Microsecond
-	want := []sim.Duration{base, 2 * base, 4 * base, cap, cap}
-	for attempt, w := range want {
-		if got := Backoff(base, cap, attempt, nil); got != w {
-			t.Fatalf("attempt %d: got %v want %v", attempt, got, w)
-		}
-	}
-}
-
-func FuzzBackoff(f *testing.F) {
-	f.Add(int64(10_000), int64(1_000_000), 3, uint64(1))
-	f.Add(int64(0), int64(0), 0, uint64(0))
-	f.Add(int64(1), int64(1<<62), 63, uint64(99))
-	f.Add(int64(-5), int64(-9), 100, uint64(7))
-	f.Fuzz(func(t *testing.T, base, cp int64, attempt int, seed uint64) {
-		b, c := sim.Duration(base), sim.Duration(cp)
-		rng := sim.NewRNG(seed)
-		got := Backoff(b, c, attempt, rng)
-		// Normalised bounds mirror the function's clamping.
-		lo := b
-		if lo < 0 {
-			lo = 0
-		}
-		hi := c
-		if hi < lo {
-			hi = lo
-		}
-		if got < lo || got > hi {
-			t.Fatalf("Backoff(%d, %d, %d) = %v outside [%v, %v]", base, cp, attempt, got, lo, hi)
-		}
-		// The jittered value never exceeds the deterministic upper edge.
-		if edge := Backoff(b, c, attempt, nil); got > edge {
-			t.Fatalf("jitter %v above nil-rng edge %v", got, edge)
-		}
-		// Same seed replays the same delay.
-		if again := Backoff(b, c, attempt, sim.NewRNG(seed)); again != got {
-			t.Fatalf("not reproducible: %v then %v", got, again)
-		}
-	})
-}
 
 // testCluster builds a minimal 2-node cluster plus a client host.
 func testCluster(t *testing.T) (*sim.Engine, *rados.Cluster, *netsim.Host) {
@@ -257,19 +185,6 @@ func TestSlowEpisodeRestoresHealthyTiming(t *testing.T) {
 	if f := osd.SlowFactor(); f != 1 {
 		t.Fatalf("slow factor after episode = %g, want 1", f)
 	}
-}
-
-func ExampleBackoff() {
-	rng := sim.NewRNG(1)
-	for attempt := 0; attempt < 4; attempt++ {
-		d := Backoff(100*sim.Microsecond, sim.Millisecond, attempt, rng)
-		fmt.Println(d >= 100*sim.Microsecond && d <= sim.Millisecond)
-	}
-	// Output:
-	// true
-	// true
-	// true
-	// true
 }
 
 // stubTier is a minimal lsvd backend for cache-crash event tests.

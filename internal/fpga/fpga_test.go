@@ -180,7 +180,7 @@ func TestCrushAccelMatchesSoftware(t *testing.T) {
 
 func TestRSAccelEncodes(t *testing.T) {
 	eng := sim.NewEngine()
-	code, _ := erasure.New(4, 2, erasure.VandermondeRS)
+	code, _ := erasure.New(4, 2)
 	acc := NewRSAccel(eng, code)
 	data := make([]byte, 4096)
 	for i := range data {
@@ -210,7 +210,7 @@ func TestRSAccelEncodes(t *testing.T) {
 
 func TestRSAccelTimingOnlyMode(t *testing.T) {
 	eng := sim.NewEngine()
-	code, _ := erasure.New(4, 2, erasure.VandermondeRS)
+	code, _ := erasure.New(4, 2)
 	acc := NewRSAccel(eng, code)
 	done := false
 	acc.Encode(4096, nil, func(err error) {
@@ -242,7 +242,7 @@ func newShellT(t *testing.T, staticOnly bool) (*sim.Engine, *Shell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, _ := erasure.New(4, 2, erasure.VandermondeRS)
+	code, _ := erasure.New(4, 2)
 	s, err := BuildShell(eng, ShellConfig{
 		Map:        m,
 		Rule:       m.Rule("replicated_rule"),

@@ -370,19 +370,3 @@ func Vandermonde(rows, cols int) *Matrix {
 	}
 	return m
 }
-
-// Cauchy returns a rows×cols Cauchy matrix C[r][c] = 1/(x_r + y_c) with
-// x_r = r + cols and y_c = c; any square submatrix is invertible, which is
-// the property erasure decoding relies on.
-func Cauchy(rows, cols int) *Matrix {
-	if rows+cols > 256 {
-		panic("gf256: Cauchy matrix too large for GF(256)")
-	}
-	m := NewMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			m.Set(r, c, Inv(byte(r+cols)^byte(c)))
-		}
-	}
-	return m
-}

@@ -200,19 +200,6 @@ func TestMatrixInvertProperty(t *testing.T) {
 	}
 }
 
-func TestCauchySubmatricesInvertible(t *testing.T) {
-	// Any square submatrix of a Cauchy matrix is invertible. Check all
-	// single-row selections of a 4x4 slice of rows against a 4-col Cauchy.
-	c := Cauchy(6, 4)
-	rowSets := [][]int{{0, 1, 2, 3}, {1, 2, 3, 4}, {2, 3, 4, 5}, {0, 2, 4, 5}, {0, 1, 4, 5}}
-	for _, rows := range rowSets {
-		sub := c.SubMatrix(rows)
-		if _, err := sub.Invert(); err != nil {
-			t.Fatalf("Cauchy submatrix rows %v singular: %v", rows, err)
-		}
-	}
-}
-
 func TestVandermondeShape(t *testing.T) {
 	v := Vandermonde(5, 3)
 	if v.Rows != 5 || v.Cols != 3 {

@@ -173,11 +173,13 @@ type Ring struct {
 	sqTail    uint32
 	sqMask    uint32
 
-	// Completion ring.
+	// Completion ring. CQEs posted while it is full wait in cqBacklog, in
+	// order, and move in as PeekCQE frees room (IORING_FEAT_NODROP).
 	cqEntries []CQE
 	cqHead    uint32
 	cqTail    uint32
 	cqMask    uint32
+	cqBacklog []CQE
 
 	// reaper, when set, consumes every CQE (see SetReaper); reapArmed
 	// reports a drain scheduled or running, and wake/drain are its
@@ -431,14 +433,16 @@ func (f *inflight) completed(res int32) {
 	r.postCQE(CQE{UserData: ud, Res: res})
 }
 
-// postCQE appends a completion and arms the reaper.
+// postCQE appends a completion, or backlogs it when the CQ is full, and
+// arms the reaper.
 func (r *Ring) postCQE(cqe CQE) {
 	if r.cqTail-r.cqHead >= uint32(len(r.cqEntries)) {
 		r.cqOverflow++
-		return
+		r.cqBacklog = append(r.cqBacklog, cqe)
+	} else {
+		r.cqEntries[r.cqTail&r.cqMask] = cqe
+		r.cqTail++
 	}
-	r.cqEntries[r.cqTail&r.cqMask] = cqe
-	r.cqTail++
 	if r.reaper != nil && !r.reapArmed {
 		r.reapArmed = true
 		r.eng.Schedule(0, r.wake)
@@ -454,5 +458,10 @@ func (r *Ring) PeekCQE() (CQE, bool) {
 	cqe := r.cqEntries[r.cqHead&r.cqMask]
 	r.cqHead++
 	r.completed++
+	if len(r.cqBacklog) > 0 {
+		r.cqEntries[r.cqTail&r.cqMask] = r.cqBacklog[0]
+		r.cqTail++
+		r.cqBacklog = r.cqBacklog[:copy(r.cqBacklog, r.cqBacklog[1:])]
+	}
 	return cqe, true
 }

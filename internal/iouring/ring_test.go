@@ -222,7 +222,7 @@ func TestInterruptModeWakeupCost(t *testing.T) {
 
 func TestCQOverflowCounted(t *testing.T) {
 	eng := sim.NewEngine()
-	// SQ 4 → CQ 8. Complete 10 ops without reaping: 2 must overflow.
+	// SQ 4 → CQ 8. Complete 12 ops without reaping: 4 must overflow.
 	r, _ := newRingT(t, eng, Params{Entries: 4}, 0)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4; i++ {
@@ -236,6 +236,18 @@ func TestCQOverflowCounted(t *testing.T) {
 	_, _, _, overflow, _ := r.Stats()
 	if overflow != 4 { // 12 submitted, 8 CQ slots
 		t.Fatalf("overflow = %d, want 4", overflow)
+	}
+	// The overflowed CQEs are backlogged, not dropped: reaping frees room
+	// for them, so all 12 come out.
+	reaped := 0
+	for {
+		if _, ok := r.PeekCQE(); !ok {
+			break
+		}
+		reaped++
+	}
+	if _, _, completed, _, _ := r.Stats(); reaped != 12 || completed != 12 {
+		t.Fatalf("reaped %d CQEs (%d counted), want 12", reaped, completed)
 	}
 }
 

@@ -1,37 +1,13 @@
 package rados
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/crush"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// ErrDeadline marks an attempt abandoned at its per-attempt deadline. The
-// operation may still complete on the cluster (the attempt keeps running
-// unobserved), which is why only idempotent ops are retried this way.
-var ErrDeadline = errors.New("deadline exceeded")
-
-// RetryPolicy configures client-side resilience: per-attempt deadlines,
-// bounded retries with caller-supplied backoff, and read failover to
-// replica OSDs. A nil policy on the Client is the zero-cost healthy path —
-// every request is issued exactly once, as before.
-type RetryPolicy struct {
-	// Deadline bounds each attempt; 0 disables (attempts wait forever).
-	Deadline sim.Duration
-	// MaxRetries is the number of re-issues after the first attempt.
-	MaxRetries int
-	// Backoff returns the delay before retry attempt (0-based); nil retries
-	// immediately. Callers bind a seeded jitter source here (faults.Backoff)
-	// so retry timing replays deterministically.
-	Backoff func(attempt int) sim.Duration
-	// Counters, when non-nil, receives resilience accounting.
-	Counters *metrics.Resilience
-}
 
 // Repl is a pluggable replication protocol for one replicated pool (the
 // per-PG Raft backend in internal/raft implements it). The client routes
@@ -73,7 +49,9 @@ type Client struct {
 	// the erasure codec and stores. Benchmarks switch it off to model
 	// timing over synthetic payloads without the memory traffic.
 	Functional bool
-	// Retry, when non-nil, arms deadlines, retries and read failover.
+	// Retry, when non-nil, runs every request through the policy's
+	// deadlines and retries, with read failover; a split-domain client
+	// ignores it.
 	Retry *RetryPolicy
 	// Repl, when non-nil, routes requests for Repl.Pool() through an
 	// alternative replication protocol (repl-raft); other pools keep the
@@ -145,7 +123,7 @@ func (cl *Client) WriteAsync(pool *Pool, obj string, off int, data []byte, opts 
 		return
 	}
 	o.data, o.writeDone = data, done
-	o.advance()
+	o.run()
 }
 
 // ReadAsync fetches n bytes at (obj, off) and calls done with them, with
@@ -157,15 +135,14 @@ func (cl *Client) ReadAsync(pool *Pool, obj string, off, n int, opts ReqOpts, do
 		return
 	}
 	o.readDone = done
-	o.advance()
+	o.run()
 }
 
-// start picks the request's chain — split-domain, retried, or a direct
-// protocol path — and takes an op for it.
+// start picks the request's chain — split-domain or a protocol path — and
+// takes an op for it.
 func (cl *Client) start(write bool, pool *Pool, obj string, off, n int, opts ReqOpts) (*op, error) {
-	var kind, sub opKind
-	switch {
-	case cl.Split:
+	var kind opKind
+	if cl.Split {
 		if pool.Kind == ECPool {
 			return nil, fmt.Errorf("rados: erasure pools are not supported on a split-domain client")
 		}
@@ -173,13 +150,11 @@ func (cl *Client) start(write bool, pool *Pool, obj string, off, n int, opts Req
 		if write {
 			kind = kindWriteSplit
 		}
-	case cl.Retry != nil:
-		kind, sub = kindRetry, cl.protocol(write, pool)
-	default:
+	} else {
 		kind = cl.protocol(write, pool)
 	}
 	o := cl.getOp()
-	o.kind, o.sub, o.write = kind, sub, write
+	o.kind, o.write = kind, write
 	o.pool, o.obj, o.off, o.n, o.opts = pool, obj, off, n, opts
 	return o, nil
 }

@@ -20,9 +20,9 @@ import (
 //   - a sub-operation the chain parks on is one Schedule(0) hop when it
 //     completes, and one that completed before the chain parked is no
 //     event at all (see resume and gather);
-//   - a per-attempt op starts one Schedule(0) after the retry op issues
-//     it, and the attempt's completion is one Schedule(0) hop back to the
-//     retry op (see finish and deliver).
+//   - under a retry policy each attempt is its own op, started one
+//     Schedule(0) after the policy issues it, and its completion is one
+//     Schedule(0) hop back to the policy (see Issue and deliver).
 //
 // Event order is a digest input, so none of these may be merged or
 // skipped, even where the wait is zero.
@@ -39,11 +39,10 @@ const (
 	kindReplRead                 // read through the pluggable replication protocol
 	kindWriteSplit               // replicated write on a split-domain deployment
 	kindReadSplit                // primary read on a split-domain deployment
-	kindRetry                    // attempts of sub under the retry policy
 )
 
-// stageHop is the stage of a finished attempt whose completion hop to its
-// retry op is scheduled.
+// stageHop is the stage of a finished attempt whose completion hop to the
+// retry policy is scheduled.
 const stageHop = 0xff
 
 // op is one client request in flight. Fields above the chain state are the
@@ -53,7 +52,6 @@ type op struct {
 	cl    *Client
 	eng   *sim.Engine
 	kind  opKind
-	sub   opKind // attempt chain of a kindRetry op
 	stage uint8
 	write bool
 
@@ -67,8 +65,10 @@ type op struct {
 
 	writeDone func(error)
 	readDone  func([]byte, error)
-	// parent is the retry op observing this attempt (nil at top level).
-	parent *op
+	// parent is the op an attempt op tries, and attempt the policy's
+	// token for it (both nil at top level).
+	parent  *op
+	attempt *Attempt
 
 	// parked: the chain waits for a sub-operation's callback; ready: the
 	// callback already ran, before the chain got to park (see resume).
@@ -99,14 +99,6 @@ type op struct {
 	// Split domain: the OSD-side ack count.
 	remaining int
 
-	// Retry.
-	try         int
-	start       sim.Time
-	prevAttempt uint64
-	attempt     trace.H
-	timer       sim.EventID
-	cur         *op // attempt being observed; nil once settled or abandoned
-
 	// Bound once per struct.
 	step        func()
 	arrived     func()
@@ -114,7 +106,6 @@ type op struct {
 	onRepl      func(error)
 	splitArrive func()
 	splitDone   func()
-	timeout     func()
 }
 
 // target is one OSD an op fans out to: a replica, an EC shard, or a split
@@ -150,7 +141,6 @@ func (cl *Client) getOp() *op {
 	o.onRepl = o.replResult
 	o.splitArrive = o.splitAtPrimary
 	o.splitDone = o.resume
-	o.timeout = o.deadline
 	return o
 }
 
@@ -163,14 +153,14 @@ func (o *op) recycle() {
 	*o = op{
 		cl: cl, eng: o.eng, up: o.up[:0], targets: o.targets, gathered: o.gathered[:0],
 		step: o.step, arrived: o.arrived, onOSD: o.onOSD, onRepl: o.onRepl,
-		splitArrive: o.splitArrive, splitDone: o.splitDone, timeout: o.timeout,
+		splitArrive: o.splitArrive, splitDone: o.splitDone,
 	}
 	cl.free = append(cl.free, o)
 }
 
 // finish ends the chain. A top-level op recycles itself and then calls done
 // (in that order: done may issue a request that reuses the struct); an
-// attempt instead hops to its retry op.
+// attempt op instead hops back to the retry policy.
 func (o *op) finish(res []byte, err error) {
 	if o.parent != nil {
 		o.res, o.err = res, err
@@ -270,8 +260,6 @@ func (o *op) advance() {
 		o.replicate()
 	case kindWriteSplit, kindReadSplit:
 		o.split()
-	case kindRetry:
-		o.retry()
 	}
 }
 
@@ -491,7 +479,7 @@ func (o *op) readReplicated() {
 // the trace: this attempt reads elsewhere because earlier attempts failed.
 func (o *op) failover() {
 	cl := o.cl
-	if cl.Retry != nil && cl.Retry.Counters != nil {
+	if cl.Retry != nil {
 		cl.Retry.Counters.Failovers++
 	}
 	if cl.TraceSink != nil && o.opts.Trace.Sampled() {
@@ -639,7 +627,7 @@ func (o *op) readEC() {
 				return
 			}
 			if o.needDecode {
-				if cl.Retry != nil && cl.Retry.Counters != nil {
+				if cl.Retry != nil {
 					cl.Retry.Counters.DegradedReads++
 				}
 				o.decode = cl.TraceSink.Begin(o.opts.Trace, "ec-decode")
@@ -818,112 +806,42 @@ func (o *op) splitReadResult(r Result) {
 
 // --- retry -----------------------------------------------------------------
 
-// retry drives attempts of the sub chain through the retry policy. Each
-// attempt is its own op, started one event later, so a deadline can
-// abandon it: the attempt keeps running to completion (the cluster may
-// still apply the op), but nobody observes its result — the same semantics
-// as a timed-out RPC. Write outcomes feed the counters'
-// unavailability-window tracking: a write that exhausts its budget opens a
-// stall window backdated to the op's start, the next committed write
-// closes it.
-func (o *op) retry() {
-	r := o.cl.Retry
-	for {
-		switch o.stage {
-		case 0:
-			o.start = o.eng.Now()
-			o.stage = 1
-		case 1:
-			o.startAttempt()
-			o.stage = 2
-			return
-		case 2:
-			// The attempt settled (deliver) or was abandoned (deadline).
-			// Its span ends when the caller stops observing it.
-			o.attempt.End()
-			o.attempt = trace.H{}
-			if o.err == nil || o.try >= r.MaxRetries {
-				if o.write && r.Counters != nil {
-					if o.err == nil {
-						r.Counters.WriteOK(o.eng.Now())
-					} else {
-						r.Counters.WriteFailed(o.start)
-					}
-				}
-				o.finish(o.res, o.err)
-				return
-			}
-			if r.Counters != nil {
-				r.Counters.Retries++
-			}
-			o.stage = 1
-			o.try++
-			if r.Backoff != nil {
-				if d := r.Backoff(o.try - 1); d > 0 {
-					o.eng.Schedule(d, o.step)
-					return
-				}
-			}
-		}
+// run starts a top-level op: under the client's retry policy when it has
+// one, else straight down its chain.
+func (o *op) run() {
+	if cl := o.cl; cl.Retry != nil && !cl.Split {
+		cl.Retry.Run(o, o.write, cl.TraceSink, "rados-attempt", o.opts.Trace)
+		return
 	}
+	o.advance()
 }
 
-// startAttempt issues attempt o.try as its own op and arms its deadline.
-func (o *op) startAttempt() {
-	cl := o.cl
-	h := cl.TraceSink.Begin(o.opts.Trace, "rados-attempt")
-	if o.try > 0 {
-		h.Link(trace.KindRetry, o.prevAttempt)
-	}
-	o.prevAttempt = h.ID()
-	o.attempt = h
-	a := cl.getOp()
-	a.kind, a.write, a.parent = o.sub, o.write, o
-	a.pool, a.obj, a.off, a.n, a.data, a.opts = o.pool, o.obj, o.off, o.n, o.data, o.opts
-	// Children of this attempt (OSD service spans, failover markers)
+// Issue starts attempt try of the op as an op of its own, one event later.
+// A deadline can abandon the attempt op: it keeps running to completion
+// (the cluster may still apply the op), but nobody observes its result —
+// the same semantics as a timed-out RPC. A replicated read's attempt try
+// reads from the try-th up replica (see readReplicated).
+func (o *op) Issue(a *Attempt, try int, tr trace.Ref) {
+	c := o.cl.getOp()
+	c.kind, c.write, c.parent, c.attempt, c.shift = o.kind, o.write, o, a, try
+	c.pool, c.obj, c.off, c.n, c.data, c.opts = o.pool, o.obj, o.off, o.n, o.data, o.opts
+	// Children of the attempt (OSD service spans, failover markers)
 	// parent under the attempt span so the critical path can descend
 	// attempt → osd-service; unsampled ops pass the zero Ref through.
-	if h.On() {
-		a.opts.Trace = h.Ref()
-	}
-	if a.kind == kindReadRepl {
-		a.shift = o.try
-	}
-	o.cur = a
-	o.res, o.err = nil, nil
-	o.eng.Schedule(0, a.step)
-	if d := cl.Retry.Deadline; d > 0 {
-		o.timer = o.eng.Schedule(d, o.timeout)
-	}
+	c.opts.Trace = tr
+	o.eng.Schedule(0, c.step)
 }
 
-// deliver is a finished attempt's completion hop: the retry op observes the
-// result unless the attempt was abandoned at its deadline, and the
-// deadline timer is cancelled.
+// Finish ends a top-level op with the retry policy's result.
+func (o *op) Finish(_ bool, err error) { o.finish(o.res, err) }
+
+// deliver is a finished attempt op's completion hop: the op it tries takes
+// its data only if the policy still observes the attempt.
 func (o *op) deliver() {
-	r := o.parent
-	if r.cur != o {
-		o.recycle()
-		return
+	a, res, err := o.attempt, o.res, o.err
+	if a.run != nil {
+		o.parent.res = res
 	}
-	r.cur = nil
-	if o.cl.Retry.Deadline > 0 {
-		o.eng.Cancel(r.timer)
-	}
-	r.res, r.err = o.res, o.err
 	o.recycle()
-	r.advance()
-}
-
-// deadline abandons the attempt being observed.
-func (o *op) deadline() {
-	if o.cur == nil {
-		return
-	}
-	o.cur = nil
-	if c := o.cl.Retry.Counters; c != nil {
-		c.DeadlineExceeded++
-	}
-	o.res, o.err = nil, ErrDeadline
-	o.advance()
+	a.Done(err)
 }

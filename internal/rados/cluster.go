@@ -219,7 +219,7 @@ func (c *Cluster) CreateECPool(name string, k, m int, pgs uint32) (*Pool, error)
 	if _, dup := c.pools[name]; dup {
 		return nil, fmt.Errorf("rados: duplicate pool %q", name)
 	}
-	code, err := erasure.New(k, m, erasure.VandermondeRS)
+	code, err := erasure.New(k, m)
 	if err != nil {
 		return nil, err
 	}
